@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
     SolverError,
 )
-from .extension import domination_check, extend_full_state, functional_coefficients
+from .extension import domination_check, extend_full_state
 from .fixtures import oracle_by_name
 from .gauges import ExplicitMaxAbs, PolyhedralGauge, gauge, gauge_from_symmetrized
 from .geometry import Hyperplane, Subspace, span_basis, zero_subspace
@@ -220,11 +220,16 @@ def parse_problem(path: str) -> Problem:
 # ---------------------------------------------------------------------------
 # subcommand helpers
 
-def _pipeline_gauge(problem: Problem, opts: SeparationOptions):
+def _anchor(problem: Problem) -> np.ndarray:
+    return problem.x if problem.x is not None else pick_interior_point(problem.a_set)
+
+
+def _pipeline_gauge(problem: Problem, x: np.ndarray | None = None):
+    """The problem's seminorm, else the gauge of its symmetrized body at ``x``
+    (the problem's anchor when omitted)."""
     if problem.seminorm is not None:
         return problem.seminorm
-    x = problem.x if problem.x is not None else pick_interior_point(problem.a_set)
-    return gauge_from_symmetrized(build_D(problem.a_set, x))
+    return gauge_from_symmetrized(build_D(problem.a_set, _anchor(problem) if x is None else x))
 
 
 def _certificate_doc(cert) -> dict:
@@ -267,7 +272,6 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
 
 def _cmd_separate(problem: Problem, args) -> dict:
     opts = problem.options(args)
-    start = time.perf_counter()
     result = separate(problem.a_set, problem.s, opts)
     doc = _base_doc("separate", opts.seed)
     doc["normal"] = _vector(result.hyperplane.normal)
@@ -275,7 +279,6 @@ def _cmd_separate(problem: Problem, args) -> dict:
     doc["anchor"] = _vector(result.anchor_x) if result.anchor_x is not None else None
     doc["gamma_history"] = _history_doc(result.steps)
     doc["certificate"] = _certificate_doc(result.certificate)
-    doc["timings"] = {"total_s": time.perf_counter() - start}
     return doc
 
 
@@ -284,11 +287,10 @@ def _cmd_gauge(problem: Problem, args) -> dict:
         raise InputError("gauge requires --point")
     opts = problem.options(args)
     point = _parse_point(args.point, problem.dimension)
-    p = _pipeline_gauge(problem, opts)
+    p = _pipeline_gauge(problem)
     doc = _base_doc("gauge", opts.seed)
     doc["point"] = _vector(point)
     doc["value"] = gauge(p, point)
-    doc["timings"] = {"total_s": 0.0}
     return doc
 
 
@@ -300,18 +302,16 @@ def _cmd_conic(problem: Problem, args) -> dict:
     doc = _base_doc("conic", opts.seed)
     doc["point"] = _vector(point)
     doc["member"] = conic_hull_membership(problem.a_set, point)
-    doc["timings"] = {"total_s": 0.0}
     return doc
 
 
 def _cmd_extend(problem: Problem, args) -> dict:
     opts = problem.options(args)
-    start = time.perf_counter()
-    x = problem.x if problem.x is not None else pick_interior_point(problem.a_set)
-    p = _pipeline_gauge(problem, opts)
+    x = _anchor(problem)
+    p = _pipeline_gauge(problem, x)
     _, functional = _span_functional(problem.s, x)
     state = extend_full_state(functional, p, opts.gamma_rule, seed=opts.seed)
-    g = functional_coefficients(state)
+    g = state.functional.as_coefficients()
     violation = domination_check(g, p, seed=opts.seed, trials=256)
     if violation > 1e-6:
         raise SolverError(f"extension violates domination by {violation:.3e}")
@@ -319,18 +319,16 @@ def _cmd_extend(problem: Problem, args) -> dict:
     doc["g"] = _vector(g)
     doc["gamma_history"] = _history_doc(state.history)
     doc["domination_violation"] = violation
-    doc["timings"] = {"total_s": time.perf_counter() - start}
     return doc
 
 
 def _cmd_roundtrip(problem: Problem, args) -> dict:
     opts = problem.options(args)
-    start = time.perf_counter()
-    x = problem.x if problem.x is not None else pick_interior_point(problem.a_set)
-    p = _pipeline_gauge(problem, opts)
+    x = _anchor(problem)
+    p = _pipeline_gauge(problem, x)
     _, functional = _span_functional(problem.s, x)
     direct = extend_full_state(functional, p, opts.gamma_rule, seed=opts.seed)
-    g_direct = functional_coefficients(direct)
+    g_direct = direct.functional.as_coefficients()
     g_geometric = extend_via_separation(functional, p, rule=opts.gamma_rule, seed=opts.seed)
     basis = functional.domain.basis
     doc = _base_doc("roundtrip", opts.seed)
@@ -338,7 +336,6 @@ def _cmd_roundtrip(problem: Problem, args) -> dict:
     doc["g_geometric"] = _vector(g_geometric)
     doc["domain_agreement"] = float(np.max(np.abs(basis @ g_geometric - functional.values)))
     doc["domination_violation"] = domination_check(g_geometric, p, seed=opts.seed, trials=256)
-    doc["timings"] = {"total_s": time.perf_counter() - start}
     return doc
 
 
@@ -357,7 +354,6 @@ def _cmd_verify(problem: Problem, args) -> dict:
     doc = _base_doc("verify", opts.seed)
     doc["normal"] = _vector(normal)
     doc["certificate"] = _certificate_doc(cert)
-    doc["timings"] = {"total_s": 0.0}
     return doc
 
 
@@ -379,7 +375,6 @@ def _cmd_render(problem: Problem, args) -> dict:
     doc = _base_doc("render", opts.seed)
     doc["svg"] = target
     doc["normal"] = _vector(result.hyperplane.normal)
-    doc["timings"] = {"total_s": 0.0}
     return doc
 
 
@@ -421,7 +416,7 @@ def _cmd_repro(args) -> int:
     failures = 0
     for name in _BUILTIN_PROBLEMS:
         problem = parse_problem(name)
-        doc = _strip_timings(_cmd_separate(problem, args))
+        doc = _cmd_separate(problem, args)
         golden_text = resources.files("gaugesep").joinpath(f"goldens/{name}.json").read_text()
         golden = json.loads(golden_text)
         hit = _diff_docs(_strip_timings(golden), json.loads(dumps(doc)))
@@ -473,7 +468,9 @@ def main(argv=None) -> int:
         if not args.input:
             raise InputError(f"{args.command} requires --input")
         problem = parse_problem(args.input)
+        start = time.perf_counter()
         doc = _HANDLERS[args.command](problem, args)
+        doc["timings"] = {"total_s": time.perf_counter() - start}
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 2

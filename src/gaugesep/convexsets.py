@@ -13,11 +13,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptySetError, InputError
+from .errors import EmptySetError, InputError, SolverError
 from .geometry import as_vector, _frozen
 from .simplexlp import solve_lp
 
 DEFAULT_RAY_BOUND = 1e6
+MIN_DEPTH = 1e-9  # inscribed-ball radii at or below this certify no interior
 
 
 class ConvexSet:
@@ -265,34 +266,8 @@ def conic_hull_membership_search(a_set: ConvexSet, point, *, grid: int | None = 
 
 
 def conic_hull_membership(a_set: ConvexSet, point) -> bool:
-    """Membership in ``B``, the union of all positive dilates of ``a_set``.
-
-    Polyhedra reduce each strict row to an interval constraint on the dilation
-    factor; balls use the closed-form quadratic test (the generic 1-D search
-    agrees and remains available as ``conic_hull_membership_search``); oracle
-    sets fall back to that search.
-    """
-    e = as_vector(point, a_set.dim)
-    if isinstance(a_set, HPolyhedron):
-        lo = 0.0
-        hi = np.inf
-        for a_i, b_i in zip(a_set.a, a_set.b):
-            dot = float(a_i @ e)
-            if b_i > 0.0:
-                lo = max(lo, dot / b_i)
-            elif b_i == 0.0:
-                if not dot < 0.0:
-                    return False
-            else:
-                if not dot < 0.0:
-                    return False
-                hi = min(hi, dot / b_i)
-        return lo < hi
-    if isinstance(a_set, OpenBall):
-        return BallCone(a_set.center, a_set.radius).contains(e)
-    if isinstance(a_set, (BallCone, ConicHullSet)):
-        return a_set.contains(e)  # already a cone
-    return conic_hull_membership_search(a_set, e)
+    """Membership in ``B``, the union of all positive dilates of ``a_set``."""
+    return conic_hull(a_set).contains(point)
 
 
 def conic_hull(a_set: ConvexSet) -> ConvexSet:
@@ -333,81 +308,66 @@ def build_D(a_set: ConvexSet, x) -> SymmetrizedBody:
     return SymmetrizedBody(hull, x)
 
 
-def chebyshev_center(poly: HPolyhedron, *, tol: float = 1e-9) -> tuple[np.ndarray, float]:
-    """Deepest interior point of a bounded polyhedron, plus its inradius.
+def _inscribed_ball(
+    poly: HPolyhedron, *, cap: float | None = None, basis: np.ndarray | None = None, normal: np.ndarray | None = None
+) -> tuple[np.ndarray, float] | None:
+    """Largest ball in the polyhedron's closure: max r s.t. a_i . y + r |a_i| <= b_i.
 
-    Ties are broken toward the lexicographically least optimal point by a
-    chain of follow-up LPs, each pinned with 1e-9 slack.  Raises EmptySetError
-    when the interior is empty and InputError when unbounded.
+    The center y may be restricted either to the row span of ``basis``
+    (y = c @ basis) or to the hyperplane ``normal . y = 0``, and r may be
+    capped.  Returns (y, r), or None when the closure misses the restriction.
+    An unbounded r (possible only without a cap) raises InputError; any other
+    status than optimal or infeasible raises SolverError.
     """
-    n = poly.dim
     a, b = np.asarray(poly.a), np.asarray(poly.b)
-    if a.shape[0] == 0:
-        raise InputError("the whole space has no deepest point; supply constraints or a witness")
-    norms = np.linalg.norm(a, axis=1)
-    cost = np.zeros(n + 1)
+    a_y = a if basis is None else a @ basis.T
+    k = a_y.shape[1]
+    cost = np.zeros(k + 1)
     cost[-1] = -1.0
-    a_lp = np.hstack([a, norms[:, None]])
-    res = solve_lp(cost, a_ub=a_lp, b_ub=b)
-    if res.status == "infeasible":
-        raise EmptySetError("polyhedron is empty")
-    if res.status == "unbounded":
-        raise InputError("polyhedron is unbounded; an interior point requires a witness")
-    radius = float(res.x[-1])
-    if radius <= tol:
-        raise EmptySetError("polyhedron has empty interior")
-    extra_a = [np.append(np.zeros(n), -1.0)]
-    extra_b = [-(radius - 1e-9)]
-    for j in range(n):
-        cost_j = np.zeros(n + 1)
-        cost_j[j] = 1.0
-        res_j = solve_lp(cost_j, a_ub=np.vstack([a_lp, np.array(extra_a)]), b_ub=np.concatenate([b, extra_b]))
-        if res_j.status != "optimal":
-            raise InputError("polyhedron is unbounded; an interior point requires a witness")
-        pin = np.zeros(n + 1)
-        pin[j] = 1.0
-        extra_a.append(pin)
-        extra_b.append(float(res_j.x[j]) + 1e-9)
-    center = res_j.x[:n]
-    radius = float(np.min((b - a @ center) / norms))
-    if radius <= tol:
-        raise EmptySetError("polyhedron has empty interior")
-    return center, radius
-
-
-def strict_feasibility_margin(poly: HPolyhedron, a_eq=None, b_eq=None, *, cap: float = 1.0) -> float | None:
-    """Largest uniform interior margin (capped), or None when the closure is empty.
-
-    With equality rows this measures the deepest point of the polyhedron's
-    closure restricted to an affine subspace; a positive value certifies a
-    strictly interior point there.
-    """
-    n = poly.dim
-    a, b = np.asarray(poly.a), np.asarray(poly.b)
-    norms = np.linalg.norm(a, axis=1) if a.shape[0] else np.zeros(0)
-    cost = np.zeros(n + 1)
-    cost[-1] = -1.0
-    rows = np.hstack([a, norms[:, None]]) if a.shape[0] else np.zeros((0, n + 1))
-    cap_row = np.append(np.zeros(n), 1.0)
-    a_ub = np.vstack([rows, cap_row[None, :]])
-    b_ub = np.concatenate([b, [cap]])
-    eq_rows = None
-    if a_eq is not None:
-        a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n)
-        eq_rows = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
-    res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, a_eq=eq_rows, b_eq=b_eq)
+    a_ub = np.hstack([a_y, np.linalg.norm(a, axis=1)[:, None]])
+    b_ub = b
+    if cap is not None:
+        a_ub = np.vstack([a_ub, np.append(np.zeros(k), 1.0)])
+        b_ub = np.append(b, cap)
+    a_eq = b_eq = None
+    if normal is not None:
+        a_eq = np.append(normal, 0.0)[None, :]
+        b_eq = np.zeros(1)
+    res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     if res.status == "infeasible":
         return None
+    if res.status == "unbounded" and cap is None:
+        raise InputError("polyhedron is unbounded; an interior point requires a witness")
     if res.status != "optimal":
-        return float(cap)
-    return float(res.x[-1])
+        raise SolverError(f"inscribed-ball LP ended with status {res.status!r}")
+    center = res.x[:k] if basis is None else res.x[:k] @ basis
+    return center, float(res.x[-1])
+
+
+def chebyshev_center(poly: HPolyhedron) -> tuple[np.ndarray, float]:
+    """A Chebyshev center (deepest interior point) of the polyhedron, plus its inradius.
+
+    One LP; among equally deep points the simplex vertex is returned, so the
+    result is deterministic.  Raises EmptySetError when the interior is empty
+    and InputError when the inradius is unbounded.
+    """
+    if poly.a.shape[0] == 0:
+        raise InputError("the whole space has no deepest point; supply constraints or a witness")
+    ball = _inscribed_ball(poly)
+    if ball is None:
+        raise EmptySetError("polyhedron is empty")
+    center = ball[0]
+    radius = float(np.min((poly.b - poly.a @ center) / np.linalg.norm(poly.a, axis=1)))
+    if radius <= MIN_DEPTH:
+        raise EmptySetError("polyhedron has empty interior")
+    return center, radius
 
 
 def is_empty(a_set: ConvexSet) -> bool:
     """Best-effort emptiness test (exact for polyhedra and balls)."""
     if isinstance(a_set, HPolyhedron):
-        margin = strict_feasibility_margin(a_set)
-        return margin is None or margin <= 1e-9
+        ball = _inscribed_ball(a_set, cap=1.0)
+        return ball is None or ball[1] <= MIN_DEPTH
     if isinstance(a_set, OpenBall):
         return False
     if isinstance(a_set, OracleSet):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, InputError, SolverError
-from .gauges import ExplicitMaxAbs, OracleGauge, PolyhedralGauge, Seminorm, gauge
+from .gauges import OracleGauge, PolyhedralGauge, Seminorm, gauge
 from .geometry import (
     TOL_MEMBERSHIP,
     PartialFunctional,
@@ -82,15 +82,6 @@ class ExtensionState:
     @property
     def domain(self) -> Subspace:
         return self.functional.domain
-
-
-def _polyhedral_rows(p: Seminorm) -> tuple[np.ndarray, np.ndarray] | None:
-    if isinstance(p, PolyhedralGauge):
-        return p.a, p.b
-    if isinstance(p, ExplicitMaxAbs):
-        rows = np.vstack([p.rows, -p.rows])
-        return rows, np.ones(rows.shape[0])
-    return None
 
 
 def _pattern_search(
@@ -162,9 +153,8 @@ def _phi(state: ExtensionState, z: np.ndarray, method: str, seed: int) -> float:
     k = basis.shape[0]
     if k == 0:
         return gauge(p, z)
-    rows = _polyhedral_rows(p)
-    if rows is not None and method in ("auto", "lp"):
-        a, b = rows
+    if isinstance(p, PolyhedralGauge) and method in ("auto", "lp"):
+        a, b = p.a, p.b
         m = a.shape[0]
         # variables (c_1..c_k free, t >= 0): min -w.c + t  s.t.  a_i.(Bc + z) <= t b_i
         cost = np.concatenate([-w, [1.0]])
@@ -224,7 +214,7 @@ def extension_interval(state: ExtensionState, z, *, method: str = "auto", seed: 
     lo = -_phi(state, -z, method, seed + 1)
     # LP endpoints are exact; search-certified ones carry a ~1e-6 gap, so a
     # zero-width interval may come back inverted by certification noise
-    exact = _polyhedral_rows(state.seminorm) is not None and method != "search"
+    exact = isinstance(state.seminorm, PolyhedralGauge) and method != "search"
     slack = 1e-7 if exact else 2e-6
     if lo > hi + slack:
         raise SolverError(f"empty admissible interval [{lo}, {hi}]: seminorm or domination assumption broken")
@@ -261,18 +251,13 @@ def extend_one(
     new_functional = PartialFunctional(new_domain, np.append(state.functional.values, new_value))
     bound = gauge(state.seminorm, new_row)
     # LP intervals are exact; search-certified ones carry a ~1e-6 gap
-    step_tol = 1e-7 if (_polyhedral_rows(state.seminorm) is not None and method != "search") else 2e-6
+    step_tol = 1e-7 if (isinstance(state.seminorm, PolyhedralGauge) and method != "search") else 2e-6
     if abs(new_value) > bound + step_tol:
         raise SolverError(
             f"stepwise domination failed: |g| = {abs(new_value):.3e} exceeds p = {bound:.3e} on the new direction"
         )
     step = ExtensionStep(z, interval, value)
     return ExtensionState(new_functional, state.seminorm, state.history + (step,))
-
-
-def functional_coefficients(state: ExtensionState) -> np.ndarray:
-    """Coefficient vector of the functional against the standard basis."""
-    return state.functional.as_coefficients()
 
 
 def extend_with_values(f: PartialFunctional, directions, gammas) -> np.ndarray:
@@ -328,7 +313,7 @@ def extend_full(
     if f.is_zero():
         return np.zeros(f.domain.ambient_dim)
     state = extend_full_state(f, p, rule, method=method, seed=seed)
-    g = functional_coefficients(state)
+    g = state.functional.as_coefficients()
     if check:
         violation = domination_check(g, p, seed=seed, trials=256)
         if violation > DOMINATION_TOL:
@@ -364,9 +349,8 @@ def domination_check(g, p: Seminorm, seed: int = 0, trials: int = 200) -> float:
     dirs = rng.normal(size=(trials, g.size))
     norms = np.linalg.norm(dirs, axis=1)
     dirs = dirs[norms > 1e-12] / norms[norms > 1e-12, None]
-    rows = _polyhedral_rows(p)
-    if rows is not None:
-        a, b = rows
+    if isinstance(p, PolyhedralGauge):
+        a, b = p.a, p.b
         if a.shape[0]:
             values = np.max((dirs @ a.T) / b, axis=1)
             gauges = np.maximum(0.0, values)

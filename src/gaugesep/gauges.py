@@ -62,24 +62,15 @@ class OracleGauge:
         return self.body.dim
 
 
-@dataclass(frozen=True, eq=False)
-class ExplicitMaxAbs:
-    """Test-fixture seminorm ``max_i |c_i . e|``."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2:
-            raise InputError("coefficient rows must form a 2-D array")
-        object.__setattr__(self, "rows", _frozen(rows))
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
+def ExplicitMaxAbs(rows) -> PolyhedralGauge:
+    """The seminorm ``max_i |c_i . e|``: the gauge of ``{e : |c_i . e| < 1}``."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise InputError("coefficient rows must form a 2-D array")
+    return PolyhedralGauge(np.vstack([rows, -rows]), np.ones(2 * rows.shape[0]))
 
 
-Seminorm = PolyhedralGauge | OracleGauge | ExplicitMaxAbs
+Seminorm = PolyhedralGauge | OracleGauge
 
 
 def gauge(p: Seminorm, e) -> float:
@@ -89,10 +80,6 @@ def gauge(p: Seminorm, e) -> float:
         if p.a.shape[0] == 0:
             return 0.0
         return float(max(0.0, np.max((p.a @ e) / p.b)))
-    if isinstance(p, ExplicitMaxAbs):
-        if p.rows.shape[0] == 0:
-            return 0.0
-        return float(np.max(np.abs(p.rows @ e)))
     return _gauge_bisection(p, e)
 
 
@@ -130,9 +117,6 @@ def unit_ball(p: Seminorm) -> ConvexSet:
     """The open set ``{e : p(e) < 1}`` as a ConvexSet."""
     if isinstance(p, PolyhedralGauge):
         return HPolyhedron(p.a, p.b)
-    if isinstance(p, ExplicitMaxAbs):
-        rows = np.vstack([p.rows, -p.rows])
-        return HPolyhedron(rows, np.ones(rows.shape[0]))
     return p.body
 
 

@@ -207,7 +207,6 @@ class Hyperplane:
     """A hyperplane through the origin: the kernel of ``normal . e``."""
 
     normal: np.ndarray
-    through_origin: bool = True
 
     def __post_init__(self):
         normal = as_vector(self.normal)

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexsets import (
+    MIN_DEPTH,
     ConvexSet,
     HPolyhedron,
     OpenBall,
     OracleSet,
+    _inscribed_ball,
     build_D,
-    conic_hull_membership,
     is_empty,
     pick_interior_point,
     sample_interior,
@@ -35,7 +36,6 @@ from .extension import (
     ExtensionStep,
     domination_check,
     extend_full_state,
-    functional_coefficients,
 )
 from .gauges import Seminorm, gauge, gauge_from_symmetrized, unit_ball
 from .geometry import (
@@ -59,7 +59,6 @@ class SeparationOptions:
     x: np.ndarray | None = None
     gamma_rule: str = "upper"
     seed: int = 0
-    interval_method: str = "auto"
     certificate_samples: int = 10_000
     gauge_tol: float | None = None
 
@@ -74,8 +73,9 @@ class SeparationCertificate:
     margin of the hyperplane against the set's closure (polyhedra and balls
     only).  ``sign_constant``: the functional has one sign on the set.
     ``conic_disjoint_sampled``: positively-scaled samples also avoid the
-    hyperplane.  ``remark2_status``: domination and disjointness agreed
-    (None when no gauge was available to test domination).
+    hyperplane, which holds exactly when ``a_clearance > 0``.
+    ``remark2_status``: domination and disjointness agreed (None when no
+    gauge was available to test domination).
     """
 
     s_in_h_residual: float
@@ -133,53 +133,14 @@ def _kernel_disjoint(a_set: ConvexSet, g: np.ndarray, seed: int = 0, samples: in
         raise DegenerateError("zero functional")
     normal = g / norm
     if isinstance(a_set, HPolyhedron):
-        margin = _restricted_margin(a_set, eq_row=normal)
-        return margin is None or margin <= 1e-9
+        ball = _inscribed_ball(a_set, cap=1.0, normal=normal)
+        return ball is None or ball[1] <= MIN_DEPTH
     if isinstance(a_set, OpenBall):
         dist = abs(float(normal @ a_set.center))
         return bool(dist >= a_set.radius - 1e-9 * max(1.0, a_set.radius))
     pts = sample_interior(a_set, samples, seed)
     vals = pts @ normal
     return bool(np.all(vals > 0.0) or np.all(vals < 0.0))
-
-
-def _restricted_margin(poly: HPolyhedron, *, basis: np.ndarray | None = None, eq_row: np.ndarray | None = None) -> float | None:
-    """Deepest strict margin of the polyhedron's closure restricted to a
-    subspace (coordinates ``basis``) and/or a hyperplane ``eq_row . e = 0``.
-
-    None when even the closure is infeasible; values at or below ~1e-9 mean
-    no strictly interior intersection exists.
-    """
-    n = poly.dim
-    a, b = np.asarray(poly.a), np.asarray(poly.b)
-    norms = np.linalg.norm(a, axis=1) if a.shape[0] else np.zeros(0)
-    if basis is None:
-        k = n
-        a_c = a
-        eq = eq_row[None, :] if eq_row is not None else None
-    else:
-        k = basis.shape[0]
-        if k == 0:
-            # restriction to {0}: the margin is the depth of the origin
-            if a.shape[0] == 0:
-                return 1.0
-            return float(np.min(b / norms))
-        a_c = a @ basis.T
-        eq = (basis @ eq_row)[None, :] if eq_row is not None else None
-    cost = np.zeros(k + 1)
-    cost[-1] = -1.0
-    rows = np.hstack([a_c, norms[:, None]]) if a.shape[0] else np.zeros((0, k + 1))
-    cap_row = np.append(np.zeros(k), 1.0)
-    a_ub = np.vstack([rows, cap_row[None, :]])
-    b_ub = np.concatenate([b, [1.0]])
-    a_eq = np.hstack([eq, np.zeros((1, 1))]) if eq is not None else None
-    b_eq = np.zeros(1) if eq is not None else None
-    res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-    if res.status == "infeasible":
-        return None
-    if res.status != "optimal":
-        raise SolverError(f"margin LP ended with status {res.status!r}")
-    return float(res.x[-1])
 
 
 def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
@@ -189,8 +150,8 @@ def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
             raise InputError("the set contains the origin, which lies in the subspace")
         return
     if isinstance(a_set, HPolyhedron):
-        margin = _restricted_margin(a_set, basis=np.asarray(s.basis))
-        if margin is not None and margin > 1e-9:
+        ball = _inscribed_ball(a_set, cap=1.0, basis=np.asarray(s.basis))
+        if ball is not None and ball[1] > MIN_DEPTH:
             raise InputError("the set intersects the subspace (strict margin found by LP)")
         return
     if isinstance(a_set, OpenBall):
@@ -220,10 +181,11 @@ def _certificate(
     opts: SeparationOptions,
     *,
     remark2: bool | None,
+    start: np.ndarray | None = None,
 ) -> SeparationCertificate:
     normal = np.asarray(hyperplane.normal)
     residual = _subspace_residual(s, normal)
-    samples = sample_interior(a_set, opts.certificate_samples, opts.seed)
+    samples = sample_interior(a_set, opts.certificate_samples, opts.seed, start=start)
     vals = samples @ normal
     clearance = float(np.min(np.abs(vals)))
     closure = _closure_range(a_set, normal)
@@ -234,10 +196,7 @@ def _certificate(
         vmin, vmax = closure
         margin = float(max(vmin, -vmax))
         sign_constant = margin >= -1e-9
-    rng = np.random.default_rng(opts.seed + 1)
-    alphas = rng.uniform(0.1, 10.0, size=vals.size)
-    conic_ok = bool(np.all(np.abs(alphas * vals) > 0.0))
-    return SeparationCertificate(residual, clearance, margin, sign_constant, conic_ok, remark2)
+    return SeparationCertificate(residual, clearance, margin, sign_constant, clearance > 0.0, remark2)
 
 
 def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = None) -> SeparationResult:
@@ -263,19 +222,14 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
         cert = SeparationCertificate(_subspace_residual(s, normal), np.inf, None, True, True, None)
         return SeparationResult(hyper, np.array(normal), None, None, (), cert)
     _check_disjoint(a_set, s, opts.seed)
-    if opts.x is not None:
-        x = as_vector(opts.x, n)
-        if not conic_hull_membership(a_set, x):
-            raise InputError("supplied anchor is outside the conic hull of the set")
-    else:
-        x = pick_interior_point(a_set)
+    x = as_vector(opts.x, n) if opts.x is not None else pick_interior_point(a_set)
     body = build_D(a_set, x)
     p = gauge_from_symmetrized(body)
     if opts.gauge_tol is not None and hasattr(p, "tol"):
         p = type(p)(p.body, tol=opts.gauge_tol, cap=p.cap)
     _, functional = _span_functional(s, x)
-    state = extend_full_state(functional, p, opts.gamma_rule, method=opts.interval_method, seed=opts.seed)
-    g = functional_coefficients(state)
+    state = extend_full_state(functional, p, opts.gamma_rule, seed=opts.seed)
+    g = state.functional.as_coefficients()
     if abs(float(g @ x) - 1.0) > 1e-8:
         raise SolverError("extension failed to send the anchor to 1")
     violation = domination_check(g, p, seed=opts.seed, trials=256)
@@ -284,7 +238,8 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     hyper = kernel_hyperplane(g)
     disjoint = _kernel_disjoint(a_set, g, seed=opts.seed)
     remark2 = (violation <= DOMINATION_TOL) == disjoint
-    cert = _certificate(a_set, s, hyper, opts, remark2=remark2)
+    # without a supplied anchor, x is the point sample_interior would pick
+    cert = _certificate(a_set, s, hyper, opts, remark2=remark2, start=x if opts.x is None else None)
     return SeparationResult(hyper, g, x, p, state.history, cert)
 
 

@@ -233,6 +233,27 @@ class TestSubcommands:
         assert doc["g"][1] == pytest.approx(0.0, abs=1e-6)
 
 
+class TestTimings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["separate"],
+            ["gauge", "--point", "1,0"],
+            ["conic", "--point", "1,0"],
+            ["extend"],
+            ["roundtrip"],
+            ["verify"],
+            ["render"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_subcommand_reports_its_time(self, capsys, tmp_path, argv):
+        extra = ["--svg", str(tmp_path / "out.svg")] if argv[0] == "render" else []
+        code, out, _ = run_cli(capsys, *argv, "--input", "example3_quotient", *extra)
+        assert code == 0
+        assert json.loads(out)["timings"]["total_s"] > 0.0
+
+
 class TestDeterminism:
     def strip(self, out: str) -> dict:
         doc = json.loads(out)

@@ -16,7 +16,6 @@ from gaugesep import (
     extend_one,
     extend_with_values,
     extension_interval,
-    functional_coefficients,
     span_basis,
     unit_ball,
     zero_subspace,
@@ -119,13 +118,13 @@ class TestExtendOne:
     def test_upper_rule_taxicab(self):
         state = ExtensionState(x_axis_functional(), TAXICAB)
         new = extend_one(state, np.array([0.0, 1.0]), "upper")
-        np.testing.assert_allclose(functional_coefficients(new), [1.0, 1.0], atol=1e-9)
+        np.testing.assert_allclose(new.functional.as_coefficients(), [1.0, 1.0], atol=1e-9)
         assert new.history[-1].gamma == pytest.approx(1.0, abs=1e-9)
 
     def test_midpoint_rule_taxicab(self):
         state = ExtensionState(x_axis_functional(), TAXICAB)
         new = extend_one(state, np.array([0.0, 1.0]), "midpoint")
-        np.testing.assert_allclose(functional_coefficients(new), [1.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(new.functional.as_coefficients(), [1.0, 0.0], atol=1e-9)
 
     def test_gamma_zero_forced_on_kernel_direction(self):
         f = PartialFunctional(zero_subspace(3), np.zeros(0))
@@ -147,7 +146,7 @@ class TestExtendOne:
     def test_explicit_gamma_inside_interval(self):
         state = ExtensionState(x_axis_functional(), TAXICAB)
         new = extend_one(state, np.array([0.0, 1.0]), gamma=0.25)
-        np.testing.assert_allclose(functional_coefficients(new), [1.0, 0.25], atol=1e-9)
+        np.testing.assert_allclose(new.functional.as_coefficients(), [1.0, 0.25], atol=1e-9)
 
     def test_explicit_gamma_outside_interval_rejected(self):
         state = ExtensionState(x_axis_functional(), TAXICAB)
@@ -208,7 +207,7 @@ class TestStepwiseDomination:
             p = random_polyhedral_gauge(rng, n)
             f, _ = dominated_functional(rng, p, 1)
             state = extend_full_state(f, p)
-            g = functional_coefficients(state)
+            g = state.functional.as_coefficients()
             from gaugesep import gauge
 
             for _ in range(200):
@@ -268,5 +267,5 @@ class TestExtendWithValues:
         f = x_axis_functional()
         state = ExtensionState(f, TAXICAB)
         direct = extend_with_values(f, [np.array([0.0, 1.0])], [0.5])
-        stepped = functional_coefficients(extend_one(state, np.array([0.0, 1.0]), gamma=0.5))
+        stepped = extend_one(state, np.array([0.0, 1.0]), gamma=0.5).functional.as_coefficients()
         np.testing.assert_allclose(direct, stepped, atol=1e-12)

@@ -91,6 +91,12 @@ class TestExplicitMaxAbs:
         p = ExplicitMaxAbs(np.array([[1.0, 0.0], [0.0, 2.0]]))
         assert gauge(p, np.array([3.0, -4.0])) == 8.0
 
+    def test_is_the_symmetric_polyhedral_gauge(self):
+        p = ExplicitMaxAbs(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        assert isinstance(p, PolyhedralGauge)
+        np.testing.assert_array_equal(p.a, [[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0], [0.0, -2.0]])
+        np.testing.assert_array_equal(p.b, np.ones(4))
+
 
 class TestGaugeFromSymmetrized:
     def test_polyhedral_fast_path(self):

@@ -114,6 +114,20 @@ class TestSeparateFixtures:
         assert first.certificate == second.certificate
 
 
+class TestTouchingBoxes:
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_box_against_vertical_axis(self, scale):
+        # (4,6) x (0,2) x (-1,1) against span{e3} with the default anchor; the
+        # separating plane may touch the box's closure, hence the rounding slack
+        center = np.array([5.0, 1.0, 0.0]) * scale
+        half = np.ones(3) * scale
+        box = HPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([center + half, half - center]))
+        result = separate(box, span_basis([np.array([0.0, 0.0, 1.0])], 3))
+        assert result.certificate.valid
+        normal = np.asarray(result.hyperplane.normal)
+        assert abs(normal @ center) >= half @ np.abs(normal) - 1e-9 * scale
+
+
 class TestSeparateRandomInstances:
     def test_end_to_end_soundness(self):
         rng = np.random.default_rng(20)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gaugesep.convexsets as convexsets
 from gaugesep import EmptySetError, HPolyhedron, InputError, chebyshev_center, solve_lp
 
 from helpers import lp_vertex_reference
@@ -103,8 +104,8 @@ class TestChebyshevCenter:
         assert radius == pytest.approx(1.0, abs=1e-8)
 
     def test_boxed_halfspace_hand_lp(self):
-        # {x > 0} boxed to [-10, 10]^3: inradius 5 attained on x = 5, and the
-        # lexicographic rule pins the free coordinates at their minimum, -5
+        # {x > 0} boxed to [-10, 10]^3: inradius 5 attained on x = 5; the other
+        # coordinates are free in [-5, 5], and any deepest point is a center
         rows = [[-1.0, 0.0, 0.0]]
         offs = [0.0]
         for j in range(3):
@@ -118,8 +119,23 @@ class TestChebyshevCenter:
         center, radius = chebyshev_center(poly)
         assert radius == pytest.approx(5.0, abs=1e-6)
         assert center[0] == pytest.approx(5.0, abs=1e-6)
-        assert center[1] == pytest.approx(-5.0, abs=1e-6)
-        assert center[2] == pytest.approx(-5.0, abs=1e-6)
+        depth = np.min((poly.b - poly.a @ center) / np.linalg.norm(poly.a, axis=1))
+        assert depth == pytest.approx(radius, abs=1e-9)
+
+    def test_one_lp_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(convexsets, "solve_lp", counting)
+        n = 40
+        box = HPolyhedron(np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([np.full(n, 3.0), np.ones(n)]))
+        center, radius = chebyshev_center(box)
+        assert len(calls) == 1
+        assert radius == pytest.approx(2.0, abs=1e-9)
+        assert box.contains(center)
 
     def test_empty_polyhedron(self):
         empty = HPolyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
