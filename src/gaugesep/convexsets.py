@@ -207,11 +207,6 @@ class SymmetrizedBody(ConvexSet):
         return max(v1, v2)
 
 
-def contains(c: ConvexSet, point) -> bool:
-    """Strict membership; raises InputError on dimension mismatch."""
-    return c.contains(as_vector(point, c.dim))
-
-
 def _ray_bound(c: ConvexSet) -> float:
     return c.ray_bound if isinstance(c, OracleSet) else DEFAULT_RAY_BOUND
 

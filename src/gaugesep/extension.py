@@ -73,11 +73,13 @@ class ExtensionStep:
 
 @dataclass(frozen=True, eq=False)
 class ExtensionState:
-    """Current (domain, functional) pair plus the trail of extension steps."""
+    """Current (domain, functional) pair plus the trail of extension steps;
+    ``violation`` is ``domination_check`` of a full extension, else None."""
 
     functional: PartialFunctional
     seminorm: Seminorm
     history: tuple[ExtensionStep, ...] = ()
+    violation: float | None = None
 
     @property
     def domain(self) -> Subspace:
@@ -145,7 +147,12 @@ def _pattern_search(
     return x, fx
 
 
-def _phi(state: ExtensionState, z: np.ndarray, method: str, seed: int) -> float:
+def _slack(p: Seminorm) -> float:
+    """Interval tolerance: LP endpoints are exact, search-certified ones ~1e-6."""
+    return 1e-7 if isinstance(p, PolyhedralGauge) else 2e-6
+
+
+def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
     """inf over x in the domain of ``-g(x) + p(x + z)``."""
     p = state.seminorm
     basis = state.domain.basis
@@ -153,7 +160,7 @@ def _phi(state: ExtensionState, z: np.ndarray, method: str, seed: int) -> float:
     k = basis.shape[0]
     if k == 0:
         return gauge(p, z)
-    if isinstance(p, PolyhedralGauge) and method in ("auto", "lp"):
+    if isinstance(p, PolyhedralGauge):
         a, b = p.a, p.b
         m = a.shape[0]
         # variables (c_1..c_k free, t >= 0): min -w.c + t  s.t.  a_i.(Bc + z) <= t b_i
@@ -164,17 +171,16 @@ def _phi(state: ExtensionState, z: np.ndarray, method: str, seed: int) -> float:
         res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
         if res.status == "unbounded":
             raise SolverError(
-                "extension objective is unbounded below: the functional is not dominated by the seminorm"
+                f"extension LP is unbounded ({m} rows, {k + 1} vars): either the functional is not "
+                "dominated by the seminorm or the LP solver failed"
             )
         if res.status != "optimal":
             raise SolverError(f"extension LP failed with status {res.status!r} ({m} rows, {k + 1} vars)")
         return float(res.objective)
-    if method == "lp":
-        raise InputError("the LP path needs a polyhedral gauge")
     # tighten the bisection for objective evaluations: the search may roam to
     # moderately large arguments where a 1e-10 relative error would already
     # eat into the 1e-6 interval certification
-    p_eval = OracleGauge(p.body, tol=min(p.tol, 1e-13), cap=p.cap) if isinstance(p, OracleGauge) else p
+    p_eval = OracleGauge(p.body, tol=min(p.tol, 1e-13))
 
     def objective(c: np.ndarray) -> float:
         return float(-w @ c + gauge(p_eval, c @ basis + z))
@@ -199,24 +205,21 @@ def _phi(state: ExtensionState, z: np.ndarray, method: str, seed: int) -> float:
     return min(best, val)
 
 
-def extension_interval(state: ExtensionState, z, *, method: str = "auto", seed: int = 0) -> GammaInterval:
+def extension_interval(state: ExtensionState, z, *, seed: int = 0) -> GammaInterval:
     """Admissible value interval for extending the functional to direction ``z``.
 
-    ``method`` is ``auto`` (LP when the gauge is polyhedral), ``lp``, or
-    ``search``.  Raises DegenerateError when ``z`` already lies in the domain
+    Raises DegenerateError when ``z`` already lies in the domain
     and SolverError when the interval comes out empty, which signals a gauge
     that is not actually a seminorm or a functional that is not dominated.
     """
     z = as_vector(z, state.domain.ambient_dim)
     if state.domain.distance(z) <= TOL_MEMBERSHIP * max(1.0, float(np.linalg.norm(z))):
         raise DegenerateError("direction already lies in the domain")
-    hi = _phi(state, z, method, seed)
-    lo = -_phi(state, -z, method, seed + 1)
-    # LP endpoints are exact; search-certified ones carry a ~1e-6 gap, so a
-    # zero-width interval may come back inverted by certification noise
-    exact = isinstance(state.seminorm, PolyhedralGauge) and method != "search"
-    slack = 1e-7 if exact else 2e-6
-    if lo > hi + slack:
+    hi = _phi(state, z, seed)
+    lo = -_phi(state, -z, seed + 1)
+    # a zero-width search-certified interval may come back inverted by
+    # certification noise
+    if lo > hi + _slack(state.seminorm):
         raise SolverError(f"empty admissible interval [{lo}, {hi}]: seminorm or domination assumption broken")
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
@@ -229,7 +232,6 @@ def extend_one(
     rule: str = "upper",
     *,
     gamma: float | None = None,
-    method: str = "auto",
     seed: int = 0,
 ) -> ExtensionState:
     """Extend by one direction, choosing the new value by ``rule`` (or ``gamma``).
@@ -238,7 +240,7 @@ def extend_one(
     re-checked on the appended basis vector.
     """
     z = as_vector(z, state.domain.ambient_dim)
-    interval = extension_interval(state, z, method=method, seed=seed)
+    interval = extension_interval(state, z, seed=seed)
     value = interval.pick(rule) if gamma is None else float(gamma)
     domain = state.domain
     projected = domain.project(z)
@@ -250,9 +252,7 @@ def extend_one(
     new_domain = Subspace(domain.ambient_dim, np.vstack([domain.basis, new_row]))
     new_functional = PartialFunctional(new_domain, np.append(state.functional.values, new_value))
     bound = gauge(state.seminorm, new_row)
-    # LP intervals are exact; search-certified ones carry a ~1e-6 gap
-    step_tol = 1e-7 if (isinstance(state.seminorm, PolyhedralGauge) and method != "search") else 2e-6
-    if abs(new_value) > bound + step_tol:
+    if abs(new_value) > bound + _slack(state.seminorm):
         raise SolverError(
             f"stepwise domination failed: |g| = {abs(new_value):.3e} exceeds p = {bound:.3e} on the new direction"
         )
@@ -274,51 +274,40 @@ def extend_with_values(f: PartialFunctional, directions, gammas) -> np.ndarray:
     return g
 
 
-def extend_full_state(
-    f: PartialFunctional,
-    p: Seminorm,
-    rule: str = "upper",
-    *,
-    method: str = "auto",
-    seed: int = 0,
-) -> ExtensionState:
-    """Extend ``f`` to the whole space over the deterministic completion order."""
+def _check_domain(f: PartialFunctional, p: Seminorm) -> None:
+    """Dimension check and domination pre-check on the domain basis."""
     if p.dim != f.domain.ambient_dim:
         raise InputError("seminorm and functional live in different dimensions")
     for row, value in zip(f.domain.basis, f.values):
         if abs(value) > gauge(p, row) + 1e-7:
             raise InputError("functional is not dominated by the seminorm on its domain basis")
-    state = ExtensionState(f, p)
-    for z in complement_basis(f.domain):
-        state = extend_one(state, z, rule, method=method, seed=seed)
-    return state
 
 
-def extend_full(
+def extend_full_state(
     f: PartialFunctional,
     p: Seminorm,
     rule: str = "upper",
     *,
-    method: str = "auto",
     seed: int = 0,
-    check: bool = True,
-) -> np.ndarray:
-    """Full-space coefficient vector extending ``f`` under domination by ``p``.
+) -> ExtensionState:
+    """Extend ``f`` to the whole space over the deterministic completion order.
 
-    The zero functional extends to zero directly.  With ``check`` on, the
-    result is verified by ``domination_check`` and a SolverError is raised
-    past ``DOMINATION_TOL`` (this is where a non-balanced "gauge" gets
-    caught).
+    The zero functional extends to zero directly.  Otherwise the result is
+    verified by ``domination_check``, whose value is kept as ``violation``,
+    and a SolverError is raised past ``DOMINATION_TOL`` (this is where a
+    non-balanced "gauge" gets caught).
     """
+    _check_domain(f, p)
+    n = f.domain.ambient_dim
     if f.is_zero():
-        return np.zeros(f.domain.ambient_dim)
-    state = extend_full_state(f, p, rule, method=method, seed=seed)
-    g = state.functional.as_coefficients()
-    if check:
-        violation = domination_check(g, p, seed=seed, trials=256)
-        if violation > DOMINATION_TOL:
-            raise SolverError(f"extension violates domination by {violation:.3e}")
-    return g
+        return ExtensionState(PartialFunctional(Subspace(n, np.eye(n)), np.zeros(n)), p, violation=0.0)
+    state = ExtensionState(f, p)
+    for z in complement_basis(f.domain):
+        state = extend_one(state, z, rule, seed=seed)
+    violation = domination_check(state.functional.as_coefficients(), p, seed=seed, trials=256)
+    if violation > DOMINATION_TOL:
+        raise SolverError(f"extension violates domination by {violation:.3e}")
+    return ExtensionState(state.functional, p, state.history, violation)
 
 
 def _ascent_refine(g: np.ndarray, p: Seminorm, start: np.ndarray, iterations: int = 80) -> float:

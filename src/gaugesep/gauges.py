@@ -49,13 +49,12 @@ class PolyhedralGauge:
 class OracleGauge:
     """Gauge of an arbitrary absorbing open body, evaluated by bisection.
 
-    ``tol`` is the relative bracket width; rays still inside the body at the
-    ``cap`` dilation are declared recession directions with gauge zero.
+    ``tol`` is the relative bracket width; rays still inside the body at
+    ``RECESSION_CAP`` dilation are declared recession directions (gauge 0).
     """
 
     body: ConvexSet
     tol: float = GAUGE_TOL
-    cap: float = RECESSION_CAP
 
     @property
     def dim(self) -> int:
@@ -93,7 +92,7 @@ def _gauge_bisection(p: OracleGauge, e: np.ndarray) -> float:
         while member(s_out * e):
             s_in = s_out
             s_out *= 2.0
-            if s_out > p.cap:
+            if s_out > RECESSION_CAP:
                 return 0.0  # recession direction
     else:
         s_out, s_in = 1.0, 0.5

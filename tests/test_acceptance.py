@@ -18,6 +18,7 @@ from gaugesep import (
     complement_basis,
     decompose,
     domination_check,
+    extend_full_state,
     extend_via_separation,
     extend_with_values,
     extension_interval,
@@ -185,8 +186,6 @@ def test_criterion_07_interval_sandwich_and_domination():
     """500 random dominated instances: lo <= hi + 1e-7 and the full
     extension passes the domination check at 1e-6."""
     rng = np.random.default_rng(107)
-    from gaugesep import extend_full
-
     worst_violation = -np.inf
     for trial in range(500):
         n = int(rng.integers(2, 6))
@@ -196,7 +195,7 @@ def test_criterion_07_interval_sandwich_and_domination():
         z = next(c for c in np.eye(n) if not f.domain.contains(c))
         interval = extension_interval(state, z)
         assert interval.lo <= interval.hi + 1e-7
-        g = extend_full(f, p, seed=trial)
+        g = extend_full_state(f, p, seed=trial).functional.as_coefficients()
         violation = domination_check(g, p, seed=trial, trials=128)
         worst_violation = max(worst_violation, violation)
         assert violation <= 1e-6

@@ -13,7 +13,6 @@ from gaugesep import (
     conic_hull,
     conic_hull_membership,
     conic_hull_membership_search,
-    contains,
     pick_interior_point,
     sample_interior,
 )
@@ -32,21 +31,21 @@ def in_disk_cone(e):
 
 class TestContains:
     def test_disk_center(self):
-        assert contains(DISK, np.array([2.0, 0.0]))
+        assert DISK.contains(np.array([2.0, 0.0]))
 
     def test_origin_outside_disk(self):
         # (0-2)^2 + 0 = 4 > 2
-        assert not contains(DISK, np.array([0.0, 0.0]))
+        assert not DISK.contains(np.array([0.0, 0.0]))
 
     def test_halfspace_witness(self):
-        assert contains(HALFSPACE, np.array([1.0, -3.0, 0.0]))
+        assert HALFSPACE.contains(np.array([1.0, -3.0, 0.0]))
 
     def test_strictness_on_boundary(self):
-        assert not contains(HALFSPACE, np.array([0.0, 1.0, 1.0]))
+        assert not HALFSPACE.contains(np.array([0.0, 1.0, 1.0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            contains(DISK, np.array([1.0, 0.0, 0.0]))
+            DISK.contains(np.array([1.0, 0.0, 0.0]))
 
     def test_membership_convexity_spot_check(self):
         rng = np.random.default_rng(0)
@@ -55,7 +54,7 @@ class TestContains:
             for _ in range(500):
                 u, v = pts[rng.integers(len(pts))], pts[rng.integers(len(pts))]
                 for lam in (0.25, 0.5, 0.75):
-                    assert contains(a_set, lam * u + (1 - lam) * v)
+                    assert a_set.contains(lam * u + (1 - lam) * v)
 
 
 class TestConicHullMembership:
@@ -246,7 +245,7 @@ class TestSampleInterior:
     def test_samples_are_members(self, fixture):
         a_set, _, _ = fixture()
         pts = sample_interior(a_set, 500, seed=3)
-        assert all(contains(a_set, p) for p in pts)
+        assert all(a_set.contains(p) for p in pts)
 
     def test_deterministic(self):
         first = sample_interior(DISK, 100, seed=5)

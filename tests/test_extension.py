@@ -11,7 +11,6 @@ from gaugesep import (
     SolverError,
     complement_basis,
     domination_check,
-    extend_full,
     extend_full_state,
     extend_one,
     extend_with_values,
@@ -76,7 +75,7 @@ class TestExtensionInterval:
         # basis vector but not on their sum, so the objective runs away
         f = PartialFunctional(span_basis([np.eye(3)[0], np.eye(3)[1]]), np.array([1.0, 1.0]))
         state = ExtensionState(f, CUBE3)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match=r"extension LP is unbounded \(6 rows, 3 vars\).*not dominated"):
             extension_interval(state, np.array([0.0, 0.0, 1.0]))
 
     def test_sandwich_on_random_dominated_instances(self):
@@ -108,8 +107,9 @@ class TestExtensionInterval:
             f, _ = dominated_functional(rng, p, 1)
             state = ExtensionState(f, p)
             z = next(c for c in np.eye(n) if not f.domain.contains(c))
-            via_lp = extension_interval(state, z, method="lp")
-            via_search = extension_interval(state, z, method="search", seed=3)
+            via_lp = extension_interval(state, z)
+            # the same body as a membership oracle takes the search path
+            via_search = extension_interval(ExtensionState(f, OracleGauge(unit_ball(p))), z, seed=3)
             assert via_lp.lo == pytest.approx(via_search.lo, abs=1e-5)
             assert via_lp.hi == pytest.approx(via_search.hi, abs=1e-5)
 
@@ -156,17 +156,21 @@ class TestExtendOne:
 
 class TestExtendFull:
     def test_zero_functional_extends_to_zero(self):
-        f = PartialFunctional(zero_subspace(3), np.zeros(0))
-        np.testing.assert_allclose(extend_full(f, SLAB3), np.zeros(3))
-        g = PartialFunctional(span_basis([np.eye(3)[2]]), np.array([0.0]))
-        np.testing.assert_allclose(extend_full(g, SLAB3), np.zeros(3))
+        for f in (
+            PartialFunctional(zero_subspace(3), np.zeros(0)),
+            PartialFunctional(span_basis([np.eye(3)[2]]), np.array([0.0])),
+        ):
+            state = extend_full_state(f, SLAB3)
+            np.testing.assert_allclose(state.functional.as_coefficients(), np.zeros(3))
+            assert state.history == ()
+            assert state.violation == 0.0
 
     def test_slab_extension_unique(self):
-        g = extend_full(plane_functional(), SLAB3)
+        g = extend_full_state(plane_functional(), SLAB3).functional.as_coefficients()
         np.testing.assert_allclose(g, [1.0, 0.0, 0.0], atol=1e-8)
 
     def test_taxicab_default_rule(self):
-        g = extend_full(x_axis_functional(), TAXICAB)
+        g = extend_full_state(x_axis_functional(), TAXICAB).functional.as_coefficients()
         np.testing.assert_allclose(g, [1.0, 1.0], atol=1e-9)
 
     def test_reproduces_functional_on_domain(self):
@@ -175,14 +179,16 @@ class TestExtendFull:
             n = int(rng.integers(2, 6))
             p = random_polyhedral_gauge(rng, n)
             f, _ = dominated_functional(rng, p, int(rng.integers(1, n)))
-            g = extend_full(f, p)
+            state = extend_full_state(f, p)
+            g = state.functional.as_coefficients()
+            assert state.violation <= 1e-6
             mismatch = np.max(np.abs(f.domain.basis @ g - f.values))
             assert mismatch < 1e-8
 
     def test_not_dominated_rejected(self):
         f = PartialFunctional(span_basis([np.array([1.0, 0.0])]), np.array([3.0]))
         with pytest.raises(InputError):
-            extend_full(f, TAXICAB)
+            extend_full_state(f, TAXICAB)
 
     def test_final_gate_catches_non_balanced_gauge(self):
         # max(0, x + y) passes the basis precheck for this f but is not a
@@ -191,12 +197,12 @@ class TestExtendFull:
         domain = span_basis([np.array([1.0, -1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
         values = [float(u[0] + u[1]) for u in domain.basis]
         f = PartialFunctional(domain, np.array(values))
-        with pytest.raises(SolverError):
-            extend_full(f, lopsided)
+        with pytest.raises(SolverError, match="extension violates domination"):
+            extend_full_state(f, lopsided)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            extend_full(x_axis_functional(), SLAB3)
+            extend_full_state(x_axis_functional(), SLAB3)
 
 
 class TestStepwiseDomination:
