@@ -6,10 +6,10 @@ lower end the matching supremum; any choice inside keeps ``|g| <= p``.  Full
 extension runs the step over a deterministic orthonormal completion of the
 domain, replacing transfinite machinery with finite induction.
 
-For polyhedral gauges the infimum is an exact small LP; for oracle gauges a
-seeded derivative-free coordinate search certifies the interval to about
-1e-6.  ``domination_check`` verifies ``|g| <= p`` by sampling plus, for
-polyhedral gauges, an exact LP over the unit ball.
+For polyhedral gauges the infimum is an exact small LP; for ball-cone and
+oracle gauges a seeded derivative-free coordinate search certifies the
+interval to about 1e-6.  ``domination_check`` verifies ``|g| <= p`` by
+sampling plus, for polyhedral gauges, an exact LP over the unit ball.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
     # tighten the bisection for objective evaluations: the search may roam to
     # moderately large arguments where a 1e-10 relative error would already
     # eat into the 1e-6 interval certification
-    p_eval = OracleGauge(p.body, tol=min(p.tol, 1e-13))
+    p_eval = OracleGauge(p.body, tol=min(p.tol, 1e-13)) if isinstance(p, OracleGauge) else p
 
     def objective(c: np.ndarray) -> float:
         return float(-w @ c + gauge(p_eval, c @ basis + z))
@@ -294,8 +294,8 @@ def extend_full_state(
 
     The zero functional extends to zero directly.  Otherwise the result is
     verified by ``domination_check``, whose value is kept as ``violation``,
-    and a SolverError is raised past ``DOMINATION_TOL`` (this is where a
-    non-balanced "gauge" gets caught).
+    and a SolverError is raised past ``DOMINATION_TOL * max(1, |g|)`` (this is
+    where a non-balanced "gauge" gets caught).
     """
     _check_domain(f, p)
     n = f.domain.ambient_dim
@@ -304,10 +304,21 @@ def extend_full_state(
     state = ExtensionState(f, p)
     for z in complement_basis(f.domain):
         state = extend_one(state, z, rule, seed=seed)
-    violation = domination_check(state.functional.as_coefficients(), p, seed=seed, trials=256)
-    if violation > DOMINATION_TOL:
-        raise SolverError(f"extension violates domination by {violation:.3e}")
+    violation = _checked_domination(state.functional.as_coefficients(), p, seed=seed)
     return ExtensionState(state.functional, p, state.history, violation)
+
+
+def _checked_domination(g: np.ndarray, p: Seminorm, *, seed: int) -> float:
+    """``domination_check`` of a full extension ``g`` over 256 directions,
+    raising SolverError past ``DOMINATION_TOL * max(1, |g|)``.
+
+    The check measures ``|g . e| - p(e)`` over unit directions, so the
+    violation scales with ``|g|``; the gate is absolute up to ``|g| = 1``.
+    """
+    violation = domination_check(g, p, seed=seed, trials=256)
+    if violation > DOMINATION_TOL * max(1.0, float(np.linalg.norm(g))):
+        raise SolverError(f"extension violates domination by {violation:.3e}")
+    return violation
 
 
 def _ascent_refine(g: np.ndarray, p: Seminorm, start: np.ndarray, iterations: int = 80) -> float:
@@ -338,16 +349,11 @@ def domination_check(g, p: Seminorm, seed: int = 0, trials: int = 200) -> float:
     dirs = rng.normal(size=(trials, g.size))
     norms = np.linalg.norm(dirs, axis=1)
     dirs = dirs[norms > 1e-12] / norms[norms > 1e-12, None]
+    values = np.abs(dirs @ g) - gauge(p, dirs)
+    worst = float(np.max(values)) if values.size else -np.inf
     if isinstance(p, PolyhedralGauge):
-        a, b = p.a, p.b
-        if a.shape[0]:
-            values = np.max((dirs @ a.T) / b, axis=1)
-            gauges = np.maximum(0.0, values)
-        else:
-            gauges = np.zeros(dirs.shape[0])
-        worst = float(np.max(np.abs(dirs @ g) - gauges)) if dirs.size else -np.inf
         for sign in (1.0, -1.0):
-            res = solve_lp(-sign * g, a_ub=a, b_ub=b)
+            res = solve_lp(-sign * g, a_ub=p.a, b_ub=p.b)
             candidate = res.ray if res.status == "unbounded" else res.x
             if candidate is None:
                 continue
@@ -356,15 +362,8 @@ def domination_check(g, p: Seminorm, seed: int = 0, trials: int = 200) -> float:
                 e = candidate / norm
                 worst = max(worst, abs(float(g @ e)) - gauge(p, e))
         return worst
-    worst = -np.inf
-    best_dir = None
-    for e in dirs:
-        value = abs(float(g @ e)) - gauge(p, e)
-        if value > worst:
-            worst = value
-            best_dir = e
+    starts = [dirs[int(np.argmax(values))]] if values.size else []
     gnorm = float(np.linalg.norm(g))
-    starts = [best_dir] if best_dir is not None else []
     if gnorm > 1e-12:
         starts.append(g / gnorm)
     for start in starts:

@@ -1,10 +1,13 @@
 """Minkowski functionals of absorbing balanced open bodies.
 
-Polyhedral bodies get the closed form ``max(0, max_i a_i.e / b_i)``; bodies
-known only through membership get a certified geometric bisection with a
-recession cap that maps never-exiting rays to gauge zero (the seminorm-not-
-norm case).  A sampling-based axiom checker validates homogeneity,
-subadditivity, and the unit-ball characterization.
+Three representations, each evaluated on one point or on an (m, n) batch:
+polyhedral bodies get the closed form ``max(0, max_i a_i.e / b_i)``; bodies
+symmetrized inside the cone over a ball get one root of the cone-exit
+quadratic per ray (``BallConeGauge``); bodies known only through membership
+get a certified geometric bisection with a recession cap that maps
+never-exiting rays to gauge zero (the seminorm-not-norm case).  A
+sampling-based axiom checker validates homogeneity, subadditivity, and the
+unit-ball characterization.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexsets import ConvexSet, HPolyhedron, SymmetrizedBody
+from .convexsets import BallCone, ConvexSet, HPolyhedron, SymmetrizedBody
 from .errors import InputError, SolverError
 from .geometry import _frozen, as_vector
 
@@ -61,6 +64,46 @@ class OracleGauge:
         return self.body.dim
 
 
+@dataclass(frozen=True, eq=False)
+class BallConeGauge:
+    """Gauge of ``(B - x) ∩ (x - B)`` for the cone B over a ball, in closed form.
+
+    With k = |c|^2 - r^2 > 0, the ray y(s) = x + s e leaves B at the smallest
+    positive root s of ``(y.c)^2 - k |y|^2``; it leaves the nappe y.c > 0
+    before it can reach the other one.  So q(e) = 1/s is the largest root t of
+    ``qc t^2 + qb t + qa`` (qa = (e.c)^2 - k |e|^2, qb = 2((x.c)(e.c) - k x.e),
+    qc = (x.c)^2 - k |x|^2), or 0 when no root is positive.  The roots for -e
+    are the negated roots for e, so ``p(e) = max(q(e), q(-e))`` is the larger
+    root magnitude, ``(|qb|/2 + sqrt(qb^2/4 - qa qc)) / qc``.  Splitting
+    e = a x + u with u orthogonal to x gives qb/2 = a qc + (x.c)(u.c) and
+    qb^2/4 - qa qc = k (qc |u|^2 + |x|^2 (u.c)^2): a sum of nonnegative terms,
+    so rounding cannot push it below zero, and the apex ray (u = 0, a double
+    root) comes out exact.  k = 0 is the half-space cone, with p(e) =
+    |e.c| / x.c computed directly, so that its kernel gauges to exactly 0;
+    k < 0 is the whole space, with p = 0.
+    """
+
+    body: SymmetrizedBody
+
+    def __post_init__(self):
+        base = self.body.base
+        if not isinstance(base, BallCone):
+            raise InputError("a ball-cone gauge needs a body symmetrized inside a ball cone")
+        x = self.body.anchor
+        xc = float(x @ base.center)
+        xx = float(x @ x)
+        qc = xc * xc - base._excess * xx
+        if base._excess >= 0.0 and not (xc > 0.0 and qc > 0.0):
+            raise InputError("anchor is not strictly inside the base cone")
+        object.__setattr__(self, "_xc", xc)
+        object.__setattr__(self, "_xx", xx)
+        object.__setattr__(self, "_qc", qc)
+
+    @property
+    def dim(self) -> int:
+        return self.body.dim
+
+
 def ExplicitMaxAbs(rows) -> PolyhedralGauge:
     """The seminorm ``max_i |c_i . e|``: the gauge of ``{e : |c_i . e| < 1}``."""
     rows = np.asarray(rows, dtype=float)
@@ -69,17 +112,44 @@ def ExplicitMaxAbs(rows) -> PolyhedralGauge:
     return PolyhedralGauge(np.vstack([rows, -rows]), np.ones(2 * rows.shape[0]))
 
 
-Seminorm = PolyhedralGauge | OracleGauge
+Seminorm = PolyhedralGauge | BallConeGauge | OracleGauge
 
 
-def gauge(p: Seminorm, e) -> float:
-    """Evaluate the Minkowski functional at a point; always nonnegative."""
-    e = as_vector(e, p.dim)
+def gauge(p: Seminorm, e):
+    """Evaluate the Minkowski functional at a point (a float) or row-wise on
+    an (m, n) batch (an array of m values); always nonnegative."""
+    if np.ndim(e) == 2:
+        e = np.array(e, dtype=float)
+        if e.shape[1] != p.dim or not np.all(np.isfinite(e)):
+            raise InputError(f"expected finite rows of dimension {p.dim}, got an array of shape {e.shape}")
+    else:
+        e = as_vector(e, p.dim)
     if isinstance(p, PolyhedralGauge):
         if p.a.shape[0] == 0:
-            return 0.0
-        return float(max(0.0, np.max((p.a @ e) / p.b)))
-    return _gauge_bisection(p, e)
+            values = np.zeros(e.shape[:-1])
+        else:
+            values = np.maximum(0.0, np.max((e @ p.a.T) / p.b, axis=-1))
+    elif isinstance(p, BallConeGauge):
+        values = _gauge_ball_cone(p, e)
+    elif e.ndim == 2:
+        values = np.array([_gauge_bisection(p, row) for row in e])
+    else:
+        values = _gauge_bisection(p, e)
+    return values if e.ndim == 2 else float(values)
+
+
+def _gauge_ball_cone(p: BallConeGauge, e: np.ndarray):
+    base, x = p.body.base, p.body.anchor
+    k = base._excess
+    if k < 0.0:  # origin inside the ball: the hull, and D, are the whole space
+        return np.zeros(e.shape[:-1])
+    if k == 0.0:  # the half-space cone y.c > 0, whose gauge has the kernel c-perp
+        return np.abs(e @ base.center) / p._xc
+    along = (e @ x) / p._xx
+    u = e - np.multiply.outer(along, x)
+    uc = u @ base.center
+    disc = k * (p._qc * np.einsum("...i,...i", u, u) + p._xx * uc * uc)
+    return np.abs(along + p._xc * uc / p._qc) + np.sqrt(disc) / p._qc
 
 
 def _gauge_bisection(p: OracleGauge, e: np.ndarray) -> float:
@@ -113,7 +183,7 @@ def _gauge_bisection(p: OracleGauge, e: np.ndarray) -> float:
 
 
 def unit_ball(p: Seminorm) -> ConvexSet:
-    """The open set ``{e : p(e) < 1}`` as a ConvexSet."""
+    """The open set ``{e : p(e) < 1}`` as a ConvexSet: the polyhedron, else the body."""
     if isinstance(p, PolyhedralGauge):
         return HPolyhedron(p.a, p.b)
     return p.body
@@ -121,7 +191,8 @@ def unit_ball(p: Seminorm) -> ConvexSet:
 
 def gauge_from_symmetrized(body: SymmetrizedBody) -> Seminorm:
     """Gauge of a symmetrized body: exact polyhedral form when the base cone
-    is polyhedral, certified bisection otherwise."""
+    is polyhedral, the closed form when it is a ball cone, certified bisection
+    otherwise."""
     base = body.base
     if isinstance(base, HPolyhedron):
         offsets = base.b - base.a @ body.anchor
@@ -129,6 +200,8 @@ def gauge_from_symmetrized(body: SymmetrizedBody) -> Seminorm:
             raise InputError("anchor is not strictly inside the base cone")
         rows = np.vstack([base.a, -base.a])
         return PolyhedralGauge(rows, np.concatenate([offsets, offsets]))
+    if isinstance(base, BallCone):
+        return BallConeGauge(body)
     return OracleGauge(body)
 
 

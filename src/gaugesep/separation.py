@@ -32,9 +32,10 @@ from .convexsets import (
 )
 from .errors import DegenerateError, InputError, SolverError
 from .extension import (
-    DOMINATION_TOL,
+    ExtensionState,
     ExtensionStep,
     _check_domain,
+    _checked_domination,
     domination_check,
     extend_full_state,
 )
@@ -334,18 +335,22 @@ def extend_via_separation(
     *,
     rule: str = "upper",
     seed: int = 0,
-) -> np.ndarray:
+) -> ExtensionState:
     """Dominated extension recovered through the geometric route.
 
     Builds the open set ``{e : p(y - e) < 1}`` around the least-norm point
     ``y`` with ``f(y) = 1``, separates it from the kernel of ``f``, and reads
-    the extension off the returned hyperplane via ``g(h + t y) = t``.  The
-    result is verified to extend ``f`` and satisfy domination.
+    the extension g off the returned hyperplane via ``g(h + t y) = t``.  The
+    result is verified to extend ``f`` and to satisfy domination under the
+    same gate as ``extend_full_state``.  The returned state holds g on the
+    whole space and its measured ``violation``; its history is empty, since
+    the extension steps belong to the separation problem, not to ``f``.
     """
     _check_domain(f, p)
     n = f.domain.ambient_dim
+    full_space = Subspace(n, np.eye(n))
     if f.is_zero():
-        return np.zeros(n)
+        return ExtensionState(PartialFunctional(full_space, np.zeros(n)), p, violation=0.0)
     v = np.asarray(f.values)
     y = (v @ f.domain.basis) / float(v @ v)
     ball = unit_ball(p)
@@ -365,7 +370,5 @@ def extend_via_separation(
     mismatch = float(np.max(np.abs(f.domain.basis @ g - v))) if f.domain.dim else 0.0
     if mismatch > 1e-8:
         raise SolverError(f"reconstructed functional fails to extend the input by {mismatch:.3e}")
-    violation = domination_check(g, p, seed=seed, trials=256)
-    if violation > DOMINATION_TOL:
-        raise SolverError(f"reconstructed functional violates domination by {violation:.3e}")
-    return g
+    violation = _checked_domination(g, p, seed=seed)
+    return ExtensionState(PartialFunctional(full_space, g), p, violation=violation)

@@ -50,22 +50,30 @@ def report(number: int, text: str) -> None:
 
 
 def test_criterion_01_taxicab_gauge_both_paths():
-    """Oracle-path gauge within 1e-6 of |x|+|y| and polyhedral path exact, under 1 s."""
+    """Oracle-path gauge within 1e-6 of |x|+|y|, polyhedral path exact and the
+    pipeline's closed-form ball-cone gauge (one batch) within 1e-12, under 1 s."""
     a_set, _, anchor = disk_instance()
-    oracle = OracleGauge(build_D(a_set, anchor))
+    body = build_D(a_set, anchor)
+    oracle = OracleGauge(body)
     rng = np.random.default_rng(101)
     points = rng.uniform(-10.0, 10.0, size=(1000, 2))
     start = time.perf_counter()
     oracle_values = np.array([gauge(oracle, e) for e in points])
     poly_values = np.array([gauge(CROSS_GAUGE, e) for e in points])
+    closed_values = gauge(gauge_from_symmetrized(body), points)
     elapsed = time.perf_counter() - start
     truth = np.abs(points[:, 0]) + np.abs(points[:, 1])
     oracle_err = float(np.max(np.abs(oracle_values - truth)))
     poly_err = float(np.max(np.abs(poly_values - truth)))
+    closed_err = float(np.max(np.abs(closed_values - truth)))
     assert oracle_err < 1e-6
     assert poly_err == 0.0
+    assert closed_err < 1e-12
     assert elapsed < 1.0
-    report(1, f"gauge paths agree with |x|+|y| (oracle {oracle_err:.1e}, exact 0, {elapsed:.2f}s)")
+    report(
+        1,
+        f"gauge paths agree with |x|+|y| (oracle {oracle_err:.1e}, exact 0, closed form {closed_err:.1e}, {elapsed:.2f}s)",
+    )
 
 
 def test_criterion_02_conic_hull_grid():
@@ -208,7 +216,7 @@ def test_criterion_08_geometric_roundtrip():
     the half-space fixture returns exactly (1,0,0)."""
     # disk fixture
     f_disk = PartialFunctional(span_basis([np.array([1.0, 0.0])]), np.array([1.0]))
-    g_disk = extend_via_separation(f_disk, CROSS_GAUGE)
+    g_disk = extend_via_separation(f_disk, CROSS_GAUGE).functional.as_coefficients()
     assert g_disk[0] == pytest.approx(1.0, abs=1e-8)
     assert abs(g_disk[1]) <= 1.0 + 1e-8
     assert domination_check(g_disk, CROSS_GAUGE, seed=0, trials=256) <= 1e-6
@@ -216,7 +224,7 @@ def test_criterion_08_geometric_roundtrip():
     domain = span_basis([np.array([1.0, -3.0, 0.0]), np.array([0.0, 0.0, 1.0])])
     f_half = PartialFunctional(domain, np.array([float(u[0]) for u in domain.basis]))
     slab = PolyhedralGauge(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.ones(2))
-    g_half = extend_via_separation(f_half, slab)
+    g_half = extend_via_separation(f_half, slab).functional.as_coefficients()
     np.testing.assert_allclose(g_half, [1.0, 0.0, 0.0], atol=1e-8)
     # random instances
     rng = np.random.default_rng(108)
@@ -226,7 +234,7 @@ def test_criterion_08_geometric_roundtrip():
         n = int(rng.integers(2, 5))
         p = random_polyhedral_gauge(rng, n)
         f, _ = dominated_functional(rng, p, int(rng.integers(1, n)))
-        g = extend_via_separation(f, p, seed=trial)
+        g = extend_via_separation(f, p, seed=trial).functional.as_coefficients()
         worst_agree = max(worst_agree, float(np.max(np.abs(f.domain.basis @ g - f.values))))
         worst_dom = max(worst_dom, domination_check(g, p, seed=trial, trials=128))
     assert worst_agree < 1e-8

@@ -204,6 +204,20 @@ class TestExtendFull:
         with pytest.raises(InputError):
             extend_full_state(x_axis_functional(), SLAB3)
 
+    @pytest.mark.parametrize("excess, passes", [(1e-10, True), (1e-5, False)])
+    def test_final_gate_scales_with_the_functional(self, excess, passes):
+        # g = 1e6 (1 + excess) e1 against 1e6 (|x| + |y|): the worst direction
+        # e1 is off the 45-degree domain basis, so only the final check sees
+        # the violation 1e6 * excess; the gate is 1e-6 * |g|, about 1
+        p = PolyhedralGauge(TAXICAB.a, np.full(4, 1e-6))
+        domain = span_basis([np.array([1.0, 1.0]), np.array([1.0, -1.0])])
+        f = PartialFunctional(domain, domain.basis @ np.array([1e6 * (1.0 + excess), 0.0]))
+        if passes:
+            assert extend_full_state(f, p).violation == pytest.approx(1e6 * excess, rel=1e-3)
+        else:
+            with pytest.raises(SolverError, match="extension violates domination"):
+                extend_full_state(f, p)
+
 
 class TestStepwiseDomination:
     def test_after_each_step_on_samples(self):

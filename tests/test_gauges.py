@@ -1,19 +1,26 @@
+import json
+
 import numpy as np
 import pytest
 
+import gaugesep.gauges
 from gaugesep import (
+    BallConeGauge,
     ExplicitMaxAbs,
     HPolyhedron,
     InputError,
     OpenBall,
     OracleGauge,
     PolyhedralGauge,
+    SeparationOptions,
     build_D,
     check_seminorm_axioms,
     gauge,
     gauge_from_symmetrized,
+    separate,
     unit_ball,
 )
+from gaugesep.cli import main, parse_problem
 
 from helpers import ball_pipeline_gauge_reference, random_ball_instance
 
@@ -106,9 +113,10 @@ class TestGaugeFromSymmetrized:
         assert gauge(p, np.array([0.0, 5.0, 7.0])) == 0.0  # seminorm, not a norm
         assert gauge(p, np.array([1.0, -3.0, 0.0])) == 1.0  # anchor normalizes exactly
 
-    def test_ball_falls_back_to_oracle(self):
+    def test_ball_uses_closed_form(self):
         p = gauge_from_symmetrized(build_D(DISK, ANCHOR))
-        assert isinstance(p, OracleGauge)
+        assert isinstance(p, BallConeGauge)
+        assert unit_ball(p) is p.body
 
     def test_anchor_normalization_polyhedral_exact(self):
         rng = np.random.default_rng(2)
@@ -121,6 +129,107 @@ class TestGaugeFromSymmetrized:
             x = pick_interior_point(poly)
             p = gauge_from_symmetrized(build_D(poly, x))
             assert gauge(p, x) == 1.0
+
+
+def point_in_cone(rng, ball: OpenBall) -> np.ndarray:
+    u = rng.normal(size=ball.dim)
+    inside = np.asarray(ball.center) + ball.radius * rng.uniform(0.0, 0.95) * u / np.linalg.norm(u)
+    return rng.uniform(0.1, 10.0) * inside
+
+
+class TestBallConeGauge:
+    def test_matches_tight_bisection(self):
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for n in range(2, 9):
+            for _ in range(3):
+                ball, _ = random_ball_instance(rng, n)
+                for anchor in (np.asarray(ball.center), point_in_cone(rng, ball), point_in_cone(rng, ball)):
+                    body = build_D(ball, anchor)
+                    closed, bisection = BallConeGauge(body), OracleGauge(body, tol=1e-13)
+                    for e in rng.normal(size=(8, n)) * rng.uniform(0.01, 100.0):
+                        expected = gauge(bisection, e)
+                        worst = max(worst, abs(gauge(closed, e) - expected) / expected)
+        assert worst < 1e-9
+
+    def test_anchor_and_apex_rays(self):
+        rng = np.random.default_rng(12)
+        for n in range(2, 9):
+            ball, _ = random_ball_instance(rng, n)
+            x = point_in_cone(rng, ball)
+            p = BallConeGauge(build_D(ball, x))
+            assert gauge(p, x) == 1.0
+            # rounding leaves k x a few ulps off the apex ray, which a thin
+            # body's steep gauge amplifies
+            for k in (-1e4, -3.0, -1.0, -1e-3, 0.5, 2.0, 1e6):
+                assert gauge(p, k * x) == pytest.approx(abs(k), rel=1e-12)
+
+    def test_origin_on_the_sphere_gives_the_halfspace_gauge(self):
+        c = np.array([3.0, 4.0])  # |c| = r: the hull is the half-space e.c > 0
+        x = np.array([1.0, 2.0])
+        p = gauge_from_symmetrized(build_D(OpenBall(c, 5.0), x))
+        for e in np.random.default_rng(13).normal(size=(50, 2)):
+            assert gauge(p, e) == abs(e @ c) / (x @ c)
+        assert gauge(p, np.array([4.0, -3.0])) == 0.0
+
+    def test_origin_inside_the_ball_gives_zero(self):
+        p = gauge_from_symmetrized(build_D(OpenBall(np.array([0.5, 0.0]), 1.0), np.array([-0.2, 0.3])))
+        assert gauge(p, np.array([7.0, -3.0])) == 0.0
+
+    def test_rejects_other_bodies(self):
+        halfspace = HPolyhedron(np.array([[-1.0, 0.0]]), np.array([0.0]))
+        with pytest.raises(InputError):
+            BallConeGauge(build_D(halfspace, np.array([1.0, 0.0])))
+
+
+class TestBatchEvaluation:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: CROSS_GAUGE, lambda: gauge_from_symmetrized(build_D(DISK, ANCHOR)), oracle_disk_gauge],
+        ids=["polyhedral", "ball-cone", "oracle"],
+    )
+    def test_batch_equals_rows(self, make):
+        p = make()
+        points = np.random.default_rng(14).normal(size=(40, 2)) * 5.0
+        values = gauge(p, points)
+        assert values.shape == (40,)
+        # a matrix product may sum in another order than a matrix-vector one
+        np.testing.assert_allclose(values, [gauge(p, e) for e in points], rtol=1e-12, atol=0.0)
+        assert gauge(p, np.zeros((0, 2))).shape == (0,)
+
+    def test_batch_rejects_wrong_width(self):
+        with pytest.raises(InputError):
+            gauge(CROSS_GAUGE, np.ones((3, 3)))
+
+
+class TestNoBisectionOnBallPaths:
+    """Ball pipelines must never reach the bisection; a re-wrap of the
+    closed-form gauge in an OracleGauge would otherwise only show as time."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_bisection(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("bisection reached on a ball path")
+
+        monkeypatch.setattr(gaugesep.gauges, "_gauge_bisection", fail)
+
+    def test_separate_bundled_disk(self):
+        problem = parse_problem("example1")
+        result = separate(problem.a_set, problem.s, SeparationOptions(x=problem.x))
+        assert result.certificate.valid
+
+    def test_separate_3d_ball(self):
+        ball, s = random_ball_instance(np.random.default_rng(15), 3)
+        result = separate(ball, s)
+        assert result.steps
+        assert result.certificate.valid
+        # exact n-D oracle: the admissible normals are {n ⊥ S : |n.c| >= r |n|}
+        normal = np.asarray(result.hyperplane.normal)
+        assert abs(normal @ np.asarray(ball.center)) >= ball.radius * (1.0 - 1e-9)
+
+    def test_cli_gauge(self, capsys):
+        assert main(["gauge", "--input", "example1", "--point", "3,-4"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(7.0, rel=1e-12)
 
 
 class TestUnitBallCharacterization:

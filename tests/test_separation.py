@@ -11,6 +11,7 @@ from gaugesep import (
     PolyhedralGauge,
     SeparationOptions,
     brute_force_2d_normals,
+    domination_check,
     extend_via_separation,
     gauge,
     remark2_equivalence_check,
@@ -126,6 +127,17 @@ class TestTouchingBoxes:
         assert result.certificate.valid
         normal = np.asarray(result.hyperplane.normal)
         assert abs(normal @ center) >= half @ np.abs(normal) - 1e-9 * scale
+
+
+class TestScaledDisk:
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e4])
+    def test_bundled_disk_scaled(self, scale):
+        # gauges of size 1/scale: the domination gate must scale with |g|
+        center, radius = np.array([2.0, 0.0]) * scale, np.sqrt(2.0) * scale
+        disk = OpenBall(center, radius)
+        result = separate(disk, zero_subspace(2), SeparationOptions(x=np.array([1.0, 0.0]) * scale))
+        assert result.certificate.valid
+        assert abs(np.asarray(result.hyperplane.normal) @ center) >= radius * (1.0 - 1e-9)
 
 
 class TestSeparateRandomInstances:
@@ -337,19 +349,21 @@ class TestExtendViaSeparation:
     def test_zero_functional(self):
         f = PartialFunctional(zero_subspace(3), np.zeros(0))
         slab = PolyhedralGauge(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.ones(2))
-        np.testing.assert_allclose(extend_via_separation(f, slab), np.zeros(3))
+        state = extend_via_separation(f, slab)
+        np.testing.assert_allclose(state.functional.as_coefficients(), np.zeros(3))
+        assert state.violation == 0.0
 
     def test_halfspace_roundtrip_exact(self):
         domain = span_basis([np.array([1.0, -3.0, 0.0]), np.array([0.0, 0.0, 1.0])])
         values = np.array([float(u[0]) for u in domain.basis])
         f = PartialFunctional(domain, values)
         slab = PolyhedralGauge(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.ones(2))
-        g = extend_via_separation(f, slab)
+        g = extend_via_separation(f, slab).functional.as_coefficients()
         np.testing.assert_allclose(g, [1.0, 0.0, 0.0], atol=1e-8)
 
     def test_disk_roundtrip_in_admissible_family(self):
         f = PartialFunctional(span_basis([np.array([1.0, 0.0])]), np.array([1.0]))
-        g = extend_via_separation(f, TAXICAB)
+        g = extend_via_separation(f, TAXICAB).functional.as_coefficients()
         assert g[0] == pytest.approx(1.0, abs=1e-8)
         assert abs(g[1]) <= 1.0 + 1e-8
 
@@ -359,7 +373,7 @@ class TestExtendViaSeparation:
             n = int(rng.integers(2, 5))
             p = random_polyhedral_gauge(rng, n)
             f, _ = dominated_functional(rng, p, int(rng.integers(1, n)))
-            g = extend_via_separation(f, p, seed=trial)
+            g = extend_via_separation(f, p, seed=trial).functional.as_coefficients()
             mismatch = np.max(np.abs(f.domain.basis @ g - f.values))
             assert mismatch < 1e-8
 
@@ -367,3 +381,12 @@ class TestExtendViaSeparation:
         f = PartialFunctional(span_basis([np.array([1.0, 0.0])]), np.array([5.0]))
         with pytest.raises(InputError):
             extend_via_separation(f, TAXICAB)
+
+    def test_state_carries_the_measured_violation(self):
+        f = PartialFunctional(span_basis([np.array([1.0, 0.0])]), np.array([1.0]))
+        state = extend_via_separation(f, TAXICAB, seed=3)
+        assert state.domain.dim == 2
+        assert state.seminorm is TAXICAB
+        assert state.history == ()
+        g = state.functional.as_coefficients()
+        assert state.violation == domination_check(g, TAXICAB, seed=3, trials=256)
