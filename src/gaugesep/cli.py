@@ -96,6 +96,12 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise SchemaError(f"{path}: {message}")
 
 
+def _closed(node: dict, path: str, allowed: tuple[str, ...]) -> None:
+    """Reject the first key outside ``allowed`` (docs/schema closes every object)."""
+    for key in node:
+        _require(key in allowed, f"{path}.{key}" if path else key, "unexpected key")
+
+
 def _number_list(node, path: str, length: int | None = None) -> list[float]:
     _require(isinstance(node, list), path, "expected an array of numbers")
     for i, x in enumerate(node):
@@ -110,17 +116,20 @@ def _parse_set(node, dim: int, path: str) -> ConvexSet:
     kind = node.get("kind")
     _require(kind in ("ball", "hpoly", "oracle"), f"{path}.kind", "expected one of ball|hpoly|oracle")
     if kind == "ball":
+        _closed(node, path, ("kind", "center", "radius"))
         center = _number_list(node.get("center"), f"{path}.center", dim)
         radius = node.get("radius")
         _require(isinstance(radius, (int, float)) and radius > 0, f"{path}.radius", "expected a positive number")
         return OpenBall(np.array(center), float(radius))
     if kind == "hpoly":
+        _closed(node, path, ("kind", "rows", "witness"))
         rows = node.get("rows")
         _require(isinstance(rows, list) and rows, f"{path}.rows", "expected a nonempty array")
         a, b = [], []
         for i, row in enumerate(rows):
             rpath = f"{path}.rows[{i}]"
             _require(isinstance(row, dict), rpath, "expected an object")
+            _closed(row, rpath, ("a", "b", "strict"))
             a.append(_number_list(row.get("a"), f"{rpath}.a", dim))
             off = row.get("b")
             _require(isinstance(off, (int, float)) and not isinstance(off, bool), f"{rpath}.b", "expected a number")
@@ -132,6 +141,7 @@ def _parse_set(node, dim: int, path: str) -> ConvexSet:
             return HPolyhedron(np.array(a), np.array(b), witness=wit)
         except InputError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
+    _closed(node, path, ("kind", "name"))
     name = node.get("name")
     _require(isinstance(name, str), f"{path}.name", "expected a fixture name string")
     try:
@@ -146,6 +156,7 @@ def _parse_seminorm(node, dim: int, path: str):
     _require(isinstance(node, dict), path, "expected an object")
     kind = node.get("kind")
     _require(kind in ("polyhedral", "explicit"), f"{path}.kind", "expected polyhedral|explicit")
+    _closed(node, path, ("kind", "rows"))
     rows = node.get("rows")
     _require(isinstance(rows, list) and rows, f"{path}.rows", "expected a nonempty array")
     if kind == "polyhedral":
@@ -153,6 +164,7 @@ def _parse_seminorm(node, dim: int, path: str):
         for i, row in enumerate(rows):
             rpath = f"{path}.rows[{i}]"
             _require(isinstance(row, dict), rpath, "expected an object")
+            _closed(row, rpath, ("a", "b"))
             a.append(_number_list(row.get("a"), f"{rpath}.a", dim))
             off = row.get("b")
             _require(isinstance(off, (int, float)) and off > 0, f"{rpath}.b", "expected a positive number")
@@ -167,6 +179,7 @@ class Problem:
 
     def __init__(self, raw: dict):
         _require(isinstance(raw, dict), "$", "top level must be an object")
+        _closed(raw, "", ("version", "dimension", "A", "S", "x", "seminorm", "options"))
         _require(raw.get("version") == 1, "version", "must be the integer 1")
         dim = raw.get("dimension")
         _require(isinstance(dim, int) and dim >= 1, "dimension", "expected a positive integer")
@@ -174,6 +187,7 @@ class Problem:
         self.a_set = _parse_set(raw.get("A"), dim, "A")
         s_node = raw.get("S")
         _require(isinstance(s_node, dict), "S", "expected an object")
+        _closed(s_node, "S", ("basis",))
         basis = s_node.get("basis")
         _require(isinstance(basis, list), "S.basis", "expected an array of vectors")
         vectors = [np.array(_number_list(v, f"S.basis[{i}]", dim)) for i, v in enumerate(basis)]
@@ -184,6 +198,7 @@ class Problem:
         )
         options = raw.get("options", {})
         _require(isinstance(options, dict), "options", "expected an object")
+        _closed(options, "options", ("gamma_rule", "seed"))
         rule = options.get("gamma_rule", "upper")
         _require(rule in ("upper", "lower", "midpoint"), "options.gamma_rule", "expected upper|lower|midpoint")
         seed = options.get("seed", 0)

@@ -304,15 +304,15 @@ def build_D(a_set: ConvexSet, x) -> SymmetrizedBody:
 
 
 def _inscribed_ball(
-    poly: HPolyhedron, *, cap: float | None = None, basis: np.ndarray | None = None, normal: np.ndarray | None = None
+    poly: HPolyhedron, *, cap: float | None = None, basis: np.ndarray | None = None
 ) -> tuple[np.ndarray, float] | None:
     """Largest ball in the polyhedron's closure: max r s.t. a_i . y + r |a_i| <= b_i.
 
-    The center y may be restricted either to the row span of ``basis``
-    (y = c @ basis) or to the hyperplane ``normal . y = 0``, and r may be
-    capped.  Returns (y, r), or None when the closure misses the restriction.
-    An unbounded r (possible only without a cap) raises InputError; any other
-    status than optimal or infeasible raises SolverError.
+    The center y may be restricted to the row span of ``basis``
+    (y = coords @ basis, rows orthonormal), and r may be capped.  Returns
+    (y, r), or None when the closure misses the span.  An unbounded r
+    (possible only without a cap) raises InputError; any other status than
+    optimal or infeasible raises SolverError.
     """
     a, b = np.asarray(poly.a), np.asarray(poly.b)
     a_y = a if basis is None else a @ basis.T
@@ -324,11 +324,7 @@ def _inscribed_ball(
     if cap is not None:
         a_ub = np.vstack([a_ub, np.append(np.zeros(k), 1.0)])
         b_ub = np.append(b, cap)
-    a_eq = b_eq = None
-    if normal is not None:
-        a_eq = np.append(normal, 0.0)[None, :]
-        b_eq = np.zeros(1)
-    res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub)
     if res.status == "infeasible":
         return None
     if res.status == "unbounded" and cap is None:
@@ -358,13 +354,28 @@ def chebyshev_center(poly: HPolyhedron) -> tuple[np.ndarray, float]:
     return center, radius
 
 
+def _meets(a_set: ConvexSet, basis: np.ndarray | None = None) -> bool | None:
+    """Does the open set meet the row span of ``basis`` (the whole space if None)?
+
+    Exact for polyhedra (capped inscribed ball centered in the span, radius
+    above MIN_DEPTH) and balls (center nearer the span than r (1 - 1e-9), a
+    band relative to r); None for other sets.  ``basis`` rows are orthonormal.
+    """
+    if isinstance(a_set, HPolyhedron):
+        ball = _inscribed_ball(a_set, cap=1.0, basis=basis)
+        return ball is not None and ball[1] > MIN_DEPTH
+    if isinstance(a_set, OpenBall):
+        c = np.asarray(a_set.center)
+        dist = 0.0 if basis is None else float(np.linalg.norm(c - (basis @ c) @ basis))
+        return dist < a_set.radius * (1.0 - 1e-9)
+    return None
+
+
 def is_empty(a_set: ConvexSet) -> bool:
     """Best-effort emptiness test (exact for polyhedra and balls)."""
-    if isinstance(a_set, HPolyhedron):
-        ball = _inscribed_ball(a_set, cap=1.0)
-        return ball is None or ball[1] <= MIN_DEPTH
-    if isinstance(a_set, OpenBall):
-        return False
+    meets = _meets(a_set)
+    if meets is not None:
+        return not meets
     if isinstance(a_set, OracleSet):
         if a_set.witness is None:
             raise InputError("oracle sets need a witness point for emptiness checks")

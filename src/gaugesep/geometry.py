@@ -224,9 +224,13 @@ class Hyperplane:
         return abs(float(self.normal @ e)) <= tol * max(1.0, float(np.linalg.norm(e)))
 
     def subspace(self) -> Subspace:
-        """The hyperplane as an (n-1)-dimensional Subspace."""
-        normal_span = span_basis([self.normal])
-        return Subspace(self.dim, np.array(complement_basis(normal_span)))
+        """The hyperplane as an (n-1)-dimensional Subspace: the Householder
+        reflection taking the normal to the axis e_k (up to sign), less row k."""
+        u = self.normal / np.linalg.norm(self.normal)
+        k = int(np.argmax(np.abs(u)))
+        v = u + np.copysign(1.0, u[k]) * np.eye(self.dim)[k]
+        reflection = np.eye(self.dim) - np.outer(v, 2.0 * v / (v @ v))
+        return Subspace(self.dim, np.delete(reflection, k, axis=0))
 
 
 def kernel_hyperplane(g) -> Hyperplane:

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexsets import (
-    MIN_DEPTH,
     ConvexSet,
     HPolyhedron,
     OpenBall,
     OracleSet,
-    _inscribed_ball,
+    _meets,
     build_D,
     is_empty,
     pick_interior_point,
@@ -73,8 +72,8 @@ class SeparationCertificate:
     (infinite when the set is empty).  ``boundary_margin``: exact signed
     margin of the hyperplane against the set's closure (polyhedra and balls
     only).  ``sign_constant``: the functional has one sign on the set.
-    ``conic_disjoint_sampled``: positively-scaled samples also avoid the
-    hyperplane, which holds exactly when ``a_clearance > 0``.
+    ``conic_disjoint_sampled`` (derived): positively-scaled samples also
+    avoid the hyperplane, which holds exactly when ``a_clearance > 0``.
     ``remark2_status``: domination and disjointness agreed (None when no
     gauge was available to test domination).
     """
@@ -83,8 +82,11 @@ class SeparationCertificate:
     a_clearance: float
     boundary_margin: float | None
     sign_constant: bool
-    conic_disjoint_sampled: bool
     remark2_status: bool | None
+
+    @property
+    def conic_disjoint_sampled(self) -> bool:
+        return self.a_clearance > 0.0
 
     @property
     def valid(self) -> bool:
@@ -128,20 +130,18 @@ def _closure_range(a_set: ConvexSet, normal: np.ndarray) -> tuple[float, float] 
 
 def _kernel_disjoint(a_set: ConvexSet, g: np.ndarray, seed: int = 0, samples: int = 2000) -> bool:
     """Does the kernel hyperplane of ``g`` avoid the open set?"""
-    g = as_vector(g, a_set.dim)
-    norm = float(np.linalg.norm(g))
-    if norm <= 1e-12:
-        raise DegenerateError("zero functional")
-    normal = g / norm
-    if isinstance(a_set, HPolyhedron):
-        ball = _inscribed_ball(a_set, cap=1.0, normal=normal)
-        return ball is None or ball[1] <= MIN_DEPTH
-    if isinstance(a_set, OpenBall):
-        dist = abs(float(normal @ a_set.center))
-        return bool(dist >= a_set.radius - 1e-9 * max(1.0, a_set.radius))
-    pts = sample_interior(a_set, samples, seed)
-    vals = pts @ normal
+    hyper = kernel_hyperplane(as_vector(g, a_set.dim))
+    meets = _meets(a_set, np.asarray(hyper.subspace().basis))
+    if meets is not None:
+        return not meets
+    vals = sample_interior(a_set, samples, seed) @ np.asarray(hyper.normal)
     return bool(np.all(vals > 0.0) or np.all(vals < 0.0))
+
+
+def _remark2_pair(a_set: ConvexSet, g: np.ndarray, p: Seminorm, *, seed: int, trials: int) -> tuple[bool, bool]:
+    """(|g| <= p up to 1e-7?, kernel of g disjoint from the set?): Remark 2's two sides."""
+    dominated = domination_check(g, p, seed=seed, trials=trials) <= 1e-7
+    return dominated, _kernel_disjoint(a_set, g, seed=seed)
 
 
 def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
@@ -150,22 +150,14 @@ def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
         if a_set.contains(np.zeros(a_set.dim)):
             raise InputError("the set contains the origin, which lies in the subspace")
         return
-    if isinstance(a_set, HPolyhedron):
-        ball = _inscribed_ball(a_set, cap=1.0, basis=np.asarray(s.basis))
-        if ball is not None and ball[1] > MIN_DEPTH:
-            raise InputError("the set intersects the subspace (strict margin found by LP)")
-        return
-    if isinstance(a_set, OpenBall):
-        dist = s.distance(a_set.center)
-        # distance from the center to S below the radius means intersection
-        if dist < a_set.radius - 1e-12:
-            raise InputError("the ball intersects the subspace")
-        return
-    rng = np.random.default_rng(seed)
-    coords = rng.uniform(-10.0, 10.0, size=(500, s.dim))
-    for c in coords:
-        if a_set.contains(c @ s.basis):
-            raise InputError("sampling found a subspace point inside the set")
+    meets = _meets(a_set, np.asarray(s.basis))
+    if meets:
+        raise InputError("the set intersects the subspace")
+    if meets is None:
+        coords = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(500, s.dim))
+        for c in coords:
+            if a_set.contains(c @ s.basis):
+                raise InputError("sampling found a subspace point inside the set")
 
 
 def _span_functional(s: Subspace, x: np.ndarray) -> PartialFunctional:
@@ -197,7 +189,7 @@ def _certificate(
         vmin, vmax = closure
         margin = float(max(vmin, -vmax))
         sign_constant = margin >= -1e-9
-    return SeparationCertificate(residual, clearance, margin, sign_constant, clearance > 0.0, remark2)
+    return SeparationCertificate(residual, clearance, margin, sign_constant, remark2)
 
 
 def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = None) -> SeparationResult:
@@ -220,7 +212,7 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     if empty:
         normal = complement_basis(s)[0]
         hyper = Hyperplane(normal)
-        cert = SeparationCertificate(_subspace_residual(s, normal), np.inf, None, True, True, None)
+        cert = SeparationCertificate(_subspace_residual(s, normal), np.inf, None, True, None)
         return SeparationResult(hyper, np.array(normal), None, None, (), cert)
     _check_disjoint(a_set, s, opts.seed)
     x = as_vector(opts.x, n) if opts.x is not None else pick_interior_point(a_set)
@@ -256,8 +248,7 @@ def verify_separation(
     opts = SeparationOptions(seed=seed, certificate_samples=samples)
     remark2 = None
     if g is not None and gauge_p is not None:
-        dominated = domination_check(g, gauge_p, seed=seed, trials=max(256, samples // 10)) <= 1e-7
-        disjoint = _kernel_disjoint(a_set, as_vector(g, a_set.dim), seed=seed)
+        dominated, disjoint = _remark2_pair(a_set, g, gauge_p, seed=seed, trials=max(256, samples // 10))
         remark2 = dominated == disjoint
     return _certificate(a_set, s, hyperplane, opts, remark2=remark2)
 
@@ -284,9 +275,7 @@ def remark2_equivalence_check(
         raise InputError("candidate does not send the anchor to 1")
     if s.dim and float(np.max(np.abs(s.basis @ g))) > 1e-8:
         raise InputError("candidate does not vanish on the subspace")
-    dominated = domination_check(g, p, seed=seed, trials=trials) <= 1e-7
-    disjoint = _kernel_disjoint(a_set, g, seed=seed)
-    return dominated, disjoint
+    return _remark2_pair(a_set, g, p, seed=seed, trials=trials)
 
 
 def brute_force_2d_normals(a_set: ConvexSet, grid: int = 1800) -> np.ndarray:

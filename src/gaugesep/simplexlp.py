@@ -16,6 +16,7 @@ import numpy as np
 from .errors import SolverError
 
 PIVOT_TOL = 1e-9
+MAX_ITER = 20000  # pivots per phase
 
 
 @dataclass
@@ -27,7 +28,7 @@ class LPResult:
     iterations: int = 0
 
 
-def _bland_loop(tab, basis, cost, n_real, tol, max_iter):
+def _bland_loop(tab, basis, cost, n_real):
     """Run simplex pivots in place; returns (status, entering_col, iters).
 
     ``n_real`` marks how many leading columns may enter the basis (artificial
@@ -39,13 +40,13 @@ def _bland_loop(tab, basis, cost, n_real, tol, max_iter):
         reduced = cost - cost[basis] @ tab[:, :-1]
         enter = -1
         for j in range(n_real):
-            if reduced[j] < -tol:
+            if reduced[j] < -PIVOT_TOL:
                 enter = j
                 break
         if enter < 0:
             return "optimal", -1, iters
         col = tab[:, enter]
-        rows = np.nonzero(col > tol)[0]
+        rows = np.nonzero(col > PIVOT_TOL)[0]
         if rows.size == 0:
             return "unbounded", enter, iters
         ratios = tab[rows, -1] / col[rows]
@@ -58,34 +59,24 @@ def _bland_loop(tab, basis, cost, n_real, tol, max_iter):
         tab[leave] = piv
         basis[leave] = enter
         iters += 1
-        if iters > max_iter:
-            raise SolverError(f"simplex iteration limit ({max_iter}) exceeded; m={m}")
+        if iters > MAX_ITER:
+            raise SolverError(f"simplex iteration limit ({MAX_ITER}) exceeded; m={m}")
 
 
-def solve_lp(
-    c,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-    nonneg=None,
-    *,
-    tol: float = PIVOT_TOL,
-    max_iter: int = 20000,
-) -> LPResult:
-    """Minimize ``c . x`` subject to ``a_ub x <= b_ub`` and ``a_eq x = b_eq``.
+def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
+    """Minimize ``c . x`` subject to ``a_ub x <= b_ub`` (an equality is two
+    opposite rows).
 
     ``nonneg`` is an optional boolean mask; unmasked variables are free.
-    Returns an LPResult whose ``ray`` holds an improving feasible direction
-    when the problem is unbounded.
+    Rows with a negative right-hand side start phase 1 on an artificial
+    column.  Returns an LPResult whose ``ray`` holds an improving feasible
+    direction when the problem is unbounded.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
-    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float).reshape(-1, n)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
-    if a_ub.shape[0] != b_ub.size or a_eq.shape[0] != b_eq.size:
+    if a_ub.shape[0] != b_ub.size:
         raise SolverError("constraint matrix/vector shapes disagree")
     mask = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool).reshape(-1)
 
@@ -96,40 +87,27 @@ def solve_lp(
         if not mask[i]:
             col_var.append((i, -1.0))
     ns = len(col_var)
-    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
-    m = m_ub + m_eq
+    m = a_ub.shape[0]
+    n_real = ns + m  # structural and slack columns
+    flip = b_ub < 0
+    rhs = np.abs(b_ub)
+    art_rows = np.nonzero(flip)[0]
 
-    full_a = np.vstack([a_ub, a_eq]) if m else np.zeros((0, n))
-    body = np.zeros((m, ns))
-    for j, (i, sign) in enumerate(col_var):
-        body[:, j] = sign * full_a[:, i]
-    slack = np.vstack([np.eye(m_ub), np.zeros((m_eq, m_ub))]) if m else np.zeros((0, m_ub))
-    rhs = np.concatenate([b_ub, b_eq])
-    flip = rhs < 0
-    body[flip] *= -1.0
-    slack[flip] *= -1.0
-    rhs = np.abs(rhs)
-
-    art_rows = [r for r in range(m) if not (r < m_ub and not flip[r])]
-    n_real = ns + m_ub
-    ncols = n_real + len(art_rows)
-    tab = np.zeros((m, ncols + 1))
-    tab[:, :ns] = body
-    tab[:, ns:n_real] = slack
+    tab = np.zeros((m, n_real + art_rows.size + 1))
+    tab[:, :ns] = a_ub[:, [i for i, _ in col_var]] * np.array([sign for _, sign in col_var])
+    tab[:, ns:n_real] = np.eye(m)
+    tab[flip, :n_real] *= -1.0
     tab[:, -1] = rhs
-    basis = np.zeros(m, dtype=int)
-    for r in range(m):
-        if r < m_ub and not flip[r]:
-            basis[r] = ns + r
+    basis = ns + np.arange(m)
     for k, r in enumerate(art_rows):
         tab[r, n_real + k] = 1.0
         basis[r] = n_real + k
 
     total_iters = 0
-    if art_rows:
-        cost1 = np.zeros(ncols)
+    if art_rows.size:
+        cost1 = np.zeros(tab.shape[1] - 1)
         cost1[n_real:] = 1.0
-        status, _, iters = _bland_loop(tab, basis, cost1, n_real, tol, max_iter)
+        status, _, iters = _bland_loop(tab, basis, cost1, n_real)
         total_iters += iters
         if status != "optimal":
             raise SolverError("phase-1 objective unbounded; malformed constraints")
@@ -143,7 +121,7 @@ def solve_lp(
                 continue
             pivot_col = -1
             for j in range(n_real):
-                if abs(tab[r, j]) > tol:
+                if abs(tab[r, j]) > PIVOT_TOL:
                     pivot_col = j
                     break
             if pivot_col < 0:
@@ -162,7 +140,7 @@ def solve_lp(
     cost2 = np.zeros(tab.shape[1] - 1)
     for j, (i, sign) in enumerate(col_var):
         cost2[j] = sign * c[i]
-    status, enter, iters = _bland_loop(tab, basis, cost2, n_real, tol, max_iter)
+    status, enter, iters = _bland_loop(tab, basis, cost2, n_real)
     total_iters += iters
 
     def to_x(column_values: np.ndarray) -> np.ndarray:

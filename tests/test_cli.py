@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "separate", "--input", write(tmp_path, "bad.json", bad))
         assert code == 3
         assert "strict" in err
+
+    @pytest.mark.parametrize("path", ["options.gamma-rule", "comment", "A.centre", "S.dim"])
+    def test_unexpected_key_exit_3(self, capsys, tmp_path, path):
+        # a misspelt option must be rejected, not silently replaced by its default
+        bad = json.loads(json.dumps(DISK_PROBLEM))
+        *parents, key = path.split(".")
+        node = bad
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = "lower"
+        code, _, err = run_cli(capsys, "separate", "--input", write(tmp_path, "typo.json", bad))
+        assert code == 3
+        assert f"{path}: unexpected key" in err
 
     def test_wrong_version_exit_3(self, capsys, tmp_path):
         bad = dict(DISK_PROBLEM)
@@ -257,7 +271,7 @@ class TestTimings:
 
 
 def assert_keys_conform(obj: dict, schema: dict, where: str) -> None:
-    missing = set(schema["required"]) - set(obj)
+    missing = set(schema.get("required", ())) - set(obj)
     unknown = set(obj) - set(schema["properties"])
     assert not missing, f"{where}: missing required keys {sorted(missing)}"
     assert not unknown, f"{where}: keys outside the schema {sorted(unknown)}"
@@ -280,6 +294,37 @@ class TestResultSchema:
         if argv[0] in ("extend", "roundtrip"):
             violation = doc["domination_violation"]
             assert isinstance(violation, (int, float)) and not isinstance(violation, bool)
+
+
+PROBLEM_SCHEMA = json.loads((Path(__file__).parents[1] / "docs" / "schema" / "problem.v1.json").read_text())
+
+
+def assert_conforms(node, schema: dict, where: str) -> None:
+    """Key sets of ``node`` and of every object nested in it against ``schema``;
+    a ``oneOf`` branch is picked by its ``kind`` constant."""
+    if "oneOf" in schema:
+        schema = next(b for b in schema["oneOf"] if b["properties"]["kind"]["const"] == node["kind"])
+    if schema.get("type") == "object":
+        assert_keys_conform(node, schema, where)
+        for key, value in node.items():
+            assert_conforms(value, schema["properties"][key], f"{where}.{key}")
+    elif schema.get("type") == "array":
+        for i, item in enumerate(node):
+            assert_conforms(item, schema.get("items", {}), f"{where}[{i}]")
+
+
+class TestProblemSchema:
+    """Bundled problems and the test fixture keep to docs/schema/problem.v1.json
+    (key sets of every object, stdlib only); with the unexpected-key check of
+    the parser this ties the schema and the parser together."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3_quotient"])
+    def test_bundled_problem_conforms(self, name):
+        text = resources.files("gaugesep").joinpath(f"problems/{name}.json").read_text()
+        assert_conforms(json.loads(text), PROBLEM_SCHEMA, name)
+
+    def test_disk_fixture_conforms(self):
+        assert_conforms(DISK_PROBLEM, PROBLEM_SCHEMA, "DISK_PROBLEM")
 
 
 class TestDeterminism:

@@ -182,6 +182,16 @@ class TestKernelHyperplane:
         assert sub.dim == 1
         assert sub.contains(np.array([3.0, 0.0]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+    def test_subspace_is_the_orthogonal_complement(self, n):
+        rng = np.random.default_rng(n)
+        for g in [*rng.normal(size=(5, n)), -3.0 * np.eye(n)[n - 1]]:
+            h = kernel_hyperplane(g)
+            basis = np.asarray(h.subspace().basis)
+            assert basis.shape == (n - 1, n)
+            np.testing.assert_allclose(basis @ basis.T, np.eye(n - 1), atol=1e-14)
+            np.testing.assert_allclose(basis @ h.normal, 0.0, atol=1e-14)
+
 
 class TestPartialFunctional:
     def test_evaluation(self):

@@ -21,8 +21,9 @@ from gaugesep import (
     zero_subspace,
 )
 from gaugesep.fixtures import disk_instance, halfspace_instance, quotient_instance
+from gaugesep.separation import _closure_range, _kernel_disjoint
 
-from helpers import dominated_functional, random_instance, random_polyhedral_gauge
+from helpers import dominated_functional, random_instance, random_polyhedral_gauge, random_polytope_instance
 
 TAXICAB = PolyhedralGauge(
     np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]), np.ones(4)
@@ -130,14 +131,70 @@ class TestTouchingBoxes:
 
 
 class TestScaledDisk:
-    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e4])
-    def test_bundled_disk_scaled(self, scale):
-        # gauges of size 1/scale: the domination gate must scale with |g|
+    @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e4, 1e6])
+    def test_bundled_disk_scaled(self, scale, rule):
+        # gauges of size 1/scale: the domination gate must scale with |g|, and
+        # the tangent kernel must read as disjoint at every scale
         center, radius = np.array([2.0, 0.0]) * scale, np.sqrt(2.0) * scale
         disk = OpenBall(center, radius)
-        result = separate(disk, zero_subspace(2), SeparationOptions(x=np.array([1.0, 0.0]) * scale))
+        opts = SeparationOptions(x=np.array([1.0, 0.0]) * scale, gamma_rule=rule)
+        result = separate(disk, zero_subspace(2), opts)
         assert result.certificate.valid
+        assert result.certificate.remark2_status is True
         assert abs(np.asarray(result.hyperplane.normal) @ center) >= radius * (1.0 - 1e-9)
+
+
+class TestBallBand:
+    """A ball meets a subspace when its center is nearer than r (1 - 1e-9)."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_tangent_passes(self, scale):
+        ball = OpenBall(np.array([0.0, scale]), scale)
+        result = separate(ball, span_basis([np.array([1.0, 0.0])], 2))
+        assert result.certificate.valid
+        np.testing.assert_allclose(np.abs(result.hyperplane.normal), [0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_overlap_raises(self, scale):
+        ball = OpenBall(np.array([0.0, scale * (1.0 - 1e-7)]), scale)
+        with pytest.raises(InputError, match="intersects the subspace"):
+            separate(ball, span_basis([np.array([1.0, 0.0])], 2))
+
+
+class TestKernelDisjointDifferential:
+    """The inscribed-ball LP on the kernel hyperplane against the sign of the
+    closure's range of normal . e (two support LPs)."""
+
+    def compare(self, poly, normals) -> list[float]:
+        """Margins of the normals compared; asserts agreement on each."""
+        margins = []
+        for normal in normals:
+            vmin, vmax = _closure_range(poly, normal)
+            margin = max(vmin, -vmax)
+            if abs(margin) > 1e-9:
+                assert _kernel_disjoint(poly, normal) == (margin > 0.0), (normal, margin)
+                margins.append(margin)
+        return margins
+
+    def unit_normals(self, rng, count, n):
+        normals = rng.normal(size=(count, n))
+        return normals / np.linalg.norm(normals, axis=1)[:, None]
+
+    def test_random_polytopes(self):
+        rng = np.random.default_rng(7)
+        margins = []
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            poly, _ = random_polytope_instance(rng, n)
+            margins += self.compare(poly, self.unit_normals(rng, 8, n))
+        assert min(margins) < 0.0 < max(margins)  # both answers occur
+
+    def test_touching_box(self):
+        center, half = np.array([5.0, 1.0, 0.0]), np.ones(3)
+        box = HPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([center + half, half - center]))
+        margins = self.compare(box, self.unit_normals(np.random.default_rng(8), 200, 3))
+        assert len(margins) == 200 and min(margins) < 0.0 < max(margins)
 
 
 class TestSeparateRandomInstances:

@@ -27,8 +27,8 @@ class TestSolveLP:
         assert res.x[0] == pytest.approx(-3.0, abs=1e-9)
 
     def test_equality_constraint(self):
-        # min x + y with x + y = 2, x - y <= 0
-        res = solve_lp([1.0, 1.0], a_ub=[[1.0, -1.0]], b_ub=[0.0], a_eq=[[1.0, 1.0]], b_eq=[2.0])
+        # min x + y with x + y = 2 (as two opposite rows), x - y <= 0
+        res = solve_lp([1.0, 1.0], a_ub=[[1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]], b_ub=[0.0, 2.0, -2.0])
         assert res.status == "optimal"
         assert res.objective == pytest.approx(2.0, abs=1e-9)
 
