@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import gaugesep.convexsets as convexsets
-from gaugesep import EmptySetError, HPolyhedron, InputError, chebyshev_center, solve_lp
+import gaugesep.extension as extension
+import gaugesep.separation as separation
+from gaugesep import EmptySetError, HPolyhedron, InputError, SeparationOptions, chebyshev_center, separate, solve_lp
+from gaugesep.cli import parse_problem
 
 from helpers import lp_vertex_reference
 
@@ -155,3 +158,28 @@ class TestChebyshevCenter:
         first = chebyshev_center(poly)
         second = chebyshev_center(poly)
         assert np.array_equal(first[0], second[0]) and first[1] == second[1]
+
+
+class TestBundledCounters:
+    """Deterministic LP counters of ``separate()`` on the bundled problems:
+    a change to the solver's pivoting shows up here as a reviewed diff."""
+
+    @pytest.mark.parametrize(
+        "name,lps,pivots",
+        [("example1", 0, 0), ("example2", 10, 12), ("example3_quotient", 9, 11)],
+    )
+    def test_lp_calls_and_pivots(self, monkeypatch, name, lps, pivots):
+        iterations = []
+
+        def counting(*args, **kwargs):
+            res = solve_lp(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        for module in (convexsets, extension, separation):
+            monkeypatch.setattr(module, "solve_lp", counting)
+        problem = parse_problem(name)
+        opts = SeparationOptions(x=problem.x, gamma_rule=problem.gamma_rule, seed=problem.seed)
+        result = separate(problem.a_set, problem.s, opts)
+        assert result.certificate.valid
+        assert (len(iterations), sum(iterations)) == (lps, pivots)
