@@ -1,10 +1,16 @@
-"""Dense two-phase simplex for the small linear programs behind gauges,
-interior points, and certificates.
+"""Revised simplex for the small linear programs behind gauges, interior
+points, and certificates.
 
-Bland's rule is used in both phases, so the solver cannot cycle; pivot
-candidates are screened at ``PIVOT_TOL``.  Variables are free unless flagged
-nonnegative, handled by the usual positive/negative split.  Problems here
-have at most a few dozen rows, so a plain tableau is the right tool.
+Every LP here has many rows and few variables, so ``solve_lp`` solves the
+dual, which has one equality row per variable: minimize ``b . y`` subject to
+``a^T y - s = -c`` and ``y >= 0``, with a surplus ``s_j >= 0`` only for the
+variables flagged nonnegative (a free variable gives a plain equality row).
+The basis is square in the number of variables and is factored afresh at
+every pivot, so rounding cannot build up over a long run.  Pricing takes the
+most negative reduced cost per unit column norm; after ``STALL`` degenerate
+pivots in a row both choices follow Bland's rule, which cannot cycle (Bland
+1977).  The ratio test is Harris's two-pass test (Harris 1973), with a
+tolerance relative to each basic value.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from .errors import SolverError
 
 PIVOT_TOL = 1e-9
 MAX_ITER = 20000  # pivots per phase
+STALL = 20  # degenerate pivots in a row before Bland's rule takes over
 
 
 @dataclass
@@ -28,39 +35,48 @@ class LPResult:
     iterations: int = 0
 
 
-def _bland_loop(tab, basis, cost, n_real):
-    """Run simplex pivots in place; returns (status, entering_col, iters).
+def _simplex(cols, cost, rhs, basis, n_enter, zero_tol):
+    """Minimize ``cost . z`` subject to ``cols z = rhs``, ``z >= 0``, from the
+    feasible ``basis`` (updated in place); returns (status, multipliers, pivots).
 
-    ``n_real`` marks how many leading columns may enter the basis (artificial
-    columns sit past it and are barred).
+    Only the first ``n_enter`` columns may enter; the rest are artificials.
+    A basic artificial at zero blocks the ratio test in both directions, so it
+    leaves on a degenerate pivot instead of going negative.
     """
-    m = tab.shape[0]
-    iters = 0
-    while True:
-        reduced = cost - cost[basis] @ tab[:, :-1]
-        enter = -1
-        for j in range(n_real):
-            if reduced[j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal", -1, iters
-        col = tab[:, enter]
-        rows = np.nonzero(col > PIVOT_TOL)[0]
+    enter_cols = cols[:, :n_enter]
+    enter_cost = cost[:n_enter]
+    inv_scale = 1.0 / (1.0 + np.sqrt((enter_cols * enter_cols).sum(axis=0)))
+    artificial = basis >= n_enter
+    stall = 0
+    for pivots in range(MAX_ITER + 1):
+        binv = np.linalg.inv(cols[:, basis])
+        pi = cost[basis] @ binv
+        if not n_enter:
+            return "optimal", pi, pivots
+        score = (enter_cost - pi @ enter_cols) * inv_scale
+        # Bland: the first improving column; otherwise the steepest one
+        q = (score < -PIVOT_TOL).argmax() if stall >= STALL else score.argmin()
+        if not score[q] < -PIVOT_TOL:
+            return "optimal", pi, pivots
+        z = binv @ rhs
+        u = binv @ enter_cols[:, q]
+        blocked = artificial & (z <= zero_tol)
+        u[blocked] = np.abs(u[blocked])
+        rows = (u > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
-            return "unbounded", enter, iters
-        ratios = tab[rows, -1] / col[rows]
-        rmin = ratios.min()
-        near = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
-        leave = min(near, key=lambda r: basis[r])  # Bland tie-break
-        piv = tab[leave] / tab[leave, enter]
-        factor = tab[:, enter].copy()
-        tab -= np.outer(factor, piv)
-        tab[leave] = piv
-        basis[leave] = enter
-        iters += 1
-        if iters > MAX_ITER:
-            raise SolverError(f"simplex iteration limit ({MAX_ITER}) exceeded; m={m}")
+            return "unbounded", pi, pivots
+        zr, ur = z[rows], u[rows]
+        ratio = zr / ur
+        if stall >= STALL:  # Bland: the lowest index among the tied rows
+            near = ratio <= ratio.min() + 1e-12 * max(1.0, abs(ratio.min()))
+            leave = rows[near][basis[rows[near]].argmin()]
+        else:  # Harris: the largest pivot among the rows within the relaxed bound
+            near = ratio <= ((zr + PIVOT_TOL * (1.0 + np.abs(zr))) / ur).min()
+            leave = rows[near][ur[near].argmax()]
+        stall = stall + 1 if z[leave] <= PIVOT_TOL * u[leave] else 0
+        artificial[leave] = False
+        basis[leave] = q
+    raise SolverError(f"simplex iteration limit ({MAX_ITER}) exceeded; {cols.shape[0]} dual rows")
 
 
 def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
@@ -68,9 +84,10 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     opposite rows).
 
     ``nonneg`` is an optional boolean mask; unmasked variables are free.
-    Rows with a negative right-hand side start phase 1 on an artificial
-    column.  Returns an LPResult whose ``ray`` holds an improving feasible
-    direction when the problem is unbounded.
+    Precondition: the LP or its dual is feasible (if neither is, the answer
+    is "unbounded").  An unbounded LP comes back with a ``ray``: a Farkas
+    certificate of the infeasible dual, with ``a_ub @ ray <= 0``,
+    ``ray >= 0`` on the masked variables and ``c @ ray < 0``.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
@@ -80,86 +97,24 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
         raise SolverError("constraint matrix/vector shapes disagree")
     mask = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool).reshape(-1)
 
-    # structural columns: x_i -> (+col) and, for free variables, (-col)
-    col_var: list[tuple[int, float]] = []
-    for i in range(n):
-        col_var.append((i, 1.0))
-        if not mask[i]:
-            col_var.append((i, -1.0))
-    ns = len(col_var)
-    m = a_ub.shape[0]
-    n_real = ns + m  # structural and slack columns
-    flip = b_ub < 0
-    rhs = np.abs(b_ub)
-    art_rows = np.nonzero(flip)[0]
+    # dual rows scaled by ``sign`` so that the right-hand side |c| is >= 0;
+    # columns: y (one per constraint), surplus s (masked variables), artificials
+    sign = np.where(c > 0.0, -1.0, 1.0)
+    rhs = np.abs(c)
+    cols = np.hstack([sign[:, None] * a_ub.T, -np.diag(sign)[:, mask], np.eye(n)])
+    n_enter = cols.shape[1] - n
+    basis = n_enter + np.arange(n)
+    zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
-    tab = np.zeros((m, n_real + art_rows.size + 1))
-    tab[:, :ns] = a_ub[:, [i for i, _ in col_var]] * np.array([sign for _, sign in col_var])
-    tab[:, ns:n_real] = np.eye(m)
-    tab[flip, :n_real] *= -1.0
-    tab[:, -1] = rhs
-    basis = ns + np.arange(m)
-    for k, r in enumerate(art_rows):
-        tab[r, n_real + k] = 1.0
-        basis[r] = n_real + k
-
-    total_iters = 0
-    if art_rows.size:
-        cost1 = np.zeros(tab.shape[1] - 1)
-        cost1[n_real:] = 1.0
-        status, _, iters = _bland_loop(tab, basis, cost1, n_real)
-        total_iters += iters
-        if status != "optimal":
-            raise SolverError("phase-1 objective unbounded; malformed constraints")
-        resid = float(cost1[basis] @ tab[:, -1])
-        if resid > 1e-7 * max(1.0, float(np.max(rhs, initial=0.0))):
-            return LPResult("infeasible", iterations=total_iters)
-        # drive artificials out of the basis; drop redundant rows
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] < n_real:
-                continue
-            pivot_col = -1
-            for j in range(n_real):
-                if abs(tab[r, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                keep[r] = False
-                continue
-            piv = tab[r] / tab[r, pivot_col]
-            factor = tab[:, pivot_col].copy()
-            tab -= np.outer(factor, piv)
-            tab[r] = piv
-            basis[r] = pivot_col
-        tab = tab[keep]
-        basis = basis[keep]
-        m = tab.shape[0]
-        tab = np.hstack([tab[:, :n_real], tab[:, -1:]])
-
-    cost2 = np.zeros(tab.shape[1] - 1)
-    for j, (i, sign) in enumerate(col_var):
-        cost2[j] = sign * c[i]
-    status, enter, iters = _bland_loop(tab, basis, cost2, n_real)
-    total_iters += iters
-
-    def to_x(column_values: np.ndarray) -> np.ndarray:
-        x = np.zeros(n)
-        for j, (i, sign) in enumerate(col_var):
-            x[i] += sign * column_values[j]
-        return x
-
-    if status == "unbounded":
-        direction = np.zeros(n_real)
-        direction[enter] = 1.0
-        for r in range(m):
-            if basis[r] < n_real:
-                direction[basis[r]] = -tab[r, enter]
-        return LPResult("unbounded", ray=to_x(direction), iterations=total_iters)
-
-    values = np.zeros(n_real)
-    for r in range(m):
-        if basis[r] < n_real:
-            values[basis[r]] = tab[r, -1]
-    x = to_x(values)
-    return LPResult("optimal", x=x, objective=float(c @ x), iterations=total_iters)
+    phase1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
+    status, pi, iters = _simplex(cols, phase1, rhs, basis, n_enter, zero_tol)
+    if status != "optimal":
+        raise SolverError("phase-1 objective unbounded; malformed constraints")
+    if float(pi @ rhs) > zero_tol:  # the dual is infeasible
+        return LPResult("unbounded", ray=sign * pi, iterations=iters)
+    cost = np.concatenate([b_ub, np.zeros(cols.shape[1] - b_ub.size)])
+    status, pi, more = _simplex(cols, cost, rhs, basis, n_enter, zero_tol)
+    if status == "unbounded":  # the dual is unbounded
+        return LPResult("infeasible", iterations=iters + more)
+    x = sign * pi
+    return LPResult("optimal", x=x, objective=float(c @ x), iterations=iters + more)
