@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, InputError, SolverError
-from .gauges import OracleGauge, PolyhedralGauge, Seminorm, gauge
+from .gauges import OracleGauge, PolyhedralGauge, Seminorm, _gauge, gauge
 from .geometry import (
     TOL_MEMBERSHIP,
     PartialFunctional,
@@ -182,8 +182,8 @@ def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
     # eat into the 1e-6 interval certification
     p_eval = OracleGauge(p.body, tol=min(p.tol, 1e-13)) if isinstance(p, OracleGauge) else p
 
-    def objective(c: np.ndarray) -> float:
-        return float(-w @ c + gauge(p_eval, c @ basis + z))
+    def objective(c: np.ndarray) -> float:  # c and z are finite float arrays
+        return float(-w @ c + _gauge(p_eval, c @ basis + z))
 
     rng = np.random.default_rng(seed)
     best = np.inf

@@ -124,6 +124,11 @@ def gauge(p: Seminorm, e):
             raise InputError(f"expected finite rows of dimension {p.dim}, got an array of shape {e.shape}")
     else:
         e = as_vector(e, p.dim)
+    return _gauge(p, e)
+
+
+def _gauge(p: Seminorm, e: np.ndarray):
+    """``gauge`` on a float point or (m, n) batch that is already checked."""
     if isinstance(p, PolyhedralGauge):
         if p.a.shape[0] == 0:
             values = np.zeros(e.shape[:-1])

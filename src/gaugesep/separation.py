@@ -90,7 +90,19 @@ class SeparationCertificate:
 
     @property
     def valid(self) -> bool:
-        return self.s_in_h_residual < 1e-8 and self.a_clearance > 0.0 and self.sign_constant
+        return not self._failures()
+
+    def _failures(self) -> list[str]:
+        """The failed checks behind ``valid``, each named with its value."""
+        out = []
+        if not self.s_in_h_residual < 1e-8:
+            out.append(f"s_in_h_residual {self.s_in_h_residual:.2e} is not below 1e-8")
+        if not self.a_clearance > 0.0:
+            out.append(f"a_clearance {self.a_clearance:.2e} is not positive")
+        if not self.sign_constant:
+            margin = "" if self.boundary_margin is None else f" (boundary_margin {self.boundary_margin:.2e})"
+            out.append("sign_constant is False" + margin)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +208,9 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     """Hyperplane containing ``s`` and disjoint from the open convex ``a_set``.
 
     Precondition: the set and the subspace are disjoint (checked exactly for
-    polyhedra and balls, by sampling for oracles).  The empty set gets the
+    polyhedra and balls, by sampling for oracles).  A hyperplane whose
+    certificate is not valid is never returned: SolverError names the failed
+    checks instead.  The empty set gets the
     trivial answer: any hyperplane through ``s``, built from the
     deterministic completion of its basis.
     """
@@ -227,6 +241,8 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     remark2 = _kernel_disjoint(a_set, g, seed=opts.seed)
     # without a supplied anchor, x is the point sample_interior would pick
     cert = _certificate(a_set, s, hyper, opts, remark2=remark2, start=x if opts.x is None else None)
+    if not cert.valid:
+        raise SolverError("separation certificate is invalid: " + "; ".join(cert._failures()))
     return SeparationResult(hyper, g, x, p, state.history, cert)
 
 

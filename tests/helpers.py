@@ -7,6 +7,7 @@ the LP reference enumerates basic feasible points.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -73,6 +74,65 @@ def random_polytope_instance(rng: np.random.Generator, n: int) -> tuple[HPolyhed
             rows.append(direction)
             offs.append(float(direction @ center) + float(rng.uniform(0.3, 0.9)) * half)
         return HPolyhedron(np.array(rows), np.array(offs)), s
+
+
+@dataclass(frozen=True)
+class Box:
+    """The open box ``{x : |q^T (x - c)|_i < h_i}`` and a subspace (orthonormal
+    rows ``basis``) that it misses."""
+
+    c: np.ndarray
+    h: np.ndarray
+    q: np.ndarray
+    basis: np.ndarray
+
+    def polyhedron(self) -> HPolyhedron:
+        mid = self.q.T @ self.c
+        return HPolyhedron(np.vstack([self.q.T, -self.q.T]), np.concatenate([self.h + mid, self.h - mid]))
+
+    def subspace(self) -> Subspace:
+        return span_basis(list(self.basis), self.c.size)
+
+    def separated_by(self, normal: np.ndarray) -> bool:
+        """The plane through 0 with this normal misses the open box:
+        |n.c| >= sum h_i |(q^T n)_i|, up to a relative 1e-9."""
+        normal = normal / float(np.linalg.norm(normal))
+        lhs, rhs = abs(float(normal @ self.c)), float(self.h @ np.abs(self.q.T @ normal))
+        return lhs - rhs >= -1e-9 * (lhs + rhs)
+
+
+def _basis_orthogonal_to(rng: np.random.Generator, normal: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormal rows of a random k-dim subspace orthogonal to ``normal``."""
+    stacked = np.column_stack([normal, rng.normal(size=(normal.size, k))])
+    return np.linalg.qr(stacked)[0][:, 1:].T
+
+
+def rotated_box(rng: np.random.Generator, n: int) -> Box:
+    """A box in a random frame whose center lies beyond the half-width on
+    n/2 axes, against a random n/2-dim subspace orthogonal to the center.
+
+    The center direction separates with margin; n/2 rows have negative
+    offsets, so the conic hull has about n^2/2 rows.
+    """
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    h = rng.uniform(0.5, 1.5, n)
+    while True:
+        w = h * rng.uniform(0.2, 0.8, n) * rng.choice([-1.0, 1.0], n)
+        far = rng.permutation(n)[: n // 2]
+        w[far] = np.sign(w[far]) * h[far] * rng.uniform(1.5, 3.0, far.size)
+        if float(w @ w) > 1.1 * float(h @ np.abs(w)):
+            break
+    c = q @ w
+    return Box(c, h, q, _basis_orthogonal_to(rng, c / float(np.linalg.norm(c)), n // 2))
+
+
+def axis_box_dense_s(rng: np.random.Generator, n: int) -> Box:
+    """An axis box with x_0 > c_0 - h_0 > 0 against a random n/2-dim
+    subspace of x_0 = 0."""
+    h = rng.uniform(0.5, 1.5, n)
+    c = h * rng.uniform(-0.8, 0.8, n)
+    c[0] = h[0] * rng.uniform(1.5, 3.0)
+    return Box(c, h, np.eye(n), _basis_orthogonal_to(rng, np.eye(n)[0], n // 2))
 
 
 def random_instance(rng: np.random.Generator, n: int):

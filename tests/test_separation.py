@@ -10,6 +10,7 @@ from gaugesep import (
     PartialFunctional,
     PolyhedralGauge,
     SeparationOptions,
+    SolverError,
     brute_force_2d_normals,
     domination_check,
     extend_via_separation,
@@ -23,7 +24,15 @@ from gaugesep import (
 from gaugesep.fixtures import disk_instance, halfspace_instance, quotient_instance
 from gaugesep.separation import _closure_range, _kernel_disjoint
 
-from helpers import dominated_functional, random_instance, random_polyhedral_gauge, random_polytope_instance
+from helpers import (
+    axis_box_dense_s,
+    dominated_functional,
+    random_ball_instance,
+    random_instance,
+    random_polyhedral_gauge,
+    random_polytope_instance,
+    rotated_box,
+)
 
 TAXICAB = PolyhedralGauge(
     np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]), np.ones(4)
@@ -167,6 +176,39 @@ class TestBallBand:
         ball = OpenBall(np.array([0.0, scale * (1.0 - 1e-7)]), scale)
         with pytest.raises(InputError, match="intersects the subspace"):
             separate(ball, span_basis([np.array([1.0, 0.0])], 2))
+
+
+class TestBallSeeds:
+    """Seeded balls whose certificates once came back invalid without an
+    error: ``separate()`` returns a valid separation or raises SolverError."""
+
+    @pytest.mark.parametrize("n,seed", [(6, 4), (6, 6), (8, 0), (8, 3), (8, 5)])
+    def test_valid_or_raises(self, n, seed):
+        ball, s = random_ball_instance(np.random.default_rng(seed), n)
+        try:
+            result = separate(ball, s)
+        except SolverError:
+            return
+        assert result.certificate.valid
+        assert abs(np.asarray(result.hyperplane.normal) @ ball.center) >= ball.radius * (1.0 - 1e-9)
+
+
+class TestExtensionLPRegressions:
+    """Boxes whose extension LPs the dense tableau solver reported as
+    unbounded, so that ``separate()`` raised."""
+
+    def check(self, box):
+        result = separate(box.polyhedron(), box.subspace())
+        assert result.certificate.valid
+        assert box.separated_by(np.asarray(result.hyperplane.normal))
+
+    def test_dense_s_axis_box_40(self):
+        self.check(axis_box_dense_s(np.random.default_rng(40), 40))
+
+    def test_rotated_box_12(self):
+        rng = np.random.default_rng(400)
+        boxes = [rotated_box(rng, 12) for _ in range(8)]
+        self.check(boxes[7])
 
 
 class TestKernelDisjointDifferential:
