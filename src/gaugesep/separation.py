@@ -241,8 +241,9 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     remark2 = _kernel_disjoint(a_set, g, seed=opts.seed)
     # without a supplied anchor, x is the point sample_interior would pick
     cert = _certificate(a_set, s, hyper, opts, remark2=remark2, start=x if opts.x is None else None)
-    if not cert.valid:
-        raise SolverError("separation certificate is invalid: " + "; ".join(cert._failures()))
+    failures = cert._failures()
+    if failures:
+        raise SolverError("separation certificate is invalid: " + "; ".join(failures))
     return SeparationResult(hyper, g, x, p, state.history, cert)
 
 

@@ -84,9 +84,12 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     opposite rows).
 
     ``nonneg`` is an optional boolean mask; unmasked variables are free.
-    Precondition: the LP or its dual is feasible (if neither is, the answer
-    is "unbounded").  An unbounded LP comes back with a ``ray``: a Farkas
-    certificate of the infeasible dual, with ``a_ub @ ray <= 0``,
+    Precondition: the LP or its dual is feasible; if neither is, the answer
+    is "unbounded".  The package's LPs all have a feasible side: a large
+    ``t`` in the extension LP, ``e = 0`` in the domination check, any point
+    of the nonempty set in the clearance LP, and a very negative free radius
+    in the inscribed-ball LP.  An unbounded LP comes back with a ``ray``: a
+    Farkas certificate of the infeasible dual, with ``a_ub @ ray <= 0``,
     ``ray >= 0`` on the masked variables and ``c @ ray < 0``.
     """
     c = np.asarray(c, dtype=float).reshape(-1)

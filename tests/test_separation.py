@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gaugesep.extension as extension
 from gaugesep import (
     DegenerateError,
     HPolyhedron,
@@ -17,6 +18,7 @@ from gaugesep import (
     gauge,
     remark2_equivalence_check,
     separate,
+    solve_lp,
     span_basis,
     verify_separation,
     zero_subspace,
@@ -197,18 +199,39 @@ class TestExtensionLPRegressions:
     """Boxes whose extension LPs the dense tableau solver reported as
     unbounded, so that ``separate()`` raised."""
 
-    def check(self, box):
+    @staticmethod
+    def boxes():
+        rng = np.random.default_rng(400)
+        rotated = [rotated_box(rng, 12) for _ in range(8)][-1]
+        return {"dense-s-40": axis_box_dense_s(np.random.default_rng(40), 40), "rotated-12": rotated}
+
+    @pytest.mark.parametrize("name", ["dense-s-40", "rotated-12"])
+    def test_separates(self, name):
+        box = self.boxes()[name]
         result = separate(box.polyhedron(), box.subspace())
         assert result.certificate.valid
         assert box.separated_by(np.asarray(result.hyperplane.normal))
 
-    def test_dense_s_axis_box_40(self):
-        self.check(axis_box_dense_s(np.random.default_rng(40), 40))
+    @pytest.mark.parametrize("name", ["dense-s-40", "rotated-12"])
+    def test_extension_lps_against_highs(self, monkeypatch, name):
+        optimize = pytest.importorskip("scipy.optimize")
+        captured = []
 
-    def test_rotated_box_12(self):
-        rng = np.random.default_rng(400)
-        boxes = [rotated_box(rng, 12) for _ in range(8)]
-        self.check(boxes[7])
+        def recording(c, a_ub=None, b_ub=None, nonneg=None):
+            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
+            if nonneg is not None:  # an extension LP, not the domination check's
+                captured.append((c, a_ub, b_ub, nonneg, res))
+            return res
+
+        monkeypatch.setattr(extension, "solve_lp", recording)
+        box = self.boxes()[name]
+        separate(box.polyhedron(), box.subspace())
+        assert captured
+        for c, a_ub, b_ub, nonneg, res in captured:
+            bounds = [(0, None) if flag else (None, None) for flag in nonneg]
+            ref = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+            assert ref.status == 0 and res.status == "optimal"
+            assert res.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-9)
 
 
 class TestKernelDisjointDifferential:
