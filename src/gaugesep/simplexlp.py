@@ -7,10 +7,11 @@ dual, which has one equality row per variable: minimize ``b . y`` subject to
 variables flagged nonnegative (a free variable gives a plain equality row).
 The basis is square in the number of variables and is factored afresh at
 every pivot, so rounding cannot build up over a long run.  Pricing takes the
-most negative reduced cost per unit column norm; after ``STALL`` degenerate
-pivots in a row both choices follow Bland's rule, which cannot cycle (Bland
-1977).  The ratio test is Harris's two-pass test (Harris 1973), with a
-tolerance relative to each basic value.
+most negative reduced cost per unit column norm, with a tolerance relative
+to the largest cost; after ``STALL`` degenerate pivots in a row both choices
+follow Bland's rule, which cannot cycle (Bland 1977).  The ratio test is
+Harris's two-pass test (Harris 1973), with a tolerance relative to each
+basic value.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol):
     enter_cols = cols[:, :n_enter]
     enter_cost = cost[:n_enter]
     inv_scale = 1.0 / (1.0 + np.sqrt((enter_cols * enter_cols).sum(axis=0)))
+    price_tol = PIVOT_TOL * max(1.0, float(np.abs(enter_cost).max(initial=0.0)))
     artificial = basis >= n_enter
     stall = 0
     for pivots in range(MAX_ITER + 1):
@@ -54,9 +56,10 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol):
         if not n_enter:
             return "optimal", pi, pivots
         score = (enter_cost - pi @ enter_cols) * inv_scale
+        score[basis[~artificial]] = 0.0  # basic columns price at zero up to rounding
         # Bland: the first improving column; otherwise the steepest one
-        q = (score < -PIVOT_TOL).argmax() if stall >= STALL else score.argmin()
-        if not score[q] < -PIVOT_TOL:
+        q = (score < -price_tol).argmax() if stall >= STALL else score.argmin()
+        if not score[q] < -price_tol:
             return "optimal", pi, pivots
         z = binv @ rhs
         u = binv @ enter_cols[:, q]
@@ -68,7 +71,8 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol):
         zr, ur = z[rows], u[rows]
         ratio = zr / ur
         if stall >= STALL:  # Bland: the lowest index among the tied rows
-            near = ratio <= ratio.min() + 1e-12 * max(1.0, abs(ratio.min()))
+            low = ratio.min()
+            near = ratio <= low + 1e-12 * max(1.0, abs(low))
             leave = rows[near][basis[rows[near]].argmin()]
         else:  # Harris: the largest pivot among the rows within the relaxed bound
             near = ratio <= ((zr + PIVOT_TOL * (1.0 + np.abs(zr))) / ur).min()

@@ -197,6 +197,26 @@ class TestSolverDifferential:
             c = -a.T @ rng.uniform(0.0, 1.0, size=m + 2) + np.where(mask, rng.uniform(0.0, 1.0, n), 0.0)
             assert solve_lp(c, a_ub=a, b_ub=b, nonneg=mask).status == "infeasible"
 
+    def test_badly_scaled_against_highs(self):
+        # rows of size 1e-3 and offsets of size 1e4: rounding in the reduced
+        # cost of a basic column must not read as an improving column
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(0)
+        statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+        for _ in range(60):
+            n = int(rng.integers(2, 10))
+            a = rng.normal(size=(int(rng.integers(n, 25)), n))
+            b = (a @ rng.normal(size=n) + rng.uniform(0.0, 1.0, size=a.shape[0])) * 1e4
+            a *= 1e-3
+            c = rng.normal(size=n)
+            mask = rng.uniform(size=n) < 0.4
+            bounds = [(0, None) if flag else (None, None) for flag in mask]
+            ref = optimize.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+            res = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask)
+            assert res.status == statuses[ref.status]
+            if ref.status == 0:
+                assert res.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
+
     def test_against_highs_on_extension_shaped_lps(self):
         # min -w.c + t  s.t.  a_i.(B^T c + z) <= t b_i,  t >= 0: the extension
         # LP of a polyhedral gauge with rows in +- pairs, for a dominated w
