@@ -10,8 +10,9 @@ every pivot, so rounding cannot build up over a long run.  Pricing takes the
 most negative reduced cost per unit column norm, with a tolerance relative
 to the largest cost; after ``STALL`` degenerate pivots in a row both choices
 follow Bland's rule, which cannot cycle (Bland 1977).  The ratio test is
-Harris's two-pass test (Harris 1973), with a tolerance relative to each
-basic value.
+Harris's two-pass test (Harris 1973), relaxed by only 1e-12 of each basic
+value: a dual value it lets go negative biases the LP value upward, and the
+extension takes that value as the end of its interval.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol):
         q = (score < -price_tol).argmax() if stall >= STALL else score.argmin()
         if not score[q] < -price_tol:
             return "optimal", pi, pivots
-        z = binv @ rhs
+        z = np.maximum(binv @ rhs, 0.0)  # rounding below zero counts as zero
         u = binv @ enter_cols[:, q]
         blocked = artificial & (z <= zero_tol)
         u[blocked] = np.abs(u[blocked])
@@ -72,10 +73,10 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol):
         ratio = zr / ur
         if stall >= STALL:  # Bland: the lowest index among the tied rows
             low = ratio.min()
-            near = ratio <= low + 1e-12 * max(1.0, abs(low))
+            near = ratio <= low + 1e-12 * max(1.0, low)
             leave = rows[near][basis[rows[near]].argmin()]
         else:  # Harris: the largest pivot among the rows within the relaxed bound
-            near = ratio <= ((zr + PIVOT_TOL * (1.0 + np.abs(zr))) / ur).min()
+            near = ratio <= ((zr + 1e-12 * (1.0 + zr)) / ur).min()
             leave = rows[near][ur[near].argmax()]
         stall = stall + 1 if z[leave] <= PIVOT_TOL * u[leave] else 0
         artificial[leave] = False

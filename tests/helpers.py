@@ -126,13 +126,18 @@ def rotated_box(rng: np.random.Generator, n: int) -> Box:
     return Box(c, h, q, _basis_orthogonal_to(rng, c / float(np.linalg.norm(c)), n // 2))
 
 
-def axis_box_dense_s(rng: np.random.Generator, n: int) -> Box:
-    """An axis box with x_0 > c_0 - h_0 > 0 against a random n/2-dim
-    subspace of x_0 = 0."""
+def axis_box(rng: np.random.Generator, n: int, *, dense_s: bool = False) -> Box:
+    """An axis box with x_0 > c_0 - h_0 > 0 against an n/2-dim subspace of
+    x_0 = 0: spanned by other coordinate axes, or with ``dense_s`` by
+    random vectors."""
     h = rng.uniform(0.5, 1.5, n)
     c = h * rng.uniform(-0.8, 0.8, n)
     c[0] = h[0] * rng.uniform(1.5, 3.0)
-    return Box(c, h, np.eye(n), _basis_orthogonal_to(rng, np.eye(n)[0], n // 2))
+    if dense_s:
+        basis = _basis_orthogonal_to(rng, np.eye(n)[0], n // 2)
+    else:
+        basis = np.eye(n)[np.sort(1 + rng.permutation(n - 1)[: n // 2])]
+    return Box(c, h, np.eye(n), basis)
 
 
 def random_instance(rng: np.random.Generator, n: int):

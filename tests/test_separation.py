@@ -27,7 +27,7 @@ from gaugesep.fixtures import disk_instance, halfspace_instance, quotient_instan
 from gaugesep.separation import _closure_range, _kernel_disjoint
 
 from helpers import (
-    axis_box_dense_s,
+    axis_box,
     dominated_functional,
     random_ball_instance,
     random_instance,
@@ -196,16 +196,23 @@ class TestBallSeeds:
 
 
 class TestExtensionLPRegressions:
-    """Boxes whose extension LPs the dense tableau solver reported as
-    unbounded, so that ``separate()`` raised."""
+    """Boxes with hard extension LPs: the dense tableau solver reported some
+    of the first two as unbounded; on the third Bland's rule cycles unless
+    basic values that round below zero count as zero in the ratio test; on
+    the fourth a ratio test relaxed by 1e-9 raises interval ends enough for
+    the plane to cut the box by 1e-9."""
 
     @staticmethod
     def boxes():
         rng = np.random.default_rng(400)
-        rotated = [rotated_box(rng, 12) for _ in range(8)][-1]
-        return {"dense-s-40": axis_box_dense_s(np.random.default_rng(40), 40), "rotated-12": rotated}
+        return {
+            "dense-s-40": axis_box(np.random.default_rng(40), 40, dense_s=True),
+            "rotated-12": [rotated_box(rng, 12) for _ in range(8)][-1],
+            "axis-40": axis_box(np.random.default_rng(59), 40),
+            "axis-40-touching": axis_box(np.random.default_rng(33), 40),
+        }
 
-    @pytest.mark.parametrize("name", ["dense-s-40", "rotated-12"])
+    @pytest.mark.parametrize("name", ["dense-s-40", "rotated-12", "axis-40", "axis-40-touching"])
     def test_separates(self, name):
         box = self.boxes()[name]
         result = separate(box.polyhedron(), box.subspace())
