@@ -6,10 +6,14 @@ lower end the matching supremum; any choice inside keeps ``|g| <= p``.  Full
 extension runs the step over a deterministic orthonormal completion of the
 domain, replacing transfinite machinery with finite induction.
 
-For polyhedral gauges the infimum is an exact small LP; for ball-cone and
-oracle gauges a seeded derivative-free coordinate search certifies the
-interval to about 1e-6.  ``domination_check`` verifies ``|g| <= p`` by
-sampling plus, for polyhedral gauges, an exact LP over the unit ball.
+By duality the upper end is also the support function of a slice of the
+polar body, ``max psi.z`` over ``psi`` in D° with ``psi = g`` on the domain.
+For polyhedral gauges the infimum is an exact small LP; for ball-cone gauges
+the slice is an ellipsoid cylinder cut by a slab, whose maximum is closed
+form; for oracle gauges a seeded derivative-free coordinate search
+certifies the interval to about 1e-6.  ``domination_check`` verifies
+``|g| <= p`` by sampling plus an exact term: the LP vertices over the unit
+ball for polyhedral gauges, the polar maximizer for ball-cone gauges.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, InputError, SolverError
-from .gauges import OracleGauge, PolyhedralGauge, Seminorm, _gauge, gauge
+from .gauges import BallConeGauge, OracleGauge, PolyhedralGauge, Seminorm, _gauge, gauge
 from .geometry import (
     TOL_MEMBERSHIP,
     PartialFunctional,
@@ -148,8 +152,68 @@ def _pattern_search(
 
 
 def _slack(p: Seminorm) -> float:
-    """Interval tolerance: LP endpoints are exact, search-certified ones ~1e-6."""
-    return 1e-7 if isinstance(p, PolyhedralGauge) else 2e-6
+    """Interval tolerance: LP and closed-form endpoints are exact, search-certified ones ~1e-6."""
+    return 2e-6 if isinstance(p, OracleGauge) else 1e-7
+
+
+def _ellipsoid_slice_max(q: np.ndarray, rows: np.ndarray, values: np.ndarray, z: np.ndarray):
+    """Max of ``psi . z`` over ``{psi : rows psi = values, psi^T q psi <= 1}``.
+
+    Returns (value, maximizer, rho2), where rho2 = 1 - min psi^T q psi over
+    the affine slice is the slack of the slice (scale-free; negative when
+    the slice misses the ellipsoid, and then value and maximizer belong to
+    its centre).  Returns None when the rows are inconsistent or ``q`` is not
+    positive definite across them, so that the maximum may be unbounded.
+    """
+    u, sv, vt = np.linalg.svd(rows)
+    rank = int(np.sum(sv > 1e-12 * sv[0]))
+    psi0 = vt[:rank].T @ ((u[:, :rank].T @ values) / sv[:rank])
+    if np.linalg.norm(rows @ psi0 - values) > 1e-9 * np.linalg.norm(values):
+        return None
+    null = vt[rank:]
+    lam, vec = np.linalg.eigh(null @ q @ null.T)
+    if lam.size and not lam[0] > 1e-12 * lam[-1]:
+        return None
+    # psi = psi0 + null^T y; the centre minimizes psi^T q psi on the slice
+    to_null = (vec / lam) @ vec.T
+    centre = psi0 - null.T @ (to_null @ (null @ (q @ psi0)))
+    rho2 = 1.0 - float(centre @ q @ centre)
+    a = null @ z
+    reach = to_null @ a
+    spread = np.sqrt(max(float(a @ reach), 0.0))
+    if not spread > 0.0 or rho2 <= 0.0:
+        return float(z @ centre), centre, rho2
+    rho = np.sqrt(rho2)
+    return float(z @ centre) + rho * spread, centre + (rho / spread) * (null.T @ reach), rho2
+
+
+def _ball_phi(p: BallConeGauge, basis: np.ndarray, w: np.ndarray, z: np.ndarray) -> float:
+    """max ``psi . z`` over the polar body ``D°`` with ``psi`` = w on the domain.
+
+    D° is the ellipsoid cylinder ``psi^T Q psi <= 1`` cut by the slab
+    ``|psi.x| <= 1``, so the maximum is the best feasible one of at most
+    three slices: the slab inactive, ``psi.x = 1`` and ``psi.x = -1``.  When
+    x lies in the domain the first one is the answer.  A slice slack in
+    [-1e-9, 0) counts as zero: after an end pick the next slice is a point.
+    """
+    x = p.body.anchor
+
+    def feasible(slice_max) -> bool:
+        return slice_max is not None and slice_max[2] >= -1e-9 and abs(float(slice_max[1] @ x)) <= 1.0 + 1e-12
+
+    cylinder = _ellipsoid_slice_max(p._q, basis, w, z)
+    if feasible(cylinder):
+        return cylinder[0]
+    xn = float(np.linalg.norm(x))
+    rows = np.vstack([basis, x / xn])
+    faces = [_ellipsoid_slice_max(p._q, rows, np.append(w, s / xn), z) for s in (1.0, -1.0)]
+    values = [face[0] for face in faces if feasible(face)]
+    if not values:
+        detail = "" if cylinder is None else f" (slice slack {cylinder[2]:.3e}, |psi.x| {abs(float(cylinder[1] @ x)):.3e})"
+        raise SolverError(
+            "empty admissible interval: no point of the polar body agrees with the functional on its domain" + detail
+        )
+    return max(values)
 
 
 def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
@@ -177,10 +241,12 @@ def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
         if res.status != "optimal":
             raise SolverError(f"extension LP failed with status {res.status!r} ({m} rows, {k + 1} vars)")
         return float(res.objective)
+    if isinstance(p, BallConeGauge):
+        return _ball_phi(p, basis, w, z)
     # tighten the bisection for objective evaluations: the search may roam to
     # moderately large arguments where a 1e-10 relative error would already
     # eat into the 1e-6 interval certification
-    p_eval = OracleGauge(p.body, tol=min(p.tol, 1e-13)) if isinstance(p, OracleGauge) else p
+    p_eval = OracleGauge(p.body, tol=min(p.tol, 1e-13))
 
     def objective(c: np.ndarray) -> float:  # c and z are finite float arrays
         return float(-w @ c + _gauge(p_eval, c @ basis + z))
@@ -338,9 +404,11 @@ def domination_check(g, p: Seminorm, seed: int = 0, trials: int = 200) -> float:
 
     Sampled over seeded unit-sphere directions.  Polyhedral gauges add an
     exact LP over the unit ball, whose optimal vertex (or unbounded ray,
-    hitting recession directions) is folded into the maximum.  Other gauges
-    add a deterministic coordinate-ascent refinement so that clear violations
-    cannot hide between samples.
+    hitting recession directions) is folded into the maximum.  Ball-cone
+    gauges add the closed-form maximizer of ``g`` over ``p <= 1``, so the
+    sign of the result is exact for both.  Oracle gauges add a deterministic
+    coordinate-ascent refinement so that clear violations cannot hide
+    between samples.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
@@ -362,6 +430,11 @@ def domination_check(g, p: Seminorm, seed: int = 0, trials: int = 200) -> float:
                 e = candidate / norm
                 worst = max(worst, abs(float(g @ e)) - gauge(p, e))
         return worst
+    if isinstance(p, BallConeGauge):
+        # p(e*) = 1 and g.e* = p*(g), so this term is (p*(g) - 1) / |e*|
+        e = p.polar(g)[1]
+        e = e / float(np.linalg.norm(e))
+        return max(worst, abs(float(g @ e)) - gauge(p, e))
     starts = [dirs[int(np.argmax(values))]] if values.size else []
     gnorm = float(np.linalg.norm(g))
     if gnorm > 1e-12:

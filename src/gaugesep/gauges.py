@@ -2,12 +2,12 @@
 
 Three representations, each evaluated on one point or on an (m, n) batch:
 polyhedral bodies get the closed form ``max(0, max_i a_i.e / b_i)``; bodies
-symmetrized inside the cone over a ball get one root of the cone-exit
-quadratic per ray (``BallConeGauge``); bodies known only through membership
-get a certified geometric bisection with a recession cap that maps
-never-exiting rays to gauge zero (the seminorm-not-norm case).  A
-sampling-based axiom checker validates homogeneity, subadditivity, and the
-unit-ball characterization.
+symmetrized inside the pointed cone over a ball get one root of the
+cone-exit quadratic per ray, and a closed-form polar (``BallConeGauge``);
+bodies known only through membership get a certified geometric bisection
+with a recession cap that maps never-exiting rays to gauge zero (the
+seminorm-not-norm case).  A sampling-based axiom checker validates
+homogeneity, subadditivity, and the unit-ball characterization.
 """
 
 from __future__ import annotations
@@ -68,19 +68,31 @@ class OracleGauge:
 class BallConeGauge:
     """Gauge of ``(B - x) ∩ (x - B)`` for the cone B over a ball, in closed form.
 
-    With k = |c|^2 - r^2 > 0, the ray y(s) = x + s e leaves B at the smallest
-    positive root s of ``(y.c)^2 - k |y|^2``; it leaves the nappe y.c > 0
-    before it can reach the other one.  So q(e) = 1/s is the largest root t of
-    ``qc t^2 + qb t + qa`` (qa = (e.c)^2 - k |e|^2, qb = 2((x.c)(e.c) - k x.e),
-    qc = (x.c)^2 - k |x|^2), or 0 when no root is positive.  The roots for -e
-    are the negated roots for e, so ``p(e) = max(q(e), q(-e))`` is the larger
-    root magnitude, ``(|qb|/2 + sqrt(qb^2/4 - qa qc)) / qc``.  Splitting
-    e = a x + u with u orthogonal to x gives qb/2 = a qc + (x.c)(u.c) and
+    With k = |c|^2 - r^2 > 0 (a pointed cone; ``gauge_from_symmetrized``
+    maps k <= 0 to polyhedral gauges), the ray y(s) = x + s e leaves B at the
+    smallest positive root s of ``(y.c)^2 - k |y|^2``; it leaves the nappe
+    y.c > 0 before it can reach the other one.  So q(e) = 1/s is the largest
+    root t of ``qc t^2 + qb t + qa`` (qa = (e.c)^2 - k |e|^2,
+    qb = 2((x.c)(e.c) - k x.e), qc = (x.c)^2 - k |x|^2), or 0 when no root is
+    positive.  The roots for -e are the negated roots for e, so
+    ``p(e) = max(q(e), q(-e))`` is the larger root magnitude,
+    ``(|qb|/2 + sqrt(qb^2/4 - qa qc)) / qc``.  Splitting e = a x + u with u
+    orthogonal to x gives qb/2 = a qc + (x.c)(u.c) and
     qb^2/4 - qa qc = k (qc |u|^2 + |x|^2 (u.c)^2): a sum of nonnegative terms,
     so rounding cannot push it below zero, and the apex ray (u = 0, a double
-    root) comes out exact.  k = 0 is the half-space cone, with p(e) =
-    |e.c| / x.c computed directly, so that its kernel gauges to exactly 0;
-    k < 0 is the whole space, with p = 0.
+    root) comes out exact.
+
+    The polar (``polar``) is closed-form too.  The closure of D is a lens of
+    two ruled cone pieces, with apexes ±x and one ridge where x + e and x - e
+    both lie on the cone.  Subtracting the two cone equations gives
+    e.m = 0 with m = (x.c) c - k x; adding them gives
+    k |e|^2 - (e.c)^2 = qc.  Together they describe an ellipsoid in the
+    hyperplane m-perp, on which the form k|e|^2 - (e.c')^2 (c' = P c, P the
+    projection onto m-perp) is positive definite: k - |c'|^2 =
+    r^2 k qc / |m|^2 > 0.  Its support function is sqrt(psi^T Q psi) with
+    ``Q = (qc/k) (P + c' c'^T / (k - |c'|^2))``, so
+    ``p*(psi) = max(|psi.x|, sqrt(psi^T Q psi))`` and the polar body is
+    ``D° = {|psi.x| <= 1} ∩ {psi^T Q psi <= 1}`` (Q has the kernel m).
     """
 
     body: SymmetrizedBody
@@ -89,19 +101,40 @@ class BallConeGauge:
         base = self.body.base
         if not isinstance(base, BallCone):
             raise InputError("a ball-cone gauge needs a body symmetrized inside a ball cone")
-        x = self.body.anchor
-        xc = float(x @ base.center)
+        k = base._excess
+        if not k > 0.0:
+            raise InputError("a ball-cone gauge needs the origin outside the closed ball")
+        x, c = self.body.anchor, base.center
+        xc = float(x @ c)
         xx = float(x @ x)
-        qc = xc * xc - base._excess * xx
-        if base._excess >= 0.0 and not (xc > 0.0 and qc > 0.0):
+        qc = xc * xc - k * xx
+        if not (xc > 0.0 and qc > 0.0):
             raise InputError("anchor is not strictly inside the base cone")
+        m = xc * c - k * x
+        mm = float(m @ m)
+        c_perp = c - (float(c @ m) / mm) * m
+        q = (qc / k) * (np.eye(x.size) - np.outer(m, m) / mm)
+        q += np.outer(c_perp, c_perp) * (mm / (base.radius**2 * k * k))
         object.__setattr__(self, "_xc", xc)
         object.__setattr__(self, "_xx", xx)
         object.__setattr__(self, "_qc", qc)
+        object.__setattr__(self, "_q", _frozen(q))
 
     @property
     def dim(self) -> int:
         return self.body.dim
+
+    def polar(self, psi: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(p*(psi), e*)``: the largest ``psi . e`` over ``p(e) <= 1`` and
+        a point that attains it, the apex ``±x`` when ``|psi.x| >= R`` and
+        the ridge point ``Q psi / R`` otherwise (R = sqrt(psi^T Q psi))."""
+        x = self.body.anchor
+        along = float(psi @ x)
+        q_psi = self._q @ psi
+        ridge = np.sqrt(max(float(psi @ q_psi), 0.0))
+        if abs(along) >= ridge:
+            return abs(along), np.copysign(1.0, along) * x
+        return ridge, q_psi / ridge
 
 
 def ExplicitMaxAbs(rows) -> PolyhedralGauge:
@@ -146,10 +179,6 @@ def _gauge(p: Seminorm, e: np.ndarray):
 def _gauge_ball_cone(p: BallConeGauge, e: np.ndarray):
     base, x = p.body.base, p.body.anchor
     k = base._excess
-    if k < 0.0:  # origin inside the ball: the hull, and D, are the whole space
-        return np.zeros(e.shape[:-1])
-    if k == 0.0:  # the half-space cone y.c > 0, whose gauge has the kernel c-perp
-        return np.abs(e @ base.center) / p._xc
     along = (e @ x) / p._xx
     u = e - np.multiply.outer(along, x)
     uc = u @ base.center
@@ -196,8 +225,9 @@ def unit_ball(p: Seminorm) -> ConvexSet:
 
 def gauge_from_symmetrized(body: SymmetrizedBody) -> Seminorm:
     """Gauge of a symmetrized body: exact polyhedral form when the base cone
-    is polyhedral, the closed form when it is a ball cone, certified bisection
-    otherwise."""
+    is polyhedral (a ball cone with the origin on or inside the ball is a
+    half-space or the whole space), the closed form when it is a pointed ball
+    cone, certified bisection otherwise."""
     base = body.base
     if isinstance(base, HPolyhedron):
         offsets = base.b - base.a @ body.anchor
@@ -206,6 +236,15 @@ def gauge_from_symmetrized(body: SymmetrizedBody) -> Seminorm:
         rows = np.vstack([base.a, -base.a])
         return PolyhedralGauge(rows, np.concatenate([offsets, offsets]))
     if isinstance(base, BallCone):
+        n = body.dim
+        if base._excess < 0.0:  # origin inside the ball: the hull, and D, are the whole space
+            return PolyhedralGauge(np.zeros((0, n)), np.zeros(0))
+        if base._excess == 0.0:  # the half-space cone e.c > 0, whose gauge has the kernel c-perp
+            c = base.center
+            xc = float(body.anchor @ c)
+            # column-major rows: in low dimension ``e @ rows.T`` then reduces
+            # like ``e @ c``, so a point's value is ``|e.c| / x.c`` to the bit
+            return PolyhedralGauge(np.column_stack([c, -c]).T, np.array([xc, xc]))
         return BallConeGauge(body)
     return OracleGauge(body)
 

@@ -37,9 +37,11 @@ class LPResult:
     iterations: int = 0
 
 
-def _simplex(cols, cost, rhs, basis, n_enter, zero_tol):
+def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
     """Minimize ``cost . z`` subject to ``cols z = rhs``, ``z >= 0``, from the
-    feasible ``basis`` (updated in place); returns (status, multipliers, pivots).
+    feasible ``basis`` (updated in place) and its inverse ``binv`` (computed
+    when None); returns (status, multipliers, pivots, inverse of the final
+    basis).
 
     Only the first ``n_enter`` columns may enter; the rest are artificials.
     A basic artificial at zero blocks the ratio test in both directions, so it
@@ -51,24 +53,25 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol):
     price_tol = PIVOT_TOL * max(1.0, float(np.abs(enter_cost).max(initial=0.0)))
     artificial = basis >= n_enter
     stall = 0
-    for pivots in range(MAX_ITER + 1):
+    if binv is None:
         binv = np.linalg.inv(cols[:, basis])
+    for pivots in range(MAX_ITER + 1):
         pi = cost[basis] @ binv
         if not n_enter:
-            return "optimal", pi, pivots
+            return "optimal", pi, pivots, binv
         score = (enter_cost - pi @ enter_cols) * inv_scale
         score[basis[~artificial]] = 0.0  # basic columns price at zero up to rounding
         # Bland: the first improving column; otherwise the steepest one
         q = (score < -price_tol).argmax() if stall >= STALL else score.argmin()
         if not score[q] < -price_tol:
-            return "optimal", pi, pivots
+            return "optimal", pi, pivots, binv
         z = np.maximum(binv @ rhs, 0.0)  # rounding below zero counts as zero
         u = binv @ enter_cols[:, q]
         blocked = artificial & (z <= zero_tol)
         u[blocked] = np.abs(u[blocked])
         rows = (u > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
-            return "unbounded", pi, pivots
+            return "unbounded", pi, pivots, binv
         zr, ur = z[rows], u[rows]
         ratio = zr / ur
         if stall >= STALL:  # Bland: the lowest index among the tied rows
@@ -81,6 +84,7 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol):
         stall = stall + 1 if z[leave] <= PIVOT_TOL * u[leave] else 0
         artificial[leave] = False
         basis[leave] = q
+        binv = np.linalg.inv(cols[:, basis])
     raise SolverError(f"simplex iteration limit ({MAX_ITER}) exceeded; {cols.shape[0]} dual rows")
 
 
@@ -115,13 +119,14 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
     phase1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
-    status, pi, iters = _simplex(cols, phase1, rhs, basis, n_enter, zero_tol)
+    status, pi, iters, binv = _simplex(cols, phase1, rhs, basis, n_enter, zero_tol)
     if status != "optimal":
         raise SolverError("phase-1 objective unbounded; malformed constraints")
     if float(pi @ rhs) > zero_tol:  # the dual is infeasible
         return LPResult("unbounded", ray=sign * pi, iterations=iters)
     cost = np.concatenate([b_ub, np.zeros(cols.shape[1] - b_ub.size)])
-    status, pi, more = _simplex(cols, cost, rhs, basis, n_enter, zero_tol)
+    # phase 2 starts from phase 1's final basis, so it reuses that inverse
+    status, pi, more, _ = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv)
     if status == "unbounded":  # the dual is unbounded
         return LPResult("infeasible", iterations=iters + more)
     x = sign * pi

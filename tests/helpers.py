@@ -45,6 +45,13 @@ def random_ball_instance(rng: np.random.Generator, n: int) -> tuple[OpenBall, Su
         return OpenBall(center, radius), s
 
 
+def point_in_cone(rng: np.random.Generator, ball: OpenBall) -> np.ndarray:
+    """A random point of the open cone over the ball, at a random scale."""
+    u = rng.normal(size=ball.dim)
+    inside = np.asarray(ball.center) + ball.radius * rng.uniform(0.0, 0.95) * u / np.linalg.norm(u)
+    return rng.uniform(0.1, 10.0) * inside
+
+
 def random_polytope_instance(rng: np.random.Generator, n: int) -> tuple[HPolyhedron, Subspace]:
     """A bounded polytope and a subspace that are disjoint by construction.
 

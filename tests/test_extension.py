@@ -1,26 +1,37 @@
 import numpy as np
 import pytest
 
+import gaugesep.extension as extension
 from gaugesep import (
+    BallConeGauge,
     DegenerateError,
     ExtensionState,
     InputError,
+    OpenBall,
     OracleGauge,
     PartialFunctional,
     PolyhedralGauge,
     SolverError,
+    build_D,
     complement_basis,
     domination_check,
     extend_full_state,
     extend_one,
     extend_with_values,
     extension_interval,
+    gauge,
     span_basis,
     unit_ball,
     zero_subspace,
 )
 
-from helpers import dominated_functional, random_polyhedral_gauge
+from helpers import (
+    dominated_functional,
+    point_in_cone,
+    random_ball_instance,
+    random_polyhedral_gauge,
+    random_subspace,
+)
 
 TAXICAB = PolyhedralGauge(
     np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]), np.ones(4)
@@ -289,3 +300,79 @@ class TestExtendWithValues:
         direct = extend_with_values(f, [np.array([0.0, 1.0])], [0.5])
         stepped = extend_one(state, np.array([0.0, 1.0]), gamma=0.5).functional.as_coefficients()
         np.testing.assert_allclose(direct, stepped, atol=1e-12)
+
+
+def ball_state(rng, n: int, *, inside: float) -> tuple[ExtensionState, np.ndarray]:
+    """A ball-cone gauge, a domain G that misses the anchor, the restriction
+    to G of a point of the polar body scaled by ``inside``, and a direction
+    orthogonal to G."""
+    ball, _ = random_ball_instance(rng, n)
+    p = BallConeGauge(build_D(ball, point_in_cone(rng, ball)))
+    domain = random_subspace(rng, n, int(rng.integers(1, n)))
+    psi = rng.normal(size=n)
+    psi *= inside / p.polar(psi)[0]
+    z = rng.normal(size=n)
+    z -= domain.basis.T @ (domain.basis @ z)
+    return ExtensionState(PartialFunctional(domain, domain.basis @ psi), p), z
+
+
+class TestBallClosedForm:
+    """Extension intervals and domination on ball-cone gauges come from the
+    closed-form polar, with no search."""
+
+    def test_phi_matches_nelder_mead(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(21)
+        for _ in range(12):
+            state, z = ball_state(rng, int(rng.integers(2, 7)), inside=rng.uniform(0.3, 1.0))
+            basis, w = state.domain.basis, state.functional.values
+
+            def objective(c):
+                return float(-w @ c + gauge(state.seminorm, c @ basis + z))
+
+            options = {"xatol": 1e-13, "fatol": 1e-15, "maxiter": 20_000, "maxfev": 40_000}
+            best = min(
+                optimize.minimize(objective, start, method="Nelder-Mead", options=options).fun
+                for start in [np.zeros(basis.shape[0])] + list(rng.normal(size=(19, basis.shape[0])))
+            )
+            assert extension._phi(state, z, 0) == pytest.approx(best, rel=1e-9)
+
+    def test_end_pick_leaves_a_point(self):
+        # the slice after an end pick is a point; rounding of order 1e-16 in
+        # its slack opens it by the square root of that, and never empties it
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            for rule in ("upper", "lower"):
+                state, z = ball_state(rng, int(rng.integers(3, 8)), inside=0.8)
+                state = extend_one(state, z, rule)
+                if state.domain.dim == state.domain.ambient_dim:
+                    continue
+                direction = complement_basis(state.domain)[0]
+                interval = extension_interval(state, direction)
+                assert interval.width <= 1e-6 * max(1.0, abs(interval.hi))
+
+    def test_not_dominated_raises_naming_the_interval(self):
+        rng = np.random.default_rng(23)
+        state, z = ball_state(rng, 4, inside=1.5)
+        # the restriction of a point outside the polar body may still be
+        # dominated on G; scale until the slice of the polar body is empty
+        f = state.functional
+        for factor in (1.0, 2.0, 4.0, 8.0, 16.0):
+            scaled = ExtensionState(PartialFunctional(f.domain, factor * f.values), state.seminorm)
+            try:
+                extension_interval(scaled, z)
+            except SolverError as exc:
+                assert "empty admissible interval" in str(exc)
+                return
+        pytest.fail("no scaled functional was rejected")
+
+    @pytest.mark.parametrize("excess", [1e-9, -1e-9])
+    def test_domination_sign_is_exact(self, excess):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            ball, _ = random_ball_instance(rng, int(rng.integers(2, 9)))
+            p = BallConeGauge(build_D(ball, point_in_cone(rng, ball)))
+            g = rng.normal(size=p.dim)
+            g *= (1.0 + excess) / p.polar(g)[0]
+            violation = domination_check(g, p, seed=1, trials=64)
+            assert violation > 0.0 if excess > 0.0 else violation < 0.0

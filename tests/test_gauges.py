@@ -22,7 +22,7 @@ from gaugesep import (
 )
 from gaugesep.cli import main, parse_problem
 
-from helpers import ball_pipeline_gauge_reference, random_ball_instance
+from helpers import ball_pipeline_gauge_reference, point_in_cone, random_ball_instance
 
 DISK = OpenBall(np.array([2.0, 0.0]), np.sqrt(2.0))
 ANCHOR = np.array([1.0, 0.0])
@@ -131,12 +131,6 @@ class TestGaugeFromSymmetrized:
             assert gauge(p, x) == 1.0
 
 
-def point_in_cone(rng, ball: OpenBall) -> np.ndarray:
-    u = rng.normal(size=ball.dim)
-    inside = np.asarray(ball.center) + ball.radius * rng.uniform(0.0, 0.95) * u / np.linalg.norm(u)
-    return rng.uniform(0.1, 10.0) * inside
-
-
 class TestBallConeGauge:
     def test_matches_tight_bisection(self):
         rng = np.random.default_rng(11)
@@ -180,6 +174,48 @@ class TestBallConeGauge:
         halfspace = HPolyhedron(np.array([[-1.0, 0.0]]), np.array([0.0]))
         with pytest.raises(InputError):
             BallConeGauge(build_D(halfspace, np.array([1.0, 0.0])))
+
+    @pytest.mark.parametrize("center, radius", [([3.0, 4.0], 5.0), ([0.5, 0.0], 1.0)], ids=["tangent", "inside"])
+    def test_rejects_cones_that_are_not_pointed(self, center, radius):
+        # the origin on or inside the ball: gauge_from_symmetrized builds a
+        # polyhedral gauge instead
+        body = build_D(OpenBall(np.array(center), radius), np.array([1.0, 2.0]))
+        assert isinstance(gauge_from_symmetrized(body), PolyhedralGauge)
+        with pytest.raises(InputError, match="origin outside the closed ball"):
+            BallConeGauge(body)
+
+
+class TestBallConePolar:
+    """The closed-form polar ``p*(psi) = max(|psi.x|, sqrt(psi^T Q psi))``
+    against sampled ratios ``psi.e / p(e)`` and its own maximizer."""
+
+    @staticmethod
+    def gauges(n):
+        rng = np.random.default_rng(30 + n)
+        for scale in (1e-6, 1.0, 1e6):
+            ball, _ = random_ball_instance(rng, n)
+            ball = OpenBall(np.asarray(ball.center) * scale, ball.radius * scale)
+            for x in (np.asarray(ball.center), point_in_cone(rng, ball), point_in_cone(rng, ball)):
+                yield rng, scale, BallConeGauge(build_D(ball, x))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sampled_ratio_never_exceeds_polar(self, n):
+        for rng, scale, p in self.gauges(n):
+            dirs = rng.normal(size=(100_000, n))
+            values = gauge(p, dirs)
+            for psi in rng.normal(size=(3, n)) / scale:
+                polar, _ = p.polar(psi)
+                assert float(np.max((dirs @ psi) / values)) <= polar * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_maximizer_attains_polar(self, n):
+        for rng, scale, p in self.gauges(n):
+            x = p.body.anchor
+            # random functionals, plus ones on the apex side (|psi.x| >= R)
+            for psi in list(rng.normal(size=(20, n)) / scale) + [x / float(x @ x), -2.0 * x / float(x @ x)]:
+                polar, e = p.polar(psi)
+                assert gauge(p, e) == pytest.approx(1.0, abs=1e-12)
+                assert float(psi @ e) == pytest.approx(polar, rel=1e-12)
 
 
 class TestBatchEvaluation:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,14 @@ from gaugesep import (
     verify_separation,
     zero_subspace,
 )
+from gaugesep.cli import main
 from gaugesep.fixtures import disk_instance, halfspace_instance, quotient_instance
 from gaugesep.separation import _closure_range, _kernel_disjoint
 
 from helpers import (
     axis_box,
     dominated_functional,
+    point_in_cone,
     random_ball_instance,
     random_instance,
     random_polyhedral_gauge,
@@ -181,18 +185,68 @@ class TestBallBand:
 
 
 class TestBallSeeds:
-    """Seeded balls whose certificates once came back invalid without an
-    error: ``separate()`` returns a valid separation or raises SolverError."""
+    """Seeded balls whose search-based extension intervals once gave invalid
+    certificates or empty intervals.  ``separate()`` returns a valid
+    separation or raises SolverError; on these seeds the closed-form polar
+    must give the former, with no escape through the error."""
 
-    @pytest.mark.parametrize("n,seed", [(6, 4), (6, 6), (8, 0), (8, 3), (8, 5)])
+    @pytest.mark.parametrize("n,seed", [(6, 4), (6, 6), (8, 0), (8, 3), (8, 5), (5, 5)])
     def test_valid_or_raises(self, n, seed):
         ball, s = random_ball_instance(np.random.default_rng(seed), n)
-        try:
-            result = separate(ball, s)
-        except SolverError:
-            return
+        result = separate(ball, s)
         assert result.certificate.valid
-        assert abs(np.asarray(result.hyperplane.normal) @ ball.center) >= ball.radius * (1.0 - 1e-9)
+        assert abs(np.asarray(result.hyperplane.normal) @ ball.center) >= ball.radius * (1.0 - 1e-12)
+
+
+def seeded_balls():
+    """Seeded balls at n = 2..8, each with its default anchor (None) and a
+    random point of its cone."""
+    for n in range(2, 9):
+        for seed in range(3):
+            rng = np.random.default_rng(100 * n + seed)
+            ball, s = random_ball_instance(rng, n)
+            yield ball, s, None
+            yield ball, s, point_in_cone(rng, ball)
+
+
+def assert_ball_separated(ball: OpenBall, s, rule: str, x=None) -> None:
+    """Exact ball oracle: the plane n-perp misses the ball iff |n.c| >= r."""
+    result = separate(ball, s, SeparationOptions(x=x, gamma_rule=rule))
+    assert result.certificate.valid
+    assert abs(np.asarray(result.hyperplane.normal) @ ball.center) >= ball.radius * (1.0 - 1e-12)
+
+
+class TestBallPaths:
+    """Seeded balls at n = 2..8 against the exact ball oracle, with the
+    pattern search made to raise: extension intervals and domination checks
+    on ball-cone gauges are closed-form, so no ball path may reach it."""
+
+    @pytest.fixture(autouse=True)
+    def no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pattern search on a ball path")
+
+        monkeypatch.setattr(extension, "_pattern_search", refuse)
+
+    @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
+    def test_seeded_balls(self, rule):
+        for ball, s, x in seeded_balls():
+            assert_ball_separated(ball, s, rule, x)
+
+    @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
+    def test_example1(self, rule):
+        a_set, s, x = disk_instance()
+        assert_ball_separated(a_set, s, rule, x)
+        assert_ball_separated(a_set, s, rule)
+
+    @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e4, 1e6])
+    def test_scaled_disks(self, scale, rule):
+        TestScaledDisk().check(scale, rule)
+
+    def test_cli_extend_example1(self, capsys):
+        assert main(["extend", "--input", "example1"]) == 0
+        assert json.loads(capsys.readouterr().out)["g"] == pytest.approx([1.0, 1.0], rel=1e-12)
 
 
 class TestExtensionLPRegressions:
