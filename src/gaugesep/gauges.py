@@ -113,6 +113,7 @@ class BallConeGauge:
         m = xc * c - k * x
         mm = float(m @ m)
         c_perp = c - (float(c @ m) / mm) * m
+        # (qc/k) / (k - |c'|^2) = |m|^2 / (r^2 k^2), free of cancellation
         q = (qc / k) * (np.eye(x.size) - np.outer(m, m) / mm)
         q += np.outer(c_perp, c_perp) * (mm / (base.radius**2 * k * k))
         object.__setattr__(self, "_xc", xc)
@@ -236,9 +237,8 @@ def gauge_from_symmetrized(body: SymmetrizedBody) -> Seminorm:
         rows = np.vstack([base.a, -base.a])
         return PolyhedralGauge(rows, np.concatenate([offsets, offsets]))
     if isinstance(base, BallCone):
-        n = body.dim
         if base._excess < 0.0:  # origin inside the ball: the hull, and D, are the whole space
-            return PolyhedralGauge(np.zeros((0, n)), np.zeros(0))
+            return PolyhedralGauge(np.zeros((0, body.dim)), np.zeros(0))
         if base._excess == 0.0:  # the half-space cone e.c > 0, whose gauge has the kernel c-perp
             c = base.center
             xc = float(body.anchor @ c)

@@ -7,7 +7,6 @@ from gaugesep import (
     DegenerateError,
     ExtensionState,
     InputError,
-    OpenBall,
     OracleGauge,
     PartialFunctional,
     PolyhedralGauge,

@@ -13,7 +13,6 @@ from gaugesep import (
     PartialFunctional,
     PolyhedralGauge,
     SeparationOptions,
-    SolverError,
     brute_force_2d_normals,
     domination_check,
     extend_via_separation,
