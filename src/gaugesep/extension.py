@@ -193,7 +193,10 @@ def _ball_phi(p: BallConeGauge, basis: np.ndarray, w: np.ndarray, z: np.ndarray)
     D° is the ellipsoid cylinder ``psi^T Q psi <= 1`` cut by the slab
     ``|psi.x| <= 1``, so the maximum is the best feasible one of at most
     three slices: the slab inactive, ``psi.x = 1`` and ``psi.x = -1``.  When
-    x lies in the domain the first one is the answer.  A slice slack in
+    x lies in the domain the first one is the answer.  Q is singular on the
+    first slice only when its kernel m is orthogonal to the domain; the
+    slice is then skipped, since a finite maximum there is constant along m
+    and so is also reached on a face.  A slice slack in
     [-1e-9, 0) counts as zero: after an end pick the next slice is a point.
     """
     x = p.body.anchor
