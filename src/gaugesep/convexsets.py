@@ -2,12 +2,15 @@
 pipeline needs: positive conic hulls, the symmetrized body around an anchor
 point, interior-point selection, and interior sampling.
 
+Conic hulls are closed forms for polyhedra and balls; any other hull is
+searched in plane sections through an interior point (``ConicHullSet``).
 Membership is strict everywhere (open sets); verification-style callers get
 margins from the certificate code instead of epsilon-shrunken sets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,8 +20,12 @@ from .errors import EmptySetError, InputError, SolverError
 from .geometry import as_vector, _frozen
 from .simplexlp import solve_lp
 
-DEFAULT_RAY_BOUND = 1e6
 MIN_DEPTH = 1e-9  # inscribed-ball radii at or below this certify no interior
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_SECTION_CAP = 1e12  # radial searches in a plane section stop at this multiple of |a|
+_RADIAL_TOL = 1e-15  # relative width of a settled radial bracket
+_ANGLE_TOL = 1e-12  # golden-section bracket width at which a tangent search ends
+_FLAT = 1e-6  # below this bracket width, a tie between settled probes ends it too
 
 
 class ConvexSet:
@@ -32,10 +39,6 @@ class ConvexSet:
     def _member(self, e: np.ndarray) -> bool:
         """Membership for pre-validated arrays; the hot path skips checks."""
         raise NotImplementedError
-
-    def signed_violation(self, point) -> float | None:
-        """Negative inside, positive outside; None when only a predicate exists."""
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +76,6 @@ class HPolyhedron(ConvexSet):
     def _member(self, e: np.ndarray) -> bool:
         return bool((self.a @ e < self.b).all()) if self.a.shape[0] else True
 
-    def signed_violation(self, point) -> float:
-        e = as_vector(point, self.dim)
-        if self.a.shape[0] == 0:
-            return -1.0
-        return float(np.max(self.a @ e - self.b))
-
 
 @dataclass(frozen=True, eq=False)
 class OpenBall(ConvexSet):
@@ -98,35 +95,25 @@ class OpenBall(ConvexSet):
         d = e - self.center
         return float(d @ d) < self.radius * self.radius
 
-    def signed_violation(self, point) -> float:
-        e = as_vector(point, self.dim)
-        return float(np.linalg.norm(e - self.center)) - self.radius
-
 
 @dataclass(frozen=True, eq=False)
 class OracleSet(ConvexSet):
-    """Membership-oracle set; convexity and openness are the caller's promise.
+    """Membership-oracle set: a pure predicate plus an optional interior
+    ``witness``; convexity and openness are the caller's promise.
 
-    ``ray_bound`` caps all 1-D searches along rays, and ``witness`` (an
-    interior point) is required by operations that must produce a point.
-    The predicate must be pure.
+    The witness is required by operations that must produce a point,
+    among them the conic hull, whose plane sections pass through it.
     """
 
     dim: int
     membership: Callable[[np.ndarray], bool]
-    ray_bound: float = DEFAULT_RAY_BOUND
     witness: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise InputError("oracle dimension must be positive")
-        if not (np.isfinite(self.ray_bound) and self.ray_bound > 0):
-            raise InputError("ray_bound must be positive")
         if self.witness is not None:
             object.__setattr__(self, "witness", _frozen(as_vector(self.witness, self.dim)))
-
-    def contains(self, point) -> bool:
-        return bool(self.membership(as_vector(point, self.dim)))
 
     def _member(self, e: np.ndarray) -> bool:
         return bool(self.membership(e))
@@ -160,18 +147,103 @@ class BallCone(ConvexSet):
         return ec > 0.0 and ec * ec > float(e @ e) * excess
 
 
+def _plane(a: np.ndarray, e: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """``(t, kappa, v)`` with ``e = t a + kappa v``, kappa >= 0, v ⟂ a, |v| = |a|."""
+    t = float(e @ a) / float(a @ a)
+    u = e - t * a
+    kappa = float(np.linalg.norm(u) / np.linalg.norm(a))
+    return t, kappa, (u / kappa if kappa > 0.0 else u)
+
+
 @dataclass(frozen=True, eq=False)
 class ConicHullSet(ConvexSet):
-    """Search-backed positive conic hull of an arbitrary base set."""
+    """Positive conic hull of a base set with an interior point w.
+
+    For a base point a and v ⟂ a with |v| = |a|, the section
+    ``K = {(s, t) : s a + t v in base}`` holds (1, 0) and misses the origin
+    (unless the base holds it: then the hull is everything).  The hull meets
+    span{a, v} in the open sector between the tangents from the origin to
+    K, so ``e = t w + kappa v`` is in it iff ``atan2(kappa, t)`` lies below
+    the upper tangent of the section through w.
+    """
 
     base: ConvexSet
+
+    def __post_init__(self):
+        object.__setattr__(self, "_witness", pick_interior_point(self.base))
+        object.__setattr__(self, "_full", self.base._member(np.zeros(self.dim)))
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
     def _member(self, e: np.ndarray) -> bool:
-        return conic_hull_membership_search(self.base, e)
+        if self._full:
+            return True
+        t, kappa, v = _plane(self._witness, e)
+        if kappa == 0.0:
+            return t > 0.0
+        target = math.atan2(kappa, t)
+        return self._tangent(self._witness, v, stop=target)[0] >= target
+
+    def _tangent(self, a: np.ndarray, v: np.ndarray, stop: float = np.inf) -> list[float]:
+        """``[angle, s, t]``: the largest polar angle of a member ``s a + t v``
+        of the section through a, and that member; ends once one reaches ``stop``.
+
+        The polar angle along K's boundary is unimodal in the angle phi about
+        (1, 0) on (0, pi), so a golden section over phi finds the tangent
+        (Kiefer 1953).  A probe at phi bisects the radius from a (capped at
+        ``_SECTION_CAP |a|``, started from the last member's radius), and its
+        bracket ``[r_in, r_out]`` bounds its polar angle on both sides: two
+        probes are narrowed only until they compare.
+        """
+        best, last = [0.0, 1.0, 0.0], [1.0]  # a itself
+
+        def angle(probe, r):
+            return math.atan2(r * probe[1], 1.0 + r * probe[0])
+
+        def width(probe):  # relative width of the radial bracket; 0 once settled
+            r_in, r_out = probe[3], probe[4]
+            if r_in >= _SECTION_CAP or r_out <= _RADIAL_TOL:
+                return 0.0
+            return r_out / r_in - 1.0 if r_in > 0.0 else np.inf
+
+        def narrow(probe):  # one membership call; r_out above the cap: nothing outside yet
+            c, s, d, r_in, r_out, step, _ = probe
+            if r_out > _SECTION_CAP:
+                r = last[0] if r_in == 0.0 else min(r_in * step, _SECTION_CAP)
+            else:
+                r = r_out / step if r_in == 0.0 else math.sqrt(r_in * r_out)
+            if r_in == 0.0 or r_out > _SECTION_CAP:
+                probe[5] = step**4  # an open bracket widens geometrically
+            if not self.base._member(a + r * d):
+                probe[4] = r
+            else:
+                probe[3] = last[0] = r
+                if angle(probe, r) > best[0]:
+                    best[:] = angle(probe, r), 1.0 + r * c, r * s
+
+        def probe_at(phi, growth):  # [cos, sin, direction, r_in, r_out, step, phi]
+            c, s = math.cos(phi), math.sin(phi)
+            return [c, s, c * a + s * v, 0.0, 2.0 * _SECTION_CAP, 1.0 + growth, phi]
+
+        lo, hi = 0.0, math.pi
+        p1, p2 = probe_at((1.0 - _GOLDEN) * hi, 0.25), probe_at(_GOLDEN * hi, 0.25)
+        while hi - lo > _ANGLE_TOL and best[0] < stop:
+            if angle(p1, p1[3]) < angle(p2, p2[4]) and angle(p2, p2[3]) <= angle(p1, p1[4]):
+                wide = max(p1, p2, key=width)
+                if width(wide) > _RADIAL_TOL:
+                    narrow(wide)  # the probes do not compare yet
+                    continue
+                if hi - lo < _FLAT:
+                    break  # a tie at radial precision: the top is flat
+            if angle(p1, p1[3]) >= angle(p2, p2[3]):
+                hi, p2 = p2[6], p1
+                p1 = probe_at(hi - _GOLDEN * (hi - lo), hi - lo)
+            else:
+                lo, p1 = p1[6], p2
+                p2 = probe_at(lo + _GOLDEN * (hi - lo), hi - lo)
+        return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,67 +269,6 @@ class SymmetrizedBody(ConvexSet):
 
     def _member(self, e: np.ndarray) -> bool:
         return self.base._member(self.anchor + e) and self.base._member(self.anchor - e)
-
-    def signed_violation(self, point) -> float | None:
-        e = as_vector(point, self.dim)
-        v1 = self.base.signed_violation(self.anchor + e)
-        v2 = self.base.signed_violation(self.anchor - e)
-        if v1 is None or v2 is None:
-            return None
-        return max(v1, v2)
-
-
-def _ray_bound(c: ConvexSet) -> float:
-    return c.ray_bound if isinstance(c, OracleSet) else DEFAULT_RAY_BOUND
-
-
-def conic_hull_membership_search(a_set: ConvexSet, point, *, grid: int | None = None) -> bool:
-    """Generic 1-D search for membership in the positive conic hull of ``a_set``.
-
-    A point belongs iff some positive multiple of it lies in the base set; the
-    feasible multipliers form an interval, located by a log-spaced scan plus
-    golden-section refinement on the signed violation, then confirmed by the
-    membership predicate.  With a boolean-only predicate the refinement stage
-    has nothing to descend on, so resolution is limited by the scan grid.
-    """
-    e = as_vector(point, a_set.dim)
-    if float(np.linalg.norm(e)) == 0.0:
-        return a_set.contains(e)
-    bound = _ray_bound(a_set)
-    if grid is None:
-        grid = max(32, int(16 * np.log10(bound)))
-    betas = np.geomspace(1.0 / bound, bound, grid)
-    probe = a_set.signed_violation(betas[0] * e)
-    if probe is None:
-        # indicator only: the feasible interval is found by the scan or not at all
-        return any(a_set._member(beta * e) for beta in betas)
-
-    def violation(beta: float) -> float:
-        return a_set.signed_violation(beta * e)
-
-    values = np.array([violation(b) for b in betas])
-    best = int(np.argmin(values))
-    if values[best] < 0.0 and a_set._member(betas[best] * e):
-        return True
-    lo = np.log(betas[max(best - 1, 0)])
-    hi = np.log(betas[min(best + 1, grid - 1)])
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = violation(np.exp(x1)), violation(np.exp(x2))
-    for _ in range(80):
-        if hi - lo < 1e-12:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = violation(np.exp(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = violation(np.exp(x2))
-    beta = np.exp(0.5 * (lo + hi))
-    return a_set._member(beta * e)
 
 
 def conic_hull_membership(a_set: ConvexSet, point) -> bool:

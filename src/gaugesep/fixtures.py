@@ -40,12 +40,12 @@ def _disk_oracle() -> OracleSet:
     def member(e: np.ndarray) -> bool:
         return float(np.linalg.norm(e - center)) < radius
 
-    return OracleSet(2, member, ray_bound=1e6, witness=center)
+    return OracleSet(2, member, witness=center)
 
 
 def _halfspace_oracle() -> OracleSet:
     witness = np.array([1.0, -3.0, 0.0])
-    return OracleSet(3, lambda e: e[0] > 0.0, ray_bound=1e6, witness=witness)
+    return OracleSet(3, lambda e: e[0] > 0.0, witness=witness)
 
 
 def _unit_box_oracle() -> OracleSet:
@@ -54,7 +54,7 @@ def _unit_box_oracle() -> OracleSet:
     def member(e: np.ndarray) -> bool:
         return bool(np.all(np.abs(e - center) < 1.0))
 
-    return OracleSet(2, member, ray_bound=1e6, witness=center)
+    return OracleSet(2, member, witness=center)
 
 
 # Names resolvable from problem files; oracle problems stay data-only.

@@ -4,10 +4,12 @@ Three representations, each evaluated on one point or on an (m, n) batch:
 polyhedral bodies get the closed form ``max(0, max_i a_i.e / b_i)``; bodies
 symmetrized inside the pointed cone over a ball get one root of the
 cone-exit quadratic per ray, and a closed-form polar (``BallConeGauge``);
-bodies known only through membership get a certified geometric bisection
-with a recession cap that maps never-exiting rays to gauge zero (the
-seminorm-not-norm case).  A sampling-based axiom checker validates
-homogeneity, subadditivity, and the unit-ball characterization.
+bodies known only through membership (``OracleGauge``) get the two tangents
+of a plane section when they are symmetrized inside a searched conic hull,
+and a certified geometric bisection otherwise, with a recession cap that
+maps never-exiting rays to gauge zero (the seminorm-not-norm case).  A
+sampling-based axiom checker validates homogeneity, subadditivity, and the
+unit-ball characterization.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexsets import BallCone, ConvexSet, HPolyhedron, SymmetrizedBody
+from .convexsets import BallCone, ConicHullSet, ConvexSet, HPolyhedron, SymmetrizedBody, _plane
 from .errors import InputError, SolverError
 from .geometry import _frozen, as_vector
 
@@ -50,14 +52,42 @@ class PolyhedralGauge:
 
 @dataclass(frozen=True, eq=False)
 class OracleGauge:
-    """Gauge of an arbitrary absorbing open body, evaluated by bisection.
+    """Gauge of an absorbing open body known through membership.
 
-    ``tol`` is the relative bracket width; rays still inside the body at
+    On ``D = (B - x) ∩ (x - B)`` with B a ``ConicHullSet``, write
+    ``e = t x + kappa v`` (``_plane``).  B meets span{x, v} in the sector
+    between the tangents at theta+ above and theta- below the ray of x, which
+    ``x + s e`` leaves at ``s (kappa cot theta+ - t) = 1`` or
+    ``s (kappa cot theta- + t) = 1`` (``x - s e`` flips both terms' signs).
+    Since theta+ + theta- <= pi the terms have a nonnegative sum, so
+    ``p(e) = max(0, kappa cot theta+ - t, kappa cot theta- + t)``.  An anchor
+    outside the base A first moves along its ray to beta x in A, and
+    ``p_x = beta p_(beta x)``.  Any other body is bisected: ``tol`` is the
+    relative bracket width, and rays still inside the body at
     ``RECESSION_CAP`` dilation are declared recession directions (gauge 0).
     """
 
     body: ConvexSet
     tol: float = GAUGE_TOL
+
+    def __post_init__(self):
+        section = None  # (beta x, beta) with beta x in the base, for a searched hull
+        if isinstance(self.body, SymmetrizedBody) and isinstance(self.body.base, ConicHullSet):
+            hull, x = self.body.base, self.body.anchor
+            beta = 1.0
+            if not (hull._full or hull.base._member(x)):
+                t, kappa, v = _plane(hull._witness, x)
+                if kappa == 0.0:  # x = t w: the base point w itself
+                    beta = 1.0 / t
+                else:
+                    # in the section through w, the chord from w to the upper
+                    # tangent point meets the ray of x in the base
+                    _, s_top, t_top = hull._tangent(hull._witness, v)
+                    beta = t_top / (t_top * t - (s_top - 1.0) * kappa)
+                if not hull.base._member(beta * x):
+                    raise InputError("anchor is not strictly inside the base cone")
+            section = (beta * x, beta)
+        object.__setattr__(self, "_section", section)
 
     @property
     def dim(self) -> int:
@@ -170,10 +200,9 @@ def _gauge(p: Seminorm, e: np.ndarray):
             values = np.maximum(0.0, np.max((e @ p.a.T) / p.b, axis=-1))
     elif isinstance(p, BallConeGauge):
         values = _gauge_ball_cone(p, e)
-    elif e.ndim == 2:
-        values = np.array([_gauge_bisection(p, row) for row in e])
     else:
-        values = _gauge_bisection(p, e)
+        one = _gauge_bisection if p._section is None else _gauge_section
+        values = np.array([one(p, row) for row in e]) if e.ndim == 2 else one(p, e)
     return values if e.ndim == 2 else float(values)
 
 
@@ -185,6 +214,17 @@ def _gauge_ball_cone(p: BallConeGauge, e: np.ndarray):
     uc = u @ base.center
     disc = k * (p._qc * np.einsum("...i,...i", u, u) + p._xx * uc * uc)
     return np.abs(along + p._xc * uc / p._qc) + np.sqrt(disc) / p._qc
+
+
+def _gauge_section(p: OracleGauge, e: np.ndarray) -> float:
+    hull, (x, beta) = p.body.base, p._section
+    if hull._full:  # B, and so D, is the whole space
+        return 0.0
+    t, kappa, v = _plane(x, e)
+    if kappa == 0.0:
+        return beta * abs(t)
+    above, below = hull._tangent(x, v)[0], hull._tangent(x, -v)[0]
+    return beta * max(0.0, kappa / np.tan(above) - t, kappa / np.tan(below) + t)
 
 
 def _gauge_bisection(p: OracleGauge, e: np.ndarray) -> float:
@@ -228,7 +268,8 @@ def gauge_from_symmetrized(body: SymmetrizedBody) -> Seminorm:
     """Gauge of a symmetrized body: exact polyhedral form when the base cone
     is polyhedral (a ball cone with the origin on or inside the ball is a
     half-space or the whole space), the closed form when it is a pointed ball
-    cone, certified bisection otherwise."""
+    cone, an ``OracleGauge`` (plane-section tangents on a searched hull)
+    otherwise."""
     base = body.base
     if isinstance(base, HPolyhedron):
         offsets = base.b - base.a @ body.anchor

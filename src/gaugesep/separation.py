@@ -327,8 +327,7 @@ def brute_force_2d_normals(a_set: ConvexSet, grid: int = 1800) -> np.ndarray:
                     break
             hit = feasible and lo < hi
         else:
-            bound = getattr(a_set, "ray_bound", 1e6)
-            ts = np.geomspace(1e-3, bound, 64)
+            ts = np.geomspace(1e-3, 1e6, 64)
             hit = any(a_set.contains(t * sign * d) for t in ts for sign in (1.0, -1.0))
         if not hit:
             admissible.append(theta)

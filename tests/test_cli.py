@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -7,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gaugesep
+from gaugesep import HPolyhedron, OpenBall, build_D, gauge, gauge_from_symmetrized
 from gaugesep.cli import dumps, main, parse_problem
 
 
@@ -214,9 +217,33 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "conic", "--input", path, "--point", "2,1")
         assert code == 0
         assert json.loads(out)["member"] is True
-        code, out, _ = run_cli(capsys, "gauge", "--input", path, "--point", "1,0")
-        assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-6)
+        # the same disk in closed form is the reference
+        closed = gauge_from_symmetrized(build_D(OpenBall(np.array([2.0, 0.0]), np.sqrt(2.0)), np.array([1.0, 0.0])))
+        for point in ("1,0", "0.3,-0.7"):
+            code, out, _ = run_cli(capsys, "gauge", "--input", path, "--point", point)
+            assert code == 0
+            expected = gauge(closed, np.array([float(v) for v in point.split(",")]))
+            assert json.loads(out)["value"] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "name, closed_set, anchor",
+        [
+            ("offset-disk", OpenBall(np.array([2.0, 0.0]), np.sqrt(2.0)), [2.0, 0.0]),
+            ("offset-disk", OpenBall(np.array([2.0, 0.0]), np.sqrt(2.0)), [0.5, 0.3]),
+            ("offset-box", HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([4.0, 1.0, -2.0, 1.0])), [3.0, 0.0]),
+            ("offset-box", HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([4.0, 1.0, -2.0, 1.0])), [1.5, 0.2]),
+        ],
+        ids=["disk-witness", "disk-outside-set", "box-witness", "box-outside-set"],
+    )
+    def test_oracle_gauge_matches_closed_form(self, capsys, tmp_path, name, closed_set, anchor):
+        problem = {"version": 1, "dimension": 2, "A": {"kind": "oracle", "name": name}, "S": {"basis": []}, "x": anchor}
+        path = write(tmp_path, "oracle.json", problem)
+        closed = gauge_from_symmetrized(build_D(closed_set, np.array(anchor)))
+        for point in ("0.8,-1.3", "-2.1,0.4"):
+            code, out, _ = run_cli(capsys, "gauge", "--input", path, f"--point={point}")
+            assert code == 0
+            expected = gauge(closed, np.array([float(v) for v in point.split(",")]))
+            assert json.loads(out)["value"] == pytest.approx(expected, rel=1e-9)
 
     def test_unknown_oracle_name_exit_3(self, capsys, tmp_path):
         problem = {
@@ -379,10 +406,14 @@ class TestFloatSerialization:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child imports the same checkout, installed or not
+        src = str(Path(gaugesep.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "gaugesep", "conic", "--input", "example2", "--point", "1,0,0"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["member"] is True

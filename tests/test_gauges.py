@@ -11,16 +11,19 @@ from gaugesep import (
     InputError,
     OpenBall,
     OracleGauge,
+    OracleSet,
     PolyhedralGauge,
     SeparationOptions,
     build_D,
     check_seminorm_axioms,
+    conic_hull,
     gauge,
     gauge_from_symmetrized,
     separate,
     unit_ball,
 )
 from gaugesep.cli import main, parse_problem
+from gaugesep.fixtures import oracle_by_name
 
 from helpers import ball_pipeline_gauge_reference, point_in_cone, random_ball_instance
 
@@ -86,6 +89,48 @@ class TestOracleGauge:
 
     def test_origin(self):
         assert gauge(oracle_disk_gauge(), np.zeros(2)) == 0.0
+
+
+class TestOracleSectionGauge:
+    """Oracle gauges on searched conic hulls against the in-package closed
+    forms of the same sets, at the witness and at an anchor in the hull but
+    outside the set."""
+
+    OFFSET_BOX = HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([4.0, 1.0, -2.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "name, closed_set, anchor",
+        [
+            ("offset-disk", DISK, [2.0, 0.0]),
+            ("offset-disk", DISK, [0.5, 0.3]),
+            ("offset-box", OFFSET_BOX, [3.0, 0.0]),
+            ("offset-box", OFFSET_BOX, [1.5, 0.2]),
+        ],
+        ids=["disk-witness", "disk-outside-set", "box-witness", "box-outside-set"],
+    )
+    def test_matches_closed_form(self, name, closed_set, anchor):
+        anchor = np.array(anchor)
+        p = gauge_from_symmetrized(build_D(oracle_by_name(name), anchor))
+        assert isinstance(p, OracleGauge)
+        reference = gauge_from_symmetrized(build_D(closed_set, anchor))
+        assert isinstance(reference, (BallConeGauge, PolyhedralGauge))
+        points = np.random.default_rng(40).normal(size=(20, 2))
+        np.testing.assert_allclose(gauge(p, points), gauge(reference, points), rtol=1e-9, atol=0.0)
+        assert gauge(p, anchor) == pytest.approx(1.0, rel=1e-9)
+
+    def test_halfspace_recession_direction(self):
+        oracle = oracle_by_name("halfspace-x")
+        p = gauge_from_symmetrized(build_D(oracle, oracle.witness))
+        assert 0.0 <= gauge(p, np.array([0.0, 5.0, 7.0])) <= 1e-12
+        assert gauge(p, np.array([2.0, 5.0, 7.0])) == pytest.approx(2.0, rel=1e-9)
+
+    def test_base_holding_the_origin(self):
+        # the hull, and every symmetrized body in it, is the whole space
+        ball = OracleSet(2, lambda e: float(np.linalg.norm(e - [0.5, 0.0])) < 1.0, witness=np.array([0.5, 0.0]))
+        p = gauge_from_symmetrized(build_D(ball, np.array([-3.0, 7.0])))
+        for e in np.random.default_rng(41).normal(size=(10, 2)) * 5.0:
+            assert conic_hull(ball).contains(e)
+            assert gauge(p, e) == 0.0
 
 
 class TestExplicitMaxAbs:
