@@ -121,7 +121,9 @@ class OracleSet(ConvexSet):
 
 @dataclass(frozen=True, eq=False)
 class BallCone(ConvexSet):
-    """Positive conic hull of an open ball; membership is a quadratic test."""
+    """Positive conic hull of an open ball: e is a member when e.c > 0 and the
+    line through e passes within r of c (unlike ``(e.c)^2 > k |e|^2``, this
+    keeps its digits near the axis of a thin cone)."""
 
     center: np.ndarray
     radius: float
@@ -142,9 +144,10 @@ class BallCone(ConvexSet):
         if excess < 0:  # origin inside the ball: the hull is everything
             return True
         ec = float(e @ self.center)
-        if excess == 0.0:
+        if excess == 0.0 or not ec > 0.0:
             return ec > 0.0
-        return ec > 0.0 and ec * ec > float(e @ e) * excess
+        d = self.center - (ec / float(e @ e)) * e
+        return float(d @ d) < self.radius * self.radius
 
 
 def _plane(a: np.ndarray, e: np.ndarray) -> tuple[float, float, np.ndarray]:

@@ -11,9 +11,10 @@ polar body, ``max psi.z`` over ``psi`` in D° with ``psi = g`` on the domain.
 For polyhedral gauges the infimum is an exact small LP; for ball-cone gauges
 the slice is an ellipsoid cylinder cut by a slab, whose maximum is closed
 form; for oracle gauges a seeded derivative-free coordinate search
-certifies the interval to about 1e-6.  ``domination_check`` verifies
-``|g| <= p`` by sampling plus an exact term: the LP vertices over the unit
-ball for polyhedral gauges, the polar maximizer for ball-cone gauges.
+certifies the interval to about 1e-6.  ``domination_check`` measures
+``|g| <= p`` on the polar side too, as ``p*(g) - 1``: exactly from the two
+LPs ``max +-g . e`` over ``p <= 1`` for polyhedral gauges and from the polar
+for ball-cone gauges, by seeded sampling and ascent for oracle gauges.
 """
 
 from __future__ import annotations
@@ -246,13 +247,8 @@ def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
         return float(res.objective)
     if isinstance(p, BallConeGauge):
         return _ball_phi(p, basis, w, z)
-    # tighten the bisection for objective evaluations: the search may roam to
-    # moderately large arguments where a 1e-10 relative error would already
-    # eat into the 1e-6 interval certification
-    p_eval = OracleGauge(p.body, tol=min(p.tol, 1e-13))
-
     def objective(c: np.ndarray) -> float:  # c and z are finite float arrays
-        return float(-w @ c + _gauge(p_eval, c @ basis + z))
+        return float(-w @ c + _gauge(p, c @ basis + z))
 
     rng = np.random.default_rng(seed)
     best = np.inf
@@ -361,15 +357,16 @@ def extend_full_state(
 ) -> ExtensionState:
     """Extend ``f`` to the whole space over the deterministic completion order.
 
-    The zero functional extends to zero directly.  Otherwise the result is
-    verified by ``domination_check``, whose value is kept as ``violation``,
-    and a SolverError is raised past ``DOMINATION_TOL * max(1, |g|)`` (this is
-    where a non-balanced "gauge" gets caught).
+    The zero functional extends to zero directly, with ``violation`` -1
+    (``p*(0) - 1``).  Otherwise the result is verified by
+    ``domination_check``, whose value is kept as ``violation``, and a
+    SolverError is raised past ``DOMINATION_TOL`` (this is where a
+    non-balanced "gauge" gets caught).
     """
     _check_domain(f, p)
     n = f.domain.ambient_dim
     if f.is_zero():
-        return ExtensionState(PartialFunctional(Subspace(n, np.eye(n)), np.zeros(n)), p, violation=0.0)
+        return ExtensionState(PartialFunctional(Subspace(n, np.eye(n)), np.zeros(n)), p, violation=-1.0)
     state = ExtensionState(f, p)
     for z in complement_basis(f.domain):
         state = extend_one(state, z, rule, seed=seed)
@@ -378,70 +375,59 @@ def extend_full_state(
 
 
 def _checked_domination(g: np.ndarray, p: Seminorm, *, seed: int) -> float:
-    """``domination_check`` of a full extension ``g`` over 256 directions,
-    raising SolverError past ``DOMINATION_TOL * max(1, |g|)``.
-
-    The check measures ``|g . e| - p(e)`` over unit directions, so the
-    violation scales with ``|g|``; the gate is absolute up to ``|g| = 1``.
-    """
+    """``domination_check`` of a full extension ``g`` (256 directions on
+    oracle gauges), raising SolverError past ``DOMINATION_TOL``."""
     violation = domination_check(g, p, seed=seed, trials=256)
-    if violation > DOMINATION_TOL * max(1.0, float(np.linalg.norm(g))):
+    if violation > DOMINATION_TOL:
         raise SolverError(f"extension violates domination by {violation:.3e}")
     return violation
 
 
-def _ascent_refine(g: np.ndarray, p: Seminorm, start: np.ndarray, iterations: int = 80) -> float:
-    def objective(u: np.ndarray) -> float:
-        norm = float(np.linalg.norm(u))
-        if norm < 1e-12:
-            return np.inf
-        e = u / norm
-        return -(abs(float(g @ e)) - gauge(p, e))
-
-    _, val = _pattern_search(objective, start, iterations=iterations, shrink=0.5, step0=0.5)
-    return -val
-
-
 def domination_check(g, p: Seminorm, seed: int = 0, trials: int = 200) -> float:
-    """Max of ``|g . e| - p(e)`` over unit directions; <= 0 means dominated.
+    """``p*(g) - 1`` with ``p*(g) = sup |g . e| / p(e)``; <= 0 means dominated.
 
-    Sampled over seeded unit-sphere directions.  Polyhedral gauges add an
-    exact LP over the unit ball, whose optimal vertex (or unbounded ray,
-    hitting recession directions) is folded into the maximum.  Ball-cone
-    gauges add the closed-form maximizer of ``g`` over ``p <= 1``, so the
-    sign of the result is exact for both.  Oracle gauges add a deterministic
-    coordinate-ascent refinement so that clear violations cannot hide
-    between samples.
+    ``|g| <= p`` says that g lies in the polar body D°, so the value is
+    relative: it does not change when g and p are scaled together.
+    Polyhedral gauges take the larger of the two LPs ``max +-g . e`` over
+    ``p <= 1`` (``inf`` when one is unbounded: g is then nonzero on the
+    kernel of p); ball-cone gauges take the closed-form polar.  Both are
+    exact and draw nothing.  Oracle gauges sample ``trials`` seeded
+    directions and refine the best one, and ``g`` itself, by a
+    deterministic coordinate ascent, so that clear violations cannot hide
+    between samples; there ``|g . e|`` is first lowered by ``1e-9 |g| |e|``,
+    so that rounding left on the kernel of p does not read as infinite.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
     g = as_vector(g, p.dim)
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(trials, g.size))
-    norms = np.linalg.norm(dirs, axis=1)
-    dirs = dirs[norms > 1e-12] / norms[norms > 1e-12, None]
-    values = np.abs(dirs @ g) - gauge(p, dirs)
-    worst = float(np.max(values)) if values.size else -np.inf
     if isinstance(p, PolyhedralGauge):
+        best = 0.0
         for sign in (1.0, -1.0):
             res = solve_lp(-sign * g, a_ub=p.a, b_ub=p.b)
-            candidate = res.ray if res.status == "unbounded" else res.x
-            if candidate is None:
-                continue
-            norm = float(np.linalg.norm(candidate))
-            if norm > 1e-12:
-                e = candidate / norm
-                worst = max(worst, abs(float(g @ e)) - gauge(p, e))
-        return worst
+            if res.status == "unbounded":
+                return np.inf
+            if res.status != "optimal":
+                raise SolverError(f"domination LP failed with status {res.status!r}")
+            best = max(best, -res.objective)
+        return best - 1.0
     if isinstance(p, BallConeGauge):
-        # p(e*) = 1 and g.e* = p*(g), so this term is (p*(g) - 1) / |e*|
-        e = p.polar(g)[1]
-        e = e / float(np.linalg.norm(e))
-        return max(worst, abs(float(g @ e)) - gauge(p, e))
-    starts = [dirs[int(np.argmax(values))]] if values.size else []
+        return p.polar(g)[0] - 1.0
+
     gnorm = float(np.linalg.norm(g))
-    if gnorm > 1e-12:
-        starts.append(g / gnorm)
-    for start in starts:
-        worst = max(worst, _ascent_refine(g, p, np.array(start)))
-    return float(worst)
+
+    def ratio(e: np.ndarray):
+        # a residue of g below 1e-9 |g| on the kernel of p is rounding, not an
+        # infinite p*(g); the LPs' feasibility test forgives residues of that order
+        dot = np.maximum(np.abs(e @ g) - 1e-9 * gnorm * np.linalg.norm(e, axis=-1), 0.0)
+        pe = _gauge(p, e)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(pe > 0.0, dot / pe, np.where(dot > 0.0, np.inf, 0.0))
+
+    dirs = np.random.default_rng(seed).normal(size=(trials, g.size))
+    values = ratio(dirs)
+    best = float(np.max(values))
+    starts = [dirs[int(np.argmax(values))]] + ([g] if np.any(g) else [])
+    for start in starts:  # the ratio is scale-free, so the ascent may leave the unit sphere
+        u = start / float(np.linalg.norm(start))
+        best = max(best, -_pattern_search(lambda e: -float(ratio(e)), u, iterations=80, shrink=0.5, step0=0.5)[1])
+    return best - 1.0

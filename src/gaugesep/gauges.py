@@ -22,7 +22,7 @@ from .convexsets import BallCone, ConicHullSet, ConvexSet, HPolyhedron, Symmetri
 from .errors import InputError, SolverError
 from .geometry import _frozen, as_vector
 
-GAUGE_TOL = 1e-10
+GAUGE_TOL = 1e-13  # relative bracket width of a bisected gauge value
 RECESSION_CAP = 1e12
 
 
@@ -62,13 +62,12 @@ class OracleGauge:
     Since theta+ + theta- <= pi the terms have a nonnegative sum, so
     ``p(e) = max(0, kappa cot theta+ - t, kappa cot theta- + t)``.  An anchor
     outside the base A first moves along its ray to beta x in A, and
-    ``p_x = beta p_(beta x)``.  Any other body is bisected: ``tol`` is the
-    relative bracket width, and rays still inside the body at
+    ``p_x = beta p_(beta x)``.  Any other body is bisected to the relative
+    bracket width ``GAUGE_TOL``, and rays still inside the body at
     ``RECESSION_CAP`` dilation are declared recession directions (gauge 0).
     """
 
     body: ConvexSet
-    tol: float = GAUGE_TOL
 
     def __post_init__(self):
         section = None  # (beta x, beta) with beta x in the base, for a searched hull
@@ -104,19 +103,21 @@ class BallConeGauge:
     y.c > 0 before it can reach the other one.  So q(e) = 1/s is the largest
     root t of ``qc t^2 + qb t + qa`` (qa = (e.c)^2 - k |e|^2,
     qb = 2((x.c)(e.c) - k x.e), qc = (x.c)^2 - k |x|^2), or 0 when no root is
-    positive.  The roots for -e are the negated roots for e, so
-    ``p(e) = max(q(e), q(-e))`` is the larger root magnitude,
-    ``(|qb|/2 + sqrt(qb^2/4 - qa qc)) / qc``.  Splitting e = a x + u with u
+    positive.  With c = (x.c / |x|^2) x + c_off, Lagrange's identity gives
+    qc = |x|^2 (r^2 - |c_off|^2), which keeps its digits in thin cones where
+    the two terms of (x.c)^2 - k |x|^2 cancel.  The roots for -e are the
+    negated roots for e, so ``p(e) = max(q(e), q(-e))`` is the larger root
+    magnitude, ``(|qb|/2 + sqrt(qb^2/4 - qa qc)) / qc``.  Splitting e = a x + u with u
     orthogonal to x gives qb/2 = a qc + (x.c)(u.c) and
     qb^2/4 - qa qc = k (qc |u|^2 + |x|^2 (u.c)^2): a sum of nonnegative terms,
     so rounding cannot push it below zero, and the apex ray (u = 0, a double
-    root) comes out exact.
+    root) comes out exact.  Since u is orthogonal to x, u.c = u.c_off.
 
     The polar (``polar``) is closed-form too.  The closure of D is a lens of
     two ruled cone pieces, with apexes ±x and one ridge where x + e and x - e
     both lie on the cone.  Subtracting the two cone equations gives
-    e.m = 0 with m = (x.c) c - k x; adding them gives
-    k |e|^2 - (e.c)^2 = qc.  Together they describe an ellipsoid in the
+    e.m = 0 with m = (x.c) c - k x = (x.c) c_off + (qc / |x|^2) x; adding
+    them gives k |e|^2 - (e.c)^2 = qc.  Together they describe an ellipsoid in the
     hyperplane m-perp, on which the form k|e|^2 - (e.c')^2 (c' = P c, P the
     projection onto m-perp) is positive definite: k - |c'|^2 =
     r^2 k qc / |m|^2 > 0.  Its support function is sqrt(psi^T Q psi) with
@@ -137,10 +138,11 @@ class BallConeGauge:
         x, c = self.body.anchor, base.center
         xc = float(x @ c)
         xx = float(x @ x)
-        qc = xc * xc - k * xx
+        c_off = c - (xc / xx) * x
+        qc = xx * (base.radius**2 - float(c_off @ c_off))
         if not (xc > 0.0 and qc > 0.0):
             raise InputError("anchor is not strictly inside the base cone")
-        m = xc * c - k * x
+        m = xc * c_off + (qc / xx) * x
         mm = float(m @ m)
         c_perp = c - (float(c @ m) / mm) * m
         # (qc/k) / (k - |c'|^2) = |m|^2 / (r^2 k^2), free of cancellation
@@ -149,6 +151,7 @@ class BallConeGauge:
         object.__setattr__(self, "_xc", xc)
         object.__setattr__(self, "_xx", xx)
         object.__setattr__(self, "_qc", qc)
+        object.__setattr__(self, "_c_off", _frozen(c_off))
         object.__setattr__(self, "_q", _frozen(q))
 
     @property
@@ -211,7 +214,7 @@ def _gauge_ball_cone(p: BallConeGauge, e: np.ndarray):
     k = base._excess
     along = (e @ x) / p._xx
     u = e - np.multiply.outer(along, x)
-    uc = u @ base.center
+    uc = u @ p._c_off
     disc = k * (p._qc * np.einsum("...i,...i", u, u) + p._xx * uc * uc)
     return np.abs(along + p._xc * uc / p._qc) + np.sqrt(disc) / p._qc
 
@@ -247,7 +250,7 @@ def _gauge_bisection(p: OracleGauge, e: np.ndarray) -> float:
             if s_in < 1e-15:
                 raise SolverError("gauge bracket failed: body does not absorb the point")
     for _ in range(60):
-        if s_out / s_in - 1.0 <= p.tol:
+        if s_out / s_in - 1.0 <= GAUGE_TOL:
             break
         mid = np.sqrt(s_in * s_out)
         if member(mid * e):

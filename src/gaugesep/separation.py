@@ -8,7 +8,7 @@ together with a verification certificate.
 
 Also here: the reverse construction (recovering a dominated extension by
 separating the gauge ball around a normalizing point from the functional's
-kernel), an exhaustive 2-D angular oracle, and the domination/disjointness
+kernel), an exact 2-D angular oracle, and the domination/disjointness
 equivalence check for candidate extensions.
 """
 
@@ -25,6 +25,7 @@ from .convexsets import (
     OracleSet,
     _meets,
     build_D,
+    conic_hull,
     is_empty,
     pick_interior_point,
     sample_interior,
@@ -151,7 +152,7 @@ def _kernel_disjoint(a_set: ConvexSet, g: np.ndarray, seed: int = 0, samples: in
 
 
 def _remark2_pair(a_set: ConvexSet, g: np.ndarray, p: Seminorm, *, seed: int, trials: int) -> tuple[bool, bool]:
-    """(|g| <= p up to 1e-7?, kernel of g disjoint from the set?): Remark 2's two sides."""
+    """(|g| <= p up to 1e-7 relative?, kernel of g disjoint from the set?): Remark 2's two sides."""
     dominated = domination_check(g, p, seed=seed, trials=trials) <= 1e-7
     return dominated, _kernel_disjoint(a_set, g, seed=seed)
 
@@ -299,7 +300,10 @@ def brute_force_2d_normals(a_set: ConvexSet, grid: int = 1800) -> np.ndarray:
     """Admissible angles (radians in [0, pi)) of origin lines missing a 2-D set.
 
     Exact for balls (center distance test) and polyhedra (1-D interval
-    intersection along the line); dense ray sampling for oracle sets.
+    intersection along the line).  Any other set has a conic hull that is
+    one open sector, bounded by the two tangents of the hull's section
+    through its witness w; a line misses it when neither of its directions
+    lies inside, and an angle within 1e-12 of an edge counts as missing.
     """
     if a_set.dim != 2:
         raise InputError("the angular oracle is 2-D only")
@@ -310,28 +314,25 @@ def brute_force_2d_normals(a_set: ConvexSet, grid: int = 1800) -> np.ndarray:
         normals = np.stack([-np.sin(thetas), np.cos(thetas)], axis=1)
         dist = np.abs(normals @ a_set.center)
         return thetas[dist >= a_set.radius]
-    admissible = []
-    for theta in thetas:
-        d = np.array([np.cos(theta), np.sin(theta)])
-        if isinstance(a_set, HPolyhedron):
-            lo, hi = -np.inf, np.inf
-            feasible = True
-            for a_i, b_i in zip(a_set.a, a_set.b):
-                den = float(a_i @ d)
-                if den > 0.0:
-                    hi = min(hi, b_i / den)
-                elif den < 0.0:
-                    lo = max(lo, b_i / den)
-                elif not b_i > 0.0:
-                    feasible = False
-                    break
-            hit = feasible and lo < hi
-        else:
-            ts = np.geomspace(1e-3, 1e6, 64)
-            hit = any(a_set.contains(t * sign * d) for t in ts for sign in (1.0, -1.0))
-        if not hit:
-            admissible.append(theta)
-    return np.array(admissible)
+    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)  # each line's direction d
+    if isinstance(a_set, HPolyhedron):
+        # the line t d meets the set when the interval of t left by the rows is open
+        den = dirs @ a_set.a.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = a_set.b / den
+        hi = np.where(den > 0.0, bound, np.inf).min(axis=1, initial=np.inf)
+        lo = np.where(den < 0.0, bound, -np.inf).max(axis=1, initial=-np.inf)
+        parallel_cut = ((den == 0.0) & ~(a_set.b > 0.0)).any(axis=1)
+        return thetas[parallel_cut | ~(lo < hi)]
+    hull = conic_hull(a_set)
+    if hull._full:
+        return thetas[:0]
+    w = hull._witness
+    v = np.array([-w[1], w[0]])
+    above, below = hull._tangent(w, v)[0], hull._tangent(w, -v)[0]
+    phi = np.arctan2(dirs @ v, dirs @ w)  # polar angle of d about w; -d is at phi -+ pi
+    inside = [(-below + 1e-12 < a) & (a < above - 1e-12) for a in (phi, phi - np.copysign(np.pi, phi))]
+    return thetas[~(inside[0] | inside[1])]
 
 
 def extend_via_separation(
@@ -355,7 +356,7 @@ def extend_via_separation(
     n = f.domain.ambient_dim
     full_space = Subspace(n, np.eye(n))
     if f.is_zero():
-        return ExtensionState(PartialFunctional(full_space, np.zeros(n)), p, violation=0.0)
+        return ExtensionState(PartialFunctional(full_space, np.zeros(n)), p, violation=-1.0)
     v = np.asarray(f.values)
     y = (v @ f.domain.basis) / float(v @ v)
     ball = unit_ball(p)

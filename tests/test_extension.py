@@ -173,7 +173,7 @@ class TestExtendFull:
             state = extend_full_state(f, SLAB3)
             np.testing.assert_allclose(state.functional.as_coefficients(), np.zeros(3))
             assert state.history == ()
-            assert state.violation == 0.0
+            assert state.violation == -1.0  # p*(0) - 1
 
     def test_slab_extension_unique(self):
         g = extend_full_state(plane_functional(), SLAB3).functional.as_coefficients()
@@ -218,12 +218,12 @@ class TestExtendFull:
     def test_final_gate_scales_with_the_functional(self, excess, passes):
         # g = 1e6 (1 + excess) e1 against 1e6 (|x| + |y|): the worst direction
         # e1 is off the 45-degree domain basis, so only the final check sees
-        # the violation 1e6 * excess; the gate is 1e-6 * |g|, about 1
+        # the violation p*(g) - 1 = excess, whatever the common scale
         p = PolyhedralGauge(TAXICAB.a, np.full(4, 1e-6))
         domain = span_basis([np.array([1.0, 1.0]), np.array([1.0, -1.0])])
         f = PartialFunctional(domain, domain.basis @ np.array([1e6 * (1.0 + excess), 0.0]))
         if passes:
-            assert extend_full_state(f, p).violation == pytest.approx(1e6 * excess, rel=1e-3)
+            assert extend_full_state(f, p).violation == pytest.approx(excess, rel=1e-3)
         else:
             with pytest.raises(SolverError, match="extension violates domination"):
                 extend_full_state(f, p)
@@ -277,6 +277,27 @@ class TestDominationCheck:
     def test_zero_functional_never_violates(self):
         assert domination_check(np.zeros(2), TAXICAB, seed=0, trials=50) <= 0.0
 
+    def test_exact_gauges_ignore_seed_trials_and_common_scale(self, monkeypatch):
+        # p*(g) - 1 is read off the LPs or the closed-form polar: no draws,
+        # and scaling g and p by the same factor leaves it alone
+        rng = np.random.default_rng(25)
+        ball, _ = random_ball_instance(rng, 4)
+        x = point_in_cone(rng, ball)
+        cases = [(CUBE3, lambda s: PolyhedralGauge(CUBE3.a, CUBE3.b / s), rng.normal(size=3))]
+        cases.append((BallConeGauge(build_D(ball, x)), lambda s: BallConeGauge(build_D(ball, x / s)), rng.normal(size=4)))
+        expected = [domination_check(g, p) for p, _, g in cases]
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("exact gauges draw no random directions")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for (p, scaled, g), value in zip(cases, expected):
+            assert np.isfinite(value)
+            for seed, trials in ((0, 1), (7, 500)):
+                assert domination_check(g, p, seed=seed, trials=trials) == value
+            for s in (1e-6, 3.0, 1e6):
+                assert domination_check(s * g, scaled(s)) == pytest.approx(value, rel=1e-12)
+
     def test_oracle_gauge_ascent_finds_clear_violations(self):
         from gaugesep import OpenBall, build_D
 
@@ -284,6 +305,13 @@ class TestDominationCheck:
         p = OracleGauge(build_D(disk, np.array([1.0, 0.0])))
         violation = domination_check(np.array([1.0, 1.2]), p, seed=0, trials=128)
         assert violation > 0.05  # true max is 0.2 / sqrt(2) at (0, 1)
+
+    def test_oracle_gauge_kernel_rounding(self):
+        # the slab |e1| < 1 bisected: p vanishes on span{e2, e3}, so any g with
+        # a real e2 part has p*(g) infinite, but a rounding residue does not
+        p = OracleGauge(unit_ball(SLAB3))
+        assert domination_check(np.array([1.0, 1e-12, 0.0]), p, seed=0, trials=64) <= 0.0
+        assert domination_check(np.array([0.5, 1e-3, 0.0]), p, seed=0, trials=64) > 1e6
 
     def test_deterministic(self):
         p = OracleGauge(unit_ball(TAXICAB))

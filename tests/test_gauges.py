@@ -185,7 +185,7 @@ class TestBallConeGauge:
                 ball, _ = random_ball_instance(rng, n)
                 for anchor in (np.asarray(ball.center), point_in_cone(rng, ball), point_in_cone(rng, ball)):
                     body = build_D(ball, anchor)
-                    closed, bisection = BallConeGauge(body), OracleGauge(body, tol=1e-13)
+                    closed, bisection = BallConeGauge(body), OracleGauge(body)
                     for e in rng.normal(size=(8, n)) * rng.uniform(0.01, 100.0):
                         expected = gauge(bisection, e)
                         worst = max(worst, abs(gauge(closed, e) - expected) / expected)
@@ -202,6 +202,25 @@ class TestBallConeGauge:
             # body's steep gauge amplifies
             for k in (-1e4, -3.0, -1.0, -1e-3, 0.5, 2.0, 1e6):
                 assert gauge(p, k * x) == pytest.approx(abs(k), rel=1e-12)
+
+    def test_thin_cone_matches_high_precision_roots(self):
+        # r = 1e-6 |c|: in doubles (x.c)^2 - k |x|^2 cancels to about 1e-8
+        # out of two terms near 1.2e4; the reference solves the same exit
+        # quadratic in 60 digits
+        mp = pytest.importorskip("mpmath")
+        c, r = np.array([10.0, 3.0, -1.0]), 1e-5
+        p = BallConeGauge(build_D(OpenBall(c, r), c))
+
+        def exact(e):
+            with mp.workdps(60):
+                dot = lambda u, w: sum(mp.mpf(float(a)) * mp.mpf(float(b)) for a, b in zip(u, w))
+                k = dot(c, c) - mp.mpf(r) ** 2
+                qa, qc = dot(e, c) ** 2 - k * dot(e, e), dot(c, c) ** 2 - k * dot(c, c)
+                half_qb = dot(c, c) * dot(e, c) - k * dot(c, e)
+                return float((abs(half_qb) + mp.sqrt(half_qb**2 - qa * qc)) / qc)
+
+        for e in np.random.default_rng(14).normal(size=(5, 3)):
+            assert abs(gauge(p, e) - exact(e)) <= 1e-12 * exact(e)
 
     def test_origin_on_the_sphere_gives_the_halfspace_gauge(self):
         c = np.array([3.0, 4.0])  # |c| = r: the hull is the half-space e.c > 0

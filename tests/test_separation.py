@@ -496,6 +496,17 @@ class TestBruteForce2D:
         assert angles.min() >= 45.0 - 1.0
         assert angles.max() <= 135.0 + 1.0
 
+    @pytest.mark.parametrize("center", [(7.0, 0.0), (3.0, 0.0), (0.5, 0.0)])
+    def test_oracle_thin_disk_matches_ball(self, center):
+        # r = 0.01 |c| blocks 2 arcsin(0.01) = 1.146 degrees: 23 angles of 3600
+        from gaugesep import OracleSet
+
+        ball = OpenBall(np.array(center), 0.01 * np.linalg.norm(center))
+        oracle = OracleSet(2, ball.contains, witness=np.array(center))
+        angles = brute_force_2d_normals(oracle, 3600)
+        assert angles.size == 3600 - 23
+        np.testing.assert_array_equal(angles, brute_force_2d_normals(ball, 3600))
+
     def test_returned_normal_lands_in_admissible_fan(self):
         rng = np.random.default_rng(23)
         checked = 0
@@ -540,7 +551,7 @@ class TestExtendViaSeparation:
         slab = PolyhedralGauge(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.ones(2))
         state = extend_via_separation(f, slab)
         np.testing.assert_allclose(state.functional.as_coefficients(), np.zeros(3))
-        assert state.violation == 0.0
+        assert state.violation == -1.0  # p*(0) - 1
 
     def test_halfspace_roundtrip_exact(self):
         domain = span_basis([np.array([1.0, -3.0, 0.0]), np.array([0.0, 0.0, 1.0])])
