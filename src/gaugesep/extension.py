@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DegenerateError, InputError, SolverError
 from .gauges import BallConeGauge, OracleGauge, PolyhedralGauge, Seminorm, _gauge, gauge
 from .geometry import (
-    TOL_MEMBERSHIP,
     PartialFunctional,
     Subspace,
     _frozen,
@@ -278,7 +277,7 @@ def extension_interval(state: ExtensionState, z, *, seed: int = 0) -> GammaInter
     that is not actually a seminorm or a functional that is not dominated.
     """
     z = as_vector(z, state.domain.ambient_dim)
-    if state.domain.distance(z) <= TOL_MEMBERSHIP * max(1.0, float(np.linalg.norm(z))):
+    if state.domain.contains(z):
         raise DegenerateError("direction already lies in the domain")
     hi = _phi(state, z, seed)
     lo = -_phi(state, -z, seed + 1)
@@ -375,15 +374,15 @@ def extend_full_state(
 
 
 def _checked_domination(g: np.ndarray, p: Seminorm, *, seed: int) -> float:
-    """``domination_check`` of a full extension ``g`` (256 directions on
-    oracle gauges), raising SolverError past ``DOMINATION_TOL``."""
-    violation = domination_check(g, p, seed=seed, trials=256)
+    """``domination_check`` of a full extension ``g``, raising SolverError
+    past ``DOMINATION_TOL``."""
+    violation = domination_check(g, p, seed=seed)
     if violation > DOMINATION_TOL:
         raise SolverError(f"extension violates domination by {violation:.3e}")
     return violation
 
 
-def domination_check(g, p: Seminorm, seed: int = 0, trials: int = 200) -> float:
+def domination_check(g, p: Seminorm, seed: int = 0) -> float:
     """``p*(g) - 1`` with ``p*(g) = sup |g . e| / p(e)``; <= 0 means dominated.
 
     ``|g| <= p`` says that g lies in the polar body D°, so the value is
@@ -391,14 +390,12 @@ def domination_check(g, p: Seminorm, seed: int = 0, trials: int = 200) -> float:
     Polyhedral gauges take the larger of the two LPs ``max +-g . e`` over
     ``p <= 1`` (``inf`` when one is unbounded: g is then nonzero on the
     kernel of p); ball-cone gauges take the closed-form polar.  Both are
-    exact and draw nothing.  Oracle gauges sample ``trials`` seeded
+    exact and draw nothing.  Oracle gauges sample 256 seeded
     directions and refine the best one, and ``g`` itself, by a
     deterministic coordinate ascent, so that clear violations cannot hide
     between samples; there ``|g . e|`` is first lowered by ``1e-9 |g| |e|``,
     so that rounding left on the kernel of p does not read as infinite.
     """
-    if trials < 1:
-        raise InputError("trials must be at least 1")
     g = as_vector(g, p.dim)
     if isinstance(p, PolyhedralGauge):
         best = 0.0
@@ -423,7 +420,7 @@ def domination_check(g, p: Seminorm, seed: int = 0, trials: int = 200) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(pe > 0.0, dot / pe, np.where(dot > 0.0, np.inf, 0.0))
 
-    dirs = np.random.default_rng(seed).normal(size=(trials, g.size))
+    dirs = np.random.default_rng(seed).normal(size=(256, g.size))
     values = ratio(dirs)
     best = float(np.max(values))
     starts = [dirs[int(np.argmax(values))]] + ([g] if np.any(g) else [])

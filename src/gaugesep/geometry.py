@@ -78,9 +78,9 @@ class Subspace:
         y = as_vector(y, self.ambient_dim)
         return float(np.linalg.norm(y - self.project(y)))
 
-    def contains(self, y, tol: float = TOL_MEMBERSHIP) -> bool:
+    def contains(self, y) -> bool:
         y = as_vector(y, self.ambient_dim)
-        return self.distance(y) <= tol * max(1.0, float(np.linalg.norm(y)))
+        return self.distance(y) <= TOL_MEMBERSHIP * max(1.0, float(np.linalg.norm(y)))
 
     def projector_matrix(self) -> np.ndarray:
         """The n-by-n orthogonal projector onto the subspace."""
@@ -219,18 +219,9 @@ class Hyperplane:
     def dim(self) -> int:
         return self.normal.size
 
-    def contains(self, e, tol: float = TOL_MEMBERSHIP) -> bool:
+    def contains(self, e) -> bool:
         e = as_vector(e, self.normal.size)
-        return abs(float(self.normal @ e)) <= tol * max(1.0, float(np.linalg.norm(e)))
-
-    def subspace(self) -> Subspace:
-        """The hyperplane as an (n-1)-dimensional Subspace: the Householder
-        reflection taking the normal to the axis e_k (up to sign), less row k."""
-        u = self.normal / np.linalg.norm(self.normal)
-        k = int(np.argmax(np.abs(u)))
-        v = u + np.copysign(1.0, u[k]) * np.eye(self.dim)[k]
-        reflection = np.eye(self.dim) - np.outer(v, 2.0 * v / (v @ v))
-        return Subspace(self.dim, np.delete(reflection, k, axis=0))
+        return abs(float(self.normal @ e)) <= TOL_MEMBERSHIP * max(1.0, float(np.linalg.norm(e)))
 
 
 def kernel_hyperplane(g) -> Hyperplane:

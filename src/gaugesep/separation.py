@@ -14,7 +14,7 @@ equivalence check for candidate extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,7 +76,8 @@ class SeparationCertificate:
     ``conic_disjoint_sampled`` (derived): positively-scaled samples also
     avoid the hyperplane, which holds exactly when ``a_clearance > 0``.
     ``remark2_status``: domination and disjointness agreed (None when no
-    gauge was available to test domination).
+    gauge was available to test domination); ``separate()`` gates
+    domination, so there it is ``sign_constant``.
     """
 
     s_in_h_residual: float
@@ -141,19 +142,27 @@ def _closure_range(a_set: ConvexSet, normal: np.ndarray) -> tuple[float, float] 
     return None
 
 
+def _one_side(closure: tuple[float, float] | None, vals: np.ndarray | None) -> tuple[float | None, bool]:
+    """(boundary margin, one sign on the set?) for a hyperplane: the margin
+    ``max(lo, -hi)`` of the closure range, on one side when >= -1e-9, or the
+    sign of the interior sample values ``vals`` when the range is None."""
+    if closure is None:
+        return None, bool(np.all(vals > 0.0) or np.all(vals < 0.0))
+    margin = float(max(closure[0], -closure[1]))
+    return margin, margin >= -1e-9
+
+
 def _kernel_disjoint(a_set: ConvexSet, g: np.ndarray, seed: int = 0, samples: int = 2000) -> bool:
     """Does the kernel hyperplane of ``g`` avoid the open set?"""
-    hyper = kernel_hyperplane(as_vector(g, a_set.dim))
-    meets = _meets(a_set, np.asarray(hyper.subspace().basis))
-    if meets is not None:
-        return not meets
-    vals = sample_interior(a_set, samples, seed) @ np.asarray(hyper.normal)
-    return bool(np.all(vals > 0.0) or np.all(vals < 0.0))
+    normal = np.asarray(kernel_hyperplane(as_vector(g, a_set.dim)).normal)
+    closure = _closure_range(a_set, normal)
+    vals = None if closure is not None else sample_interior(a_set, samples, seed) @ normal
+    return _one_side(closure, vals)[1]
 
 
-def _remark2_pair(a_set: ConvexSet, g: np.ndarray, p: Seminorm, *, seed: int, trials: int) -> tuple[bool, bool]:
+def _remark2_pair(a_set: ConvexSet, g: np.ndarray, p: Seminorm, *, seed: int) -> tuple[bool, bool]:
     """(|g| <= p up to 1e-7 relative?, kernel of g disjoint from the set?): Remark 2's two sides."""
-    dominated = domination_check(g, p, seed=seed, trials=trials) <= 1e-7
+    dominated = domination_check(g, p, seed=seed) <= 1e-7
     return dominated, _kernel_disjoint(a_set, g, seed=seed)
 
 
@@ -184,25 +193,17 @@ def _certificate(
     a_set: ConvexSet,
     s: Subspace,
     hyperplane: Hyperplane,
-    opts: SeparationOptions,
     *,
+    seed: int,
+    samples: int,
     remark2: bool | None,
     start: np.ndarray | None = None,
 ) -> SeparationCertificate:
     normal = np.asarray(hyperplane.normal)
-    residual = _subspace_residual(s, normal)
-    samples = sample_interior(a_set, opts.certificate_samples, opts.seed, start=start)
-    vals = samples @ normal
+    vals = sample_interior(a_set, samples, seed, start=start) @ normal
+    margin, sign_constant = _one_side(_closure_range(a_set, normal), vals)
     clearance = float(np.min(np.abs(vals)))
-    closure = _closure_range(a_set, normal)
-    if closure is None:
-        margin = None
-        sign_constant = bool(np.all(vals > 0.0) or np.all(vals < 0.0))
-    else:
-        vmin, vmax = closure
-        margin = float(max(vmin, -vmax))
-        sign_constant = margin >= -1e-9
-    return SeparationCertificate(residual, clearance, margin, sign_constant, remark2)
+    return SeparationCertificate(_subspace_residual(s, normal), clearance, margin, sign_constant, remark2)
 
 
 def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = None) -> SeparationResult:
@@ -238,13 +239,15 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     if abs(float(g @ x) - 1.0) > 1e-8:
         raise SolverError("extension failed to send the anchor to 1")
     hyper = kernel_hyperplane(g)
-    # domination is certified above, so agreement reduces to disjointness
-    remark2 = _kernel_disjoint(a_set, g, seed=opts.seed)
     # without a supplied anchor, x is the point sample_interior would pick
-    cert = _certificate(a_set, s, hyper, opts, remark2=remark2, start=x if opts.x is None else None)
+    start = x if opts.x is None else None
+    cert = _certificate(a_set, s, hyper, seed=opts.seed, samples=opts.certificate_samples, remark2=None, start=start)
     failures = cert._failures()
     if failures:
         raise SolverError("separation certificate is invalid: " + "; ".join(failures))
+    # domination is certified above, so agreement reduces to disjointness,
+    # which sign_constant has just tested on this very hyperplane
+    cert = replace(cert, remark2_status=cert.sign_constant)
     return SeparationResult(hyper, g, x, p, state.history, cert)
 
 
@@ -263,12 +266,11 @@ def verify_separation(
     ``remark2_status`` is only computed when both the unnormalized functional
     and the gauge are supplied; clearance and containment checks need neither.
     """
-    opts = SeparationOptions(seed=seed, certificate_samples=samples)
     remark2 = None
     if g is not None and gauge_p is not None:
-        dominated, disjoint = _remark2_pair(a_set, g, gauge_p, seed=seed, trials=max(256, samples // 10))
+        dominated, disjoint = _remark2_pair(a_set, g, gauge_p, seed=seed)
         remark2 = dominated == disjoint
-    return _certificate(a_set, s, hyperplane, opts, remark2=remark2)
+    return _certificate(a_set, s, hyperplane, seed=seed, samples=samples, remark2=remark2)
 
 
 def remark2_equivalence_check(
@@ -279,7 +281,6 @@ def remark2_equivalence_check(
     g_candidate,
     *,
     seed: int = 0,
-    trials: int = 500,
 ) -> tuple[bool, bool]:
     """(dominated?, kernel disjoint from the set?) for a candidate extension.
 
@@ -293,7 +294,7 @@ def remark2_equivalence_check(
         raise InputError("candidate does not send the anchor to 1")
     if s.dim and float(np.max(np.abs(s.basis @ g))) > 1e-8:
         raise InputError("candidate does not vanish on the subspace")
-    return _remark2_pair(a_set, g, p, seed=seed, trials=trials)
+    return _remark2_pair(a_set, g, p, seed=seed)
 
 
 def brute_force_2d_normals(a_set: ConvexSet, grid: int = 1800) -> np.ndarray:

@@ -183,7 +183,7 @@ def test_criterion_06_remark2_biconditional():
         rest = [0.0] * (len(directions) - 1)
         for gamma in gammas:
             g = extend_with_values(f, directions, [gamma] + rest)
-            dominated, disjoint = remark2_equivalence_check(a_set, s, x, p, g, trials=64)
+            dominated, disjoint = remark2_equivalence_check(a_set, s, x, p, g)
             assert dominated == disjoint
             checked += 1
     assert checked == 2500
@@ -204,7 +204,7 @@ def test_criterion_07_interval_sandwich_and_domination():
         interval = extension_interval(state, z)
         assert interval.lo <= interval.hi + 1e-7
         g = extend_full_state(f, p, seed=trial).functional.as_coefficients()
-        violation = domination_check(g, p, seed=trial, trials=128)
+        violation = domination_check(g, p, seed=trial)
         worst_violation = max(worst_violation, violation)
         assert violation <= 1e-6
     report(7, f"500 sandwiches held; worst domination violation {worst_violation:.1e}")
@@ -219,7 +219,7 @@ def test_criterion_08_geometric_roundtrip():
     g_disk = extend_via_separation(f_disk, CROSS_GAUGE).functional.as_coefficients()
     assert g_disk[0] == pytest.approx(1.0, abs=1e-8)
     assert abs(g_disk[1]) <= 1.0 + 1e-8
-    assert domination_check(g_disk, CROSS_GAUGE, seed=0, trials=256) <= 1e-6
+    assert domination_check(g_disk, CROSS_GAUGE, seed=0) <= 1e-6
     # half-space fixture: unique answer
     domain = span_basis([np.array([1.0, -3.0, 0.0]), np.array([0.0, 0.0, 1.0])])
     f_half = PartialFunctional(domain, np.array([float(u[0]) for u in domain.basis]))
@@ -236,7 +236,7 @@ def test_criterion_08_geometric_roundtrip():
         f, _ = dominated_functional(rng, p, int(rng.integers(1, n)))
         g = extend_via_separation(f, p, seed=trial).functional.as_coefficients()
         worst_agree = max(worst_agree, float(np.max(np.abs(f.domain.basis @ g - f.values))))
-        worst_dom = max(worst_dom, domination_check(g, p, seed=trial, trials=128))
+        worst_dom = max(worst_dom, domination_check(g, p, seed=trial))
     assert worst_agree < 1e-8
     assert worst_dom <= 1e-6
     report(8, f"52 roundtrips: agreement {worst_agree:.1e}, domination {worst_dom:.1e}")

@@ -176,22 +176,6 @@ class TestKernelHyperplane:
         with pytest.raises(DegenerateError):
             kernel_hyperplane(np.zeros(2))
 
-    def test_subspace_view(self):
-        h = kernel_hyperplane(np.array([0.0, 1.0]))
-        sub = h.subspace()
-        assert sub.dim == 1
-        assert sub.contains(np.array([3.0, 0.0]))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
-    def test_subspace_is_the_orthogonal_complement(self, n):
-        rng = np.random.default_rng(n)
-        for g in [*rng.normal(size=(5, n)), -3.0 * np.eye(n)[n - 1]]:
-            h = kernel_hyperplane(g)
-            basis = np.asarray(h.subspace().basis)
-            assert basis.shape == (n - 1, n)
-            np.testing.assert_allclose(basis @ basis.T, np.eye(n - 1), atol=1e-14)
-            np.testing.assert_allclose(basis @ h.normal, 0.0, atol=1e-14)
-
 
 class TestPartialFunctional:
     def test_evaluation(self):

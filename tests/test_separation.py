@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gaugesep.extension as extension
+import gaugesep.separation as separation
 from gaugesep import (
     DegenerateError,
     HPolyhedron,
@@ -14,6 +15,7 @@ from gaugesep import (
     PolyhedralGauge,
     SeparationOptions,
     brute_force_2d_normals,
+    complement_basis,
     domination_check,
     extend_via_separation,
     gauge,
@@ -25,6 +27,7 @@ from gaugesep import (
     zero_subspace,
 )
 from gaugesep.cli import main
+from gaugesep.convexsets import _meets
 from gaugesep.fixtures import disk_instance, halfspace_instance, quotient_instance
 from gaugesep.separation import _closure_range, _kernel_disjoint
 
@@ -295,17 +298,20 @@ class TestExtensionLPRegressions:
 
 
 class TestKernelDisjointDifferential:
-    """The inscribed-ball LP on the kernel hyperplane against the sign of the
-    closure's range of normal . e (two support LPs)."""
+    """The shared side test (the sign of the closure's range of normal . e:
+    two support LPs, or the ball's closed form) against ``_meets`` on a
+    kernel basis built here (the inscribed-ball LP, or the ball's centre
+    distance)."""
 
-    def compare(self, poly, normals) -> list[float]:
+    def compare(self, a_set, normals) -> list[float]:
         """Margins of the normals compared; asserts agreement on each."""
         margins = []
         for normal in normals:
-            vmin, vmax = _closure_range(poly, normal)
+            vmin, vmax = _closure_range(a_set, normal)
             margin = max(vmin, -vmax)
             if abs(margin) > 1e-9:
-                assert _kernel_disjoint(poly, normal) == (margin > 0.0), (normal, margin)
+                kernel = np.array(complement_basis(span_basis([normal])))
+                assert _kernel_disjoint(a_set, normal) == (not _meets(a_set, kernel)), (normal, margin)
                 margins.append(margin)
         return margins
 
@@ -327,6 +333,39 @@ class TestKernelDisjointDifferential:
         box = HPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([center + half, half - center]))
         margins = self.compare(box, self.unit_normals(np.random.default_rng(8), 200, 3))
         assert len(margins) == 200 and min(margins) < 0.0 < max(margins)
+
+    def test_random_balls(self):
+        rng = np.random.default_rng(9)
+        margins = []
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            ball, _ = random_ball_instance(rng, n)
+            margins += self.compare(ball, self.unit_normals(rng, 8, n))
+        assert min(margins) < 0.0 < max(margins)
+
+    def test_tangent_planes_of_a_ball(self):
+        # x2 = +-(3/4) x1 touches the ball of radius 3 around (5, 0): margin 0,
+        # so the normals are tilted off it by +-1e-6 to either side
+        ball = OpenBall(np.array([5.0, 0.0]), 3.0)
+        normals = []
+        for sign in (1.0, -1.0):
+            for tilt in (1e-6, -1e-6):
+                angle = np.arctan2(4.0, -3.0 * sign) + tilt
+                normals.append(np.array([np.cos(angle), np.sin(angle)]))
+        margins = self.compare(ball, normals)
+        assert len(margins) == 4 and sum(m > 0.0 for m in margins) == 2
+
+
+class TestSeparateSideTests:
+    def test_no_kernel_disjoint_call(self, monkeypatch):
+        # the certificate's sign_constant is the one side test of separate()
+        def refuse(*args, **kwargs):
+            raise AssertionError("separate() tested the hyperplane's side twice")
+
+        monkeypatch.setattr(separation, "_kernel_disjoint", refuse)
+        for a_set, s, x in (disk_instance(), halfspace_instance(), quotient_instance()):
+            result = separate(a_set, s, SeparationOptions(x=x))
+            assert result.certificate.remark2_status is True
 
 
 class TestSeparateRandomInstances:
@@ -438,13 +477,13 @@ class TestRemark2Equivalence:
                 gamma = interval.lo + t * interval.width
                 rest = [0.0] * (len(directions) - 1)
                 g = extend_with_values(f, directions, [gamma] + rest)
-                dominated, disjoint = remark2_equivalence_check(a_set, s, x, p, g, trials=128)
+                dominated, disjoint = remark2_equivalence_check(a_set, s, x, p, g)
                 assert dominated == disjoint == True  # noqa: E712
             for offset in (0.05, 0.3, 1.0):
                 for gamma in (interval.hi + offset * scale, interval.lo - offset * scale):
                     rest = [0.0] * (len(directions) - 1)
                     g = extend_with_values(f, directions, [gamma] + rest)
-                    dominated, disjoint = remark2_equivalence_check(a_set, s, x, p, g, trials=128)
+                    dominated, disjoint = remark2_equivalence_check(a_set, s, x, p, g)
                     assert dominated == disjoint == False  # noqa: E712
 
 
@@ -589,4 +628,4 @@ class TestExtendViaSeparation:
         assert state.seminorm is TAXICAB
         assert state.history == ()
         g = state.functional.as_coefficients()
-        assert state.violation == domination_check(g, TAXICAB, seed=3, trials=256)
+        assert state.violation == domination_check(g, TAXICAB, seed=3)

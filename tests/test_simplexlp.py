@@ -315,7 +315,7 @@ class TestBundledCounters:
 
     @pytest.mark.parametrize(
         "name,lps,pivots",
-        [("example1", 0, 0), ("example2", 10, 10), ("example3_quotient", 9, 10)],
+        [("example1", 0, 0), ("example2", 9, 9), ("example3_quotient", 8, 9)],
     )
     def test_lp_calls_and_pivots(self, monkeypatch, name, lps, pivots):
         iterations = []
