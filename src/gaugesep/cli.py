@@ -248,8 +248,9 @@ def _certificate_doc(cert) -> dict:
         "s_in_h_residual": cert.s_in_h_residual,
         "a_clearance": cert.a_clearance,
         "boundary_margin": cert.boundary_margin,
+        "farkas_multipliers": None if cert.farkas_multipliers is None else _vector(cert.farkas_multipliers),
+        "farkas_residual": cert.farkas_residual,
         "sign_constant": cert.sign_constant,
-        "conic_disjoint_sampled": cert.conic_disjoint_sampled,
         "remark2_status": cert.remark2_status,
         "valid": cert.valid,
     }

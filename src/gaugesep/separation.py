@@ -53,6 +53,11 @@ from .geometry import (
 )
 from .simplexlp import solve_lp
 
+# relative bound of the exact side test (see SeparationCertificate): planes
+# from separate() on 40-D boxes cut their closure by up to 3e-12 of the
+# scale, exactly, from rounding in the extension
+SIDE_TOL = 1e-10
+
 
 @dataclass
 class SeparationOptions:
@@ -61,7 +66,7 @@ class SeparationOptions:
     x: np.ndarray | None = None
     gamma_rule: str = "upper"
     seed: int = 0
-    certificate_samples: int = 10_000
+    certificate_samples: int = 10_000  # drawn on membership oracles only
 
 
 @dataclass(frozen=True)
@@ -69,26 +74,34 @@ class SeparationCertificate:
     """Machine-checkable evidence for a separation.
 
     ``s_in_h_residual``: largest |normal . b| over the subspace basis.
-    ``a_clearance``: smallest |normal . e| over sampled interior points
-    (infinite when the set is empty).  ``boundary_margin``: exact signed
-    margin of the hyperplane against the set's closure (polyhedra and balls
-    only).  ``sign_constant``: the functional has one sign on the set.
-    ``conic_disjoint_sampled`` (derived): positively-scaled samples also
-    avoid the hyperplane, which holds exactly when ``a_clearance > 0``.
-    ``remark2_status``: domination and disjointness agreed (None when no
-    gauge was available to test domination); ``separate()`` gates
-    domination, so there it is ``sign_constant``.
+    ``a_clearance``: smallest |normal . e| over sampled interior points;
+    only membership oracles are sampled, so it is None on polyhedra and
+    balls (and infinite when ``separate()`` meets an empty set).
+    ``boundary_margin``: on polyhedra and balls, the exact signed margin of
+    the hyperplane against the set's closure: the least value of
+    ``side * normal . e`` there, for the side the set lies on (0 when the
+    closure touches the hyperplane, +inf when the closure is empty).
+    ``sign_constant``: the functional has one sign on the set; on exact
+    sets that is ``boundary_margin >= -1e-10 * scale``, with ``scale`` the
+    norm of a closure point attaining the margin (which bounds its
+    rounding), on oracle sets one sign on every sample.
+    ``farkas_multipliers`` (polyhedra ``a e < b`` only): y >= 0, one per
+    row, with ``a^T y = -side * normal`` and ``b . y = -boundary_margin`` up
+    to rounding, so that ``side * normal . e = -y . (a e) > -y . b`` on the
+    set: the separation checked without an LP.  ``farkas_residual``:
+    max |a^T y + side * normal|.  ``remark2_status``: domination and
+    disjointness agreed (None when no gauge was available to test
+    domination); ``separate()`` gates domination, so there it is
+    ``sign_constant``.
     """
 
     s_in_h_residual: float
-    a_clearance: float
+    a_clearance: float | None
     boundary_margin: float | None
     sign_constant: bool
     remark2_status: bool | None
-
-    @property
-    def conic_disjoint_sampled(self) -> bool:
-        return self.a_clearance > 0.0
+    farkas_multipliers: tuple[float, ...] | None = None
+    farkas_residual: float | None = None
 
     @property
     def valid(self) -> bool:
@@ -99,7 +112,7 @@ class SeparationCertificate:
         out = []
         if not self.s_in_h_residual < 1e-8:
             out.append(f"s_in_h_residual {self.s_in_h_residual:.2e} is not below 1e-8")
-        if not self.a_clearance > 0.0:
+        if self.a_clearance is not None and not self.a_clearance > 0.0:
             out.append(f"a_clearance {self.a_clearance:.2e} is not positive")
         if not self.sign_constant:
             margin = "" if self.boundary_margin is None else f" (boundary_margin {self.boundary_margin:.2e})"
@@ -123,41 +136,25 @@ def _subspace_residual(s: Subspace, normal: np.ndarray) -> float:
     return float(np.max(np.abs(s.basis @ normal)))
 
 
-def _closure_range(a_set: ConvexSet, normal: np.ndarray) -> tuple[float, float] | None:
-    """(min, max) of ``normal . e`` over the closure; None when unavailable."""
-    if isinstance(a_set, HPolyhedron):
-        out = []
-        for sign in (1.0, -1.0):
-            res = solve_lp(sign * normal, a_ub=a_set.a, b_ub=a_set.b)
-            if res.status == "unbounded":
-                out.append(-np.inf)
-            elif res.status == "optimal":
-                out.append(float(res.objective))
-            else:
-                raise SolverError("clearance LP infeasible on a nonempty set")
-        return out[0], -out[1]
+def _support(a_set: HPolyhedron | OpenBall, direction: np.ndarray) -> tuple[float, float, np.ndarray | None]:
+    """(lo, scale, y) for ``direction . e`` over the closure of a polyhedron
+    or ball: ``lo`` its least value (-inf when unbounded below, +inf when
+    the closure is empty), ``scale`` the norm of a closure point attaining
+    it, and ``y`` the polyhedron's row multipliers from the LP's dual (None
+    for balls and when there is no optimum)."""
     if isinstance(a_set, OpenBall):
-        mid = float(normal @ a_set.center)
-        return mid - a_set.radius, mid + a_set.radius
-    return None
-
-
-def _one_side(closure: tuple[float, float] | None, vals: np.ndarray | None) -> tuple[float | None, bool]:
-    """(boundary margin, one sign on the set?) for a hyperplane: the margin
-    ``max(lo, -hi)`` of the closure range, on one side when >= -1e-9, or the
-    sign of the interior sample values ``vals`` when the range is None."""
-    if closure is None:
-        return None, bool(np.all(vals > 0.0) or np.all(vals < 0.0))
-    margin = float(max(closure[0], -closure[1]))
-    return margin, margin >= -1e-9
+        lo = float(direction @ a_set.center) - float(a_set.radius)
+        return lo, float(np.linalg.norm(a_set.center)) + float(a_set.radius), None
+    res = solve_lp(direction, a_ub=a_set.a, b_ub=a_set.b)
+    if res.status != "optimal":  # the least value over an empty closure is +inf
+        return (-np.inf if res.status == "unbounded" else np.inf), 0.0, None
+    return float(res.objective), float(np.linalg.norm(res.x)), res.y
 
 
 def _kernel_disjoint(a_set: ConvexSet, g: np.ndarray, seed: int = 0, samples: int = 2000) -> bool:
     """Does the kernel hyperplane of ``g`` avoid the open set?"""
     normal = np.asarray(kernel_hyperplane(as_vector(g, a_set.dim)).normal)
-    closure = _closure_range(a_set, normal)
-    vals = None if closure is not None else sample_interior(a_set, samples, seed) @ normal
-    return _one_side(closure, vals)[1]
+    return _certificate(a_set, zero_subspace(a_set.dim), normal, seed=seed, samples=samples).sign_constant
 
 
 def _remark2_pair(a_set: ConvexSet, g: np.ndarray, p: Seminorm, *, seed: int) -> tuple[bool, bool]:
@@ -192,18 +189,33 @@ def _span_functional(s: Subspace, x: np.ndarray) -> PartialFunctional:
 def _certificate(
     a_set: ConvexSet,
     s: Subspace,
-    hyperplane: Hyperplane,
+    normal: np.ndarray,
     *,
     seed: int,
     samples: int,
-    remark2: bool | None,
+    side: float | None = None,
+    remark2: bool | None = None,
     start: np.ndarray | None = None,
 ) -> SeparationCertificate:
-    normal = np.asarray(hyperplane.normal)
-    vals = sample_interior(a_set, samples, seed, start=start) @ normal
-    margin, sign_constant = _one_side(_closure_range(a_set, normal), vals)
-    clearance = float(np.min(np.abs(vals)))
-    return SeparationCertificate(_subspace_residual(s, normal), clearance, margin, sign_constant, remark2)
+    """Certificate for the hyperplane ``normal . e = 0``.
+
+    Polyhedra and balls get the exact side test on their closure: on
+    ``side`` (+1 or -1) when the caller knows the set lies there, else on
+    the better of the two sides.  Other sets are checked on ``samples``
+    seeded interior points.
+    """
+    residual = _subspace_residual(s, normal)
+    if not isinstance(a_set, (HPolyhedron, OpenBall)):
+        vals = sample_interior(a_set, samples, seed, start=start) @ normal
+        one_sign = bool(np.all(vals > 0.0) or np.all(vals < 0.0))
+        return SeparationCertificate(residual, float(np.min(np.abs(vals))), None, one_sign, remark2)
+    ends = [(*_support(a_set, k * normal), k) for k in ((1.0, -1.0) if side is None else (side,))]
+    margin, scale, y, side = max(ends, key=lambda end: end[0])
+    farkas = None
+    if y is not None:
+        farkas = float(np.max(np.abs(a_set.a.T @ y + side * normal)))
+        y = tuple(y.tolist())
+    return SeparationCertificate(residual, None, margin, bool(margin >= -SIDE_TOL * scale), remark2, y, farkas)
 
 
 def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = None) -> SeparationResult:
@@ -239,9 +251,12 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     if abs(float(g @ x) - 1.0) > 1e-8:
         raise SolverError("extension failed to send the anchor to 1")
     hyper = kernel_hyperplane(g)
-    # without a supplied anchor, x is the point sample_interior would pick
+    # g(x) = 1 puts the set on the positive side; on an oracle set without a
+    # supplied anchor, x is the point sample_interior would pick
     start = x if opts.x is None else None
-    cert = _certificate(a_set, s, hyper, seed=opts.seed, samples=opts.certificate_samples, remark2=None, start=start)
+    cert = _certificate(
+        a_set, s, np.asarray(hyper.normal), seed=opts.seed, samples=opts.certificate_samples, side=1.0, start=start
+    )
     failures = cert._failures()
     if failures:
         raise SolverError("separation certificate is invalid: " + "; ".join(failures))
@@ -263,14 +278,16 @@ def verify_separation(
 ) -> SeparationCertificate:
     """Independent certificate for a claimed separating hyperplane.
 
+    Polyhedra and balls are checked exactly on both sides of the hyperplane;
+    ``samples`` seeded interior points are drawn on membership oracles only.
     ``remark2_status`` is only computed when both the unnormalized functional
-    and the gauge are supplied; clearance and containment checks need neither.
+    and the gauge are supplied; the side and containment checks need neither.
     """
     remark2 = None
     if g is not None and gauge_p is not None:
         dominated, disjoint = _remark2_pair(a_set, g, gauge_p, seed=seed)
         remark2 = dominated == disjoint
-    return _certificate(a_set, s, hyperplane, seed=seed, samples=samples, remark2=remark2)
+    return _certificate(a_set, s, np.asarray(hyperplane.normal), seed=seed, samples=samples, remark2=remark2)
 
 
 def remark2_equivalence_check(

@@ -34,6 +34,7 @@ class LPResult:
     x: np.ndarray | None = None
     objective: float | None = None
     ray: np.ndarray | None = None  # improving direction when unbounded
+    y: np.ndarray | None = None  # dual solution when optimal (see solve_lp)
     iterations: int = 0
 
 
@@ -93,13 +94,17 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     opposite rows).
 
     ``nonneg`` is an optional boolean mask; unmasked variables are free.
-    Precondition: the LP or its dual is feasible; if neither is, the answer
-    is "unbounded".  The package's LPs all have a feasible side: a large
-    ``t`` in the extension LP, ``e = 0`` in the domination check, any point
-    of the nonempty set in the clearance LP, and a very negative free radius
-    in the inscribed-ball LP.  An unbounded LP comes back with a ``ray``: a
-    Farkas certificate of the infeasible dual, with ``a_ub @ ray <= 0``,
-    ``ray >= 0`` on the masked variables and ``c @ ray < 0``.
+    When the dual is infeasible the LP is unbounded or infeasible; a second
+    solve with zero cost, whose dual is feasible (y = 0), tells which, so an
+    empty feasible set is always "infeasible".  An unbounded LP comes back
+    with a ``ray``: a Farkas certificate of the infeasible dual, with
+    ``a_ub @ ray <= 0``, ``ray >= 0`` on the masked variables and
+    ``c @ ray < 0``.  An optimal
+    LP comes back with the dual solution ``y >= 0``, one multiplier per row:
+    ``a_ub^T y = -c`` on the free variables (``>= -c`` on the masked ones)
+    and ``b_ub @ y = -objective``, up to rounding.  For ``a_ub x <= b_ub``
+    with every variable free this is the Farkas certificate that ``c . x``
+    is at least ``-b_ub @ y`` on the whole feasible set.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
@@ -122,12 +127,19 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     status, pi, iters, binv = _simplex(cols, phase1, rhs, basis, n_enter, zero_tol)
     if status != "optimal":
         raise SolverError("phase-1 objective unbounded; malformed constraints")
-    if float(pi @ rhs) > zero_tol:  # the dual is infeasible
+    if float(pi @ rhs) > zero_tol:  # the dual is infeasible (never with c = 0)
+        feasible = solve_lp(np.zeros(n), a_ub, b_ub, nonneg)
+        iters += feasible.iterations
+        if feasible.status == "infeasible":
+            return LPResult("infeasible", iterations=iters)
         return LPResult("unbounded", ray=sign * pi, iterations=iters)
     cost = np.concatenate([b_ub, np.zeros(cols.shape[1] - b_ub.size)])
     # phase 2 starts from phase 1's final basis, so it reuses that inverse
-    status, pi, more, _ = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv)
+    status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv)
     if status == "unbounded":  # the dual is unbounded
         return LPResult("infeasible", iterations=iters + more)
     x = sign * pi
-    return LPResult("optimal", x=x, objective=float(c @ x), iterations=iters + more)
+    y = np.zeros(b_ub.size)
+    rows = basis < b_ub.size  # basic dual variables; the rest are zero
+    y[basis[rows]] = np.maximum(binv[rows] @ rhs, 0.0)
+    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters + more)

@@ -20,16 +20,17 @@ from gaugesep import (
     extend_via_separation,
     gauge,
     remark2_equivalence_check,
+    sample_interior,
     separate,
     solve_lp,
     span_basis,
     verify_separation,
     zero_subspace,
 )
-from gaugesep.cli import main
+from gaugesep.cli import main, parse_problem
 from gaugesep.convexsets import _meets
 from gaugesep.fixtures import disk_instance, halfspace_instance, quotient_instance
-from gaugesep.separation import _closure_range, _kernel_disjoint
+from gaugesep.separation import _kernel_disjoint, _support
 
 from helpers import (
     axis_box,
@@ -45,6 +46,34 @@ from helpers import (
 TAXICAB = PolyhedralGauge(
     np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]), np.ones(4)
 )
+
+
+# {e1 < 1, e1 > 2}: empty; its support LP for (0, 1) has an infeasible dual too
+EMPTY_SLAB = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, -2.0]))
+
+
+def assert_farkas_evidence(poly: HPolyhedron, result) -> None:
+    """The certificate's row multipliers prove, with numpy alone, that the
+    polyhedron lies on the positive side of the returned hyperplane."""
+    cert, normal = result.certificate, np.asarray(result.hyperplane.normal)
+    y = np.asarray(cert.farkas_multipliers)
+    assert y.shape == poly.b.shape and np.all(y >= 0.0)
+    residual = float(np.max(np.abs(poly.a.T @ y + normal)))
+    assert residual == cert.farkas_residual
+    assert residual <= 1e-9 * (1.0 + np.linalg.norm(poly.a) * np.linalg.norm(y))
+    bound = 1e-9 * (1.0 + np.linalg.norm(poly.b) * np.linalg.norm(y))
+    assert -float(poly.b @ y) == pytest.approx(cert.boundary_margin, abs=bound)
+
+
+def tangent_normals(tilts) -> tuple[OpenBall, list[np.ndarray]]:
+    """The ball of radius 3 around (5, 0) and the normals of its two tangent
+    lines x2 = +-(3/4) x1 (margin 0), each turned by every angle in ``tilts``."""
+    normals = []
+    for sign in (1.0, -1.0):
+        for tilt in tilts:
+            angle = np.arctan2(4.0, -3.0 * sign) + tilt
+            normals.append(np.array([np.cos(angle), np.sin(angle)]))
+    return OpenBall(np.array([5.0, 0.0]), 3.0), normals
 
 
 def line_angle(normal: np.ndarray) -> float:
@@ -167,6 +196,17 @@ class TestScaledDisk:
     @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e4, 1e6])
     def test_bundled_disk_scaled_rule(self, scale, rule):
         self.check(scale, rule)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_seeded_balls_scaled(self, scale):
+        # the side test is relative: at 1e6 an absolute bound rejected the
+        # tangent plane of one of these balls on a margin of -1.4e-9
+        rng = np.random.default_rng(0)
+        instances = [random_ball_instance(rng, int(rng.integers(2, 6))) for _ in range(20)]
+        for ball, s in instances:
+            normal = np.asarray(separate(ball, s).hyperplane.normal)
+            scaled = OpenBall(scale * np.asarray(ball.center), scale * ball.radius)
+            np.testing.assert_allclose(separate(scaled, s).hyperplane.normal, normal, atol=1e-7)
 
 
 class TestBallBand:
@@ -298,8 +338,8 @@ class TestExtensionLPRegressions:
 
 
 class TestKernelDisjointDifferential:
-    """The shared side test (the sign of the closure's range of normal . e:
-    two support LPs, or the ball's closed form) against ``_meets`` on a
+    """The shared side test (the better side's margin of normal . e over the
+    closure: two support LPs, or the ball's closed form) against ``_meets`` on a
     kernel basis built here (the inscribed-ball LP, or the ball's centre
     distance)."""
 
@@ -307,8 +347,7 @@ class TestKernelDisjointDifferential:
         """Margins of the normals compared; asserts agreement on each."""
         margins = []
         for normal in normals:
-            vmin, vmax = _closure_range(a_set, normal)
-            margin = max(vmin, -vmax)
+            margin = max(_support(a_set, normal)[0], _support(a_set, -normal)[0])
             if abs(margin) > 1e-9:
                 kernel = np.array(complement_basis(span_basis([normal])))
                 assert _kernel_disjoint(a_set, normal) == (not _meets(a_set, kernel)), (normal, margin)
@@ -344,19 +383,70 @@ class TestKernelDisjointDifferential:
         assert min(margins) < 0.0 < max(margins)
 
     def test_tangent_planes_of_a_ball(self):
-        # x2 = +-(3/4) x1 touches the ball of radius 3 around (5, 0): margin 0,
-        # so the normals are tilted off it by +-1e-6 to either side
-        ball = OpenBall(np.array([5.0, 0.0]), 3.0)
-        normals = []
-        for sign in (1.0, -1.0):
-            for tilt in (1e-6, -1e-6):
-                angle = np.arctan2(4.0, -3.0 * sign) + tilt
-                normals.append(np.array([np.cos(angle), np.sin(angle)]))
+        # the tangents have margin 0, so they are tilted off it to either side
+        ball, normals = tangent_normals((1e-6, -1e-6))
         margins = self.compare(ball, normals)
         assert len(margins) == 4 and sum(m > 0.0 for m in margins) == 2
 
 
+class TestExactVersusSampled:
+    """No hyperplane passes the exact side test (polyhedra and balls) and
+    fails the sampled one (one sign on seeded interior points)."""
+
+    def check(self, a_set, normals) -> list[bool]:
+        verdicts = []
+        for i, normal in enumerate(normals):
+            exact = verify_separation(a_set, zero_subspace(a_set.dim), Hyperplane(normal)).sign_constant
+            vals = sample_interior(a_set, 2000, seed=i) @ normal
+            assert not exact or np.all(vals > 0.0) or np.all(vals < 0.0), normal
+            verdicts.append(exact)
+        return verdicts
+
+    def test_seeded_families(self):
+        rng = np.random.default_rng(11)
+        verdicts = []
+        for trial in range(40):
+            n = int(rng.integers(2, 6))
+            family = random_ball_instance if trial % 2 else random_polytope_instance
+            a_set, s = family(rng, n)
+            normals = rng.normal(size=(6, n))
+            normals = list(normals / np.linalg.norm(normals, axis=1)[:, None])
+            verdicts += self.check(a_set, normals + [np.asarray(separate(a_set, s).hyperplane.normal)])
+        assert any(verdicts) and not all(verdicts)
+
+    def test_tangent_planes_of_a_ball(self):
+        # the tangents (touching is allowed) and one tilt of each pass
+        ball, normals = tangent_normals((0.0, 1e-6, -1e-6))
+        assert sum(self.check(ball, normals)) == 4
+
+
 class TestSeparateSideTests:
+    def test_exact_sets_draw_no_samples(self, monkeypatch):
+        # polyhedra and balls are certified on their closure: separate()
+        # solves one support LP (it knows the side), verify_separation two
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polyhedron or ball was sampled")
+
+        lps = []
+
+        def counting(*args, **kwargs):
+            lps.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(separation, "sample_interior", refuse)
+        monkeypatch.setattr(separation, "solve_lp", counting)
+        rng = np.random.default_rng(5)
+        cases = [disk_instance(), halfspace_instance(), quotient_instance()]
+        cases += [(*random_instance(rng, 3), None) for _ in range(8)]
+        for a_set, s, x in cases:
+            lps.clear()
+            result = separate(a_set, s, SeparationOptions(x=x))
+            assert result.certificate.valid and result.certificate.a_clearance is None
+            assert len(lps) == isinstance(a_set, HPolyhedron)
+            lps.clear()
+            assert verify_separation(a_set, s, result.hyperplane).valid
+            assert len(lps) == 2 * isinstance(a_set, HPolyhedron)
+
     def test_no_kernel_disjoint_call(self, monkeypatch):
         # the certificate's sign_constant is the one side test of separate()
         def refuse(*args, **kwargs):
@@ -381,11 +471,23 @@ class TestSeparateRandomInstances:
             result = separate(a_set, s, opts)
             cert = result.certificate
             assert cert.s_in_h_residual < 1e-8
-            assert cert.a_clearance > 0.0
+            assert cert.a_clearance is None  # polyhedra and balls are not sampled
             assert cert.sign_constant
-            assert cert.conic_disjoint_sampled
             assert cert.valid
+            if isinstance(a_set, HPolyhedron):
+                assert_farkas_evidence(a_set, result)
             count += 1
+
+    def test_farkas_evidence_on_bundled_problems(self):
+        for name in ("example1", "example2", "example3_quotient"):
+            problem = parse_problem(name)
+            opts = SeparationOptions(x=problem.x, gamma_rule=problem.gamma_rule, seed=problem.seed)
+            result = separate(problem.a_set, problem.s, opts)
+            if isinstance(problem.a_set, HPolyhedron):
+                assert_farkas_evidence(problem.a_set, result)
+            else:
+                assert result.certificate.farkas_multipliers is None
+                assert result.certificate.farkas_residual is None
 
 
 class TestVerifySeparation:
@@ -395,8 +497,21 @@ class TestVerifySeparation:
         assert cert.s_in_h_residual == 0.0
         assert cert.boundary_margin == pytest.approx(0.0, abs=1e-12)
         assert cert.sign_constant  # closure touches, but the open set is clear
-        assert cert.a_clearance > 0.0
+        assert cert.a_clearance is None  # exact: no samples
+        assert cert.farkas_multipliers == (1.0,) and cert.farkas_residual == 0.0
         assert cert.valid
+
+    def test_empty_closure_is_missed(self):
+        cert = verify_separation(EMPTY_SLAB, zero_subspace(2), Hyperplane(np.array([0.0, 1.0])))
+        assert cert.valid
+        assert (cert.a_clearance, cert.boundary_margin, cert.sign_constant) == (None, np.inf, True)
+
+    def test_thin_slab_is_not_read_as_empty(self):
+        # {0 < e1 < 1e-10} is nonempty (its inscribed radius is below the
+        # emptiness test's 1e-9), and the line e2 = 0 crosses it
+        slab = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1e-10, 0.0]))
+        assert not verify_separation(slab, zero_subspace(2), Hyperplane(np.array([0.0, 1.0]))).valid
+        assert verify_separation(slab, zero_subspace(2), Hyperplane(np.array([1.0, 0.0]))).valid
 
     def test_crossing_hyperplane_flagged(self):
         a_set, s, _ = disk_instance()
@@ -438,6 +553,11 @@ class TestRemark2Equivalence:
         a_set, s, x = halfspace_instance()
         slab = PolyhedralGauge(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.ones(2))
         out = remark2_equivalence_check(a_set, s, x, slab, np.array([1.0, 0.0, 0.0]))
+        assert out == (True, True)
+
+    def test_empty_set_is_disjoint(self):
+        # the kernel {e2 = 0} misses the empty set
+        out = remark2_equivalence_check(EMPTY_SLAB, zero_subspace(2), np.array([0.0, 1.0]), TAXICAB, np.array([0.0, 1.0]))
         assert out == (True, True)
 
     def test_non_extension_rejected(self):

@@ -184,7 +184,7 @@ class TestSolverDifferential:
 
     def test_infeasible(self):
         # r . x <= -1 and r . x >= 0 contradict; c = -a^T y0 + s0 keeps the
-        # dual feasible, as the solver requires
+        # dual feasible
         rng = np.random.default_rng(47)
         for _ in range(60):
             n = int(rng.integers(1, 5))
@@ -196,6 +196,20 @@ class TestSolverDifferential:
             mask = rng.uniform(size=n) < 0.5
             c = -a.T @ rng.uniform(0.0, 1.0, size=m + 2) + np.where(mask, rng.uniform(0.0, 1.0, n), 0.0)
             assert solve_lp(c, a_ub=a, b_ub=b, nonneg=mask).status == "infeasible"
+
+    def test_infeasible_with_an_infeasible_dual(self):
+        # e1 <= 1 and e1 >= 2 with cost (0, 1): the dual is infeasible as
+        # well, and the answer is still "infeasible", not "unbounded"
+        assert solve_lp([0.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[1.0, -2.0]).status == "infeasible"
+        rng = np.random.default_rng(49)
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 2 * n + 2))
+            r = rng.normal(size=n)
+            a = np.vstack([rng.normal(size=(m, n)), r, -r])
+            b = np.concatenate([rng.normal(size=m), [-1.0, 0.0]])
+            mask = rng.uniform(size=n) < 0.5
+            assert solve_lp(rng.normal(size=n), a_ub=a, b_ub=b, nonneg=mask).status == "infeasible"
 
     def test_badly_scaled_against_highs(self):
         # rows of size 1e-3 and offsets of size 1e4: rounding in the reduced
@@ -315,7 +329,7 @@ class TestBundledCounters:
 
     @pytest.mark.parametrize(
         "name,lps,pivots",
-        [("example1", 0, 0), ("example2", 9, 9), ("example3_quotient", 8, 9)],
+        [("example1", 0, 0), ("example2", 7, 9), ("example3_quotient", 6, 8)],
     )
     def test_lp_calls_and_pivots(self, monkeypatch, name, lps, pivots):
         iterations = []
