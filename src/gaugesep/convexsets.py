@@ -284,8 +284,10 @@ def conic_hull(a_set: ConvexSet) -> ConvexSet:
 
     A polyhedron's hull is again a polyhedron: rows with nonpositive offsets
     force ``a_i . e < 0``; every (positive-offset, negative-offset) row pair
-    contributes the cross row ``(b_i a_j - b_j a_i) . e < 0``.  Requires a
-    nonempty base set.
+    contributes the cross row ``(b_i a_j - b_j a_i) . e < 0``.  Every row
+    has offset 0, so each is scaled to unit norm without changing the cone:
+    cross rows would otherwise carry the square of the data's scale.
+    Requires a nonempty base set.
     """
     if isinstance(a_set, HPolyhedron):
         rows = []
@@ -299,8 +301,9 @@ def conic_hull(a_set: ConvexSet) -> ConvexSet:
         if not rows:
             return HPolyhedron(np.zeros((0, a_set.dim)), np.zeros(0))
         rows = np.array(rows)
-        keep = np.linalg.norm(rows, axis=1) > 0.0
-        return HPolyhedron(rows[keep], np.zeros(int(keep.sum())))
+        norms = np.linalg.norm(rows, axis=1)
+        keep = norms > 0.0
+        return HPolyhedron(rows[keep] / norms[keep, None], np.zeros(int(keep.sum())))
     if isinstance(a_set, OpenBall):
         return BallCone(a_set.center, a_set.radius)
     if isinstance(a_set, (BallCone, ConicHullSet)):
@@ -420,13 +423,13 @@ def pick_interior_point(a_set: ConvexSet) -> np.ndarray:
     raise InputError(f"no interior-point rule for {type(a_set).__name__}")
 
 
-def sample_interior(a_set: ConvexSet, count: int, seed: int = 0, start=None) -> np.ndarray:
+def sample_interior(a_set: ConvexSet, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic batch of strictly interior points (for certificates/tests).
 
-    Balls are sampled uniformly.  Polyhedra are sampled star-shaped from an
-    interior anchor: random directions, random fractions of the distance to
-    the boundary (capped along recession directions).  Oracle-style sets use
-    an accept/reject random walk from the witness.
+    Balls are sampled uniformly.  Polyhedra are sampled star-shaped from
+    ``pick_interior_point``: random directions, random fractions of the
+    distance to the boundary (capped along recession directions).
+    Oracle-style sets use an accept/reject random walk from that point.
     """
     rng = np.random.default_rng(seed)
     if count < 1:
@@ -436,13 +439,8 @@ def sample_interior(a_set: ConvexSet, count: int, seed: int = 0, start=None) -> 
         dirs /= np.maximum(np.linalg.norm(dirs, axis=1), 1e-300)[:, None]
         radii = a_set.radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / a_set.dim)
         return a_set.center + radii[:, None] * dirs
+    x0 = pick_interior_point(a_set)
     if isinstance(a_set, HPolyhedron):
-        if start is not None:
-            x0 = as_vector(start, a_set.dim)
-        else:
-            x0 = pick_interior_point(a_set)
-        if not a_set.contains(x0):
-            raise InputError("starting point is not interior")
         dirs = rng.normal(size=(count, a_set.dim))
         dirs /= np.maximum(np.linalg.norm(dirs, axis=1), 1e-300)[:, None]
         cap = 10.0 * max(1.0, float(np.linalg.norm(x0)))
@@ -456,13 +454,8 @@ def sample_interior(a_set: ConvexSet, count: int, seed: int = 0, start=None) -> 
             tmax = np.full(count, cap)
         fracs = rng.uniform(0.02, 0.95, size=count)
         return x0 + (fracs * tmax)[:, None] * dirs
-    witness = start
-    if witness is None:
-        witness = pick_interior_point(a_set)
-    current = as_vector(witness, a_set.dim)
-    if not a_set.contains(current):
-        raise InputError("starting point is not interior")
-    scale = 0.5 * max(1.0, float(np.linalg.norm(current)))
+    current = x0
+    scale = 0.5 * max(1.0, float(np.linalg.norm(x0)))
     out = np.empty((count, a_set.dim))
     for i in range(count):
         step = rng.normal(size=a_set.dim) * scale

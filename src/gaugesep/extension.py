@@ -324,20 +324,6 @@ def extend_one(
     return ExtensionState(new_functional, state.seminorm, state.history + (step,))
 
 
-def extend_with_values(f: PartialFunctional, directions, gammas) -> np.ndarray:
-    """Coefficients of the extension sending each orthonormal complement
-    direction to the paired value; no domination checks.
-
-    Candidate-construction helper for equivalence sweeps: the directions must
-    be orthonormal and orthogonal to the domain.
-    """
-    gammas = np.asarray(gammas, dtype=float).reshape(-1)
-    g = f.as_coefficients()
-    for direction, value in zip(directions, gammas, strict=True):
-        g = g + value * as_vector(direction, f.domain.ambient_dim)
-    return g
-
-
 def _check_domain(f: PartialFunctional, p: Seminorm) -> None:
     """Dimension check and domination pre-check on the domain basis."""
     if p.dim != f.domain.ambient_dim:

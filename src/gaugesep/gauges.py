@@ -4,12 +4,9 @@ Three representations, each evaluated on one point or on an (m, n) batch:
 polyhedral bodies get the closed form ``max(0, max_i a_i.e / b_i)``; bodies
 symmetrized inside the pointed cone over a ball get one root of the
 cone-exit quadratic per ray, and a closed-form polar (``BallConeGauge``);
-bodies known only through membership (``OracleGauge``) get the two tangents
-of a plane section when they are symmetrized inside a searched conic hull,
-and a certified geometric bisection otherwise, with a recession cap that
-maps never-exiting rays to gauge zero (the seminorm-not-norm case).  A
-sampling-based axiom checker validates homogeneity, subadditivity, and the
-unit-ball characterization.
+bodies symmetrized inside a conic hull that is searched through membership
+(``OracleGauge``) get the two tangents of a plane section through the anchor.
+Any of them may vanish off the origin (a seminorm that is not a norm).
 """
 
 from __future__ import annotations
@@ -19,11 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexsets import BallCone, ConicHullSet, ConvexSet, HPolyhedron, SymmetrizedBody, _plane
-from .errors import InputError, SolverError
+from .errors import InputError
 from .geometry import _frozen, as_vector
-
-GAUGE_TOL = 1e-13  # relative bracket width of a bisected gauge value
-RECESSION_CAP = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +46,7 @@ class PolyhedralGauge:
 
 @dataclass(frozen=True, eq=False)
 class OracleGauge:
-    """Gauge of an absorbing open body known through membership.
+    """Gauge of a body symmetrized inside a ``ConicHullSet``, from plane sections.
 
     On ``D = (B - x) ∩ (x - B)`` with B a ``ConicHullSet``, write
     ``e = t x + kappa v`` (``_plane``).  B meets span{x, v} in the sector
@@ -62,35 +56,44 @@ class OracleGauge:
     Since theta+ + theta- <= pi the terms have a nonnegative sum, so
     ``p(e) = max(0, kappa cot theta+ - t, kappa cot theta- + t)``.  An anchor
     outside the base A first moves along its ray to beta x in A, and
-    ``p_x = beta p_(beta x)``.  Any other body is bisected to the relative
-    bracket width ``GAUGE_TOL``, and rays still inside the body at
-    ``RECESSION_CAP`` dilation are declared recession directions (gauge 0).
+    ``p_x = beta p_(beta x)``.  Any other body raises ``InputError``.
     """
 
-    body: ConvexSet
+    body: SymmetrizedBody
 
     def __post_init__(self):
-        section = None  # (beta x, beta) with beta x in the base, for a searched hull
-        if isinstance(self.body, SymmetrizedBody) and isinstance(self.body.base, ConicHullSet):
-            hull, x = self.body.base, self.body.anchor
-            beta = 1.0
-            if not (hull._full or hull.base._member(x)):
-                t, kappa, v = _plane(hull._witness, x)
-                if kappa == 0.0:  # x = t w: the base point w itself
-                    beta = 1.0 / t
-                else:
-                    # in the section through w, the chord from w to the upper
-                    # tangent point meets the ray of x in the base
-                    _, s_top, t_top = hull._tangent(hull._witness, v)
-                    beta = t_top / (t_top * t - (s_top - 1.0) * kappa)
-                if not hull.base._member(beta * x):
-                    raise InputError("anchor is not strictly inside the base cone")
-            section = (beta * x, beta)
-        object.__setattr__(self, "_section", section)
+        if not (isinstance(self.body, SymmetrizedBody) and isinstance(self.body.base, ConicHullSet)):
+            raise InputError("an oracle gauge needs a body symmetrized inside a conic hull")
+        hull, x = self.body.base, self.body.anchor
+        beta = 1.0
+        if not (hull._full or hull.base._member(x)):
+            t, kappa, v = _plane(hull._witness, x)
+            if kappa == 0.0:  # x = t w: the base point w itself
+                beta = 1.0 / t
+            else:
+                # in the section through w, the chord from w to the upper
+                # tangent point meets the ray of x in the base
+                _, s_top, t_top = hull._tangent(hull._witness, v)
+                beta = t_top / (t_top * t - (s_top - 1.0) * kappa)
+            if not hull.base._member(beta * x):
+                raise InputError("anchor is not strictly inside the base cone")
+        object.__setattr__(self, "_x", beta * x)  # the anchor moved into the base
+        object.__setattr__(self, "_beta", beta)
 
     @property
     def dim(self) -> int:
         return self.body.dim
+
+    def _value(self, e: np.ndarray) -> float:
+        """The gauge at one checked point: the evaluation ``gauge`` calls."""
+        hull, x = self.body.base, self._x
+        if hull._full:  # B, and so D, is the whole space
+            return 0.0
+        t, kappa, v = _plane(x, e)
+        if kappa == 0.0:
+            return self._beta * abs(t)
+        above, below = hull._tangent(x, v)[0], hull._tangent(x, -v)[0]
+        return self._beta * max(0.0, kappa / np.tan(above) - t, kappa / np.tan(below) + t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +207,7 @@ def _gauge(p: Seminorm, e: np.ndarray):
     elif isinstance(p, BallConeGauge):
         values = _gauge_ball_cone(p, e)
     else:
-        one = _gauge_bisection if p._section is None else _gauge_section
-        values = np.array([one(p, row) for row in e]) if e.ndim == 2 else one(p, e)
+        values = np.array([p._value(row) for row in e]) if e.ndim == 2 else p._value(e)
     return values if e.ndim == 2 else float(values)
 
 
@@ -217,47 +219,6 @@ def _gauge_ball_cone(p: BallConeGauge, e: np.ndarray):
     uc = u @ p._c_off
     disc = k * (p._qc * np.einsum("...i,...i", u, u) + p._xx * uc * uc)
     return np.abs(along + p._xc * uc / p._qc) + np.sqrt(disc) / p._qc
-
-
-def _gauge_section(p: OracleGauge, e: np.ndarray) -> float:
-    hull, (x, beta) = p.body.base, p._section
-    if hull._full:  # B, and so D, is the whole space
-        return 0.0
-    t, kappa, v = _plane(x, e)
-    if kappa == 0.0:
-        return beta * abs(t)
-    above, below = hull._tangent(x, v)[0], hull._tangent(x, -v)[0]
-    return beta * max(0.0, kappa / np.tan(above) - t, kappa / np.tan(below) + t)
-
-
-def _gauge_bisection(p: OracleGauge, e: np.ndarray) -> float:
-    if not np.any(e):
-        return 0.0
-    member = p.body._member
-    # bracket [inside, outside] by geometric growth from dilation 1
-    if member(e):
-        s_in, s_out = 1.0, 2.0
-        while member(s_out * e):
-            s_in = s_out
-            s_out *= 2.0
-            if s_out > RECESSION_CAP:
-                return 0.0  # recession direction
-    else:
-        s_out, s_in = 1.0, 0.5
-        while not member(s_in * e):
-            s_out = s_in
-            s_in *= 0.5
-            if s_in < 1e-15:
-                raise SolverError("gauge bracket failed: body does not absorb the point")
-    for _ in range(60):
-        if s_out / s_in - 1.0 <= GAUGE_TOL:
-            break
-        mid = np.sqrt(s_in * s_out)
-        if member(mid * e):
-            s_in = mid
-        else:
-            s_out = mid
-    return 0.5 * (1.0 / s_in + 1.0 / s_out)
 
 
 def unit_ball(p: Seminorm) -> ConvexSet:
@@ -291,46 +252,3 @@ def gauge_from_symmetrized(body: SymmetrizedBody) -> Seminorm:
             return PolyhedralGauge(np.column_stack([c, -c]).T, np.array([xc, xc]))
         return BallConeGauge(body)
     return OracleGauge(body)
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    max_homogeneity_error: float
-    max_subadditivity_violation: float
-    ball_agreements: int
-    ball_checked: int
-
-
-def check_seminorm_axioms(p: Seminorm, seed: int = 0, trials: int = 1000) -> AxiomReport:
-    """Sampled validation of the seminorm axioms and the unit-ball identity.
-
-    Homogeneity error is relative; subadditivity violations are absolute.
-    Unit-ball agreement skips points inside the 1e-7 band around gauge 1.
-    """
-    if trials < 1:
-        raise InputError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    n = p.dim
-    ball = unit_ball(p)
-    homog = 0.0
-    subadd = 0.0
-    agreements = 0
-    checked = 0
-    for _ in range(trials):
-        u = rng.normal(size=n)
-        v = rng.normal(size=n)
-        t = rng.uniform(-3.0, 3.0)
-        pu, pv = gauge(p, u), gauge(p, v)
-        err = abs(gauge(p, t * u) - abs(t) * pu) / max(1.0, abs(t) * pu)
-        homog = max(homog, err)
-        subadd = max(subadd, gauge(p, u + v) - pu - pv)
-        if pu > 0.0:
-            w = u * (rng.uniform(0.2, 1.8) / pu)
-            pw = gauge(p, w)
-            if pw < 1.0 - 1e-7:
-                checked += 1
-                agreements += int(ball.contains(w))
-            elif pw > 1.0 + 1e-7:
-                checked += 1
-                agreements += int(not ball.contains(w))
-    return AxiomReport(homog, subadd, agreements, checked)

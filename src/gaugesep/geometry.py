@@ -82,10 +82,6 @@ class Subspace:
         y = as_vector(y, self.ambient_dim)
         return self.distance(y) <= TOL_MEMBERSHIP * max(1.0, float(np.linalg.norm(y)))
 
-    def projector_matrix(self) -> np.ndarray:
-        """The n-by-n orthogonal projector onto the subspace."""
-        return self.basis.T @ self.basis
-
 
 def zero_subspace(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.zeros((0, ambient_dim)))

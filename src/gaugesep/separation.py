@@ -76,7 +76,7 @@ class SeparationCertificate:
     ``s_in_h_residual``: largest |normal . b| over the subspace basis.
     ``a_clearance``: smallest |normal . e| over sampled interior points;
     only membership oracles are sampled, so it is None on polyhedra and
-    balls (and infinite when ``separate()`` meets an empty set).
+    balls.
     ``boundary_margin``: on polyhedra and balls, the exact signed margin of
     the hyperplane against the set's closure: the least value of
     ``side * normal . e`` there, for the side the set lies on (0 when the
@@ -195,7 +195,6 @@ def _certificate(
     samples: int,
     side: float | None = None,
     remark2: bool | None = None,
-    start: np.ndarray | None = None,
 ) -> SeparationCertificate:
     """Certificate for the hyperplane ``normal . e = 0``.
 
@@ -206,7 +205,7 @@ def _certificate(
     """
     residual = _subspace_residual(s, normal)
     if not isinstance(a_set, (HPolyhedron, OpenBall)):
-        vals = sample_interior(a_set, samples, seed, start=start) @ normal
+        vals = sample_interior(a_set, samples, seed) @ normal
         one_sign = bool(np.all(vals > 0.0) or np.all(vals < 0.0))
         return SeparationCertificate(residual, float(np.min(np.abs(vals))), None, one_sign, remark2)
     ends = [(*_support(a_set, k * normal), k) for k in ((1.0, -1.0) if side is None else (side,))]
@@ -218,15 +217,24 @@ def _certificate(
     return SeparationCertificate(residual, None, margin, bool(margin >= -SIDE_TOL * scale), remark2, y, farkas)
 
 
+def _checked(cert: SeparationCertificate) -> SeparationCertificate:
+    """The certificate of a plane about to be returned; SolverError names its failed checks."""
+    failures = cert._failures()
+    if failures:
+        raise SolverError("separation certificate is invalid: " + "; ".join(failures))
+    return cert
+
+
 def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = None) -> SeparationResult:
     """Hyperplane containing ``s`` and disjoint from the open convex ``a_set``.
 
     Precondition: the set and the subspace are disjoint (checked exactly for
     polyhedra and balls, by sampling for oracles).  A hyperplane whose
     certificate is not valid is never returned: SolverError names the failed
-    checks instead.  The empty set gets the
-    trivial answer: any hyperplane through ``s``, built from the
-    deterministic completion of its basis.
+    checks instead.  A set that ``is_empty`` reports empty gets the first
+    direction of the deterministic completion of ``s``'s basis as normal,
+    under the same certificate: on a polyhedron that only looks empty (an
+    inscribed radius below ``MIN_DEPTH``) a plane that crosses it raises.
     """
     opts = opts or SeparationOptions()
     n = a_set.dim
@@ -238,10 +246,9 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
             raise DegenerateError("the subspace is the whole space; no hyperplane contains it")
         raise InputError("a full-dimensional subspace meets every nonempty set")
     if empty:
-        normal = complement_basis(s)[0]
-        hyper = Hyperplane(normal)
-        cert = SeparationCertificate(_subspace_residual(s, normal), np.inf, None, True, None)
-        return SeparationResult(hyper, np.array(normal), None, None, (), cert)
+        normal = np.array(complement_basis(s)[0])
+        cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples))
+        return SeparationResult(Hyperplane(normal), normal, None, None, (), cert)
     _check_disjoint(a_set, s, opts.seed)
     x = as_vector(opts.x, n) if opts.x is not None else pick_interior_point(a_set)
     body = build_D(a_set, x)
@@ -251,15 +258,9 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     if abs(float(g @ x) - 1.0) > 1e-8:
         raise SolverError("extension failed to send the anchor to 1")
     hyper = kernel_hyperplane(g)
-    # g(x) = 1 puts the set on the positive side; on an oracle set without a
-    # supplied anchor, x is the point sample_interior would pick
-    start = x if opts.x is None else None
-    cert = _certificate(
-        a_set, s, np.asarray(hyper.normal), seed=opts.seed, samples=opts.certificate_samples, side=1.0, start=start
-    )
-    failures = cert._failures()
-    if failures:
-        raise SolverError("separation certificate is invalid: " + "; ".join(failures))
+    # g(x) = 1 puts the set on the positive side
+    normal = np.asarray(hyper.normal)
+    cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples, side=1.0))
     # domination is certified above, so agreement reduces to disjointness,
     # which sign_constant has just tested on this very hyperplane
     cert = replace(cert, remark2_status=cert.sign_constant)

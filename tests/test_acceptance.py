@@ -20,7 +20,6 @@ from gaugesep import (
     domination_check,
     extend_full_state,
     extend_via_separation,
-    extend_with_values,
     extension_interval,
     gauge,
     gauge_from_symmetrized,
@@ -31,9 +30,9 @@ from gaugesep import (
 )
 from gaugesep.cli import main as cli_main
 from gaugesep.fixtures import disk_instance, halfspace_instance, quotient_instance
-from gaugesep.gauges import OracleGauge
 
 from helpers import (
+    BisectionGauge,
     dominated_functional,
     random_instance,
     random_polyhedral_gauge,
@@ -50,11 +49,11 @@ def report(number: int, text: str) -> None:
 
 
 def test_criterion_01_taxicab_gauge_both_paths():
-    """Oracle-path gauge within 1e-6 of |x|+|y|, polyhedral path exact and the
+    """Bisection reference gauge within 1e-6 of |x|+|y|, polyhedral path exact and the
     pipeline's closed-form ball-cone gauge (one batch) within 1e-12, under 1 s."""
     a_set, _, anchor = disk_instance()
     body = build_D(a_set, anchor)
-    oracle = OracleGauge(body)
+    oracle = BisectionGauge(body)
     rng = np.random.default_rng(101)
     points = rng.uniform(-10.0, 10.0, size=(1000, 2))
     start = time.perf_counter()
@@ -113,7 +112,7 @@ def test_criterion_03_disk_separation_and_sweep():
     f = PartialFunctional(span, np.array([decompose(u, s, x)[1] for u in span.basis]))
     for t in np.linspace(0.0, 1.0, 11):
         gamma = step.interval.lo + t * step.interval.width
-        g = extend_with_values(f, [np.asarray(step.direction)], [gamma])
+        g = f.as_coefficients() + gamma * np.asarray(step.direction)
         assert g[1] / g[0] == pytest.approx(-1.0 + 2.0 * t, abs=1e-6)
     angles = np.degrees(brute_force_2d_normals(a_set, 1800))
     assert angles.min() == pytest.approx(45.0, abs=0.1 + 1e-12)
@@ -182,7 +181,7 @@ def test_criterion_06_remark2_biconditional():
         assert len(gammas) == 500
         rest = [0.0] * (len(directions) - 1)
         for gamma in gammas:
-            g = extend_with_values(f, directions, [gamma] + rest)
+            g = f.as_coefficients() + np.array([gamma] + rest) @ np.asarray(directions)
             dominated, disjoint = remark2_equivalence_check(a_set, s, x, p, g)
             assert dominated == disjoint
             checked += 1

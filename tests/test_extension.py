@@ -7,7 +7,6 @@ from gaugesep import (
     DegenerateError,
     ExtensionState,
     InputError,
-    OracleGauge,
     PartialFunctional,
     PolyhedralGauge,
     SolverError,
@@ -16,7 +15,6 @@ from gaugesep import (
     domination_check,
     extend_full_state,
     extend_one,
-    extend_with_values,
     extension_interval,
     gauge,
     span_basis,
@@ -25,6 +23,7 @@ from gaugesep import (
 )
 
 from helpers import (
+    BisectionGauge,
     dominated_functional,
     point_in_cone,
     random_ball_instance,
@@ -119,7 +118,7 @@ class TestExtensionInterval:
             z = next(c for c in np.eye(n) if not f.domain.contains(c))
             via_lp = extension_interval(state, z)
             # the same body as a membership oracle takes the search path
-            via_search = extension_interval(ExtensionState(f, OracleGauge(unit_ball(p))), z, seed=3)
+            via_search = extension_interval(ExtensionState(f, BisectionGauge(unit_ball(p))), z, seed=3)
             assert via_lp.lo == pytest.approx(via_search.lo, abs=1e-5)
             assert via_lp.hi == pytest.approx(via_search.hi, abs=1e-5)
 
@@ -258,10 +257,10 @@ class TestGammaBoundarySharpness:
             scale = max(1.0, abs(interval.lo), abs(interval.hi))
             for t in (0.0, 0.25, 0.5, 0.75, 1.0):
                 gamma = interval.lo + t * interval.width
-                g = extend_with_values(f, [z], [gamma])
+                g = f.as_coefficients() + gamma * z
                 assert domination_check(g, p, seed=1) <= 1e-7
             for gamma in (interval.hi + 1e-3 * scale, interval.lo - 1e-3 * scale):
-                g = extend_with_values(f, [z], [gamma])
+                g = f.as_coefficients() + gamma * z
                 assert domination_check(g, p, seed=1) > 0.0
 
 
@@ -302,19 +301,19 @@ class TestDominationCheck:
         from gaugesep import OpenBall, build_D
 
         disk = OpenBall(np.array([2.0, 0.0]), np.sqrt(2.0))
-        p = OracleGauge(build_D(disk, np.array([1.0, 0.0])))
+        p = BisectionGauge(build_D(disk, np.array([1.0, 0.0])))
         violation = domination_check(np.array([1.0, 1.2]), p, seed=0)
         assert violation > 0.05  # true max is 0.2 / sqrt(2) at (0, 1)
 
     def test_oracle_gauge_kernel_rounding(self):
         # the slab |e1| < 1 bisected: p vanishes on span{e2, e3}, so any g with
         # a real e2 part has p*(g) infinite, but a rounding residue does not
-        p = OracleGauge(unit_ball(SLAB3))
+        p = BisectionGauge(unit_ball(SLAB3))
         assert domination_check(np.array([1.0, 1e-12, 0.0]), p, seed=0) <= 0.0
         assert domination_check(np.array([0.5, 1e-3, 0.0]), p, seed=0) > 1e6
 
     def test_deterministic(self):
-        p = OracleGauge(unit_ball(TAXICAB))
+        p = BisectionGauge(unit_ball(TAXICAB))
         first = domination_check(np.array([0.9, 0.3]), p, seed=9)
         second = domination_check(np.array([0.9, 0.3]), p, seed=9)
         assert first == second
@@ -324,7 +323,7 @@ class TestExtendWithValues:
     def test_matches_extend_one_for_inside_gamma(self):
         f = x_axis_functional()
         state = ExtensionState(f, TAXICAB)
-        direct = extend_with_values(f, [np.array([0.0, 1.0])], [0.5])
+        direct = f.as_coefficients() + 0.5 * np.array([0.0, 1.0])
         stepped = extend_one(state, np.array([0.0, 1.0]), gamma=0.5).functional.as_coefficients()
         np.testing.assert_allclose(direct, stepped, atol=1e-12)
 

@@ -1,0 +1,44 @@
+"""The public surface: ``gaugesep.__all__``, and the test-only machinery that
+lives in ``tests/helpers.py`` instead of the package."""
+
+import importlib
+import inspect
+import pkgutil
+
+import gaugesep
+from gaugesep.convexsets import sample_interior
+from gaugesep.separation import _certificate
+
+# every module but __main__, which runs the CLI on import
+MODULES = [gaugesep] + [
+    importlib.import_module(f"gaugesep.{info.name}")
+    for info in pkgutil.iter_modules(gaugesep.__path__)
+    if info.name != "__main__"
+]
+
+REMOVED = [
+    "AxiomReport",
+    "GAUGE_TOL",
+    "RECESSION_CAP",
+    "_gauge_bisection",
+    "_gauge_section",
+    "check_seminorm_axioms",
+    "extend_with_values",
+]
+
+
+def test_all_is_sorted_and_resolves():
+    assert gaugesep.__all__ == sorted(gaugesep.__all__)
+    assert len(set(gaugesep.__all__)) == len(gaugesep.__all__)
+    missing = [name for name in gaugesep.__all__ if not hasattr(gaugesep, name)]
+    assert missing == []
+
+
+def test_removed_names_are_gone():
+    assert len(MODULES) > 10
+    for module in MODULES:
+        left = [name for name in REMOVED if hasattr(module, name)]
+        assert left == [], module.__name__
+    assert not hasattr(gaugesep.Subspace, "projector_matrix")
+    assert "start" not in inspect.signature(sample_interior).parameters
+    assert "start" not in inspect.signature(_certificate).parameters

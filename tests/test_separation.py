@@ -11,9 +11,12 @@ from gaugesep import (
     Hyperplane,
     InputError,
     OpenBall,
+    OracleSet,
     PartialFunctional,
     PolyhedralGauge,
     SeparationOptions,
+    SolverError,
+    Subspace,
     brute_force_2d_normals,
     complement_basis,
     domination_check,
@@ -122,8 +125,24 @@ class TestSeparateFixtures:
         result = separate(empty, s)
         np.testing.assert_allclose(np.abs(result.hyperplane.normal), [0.0, 1.0], atol=1e-12)
         assert result.anchor_x is None
-        assert result.certificate.a_clearance == np.inf
+        assert result.certificate.boundary_margin == np.inf
+        assert result.certificate.a_clearance is None
         assert result.certificate.valid
+
+    def test_thin_slab_read_as_empty_is_not_certified(self):
+        # {0 < e1 < 1e-10} meets S = span{(1, 1)} at (5e-11, 5e-11), but its
+        # inscribed radius is below MIN_DEPTH, so is_empty reads it as empty;
+        # the completion's normal (0.707, -0.707) crosses it
+        slab = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1e-10, 0.0]))
+        with pytest.raises(SolverError, match="boundary_margin -inf"):
+            separate(slab, span_basis([np.array([1.0, 1.0])]))
+
+    def test_empty_oracle_set_is_not_certified(self):
+        # an oracle whose witness fails its own test reads as empty, and no
+        # interior point is there to sample the certificate from
+        oracle = OracleSet(2, lambda e: False, witness=np.array([1.0, 0.0]))
+        with pytest.raises(InputError, match="witness is not a member"):
+            separate(oracle, zero_subspace(2))
 
     def test_anchor_gauges_to_one(self):
         a_set, s, x = disk_instance()
@@ -163,10 +182,11 @@ class TestSeparateFixtures:
 
 
 class TestTouchingBoxes:
-    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4, 1e6])
     def test_box_against_vertical_axis(self, scale):
         # (4,6) x (0,2) x (-1,1) against span{e3} with the default anchor; the
-        # separating plane may touch the box's closure, hence the rounding slack
+        # separating plane may touch the box's closure, hence the rounding
+        # slack.  Unit hull rows make the normal the same at every scale.
         center = np.array([5.0, 1.0, 0.0]) * scale
         half = np.ones(3) * scale
         box = HPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([center + half, half - center]))
@@ -174,6 +194,45 @@ class TestTouchingBoxes:
         assert result.certificate.valid
         normal = np.asarray(result.hyperplane.normal)
         assert abs(normal @ center) >= half @ np.abs(normal) - 1e-9 * scale
+        np.testing.assert_allclose(normal, np.array([1.0, -2.0, 0.0]) / np.sqrt(5.0), atol=1e-9)
+
+
+class TestMetamorphic:
+    """Transformed inputs against the untransformed run, on seeded families."""
+
+    @staticmethod
+    def polytopes():
+        rng = np.random.default_rng(0)
+        return [random_polytope_instance(rng, int(rng.integers(2, 6))) for _ in range(20)]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_seeded_polytopes_scaled(self, scale):
+        # the conic hull of k A is that of A; with unit hull rows its
+        # extension LPs are the same LPs, so no scale raises or moves the normal
+        for poly, s in self.polytopes():
+            normal = np.asarray(separate(poly, s).hyperplane.normal)
+            scaled = separate(HPolyhedron(poly.a, scale * poly.b), s)
+            assert scaled.certificate.valid
+            np.testing.assert_allclose(scaled.hyperplane.normal, normal, atol=1e-6)
+
+    def test_seeded_families_rotated(self):
+        """``separate(QA, QS)`` is valid for a random orthogonal Q.
+
+        Only validity is gated: the normal is Q n for few of these instances,
+        since ``complement_basis`` completes the basis over e_1 ... e_n in index
+        order, and each ``upper`` pick depends on that frame.
+        """
+        rng = np.random.default_rng(1)
+        balls = [random_ball_instance(rng, int(rng.integers(2, 6))) for _ in range(20)]
+        for a_set, s in self.polytopes() + balls:
+            n = a_set.dim
+            q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            if isinstance(a_set, HPolyhedron):
+                rotated = HPolyhedron(a_set.a @ q.T, a_set.b)
+            else:
+                rotated = OpenBall(q @ a_set.center, a_set.radius)
+            result = separate(rotated, Subspace(n, s.basis @ q.T))
+            assert result.certificate.valid
 
 
 class TestScaledDisk:
@@ -573,7 +632,7 @@ class TestRemark2Equivalence:
     def test_biconditional_over_gamma_sweep(self):
         # polyhedral instances make both sides exact LPs
         rng = np.random.default_rng(21)
-        from gaugesep import ExtensionState, complement_basis, extend_with_values, extension_interval
+        from gaugesep import ExtensionState, complement_basis, extension_interval
         from gaugesep import build_D, gauge_from_symmetrized, pick_interior_point
         from helpers import random_polytope_instance
 
@@ -596,13 +655,13 @@ class TestRemark2Equivalence:
             for t in np.linspace(0.05, 0.95, 6):
                 gamma = interval.lo + t * interval.width
                 rest = [0.0] * (len(directions) - 1)
-                g = extend_with_values(f, directions, [gamma] + rest)
+                g = f.as_coefficients() + np.array([gamma] + rest) @ np.asarray(directions)
                 dominated, disjoint = remark2_equivalence_check(a_set, s, x, p, g)
                 assert dominated == disjoint == True  # noqa: E712
             for offset in (0.05, 0.3, 1.0):
                 for gamma in (interval.hi + offset * scale, interval.lo - offset * scale):
                     rest = [0.0] * (len(directions) - 1)
-                    g = extend_with_values(f, directions, [gamma] + rest)
+                    g = f.as_coefficients() + np.array([gamma] + rest) @ np.asarray(directions)
                     dominated, disjoint = remark2_equivalence_check(a_set, s, x, p, g)
                     assert dominated == disjoint == False  # noqa: E712
 
