@@ -8,10 +8,13 @@ domain, replacing transfinite machinery with finite induction.
 
 By duality the upper end is also the support function of a slice of the
 polar body, ``max psi.z`` over ``psi`` in D° with ``psi = g`` on the domain.
-For polyhedral gauges the infimum is an exact small LP; for ball-cone gauges
-the slice is an ellipsoid cylinder cut by a slab, whose maximum is closed
-form; for oracle gauges a seeded derivative-free coordinate search
-certifies the interval to about 1e-6.  ``domination_check`` measures
+For polyhedral gauges the infimum is an exact small LP.  The two ends' LPs
+differ only in ``b_ub = -+a z``, which is only the cost of the dual that
+``solve_lp`` solves, so they share one phase 1; the lower end's phase 2
+starts where a phase 1 of its own would end, and its result is the same bit
+for bit.  For ball-cone gauges the slice is an ellipsoid cylinder cut by a
+slab, whose maximum is closed form; for oracle gauges a seeded
+derivative-free coordinate search certifies the interval to about 1e-6.  ``domination_check`` measures
 ``|g| <= p`` on the polar side too, as ``p*(g) - 1``: exactly from the two
 LPs ``max +-g . e`` over ``p <= 1`` for polyhedral gauges and from the polar
 for ball-cone gauges, by seeded sampling and ascent for oracle gauges.
@@ -219,23 +222,19 @@ def _ball_phi(p: BallConeGauge, basis: np.ndarray, w: np.ndarray, z: np.ndarray)
     return max(values)
 
 
-def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
-    """inf over x in the domain of ``-g(x) + p(x + z)``."""
-    p = state.seminorm
-    basis = state.domain.basis
-    w = state.functional.values
-    k = basis.shape[0]
-    if k == 0:
-        return gauge(p, z)
-    if isinstance(p, PolyhedralGauge):
-        a, b = p.a, p.b
-        m = a.shape[0]
-        # variables (c_1..c_k free, t >= 0): min -w.c + t  s.t.  a_i.(Bc + z) <= t b_i
-        cost = np.concatenate([-w, [1.0]])
-        a_ub = np.hstack([a @ basis.T, -b[:, None]])
-        b_ub = -(a @ z)
-        nonneg = np.concatenate([np.zeros(k, dtype=bool), [True]])
-        res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
+def _lp_ends(p: PolyhedralGauge, basis: np.ndarray, w: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """(hi, lo) = (``_phi`` at z, minus ``_phi`` at -z) for a polyhedral gauge:
+    two LPs that differ only in ``b_ub``, so the second starts from the first
+    one's phase 1."""
+    a, b = p.a, p.b
+    m, k = a.shape[0], basis.shape[0]
+    # variables (c_1..c_k free, t >= 0): min -w.c + t  s.t.  a_i.(Bc + z) <= t b_i
+    cost = np.concatenate([-w, [1.0]])
+    a_ub = np.hstack([a @ basis.T, -b[:, None]])
+    nonneg = np.concatenate([np.zeros(k, dtype=bool), [True]])
+    values, phase1 = [], None
+    for side in (z, -z):
+        res = solve_lp(cost, a_ub=a_ub, b_ub=-(a @ side), nonneg=nonneg, phase1=phase1)
         if res.status == "unbounded":
             raise SolverError(
                 f"extension LP is unbounded ({m} rows, {k + 1} vars): either the functional is not "
@@ -243,7 +242,20 @@ def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
             )
         if res.status != "optimal":
             raise SolverError(f"extension LP failed with status {res.status!r} ({m} rows, {k + 1} vars)")
-        return float(res.objective)
+        values.append(float(res.objective))
+        phase1 = res.phase1
+    return values[0], -values[1]
+
+
+def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
+    """inf over x in the domain of ``-g(x) + p(x + z)``; for a polyhedral gauge
+    on a nonzero domain ``_lp_ends`` computes it instead."""
+    p = state.seminorm
+    basis = state.domain.basis
+    w = state.functional.values
+    k = basis.shape[0]
+    if k == 0:
+        return gauge(p, z)
     if isinstance(p, BallConeGauge):
         return _ball_phi(p, basis, w, z)
     def objective(c: np.ndarray) -> float:  # c and z are finite float arrays
@@ -279,8 +291,11 @@ def extension_interval(state: ExtensionState, z, *, seed: int = 0) -> GammaInter
     z = as_vector(z, state.domain.ambient_dim)
     if state.domain.contains(z):
         raise DegenerateError("direction already lies in the domain")
-    hi = _phi(state, z, seed)
-    lo = -_phi(state, -z, seed + 1)
+    if state.domain.dim and isinstance(state.seminorm, PolyhedralGauge):
+        hi, lo = _lp_ends(state.seminorm, state.domain.basis, state.functional.values, z)
+    else:
+        hi = _phi(state, z, seed)
+        lo = -_phi(state, -z, seed + 1)
     # a zero-width search-certified interval may come back inverted by
     # certification noise
     if lo > hi + _slack(state.seminorm):

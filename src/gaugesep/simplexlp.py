@@ -13,6 +13,14 @@ follow Bland's rule, which cannot cycle (Bland 1977).  The ratio test is
 Harris's two-pass test (Harris 1973), relaxed by only 1e-12 of each basic
 value: a dual value it lets go negative biases the LP value upward, and the
 extension takes that value as the end of its interval.
+
+``b_ub`` enters only the dual's cost, so phase 1 depends on ``c``, ``a_ub``
+and ``nonneg`` alone.  Each result keeps phase 1's end as ``phase1``, and an
+LP that differs only in ``b_ub`` may start its phase 2 there: the extension
+solves both ends of an interval (``b_ub = -+a z``) on one phase 1.  The
+result is the same bit for bit, since a second phase 1 would do the same
+float operations on the same inputs; its ``iterations`` leave out the
+pivots of the phase 1 it reused.
 """
 
 from __future__ import annotations
@@ -28,6 +36,19 @@ MAX_ITER = 20000  # pivots per phase
 STALL = 20  # degenerate pivots in a row before Bland's rule takes over
 
 
+@dataclass(frozen=True, eq=False)
+class Phase1:
+    """Phase 1's final basis, its inverse and multipliers on the dual of one
+    (c, a_ub, nonneg), which ``cols`` and ``rhs`` determine."""
+
+    cols: np.ndarray
+    rhs: np.ndarray
+    basis: np.ndarray
+    binv: np.ndarray
+    pi: np.ndarray
+    pivots: int
+
+
 @dataclass
 class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -36,6 +57,7 @@ class LPResult:
     ray: np.ndarray | None = None  # improving direction when unbounded
     y: np.ndarray | None = None  # dual solution when optimal (see solve_lp)
     iterations: int = 0
+    phase1: Phase1 | None = None  # phase 1's end, for an LP that differs only in b_ub
 
 
 def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
@@ -89,7 +111,7 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
     raise SolverError(f"simplex iteration limit ({MAX_ITER}) exceeded; {cols.shape[0]} dual rows")
 
 
-def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
+def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, phase1: Phase1 | None = None) -> LPResult:
     """Minimize ``c . x`` subject to ``a_ub x <= b_ub`` (an equality is two
     opposite rows).
 
@@ -105,6 +127,11 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     and ``b_ub @ y = -objective``, up to rounding.  For ``a_ub x <= b_ub``
     with every variable free this is the Farkas certificate that ``c . x``
     is at least ``-b_ub @ y`` on the whole feasible set.
+
+    ``phase1`` is the ``phase1`` of an earlier result on the same ``c``,
+    ``a_ub`` and ``nonneg`` (any ``b_ub``); the solve then skips phase 1.
+    The second solve with zero cost still runs for this ``b_ub``, since
+    primal feasibility depends on it.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
@@ -113,33 +140,47 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     if a_ub.shape[0] != b_ub.size:
         raise SolverError("constraint matrix/vector shapes disagree")
     mask = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool).reshape(-1)
+    return _solve(c, a_ub, b_ub, mask, phase1)
 
+
+def _solve(c, a_ub, b_ub, mask, phase1) -> LPResult:
+    """``solve_lp`` on checked arrays; the zero-cost re-solve calls this, not
+    the public name, so that a wrapper of ``solve_lp`` sees one LP."""
+    n = c.size
     # dual rows scaled by ``sign`` so that the right-hand side |c| is >= 0;
     # columns: y (one per constraint), surplus s (masked variables), artificials
     sign = np.where(c > 0.0, -1.0, 1.0)
     rhs = np.abs(c)
     cols = np.hstack([sign[:, None] * a_ub.T, -np.diag(sign)[:, mask], np.eye(n)])
     n_enter = cols.shape[1] - n
-    basis = n_enter + np.arange(n)
     zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
-    phase1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
-    status, pi, iters, binv = _simplex(cols, phase1, rhs, basis, n_enter, zero_tol)
-    if status != "optimal":
-        raise SolverError("phase-1 objective unbounded; malformed constraints")
+    if phase1 is None:
+        basis = n_enter + np.arange(n)
+        cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
+        status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol)
+        if status != "optimal":
+            raise SolverError("phase-1 objective unbounded; malformed constraints")
+        phase1 = Phase1(cols, rhs, basis.copy(), binv, pi, iters)
+    elif np.array_equal(phase1.cols, cols) and np.array_equal(phase1.rhs, rhs):
+        iters = 0
+    else:
+        raise SolverError("phase1 belongs to an LP with another c, a_ub or nonneg")
+    pi = phase1.pi
     if float(pi @ rhs) > zero_tol:  # the dual is infeasible (never with c = 0)
-        feasible = solve_lp(np.zeros(n), a_ub, b_ub, nonneg)
+        feasible = _solve(np.zeros(n), a_ub, b_ub, mask, None)
         iters += feasible.iterations
         if feasible.status == "infeasible":
-            return LPResult("infeasible", iterations=iters)
-        return LPResult("unbounded", ray=sign * pi, iterations=iters)
+            return LPResult("infeasible", iterations=iters, phase1=phase1)
+        return LPResult("unbounded", ray=sign * pi, iterations=iters, phase1=phase1)
     cost = np.concatenate([b_ub, np.zeros(cols.shape[1] - b_ub.size)])
     # phase 2 starts from phase 1's final basis, so it reuses that inverse
-    status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv)
+    basis = phase1.basis.copy()
+    status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, phase1.binv)
     if status == "unbounded":  # the dual is unbounded
-        return LPResult("infeasible", iterations=iters + more)
+        return LPResult("infeasible", iterations=iters + more, phase1=phase1)
     x = sign * pi
     y = np.zeros(b_ub.size)
     rows = basis < b_ub.size  # basic dual variables; the rest are zero
     y[basis[rows]] = np.maximum(binv[rows] @ rhs, 0.0)
-    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters + more)
+    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters + more, phase1=phase1)

@@ -11,12 +11,15 @@ from gaugesep import (
     PolyhedralGauge,
     SolverError,
     build_D,
+    chebyshev_center,
     complement_basis,
     domination_check,
     extend_full_state,
     extend_one,
     extension_interval,
     gauge,
+    gauge_from_symmetrized,
+    solve_lp,
     span_basis,
     unit_ball,
     zero_subspace,
@@ -28,6 +31,7 @@ from helpers import (
     point_in_cone,
     random_ball_instance,
     random_polyhedral_gauge,
+    random_polytope_instance,
     random_subspace,
 )
 
@@ -121,6 +125,34 @@ class TestExtensionInterval:
             via_search = extension_interval(ExtensionState(f, BisectionGauge(unit_ball(p))), z, seed=3)
             assert via_lp.lo == pytest.approx(via_search.lo, abs=1e-5)
             assert via_lp.hi == pytest.approx(via_search.hi, abs=1e-5)
+
+    def test_lp_ends_match_two_cold_solves(self, monkeypatch):
+        # the lower end's LP starts from the upper end's phase 1, and both
+        # ends must equal cold solves of the same two LPs exactly
+        calls = []
+
+        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, phase1=None):
+            calls.append((c, a_ub, b_ub, nonneg, phase1))
+            return solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, phase1=phase1)
+
+        monkeypatch.setattr(extension, "solve_lp", recording)
+        rng = np.random.default_rng(12)
+        steps = 0
+        for _ in range(12):
+            n = int(rng.integers(2, 6))
+            poly, _ = random_polytope_instance(rng, n)
+            p = gauge_from_symmetrized(build_D(poly, chebyshev_center(poly)[0]))
+            f, _ = dominated_functional(rng, p, int(rng.integers(1, n)))
+            state = ExtensionState(f, p)
+            for z in complement_basis(f.domain):
+                calls.clear()
+                interval = extension_interval(state, z)
+                assert [entry[4] is None for entry in calls] == [True, False]
+                up, down = (solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg) for c, a_ub, b_ub, nonneg, _ in calls)
+                assert (interval.hi, interval.lo) == (up.objective, -down.objective)
+                state = extend_one(state, z, "midpoint")
+                steps += 1
+        assert steps >= 12
 
 
 class TestExtendOne:

@@ -1,0 +1,25 @@
+"""The traced benchmark still runs against the package: a smoke pass of
+poly-sep with the tracer installed, in a copy of the checkout so that its
+run records stay out of the source tree."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_poly_sep_smoke(tmp_path):
+    ignore = shutil.ignore_patterns("__pycache__", "runs")
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
+    argv = ["perfbench/run.py", "--workload", "poly-sep", "--seed", "0", "--seconds", "1", "--trace", "1", "--smoke"]
+    proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["correct"] is True
+    metrics = doc["metrics"]
+    assert metrics["simplexlp.solve_lp.calls"]["value"] > 0
+    assert metrics["simplexlp.solve_lp.pivots"]["value"] > 0

@@ -379,17 +379,18 @@ class TestExtensionLPRegressions:
         optimize = pytest.importorskip("scipy.optimize")
         captured = []
 
-        def recording(c, a_ub=None, b_ub=None, nonneg=None):
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
+        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, phase1=None):
+            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, phase1=phase1)
             if nonneg is not None:  # an extension LP, not the domination check's
-                captured.append((c, a_ub, b_ub, nonneg, res))
+                captured.append((c, a_ub, b_ub, nonneg, phase1, res))
             return res
 
         monkeypatch.setattr(extension, "solve_lp", recording)
         box = self.boxes()[name]
         separate(box.polyhedron(), box.subspace())
-        assert captured
-        for c, a_ub, b_ub, nonneg, res in captured:
+        # each interval solves its upper end cold and its lower end from that phase 1
+        assert captured and [entry[4] is not None for entry in captured] == [False, True] * (len(captured) // 2)
+        for c, a_ub, b_ub, nonneg, _, res in captured:
             bounds = [(0, None) if flag else (None, None) for flag in nonneg]
             ref = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
             assert ref.status == 0 and res.status == "optimal"
