@@ -10,11 +10,17 @@ By duality the upper end is also the support function of a slice of the
 polar body, ``max psi.z`` over ``psi`` in D° with ``psi = g`` on the domain.
 For polyhedral gauges the infimum is an exact small LP.  The two ends' LPs
 differ only in ``b_ub = -+a z``, which is only the cost of the dual that
-``solve_lp`` solves, so they share one phase 1; the lower end's phase 2
-starts where a phase 1 of its own would end, and its result is the same bit
-for bit.  For ball-cone gauges the slice is an ellipsoid cylinder cut by a
-slab, whose maximum is closed form; for oracle gauges a seeded
-derivative-free coordinate search certifies the interval to about 1e-6.  ``domination_check`` measures
+``solve_lp`` solves, so the lower end starts where the upper end's phase 1
+ended and pivots in phase 2 only.  The end a step picks is a point psi of
+D° that agrees with the extended functional on the bigger domain, so its
+optimal basis, with one artificial for the new dual row, is a feasible start
+for the next step's upper end; for a value inside the interval one of the
+two ends' bases is.  Each ``GammaInterval`` keeps both bases, and the last
+step in a state's history hands them on.  A start changes the pivot path,
+so it moves an end by rounding only.  For ball-cone gauges the slice is an
+ellipsoid cylinder cut by a slab, whose maximum is closed form; for oracle
+gauges a seeded derivative-free coordinate search certifies the interval to
+about 1e-6.  ``domination_check`` measures
 ``|g| <= p`` on the polar side too, as ``p*(g) - 1``: exactly from the two
 LPs ``max +-g . e`` over ``p <= 1`` for polyhedral gauges and from the polar
 for ball-cone gauges, by seeded sampling and ascent for oracle gauges.
@@ -22,7 +28,7 @@ for ball-cone gauges, by seeded sampling and ascent for oracle gauges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +55,8 @@ class GammaInterval:
 
     lo: float
     hi: float
+    # the optimal LP bases of the (upper, lower) ends on the polyhedral path
+    _bases: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def width(self) -> float:
@@ -222,19 +230,31 @@ def _ball_phi(p: BallConeGauge, basis: np.ndarray, w: np.ndarray, z: np.ndarray)
     return max(values)
 
 
-def _lp_ends(p: PolyhedralGauge, basis: np.ndarray, w: np.ndarray, z: np.ndarray) -> tuple[float, float]:
-    """(hi, lo) = (``_phi`` at z, minus ``_phi`` at -z) for a polyhedral gauge:
-    two LPs that differ only in ``b_ub``, so the second starts from the first
-    one's phase 1."""
-    a, b = p.a, p.b
+def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[np.ndarray, ...]]:
+    """(hi, lo, optimal bases of the two ends) for a polyhedral gauge, with
+    (hi, lo) = (``_phi`` at z, minus ``_phi`` at -z): two LPs that differ
+    only in ``b_ub``, so the second starts where the first one's phase 1
+    ended.  The first starts from the end bases of the state's last step,
+    the picked end's first, each with one artificial for the new dual row."""
+    a, b = state.seminorm.a, state.seminorm.b
+    basis, w = state.domain.basis, state.functional.values
     m, k = a.shape[0], basis.shape[0]
     # variables (c_1..c_k free, t >= 0): min -w.c + t  s.t.  a_i.(Bc + z) <= t b_i
     cost = np.concatenate([-w, [1.0]])
     a_ub = np.hstack([a @ basis.T, -b[:, None]])
     nonneg = np.concatenate([np.zeros(k, dtype=bool), [True]])
-    values, phase1 = [], None
+    # dual columns: y (m), the surplus of t, then one artificial per row; the
+    # new row c_k comes before the row of t, whose artificial shifts by one
+    new, start = m + k, None
+    if state.history:
+        last = state.history[-1]
+        ends = last.interval._bases
+        if last.gamma - last.interval.lo < last.interval.hi - last.gamma:  # nearer the lower end
+            ends = ends[::-1]
+        start = [np.append(np.where(old >= new, old + 1, old), new) for old in ends if old.size == k] or None
+    values, bases = [], []
     for side in (z, -z):
-        res = solve_lp(cost, a_ub=a_ub, b_ub=-(a @ side), nonneg=nonneg, phase1=phase1)
+        res = solve_lp(cost, a_ub=a_ub, b_ub=-(a @ side), nonneg=nonneg, start=start)
         if res.status == "unbounded":
             raise SolverError(
                 f"extension LP is unbounded ({m} rows, {k + 1} vars): either the functional is not "
@@ -243,8 +263,9 @@ def _lp_ends(p: PolyhedralGauge, basis: np.ndarray, w: np.ndarray, z: np.ndarray
         if res.status != "optimal":
             raise SolverError(f"extension LP failed with status {res.status!r} ({m} rows, {k + 1} vars)")
         values.append(float(res.objective))
-        phase1 = res.phase1
-    return values[0], -values[1]
+        bases.append(res.basis)
+        start = res.phase1_basis
+    return values[0], -values[1], tuple(bases)
 
 
 def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
@@ -291,8 +312,9 @@ def extension_interval(state: ExtensionState, z, *, seed: int = 0) -> GammaInter
     z = as_vector(z, state.domain.ambient_dim)
     if state.domain.contains(z):
         raise DegenerateError("direction already lies in the domain")
+    bases = ()
     if state.domain.dim and isinstance(state.seminorm, PolyhedralGauge):
-        hi, lo = _lp_ends(state.seminorm, state.domain.basis, state.functional.values, z)
+        hi, lo, bases = _lp_ends(state, z)
     else:
         hi = _phi(state, z, seed)
         lo = -_phi(state, -z, seed + 1)
@@ -302,7 +324,7 @@ def extension_interval(state: ExtensionState, z, *, seed: int = 0) -> GammaInter
         raise SolverError(f"empty admissible interval [{lo}, {hi}]: seminorm or domination assumption broken")
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
-    return GammaInterval(lo, hi)
+    return GammaInterval(lo, hi, bases)
 
 
 def extend_one(

@@ -14,13 +14,15 @@ Harris's two-pass test (Harris 1973), relaxed by only 1e-12 of each basic
 value: a dual value it lets go negative biases the LP value upward, and the
 extension takes that value as the end of its interval.
 
-``b_ub`` enters only the dual's cost, so phase 1 depends on ``c``, ``a_ub``
-and ``nonneg`` alone.  Each result keeps phase 1's end as ``phase1``, and an
-LP that differs only in ``b_ub`` may start its phase 2 there: the extension
-solves both ends of an interval (``b_ub = -+a z``) on one phase 1.  The
-result is the same bit for bit, since a second phase 1 would do the same
-float operations on the same inputs; its ``iterations`` leave out the
-pivots of the phase 1 it reused.
+A solve may start phase 1 from a basis of its dual (``start``) instead of
+the artificial one: a basis that is singular or not feasible is dropped, so
+a start can save pivots but never makes an LP fail.  ``b_ub`` enters only the
+dual's cost, so phase 1 depends on ``c``, ``a_ub`` and ``nonneg`` alone: an
+LP that differs from an earlier one only in ``b_ub`` and starts from that
+result's ``phase1_basis`` pivots only in phase 2, and its result is the same
+bit for bit as a cold solve's.  The extension solves both ends of an interval
+(``b_ub = -+a z``) that way, and starts each step's upper end from the basis
+of the end the step before picked.
 """
 
 from __future__ import annotations
@@ -36,19 +38,6 @@ MAX_ITER = 20000  # pivots per phase
 STALL = 20  # degenerate pivots in a row before Bland's rule takes over
 
 
-@dataclass(frozen=True, eq=False)
-class Phase1:
-    """Phase 1's final basis, its inverse and multipliers on the dual of one
-    (c, a_ub, nonneg), which ``cols`` and ``rhs`` determine."""
-
-    cols: np.ndarray
-    rhs: np.ndarray
-    basis: np.ndarray
-    binv: np.ndarray
-    pi: np.ndarray
-    pivots: int
-
-
 @dataclass
 class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -57,7 +46,8 @@ class LPResult:
     ray: np.ndarray | None = None  # improving direction when unbounded
     y: np.ndarray | None = None  # dual solution when optimal (see solve_lp)
     iterations: int = 0
-    phase1: Phase1 | None = None  # phase 1's end, for an LP that differs only in b_ub
+    phase1_basis: np.ndarray | None = None  # where phase 1 ended (a ``start`` for any b_ub)
+    basis: np.ndarray | None = None  # the final basis of the dual
 
 
 def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
@@ -111,7 +101,7 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
     raise SolverError(f"simplex iteration limit ({MAX_ITER}) exceeded; {cols.shape[0]} dual rows")
 
 
-def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, phase1: Phase1 | None = None) -> LPResult:
+def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
     """Minimize ``c . x`` subject to ``a_ub x <= b_ub`` (an equality is two
     opposite rows).
 
@@ -128,10 +118,12 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, phase1: Phase1 | None = No
     with every variable free this is the Farkas certificate that ``c . x``
     is at least ``-b_ub @ y`` on the whole feasible set.
 
-    ``phase1`` is the ``phase1`` of an earlier result on the same ``c``,
-    ``a_ub`` and ``nonneg`` (any ``b_ub``); the solve then skips phase 1.
-    The second solve with zero cost still runs for this ``b_ub``, since
-    primal feasibility depends on it.
+    ``start`` is a basis of the dual to start phase 1 from, or rows of
+    bases to try in order: each one is ``c.size`` column indices into
+    (y: one per row of ``a_ub``; s: one per masked variable; artificials:
+    one per variable), as in a result's ``phase1_basis`` and ``basis``.
+    Phase 1 starts from the first one that is nonsingular and feasible, and
+    from the artificial basis when there is none.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
@@ -140,10 +132,28 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, phase1: Phase1 | None = No
     if a_ub.shape[0] != b_ub.size:
         raise SolverError("constraint matrix/vector shapes disagree")
     mask = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool).reshape(-1)
-    return _solve(c, a_ub, b_ub, mask, phase1)
+    return _solve(c, a_ub, b_ub, mask, start)
 
 
-def _solve(c, a_ub, b_ub, mask, phase1) -> LPResult:
+def _start(cols, rhs, start, zero_tol):
+    """The first basis in ``start`` that is nonsingular and feasible, with its
+    inverse; else the artificial basis, whose inverse ``_simplex`` computes."""
+    n = rhs.size
+    for basis in () if start is None else np.atleast_2d(start):
+        basis = basis.astype(int)  # a copy: ``_simplex`` pivots it in place
+        if basis.size != n or len(set(basis.tolist())) != n or np.any((basis < 0) | (basis >= cols.shape[1])):
+            continue
+        try:
+            binv = np.linalg.inv(cols[:, basis])
+        except np.linalg.LinAlgError:
+            continue
+        # a near-singular basis inverts without an error, but not to an inverse
+        if np.abs(binv @ cols[:, basis] - np.eye(n)).max(initial=0.0) <= 1e-6 and np.all(binv @ rhs >= -zero_tol):
+            return basis, binv
+    return cols.shape[1] - n + np.arange(n), None
+
+
+def _solve(c, a_ub, b_ub, mask, start) -> LPResult:
     """``solve_lp`` on checked arrays; the zero-cost re-solve calls this, not
     the public name, so that a wrapper of ``solve_lp`` sees one LP."""
     n = c.size
@@ -155,32 +165,28 @@ def _solve(c, a_ub, b_ub, mask, phase1) -> LPResult:
     n_enter = cols.shape[1] - n
     zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
-    if phase1 is None:
-        basis = n_enter + np.arange(n)
-        cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
-        status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol)
-        if status != "optimal":
-            raise SolverError("phase-1 objective unbounded; malformed constraints")
-        phase1 = Phase1(cols, rhs, basis.copy(), binv, pi, iters)
-    elif np.array_equal(phase1.cols, cols) and np.array_equal(phase1.rhs, rhs):
-        iters = 0
-    else:
-        raise SolverError("phase1 belongs to an LP with another c, a_ub or nonneg")
-    pi = phase1.pi
+    basis, binv = _start(cols, rhs, start, zero_tol)
+    cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
+    status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, binv)
+    if status != "optimal":
+        raise SolverError("phase-1 objective unbounded; malformed constraints")
+    phase1_basis = basis.copy()
     if float(pi @ rhs) > zero_tol:  # the dual is infeasible (never with c = 0)
         feasible = _solve(np.zeros(n), a_ub, b_ub, mask, None)
         iters += feasible.iterations
         if feasible.status == "infeasible":
-            return LPResult("infeasible", iterations=iters, phase1=phase1)
-        return LPResult("unbounded", ray=sign * pi, iterations=iters, phase1=phase1)
+            return LPResult("infeasible", iterations=iters, phase1_basis=phase1_basis, basis=basis)
+        return LPResult("unbounded", ray=sign * pi, iterations=iters, phase1_basis=phase1_basis, basis=basis)
     cost = np.concatenate([b_ub, np.zeros(cols.shape[1] - b_ub.size)])
     # phase 2 starts from phase 1's final basis, so it reuses that inverse
-    basis = phase1.basis.copy()
-    status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, phase1.binv)
+    status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv)
+    iters += more
     if status == "unbounded":  # the dual is unbounded
-        return LPResult("infeasible", iterations=iters + more, phase1=phase1)
+        return LPResult("infeasible", iterations=iters, phase1_basis=phase1_basis, basis=basis)
     x = sign * pi
     y = np.zeros(b_ub.size)
     rows = basis < b_ub.size  # basic dual variables; the rest are zero
     y[basis[rows]] = np.maximum(binv[rows] @ rhs, 0.0)
-    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters + more, phase1=phase1)
+    return LPResult(
+        "optimal", x=x, objective=float(c @ x), y=y, iterations=iters, phase1_basis=phase1_basis, basis=basis
+    )

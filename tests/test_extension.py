@@ -127,32 +127,44 @@ class TestExtensionInterval:
             assert via_lp.hi == pytest.approx(via_search.hi, abs=1e-5)
 
     def test_lp_ends_match_two_cold_solves(self, monkeypatch):
-        # the lower end's LP starts from the upper end's phase 1, and both
-        # ends must equal cold solves of the same two LPs exactly
+        # the lower end's LP starts where the upper end's phase 1 ended, and
+        # every step's upper end but the first from the bases of the step
+        # before; both ends must match cold solves of the same two LPs,
+        # exactly while the upper end starts cold
         calls = []
 
-        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, phase1=None):
-            calls.append((c, a_ub, b_ub, nonneg, phase1))
-            return solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, phase1=phase1)
+        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
+            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+            calls.append((c, a_ub, b_ub, nonneg, start, res))
+            return res
 
         monkeypatch.setattr(extension, "solve_lp", recording)
         rng = np.random.default_rng(12)
-        steps = 0
+        steps = warm = 0
         for _ in range(12):
             n = int(rng.integers(2, 6))
             poly, _ = random_polytope_instance(rng, n)
             p = gauge_from_symmetrized(build_D(poly, chebyshev_center(poly)[0]))
             f, _ = dominated_functional(rng, p, int(rng.integers(1, n)))
             state = ExtensionState(f, p)
-            for z in complement_basis(f.domain):
+            for step, z in enumerate(complement_basis(f.domain)):
                 calls.clear()
                 interval = extension_interval(state, z)
-                assert [entry[4] is None for entry in calls] == [True, False]
-                up, down = (solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg) for c, a_ub, b_ub, nonneg, _ in calls)
-                assert (interval.hi, interval.lo) == (up.objective, -down.objective)
+                (*_, up_start, up), (*_, down_start, _) = calls
+                assert (up_start is None) == (step == 0)
+                assert np.array_equal(down_start, up.phase1_basis)
+                cold_up, cold_down = (
+                    solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg) for c, a_ub, b_ub, nonneg, *_ in calls
+                )
+                if step == 0:
+                    assert (interval.hi, interval.lo) == (cold_up.objective, -cold_down.objective)
+                else:
+                    assert interval.hi == pytest.approx(cold_up.objective, rel=1e-9, abs=1e-12)
+                    assert interval.lo == pytest.approx(-cold_down.objective, rel=1e-9, abs=1e-12)
+                    warm += 1
                 state = extend_one(state, z, "midpoint")
                 steps += 1
-        assert steps >= 12
+        assert steps >= 12 and warm >= 6
 
 
 class TestExtendOne:

@@ -19,6 +19,7 @@ MODULES = [gaugesep] + [
 REMOVED = [
     "AxiomReport",
     "GAUGE_TOL",
+    "Phase1",
     "RECESSION_CAP",
     "_gauge_bisection",
     "_gauge_section",

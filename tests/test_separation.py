@@ -379,22 +379,62 @@ class TestExtensionLPRegressions:
         optimize = pytest.importorskip("scipy.optimize")
         captured = []
 
-        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, phase1=None):
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, phase1=phase1)
+        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
+            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
             if nonneg is not None:  # an extension LP, not the domination check's
-                captured.append((c, a_ub, b_ub, nonneg, phase1, res))
+                captured.append((c, a_ub, b_ub, nonneg, start, res))
             return res
 
         monkeypatch.setattr(extension, "solve_lp", recording)
         box = self.boxes()[name]
         separate(box.polyhedron(), box.subspace())
-        # each interval solves its upper end cold and its lower end from that phase 1
-        assert captured and [entry[4] is not None for entry in captured] == [False, True] * (len(captured) // 2)
-        for c, a_ub, b_ub, nonneg, _, res in captured:
+        # each interval starts its lower end where its upper end's phase 1
+        # ended, and each step's upper end but the first from the step before
+        started = [entry[4] is not None for entry in captured]
+        assert captured and started == [False, True] + [True, True] * (len(captured) // 2 - 1)
+        pivots = {"warm": 0, "cold": 0}
+        for i, (c, a_ub, b_ub, nonneg, start, res) in enumerate(captured):
             bounds = [(0, None) if flag else (None, None) for flag in nonneg]
             ref = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
             assert ref.status == 0 and res.status == "optimal"
             assert res.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-9)
+            if i % 2 == 0 and start is not None:
+                pivots["warm"] += res.iterations
+                pivots["cold"] += solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg).iterations
+        # the upper ends started from the step before took their starts
+        assert pivots["warm"] < pivots["cold"]
+
+
+class TestWarmStepsUnderEveryGammaRule:
+    """Every extension step after the first starts its upper end from the LP
+    bases of the step before: the picked end's basis, else the other end's
+    (a value inside the interval leaves one of the two feasible).  Under each
+    gamma rule the normals must match runs whose steps all start cold."""
+
+    @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
+    def test_normals_match_cold_steps(self, monkeypatch, rule):
+        rng = np.random.default_rng(61)
+        boxes = [rotated_box(rng, n) for n in (6, 8, 10, 12) for _ in range(3)]
+        opts = SeparationOptions(gamma_rule=rule)
+        pivots = {"warm": 0, "cold": 0}
+
+        def counting(run):
+            def solve(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
+                res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start if run == "warm" else None)
+                pivots[run] += res.iterations
+                return res
+
+            return solve
+
+        monkeypatch.setattr(extension, "solve_lp", counting("warm"))
+        warm = [separate(box.polyhedron(), box.subspace(), opts) for box in boxes]
+        monkeypatch.setattr(extension, "solve_lp", counting("cold"))
+        for box, result in zip(boxes, warm):
+            normal = np.asarray(result.hyperplane.normal)
+            assert result.certificate.valid and box.separated_by(normal)
+            reference = separate(box.polyhedron(), box.subspace(), opts)
+            np.testing.assert_allclose(normal, reference.hyperplane.normal, rtol=0.0, atol=1e-9)
+        assert pivots["warm"] < pivots["cold"]
 
 
 class TestKernelDisjointDifferential:

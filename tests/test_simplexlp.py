@@ -17,7 +17,7 @@ from gaugesep import (
 )
 from gaugesep.cli import parse_problem
 
-from helpers import lp_vertex_reference
+from helpers import axis_box, lp_vertex_reference, rotated_box
 
 
 class TestSolveLP:
@@ -284,9 +284,17 @@ def assert_same_result(got, want):
         assert (a is None and b is None) or (a.shape == b.shape and bool(np.all(a == b))), field
 
 
-class TestPhase1Reuse:
-    """``b_ub`` is only the cost of the dual, so a solve that starts from an
-    earlier result's phase 1 must give what a cold solve gives, bit for bit."""
+def dual_columns(c, a_ub, nonneg):
+    """The columns and right-hand side of the dual that ``solve_lp`` solves,
+    in the order a ``start`` basis indexes them."""
+    sign = np.where(c > 0.0, -1.0, 1.0)
+    return np.hstack([sign[:, None] * a_ub.T, -np.diag(sign)[:, nonneg], np.eye(c.size)]), np.abs(c)
+
+
+class TestStart:
+    """A ``start`` basis changes where phase 1 begins, not the LP: a start
+    from the same LP's phase 1 gives what a cold solve gives, bit for bit,
+    and a start that is not a feasible basis gives the cold solve itself."""
 
     @staticmethod
     def cases():
@@ -304,31 +312,81 @@ class TestPhase1Reuse:
         for _ in range(20):
             yield recession_lp(rng, int(rng.integers(2, 6)))
 
-    def test_reuse_matches_cold_solve(self):
-        statuses = set()
+    def test_phase1_basis_serves_another_b_ub(self):
+        statuses, saved = set(), 0
         for c, a, b, mask in self.cases():
             first = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask)
             cold = solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask)
-            warm = solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask, phase1=first.phase1)
+            warm = solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask, start=first.phase1_basis)
             assert_same_result(warm, cold)
-            assert warm.iterations == cold.iterations - first.phase1.pivots
+            assert np.array_equal(warm.phase1_basis, cold.phase1_basis)
+            # the first LP started where its own phase 1 ended pivots in phase 2 only
+            phase1 = first.iterations - solve_lp(c, a_ub=a, b_ub=b, nonneg=mask, start=first.phase1_basis).iterations
+            assert warm.iterations == cold.iterations - phase1
+            saved += phase1
             statuses.add((first.status, cold.status))
         # both ends optimal, an infeasible -b_ub, and an infeasible dual
         assert statuses == {("optimal", "optimal"), ("optimal", "infeasible"), ("unbounded", "unbounded")}
+        assert saved > 0
 
-    def test_reuse_keeps_the_zero_cost_resolve(self):
+    def test_start_keeps_the_zero_cost_resolve(self):
         # the dual is infeasible for either b_ub, and only the zero-cost
         # re-solve, run for each b_ub, tells infeasible from unbounded
         a = [[1.0, 0.0], [-1.0, 0.0]]
         first = solve_lp([0.0, 1.0], a_ub=a, b_ub=[1.0, -2.0])
-        warm = solve_lp([0.0, 1.0], a_ub=a, b_ub=[-1.0, 2.0], phase1=first.phase1)
+        warm = solve_lp([0.0, 1.0], a_ub=a, b_ub=[-1.0, 2.0], start=first.phase1_basis)
         assert (first.status, warm.status) == ("infeasible", "unbounded")
         assert_same_result(warm, solve_lp([0.0, 1.0], a_ub=a, b_ub=[-1.0, 2.0]))
 
-    def test_phase1_of_another_lp_is_refused(self):
-        first = solve_lp([1.0, 1.0], a_ub=[[-1.0, 0.0], [0.0, -1.0]], b_ub=[1.0, 1.0])
-        with pytest.raises(SolverError):
-            solve_lp([1.0, 2.0], a_ub=[[-1.0, 0.0], [0.0, -1.0]], b_ub=[1.0, 1.0], phase1=first.phase1)
+    def test_infeasible_and_singular_starts_give_the_cold_result(self):
+        rng = np.random.default_rng(51)
+        singular = infeasible = 0
+        for c, a, b, mask in self.cases():
+            cols, rhs = dual_columns(np.asarray(c, dtype=float), a, mask)
+            n, width = c.size, cols.shape[1]
+            starts = [np.zeros(n, dtype=int), np.arange(n) + width]  # a repeated column; out of range
+            if n >= 3 and mask[-1] and a.shape[0] % 2 == 0:
+                # the extension LPs' rows (a_i B, -b_i) come in +- a_i pairs, so
+                # two of them and the surplus of t span a plane
+                m = a.shape[0]
+                starts.append(np.concatenate([[0, m // 2, m], width - n + np.arange(n - 3)]))
+                singular += 1
+            for _ in range(50):  # a nonsingular basis with a negative value
+                basis = rng.choice(width, size=n, replace=False)
+                if np.linalg.cond(cols[:, basis]) < 1e8 and np.linalg.solve(cols[:, basis], rhs).min() < -1e-3:
+                    starts.append(basis)
+                    infeasible += 1
+                    break
+            cold = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask)
+            for start in starts:
+                got = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask, start=start)
+                assert_same_result(got, cold)
+                assert got.iterations == cold.iterations
+                assert np.array_equal(got.phase1_basis, cold.phase1_basis)
+        assert singular >= 10 and infeasible >= 40
+
+    def test_start_from_an_lp_with_one_row_less(self):
+        # the extension's step: one more free variable, so one more dual row,
+        # whose cost keeps the first LP's optimal y feasible; its basis, with
+        # the new row's artificial, starts the second LP
+        rng = np.random.default_rng(52)
+        pivots = {"cold": 0, "warm": 0}
+        for _ in range(30):
+            rows, k = 2 * int(rng.integers(3, 12)), int(rng.integers(1, 5))
+            c, a_ub, b_ub, nonneg = extension_lp(rng, rows, k + 1, k + 1 + int(rng.integers(1, 4)))
+            first = solve_lp(np.delete(c, k), a_ub=np.delete(a_ub, k, axis=1), b_ub=b_ub, nonneg=np.delete(nonneg, k))
+            assert first.status == "optimal"
+            c[k] = -(first.y @ a_ub[:, k])
+            new = rows + k  # the artificial of dual row k; the one of t's row moves up
+            start = np.append(np.where(first.basis >= new, first.basis + 1, first.basis), new)
+            cold = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
+            warm = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+            assert warm.objective == pytest.approx(first.objective, rel=1e-9, abs=1e-12)
+            pivots["cold"] += cold.iterations
+            pivots["warm"] += warm.iterations
+        assert pivots["warm"] < pivots["cold"] / 2
 
     def test_zero_cost_resolve_is_not_a_second_call(self, monkeypatch):
         # a wrapper of the module's solve_lp (as a tracer installs) sees one
@@ -417,6 +475,23 @@ class TestBundledCounters:
         [("example1", 0, 0), ("example2", 7, 8), ("example3_quotient", 6, 7)],
     )
     def test_lp_calls_and_pivots(self, monkeypatch, name, lps, pivots):
+        problem = parse_problem(name)
+        opts = SeparationOptions(x=problem.x, gamma_rule=problem.gamma_rule, seed=problem.seed)
+        assert self.counters(monkeypatch, problem.a_set, problem.s, opts) == (lps, pivots)
+
+    # many extension steps, each but the first started from the step before
+    @pytest.mark.parametrize("name,lps,pivots", [("axis-40", 44, 521), ("rotated-12", 16, 162)])
+    def test_multi_step_boxes(self, monkeypatch, name, lps, pivots):
+        if name == "axis-40":
+            box = axis_box(np.random.default_rng(59), 40)
+        else:  # the rotated-12 box of TestExtensionLPRegressions
+            rng = np.random.default_rng(400)
+            box = [rotated_box(rng, 12) for _ in range(8)][-1]
+        assert self.counters(monkeypatch, box.polyhedron(), box.subspace(), SeparationOptions()) == (lps, pivots)
+
+    @staticmethod
+    def counters(monkeypatch, a_set, s, opts) -> tuple[int, int]:
+        """(LP calls, pivots) of ``separate``, whose certificate must be valid."""
         iterations = []
 
         def counting(*args, **kwargs):
@@ -426,8 +501,5 @@ class TestBundledCounters:
 
         for module in (convexsets, extension, separation):
             monkeypatch.setattr(module, "solve_lp", counting)
-        problem = parse_problem(name)
-        opts = SeparationOptions(x=problem.x, gamma_rule=problem.gamma_rule, seed=problem.seed)
-        result = separate(problem.a_set, problem.s, opts)
-        assert result.certificate.valid
-        assert (len(iterations), sum(iterations)) == (lps, pivots)
+        assert separate(a_set, s, opts).certificate.valid
+        return len(iterations), sum(iterations)
