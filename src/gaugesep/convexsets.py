@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptySetError, InputError, SolverError
+from .errors import EmptySetError, InputError
 from .geometry import as_vector, _frozen
 from .simplexlp import solve_lp
 
@@ -320,67 +320,62 @@ def build_D(a_set: ConvexSet, x) -> SymmetrizedBody:
     return SymmetrizedBody(hull, x)
 
 
-def _inscribed_ball(
-    poly: HPolyhedron, *, cap: float | None = None, basis: np.ndarray | None = None
-) -> tuple[np.ndarray, float] | None:
+# (center, radius) of an inscribed-ball LP; see ``_inscribed_ball``
+_Ball = tuple[np.ndarray | None, float]
+
+
+def _inscribed_ball(poly: HPolyhedron, basis: np.ndarray | None = None) -> _Ball:
     """Largest ball in the polyhedron's closure: max r s.t. a_i . y + r |a_i| <= b_i.
 
     The center y may be restricted to the row span of ``basis``
-    (y = coords @ basis, rows orthonormal), and r may be capped.  Returns
-    (y, r), or None when the closure misses the span.  An unbounded r
-    (possible only without a cap) raises InputError; any other status than
-    optimal or infeasible raises SolverError.
+    (y = coords @ basis, rows orthonormal).  Returns (y, r); (None, inf)
+    when r is unbounded and (None, -inf) when the closure misses the span.
     """
     a, b = np.asarray(poly.a), np.asarray(poly.b)
     a_y = a if basis is None else a @ basis.T
     k = a_y.shape[1]
     cost = np.zeros(k + 1)
     cost[-1] = -1.0
-    a_ub = np.hstack([a_y, np.linalg.norm(a, axis=1)[:, None]])
-    b_ub = b
-    if cap is not None:
-        a_ub = np.vstack([a_ub, np.append(np.zeros(k), 1.0)])
-        b_ub = np.append(b, cap)
-    res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub)
-    if res.status == "infeasible":
-        return None
-    if res.status == "unbounded" and cap is None:
-        raise InputError("polyhedron is unbounded; an interior point requires a witness")
+    res = solve_lp(cost, a_ub=np.hstack([a_y, np.linalg.norm(a, axis=1)[:, None]]), b_ub=b)
     if res.status != "optimal":
-        raise SolverError(f"inscribed-ball LP ended with status {res.status!r}")
+        return None, (np.inf if res.status == "unbounded" else -np.inf)
     center = res.x[:k] if basis is None else res.x[:k] @ basis
     return center, float(res.x[-1])
 
 
-def chebyshev_center(poly: HPolyhedron) -> tuple[np.ndarray, float]:
+def chebyshev_center(poly: HPolyhedron, *, ball: _Ball | None = None) -> tuple[np.ndarray, float]:
     """A Chebyshev center (deepest interior point) of the polyhedron, plus its inradius.
 
-    One LP; among equally deep points the simplex vertex is returned, so the
-    result is deterministic.  Raises EmptySetError when the interior is empty
-    and InputError when the inradius is unbounded.
+    One LP, skipped when the caller passes its result as ``ball`` (the
+    whole-space ``_inscribed_ball``, which ``separate`` shares with
+    ``is_empty``); among equally deep points the simplex vertex is returned,
+    so the result is deterministic.  Raises EmptySetError when the interior
+    is empty and InputError when the inradius is unbounded.
     """
     if poly.a.shape[0] == 0:
         raise InputError("the whole space has no deepest point; supply constraints or a witness")
-    ball = _inscribed_ball(poly)
-    if ball is None:
+    center, r = _inscribed_ball(poly) if ball is None else ball
+    if r == -np.inf:
         raise EmptySetError("polyhedron is empty")
-    center = ball[0]
+    if center is None:
+        raise InputError("polyhedron is unbounded; an interior point requires a witness")
     radius = float(np.min((poly.b - poly.a @ center) / np.linalg.norm(poly.a, axis=1)))
     if radius <= MIN_DEPTH:
         raise EmptySetError("polyhedron has empty interior")
     return center, radius
 
 
-def _meets(a_set: ConvexSet, basis: np.ndarray | None = None) -> bool | None:
+def _meets(a_set: ConvexSet, basis: np.ndarray | None = None, ball: _Ball | None = None) -> bool | None:
     """Does the open set meet the row span of ``basis`` (the whole space if None)?
 
-    Exact for polyhedra (capped inscribed ball centered in the span, radius
-    above MIN_DEPTH) and balls (center nearer the span than r (1 - 1e-9), a
-    band relative to r); None for other sets.  ``basis`` rows are orthonormal.
+    Exact for polyhedra (an inscribed ball centered in the span with a
+    radius above MIN_DEPTH, or an unbounded one; ``ball`` is that LP's
+    result when the caller has it) and balls (center nearer the span than
+    r (1 - 1e-9), a band relative to r); None for other sets.  ``basis``
+    rows are orthonormal.
     """
     if isinstance(a_set, HPolyhedron):
-        ball = _inscribed_ball(a_set, cap=1.0, basis=basis)
-        return ball is not None and ball[1] > MIN_DEPTH
+        return (_inscribed_ball(a_set, basis) if ball is None else ball)[1] > MIN_DEPTH
     if isinstance(a_set, OpenBall):
         c = np.asarray(a_set.center)
         dist = 0.0 if basis is None else float(np.linalg.norm(c - (basis @ c) @ basis))
@@ -388,9 +383,12 @@ def _meets(a_set: ConvexSet, basis: np.ndarray | None = None) -> bool | None:
     return None
 
 
-def is_empty(a_set: ConvexSet) -> bool:
-    """Best-effort emptiness test (exact for polyhedra and balls)."""
-    meets = _meets(a_set)
+def is_empty(a_set: ConvexSet, *, ball: _Ball | None = None) -> bool:
+    """Best-effort emptiness test (exact for polyhedra and balls).
+
+    ``ball`` is a polyhedron's whole-space ``_inscribed_ball`` when the
+    caller has solved it, as for ``chebyshev_center``."""
+    meets = _meets(a_set, ball=ball)
     if meets is not None:
         return not meets
     if isinstance(a_set, OracleSet):
@@ -400,13 +398,15 @@ def is_empty(a_set: ConvexSet) -> bool:
     raise InputError(f"emptiness test unsupported for {type(a_set).__name__}")
 
 
-def pick_interior_point(a_set: ConvexSet) -> np.ndarray:
-    """A deterministic interior point: ball center, Chebyshev center, or witness."""
+def pick_interior_point(a_set: ConvexSet, *, ball: _Ball | None = None) -> np.ndarray:
+    """A deterministic interior point: ball center, Chebyshev center, or witness.
+
+    ``ball`` is passed on to ``chebyshev_center``."""
     if isinstance(a_set, OpenBall):
         return np.array(a_set.center)
     if isinstance(a_set, HPolyhedron):
         try:
-            center, _ = chebyshev_center(a_set)
+            center, _ = chebyshev_center(a_set, ball=ball)
             return center
         except InputError:
             if a_set.witness is not None and a_set.contains(a_set.witness):

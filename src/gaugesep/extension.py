@@ -23,7 +23,10 @@ gauges a seeded derivative-free coordinate search certifies the interval to
 about 1e-6.  ``domination_check`` measures
 ``|g| <= p`` on the polar side too, as ``p*(g) - 1``: exactly from the two
 LPs ``max +-g . e`` over ``p <= 1`` for polyhedral gauges and from the polar
-for ball-cone gauges, by seeded sampling and ascent for oracle gauges.
+for ball-cone gauges, by seeded sampling and ascent for oracle gauges.  The
+last step's ends are points psi of D° on the whole space, so when the step
+picked an end, g is that end and a full extension starts the +g LP from its
+basis.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateError, InputError, SolverError
-from .gauges import BallConeGauge, OracleGauge, PolyhedralGauge, Seminorm, _gauge, gauge
+from .gauges import BallConeGauge, OracleGauge, PolyhedralGauge, Seminorm, _gauge, _mirror_rows, gauge
 from .geometry import (
     PartialFunctional,
     Subspace,
@@ -230,6 +233,15 @@ def _ball_phi(p: BallConeGauge, basis: np.ndarray, w: np.ndarray, z: np.ndarray)
     return max(values)
 
 
+def _end_bases(step: ExtensionStep) -> tuple[np.ndarray, ...]:
+    """The optimal LP bases of a step's interval ends, the end nearer the
+    picked value first (empty off the polyhedral path)."""
+    interval = step.interval
+    if step.gamma - interval.lo < interval.hi - step.gamma:  # nearer the lower end
+        return interval._bases[::-1]
+    return interval._bases
+
+
 def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[np.ndarray, ...]]:
     """(hi, lo, optimal bases of the two ends) for a polyhedral gauge, with
     (hi, lo) = (``_phi`` at z, minus ``_phi`` at -z): two LPs that differ
@@ -247,10 +259,7 @@ def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[
     # new row c_k comes before the row of t, whose artificial shifts by one
     new, start = m + k, None
     if state.history:
-        last = state.history[-1]
-        ends = last.interval._bases
-        if last.gamma - last.interval.lo < last.interval.hi - last.gamma:  # nearer the lower end
-            ends = ends[::-1]
+        ends = _end_bases(state.history[-1])
         start = [np.append(np.where(old >= new, old + 1, old), new) for old in ends if old.size == k] or None
     values, bases = [], []
     for side in (z, -z):
@@ -392,20 +401,27 @@ def extend_full_state(
     state = ExtensionState(f, p)
     for z in complement_basis(f.domain):
         state = extend_one(state, z, rule, seed=seed)
-    violation = _checked_domination(state.functional.as_coefficients(), p, seed=seed)
+    # each end of the last step is a point a^T y of D° on the whole space; when
+    # g is an end (the "upper" and "lower" rules), that end's basis of
+    # y-columns alone is a basis of the +g domination LP's dual too, and a
+    # g strictly inside the interval fits neither end's basis
+    last, start = (state.history or [None])[-1], None
+    if last is not None and last.gamma in (last.interval.lo, last.interval.hi):
+        start = [basis for basis in _end_bases(last) if np.all(basis < p.a.shape[0])] or None
+    violation = _checked_domination(state.functional.as_coefficients(), p, seed=seed, start=start)
     return ExtensionState(state.functional, p, state.history, violation)
 
 
-def _checked_domination(g: np.ndarray, p: Seminorm, *, seed: int) -> float:
+def _checked_domination(g: np.ndarray, p: Seminorm, *, seed: int, start=None) -> float:
     """``domination_check`` of a full extension ``g``, raising SolverError
     past ``DOMINATION_TOL``."""
-    violation = domination_check(g, p, seed=seed)
+    violation = domination_check(g, p, seed=seed, start=start)
     if violation > DOMINATION_TOL:
         raise SolverError(f"extension violates domination by {violation:.3e}")
     return violation
 
 
-def domination_check(g, p: Seminorm, seed: int = 0) -> float:
+def domination_check(g, p: Seminorm, seed: int = 0, *, start=None) -> float:
     """``p*(g) - 1`` with ``p*(g) = sup |g . e| / p(e)``; <= 0 means dominated.
 
     ``|g| <= p`` says that g lies in the polar body D°, so the value is
@@ -413,7 +429,11 @@ def domination_check(g, p: Seminorm, seed: int = 0) -> float:
     Polyhedral gauges take the larger of the two LPs ``max +-g . e`` over
     ``p <= 1`` (``inf`` when one is unbounded: g is then nonzero on the
     kernel of p); ball-cone gauges take the closed-form polar.  Both are
-    exact and draw nothing.  Oracle gauges sample 256 seeded
+    exact and draw nothing.  ``start`` is a basis of the +g LP's dual, as in
+    ``solve_lp``.  On a gauge with mirrored rows (``gauges._mirror_rows``:
+    those of ``gauge_from_symmetrized`` and ``ExplicitMaxAbs``) the -g LP
+    starts from the +g LP's basis with each row moved to its mirror, which
+    is optimal as it stands.  Oracle gauges sample 256 seeded
     directions and refine the best one, and ``g`` itself, by a
     deterministic coordinate ascent, so that clear violations cannot hide
     between samples; there ``|g . e|`` is first lowered by ``1e-9 |g| |e|``,
@@ -421,14 +441,18 @@ def domination_check(g, p: Seminorm, seed: int = 0) -> float:
     """
     g = as_vector(g, p.dim)
     if isinstance(p, PolyhedralGauge):
-        best = 0.0
+        mirror, best = _mirror_rows(p), 0.0
         for sign in (1.0, -1.0):
-            res = solve_lp(-sign * g, a_ub=p.a, b_ub=p.b)
+            res = solve_lp(-sign * g, a_ub=p.a, b_ub=p.b, start=start)
             if res.status == "unbounded":
                 return np.inf
             if res.status != "optimal":
                 raise SolverError(f"domination LP failed with status {res.status!r}")
             best = max(best, -res.objective)
+            start = None if mirror is None else res.basis.copy()
+            if start is not None:  # the y-columns come first in the dual
+                rows = start < mirror.size
+                start[rows] = mirror[start[rows]]
         return best - 1.0
     if isinstance(p, BallConeGauge):
         return p.polar(g)[0] - 1.0

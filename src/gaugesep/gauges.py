@@ -174,12 +174,28 @@ class BallConeGauge:
         return ridge, q_psi / ridge
 
 
+def _mirrored(rows: np.ndarray, offsets: np.ndarray) -> PolyhedralGauge:
+    """The gauge of ``{e : |c_i . e| < d_i}``, as rows ``[c; -c]`` with
+    offsets ``[d; d]``: row i + m/2 is -(row i) (see ``_mirror_rows``)."""
+    return PolyhedralGauge(np.vstack([rows, -rows]), np.concatenate([offsets, offsets]))
+
+
+def _mirror_rows(p: PolyhedralGauge) -> np.ndarray | None:
+    """The index of the row -(row i) with the same offset, for each row i,
+    when ``p`` has the row layout of ``_mirrored``; None otherwise."""
+    m = p.a.shape[0]
+    half = m // 2
+    if m % 2 or not (np.array_equal(p.a[half:], -p.a[:half]) and np.array_equal(p.b[half:], p.b[:half])):
+        return None
+    return np.roll(np.arange(m), -half)
+
+
 def ExplicitMaxAbs(rows) -> PolyhedralGauge:
     """The seminorm ``max_i |c_i . e|``: the gauge of ``{e : |c_i . e| < 1}``."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise InputError("coefficient rows must form a 2-D array")
-    return PolyhedralGauge(np.vstack([rows, -rows]), np.ones(2 * rows.shape[0]))
+    return _mirrored(rows, np.ones(rows.shape[0]))
 
 
 Seminorm = PolyhedralGauge | BallConeGauge | OracleGauge
@@ -239,8 +255,7 @@ def gauge_from_symmetrized(body: SymmetrizedBody) -> Seminorm:
         offsets = base.b - base.a @ body.anchor
         if np.any(offsets <= 0.0):
             raise InputError("anchor is not strictly inside the base cone")
-        rows = np.vstack([base.a, -base.a])
-        return PolyhedralGauge(rows, np.concatenate([offsets, offsets]))
+        return _mirrored(base.a, offsets)
     if isinstance(base, BallCone):
         if base._excess < 0.0:  # origin inside the ball: the hull, and D, are the whole space
             return PolyhedralGauge(np.zeros((0, body.dim)), np.zeros(0))

@@ -23,6 +23,7 @@ from .convexsets import (
     HPolyhedron,
     OpenBall,
     OracleSet,
+    _inscribed_ball,
     _meets,
     build_D,
     conic_hull,
@@ -240,7 +241,9 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     n = a_set.dim
     if s.ambient_dim != n:
         raise InputError("set and subspace dimensions disagree")
-    empty = is_empty(a_set)
+    # one whole-space inscribed-ball LP serves the emptiness test and the anchor
+    ball = _inscribed_ball(a_set) if isinstance(a_set, HPolyhedron) else None
+    empty = is_empty(a_set, ball=ball)
     if s.dim == n:
         if empty:
             raise DegenerateError("the subspace is the whole space; no hyperplane contains it")
@@ -250,7 +253,7 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
         cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples))
         return SeparationResult(Hyperplane(normal), normal, None, None, (), cert)
     _check_disjoint(a_set, s, opts.seed)
-    x = as_vector(opts.x, n) if opts.x is not None else pick_interior_point(a_set)
+    x = as_vector(opts.x, n) if opts.x is not None else pick_interior_point(a_set, ball=ball)
     body = build_D(a_set, x)
     p = gauge_from_symmetrized(body)
     state = extend_full_state(_span_functional(s, x), p, opts.gamma_rule, seed=opts.seed)

@@ -22,7 +22,9 @@ LP that differs from an earlier one only in ``b_ub`` and starts from that
 result's ``phase1_basis`` pivots only in phase 2, and its result is the same
 bit for bit as a cold solve's.  The extension solves both ends of an interval
 (``b_ub = -+a z``) that way, and starts each step's upper end from the basis
-of the end the step before picked.
+of the end the step before picked; ``domination_check`` starts its +g LP
+from the basis of the end the last step picked and, on a gauge with
+mirrored rows, its -g LP from the +g LP's basis.
 """
 
 from __future__ import annotations

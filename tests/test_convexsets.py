@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaugesep.convexsets as convexsets
 from gaugesep import (
     EmptySetError,
     HPolyhedron,
@@ -10,11 +11,16 @@ from gaugesep import (
     OpenBall,
     OracleSet,
     build_D,
+    chebyshev_center,
     conic_hull,
     conic_hull_membership,
     pick_interior_point,
     sample_interior,
+    separate,
+    solve_lp,
+    span_basis,
 )
+from gaugesep.convexsets import MIN_DEPTH, _inscribed_ball, is_empty
 from gaugesep.fixtures import disk_instance, halfspace_instance, oracle_by_name
 
 from helpers import random_instance
@@ -282,3 +288,49 @@ class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
             HPolyhedron(np.array([[1.0, 0.0]]), np.array([1.0, 2.0]))
+
+
+# 1 < e1 < 3, |e2| < 1, |e3| < 1: disjoint from the e3 axis
+BOX = (np.vstack([np.eye(3), -np.eye(3)]), np.array([3.0, 1.0, 1.0, -1.0, 1.0, 1.0]))
+
+
+class TestDeepestPointLP:
+    """``separate`` solves a polyhedron's whole-space inscribed-ball LP once
+    and hands it to ``is_empty`` and ``pick_interior_point``; ``_meets`` on
+    a span solves its own, and an unbounded radius reads as meeting."""
+
+    @staticmethod
+    def lp_shapes(monkeypatch) -> list[tuple[int, int]]:
+        shapes = []
+
+        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
+            shapes.append(np.shape(a_ub))
+            return solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+
+        monkeypatch.setattr(convexsets, "solve_lp", recording)
+        return shapes
+
+    def test_separate_solves_two_per_call(self, monkeypatch):
+        # nothing is kept on the polyhedron: a second call solves both again
+        box, s = HPolyhedron(*BOX), span_basis([np.array([0.0, 0.0, 1.0])])
+        shapes = self.lp_shapes(monkeypatch)
+        for _ in range(2):
+            assert separate(box, s).certificate.valid
+        assert shapes == [(6, 4), (6, 2)] * 2  # (center, r) in the whole space, then in S
+
+    def test_is_empty_answers(self):
+        empty = HPolyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
+        thin = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.5 * MIN_DEPTH, 0.0]))
+        cases = [(empty, True), (thin, True), (halfspace_instance()[0], False), (HPolyhedron(*BOX), False)]
+        for poly, empty in cases:
+            assert is_empty(poly) == empty
+            assert is_empty(poly, ball=_inscribed_ball(poly)) == empty
+
+    def test_passed_ball_gives_the_same_center(self, monkeypatch):
+        box = HPolyhedron(*BOX)
+        ball = _inscribed_ball(box)
+        shapes = self.lp_shapes(monkeypatch)
+        center, radius = chebyshev_center(box, ball=ball)
+        assert shapes == [] and radius == 1.0
+        np.testing.assert_array_equal(center, chebyshev_center(box)[0])
+        np.testing.assert_array_equal(pick_interior_point(box, ball=ball), [2.0, 0.0, 0.0])

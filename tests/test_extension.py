@@ -5,6 +5,7 @@ import gaugesep.extension as extension
 from gaugesep import (
     BallConeGauge,
     DegenerateError,
+    ExplicitMaxAbs,
     ExtensionState,
     InputError,
     PartialFunctional,
@@ -361,6 +362,100 @@ class TestDominationCheck:
         first = domination_check(np.array([0.9, 0.3]), p, seed=9)
         second = domination_check(np.array([0.9, 0.3]), p, seed=9)
         assert first == second
+
+
+def recording_lps(monkeypatch, *, cold: bool = False) -> list:
+    """Record ``(start, result)`` of every ``extension.solve_lp`` call; with
+    ``cold`` the domination LPs (the only ones without ``nonneg``) drop
+    their start."""
+    calls = []
+
+    def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
+        if cold and nonneg is None:
+            start = None
+        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+        calls.append((start, res))
+        return res
+
+    monkeypatch.setattr(extension, "solve_lp", recording)
+    return calls
+
+
+class TestDominationStarts:
+    """The -g LP of ``domination_check`` starts from the +g LP's optimal
+    basis moved to the mirror rows, and ``extend_full_state`` starts the +g
+    LP from the last step's end bases; neither may change the value."""
+
+    @staticmethod
+    def mirrored_gauges():
+        rng = np.random.default_rng(44)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            poly, _ = random_polytope_instance(rng, n)
+            p = gauge_from_symmetrized(build_D(poly, chebyshev_center(poly)[0]))
+            yield p, dominated_functional(rng, p, n)[1] * rng.uniform(0.5, 2.0)
+        for n in (2, 3, 5):
+            p = ExplicitMaxAbs(rng.normal(size=(n + 1, n)))
+            yield p, rng.normal(size=n)
+
+    def test_mirrored_lp_takes_no_pivots(self, monkeypatch):
+        cases = list(self.mirrored_gauges())
+        calls = recording_lps(monkeypatch)
+        warm = []
+        for p, g in cases:
+            calls.clear()
+            warm.append(domination_check(g, p))
+            (_, plus), (mirror, minus) = calls
+            assert mirror is not None and plus.iterations > 0 and minus.iterations == 0
+            assert minus.objective == pytest.approx(plus.objective, rel=1e-12)  # p*(-g) = p*(g)
+        calls = recording_lps(monkeypatch, cold=True)
+        for (p, g), value in zip(cases, warm):
+            assert np.isfinite(value)
+            assert value == pytest.approx(domination_check(g, p), rel=1e-12, abs=1e-12)
+
+    def test_unmirrored_gauge_gives_the_cold_value(self, monkeypatch):
+        # TAXICAB's row i + 2 is not -(row i), and random rows mirror nothing
+        rng = np.random.default_rng(45)
+        cases = [(TAXICAB, np.array([0.3, -0.8])), (TAXICAB, np.array([1.0, 2.0]))]
+        for n in (2, 3, 4):
+            p = PolyhedralGauge(rng.normal(size=(3 * n, n)), rng.uniform(0.5, 2.0, size=3 * n))
+            cases.append((p, rng.normal(size=n)))
+        calls = recording_lps(monkeypatch)
+        warm = [domination_check(g, p) for p, g in cases]
+        assert np.all(np.isfinite(warm))
+        assert [start for start, _ in calls] == [None] * 2 * len(cases)  # no mirror, no -g start
+        recording_lps(monkeypatch, cold=True)
+        assert warm == [domination_check(g, p) for p, g in cases]
+
+    @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
+    def test_plus_g_start_from_the_last_step(self, monkeypatch, rule):
+        rng = np.random.default_rng(46)
+        cases = []
+        for _ in range(12):
+            n = int(rng.integers(3, 7))
+            poly, _ = random_polytope_instance(rng, n)
+            p = gauge_from_symmetrized(build_D(poly, chebyshev_center(poly)[0]))
+            cases.append((dominated_functional(rng, p, int(rng.integers(1, n)))[0], p))
+
+        def run(cold: bool) -> tuple[list[float], int]:
+            """(violations, pivots of the +g domination LPs)"""
+            calls = recording_lps(monkeypatch, cold=cold)
+            violations, pivots = [], 0
+            for f, p in cases:
+                calls.clear()
+                violations.append(extend_full_state(f, p, rule).violation)
+                (start, plus), _ = calls[-2:]  # the +g and -g domination LPs
+                # g strictly inside the last interval fits neither end's basis
+                assert (start is None) == (cold or rule == "midpoint")
+                pivots += plus.iterations
+            return violations, pivots
+
+        (warm, warm_pivots), (cold, cold_pivots) = run(False), run(True)
+        np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-12)
+        if rule == "midpoint":
+            assert warm_pivots == cold_pivots
+        else:  # g is the picked end, whose basis is optimal as it stands
+            assert warm_pivots < cold_pivots
 
 
 class TestExtendWithValues:

@@ -23,4 +23,5 @@ def test_traced_poly_sep_smoke(tmp_path):
     metrics = doc["metrics"]
     assert metrics["simplexlp.solve_lp.calls"]["value"] > 0
     assert metrics["simplexlp.solve_lp.pivots"]["value"] > 0
+    assert metrics["simplexlp.solve_lp.raised"]["value"] == 0  # no start makes an LP fail
     assert metrics["outcome.fail_share"]["value"] == 0
