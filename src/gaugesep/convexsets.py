@@ -3,7 +3,8 @@ pipeline needs: positive conic hulls, the symmetrized body around an anchor
 point, interior-point selection, and interior sampling.
 
 Conic hulls are closed forms for polyhedra and balls; any other hull is
-searched in plane sections through an interior point (``ConicHullSet``).
+searched in plane sections through an interior point (``ConicHullSet``),
+and in 2-D it is a polyhedral sector between two tangents (``_sector``).
 Membership is strict everywhere (open sets); verification-style callers get
 margins from the certificate code instead of epsilon-shrunken sets.
 """
@@ -248,6 +249,21 @@ class ConicHullSet(ConvexSet):
                 p2 = probe_at(lo + _GOLDEN * (hi - lo), hi - lo)
         return best
 
+    def _sector(self) -> HPolyhedron:
+        """In 2-D, the hull as the cone ``a_i . e < 0`` between the tangents of
+        the section through the witness (no rows for the plane).  Each edge runs
+        through the farthest member its search reached: the inner tangent, as
+        in ``OracleGauge``, inside the true edge by about 1e-12 rad."""
+        if self._full:
+            return HPolyhedron(np.zeros((0, 2)), np.zeros(0))
+        w, rows = self._witness, []
+        for sign in (1.0, -1.0):  # the upper edge, then the lower one
+            v = sign * np.array([-w[1], w[0]])
+            _, s, t = self._tangent(w, v)
+            edge = s * w + t * v
+            rows.append([-sign * edge[1], sign * edge[0]])  # the edge turned away from w
+        return HPolyhedron(rows / np.linalg.norm(rows, axis=1, keepdims=True), np.zeros(2))
+
 
 @dataclass(frozen=True, eq=False)
 class SymmetrizedBody(ConvexSet):
@@ -424,42 +440,17 @@ def pick_interior_point(a_set: ConvexSet, *, ball: _Ball | None = None) -> np.nd
 
 
 def sample_interior(a_set: ConvexSet, count: int, seed: int = 0) -> np.ndarray:
-    """Deterministic batch of strictly interior points (for certificates/tests).
-
-    Balls are sampled uniformly.  Polyhedra are sampled star-shaped from
-    ``pick_interior_point``: random directions, random fractions of the
-    distance to the boundary (capped along recession directions).
-    Oracle-style sets use an accept/reject random walk from that point.
-    """
+    """Deterministic batch of strictly interior points from membership alone
+    (the certificate's samples of a membership oracle): an accept/reject
+    random walk from ``pick_interior_point``."""
     rng = np.random.default_rng(seed)
     if count < 1:
         raise InputError("sample count must be positive")
-    if isinstance(a_set, OpenBall):
-        dirs = rng.normal(size=(count, a_set.dim))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1), 1e-300)[:, None]
-        radii = a_set.radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / a_set.dim)
-        return a_set.center + radii[:, None] * dirs
-    x0 = pick_interior_point(a_set)
-    if isinstance(a_set, HPolyhedron):
-        dirs = rng.normal(size=(count, a_set.dim))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1), 1e-300)[:, None]
-        cap = 10.0 * max(1.0, float(np.linalg.norm(x0)))
-        if a_set.a.shape[0]:
-            slack = a_set.b - a_set.a @ x0  # all > 0
-            dens = dirs @ a_set.a.T  # (count, m)
-            with np.errstate(divide="ignore"):
-                ratios = np.where(dens > 1e-300, slack[None, :] / dens, np.inf)
-            tmax = np.minimum(ratios.min(axis=1), cap)
-        else:
-            tmax = np.full(count, cap)
-        fracs = rng.uniform(0.02, 0.95, size=count)
-        return x0 + (fracs * tmax)[:, None] * dirs
-    current = x0
-    scale = 0.5 * max(1.0, float(np.linalg.norm(x0)))
+    current = pick_interior_point(a_set)
+    scale = 0.5 * max(1.0, float(np.linalg.norm(current)))
     out = np.empty((count, a_set.dim))
     for i in range(count):
-        step = rng.normal(size=a_set.dim) * scale
-        candidate = current + step
+        candidate = current + rng.normal(size=a_set.dim) * scale
         if a_set.contains(candidate):
             current = candidate
         out[i] = current

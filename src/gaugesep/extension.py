@@ -19,14 +19,14 @@ two ends' bases is.  Each ``GammaInterval`` keeps both bases, and the last
 step in a state's history hands them on.  A start changes the pivot path,
 so it moves an end by rounding only.  For ball-cone gauges the slice is an
 ellipsoid cylinder cut by a slab, whose maximum is closed form; for oracle
-gauges a seeded derivative-free coordinate search certifies the interval to
-about 1e-6.  ``domination_check`` measures
-``|g| <= p`` on the polar side too, as ``p*(g) - 1``: exactly from the two
-LPs ``max +-g . e`` over ``p <= 1`` for polyhedral gauges and from the polar
-for ball-cone gauges, by seeded sampling and ascent for oracle gauges.  The
-last step's ends are points psi of D° on the whole space, so when the step
-picked an end, g is that end and a full extension starts the +g LP from its
-basis.
+gauges (3-D and up) a seeded derivative-free coordinate search certifies the
+interval to about 1e-6.  ``domination_check`` measures ``|g| <= p`` on the
+polar side too, as ``p*(g) - 1``: exactly from the LPs ``max +-g . e`` over
+``p <= 1`` for polyhedral gauges (only +g on mirrored rows, where
+p*(-g) = p*(g)) and from the polar for ball-cone gauges, by seeded sampling
+and ascent for oracle gauges.  The last step's ends are points psi of D° on
+the whole space, so when the step picked an end, g is that end and a full
+extension starts the +g LP from its basis.
 """
 
 from __future__ import annotations
@@ -431,28 +431,23 @@ def domination_check(g, p: Seminorm, seed: int = 0, *, start=None) -> float:
     kernel of p); ball-cone gauges take the closed-form polar.  Both are
     exact and draw nothing.  ``start`` is a basis of the +g LP's dual, as in
     ``solve_lp``.  On a gauge with mirrored rows (``gauges._mirror_rows``:
-    those of ``gauge_from_symmetrized`` and ``ExplicitMaxAbs``) the -g LP
-    starts from the +g LP's basis with each row moved to its mirror, which
-    is optimal as it stands.  Oracle gauges sample 256 seeded
-    directions and refine the best one, and ``g`` itself, by a
+    those of ``gauge_from_symmetrized`` and ``ExplicitMaxAbs``) p(-e) = p(e),
+    so p*(-g) = p*(g) and only the +g LP is solved.  Oracle gauges sample
+    256 seeded directions and refine the best one, and ``g`` itself, by a
     deterministic coordinate ascent, so that clear violations cannot hide
     between samples; there ``|g . e|`` is first lowered by ``1e-9 |g| |e|``,
     so that rounding left on the kernel of p does not read as infinite.
     """
     g = as_vector(g, p.dim)
     if isinstance(p, PolyhedralGauge):
-        mirror, best = _mirror_rows(p), 0.0
-        for sign in (1.0, -1.0):
+        best = 0.0
+        for sign in (1.0,) if _mirror_rows(p) else (1.0, -1.0):
             res = solve_lp(-sign * g, a_ub=p.a, b_ub=p.b, start=start)
             if res.status == "unbounded":
                 return np.inf
             if res.status != "optimal":
                 raise SolverError(f"domination LP failed with status {res.status!r}")
-            best = max(best, -res.objective)
-            start = None if mirror is None else res.basis.copy()
-            if start is not None:  # the y-columns come first in the dual
-                rows = start < mirror.size
-                start[rows] = mirror[start[rows]]
+            best, start = max(best, -res.objective), None
         return best - 1.0
     if isinstance(p, BallConeGauge):
         return p.polar(g)[0] - 1.0

@@ -1,12 +1,12 @@
 """Minkowski functionals of absorbing balanced open bodies.
 
 Three representations, each evaluated on one point or on an (m, n) batch:
-polyhedral bodies get the closed form ``max(0, max_i a_i.e / b_i)``; bodies
-symmetrized inside the pointed cone over a ball get one root of the
-cone-exit quadratic per ray, and a closed-form polar (``BallConeGauge``);
-bodies symmetrized inside a conic hull that is searched through membership
-(``OracleGauge``) get the two tangents of a plane section through the anchor.
-Any of them may vanish off the origin (a seminorm that is not a norm).
+polyhedral bodies (a 2-D searched hull is a polyhedral sector) get the closed
+form ``max(0, max_i a_i.e / b_i)``; bodies symmetrized inside the pointed
+cone over a ball get one root of the cone-exit quadratic per ray, and a
+closed-form polar (``BallConeGauge``); bodies in a searched hull in 3-D or
+more (``OracleGauge``) get the two tangents of a plane section through the
+anchor.  Any of them may vanish off the origin (a seminorm that is not a norm).
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class OracleGauge:
     Since theta+ + theta- <= pi the terms have a nonnegative sum, so
     ``p(e) = max(0, kappa cot theta+ - t, kappa cot theta- + t)``.  An anchor
     outside the base A first moves along its ray to beta x in A, and
-    ``p_x = beta p_(beta x)``.  Any other body raises ``InputError``.
+    ``p_x = beta p_(beta x)``.  Any other body raises ``InputError``.  In 2-D
+    the pipeline takes the hull's polyhedral sector instead.
     """
 
     body: SymmetrizedBody
@@ -180,14 +181,10 @@ def _mirrored(rows: np.ndarray, offsets: np.ndarray) -> PolyhedralGauge:
     return PolyhedralGauge(np.vstack([rows, -rows]), np.concatenate([offsets, offsets]))
 
 
-def _mirror_rows(p: PolyhedralGauge) -> np.ndarray | None:
-    """The index of the row -(row i) with the same offset, for each row i,
-    when ``p`` has the row layout of ``_mirrored``; None otherwise."""
-    m = p.a.shape[0]
-    half = m // 2
-    if m % 2 or not (np.array_equal(p.a[half:], -p.a[:half]) and np.array_equal(p.b[half:], p.b[:half])):
-        return None
-    return np.roll(np.arange(m), -half)
+def _mirror_rows(p: PolyhedralGauge) -> bool:
+    """Does ``p`` have the row layout of ``_mirrored``, so that p(-e) = p(e)?"""
+    half, odd = divmod(p.a.shape[0], 2)
+    return not odd and np.array_equal(p.a[half:], -p.a[:half]) and np.array_equal(p.b[half:], p.b[:half])
 
 
 def ExplicitMaxAbs(rows) -> PolyhedralGauge:
@@ -246,11 +243,13 @@ def unit_ball(p: Seminorm) -> ConvexSet:
 
 def gauge_from_symmetrized(body: SymmetrizedBody) -> Seminorm:
     """Gauge of a symmetrized body: exact polyhedral form when the base cone
-    is polyhedral (a ball cone with the origin on or inside the ball is a
-    half-space or the whole space), the closed form when it is a pointed ball
-    cone, an ``OracleGauge`` (plane-section tangents on a searched hull)
-    otherwise."""
+    is polyhedral (a 2-D searched hull is its sector; a ball cone with the
+    origin on or inside the ball is a half-space or the whole space), the
+    closed form when it is a pointed ball cone, an ``OracleGauge``
+    (plane-section tangents on a searched hull) otherwise."""
     base = body.base
+    if isinstance(base, ConicHullSet) and base.dim == 2:
+        base = base._sector()
     if isinstance(base, HPolyhedron):
         offsets = base.b - base.a @ body.anchor
         if np.any(offsets <= 0.0):

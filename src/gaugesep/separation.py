@@ -322,10 +322,9 @@ def brute_force_2d_normals(a_set: ConvexSet, grid: int = 1800) -> np.ndarray:
     """Admissible angles (radians in [0, pi)) of origin lines missing a 2-D set.
 
     Exact for balls (center distance test) and polyhedra (1-D interval
-    intersection along the line).  Any other set has a conic hull that is
-    one open sector, bounded by the two tangents of the hull's section
-    through its witness w; a line misses it when neither of its directions
-    lies inside, and an angle within 1e-12 of an edge counts as missing.
+    intersection along the line).  Any other set is tested as the polyhedron
+    of its conic hull, the open sector of ``ConicHullSet._sector`` (inner
+    tangents, so a line within about 1e-12 rad of an edge counts as missing).
     """
     if a_set.dim != 2:
         raise InputError("the angular oracle is 2-D only")
@@ -336,25 +335,16 @@ def brute_force_2d_normals(a_set: ConvexSet, grid: int = 1800) -> np.ndarray:
         normals = np.stack([-np.sin(thetas), np.cos(thetas)], axis=1)
         dist = np.abs(normals @ a_set.center)
         return thetas[dist >= a_set.radius]
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)  # each line's direction d
-    if isinstance(a_set, HPolyhedron):
-        # the line t d meets the set when the interval of t left by the rows is open
-        den = dirs @ a_set.a.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = a_set.b / den
-        hi = np.where(den > 0.0, bound, np.inf).min(axis=1, initial=np.inf)
-        lo = np.where(den < 0.0, bound, -np.inf).max(axis=1, initial=-np.inf)
-        parallel_cut = ((den == 0.0) & ~(a_set.b > 0.0)).any(axis=1)
-        return thetas[parallel_cut | ~(lo < hi)]
-    hull = conic_hull(a_set)
-    if hull._full:
-        return thetas[:0]
-    w = hull._witness
-    v = np.array([-w[1], w[0]])
-    above, below = hull._tangent(w, v)[0], hull._tangent(w, -v)[0]
-    phi = np.arctan2(dirs @ v, dirs @ w)  # polar angle of d about w; -d is at phi -+ pi
-    inside = [(-below + 1e-12 < a) & (a < above - 1e-12) for a in (phi, phi - np.copysign(np.pi, phi))]
-    return thetas[~(inside[0] | inside[1])]
+    if not isinstance(a_set, HPolyhedron):  # a line through 0 misses a set iff it misses its hull
+        a_set = conic_hull(a_set)._sector()
+    # the line t d meets the set when the interval of t left by the rows is open
+    den = np.stack([np.cos(thetas), np.sin(thetas)], axis=1) @ a_set.a.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = a_set.b / den
+    hi = np.where(den > 0.0, bound, np.inf).min(axis=1, initial=np.inf)
+    lo = np.where(den < 0.0, bound, -np.inf).max(axis=1, initial=-np.inf)
+    parallel_cut = ((den == 0.0) & ~(a_set.b > 0.0)).any(axis=1)
+    return thetas[parallel_cut | ~(lo < hi)]
 
 
 def extend_via_separation(

@@ -23,8 +23,7 @@ result's ``phase1_basis`` pivots only in phase 2, and its result is the same
 bit for bit as a cold solve's.  The extension solves both ends of an interval
 (``b_ub = -+a z``) that way, and starts each step's upper end from the basis
 of the end the step before picked; ``domination_check`` starts its +g LP
-from the basis of the end the last step picked and, on a gauge with
-mirrored rows, its -g LP from the +g LP's basis.
+from the basis of the end the last step picked.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from gaugesep import (
     SolverError,
     Subspace,
     gauge,
+    pick_interior_point,
     span_basis,
     unit_ball,
     zero_subspace,
@@ -252,6 +253,27 @@ def lp_vertex_reference(c, a_ub, b_ub) -> tuple[float, np.ndarray]:
                 best = (value, x)
     assert best[1] is not None, "no feasible vertex found"
     return best
+
+
+def sample_exact(a_set: HPolyhedron | OpenBall, count: int, seed: int = 0) -> np.ndarray:
+    """Seeded interior points of a ball or a polyhedron, drawn directly
+    rather than walked: balls uniformly, polyhedra star-shaped from
+    ``pick_interior_point`` (random directions, random fractions of the
+    distance to the boundary, capped along recession directions)."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(count, a_set.dim))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1), 1e-300)[:, None]
+    if isinstance(a_set, OpenBall):
+        radii = a_set.radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / a_set.dim)
+        return a_set.center + radii[:, None] * dirs
+    x0 = pick_interior_point(a_set)
+    tmax = np.full(count, 10.0 * max(1.0, float(np.linalg.norm(x0))))
+    if a_set.a.shape[0]:
+        dens = dirs @ a_set.a.T
+        with np.errstate(divide="ignore"):
+            ratios = np.where(dens > 1e-300, (a_set.b - a_set.a @ x0)[None, :] / dens, np.inf)
+        tmax = np.minimum(ratios.min(axis=1), tmax)
+    return x0 + (rng.uniform(0.02, 0.95, size=count) * tmax)[:, None] * dirs
 
 
 @dataclass(frozen=True, eq=False)

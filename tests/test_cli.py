@@ -194,6 +194,15 @@ class TestSubcommands:
         assert doc["domain_agreement"] < 1e-8
         assert doc["domination_violation"] <= 1e-6
 
+    def test_roundtrip_example1(self, capsys):
+        # the reverse route separates the oracle set {e : p(y - e) < 1}, whose
+        # 2-D conic hull is a sector, so both routes run exact LPs
+        code, out, _ = run_cli(capsys, "roundtrip", "--input", "example1")
+        assert code == 0
+        doc = json.loads(out)
+        np.testing.assert_allclose(doc["g_geometric"], doc["g_direct"], rtol=0.0, atol=1e-12)
+        assert doc["domain_agreement"] < 1e-12
+
     def test_verify_with_explicit_normal(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--input", "example1", "--normal", "0,1")
         assert code == 0

@@ -382,9 +382,9 @@ def recording_lps(monkeypatch, *, cold: bool = False) -> list:
 
 
 class TestDominationStarts:
-    """The -g LP of ``domination_check`` starts from the +g LP's optimal
-    basis moved to the mirror rows, and ``extend_full_state`` starts the +g
-    LP from the last step's end bases; neither may change the value."""
+    """``domination_check`` solves only the +g LP on a gauge with mirrored
+    rows, and ``extend_full_state`` starts that LP from the last step's end
+    bases; neither may change the value."""
 
     @staticmethod
     def mirrored_gauges():
@@ -399,19 +399,19 @@ class TestDominationStarts:
             yield p, rng.normal(size=n)
 
     def test_mirrored_lp_takes_no_pivots(self, monkeypatch):
+        # p(-e) = p(e) on mirrored rows, so p*(-g) = p*(g): the mirrored -g
+        # LP is not solved at all, and the +g LP alone gives the value of the
+        # two cold LPs an unmirrored gauge needs
         cases = list(self.mirrored_gauges())
         calls = recording_lps(monkeypatch)
-        warm = []
         for p, g in cases:
             calls.clear()
-            warm.append(domination_check(g, p))
-            (_, plus), (mirror, minus) = calls
-            assert mirror is not None and plus.iterations > 0 and minus.iterations == 0
-            assert minus.objective == pytest.approx(plus.objective, rel=1e-12)  # p*(-g) = p*(g)
-        calls = recording_lps(monkeypatch, cold=True)
-        for (p, g), value in zip(cases, warm):
+            value = domination_check(g, p)
+            ((start, _),) = calls
+            assert start is None
+            cold = max(-solve_lp(-sign * g, a_ub=p.a, b_ub=p.b).objective for sign in (1.0, -1.0))
             assert np.isfinite(value)
-            assert value == pytest.approx(domination_check(g, p), rel=1e-12, abs=1e-12)
+            assert value == pytest.approx(cold - 1.0, rel=1e-12, abs=1e-12)
 
     def test_unmirrored_gauge_gives_the_cold_value(self, monkeypatch):
         # TAXICAB's row i + 2 is not -(row i), and random rows mirror nothing
@@ -444,7 +444,7 @@ class TestDominationStarts:
             for f, p in cases:
                 calls.clear()
                 violations.append(extend_full_state(f, p, rule).violation)
-                (start, plus), _ = calls[-2:]  # the +g and -g domination LPs
+                start, plus = calls[-1]  # the +g domination LP, the only one on mirrored rows
                 # g strictly inside the last interval fits neither end's basis
                 assert (start is None) == (cold or rule == "midpoint")
                 pivots += plus.iterations

@@ -6,6 +6,7 @@ import pytest
 import gaugesep.gauges
 from gaugesep import (
     BallConeGauge,
+    ConicHullSet,
     ExplicitMaxAbs,
     HPolyhedron,
     InputError,
@@ -14,6 +15,7 @@ from gaugesep import (
     OracleSet,
     PolyhedralGauge,
     SeparationOptions,
+    SymmetrizedBody,
     build_D,
     conic_hull,
     gauge,
@@ -102,7 +104,8 @@ class TestOracleGauge:
 class TestOracleSectionGauge:
     """Oracle gauges on searched conic hulls against the in-package closed
     forms of the same sets, at the witness and at an anchor in the hull but
-    outside the set."""
+    outside the set.  In 2-D ``gauge_from_symmetrized`` takes the hull's
+    sector instead, so the search gauge is built directly."""
 
     OFFSET_BOX = HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([4.0, 1.0, -2.0, 1.0]))
 
@@ -117,14 +120,56 @@ class TestOracleSectionGauge:
         ids=["disk-witness", "disk-outside-set", "box-witness", "box-outside-set"],
     )
     def test_matches_closed_form(self, name, closed_set, anchor):
-        anchor = np.array(anchor)
-        p = gauge_from_symmetrized(build_D(oracle_by_name(name), anchor))
-        assert isinstance(p, OracleGauge)
+        anchor, oracle = np.array(anchor), oracle_by_name(name)
+        p = OracleGauge(SymmetrizedBody(ConicHullSet(oracle), anchor))
+        # an anchor outside the set first moves along its ray into it
+        assert (p._beta != 1.0) == (not oracle.contains(anchor))
         reference = gauge_from_symmetrized(build_D(closed_set, anchor))
         assert isinstance(reference, (BallConeGauge, PolyhedralGauge))
         points = np.random.default_rng(40).normal(size=(20, 2))
         np.testing.assert_allclose(gauge(p, points), gauge(reference, points), rtol=1e-9, atol=0.0)
         assert gauge(p, anchor) == pytest.approx(1.0, rel=1e-9)
+
+    THIN_DISK = OpenBall(np.array([7.0, 0.0]), 0.07)  # r = 0.01 |c|
+    HALF_PLANE = HPolyhedron(np.array([[-1.0, -2.0]]), np.array([-1.0]))  # x + 2y > 1
+    HOLDS_ORIGIN = OpenBall(np.array([0.5, 0.0]), 1.0)
+
+    @pytest.mark.parametrize(
+        "closed_set, witness, anchor",
+        [
+            (DISK, [2.0, 0.0], [2.0, 0.0]),
+            (DISK, [2.0, 0.0], [0.5, 0.3]),
+            (OFFSET_BOX, [3.0, 0.0], [3.0, 0.0]),
+            (OFFSET_BOX, [3.0, 0.0], [1.5, 0.2]),
+            (THIN_DISK, [7.0, 0.0], [7.0, 0.0]),
+            (THIN_DISK, [7.0, 0.0], [3.5, 0.01]),
+            (HALF_PLANE, [1.0, 1.0], [1.0, 1.0]),
+            (HALF_PLANE, [1.0, 1.0], [-4.0, 3.0]),
+            (HOLDS_ORIGIN, [0.5, 0.0], [-3.0, 7.0]),
+        ],
+        ids=[
+            "disk-witness",
+            "disk-outside-set",
+            "box-witness",
+            "box-outside-set",
+            "thin-disk-witness",
+            "thin-disk-outside-set",
+            "half-plane-witness",
+            "half-plane-outside-set",
+            "holds-origin",
+        ],
+    )
+    def test_2d_hull_gives_the_sector_gauge(self, closed_set, witness, anchor):
+        # every 2-D conic hull is a polyhedral cone: two rows, none for the plane
+        anchor = np.array(anchor)
+        oracle = OracleSet(2, closed_set.contains, witness=np.array(witness))
+        p = gauge_from_symmetrized(build_D(oracle, anchor))
+        assert isinstance(p, PolyhedralGauge)
+        assert p.a.shape[0] == (0 if closed_set is self.HOLDS_ORIGIN else 4)
+        reference = gauge_from_symmetrized(build_D(closed_set, anchor))
+        points = np.random.default_rng(42).normal(size=(20, 2))
+        np.testing.assert_allclose(gauge(p, points), gauge(reference, points), rtol=1e-9, atol=0.0)
+        assert gauge(p, anchor) == pytest.approx(gauge(reference, anchor), rel=1e-9)
 
     def test_halfspace_recession_direction(self):
         oracle = oracle_by_name("halfspace-x")

@@ -5,7 +5,10 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
+
 import gaugesep
+from gaugesep import OpenBall, OracleSet
 from gaugesep.convexsets import sample_interior
 from gaugesep.separation import _certificate
 
@@ -43,3 +46,12 @@ def test_removed_names_are_gone():
     assert not hasattr(gaugesep.Subspace, "projector_matrix")
     assert "start" not in inspect.signature(sample_interior).parameters
     assert "start" not in inspect.signature(_certificate).parameters
+
+
+def test_sample_interior_is_the_membership_walk():
+    # certificates sample membership oracles only, so sample_interior walks
+    # every set by membership; the direct ball and polyhedron samplers are
+    # the test reference helpers.sample_exact
+    ball = OpenBall(np.array([2.0, 0.0]), 1.0)
+    walk = OracleSet(2, ball.contains, witness=ball.center)
+    np.testing.assert_array_equal(sample_interior(ball, 50, seed=3), sample_interior(walk, 50, seed=3))

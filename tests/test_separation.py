@@ -7,10 +7,12 @@ import gaugesep.extension as extension
 import gaugesep.separation as separation
 from gaugesep import (
     DegenerateError,
+    ExtensionState,
     HPolyhedron,
     Hyperplane,
     InputError,
     OpenBall,
+    OracleGauge,
     OracleSet,
     PartialFunctional,
     PolyhedralGauge,
@@ -18,12 +20,13 @@ from gaugesep import (
     SolverError,
     Subspace,
     brute_force_2d_normals,
+    build_D,
     complement_basis,
     domination_check,
+    extend_one,
     extend_via_separation,
     gauge,
     remark2_equivalence_check,
-    sample_interior,
     separate,
     solve_lp,
     span_basis,
@@ -44,6 +47,7 @@ from helpers import (
     random_polyhedral_gauge,
     random_polytope_instance,
     rotated_box,
+    sample_exact,
 )
 
 TAXICAB = PolyhedralGauge(
@@ -491,13 +495,14 @@ class TestKernelDisjointDifferential:
 
 class TestExactVersusSampled:
     """No hyperplane passes the exact side test (polyhedra and balls) and
-    fails the sampled one (one sign on seeded interior points)."""
+    fails the sampled one (one sign on seeded interior points, drawn by the
+    reference sampler ``helpers.sample_exact``)."""
 
     def check(self, a_set, normals) -> list[bool]:
         verdicts = []
         for i, normal in enumerate(normals):
             exact = verify_separation(a_set, zero_subspace(a_set.dim), Hyperplane(normal)).sign_constant
-            vals = sample_interior(a_set, 2000, seed=i) @ normal
+            vals = sample_exact(a_set, 2000, seed=i) @ normal
             assert not exact or np.all(vals > 0.0) or np.all(vals < 0.0), normal
             verdicts.append(exact)
         return verdicts
@@ -786,22 +791,53 @@ class TestBruteForce2D:
 
 class TestOracleSetEndToEnd:
     def test_membership_oracle_composes_through_pipeline(self, monkeypatch):
-        # pure-predicate set: conic hull, gauge, and intervals all run on
-        # searches; budgets are trimmed since this checks composition, not
-        # certification tightness
-        import gaugesep.extension as ext
+        # separate() runs the exact pipeline on the sector of the 2-D hull;
+        # the search pipeline (searched hull, plane-section gauge, pattern
+        # search intervals) runs once by hand on trimmed budgets, since this
+        # checks composition, not certification tightness, and must agree
         from gaugesep.fixtures import oracle_by_name
 
-        monkeypatch.setattr(ext, "SEARCH_RESTARTS", 1)
-        monkeypatch.setattr(ext, "SEARCH_ITERATIONS", 40)
+        monkeypatch.setattr(extension, "SEARCH_RESTARTS", 1)
+        monkeypatch.setattr(extension, "SEARCH_ITERATIONS", 40)
         box = oracle_by_name("offset-box")
         result = separate(box, zero_subspace(2), SeparationOptions(certificate_samples=300))
         assert result.certificate.valid
+        assert isinstance(result.gauge_used, PolyhedralGauge)
         # box corners sit at (2, +/-1) and (4, +/-1); the admissible fan is
         # bounded by the corner tangents, so the normal stays within it
         theta = line_angle(np.asarray(result.hyperplane.normal))
         corner = np.arctan2(1.0, 2.0)
         assert corner - 0.05 <= theta <= np.pi - corner + 0.05
+        x = result.anchor_x
+        state = ExtensionState(separation._span_functional(zero_subspace(2), x), OracleGauge(build_D(box, x)))
+        for z in complement_basis(state.domain):
+            state = extend_one(state, z)
+        g = state.functional.as_coefficients()
+        np.testing.assert_allclose(g, result.g, rtol=0.0, atol=1e-6)
+        # the sampled domination check of oracle gauges has its own tests;
+        # here the exact polar of the sector gauge checks the search's g
+        assert domination_check(g, result.gauge_used) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "name,normal,calls", [("offset-box", [1.0, 2.0], 10_762), ("offset-disk", [1.0, 1.0], 11_540)]
+    )
+    def test_membership_calls(self, name, normal, calls):
+        # deterministic: 10,000 certificate samples, the two tangent searches
+        # of the sector (756 calls on the box, 1,534 on the disk) and six
+        # witness and origin tests; the search pipeline made 654,119 and
+        # 1,301,635 here
+        from gaugesep.fixtures import oracle_by_name
+
+        fixture, made = oracle_by_name(name), []
+
+        def counting(e):
+            made.append(1)
+            return fixture.membership(e)
+
+        result = separate(OracleSet(2, counting, witness=fixture.witness), zero_subspace(2))
+        assert result.certificate.valid
+        np.testing.assert_allclose(result.hyperplane.normal, np.array(normal) / np.linalg.norm(normal), atol=1e-12)
+        assert len(made) == calls
 
 
 class TestExtendViaSeparation:
