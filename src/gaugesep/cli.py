@@ -5,7 +5,10 @@ roundtrip, verify), golden reproduction of the bundled instances (repro),
 and SVG rendering of 2-D instances (render).
 
 Exit codes: 0 ok, 2 missing file, 3 schema violation, 4 failed precondition,
-5 solver failure.  Documents are deterministic for a fixed seed except for
+5 solver failure.  Every result document starts with the same header
+(``version``, ``command``, ``seed``, ``tool_version``), written by
+``_document`` alone, continues with the subcommand's own fields and ends
+with ``timings``.  Documents are deterministic for a fixed seed except for
 the ``timings`` field; floats are serialized with 17 significant digits so
 values round-trip exactly.
 """
@@ -102,10 +105,15 @@ def _closed(node: dict, path: str, allowed: tuple[str, ...]) -> None:
         _require(key in allowed, f"{path}.{key}" if path else key, "unexpected key")
 
 
+def _is_number(x, kind=(int, float)) -> bool:
+    """Is ``x`` a JSON number of ``kind``?  JSON booleans are not numbers."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def _number_list(node, path: str, length: int | None = None) -> list[float]:
     _require(isinstance(node, list), path, "expected an array of numbers")
     for i, x in enumerate(node):
-        _require(isinstance(x, (int, float)) and not isinstance(x, bool), f"{path}[{i}]", "expected a number")
+        _require(_is_number(x), f"{path}[{i}]", "expected a number")
     if length is not None:
         _require(len(node) == length, path, f"expected {length} entries, got {len(node)}")
     return [float(x) for x in node]
@@ -119,7 +127,7 @@ def _parse_set(node, dim: int, path: str) -> ConvexSet:
         _closed(node, path, ("kind", "center", "radius"))
         center = _number_list(node.get("center"), f"{path}.center", dim)
         radius = node.get("radius")
-        _require(isinstance(radius, (int, float)) and radius > 0, f"{path}.radius", "expected a positive number")
+        _require(_is_number(radius) and radius > 0, f"{path}.radius", "expected a positive number")
         return OpenBall(np.array(center), float(radius))
     if kind == "hpoly":
         _closed(node, path, ("kind", "rows", "witness"))
@@ -132,7 +140,7 @@ def _parse_set(node, dim: int, path: str) -> ConvexSet:
             _closed(row, rpath, ("a", "b", "strict"))
             a.append(_number_list(row.get("a"), f"{rpath}.a", dim))
             off = row.get("b")
-            _require(isinstance(off, (int, float)) and not isinstance(off, bool), f"{rpath}.b", "expected a number")
+            _require(_is_number(off), f"{rpath}.b", "expected a number")
             _require(row.get("strict") is True, f"{rpath}.strict", "must be true in version 1")
             b.append(float(off))
         witness = node.get("witness")
@@ -167,7 +175,7 @@ def _parse_seminorm(node, dim: int, path: str):
             _closed(row, rpath, ("a", "b"))
             a.append(_number_list(row.get("a"), f"{rpath}.a", dim))
             off = row.get("b")
-            _require(isinstance(off, (int, float)) and off > 0, f"{rpath}.b", "expected a positive number")
+            _require(_is_number(off) and off > 0, f"{rpath}.b", "expected a positive number")
             b.append(float(off))
         return PolyhedralGauge(np.array(a), np.array(b))
     mat = [_number_list(row, f"{path}.rows[{i}]", dim) for i, row in enumerate(rows)]
@@ -180,9 +188,9 @@ class Problem:
     def __init__(self, raw: dict):
         _require(isinstance(raw, dict), "$", "top level must be an object")
         _closed(raw, "", ("version", "dimension", "A", "S", "x", "seminorm", "options"))
-        _require(raw.get("version") == 1, "version", "must be the integer 1")
+        _require(_is_number(raw.get("version")) and raw["version"] == 1, "version", "must be the integer 1")
         dim = raw.get("dimension")
-        _require(isinstance(dim, int) and dim >= 1, "dimension", "expected a positive integer")
+        _require(_is_number(dim, int) and dim >= 1, "dimension", "expected a positive integer")
         self.dimension: int = dim
         self.a_set = _parse_set(raw.get("A"), dim, "A")
         s_node = raw.get("S")
@@ -202,7 +210,7 @@ class Problem:
         rule = options.get("gamma_rule", "upper")
         _require(rule in ("upper", "lower", "midpoint"), "options.gamma_rule", "expected upper|lower|midpoint")
         seed = options.get("seed", 0)
-        _require(isinstance(seed, int), "options.seed", "expected an integer")
+        _require(_is_number(seed, int), "options.seed", "expected an integer")
         self.gamma_rule: str = rule
         self.seed: int = seed
 
@@ -268,132 +276,108 @@ def _history_doc(steps) -> list[dict]:
     ]
 
 
-def _base_doc(command: str, seed: int) -> dict:
-    return {"version": 1, "command": command, "seed": seed, "tool_version": __version__}
-
-
-def _parse_point(text: str, dim: int) -> np.ndarray:
+def _flag_vector(args, flag: str, dim: int) -> np.ndarray:
+    """The coordinates given to ``--point`` or ``--normal`` (``flag``)."""
+    text = getattr(args, flag)
+    if text is None:
+        raise InputError(f"{args.command} requires --{flag}")
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"--point must be a comma-separated number list: {exc}") from exc
+        raise InputError(f"--{flag} must be a comma-separated number list: {exc}") from exc
     if len(values) != dim:
-        raise InputError(f"--point has {len(values)} coordinates, problem dimension is {dim}")
+        raise InputError(f"--{flag} has {len(values)} coordinates, problem dimension is {dim}")
     return np.array(values)
 
 
-def _cmd_separate(problem: Problem, args) -> dict:
-    opts = problem.options(args)
+def _cmd_separate(problem: Problem, opts: SeparationOptions, args) -> dict:
     result = separate(problem.a_set, problem.s, opts)
-    doc = _base_doc("separate", opts.seed)
-    doc["normal"] = _vector(result.hyperplane.normal)
-    doc["g"] = _vector(result.g)
-    doc["anchor"] = _vector(result.anchor_x) if result.anchor_x is not None else None
-    doc["gamma_history"] = _history_doc(result.steps)
-    doc["certificate"] = _certificate_doc(result.certificate)
-    return doc
+    return {
+        "normal": _vector(result.hyperplane.normal),
+        "g": _vector(result.g),
+        "anchor": _vector(result.anchor_x) if result.anchor_x is not None else None,
+        "gamma_history": _history_doc(result.steps),
+        "certificate": _certificate_doc(result.certificate),
+    }
 
 
-def _cmd_gauge(problem: Problem, args) -> dict:
-    if args.point is None:
-        raise InputError("gauge requires --point")
-    opts = problem.options(args)
-    point = _parse_point(args.point, problem.dimension)
-    p = _pipeline_gauge(problem)
-    doc = _base_doc("gauge", opts.seed)
-    doc["point"] = _vector(point)
-    doc["value"] = gauge(p, point)
-    return doc
+def _cmd_gauge(problem: Problem, opts: SeparationOptions, args) -> dict:
+    point = _flag_vector(args, "point", problem.dimension)
+    return {"point": _vector(point), "value": gauge(_pipeline_gauge(problem), point)}
 
 
-def _cmd_conic(problem: Problem, args) -> dict:
-    if args.point is None:
-        raise InputError("conic requires --point")
-    opts = problem.options(args)
-    point = _parse_point(args.point, problem.dimension)
-    doc = _base_doc("conic", opts.seed)
-    doc["point"] = _vector(point)
-    doc["member"] = conic_hull_membership(problem.a_set, point)
-    return doc
+def _cmd_conic(problem: Problem, opts: SeparationOptions, args) -> dict:
+    point = _flag_vector(args, "point", problem.dimension)
+    return {"point": _vector(point), "member": conic_hull_membership(problem.a_set, point)}
 
 
-def _cmd_extend(problem: Problem, args) -> dict:
-    opts = problem.options(args)
+def _cmd_extend(problem: Problem, opts: SeparationOptions, args) -> dict:
     x = _anchor(problem)
     p = _pipeline_gauge(problem, x)
     state = extend_full_state(_span_functional(problem.s, x), p, opts.gamma_rule, seed=opts.seed)
-    doc = _base_doc("extend", opts.seed)
-    doc["g"] = _vector(state.functional.as_coefficients())
-    doc["gamma_history"] = _history_doc(state.history)
-    doc["domination_violation"] = state.violation
-    return doc
+    return {
+        "g": _vector(state.functional.as_coefficients()),
+        "gamma_history": _history_doc(state.history),
+        "domination_violation": state.violation,
+    }
 
 
-def _cmd_roundtrip(problem: Problem, args) -> dict:
-    opts = problem.options(args)
+def _cmd_roundtrip(problem: Problem, opts: SeparationOptions, args) -> dict:
     x = _anchor(problem)
     p = _pipeline_gauge(problem, x)
     functional = _span_functional(problem.s, x)
     direct = extend_full_state(functional, p, opts.gamma_rule, seed=opts.seed)
-    g_direct = direct.functional.as_coefficients()
     geometric = extend_via_separation(functional, p, rule=opts.gamma_rule, seed=opts.seed)
     g_geometric = geometric.functional.as_coefficients()
-    basis = functional.domain.basis
-    doc = _base_doc("roundtrip", opts.seed)
-    doc["g_direct"] = _vector(g_direct)
-    doc["g_geometric"] = _vector(g_geometric)
-    doc["domain_agreement"] = float(np.max(np.abs(basis @ g_geometric - functional.values)))
-    doc["domination_violation"] = geometric.violation
-    return doc
+    return {
+        "g_direct": _vector(direct.functional.as_coefficients()),
+        "g_geometric": _vector(g_geometric),
+        "domain_agreement": float(np.max(np.abs(functional.domain.basis @ g_geometric - functional.values))),
+        "domination_violation": geometric.violation,
+    }
 
 
-def _cmd_verify(problem: Problem, args) -> dict:
-    opts = problem.options(args)
+def _cmd_verify(problem: Problem, opts: SeparationOptions, args) -> dict:
     if args.normal:
-        normal = _parse_point(args.normal, problem.dimension)
+        normal = _flag_vector(args, "normal", problem.dimension)
         norm = float(np.linalg.norm(normal))
         if norm <= 1e-12:
             raise InputError("--normal must be nonzero")
         normal = normal / norm
     else:
-        result = separate(problem.a_set, problem.s, opts)
-        normal = np.asarray(result.hyperplane.normal)
+        normal = np.asarray(separate(problem.a_set, problem.s, opts).hyperplane.normal)
     cert = verify_separation(problem.a_set, problem.s, Hyperplane(normal), seed=opts.seed)
-    doc = _base_doc("verify", opts.seed)
-    doc["normal"] = _vector(normal)
-    doc["certificate"] = _certificate_doc(cert)
-    return doc
+    return {"normal": _vector(normal), "certificate": _certificate_doc(cert)}
 
 
-def _cmd_render(problem: Problem, args) -> dict:
-    opts = problem.options(args)
+def _cmd_render(problem: Problem, opts: SeparationOptions, args) -> dict:
     if problem.dimension != 2:
         raise InputError("render requires a 2-D problem")
-    result = separate(problem.a_set, problem.s, opts)
+    normal = np.asarray(separate(problem.a_set, problem.s, opts).hyperplane.normal)
     admissible = brute_force_2d_normals(problem.a_set, 360)
-    svg = render_svg(
-        problem.a_set,
-        s_basis=np.asarray(problem.s.basis),
-        normal=np.asarray(result.hyperplane.normal),
-        admissible=admissible,
-    )
+    svg = render_svg(problem.a_set, s_basis=np.asarray(problem.s.basis), normal=normal, admissible=admissible)
     target = args.svg or "instance.svg"
     with open(target, "w", encoding="utf-8") as handle:
         handle.write(svg)
-    doc = _base_doc("render", opts.seed)
-    doc["svg"] = target
-    doc["normal"] = _vector(result.hyperplane.normal)
+    return {"svg": target, "normal": _vector(normal)}
+
+
+def _document(command: str, problem: Problem, args) -> dict:
+    """The result document: the header every subcommand shares, the
+    subcommand's own fields, and its wall time."""
+    start = time.perf_counter()
+    opts = problem.options(args)
+    doc = {"version": 1, "command": command, "seed": opts.seed, "tool_version": __version__}
+    doc.update(_HANDLERS[command](problem, opts, args))
+    doc["timings"] = {"total_s": time.perf_counter() - start}
     return doc
 
 
-def _strip_timings(doc):
-    return {k: v for k, v in doc.items() if k != "timings"}
-
-
 def _diff_docs(golden, actual, path="$"):
-    """First diverging field between two documents, or None."""
+    """First diverging field between two documents, or None; ``timings``
+    is the one nondeterministic field, so it is skipped."""
     if isinstance(golden, dict) and isinstance(actual, dict):
-        for key in sorted(set(golden) | set(actual)):
+        for key in sorted((set(golden) | set(actual)) - {"timings"}):
             if key not in golden or key not in actual:
                 return f"{path}.{key}", golden.get(key, "<absent>"), actual.get(key, "<absent>")
             hit = _diff_docs(golden[key], actual[key], f"{path}.{key}")
@@ -408,9 +392,7 @@ def _diff_docs(golden, actual, path="$"):
             if hit:
                 return hit
         return None
-    if isinstance(golden, (int, float)) and isinstance(actual, (int, float)) and not (
-        isinstance(golden, bool) or isinstance(actual, bool)
-    ):
+    if _is_number(golden) and _is_number(actual):
         if abs(float(golden) - float(actual)) <= 1e-9 * max(1.0, abs(float(golden))):
             return None
         return path, golden, actual
@@ -423,11 +405,9 @@ def _cmd_repro(args) -> int:
     """Re-run the bundled instances and diff against pinned goldens."""
     failures = 0
     for name in _BUILTIN_PROBLEMS:
-        problem = parse_problem(name)
-        doc = _cmd_separate(problem, args)
-        golden_text = resources.files("gaugesep").joinpath(f"goldens/{name}.json").read_text()
-        golden = json.loads(golden_text)
-        hit = _diff_docs(_strip_timings(golden), json.loads(dumps(doc)))
+        doc = _document("separate", parse_problem(name), args)
+        golden = json.loads(resources.files("gaugesep").joinpath(f"goldens/{name}.json").read_text())
+        hit = _diff_docs(golden, json.loads(dumps(doc)))
         if hit is None:
             print(f"REPRO {name}: PASS")
         else:
@@ -474,10 +454,7 @@ def main(argv=None) -> int:
             return _cmd_repro(args)
         if not args.input:
             raise InputError(f"{args.command} requires --input")
-        problem = parse_problem(args.input)
-        start = time.perf_counter()
-        doc = _HANDLERS[args.command](problem, args)
-        doc["timings"] = {"total_s": time.perf_counter() - start}
+        doc = _document(args.command, parse_problem(args.input), args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 2

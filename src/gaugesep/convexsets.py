@@ -328,12 +328,9 @@ def conic_hull(a_set: ConvexSet) -> ConvexSet:
 
 
 def build_D(a_set: ConvexSet, x) -> SymmetrizedBody:
-    """The symmetrized body ``(B - x) ∩ (x - B)`` for ``x`` in the conic hull."""
-    x = as_vector(x, a_set.dim)
-    hull = conic_hull(a_set)
-    if not hull.contains(x):
-        raise InputError("anchor point is outside the conic hull of the set")
-    return SymmetrizedBody(hull, x)
+    """The symmetrized body ``(B - x) ∩ (x - B)`` for ``x`` in the conic hull
+    ``B``; SymmetrizedBody raises InputError for an ``x`` outside ``B``."""
+    return SymmetrizedBody(conic_hull(a_set), x)
 
 
 # (center, radius) of an inscribed-ball LP; see ``_inscribed_ball``

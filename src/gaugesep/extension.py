@@ -49,7 +49,6 @@ from .simplexlp import solve_lp
 DOMINATION_TOL = 1e-6
 SEARCH_RESTARTS = 8
 SEARCH_ITERATIONS = 200
-SEARCH_SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ class ExtensionState:
 
 
 def _pattern_search(
-    fun, x0: np.ndarray, *, iterations: int, shrink: float, step0: float = 1.0, rng=None, target: float = -np.inf
+    fun, x0: np.ndarray, *, iterations: int, step0: float = 1.0, rng=None, target: float = -np.inf
 ):
     """Adaptive coordinate search with pattern moves.
 
@@ -114,7 +113,7 @@ def _pattern_search(
     extrapolation along the sweep's aggregate progress direction, which
     tracks the narrow curved valleys of cone gauges and reaches minima that
     are only approached asymptotically.  The step doubles on improving
-    sweeps and shrinks otherwise.
+    sweeps and halves otherwise.
     """
     x = np.array(x0, dtype=float)
     fx = fun(x)
@@ -159,7 +158,7 @@ def _pattern_search(
             step = min(step * 2.0, 1e3)
         else:
             previous = x.copy()
-            step *= shrink
+            step *= 0.5
             if step < 1e-10:
                 break
     return x, fx
@@ -299,15 +298,11 @@ def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
         # convexity: a restart that has reached the incumbent's level is
         # retracing the same descent, so it may stop there
         target = best + 1e-12 if np.isfinite(best) else -np.inf
-        point, val = _pattern_search(
-            objective, start, iterations=SEARCH_ITERATIONS, shrink=SEARCH_SHRINK, rng=rng, target=target
-        )
+        point, val = _pattern_search(objective, start, iterations=SEARCH_ITERATIONS, rng=rng, target=target)
         if val < best:
             best, best_point = val, point
     # polish from the best restart with a fine initial step
-    _, val = _pattern_search(
-        objective, best_point, iterations=SEARCH_ITERATIONS, shrink=SEARCH_SHRINK, step0=1e-3, rng=rng
-    )
+    _, val = _pattern_search(objective, best_point, iterations=SEARCH_ITERATIONS, step0=1e-3, rng=rng)
     return min(best, val)
 
 
@@ -468,5 +463,5 @@ def domination_check(g, p: Seminorm, seed: int = 0, *, start=None) -> float:
     starts = [dirs[int(np.argmax(values))]] + ([g] if np.any(g) else [])
     for start in starts:  # the ratio is scale-free, so the ascent may leave the unit sphere
         u = start / float(np.linalg.norm(start))
-        best = max(best, -_pattern_search(lambda e: -float(ratio(e)), u, iterations=80, shrink=0.5, step0=0.5)[1])
+        best = max(best, -_pattern_search(lambda e: -float(ratio(e)), u, iterations=80, step0=0.5)[1])
     return best - 1.0

@@ -1,36 +1,15 @@
-"""Bundled instances and the named-oracle registry used by problem files."""
+"""The named-oracle registry used by problem files.
+
+The bundled problems themselves are the files under ``problems/``; load
+them with ``cli.parse_problem``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .convexsets import ConvexSet, HPolyhedron, OpenBall, OracleSet
+from .convexsets import ConvexSet, OracleSet
 from .errors import InputError
-from .geometry import Subspace, span_basis, zero_subspace
-
-
-def disk_instance() -> tuple[OpenBall, Subspace, np.ndarray]:
-    """Open disk of radius sqrt(2) centered at (2, 0) against the origin."""
-    a_set = OpenBall(np.array([2.0, 0.0]), np.sqrt(2.0))
-    return a_set, zero_subspace(2), np.array([1.0, 0.0])
-
-
-def halfspace_instance() -> tuple[HPolyhedron, Subspace, np.ndarray]:
-    """Open half-space {x > 0} in R^3 against the z-axis."""
-    a_set = HPolyhedron(np.array([[-1.0, 0.0, 0.0]]), np.array([0.0]), witness=np.array([1.0, -3.0, 0.0]))
-    s = span_basis([np.array([0.0, 0.0, 1.0])])
-    return a_set, s, np.array([1.0, -3.0, 0.0])
-
-
-def quotient_instance() -> tuple[HPolyhedron, Subspace, np.ndarray]:
-    """Two-dimensional evaluation quotient of the function-space instance.
-
-    Coordinates are (value at 0, value at 1); the set is the open lower
-    half-plane {v < 0}, the subspace collapses to the origin, and the anchor
-    is the image (-2, -1) of x |-> x - 2.
-    """
-    a_set = HPolyhedron(np.array([[0.0, 1.0]]), np.array([0.0]), witness=np.array([-2.0, -1.0]))
-    return a_set, zero_subspace(2), np.array([-2.0, -1.0])
 
 
 def _disk_oracle() -> OracleSet:

@@ -87,12 +87,29 @@ def zero_subspace(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.zeros((0, ambient_dim)))
 
 
+def _gram_schmidt(rows, candidates) -> list[np.ndarray]:
+    """``rows`` (orthonormal) extended by each candidate's normalized residual
+    after two modified Gram-Schmidt passes; a residual of norm at most
+    ``TOL_DEPENDENT * max(1, |v|)`` for the candidate ``v`` is dropped."""
+    rows = list(rows)
+    for v in candidates:
+        w = v
+        for _ in range(2):
+            for u in rows:
+                w = w - (u @ w) * u
+        norm = float(np.linalg.norm(w))
+        if norm > TOL_DEPENDENT * max(1.0, float(np.linalg.norm(v))):
+            rows.append(w / norm)
+    return rows
+
+
 def span_basis(vectors, ambient_dim: int | None = None) -> Subspace:
     """Orthonormalize ``vectors`` into a Subspace, compressing rank deficiency.
 
     Uses modified Gram-Schmidt with a second re-orthogonalization pass.
-    Candidates whose residual falls below ``TOL_DEPENDENT`` (relative to their
-    own norm) are dropped.
+    A candidate ``v`` whose residual norm is at most
+    ``TOL_DEPENDENT * max(1, |v|)`` is dropped: the bound is absolute for
+    candidates shorter than 1 and relative to ``|v|`` for longer ones.
     """
     vecs = [as_vector(v) for v in vectors]
     dims = {v.size for v in vecs}
@@ -105,15 +122,7 @@ def span_basis(vectors, ambient_dim: int | None = None) -> Subspace:
     elif dims and dims != {ambient_dim}:
         raise InputError(f"vectors of dimension {dims.pop()} in ambient R^{ambient_dim}")
 
-    rows: list[np.ndarray] = []
-    for v in vecs:
-        w = v.copy()
-        for _ in range(2):
-            for u in rows:
-                w = w - (u @ w) * u
-        norm = float(np.linalg.norm(w))
-        if norm > TOL_DEPENDENT * max(1.0, float(np.linalg.norm(v))):
-            rows.append(w / norm)
+    rows = _gram_schmidt([], vecs)
     return Subspace(ambient_dim, np.array(rows).reshape(len(rows), ambient_dim))
 
 
@@ -124,20 +133,7 @@ def complement_basis(s: Subspace) -> list[np.ndarray]:
     order, skipping near-dependent candidates.  Together with ``s.basis`` the
     returned vectors form an orthonormal basis of the ambient space.
     """
-    accepted = [np.asarray(row) for row in s.basis]
-    out: list[np.ndarray] = []
-    for j in range(s.ambient_dim):
-        w = np.zeros(s.ambient_dim)
-        w[j] = 1.0
-        for _ in range(2):
-            for u in accepted:
-                w = w - (u @ w) * u
-        norm = float(np.linalg.norm(w))
-        if norm > TOL_DEPENDENT:
-            u = w / norm
-            accepted.append(u)
-            out.append(u)
-    return out
+    return _gram_schmidt(s.basis, np.eye(s.ambient_dim))[s.dim:]
 
 
 def decompose(y, s: Subspace, x) -> tuple[np.ndarray, float]:

@@ -91,9 +91,9 @@ class SeparationCertificate:
     to rounding, so that ``side * normal . e = -y . (a e) > -y . b`` on the
     set: the separation checked without an LP.  ``farkas_residual``:
     max |a^T y + side * normal|.  ``remark2_status``: domination and
-    disjointness agreed (None when no gauge was available to test
-    domination); ``separate()`` gates domination, so there it is
-    ``sign_constant``.
+    disjointness agreed; ``separate()`` gates domination, so there it is
+    ``sign_constant``, and ``verify_separation`` has no extension to test,
+    so there it is None.
     """
 
     s_in_h_residual: float
@@ -152,18 +152,6 @@ def _support(a_set: HPolyhedron | OpenBall, direction: np.ndarray) -> tuple[floa
     return float(res.objective), float(np.linalg.norm(res.x)), res.y
 
 
-def _kernel_disjoint(a_set: ConvexSet, g: np.ndarray, seed: int = 0, samples: int = 2000) -> bool:
-    """Does the kernel hyperplane of ``g`` avoid the open set?"""
-    normal = np.asarray(kernel_hyperplane(as_vector(g, a_set.dim)).normal)
-    return _certificate(a_set, zero_subspace(a_set.dim), normal, seed=seed, samples=samples).sign_constant
-
-
-def _remark2_pair(a_set: ConvexSet, g: np.ndarray, p: Seminorm, *, seed: int) -> tuple[bool, bool]:
-    """(|g| <= p up to 1e-7 relative?, kernel of g disjoint from the set?): Remark 2's two sides."""
-    dominated = domination_check(g, p, seed=seed) <= 1e-7
-    return dominated, _kernel_disjoint(a_set, g, seed=seed)
-
-
 def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
     """Raise InputError when the set demonstrably meets the subspace."""
     if s.dim == 0:
@@ -195,7 +183,6 @@ def _certificate(
     seed: int,
     samples: int,
     side: float | None = None,
-    remark2: bool | None = None,
 ) -> SeparationCertificate:
     """Certificate for the hyperplane ``normal . e = 0``.
 
@@ -208,14 +195,14 @@ def _certificate(
     if not isinstance(a_set, (HPolyhedron, OpenBall)):
         vals = sample_interior(a_set, samples, seed) @ normal
         one_sign = bool(np.all(vals > 0.0) or np.all(vals < 0.0))
-        return SeparationCertificate(residual, float(np.min(np.abs(vals))), None, one_sign, remark2)
+        return SeparationCertificate(residual, float(np.min(np.abs(vals))), None, one_sign, None)
     ends = [(*_support(a_set, k * normal), k) for k in ((1.0, -1.0) if side is None else (side,))]
     margin, scale, y, side = max(ends, key=lambda end: end[0])
     farkas = None
     if y is not None:
         farkas = float(np.max(np.abs(a_set.a.T @ y + side * normal)))
         y = tuple(y.tolist())
-    return SeparationCertificate(residual, None, margin, bool(margin >= -SIDE_TOL * scale), remark2, y, farkas)
+    return SeparationCertificate(residual, None, margin, bool(margin >= -SIDE_TOL * scale), None, y, farkas)
 
 
 def _checked(cert: SeparationCertificate) -> SeparationCertificate:
@@ -275,8 +262,6 @@ def verify_separation(
     s: Subspace,
     hyperplane: Hyperplane,
     *,
-    g: np.ndarray | None = None,
-    gauge_p: Seminorm | None = None,
     samples: int = 10_000,
     seed: int = 0,
 ) -> SeparationCertificate:
@@ -284,14 +269,10 @@ def verify_separation(
 
     Polyhedra and balls are checked exactly on both sides of the hyperplane;
     ``samples`` seeded interior points are drawn on membership oracles only.
-    ``remark2_status`` is only computed when both the unnormalized functional
-    and the gauge are supplied; the side and containment checks need neither.
+    ``remark2_status`` is None: a plane alone carries no extension whose
+    domination could be tested (``remark2_equivalence_check`` tests one).
     """
-    remark2 = None
-    if g is not None and gauge_p is not None:
-        dominated, disjoint = _remark2_pair(a_set, g, gauge_p, seed=seed)
-        remark2 = dominated == disjoint
-    return _certificate(a_set, s, np.asarray(hyperplane.normal), seed=seed, samples=samples, remark2=remark2)
+    return _certificate(a_set, s, np.asarray(hyperplane.normal), seed=seed, samples=samples)
 
 
 def remark2_equivalence_check(
@@ -306,8 +287,11 @@ def remark2_equivalence_check(
     """(dominated?, kernel disjoint from the set?) for a candidate extension.
 
     The candidate must extend the pipeline functional: send ``x`` to 1 and
-    vanish on ``s``.  Both booleans are computed independently; they agree
-    for every candidate when the gauge really is the set's symmetrized gauge.
+    vanish on ``s``.  Both booleans are computed independently: domination
+    by ``domination_check`` (up to 1e-7 relative), disjointness by the
+    certificate's side test on the kernel of ``g`` (2000 seeded samples on
+    membership oracles).  They agree for every candidate when the gauge
+    really is the set's symmetrized gauge: this is the paper's Remark 2.
     """
     g = as_vector(g_candidate, a_set.dim)
     x = as_vector(x, a_set.dim)
@@ -315,7 +299,9 @@ def remark2_equivalence_check(
         raise InputError("candidate does not send the anchor to 1")
     if s.dim and float(np.max(np.abs(s.basis @ g))) > 1e-8:
         raise InputError("candidate does not vanish on the subspace")
-    return _remark2_pair(a_set, g, p, seed=seed)
+    dominated = domination_check(g, p, seed=seed) <= 1e-7
+    normal = np.asarray(kernel_hyperplane(g).normal)
+    return dominated, _certificate(a_set, s, normal, seed=seed, samples=2000).sign_constant
 
 
 def brute_force_2d_normals(a_set: ConvexSet, grid: int = 1800) -> np.ndarray:

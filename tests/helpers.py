@@ -29,9 +29,16 @@ from gaugesep import (
     unit_ball,
     zero_subspace,
 )
+from gaugesep.cli import parse_problem
 
 GAUGE_TOL = 1e-13  # relative bracket width of a bisected gauge value
 RECESSION_CAP = 1e12
+
+
+def bundled(name: str) -> tuple[ConvexSet, Subspace, np.ndarray]:
+    """(A, S, x) of a bundled problem file, loaded as the command line loads it."""
+    problem = parse_problem(name)
+    return problem.a_set, problem.s, problem.x
 
 
 def random_subspace(rng: np.random.Generator, n: int, dim: int) -> Subspace:

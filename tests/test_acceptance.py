@@ -29,10 +29,10 @@ from gaugesep import (
     span_basis,
 )
 from gaugesep.cli import main as cli_main
-from gaugesep.fixtures import disk_instance, halfspace_instance, quotient_instance
 
 from helpers import (
     BisectionGauge,
+    bundled,
     dominated_functional,
     random_instance,
     random_polyhedral_gauge,
@@ -51,7 +51,7 @@ def report(number: int, text: str) -> None:
 def test_criterion_01_taxicab_gauge_both_paths():
     """Bisection reference gauge within 1e-6 of |x|+|y|, polyhedral path exact and the
     pipeline's closed-form ball-cone gauge (one batch) within 1e-12, under 1 s."""
-    a_set, _, anchor = disk_instance()
+    a_set, _, anchor = bundled("example1")
     body = build_D(a_set, anchor)
     oracle = BisectionGauge(body)
     rng = np.random.default_rng(101)
@@ -79,7 +79,7 @@ def test_criterion_02_conic_hull_grid():
     """Conic-hull verdicts match {x>0, |y|<x} on a 201x201 grid off a 1e-9 band."""
     from gaugesep import conic_hull_membership
 
-    a_set, _, _ = disk_instance()
+    a_set, _, _ = bundled("example1")
     axis = np.linspace(-3.0, 3.0, 201)
     disagreements = 0
     compared = 0
@@ -99,7 +99,7 @@ def test_criterion_02_conic_hull_grid():
 def test_criterion_03_disk_separation_and_sweep():
     """Normal (1, b) with |b| <= 1 + 1e-8; the gamma sweep covers [-1, 1]
     within 1e-6; the angular oracle gives [45, 135] degrees, under 5 s."""
-    a_set, s, x = disk_instance()
+    a_set, s, x = bundled("example1")
     start = time.perf_counter()
     result = separate(a_set, s, SeparationOptions(x=x))
     b = result.g[1] / result.g[0]
@@ -125,7 +125,7 @@ def test_criterion_03_disk_separation_and_sweep():
 def test_criterion_04_halfspace_uniqueness():
     """Normal proportional to (1,0,0) with off-axis parts < 1e-8; every
     gamma interval past the span is a point; the gauge kills (0,5,7)."""
-    a_set, s, x = halfspace_instance()
+    a_set, s, x = bundled("example2")
     result = separate(a_set, s, SeparationOptions(x=x))
     normal = np.asarray(result.hyperplane.normal) * np.sign(result.hyperplane.normal[0])
     assert abs(normal[1]) < 1e-8 and abs(normal[2]) < 1e-8
@@ -160,7 +160,7 @@ def test_criterion_06_remark2_biconditional():
         x = pick_interior_point(a_set)
         p = gauge_from_symmetrized(build_D(a_set, x))
         instances.append((a_set, s, x, p))
-    disk, s0, x0 = disk_instance()
+    disk, s0, x0 = bundled("example1")
     instances.append((disk, s0, x0, CROSS_GAUGE))  # exact form of the disk's gauge
 
     checked = 0
@@ -243,7 +243,7 @@ def test_criterion_08_geometric_roundtrip():
 
 def test_criterion_09_quotient_fixture():
     """The two-dimensional quotient instance separates along {v = 0}."""
-    a_set, s, x = quotient_instance()
+    a_set, s, x = bundled("example3_quotient")
     result = separate(a_set, s, SeparationOptions(x=x))
     normal = np.asarray(result.hyperplane.normal)
     assert abs(normal[0]) < 1e-8

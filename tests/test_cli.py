@@ -54,6 +54,16 @@ DISK_PROBLEM = {
     "x": [1.0, 0.0],
 }
 
+# each numeric field of a problem file, set to the JSON boolean true
+BOOLEAN_NUMBERS = {
+    "version": {"version": True},
+    "dimension": {"dimension": True, "A": {"kind": "ball", "center": [2.0], "radius": 1.0}},
+    "A.radius": {"A": {"kind": "ball", "center": [2.0, 0.0], "radius": True}},
+    "A.rows[0].b": {"A": {"kind": "hpoly", "rows": [{"a": [-1.0, 0.0], "b": True, "strict": True}]}},
+    "seminorm.rows[0].b": {"seminorm": {"kind": "polyhedral", "rows": [{"a": [1.0, 0.0], "b": True}]}},
+    "options.seed": {"options": {"seed": True}},
+}
+
 
 class TestParseProblem:
     def test_bundled_names(self):
@@ -148,9 +158,24 @@ class TestExitCodes:
         assert code == 5
         assert "solver" in err
 
+    @pytest.mark.parametrize("field", list(BOOLEAN_NUMBERS))
+    def test_boolean_number_exit_3(self, capsys, tmp_path, field):
+        bad = {**DISK_PROBLEM, **BOOLEAN_NUMBERS[field]}
+        code, _, err = run_cli(capsys, "separate", "--input", write(tmp_path, "bool.json", bad))
+        assert code == 3
+        assert f"schema: {field}: " in err
+
     def test_gauge_without_point_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "gauge", "--input", "example1")
         assert code == 4
+
+    def test_vector_flags_name_themselves(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--input", "example1", "--normal", "1,2,3")
+        assert code == 4 and "--normal has 3 coordinates" in err
+        code, _, err = run_cli(capsys, "conic", "--input", "example1", "--point", "1,x")
+        assert code == 4 and "--point must be a comma-separated number list" in err
+        code, _, err = run_cli(capsys, "conic", "--input", "example1")
+        assert code == 4 and "conic requires --point" in err
 
     def test_missing_input_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "separate")
@@ -304,6 +329,12 @@ class TestTimings:
     @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda argv: argv[0])
     def test_every_subcommand_reports_its_time(self, capsys, tmp_path, argv):
         assert run_subcommand(capsys, tmp_path, argv)["timings"]["total_s"] > 0.0
+
+    @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda argv: argv[0])
+    def test_header_first_timings_last(self, capsys, tmp_path, argv):
+        keys = list(run_subcommand(capsys, tmp_path, argv))
+        assert keys[:4] == ["version", "command", "seed", "tool_version"]
+        assert keys[-1] == "timings"
 
 
 def assert_keys_conform(obj: dict, schema: dict, where: str) -> None:

@@ -21,9 +21,9 @@ from gaugesep import (
     span_basis,
 )
 from gaugesep.convexsets import MIN_DEPTH, _inscribed_ball, is_empty
-from gaugesep.fixtures import disk_instance, halfspace_instance, oracle_by_name
+from gaugesep.fixtures import oracle_by_name
 
-from helpers import random_instance
+from helpers import bundled, random_instance
 
 DISK = OpenBall(np.array([2.0, 0.0]), np.sqrt(2.0))
 HALFSPACE = HPolyhedron(np.array([[-1.0, 0.0, 0.0]]), np.array([0.0]), witness=np.array([1.0, -3.0, 0.0]))
@@ -258,9 +258,9 @@ class TestPickInteriorPoint:
 
 
 class TestSampleInterior:
-    @pytest.mark.parametrize("fixture", [disk_instance, halfspace_instance])
-    def test_samples_are_members(self, fixture):
-        a_set, _, _ = fixture()
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_samples_are_members(self, name):
+        a_set, _, _ = bundled(name)
         pts = sample_interior(a_set, 500, seed=3)
         assert all(a_set.contains(p) for p in pts)
 
@@ -321,7 +321,7 @@ class TestDeepestPointLP:
     def test_is_empty_answers(self):
         empty = HPolyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
         thin = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.5 * MIN_DEPTH, 0.0]))
-        cases = [(empty, True), (thin, True), (halfspace_instance()[0], False), (HPolyhedron(*BOX), False)]
+        cases = [(empty, True), (thin, True), (bundled("example2")[0], False), (HPolyhedron(*BOX), False)]
         for poly, empty in cases:
             assert is_empty(poly) == empty
             assert is_empty(poly, ball=_inscribed_ball(poly)) == empty

@@ -10,7 +10,7 @@ import numpy as np
 import gaugesep
 from gaugesep import OpenBall, OracleSet
 from gaugesep.convexsets import sample_interior
-from gaugesep.separation import _certificate
+from gaugesep.separation import _certificate, verify_separation
 
 # every module but __main__, which runs the CLI on import
 MODULES = [gaugesep] + [
@@ -26,8 +26,13 @@ REMOVED = [
     "RECESSION_CAP",
     "_gauge_bisection",
     "_gauge_section",
+    "_kernel_disjoint",
+    "_remark2_pair",
     "check_seminorm_axioms",
+    "disk_instance",
     "extend_with_values",
+    "halfspace_instance",
+    "quotient_instance",
 ]
 
 
@@ -46,6 +51,8 @@ def test_removed_names_are_gone():
     assert not hasattr(gaugesep.Subspace, "projector_matrix")
     assert "start" not in inspect.signature(sample_interior).parameters
     assert "start" not in inspect.signature(_certificate).parameters
+    # remark2_equivalence_check is the one Remark-2 entry point
+    assert not {"g", "gauge_p"} & set(inspect.signature(verify_separation).parameters)
 
 
 def test_sample_interior_is_the_membership_walk():

@@ -35,11 +35,11 @@ from gaugesep import (
 )
 from gaugesep.cli import main, parse_problem
 from gaugesep.convexsets import _meets
-from gaugesep.fixtures import disk_instance, halfspace_instance, quotient_instance
-from gaugesep.separation import _kernel_disjoint, _support
+from gaugesep.separation import _support
 
 from helpers import (
     axis_box,
+    bundled,
     dominated_functional,
     point_in_cone,
     random_ball_instance,
@@ -92,7 +92,7 @@ def line_angle(normal: np.ndarray) -> float:
 
 class TestSeparateFixtures:
     def test_disk_default_rule(self):
-        a_set, s, x = disk_instance()
+        a_set, s, x = bundled("example1")
         result = separate(a_set, s, SeparationOptions(x=x))
         b = result.g[1] / result.g[0]
         assert abs(b) <= 1.0 + 1e-8
@@ -100,14 +100,14 @@ class TestSeparateFixtures:
         assert result.certificate.valid
 
     def test_disk_gamma_rules(self):
-        a_set, s, x = disk_instance()
+        a_set, s, x = bundled("example1")
         mid = separate(a_set, s, SeparationOptions(x=x, gamma_rule="midpoint"))
         assert mid.g[1] / mid.g[0] == pytest.approx(0.0, abs=1e-6)
         low = separate(a_set, s, SeparationOptions(x=x, gamma_rule="lower"))
         assert low.g[1] / low.g[0] == pytest.approx(-1.0, abs=1e-6)
 
     def test_halfspace_unique_normal(self):
-        a_set, s, x = halfspace_instance()
+        a_set, s, x = bundled("example2")
         result = separate(a_set, s, SeparationOptions(x=x))
         normal = np.abs(np.asarray(result.hyperplane.normal))
         np.testing.assert_allclose(normal, [1.0, 0.0, 0.0], atol=1e-8)
@@ -116,7 +116,7 @@ class TestSeparateFixtures:
         assert all(step.interval.width < 1e-8 for step in result.steps)
 
     def test_quotient_fixture(self):
-        a_set, s, x = quotient_instance()
+        a_set, s, x = bundled("example3_quotient")
         result = separate(a_set, s, SeparationOptions(x=x))
         normal = np.asarray(result.hyperplane.normal)
         assert abs(normal[0]) < 1e-8  # the hyperplane is {v = 0}
@@ -149,7 +149,7 @@ class TestSeparateFixtures:
             separate(oracle, zero_subspace(2))
 
     def test_anchor_gauges_to_one(self):
-        a_set, s, x = disk_instance()
+        a_set, s, x = bundled("example1")
         result = separate(a_set, s, SeparationOptions(x=x))
         assert gauge(result.gauge_used, result.anchor_x) == pytest.approx(1.0, abs=1e-6)
         assert float(result.g @ result.anchor_x) == pytest.approx(1.0, abs=1e-8)
@@ -158,7 +158,7 @@ class TestSeparateFixtures:
         ball = OpenBall(np.array([0.0, 0.5]), 1.0)
         with pytest.raises(InputError):
             separate(ball, zero_subspace(2))
-        halfspace, s, _ = halfspace_instance()
+        halfspace, s, _ = bundled("example2")
         bad_s = span_basis([np.array([1.0, 0.0, 0.0])])
         with pytest.raises(InputError):
             separate(halfspace, bad_s)
@@ -173,12 +173,12 @@ class TestSeparateFixtures:
             separate(empty, s)
 
     def test_bad_anchor_rejected(self):
-        a_set, s, _ = disk_instance()
+        a_set, s, _ = bundled("example1")
         with pytest.raises(InputError):
             separate(a_set, s, SeparationOptions(x=np.array([-1.0, 0.0])))
 
     def test_deterministic_for_seed(self):
-        a_set, s, x = disk_instance()
+        a_set, s, x = bundled("example1")
         first = separate(a_set, s, SeparationOptions(x=x, seed=3))
         second = separate(a_set, s, SeparationOptions(x=x, seed=3))
         assert np.array_equal(first.g, second.g)
@@ -340,7 +340,7 @@ class TestBallPaths:
 
     @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
     def test_example1(self, rule):
-        a_set, s, x = disk_instance()
+        a_set, s, x = bundled("example1")
         assert_ball_separated(a_set, s, rule, x)
         assert_ball_separated(a_set, s, rule)
 
@@ -443,7 +443,8 @@ class TestWarmStepsUnderEveryGammaRule:
 
 class TestKernelDisjointDifferential:
     """The shared side test (the better side's margin of normal . e over the
-    closure: two support LPs, or the ball's closed form) against ``_meets`` on a
+    closure: two support LPs, or the ball's closed form), read through
+    ``verify_separation`` against the zero subspace, against ``_meets`` on a
     kernel basis built here (the inscribed-ball LP, or the ball's centre
     distance)."""
 
@@ -454,7 +455,8 @@ class TestKernelDisjointDifferential:
             margin = max(_support(a_set, normal)[0], _support(a_set, -normal)[0])
             if abs(margin) > 1e-9:
                 kernel = np.array(complement_basis(span_basis([normal])))
-                assert _kernel_disjoint(a_set, normal) == (not _meets(a_set, kernel)), (normal, margin)
+                cert = verify_separation(a_set, zero_subspace(a_set.dim), Hyperplane(normal), samples=2000)
+                assert cert.sign_constant == (not _meets(a_set, kernel)), (normal, margin)
                 margins.append(margin)
         return margins
 
@@ -541,7 +543,7 @@ class TestSeparateSideTests:
         monkeypatch.setattr(separation, "sample_interior", refuse)
         monkeypatch.setattr(separation, "solve_lp", counting)
         rng = np.random.default_rng(5)
-        cases = [disk_instance(), halfspace_instance(), quotient_instance()]
+        cases = [bundled("example1"), bundled("example2"), bundled("example3_quotient")]
         cases += [(*random_instance(rng, 3), None) for _ in range(8)]
         for a_set, s, x in cases:
             lps.clear()
@@ -553,12 +555,14 @@ class TestSeparateSideTests:
             assert len(lps) == 2 * isinstance(a_set, HPolyhedron)
 
     def test_no_kernel_disjoint_call(self, monkeypatch):
-        # the certificate's sign_constant is the one side test of separate()
+        # the certificate's sign_constant is the one side test of separate(),
+        # and its remark2_status reuses it
         def refuse(*args, **kwargs):
             raise AssertionError("separate() tested the hyperplane's side twice")
 
-        monkeypatch.setattr(separation, "_kernel_disjoint", refuse)
-        for a_set, s, x in (disk_instance(), halfspace_instance(), quotient_instance()):
+        monkeypatch.setattr(separation, "verify_separation", refuse)
+        monkeypatch.setattr(separation, "remark2_equivalence_check", refuse)
+        for a_set, s, x in (bundled("example1"), bundled("example2"), bundled("example3_quotient")):
             result = separate(a_set, s, SeparationOptions(x=x))
             assert result.certificate.remark2_status is True
 
@@ -597,7 +601,7 @@ class TestSeparateRandomInstances:
 
 class TestVerifySeparation:
     def test_halfspace_certificate(self):
-        a_set, s, _ = halfspace_instance()
+        a_set, s, _ = bundled("example2")
         cert = verify_separation(a_set, s, Hyperplane(np.array([1.0, 0.0, 0.0])))
         assert cert.s_in_h_residual == 0.0
         assert cert.boundary_margin == pytest.approx(0.0, abs=1e-12)
@@ -619,43 +623,42 @@ class TestVerifySeparation:
         assert verify_separation(slab, zero_subspace(2), Hyperplane(np.array([1.0, 0.0]))).valid
 
     def test_crossing_hyperplane_flagged(self):
-        a_set, s, _ = disk_instance()
+        a_set, s, _ = bundled("example1")
         cert = verify_separation(a_set, s, Hyperplane(np.array([0.0, 1.0])))
         assert not cert.sign_constant
         assert cert.boundary_margin < 0.0
         assert not cert.valid
 
     def test_subspace_not_contained_flagged(self):
-        a_set, s, _ = halfspace_instance()
+        a_set, s, _ = bundled("example2")
         tilted = Hyperplane(np.array([1.0, 0.0, 0.01]) / np.linalg.norm([1.0, 0.0, 0.01]))
         cert = verify_separation(a_set, s, tilted)
         assert cert.s_in_h_residual > 1e-8
         assert not cert.valid
 
     def test_remark2_status_requires_gauge(self):
-        a_set, s, x = disk_instance()
+        a_set, s, x = bundled("example1")
         result = separate(a_set, s, SeparationOptions(x=x))
-        bare = verify_separation(a_set, s, result.hyperplane)
-        assert bare.remark2_status is None
-        full = verify_separation(a_set, s, result.hyperplane, g=result.g, gauge_p=result.gauge_used)
-        assert full.remark2_status is True
+        # a plane alone carries no extension; remark2_equivalence_check tests one
+        assert verify_separation(a_set, s, result.hyperplane).remark2_status is None
+        assert remark2_equivalence_check(a_set, s, result.anchor_x, result.gauge_used, result.g) == (True, True)
 
 
 class TestRemark2Equivalence:
     def test_dominated_and_disjoint(self):
-        a_set, _, x = disk_instance()
+        a_set, _, x = bundled("example1")
         s = zero_subspace(2)
         out = remark2_equivalence_check(a_set, s, x, TAXICAB, np.array([1.0, 0.5]))
         assert out == (True, True)
 
     def test_violating_and_crossing(self):
-        a_set, _, x = disk_instance()
+        a_set, _, x = bundled("example1")
         s = zero_subspace(2)
         out = remark2_equivalence_check(a_set, s, x, TAXICAB, np.array([1.0, 2.0]))
         assert out == (False, False)
 
     def test_halfspace_extension(self):
-        a_set, s, x = halfspace_instance()
+        a_set, s, x = bundled("example2")
         slab = PolyhedralGauge(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.ones(2))
         out = remark2_equivalence_check(a_set, s, x, slab, np.array([1.0, 0.0, 0.0]))
         assert out == (True, True)
@@ -666,10 +669,10 @@ class TestRemark2Equivalence:
         assert out == (True, True)
 
     def test_non_extension_rejected(self):
-        a_set, s, x = disk_instance()
+        a_set, s, x = bundled("example1")
         with pytest.raises(InputError):
             remark2_equivalence_check(a_set, s, x, TAXICAB, np.array([2.0, 0.0]))
-        a3, s3, x3 = halfspace_instance()
+        a3, s3, x3 = bundled("example2")
         slab = PolyhedralGauge(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.ones(2))
         with pytest.raises(InputError):
             # sends x to 1 but does not vanish on the z-axis
@@ -715,7 +718,7 @@ class TestRemark2Equivalence:
 class TestPipelineFunctionalDomination:
     def test_f_dominated_on_span(self):
         # |f(z + t x)| = |t| <= p(z + t x) on sampled pairs
-        a_set, s, x = halfspace_instance()
+        a_set, s, x = bundled("example2")
         result = separate(a_set, s, SeparationOptions(x=x))
         p = result.gauge_used
         rng = np.random.default_rng(22)
@@ -727,7 +730,7 @@ class TestPipelineFunctionalDomination:
 
 class TestBruteForce2D:
     def test_disk_fan_is_45_to_135(self):
-        a_set, _, _ = disk_instance()
+        a_set, _, _ = bundled("example1")
         angles = np.degrees(brute_force_2d_normals(a_set, 1800))
         assert angles.min() == pytest.approx(45.0, abs=0.1 + 1e-9)
         assert angles.max() == pytest.approx(135.0, abs=0.1 + 1e-9)
