@@ -106,14 +106,16 @@ def _closed(node: dict, path: str, allowed: tuple[str, ...]) -> None:
 
 
 def _is_number(x, kind=(int, float)) -> bool:
-    """Is ``x`` a JSON number of ``kind``?  JSON booleans are not numbers."""
-    return isinstance(x, kind) and not isinstance(x, bool)
+    """Is ``x`` a JSON number of ``kind`` that is a finite float?  JSON
+    booleans are not numbers; NaN, Infinity (which Python's json reads) and
+    integers beyond the float range are not finite floats."""
+    return isinstance(x, kind) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _number_list(node, path: str, length: int | None = None) -> list[float]:
     _require(isinstance(node, list), path, "expected an array of numbers")
     for i, x in enumerate(node):
-        _require(_is_number(x), f"{path}[{i}]", "expected a number")
+        _require(_is_number(x), f"{path}[{i}]", "expected a finite number")
     if length is not None:
         _require(len(node) == length, path, f"expected {length} entries, got {len(node)}")
     return [float(x) for x in node]
@@ -127,7 +129,7 @@ def _parse_set(node, dim: int, path: str) -> ConvexSet:
         _closed(node, path, ("kind", "center", "radius"))
         center = _number_list(node.get("center"), f"{path}.center", dim)
         radius = node.get("radius")
-        _require(_is_number(radius) and radius > 0, f"{path}.radius", "expected a positive number")
+        _require(_is_number(radius) and radius > 0, f"{path}.radius", "expected a finite positive number")
         return OpenBall(np.array(center), float(radius))
     if kind == "hpoly":
         _closed(node, path, ("kind", "rows", "witness"))
@@ -140,7 +142,7 @@ def _parse_set(node, dim: int, path: str) -> ConvexSet:
             _closed(row, rpath, ("a", "b", "strict"))
             a.append(_number_list(row.get("a"), f"{rpath}.a", dim))
             off = row.get("b")
-            _require(_is_number(off), f"{rpath}.b", "expected a number")
+            _require(_is_number(off), f"{rpath}.b", "expected a finite number")
             _require(row.get("strict") is True, f"{rpath}.strict", "must be true in version 1")
             b.append(float(off))
         witness = node.get("witness")
@@ -175,7 +177,7 @@ def _parse_seminorm(node, dim: int, path: str):
             _closed(row, rpath, ("a", "b"))
             a.append(_number_list(row.get("a"), f"{rpath}.a", dim))
             off = row.get("b")
-            _require(_is_number(off) and off > 0, f"{rpath}.b", "expected a positive number")
+            _require(_is_number(off) and off > 0, f"{rpath}.b", "expected a finite positive number")
             b.append(float(off))
         return PolyhedralGauge(np.array(a), np.array(b))
     mat = [_number_list(row, f"{path}.rows[{i}]", dim) for i, row in enumerate(rows)]

@@ -333,11 +333,7 @@ def build_D(a_set: ConvexSet, x) -> SymmetrizedBody:
     return SymmetrizedBody(conic_hull(a_set), x)
 
 
-# (center, radius) of an inscribed-ball LP; see ``_inscribed_ball``
-_Ball = tuple[np.ndarray | None, float]
-
-
-def _inscribed_ball(poly: HPolyhedron, basis: np.ndarray | None = None) -> _Ball:
+def _inscribed_ball(poly: HPolyhedron, basis: np.ndarray | None = None) -> tuple[np.ndarray | None, float]:
     """Largest ball in the polyhedron's closure: max r s.t. a_i . y + r |a_i| <= b_i.
 
     The center y may be restricted to the row span of ``basis``
@@ -356,18 +352,16 @@ def _inscribed_ball(poly: HPolyhedron, basis: np.ndarray | None = None) -> _Ball
     return center, float(res.x[-1])
 
 
-def chebyshev_center(poly: HPolyhedron, *, ball: _Ball | None = None) -> tuple[np.ndarray, float]:
+def chebyshev_center(poly: HPolyhedron) -> tuple[np.ndarray, float]:
     """A Chebyshev center (deepest interior point) of the polyhedron, plus its inradius.
 
-    One LP, skipped when the caller passes its result as ``ball`` (the
-    whole-space ``_inscribed_ball``, which ``separate`` shares with
-    ``is_empty``); among equally deep points the simplex vertex is returned,
-    so the result is deterministic.  Raises EmptySetError when the interior
-    is empty and InputError when the inradius is unbounded.
+    One LP; among equally deep points the simplex vertex is returned, so the
+    result is deterministic.  Raises EmptySetError when the interior is
+    empty and InputError when the inradius is unbounded.
     """
     if poly.a.shape[0] == 0:
         raise InputError("the whole space has no deepest point; supply constraints or a witness")
-    center, r = _inscribed_ball(poly) if ball is None else ball
+    center, r = _inscribed_ball(poly)
     if r == -np.inf:
         raise EmptySetError("polyhedron is empty")
     if center is None:
@@ -378,48 +372,31 @@ def chebyshev_center(poly: HPolyhedron, *, ball: _Ball | None = None) -> tuple[n
     return center, radius
 
 
-def _meets(a_set: ConvexSet, basis: np.ndarray | None = None, ball: _Ball | None = None) -> bool | None:
-    """Does the open set meet the row span of ``basis`` (the whole space if None)?
+def _meets(a_set: ConvexSet, basis: np.ndarray) -> bool | None:
+    """Does the open set meet the row span of ``basis`` (rows orthonormal)?
 
     Exact for polyhedra (an inscribed ball centered in the span with a
-    radius above MIN_DEPTH, or an unbounded one; ``ball`` is that LP's
-    result when the caller has it) and balls (center nearer the span than
-    r (1 - 1e-9), a band relative to r); None for other sets.  ``basis``
-    rows are orthonormal.
+    radius above MIN_DEPTH, or an unbounded one) and balls (center nearer
+    the span than r (1 - 1e-9), a band relative to r); None for other sets.
     """
     if isinstance(a_set, HPolyhedron):
-        return (_inscribed_ball(a_set, basis) if ball is None else ball)[1] > MIN_DEPTH
+        return _inscribed_ball(a_set, basis)[1] > MIN_DEPTH
     if isinstance(a_set, OpenBall):
         c = np.asarray(a_set.center)
-        dist = 0.0 if basis is None else float(np.linalg.norm(c - (basis @ c) @ basis))
-        return dist < a_set.radius * (1.0 - 1e-9)
+        return float(np.linalg.norm(c - (basis @ c) @ basis)) < a_set.radius * (1.0 - 1e-9)
     return None
 
 
-def is_empty(a_set: ConvexSet, *, ball: _Ball | None = None) -> bool:
-    """Best-effort emptiness test (exact for polyhedra and balls).
-
-    ``ball`` is a polyhedron's whole-space ``_inscribed_ball`` when the
-    caller has solved it, as for ``chebyshev_center``."""
-    meets = _meets(a_set, ball=ball)
-    if meets is not None:
-        return not meets
-    if isinstance(a_set, OracleSet):
-        if a_set.witness is None:
-            raise InputError("oracle sets need a witness point for emptiness checks")
-        return not a_set.contains(a_set.witness)
-    raise InputError(f"emptiness test unsupported for {type(a_set).__name__}")
-
-
-def pick_interior_point(a_set: ConvexSet, *, ball: _Ball | None = None) -> np.ndarray:
+def pick_interior_point(a_set: ConvexSet) -> np.ndarray:
     """A deterministic interior point: ball center, Chebyshev center, or witness.
 
-    ``ball`` is passed on to ``chebyshev_center``."""
+    Raises EmptySetError when a polyhedron has no interior point deeper than
+    ``MIN_DEPTH``."""
     if isinstance(a_set, OpenBall):
         return np.array(a_set.center)
     if isinstance(a_set, HPolyhedron):
         try:
-            center, _ = chebyshev_center(a_set, ball=ball)
+            center, _ = chebyshev_center(a_set)
             return center
         except InputError:
             if a_set.witness is not None and a_set.contains(a_set.witness):

@@ -136,29 +136,6 @@ def complement_basis(s: Subspace) -> list[np.ndarray]:
     return _gram_schmidt(s.basis, np.eye(s.ambient_dim))[s.dim:]
 
 
-def decompose(y, s: Subspace, x) -> tuple[np.ndarray, float]:
-    """Split ``y = z + t*x`` with ``z`` in ``s``; returns (coords of z, t).
-
-    ``x`` must lie outside ``s`` and ``y`` inside span(s + {x}); the split is
-    then unique.  Coordinates are against ``s.basis``.
-    """
-    y = as_vector(y, s.ambient_dim)
-    x = as_vector(x, s.ambient_dim)
-    x_perp = x - s.project(x)
-    nx = float(np.linalg.norm(x_perp))
-    if nx <= TOL_MEMBERSHIP * max(1.0, float(np.linalg.norm(x))):
-        raise DegenerateError("direction vector lies in the subspace; decomposition is not unique")
-    y_perp = y - s.project(y)
-    t = float(y_perp @ x_perp) / (nx * nx)
-    z = y - t * x
-    coords = s.basis @ z if s.dim else np.zeros(0)
-    recon = (coords @ s.basis if s.dim else 0.0) + t * x
-    resid = float(np.max(np.abs(y - recon))) if y.size else 0.0
-    if resid > TOL_MEMBERSHIP * max(1.0, float(np.max(np.abs(y)))):
-        raise InputError(f"point is outside span(S + {{x}}): residual {resid:.3e}")
-    return coords, t
-
-
 @dataclass(frozen=True, eq=False)
 class PartialFunctional:
     """A linear functional on a subspace: one value per basis row of ``domain``."""

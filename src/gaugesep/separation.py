@@ -23,15 +23,13 @@ from .convexsets import (
     HPolyhedron,
     OpenBall,
     OracleSet,
-    _inscribed_ball,
     _meets,
     build_D,
     conic_hull,
-    is_empty,
     pick_interior_point,
     sample_interior,
 )
-from .errors import DegenerateError, InputError, SolverError
+from .errors import DegenerateError, EmptySetError, InputError, SolverError
 from .extension import (
     ExtensionState,
     ExtensionStep,
@@ -42,12 +40,12 @@ from .extension import (
 )
 from .gauges import Seminorm, gauge, gauge_from_symmetrized, unit_ball
 from .geometry import (
+    TOL_MEMBERSHIP,
     Hyperplane,
     PartialFunctional,
     Subspace,
     as_vector,
     complement_basis,
-    decompose,
     kernel_hyperplane,
     span_basis,
     zero_subspace,
@@ -169,9 +167,16 @@ def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
 
 
 def _span_functional(s: Subspace, x: np.ndarray) -> PartialFunctional:
-    """The functional on span(S + {x}) sending z + t*x to t."""
+    """The functional on span(S + {x}) sending z + t*x to t, where
+    t = (u - P u) . x_perp / |x_perp|^2 for u = z + t*x and x_perp = x - P x."""
+    x_perp = x - s.project(x)
+    nx = float(np.linalg.norm(x_perp))
+    if nx <= TOL_MEMBERSHIP * max(1.0, float(np.linalg.norm(x))):
+        raise DegenerateError("the anchor lies in the subspace; z + t*x does not determine t")
     span = span_basis(list(s.basis) + [x], s.ambient_dim)
-    values = [decompose(u, s, x)[1] for u in span.basis]
+    # nx * nx, not x_perp . x_perp: they differ in the last bit, and the
+    # round trip of example3_quotient passes only with the former
+    values = [float((u - s.project(u)) @ x_perp) / (nx * nx) for u in span.basis]
     return PartialFunctional(span, np.array(values))
 
 
@@ -219,28 +224,28 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     Precondition: the set and the subspace are disjoint (checked exactly for
     polyhedra and balls, by sampling for oracles).  A hyperplane whose
     certificate is not valid is never returned: SolverError names the failed
-    checks instead.  A set that ``is_empty`` reports empty gets the first
-    direction of the deterministic completion of ``s``'s basis as normal,
-    under the same certificate: on a polyhedron that only looks empty (an
-    inscribed radius below ``MIN_DEPTH``) a plane that crosses it raises.
+    checks instead.  The anchor ``opts.x`` must lie in the set's conic
+    hull; without one, ``pick_interior_point`` picks it, and a set it finds
+    empty (a polyhedron with no interior point deeper than ``MIN_DEPTH``)
+    gets the first direction of the deterministic completion of ``s``'s
+    basis as normal, under the same certificate: on a polyhedron that only
+    looks empty a plane that crosses it raises.
     """
     opts = opts or SeparationOptions()
     n = a_set.dim
     if s.ambient_dim != n:
         raise InputError("set and subspace dimensions disagree")
-    # one whole-space inscribed-ball LP serves the emptiness test and the anchor
-    ball = _inscribed_ball(a_set) if isinstance(a_set, HPolyhedron) else None
-    empty = is_empty(a_set, ball=ball)
-    if s.dim == n:
-        if empty:
-            raise DegenerateError("the subspace is the whole space; no hyperplane contains it")
-        raise InputError("a full-dimensional subspace meets every nonempty set")
-    if empty:
+    try:
+        x = as_vector(opts.x, n) if opts.x is not None else pick_interior_point(a_set)
+    except EmptySetError:
+        if s.dim == n:
+            raise DegenerateError("the subspace is the whole space; no hyperplane contains it") from None
         normal = np.array(complement_basis(s)[0])
         cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples))
         return SeparationResult(Hyperplane(normal), normal, None, None, (), cert)
+    if s.dim == n:
+        raise InputError("a full-dimensional subspace meets every nonempty set")
     _check_disjoint(a_set, s, opts.seed)
-    x = as_vector(opts.x, n) if opts.x is not None else pick_interior_point(a_set, ball=ball)
     body = build_D(a_set, x)
     p = gauge_from_symmetrized(body)
     state = extend_full_state(_span_functional(s, x), p, opts.gamma_rule, seed=opts.seed)

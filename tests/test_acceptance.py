@@ -16,7 +16,6 @@ from gaugesep import (
     brute_force_2d_normals,
     build_D,
     complement_basis,
-    decompose,
     domination_check,
     extend_full_state,
     extend_via_separation,
@@ -29,6 +28,7 @@ from gaugesep import (
     span_basis,
 )
 from gaugesep.cli import main as cli_main
+from gaugesep.separation import _span_functional
 
 from helpers import (
     BisectionGauge,
@@ -108,8 +108,7 @@ def test_criterion_03_disk_separation_and_sweep():
     assert step.interval.lo == pytest.approx(-1.0, abs=1e-6)
     assert step.interval.hi == pytest.approx(1.0, abs=1e-6)
     _, functional = (result.gauge_used, None)
-    span = span_basis([np.asarray(x)], 2)
-    f = PartialFunctional(span, np.array([decompose(u, s, x)[1] for u in span.basis]))
+    f = _span_functional(s, x)
     for t in np.linspace(0.0, 1.0, 11):
         gamma = step.interval.lo + t * step.interval.width
         g = f.as_coefficients() + gamma * np.asarray(step.direction)
@@ -165,10 +164,8 @@ def test_criterion_06_remark2_biconditional():
 
     checked = 0
     for a_set, s, x, p in instances:
-        span = span_basis(list(s.basis) + [np.asarray(x)], a_set.dim)
-        values = [decompose(u, s, x)[1] for u in span.basis]
-        f = PartialFunctional(span, np.array(values))
-        directions = complement_basis(span)
+        f = _span_functional(s, np.asarray(x))
+        directions = complement_basis(f.domain)
         if not directions:
             continue
         state = ExtensionState(f, p)

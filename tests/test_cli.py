@@ -64,6 +64,33 @@ BOOLEAN_NUMBERS = {
     "options.seed": {"options": {"seed": True}},
 }
 
+# a NaN or Infinity (which Python's json reads) in each numeric field
+NONFINITE_NUMBERS = {
+    "A.center[0]": {"A": {"kind": "ball", "center": [float("nan"), 0.0], "radius": 1.0}},
+    "A.radius": {"A": {"kind": "ball", "center": [2.0, 0.0], "radius": float("inf")}},
+    "A.rows[0].a[0]": {"A": {"kind": "hpoly", "rows": [{"a": [-float("inf"), 0.0], "b": 0.0, "strict": True}]}},
+    "A.rows[0].b": {"A": {"kind": "hpoly", "rows": [{"a": [-1.0, 0.0], "b": float("inf"), "strict": True}]}},
+    "S.basis[0][1]": {"S": {"basis": [[0.0, float("nan")]]}},
+    "x[0]": {"x": [float("nan"), 0.0]},
+    "seminorm.rows[0].b": {"seminorm": {"kind": "polyhedral", "rows": [{"a": [1.0, 0.0], "b": float("inf")}]}},
+    "seminorm.rows[0][1]": {"seminorm": {"kind": "explicit", "rows": [[1.0, float("nan")]]}},
+    "A.center[1]": {"A": {"kind": "ball", "center": [2.0, 10**400], "radius": 1.0}},  # no float holds it
+}
+
+# the box (-1, 3) x (-1, 1), whose Chebyshev center (0, 0) lies in S = span{e2}
+CENTER_IN_S = {
+    "version": 1,
+    "dimension": 2,
+    "A": {
+        "kind": "hpoly",
+        "rows": [
+            {"a": a, "b": b, "strict": True}
+            for a, b in (([1.0, 0.0], 3.0), ([-1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([0.0, -1.0], 1.0))
+        ],
+    },
+    "S": {"basis": [[0.0, 1.0]]},
+}
+
 
 class TestParseProblem:
     def test_bundled_names(self):
@@ -164,6 +191,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "separate", "--input", write(tmp_path, "bool.json", bad))
         assert code == 3
         assert f"schema: {field}: " in err
+
+    @pytest.mark.parametrize("command", ["separate", "extend"])
+    @pytest.mark.parametrize("field", list(NONFINITE_NUMBERS))
+    def test_nonfinite_number_exit_3(self, capsys, tmp_path, field, command):
+        bad = {**DISK_PROBLEM, **NONFINITE_NUMBERS[field]}
+        code, _, err = run_cli(capsys, command, "--input", write(tmp_path, "nonfinite.json", bad))
+        assert code == 3
+        assert f"schema: {field}: " in err
+
+    @pytest.mark.parametrize("command", ["extend", "roundtrip"])
+    def test_anchor_in_subspace_exit_4(self, capsys, tmp_path, command):
+        code, _, err = run_cli(capsys, command, "--input", write(tmp_path, "center.json", CENTER_IN_S))
+        assert code == 4
+        assert "anchor lies in the subspace" in err
 
     def test_gauge_without_point_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "gauge", "--input", "example1")

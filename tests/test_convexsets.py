@@ -11,7 +11,6 @@ from gaugesep import (
     OpenBall,
     OracleSet,
     build_D,
-    chebyshev_center,
     conic_hull,
     conic_hull_membership,
     pick_interior_point,
@@ -20,7 +19,6 @@ from gaugesep import (
     solve_lp,
     span_basis,
 )
-from gaugesep.convexsets import MIN_DEPTH, _inscribed_ball, is_empty
 from gaugesep.fixtures import oracle_by_name
 
 from helpers import bundled, random_instance
@@ -295,9 +293,9 @@ BOX = (np.vstack([np.eye(3), -np.eye(3)]), np.array([3.0, 1.0, 1.0, -1.0, 1.0, 1
 
 
 class TestDeepestPointLP:
-    """``separate`` solves a polyhedron's whole-space inscribed-ball LP once
-    and hands it to ``is_empty`` and ``pick_interior_point``; ``_meets`` on
-    a span solves its own, and an unbounded radius reads as meeting."""
+    """``separate`` solves a polyhedron's whole-space inscribed-ball LP once,
+    in ``pick_interior_point``, its one emptiness decision; ``_meets`` on a
+    span solves its own."""
 
     @staticmethod
     def lp_shapes(monkeypatch) -> list[tuple[int, int]]:
@@ -317,20 +315,3 @@ class TestDeepestPointLP:
         for _ in range(2):
             assert separate(box, s).certificate.valid
         assert shapes == [(6, 4), (6, 2)] * 2  # (center, r) in the whole space, then in S
-
-    def test_is_empty_answers(self):
-        empty = HPolyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
-        thin = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.5 * MIN_DEPTH, 0.0]))
-        cases = [(empty, True), (thin, True), (bundled("example2")[0], False), (HPolyhedron(*BOX), False)]
-        for poly, empty in cases:
-            assert is_empty(poly) == empty
-            assert is_empty(poly, ball=_inscribed_ball(poly)) == empty
-
-    def test_passed_ball_gives_the_same_center(self, monkeypatch):
-        box = HPolyhedron(*BOX)
-        ball = _inscribed_ball(box)
-        shapes = self.lp_shapes(monkeypatch)
-        center, radius = chebyshev_center(box, ball=ball)
-        assert shapes == [] and radius == 1.0
-        np.testing.assert_array_equal(center, chebyshev_center(box)[0])
-        np.testing.assert_array_equal(pick_interior_point(box, ball=ball), [2.0, 0.0, 0.0])

@@ -9,11 +9,11 @@ from gaugesep import (
     PartialFunctional,
     Subspace,
     complement_basis,
-    decompose,
     kernel_hyperplane,
     span_basis,
     zero_subspace,
 )
+from gaugesep.separation import _span_functional
 
 
 class TestSpanBasis:
@@ -112,33 +112,13 @@ class TestComplementBasis:
             np.testing.assert_allclose(full @ full.T, np.eye(n), atol=1e-9)
 
 
-class TestDecompose:
-    def test_halfspace_instance_point(self):
-        s = span_basis([np.array([0.0, 0.0, 1.0])])
-        coords, t = decompose(np.array([1.0, -3.0, 5.0]), s, np.array([1.0, -3.0, 0.0]))
-        assert t == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(coords @ s.basis, [0, 0, 5], atol=1e-12)
+class TestSpanFunctional:
+    """The pipeline functional on span(S + {x}): z + t*x goes to t."""
 
-    def test_zero_vector(self):
-        s = span_basis([np.array([0.0, 0.0, 1.0])])
-        coords, t = decompose(np.zeros(3), s, np.array([1.0, -3.0, 0.0]))
-        assert t == 0.0
-        np.testing.assert_allclose(coords, [0.0], atol=1e-15)
-
-    def test_zero_subspace(self):
-        coords, t = decompose(np.array([2.0, 0.0]), zero_subspace(2), np.array([1.0, 0.0]))
-        assert t == pytest.approx(2.0, abs=1e-12)
-        assert coords.size == 0
-
-    def test_direction_inside_subspace_degenerate(self):
+    def test_anchor_inside_subspace_degenerate(self):
         s = span_basis([np.array([0.0, 0.0, 1.0])])
         with pytest.raises(DegenerateError):
-            decompose(np.array([0.0, 0.0, 2.0]), s, np.array([0.0, 0.0, 1.0]))
-
-    def test_point_outside_span(self):
-        s = span_basis([np.array([0.0, 0.0, 1.0])])
-        with pytest.raises(InputError):
-            decompose(np.array([0.0, 1.0, 0.0]), s, np.array([1.0, 0.0, 0.0]))
+            _span_functional(s, np.array([0.0, 0.0, 2.0]))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_random_roundtrip(self, n):
@@ -153,10 +133,8 @@ class TestDecompose:
             coords_true = rng.normal(size=s.dim)
             t_true = float(rng.normal())
             y = (coords_true @ s.basis if s.dim else np.zeros(n)) + t_true * x
-            coords, t = decompose(y, s, x)
-            worst = max(worst, abs(t - t_true))
-            if s.dim:
-                worst = max(worst, float(np.max(np.abs(coords - coords_true))))
+            f = _span_functional(s, x)
+            worst = max(worst, abs(f(x) - 1.0), abs(f(y) - t_true), *(abs(f(b)) for b in s.basis))
         assert worst < 1e-9
 
 

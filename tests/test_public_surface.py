@@ -8,7 +8,7 @@ import pkgutil
 import numpy as np
 
 import gaugesep
-from gaugesep import OpenBall, OracleSet
+from gaugesep import OpenBall, OracleSet, chebyshev_center, pick_interior_point
 from gaugesep.convexsets import sample_interior
 from gaugesep.separation import _certificate, verify_separation
 
@@ -24,14 +24,17 @@ REMOVED = [
     "GAUGE_TOL",
     "Phase1",
     "RECESSION_CAP",
+    "_Ball",
     "_gauge_bisection",
     "_gauge_section",
     "_kernel_disjoint",
     "_remark2_pair",
     "check_seminorm_axioms",
+    "decompose",
     "disk_instance",
     "extend_with_values",
     "halfspace_instance",
+    "is_empty",
     "quotient_instance",
 ]
 
@@ -53,6 +56,9 @@ def test_removed_names_are_gone():
     assert "start" not in inspect.signature(_certificate).parameters
     # remark2_equivalence_check is the one Remark-2 entry point
     assert not {"g", "gauge_p"} & set(inspect.signature(verify_separation).parameters)
+    # pick_interior_point is separate()'s one emptiness decision, on its own LP
+    for fn in (chebyshev_center, pick_interior_point):
+        assert "ball" not in inspect.signature(fn).parameters
 
 
 def test_sample_interior_is_the_membership_walk():

@@ -135,15 +135,31 @@ class TestSeparateFixtures:
 
     def test_thin_slab_read_as_empty_is_not_certified(self):
         # {0 < e1 < 1e-10} meets S = span{(1, 1)} at (5e-11, 5e-11), but its
-        # inscribed radius is below MIN_DEPTH, so is_empty reads it as empty;
-        # the completion's normal (0.707, -0.707) crosses it
+        # inscribed radius is below MIN_DEPTH, so pick_interior_point finds it
+        # empty; the completion's normal (0.707, -0.707) crosses it
         slab = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1e-10, 0.0]))
         with pytest.raises(SolverError, match="boundary_margin -inf"):
             separate(slab, span_basis([np.array([1.0, 1.0])]))
 
+    def test_anchored_empty_polyhedron_rejected(self):
+        # an anchor skips the emptiness decision, and no anchor lies in an empty hull
+        with pytest.raises(InputError, match="anchor must lie inside the base set"):
+            separate(EMPTY_SLAB, span_basis([np.array([0.0, 1.0])]), SeparationOptions(x=np.array([1.5, 0.0])))
+
+    def test_anchored_thin_slab_separates(self):
+        # {1 < e2 < 1 + 1e-10}: its inscribed radius is below MIN_DEPTH, so
+        # without an anchor it reads as empty and the completion's e1 crosses it
+        slab = HPolyhedron(np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]), np.array([1.0 + 1e-10, -1.0]))
+        s = span_basis([np.array([0.0, 0.0, 1.0])])
+        result = separate(slab, s, SeparationOptions(x=np.array([0.0, 1.0 + 5e-11, 0.0])))
+        np.testing.assert_array_equal(result.hyperplane.normal, [0.0, 1.0, 0.0])
+        assert result.certificate.valid
+        with pytest.raises(SolverError, match="boundary_margin -inf"):
+            separate(slab, s)
+
     def test_empty_oracle_set_is_not_certified(self):
-        # an oracle whose witness fails its own test reads as empty, and no
-        # interior point is there to sample the certificate from
+        # an oracle whose witness fails its own test has no interior point to
+        # anchor at or to sample the certificate from
         oracle = OracleSet(2, lambda e: False, witness=np.array([1.0, 0.0]))
         with pytest.raises(InputError, match="witness is not a member"):
             separate(oracle, zero_subspace(2))
@@ -690,12 +706,8 @@ class TestRemark2Equivalence:
             a_set, s = random_polytope_instance(rng, n)
             x = pick_interior_point(a_set)
             p = gauge_from_symmetrized(build_D(a_set, x))
-            span = span_basis(list(s.basis) + [x], n)
-            from gaugesep import decompose
-
-            values = [decompose(u, s, x)[1] for u in span.basis]
-            f = PartialFunctional(span, np.array(values))
-            directions = complement_basis(span)
+            f = separation._span_functional(s, x)
+            directions = complement_basis(f.domain)
             if not directions:
                 continue
             state = ExtensionState(f, p)
@@ -821,12 +833,27 @@ class TestOracleSetEndToEnd:
         # here the exact polar of the sector gauge checks the search's g
         assert domination_check(g, result.gauge_used) <= 1e-6
 
+    @pytest.mark.parametrize("direction,normal", [([0.0, 1.0], [1.0, 0.0]), ([1.0, 1.0], [1.0, -1.0])])
+    def test_sampled_precondition_passes(self, direction, normal):
+        # S misses the offset disk: the e2 axis, and the tangent line e1 = e2
+        from gaugesep.fixtures import oracle_by_name
+
+        result = separate(oracle_by_name("offset-disk"), span_basis([np.array(direction)]))
+        assert result.certificate.valid
+        np.testing.assert_allclose(result.hyperplane.normal, np.array(normal) / np.linalg.norm(normal), atol=1e-12)
+
+    def test_sampled_precondition_finds_the_meeting(self):
+        from gaugesep.fixtures import oracle_by_name
+
+        with pytest.raises(InputError, match="sampling found a subspace point inside the set"):
+            separate(oracle_by_name("offset-disk"), span_basis([np.array([1.0, 0.0])]))
+
     @pytest.mark.parametrize(
-        "name,normal,calls", [("offset-box", [1.0, 2.0], 10_762), ("offset-disk", [1.0, 1.0], 11_540)]
+        "name,normal,calls", [("offset-box", [1.0, 2.0], 10_761), ("offset-disk", [1.0, 1.0], 11_539)]
     )
     def test_membership_calls(self, name, normal, calls):
         # deterministic: 10,000 certificate samples, the two tangent searches
-        # of the sector (756 calls on the box, 1,534 on the disk) and six
+        # of the sector (756 calls on the box, 1,534 on the disk) and five
         # witness and origin tests; the search pipeline made 654,119 and
         # 1,301,635 here
         from gaugesep.fixtures import oracle_by_name

@@ -472,7 +472,7 @@ class TestBundledCounters:
 
     @pytest.mark.parametrize(
         "name,lps,pivots",
-        [("example1", 0, 0), ("example2", 6, 5), ("example3_quotient", 5, 6)],
+        [("example1", 0, 0), ("example2", 5, 5), ("example3_quotient", 4, 4)],
     )
     def test_lp_calls_and_pivots(self, monkeypatch, name, lps, pivots):
         problem = parse_problem(name)
