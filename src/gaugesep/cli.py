@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -53,9 +54,9 @@ _BUILTIN_PROBLEMS = ("example1", "example2", "example3_quotient")
 # serialization
 
 def _fmt_float(x: float) -> str:
-    if np.isnan(x):
+    if math.isnan(x):
         return '"nan"'
-    if np.isinf(x):
+    if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
     return format(float(x), ".17g")
 
@@ -71,7 +72,7 @@ def dumps(doc, indent: int = 0) -> str:
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(doc, (list, tuple, np.ndarray)):
-        items = [dumps(v, indent + 1) for v in doc]
+        items = [_fmt_float(v) if isinstance(v, float) else dumps(v, indent + 1) for v in doc]
         if sum(len(s) for s in items) < 72 and all("\n" not in s for s in items):
             return "[" + ", ".join(items) + "]"
         inner = ",\n".join(f"{pad}  {s}" for s in items)
@@ -99,10 +100,22 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise SchemaError(f"{path}: {message}")
 
 
-def _closed(node: dict, path: str, allowed: tuple[str, ...]) -> None:
-    """Reject the first key outside ``allowed`` (docs/schema closes every object)."""
+def _closed(node: dict, prefix: str, allowed: tuple[str, ...]) -> None:
+    """Reject the first key outside ``allowed``, at ``prefix + key`` (docs/schema closes every object)."""
     for key in node:
-        _require(key in allowed, f"{path}.{key}" if path else key, "unexpected key")
+        if key not in allowed:
+            raise SchemaError(f"{prefix}{key}: unexpected key")
+
+
+def _each(items: list, path: str, parse) -> list:
+    """``parse`` of every item; ``parse`` names paths relative to its item, so only a failing one's is built."""
+    out = []
+    try:
+        for item in items:
+            out.append(parse(item))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}[{len(out)}]{exc}") from None
+    return out
 
 
 def _is_number(x, kind=(int, float)) -> bool:
@@ -114,11 +127,29 @@ def _is_number(x, kind=(int, float)) -> bool:
 
 def _number_list(node, path: str, length: int | None = None) -> list[float]:
     _require(isinstance(node, list), path, "expected an array of numbers")
-    for i, x in enumerate(node):
-        _require(_is_number(x), f"{path}[{i}]", "expected a finite number")
+    try:  # one pass over the whole list; the per-entry check runs only if it fails
+        finite = set(map(type, node)) <= {int, float} and all(map(math.isfinite, node))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        _each(node, path, lambda x: _require(_is_number(x), "", "expected a finite number"))
     if length is not None:
         _require(len(node) == length, path, f"expected {length} entries, got {len(node)}")
-    return [float(x) for x in node]
+    return list(map(float, node))
+
+
+def _row(row, dim: int, strict: bool) -> tuple[list[float], float]:
+    """A polyhedron row (``strict``) or a polyhedral seminorm row, with paths relative to the row."""
+    _require(isinstance(row, dict), "", "expected an object")
+    _closed(row, ".", ("a", "b", "strict") if strict else ("a", "b"))
+    a = _number_list(row.get("a"), ".a", dim)
+    off = row.get("b")
+    if strict:
+        _require(_is_number(off), ".b", "expected a finite number")
+        _require(row.get("strict") is True, ".strict", "must be true in version 1")
+    else:
+        _require(_is_number(off) and off > 0, ".b", "expected a finite positive number")
+    return a, float(off)
 
 
 def _parse_set(node, dim: int, path: str) -> ConvexSet:
@@ -126,32 +157,23 @@ def _parse_set(node, dim: int, path: str) -> ConvexSet:
     kind = node.get("kind")
     _require(kind in ("ball", "hpoly", "oracle"), f"{path}.kind", "expected one of ball|hpoly|oracle")
     if kind == "ball":
-        _closed(node, path, ("kind", "center", "radius"))
+        _closed(node, f"{path}.", ("kind", "center", "radius"))
         center = _number_list(node.get("center"), f"{path}.center", dim)
         radius = node.get("radius")
         _require(_is_number(radius) and radius > 0, f"{path}.radius", "expected a finite positive number")
         return OpenBall(np.array(center), float(radius))
     if kind == "hpoly":
-        _closed(node, path, ("kind", "rows", "witness"))
+        _closed(node, f"{path}.", ("kind", "rows", "witness"))
         rows = node.get("rows")
         _require(isinstance(rows, list) and rows, f"{path}.rows", "expected a nonempty array")
-        a, b = [], []
-        for i, row in enumerate(rows):
-            rpath = f"{path}.rows[{i}]"
-            _require(isinstance(row, dict), rpath, "expected an object")
-            _closed(row, rpath, ("a", "b", "strict"))
-            a.append(_number_list(row.get("a"), f"{rpath}.a", dim))
-            off = row.get("b")
-            _require(_is_number(off), f"{rpath}.b", "expected a finite number")
-            _require(row.get("strict") is True, f"{rpath}.strict", "must be true in version 1")
-            b.append(float(off))
+        a, b = zip(*_each(rows, f"{path}.rows", lambda row: _row(row, dim, strict=True)))
         witness = node.get("witness")
         wit = np.array(_number_list(witness, f"{path}.witness", dim)) if witness is not None else None
         try:
             return HPolyhedron(np.array(a), np.array(b), witness=wit)
         except InputError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
-    _closed(node, path, ("kind", "name"))
+    _closed(node, f"{path}.", ("kind", "name"))
     name = node.get("name")
     _require(isinstance(name, str), f"{path}.name", "expected a fixture name string")
     try:
@@ -166,22 +188,13 @@ def _parse_seminorm(node, dim: int, path: str):
     _require(isinstance(node, dict), path, "expected an object")
     kind = node.get("kind")
     _require(kind in ("polyhedral", "explicit"), f"{path}.kind", "expected polyhedral|explicit")
-    _closed(node, path, ("kind", "rows"))
+    _closed(node, f"{path}.", ("kind", "rows"))
     rows = node.get("rows")
     _require(isinstance(rows, list) and rows, f"{path}.rows", "expected a nonempty array")
     if kind == "polyhedral":
-        a, b = [], []
-        for i, row in enumerate(rows):
-            rpath = f"{path}.rows[{i}]"
-            _require(isinstance(row, dict), rpath, "expected an object")
-            _closed(row, rpath, ("a", "b"))
-            a.append(_number_list(row.get("a"), f"{rpath}.a", dim))
-            off = row.get("b")
-            _require(_is_number(off) and off > 0, f"{rpath}.b", "expected a finite positive number")
-            b.append(float(off))
+        a, b = zip(*_each(rows, f"{path}.rows", lambda row: _row(row, dim, strict=False)))
         return PolyhedralGauge(np.array(a), np.array(b))
-    mat = [_number_list(row, f"{path}.rows[{i}]", dim) for i, row in enumerate(rows)]
-    return ExplicitMaxAbs(np.array(mat))
+    return ExplicitMaxAbs(np.array(_each(rows, f"{path}.rows", lambda row: _number_list(row, "", dim))))
 
 
 class Problem:
@@ -197,18 +210,16 @@ class Problem:
         self.a_set = _parse_set(raw.get("A"), dim, "A")
         s_node = raw.get("S")
         _require(isinstance(s_node, dict), "S", "expected an object")
-        _closed(s_node, "S", ("basis",))
+        _closed(s_node, "S.", ("basis",))
         basis = s_node.get("basis")
         _require(isinstance(basis, list), "S.basis", "expected an array of vectors")
-        vectors = [np.array(_number_list(v, f"S.basis[{i}]", dim)) for i, v in enumerate(basis)]
+        vectors = [np.array(v) for v in _each(basis, "S.basis", lambda v: _number_list(v, "", dim))]
         self.s: Subspace = span_basis(vectors, dim) if vectors else zero_subspace(dim)
         self.x = np.array(_number_list(raw["x"], "x", dim)) if raw.get("x") is not None else None
-        self.seminorm = (
-            _parse_seminorm(raw["seminorm"], dim, "seminorm") if raw.get("seminorm") is not None else None
-        )
+        self.seminorm = _parse_seminorm(raw["seminorm"], dim, "seminorm") if raw.get("seminorm") is not None else None
         options = raw.get("options", {})
         _require(isinstance(options, dict), "options", "expected an object")
-        _closed(options, "options", ("gamma_rule", "seed"))
+        _closed(options, "options.", ("gamma_rule", "seed"))
         rule = options.get("gamma_rule", "upper")
         _require(rule in ("upper", "lower", "midpoint"), "options.gamma_rule", "expected upper|lower|midpoint")
         seed = options.get("seed", 0)
@@ -340,7 +351,7 @@ def _cmd_roundtrip(problem: Problem, opts: SeparationOptions, args) -> dict:
 
 
 def _cmd_verify(problem: Problem, opts: SeparationOptions, args) -> dict:
-    if args.normal:
+    if args.normal is not None:
         normal = _flag_vector(args, "normal", problem.dimension)
         norm = float(np.linalg.norm(normal))
         if norm <= 1e-12:
@@ -449,8 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "repro":
             return _cmd_repro(args)

@@ -306,17 +306,17 @@ def conic_hull(a_set: ConvexSet) -> ConvexSet:
     Requires a nonempty base set.
     """
     if isinstance(a_set, HPolyhedron):
+        pos = a_set.b > 0.0
+        a_pos, b_pos = a_set.a[pos], a_set.b[pos, None]
         rows = []
-        pos = [(a_i, b_i) for a_i, b_i in zip(a_set.a, a_set.b) if b_i > 0.0]
         for a_i, b_i in zip(a_set.a, a_set.b):
             if b_i <= 0.0:
-                rows.append(a_i)
-                for a_p, b_p in pos:
-                    if b_i < 0.0:
-                        rows.append(b_p * a_i - b_i * a_p)
+                rows.append(a_i[None])
+                if b_i < 0.0:
+                    rows.append(b_pos * a_i - b_i * a_pos)
         if not rows:
             return HPolyhedron(np.zeros((0, a_set.dim)), np.zeros(0))
-        rows = np.array(rows)
+        rows = np.concatenate(rows)
         norms = np.linalg.norm(rows, axis=1)
         keep = norms > 0.0
         return HPolyhedron(rows[keep] / norms[keep, None], np.zeros(int(keep.sum())))

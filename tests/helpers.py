@@ -165,6 +165,22 @@ def axis_box(rng: np.random.Generator, n: int, *, dense_s: bool = False) -> Box:
     return Box(c, h, np.eye(n), basis)
 
 
+def conic_hull_rows(poly: HPolyhedron) -> np.ndarray:
+    """Rows of the polyhedron's conic hull, one pair at a time: each row with
+    a nonpositive offset, followed (for a negative offset) by its cross row
+    with every positive-offset row in order, then each scaled to unit norm."""
+    pos = [(a_p, b_p) for a_p, b_p in zip(poly.a, poly.b) if b_p > 0.0]
+    rows = []
+    for a_i, b_i in zip(poly.a, poly.b):
+        if b_i <= 0.0:
+            rows.append(a_i)
+            if b_i < 0.0:
+                rows += [b_p * a_i - b_i * a_p for a_p, b_p in pos]
+    rows = np.array(rows).reshape(-1, poly.dim)
+    norms = np.linalg.norm(rows, axis=1)
+    return rows[norms > 0.0] / norms[norms > 0.0, None]
+
+
 def random_instance(rng: np.random.Generator, n: int):
     if rng.uniform() < 0.5:
         return random_ball_instance(rng, n)

@@ -10,6 +10,7 @@ import pytest
 
 import gaugesep
 from gaugesep import HPolyhedron, OpenBall, build_D, gauge, gauge_from_symmetrized
+from gaugesep import cli
 from gaugesep.cli import dumps, main, parse_problem
 
 
@@ -90,6 +91,29 @@ CENTER_IN_S = {
     },
     "S": {"basis": [[0.0, 1.0]]},
 }
+
+
+def cube8_problem() -> dict:
+    """An 8-D, 16-row hpoly problem: the cube |e_k - 3| < 1, S = span{e1 - e2,
+    e3 - e4} (whose coordinates sum to 0, so S misses the cube), anchored at
+    the cube's center."""
+    rows = [
+        {"a": [sign * float(j == k) for j in range(8)], "b": 3.0 * sign + 1.0, "strict": True}
+        for k in range(8)
+        for sign in (1.0, -1.0)
+    ]
+    basis = [[1.0, -1.0] + [0.0] * 6, [0.0, 0.0, 1.0, -1.0] + [0.0] * 4]
+    return {"version": 1, "dimension": 8, "A": {"kind": "hpoly", "rows": rows}, "S": {"basis": basis}, "x": [3.0] * 8}
+
+
+# a bad value late in cube8_problem(): (path, value, the whole stderr line)
+DEEP_ERRORS = [
+    (("A", "rows", 9, "a", 4), "x", "error: schema: A.rows[9].a[4]: expected a finite number\n"),
+    (("A", "rows", 12, "b"), True, "error: schema: A.rows[12].b: expected a finite number\n"),
+    (("A", "rows", 3, "c"), 1.0, "error: schema: A.rows[3].c: unexpected key\n"),
+    (("S", "basis", 1, 2), True, "error: schema: S.basis[1][2]: expected a finite number\n"),
+    (("x", 5), 10**400, "error: schema: x[5]: expected a finite number\n"),
+]
 
 
 class TestParseProblem:
@@ -221,6 +245,27 @@ class TestExitCodes:
     def test_missing_input_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "separate")
         assert code == 4
+
+    def test_empty_normal_exit_4(self, capsys):
+        # an empty --normal is a malformed normal, not a request to compute one
+        code, out, err = run_cli(capsys, "verify", "--input", "example1", "--normal=")
+        assert code == 4 and out == ""
+        assert "--normal must be a comma-separated number list" in err
+
+    def test_cube_problem_is_valid(self, capsys, tmp_path):
+        path = write(tmp_path, "cube8.json", cube8_problem())
+        code, out, _ = run_cli(capsys, "conic", "--input", path, "--point=" + ",".join(["3"] * 8))
+        assert code == 0 and json.loads(out)["member"] is True
+
+    @pytest.mark.parametrize("path, value, line", DEEP_ERRORS, ids=[line.split(": ")[2] for *_, line in DEEP_ERRORS])
+    def test_error_path_deep_in_file_exit_3(self, capsys, tmp_path, path, value, line):
+        bad = cube8_problem()
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        code, out, err = run_cli(capsys, "separate", "--input", write(tmp_path, "deep.json", bad))
+        assert (code, out, err) == (3, "", line)
 
 
 class TestSubcommands:
@@ -484,8 +529,35 @@ class TestFloatSerialization:
     def test_infinity_encoding(self):
         assert '"inf"' in dumps({"a": np.inf})
 
+    def test_document_text_is_pinned(self):
+        doc = {
+            "nan": float("nan"),
+            "inf": [np.inf, -np.inf],
+            "neg_zero": -0.0,
+            "tiny": 5e-324,
+            "numpy": [np.float64(0.1), np.int64(-7), np.bool_(True), np.bool_(False)],
+            "none": None,
+            "empty": [{}, []],
+            "long": [1 / 3, 2 / 3, 1e-300, -1e300, 0.1, 7.0],  # wraps: its items exceed 72 characters
+        }
+        assert dumps(doc) == (
+            '{\n  "nan": "nan",\n  "inf": ["inf", "-inf"],\n  "neg_zero": -0,\n'
+            '  "tiny": 4.9406564584124654e-324,\n  "numpy": [0.10000000000000001, -7, true, false],\n'
+            '  "none": null,\n  "empty": [{}, []],\n  "long": [\n    0.33333333333333331,\n'
+            "    0.66666666666666663,\n    1e-300,\n    -1.0000000000000001e+300,\n"
+            "    0.10000000000000001,\n    7\n  ]\n}"
+        )
+
 
 class TestConsoleEntry:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        calls = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or original())
+        for _ in range(3):
+            assert run_cli(capsys, "conic", "--input", "example1", "--point", "1,0")[0] == 0
+        assert calls == []
+
     def test_module_invocation(self):
         # the child imports the same checkout, installed or not
         src = str(Path(gaugesep.__file__).parents[1])

@@ -21,7 +21,7 @@ from gaugesep import (
 )
 from gaugesep.fixtures import oracle_by_name
 
-from helpers import bundled, random_instance
+from helpers import axis_box, bundled, conic_hull_rows, random_instance, rotated_box
 
 DISK = OpenBall(np.array([2.0, 0.0]), np.sqrt(2.0))
 HALFSPACE = HPolyhedron(np.array([[-1.0, 0.0, 0.0]]), np.array([0.0]), witness=np.array([1.0, -3.0, 0.0]))
@@ -155,6 +155,24 @@ class TestConicHullSets:
             if abs(abs(e[1]) - e[0]) < 1e-9:
                 continue
             assert hull.contains(e) == in_disk_cone(e)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_box_hull_rows_match_pairwise_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for box in (rotated_box(rng, 4), rotated_box(rng, 9), axis_box(rng, 20)):
+            poly = box.polyhedron()
+            hull = conic_hull(poly)
+            assert np.array_equal(hull.a, conic_hull_rows(poly)) and not hull.b.any()
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [[0.0, 2.0, -1.0, 0.0, 1.5], [1.0, 2.0, 0.5, 3.0, 1.5], [-1.0, -2.0, -0.5, -3.0, -1.5]],
+        ids=["zero-offsets", "no-nonpositive", "only-negative"],
+    )
+    def test_hull_rows_match_pairwise_loop(self, offsets):
+        poly = HPolyhedron(np.random.default_rng(4).normal(size=(5, 3)), np.array(offsets))
+        hull = conic_hull(poly)
+        assert np.array_equal(hull.a, conic_hull_rows(poly)) and hull.a.shape[1] == 3
 
     def test_halfspace_hull_is_halfspace(self):
         hull = conic_hull(HALFSPACE)

@@ -1,6 +1,6 @@
-"""The traced benchmark still runs against the package: a smoke pass of
-poly-sep with the tracer installed, in a copy of the checkout so that its
-run records stay out of the source tree."""
+"""The traced benchmark still runs against the package: smoke passes of
+poly-sep and cli-query with the tracer installed, in a copy of the checkout
+so that their run records stay out of the source tree."""
 
 import json
 import shutil
@@ -11,17 +11,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_poly_sep_smoke(tmp_path):
+def traced_smoke_run(tmp_path, workload: str) -> dict:
     ignore = shutil.ignore_patterns("__pycache__", "runs")
     for part in ("src", "perfbench"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
-    argv = ["perfbench/run.py", "--workload", "poly-sep", "--seed", "0", "--seconds", "1", "--trace", "1", "--smoke"]
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1", "--smoke"]
     proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc["correct"] is True
-    metrics = doc["metrics"]
+    return doc["metrics"]
+
+
+def test_traced_poly_sep_smoke(tmp_path):
+    metrics = traced_smoke_run(tmp_path, "poly-sep")
     assert metrics["simplexlp.solve_lp.calls"]["value"] > 0
     assert metrics["simplexlp.solve_lp.pivots"]["value"] > 0
     assert metrics["simplexlp.solve_lp.raised"]["value"] == 0  # no start makes an LP fail
+    assert metrics["outcome.fail_share"]["value"] == 0
+
+
+def test_traced_cli_query_smoke(tmp_path):
+    # the spans that attribute a command-line call to parsing, serializing
+    # and the rest of main
+    metrics = traced_smoke_run(tmp_path, "cli-query")
+    for name in ("main", "parse_problem", "dumps"):
+        assert metrics[f"cli.{name}.self_s"]["value"] > 0
     assert metrics["outcome.fail_share"]["value"] == 0
