@@ -11,6 +11,7 @@ margins from the certificate code instead of epsilon-shrunken sets.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -197,55 +198,74 @@ class ConicHullSet(ConvexSet):
         The polar angle along K's boundary is unimodal in the angle phi about
         (1, 0) on (0, pi), so a golden section over phi finds the tangent
         (Kiefer 1953).  A probe at phi bisects the radius from a (capped at
-        ``_SECTION_CAP |a|``, started from the last member's radius), and its
-        bracket ``[r_in, r_out]`` bounds its polar angle on both sides: two
-        probes are narrowed only until they compare.
+        ``_SECTION_CAP |a|``) between a tested member and non-member, which
+        bound its polar angle: two probes are narrowed only until they compare.
+        A probe opens at the 1/r that the quadratic in phi through the three
+        nearest retired probes predicts (1/r is 0 past the cap; no prediction
+        when capped and uncapped ones mix), and tests across it by the factor
+        1 + max(h^2/4, the quadratic term's share of 1/r), h the phi bracket's
+        width; after a miss an open bracket widens by 1 + h, and the first
+        probes start at the last member's radius and widen by (1 + h)^4; each
+        further widening takes the factor's 4th power.
         """
-        best, last = [0.0, 1.0, 0.0], [1.0]  # a itself
+        best, last, retired = [0.0, 1.0, 0.0], [1.0], []  # a itself; sorted (phi, 1/r) of retired probes
 
-        def angle(probe, r):
-            return math.atan2(r * probe[1], 1.0 + r * probe[0])
-
-        def width(probe):  # relative width of the radial bracket; 0 once settled
-            r_in, r_out = probe[3], probe[4]
-            if r_in >= _SECTION_CAP or r_out <= _RADIAL_TOL:
-                return 0.0
-            return r_out / r_in - 1.0 if r_in > 0.0 else np.inf
-
-        def narrow(probe):  # one membership call; r_out above the cap: nothing outside yet
-            c, s, d, r_in, r_out, step, _ = probe
-            if r_out > _SECTION_CAP:
-                r = last[0] if r_in == 0.0 else min(r_in * step, _SECTION_CAP)
+        def test(probe, r):  # one membership call; r becomes r_in or r_out
+            c, s = probe[0], probe[1]
+            theta = math.atan2(r * s, 1.0 + r * c)
+            if self.base._member(a + r * probe[2]):
+                probe[3], probe[5], last[0] = r, theta, r
+                if theta > best[0]:
+                    best[:] = theta, 1.0 + r * c, r * s
             else:
-                r = r_out / step if r_in == 0.0 else math.sqrt(r_in * r_out)
-            if r_in == 0.0 or r_out > _SECTION_CAP:
-                probe[5] = step**4  # an open bracket widens geometrically
-            if not self.base._member(a + r * d):
-                probe[4] = r
-            else:
-                probe[3] = last[0] = r
-                if angle(probe, r) > best[0]:
-                    best[:] = angle(probe, r), 1.0 + r * c, r * s
+                probe[4], probe[6] = r, theta
+            r_in, r_out = probe[3], probe[4]  # the bracket's relative width, 0 once settled
+            probe[10] = 0.0 if r_in >= _SECTION_CAP or r_out <= _RADIAL_TOL else r_out / r_in - 1.0 if r_in else np.inf
 
-        def probe_at(phi, growth):  # [cos, sin, direction, r_in, r_out, step, phi]
+        def probe_at(phi, h):  # [cos, sin, direction, r_in, r_out, their angles, step, phi, 1 + h, width]
             c, s = math.cos(phi), math.sin(phi)
-            return [c, s, c * a + s * v, 0.0, 2.0 * _SECTION_CAP, 1.0 + growth, phi]
+            r, r_out = last[0], 2.0 * _SECTION_CAP
+            probe = [c, s, c * a + s * v, 0.0, r_out, 0.0, math.atan2(r_out * s, 1.0 + r_out * c)]
+            probe += [(1.0 + h) ** 4, phi, 1.0 + h, np.inf]
+            if len(retired) >= 3:
+                i = bisect.bisect(retired, (phi,))
+                (x0, y0), (x1, y1), (x2, y2) = sorted(retired[max(i - 3, 0) : i + 3], key=lambda q: abs(q[0] - phi))[:3]
+                d01, d12 = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
+                bend = (phi - x0) * (phi - x1) * (d12 - d01) / (x2 - x0)  # the quadratic term
+                rho, w = y0 + (phi - x0) * d01 + bend, 0.25 * h * h
+                if (y0, y1, y2).count(0.0) in (0, 3):  # no trend across the cap
+                    r, probe[7] = _SECTION_CAP, 1.0 + w
+                    if rho * _SECTION_CAP > 1.0:
+                        r, probe[7] = 1.0 / rho, 1.0 + max(w, abs(bend) / rho)
+            test(probe, r)
+            return probe
 
         lo, hi = 0.0, math.pi
         p1, p2 = probe_at((1.0 - _GOLDEN) * hi, 0.25), probe_at(_GOLDEN * hi, 0.25)
         while hi - lo > _ANGLE_TOL and best[0] < stop:
-            if angle(p1, p1[3]) < angle(p2, p2[4]) and angle(p2, p2[3]) <= angle(p1, p1[4]):
-                wide = max(p1, p2, key=width)
-                if width(wide) > _RADIAL_TOL:
-                    narrow(wide)  # the probes do not compare yet
+            if p1[5] < p2[6] and p2[5] <= p1[6]:
+                wide = p2 if p2[10] > p1[10] else p1
+                if wide[10] > _RADIAL_TOL:  # the probes do not compare yet
+                    r_in, r_out, step = wide[3], wide[4], wide[7]
+                    if r_out > _SECTION_CAP:  # nothing outside yet
+                        r = min(r_in * step, _SECTION_CAP)
+                    else:
+                        r = r_out / step if r_in == 0.0 else math.sqrt(r_in * r_out)
+                    if r_in == 0.0 or r_out > _SECTION_CAP:
+                        wide[7] = max(step**4, wide[9])  # an open bracket widens geometrically
+                    test(wide, r)
                     continue
                 if hi - lo < _FLAT:
                     break  # a tie at radial precision: the top is flat
-            if angle(p1, p1[3]) >= angle(p2, p2[3]):
-                hi, p2 = p2[6], p1
+            out = p2 if p1[5] >= p2[5] else p1
+            r_in, r_out = out[3], out[4]
+            if r_in >= _SECTION_CAP or 0.0 < r_in and r_out <= _SECTION_CAP:
+                bisect.insort(retired, (out[8], 0.0 if r_in >= _SECTION_CAP else 1.0 / math.sqrt(r_in * r_out)))
+            if out is p2:
+                hi, p2 = p2[8], p1
                 p1 = probe_at(hi - _GOLDEN * (hi - lo), hi - lo)
             else:
-                lo, p1 = p1[6], p2
+                lo, p1 = p1[8], p2
                 p2 = probe_at(lo + _GOLDEN * (hi - lo), hi - lo)
         return best
 

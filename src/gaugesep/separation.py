@@ -23,6 +23,7 @@ from .convexsets import (
     HPolyhedron,
     OpenBall,
     OracleSet,
+    _inscribed_ball,
     _meets,
     build_D,
     conic_hull,
@@ -151,19 +152,23 @@ def _support(a_set: HPolyhedron | OpenBall, direction: np.ndarray) -> tuple[floa
 
 
 def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
-    """Raise InputError when the set demonstrably meets the subspace."""
+    """Raise InputError ("precondition: ...") when the set demonstrably meets the subspace."""
     if s.dim == 0:
         if a_set.contains(np.zeros(a_set.dim)):
-            raise InputError("the set contains the origin, which lies in the subspace")
+            raise InputError("precondition: the set contains the origin, which lies in the subspace")
         return
-    meets = _meets(a_set, np.asarray(s.basis))
+    basis = np.asarray(s.basis)
+    meets = _meets(a_set, basis)
+    if meets and isinstance(a_set, HPolyhedron):
+        depth = _inscribed_ball(a_set, basis)[1]  # the LP of _meets again, on this error path only
+        raise InputError(f"precondition: the set intersects the subspace (inscribed ball centred in it: r* = {depth:.6g})")
     if meets:
-        raise InputError("the set intersects the subspace")
+        raise InputError("precondition: the set intersects the subspace")
     if meets is None:
         coords = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(500, s.dim))
         for c in coords:
             if a_set.contains(c @ s.basis):
-                raise InputError("sampling found a subspace point inside the set")
+                raise InputError("precondition: sampling found a subspace point inside the set")
 
 
 def _span_functional(s: Subspace, x: np.ndarray) -> PartialFunctional:
@@ -193,15 +198,18 @@ def _certificate(
 
     Polyhedra and balls get the exact side test on their closure: on
     ``side`` (+1 or -1) when the caller knows the set lies there, else on
-    the better of the two sides.  Other sets are checked on ``samples``
-    seeded interior points.
+    the better of the two sides, the -1 side tested only when the +1 side's
+    margin is negative.  Other sets are checked on ``samples`` seeded
+    interior points.
     """
     residual = _subspace_residual(s, normal)
     if not isinstance(a_set, (HPolyhedron, OpenBall)):
         vals = sample_interior(a_set, samples, seed) @ normal
         one_sign = bool(np.all(vals > 0.0) or np.all(vals < 0.0))
         return SeparationCertificate(residual, float(np.min(np.abs(vals))), None, one_sign, None)
-    ends = [(*_support(a_set, k * normal), k) for k in ((1.0, -1.0) if side is None else (side,))]
+    ends = [(*_support(a_set, (side or 1.0) * normal), side or 1.0)]
+    if side is None and ends[0][0] < 0.0:  # else this side is the better one: -max <= -min <= margin
+        ends.append((*_support(a_set, -normal), -1.0))
     margin, scale, y, side = max(ends, key=lambda end: end[0])
     farkas = None
     if y is not None:
@@ -272,7 +280,7 @@ def verify_separation(
 ) -> SeparationCertificate:
     """Independent certificate for a claimed separating hyperplane.
 
-    Polyhedra and balls are checked exactly on both sides of the hyperplane;
+    Polyhedra and balls are checked exactly on the better side of the hyperplane;
     ``samples`` seeded interior points are drawn on membership oracles only.
     ``remark2_status`` is None: a plane alone carries no extension whose
     domination could be tested (``remark2_equivalence_check`` tests one).

@@ -195,6 +195,96 @@ class TestConicHullSets:
             trials += 1
 
 
+def _triangle(vertices) -> HPolyhedron:
+    """The open triangle with these vertices, one row per edge."""
+    v = np.asarray(vertices, dtype=float)
+    rows = [np.array([q[1] - p[1], p[0] - q[0]]) for p, q in zip(v, np.roll(v, -1, axis=0))]
+    rows = [-r if r @ (v.mean(axis=0) - p) > 0.0 else r for r, p in zip(rows, v)]
+    return HPolyhedron(np.array(rows), np.array([r @ p for r, p in zip(rows, v)]))
+
+
+def _ellipse_slopes(cx, cy, p, q) -> tuple[float, float]:
+    """Slopes of the two origin lines tangent to ((x - cx)/p)^2 + ((y - cy)/q)^2 = 1:
+    the roots of m^2 (cx^2 - p^2) - 2 cx cy m + cy^2 - q^2 = 0."""
+    a, b, c = cx * cx - p * p, -2.0 * cx * cy, cy * cy - q * q
+    root = np.sqrt(b * b - 4.0 * a * c)
+    return (-b + root) / (2.0 * a), (-b - root) / (2.0 * a)
+
+
+class TestTangentSearch:
+    """``ConicHullSet._tangent`` against closed-form tangents from the origin.
+    The angle returned is a tested member's, so it lies below the true
+    tangent (up to the predicate's rounding, 1e-15 here), and within 1e-12
+    rad of it; on the half-plane the search stops at ``_SECTION_CAP``."""
+
+    TRIANGLE = [[2.0, -1.0], [5.0, 0.5], [2.5, 2.0]]
+    ELLIPSE = (3.0, 1.0, 1.5, 0.8)  # centre, then semi-axes along x and y
+
+    @staticmethod
+    def tangents(contains, witness) -> list[tuple[float, int]]:
+        """(angle, membership calls) of the upper and the lower tangent
+        about the witness, in the plane's own angle from it."""
+        w, made = np.asarray(witness, dtype=float), []
+        hull = convexsets.ConicHullSet(OracleSet(2, lambda e: made.append(1) or contains(e), witness=w))
+        out = []
+        for sign in (1.0, -1.0):
+            made.clear()
+            out.append((hull._tangent(w, sign * np.array([-w[1], w[0]]))[0], len(made)))
+        return out
+
+    def check(self, contains, witness, upper, lower):
+        """``upper`` and ``lower`` are the polar angles of the true tangents."""
+        turn = np.arctan2(witness[1], witness[0])
+        for (angle, _), truth in zip(self.tangents(contains, witness), (upper - turn, turn - lower)):
+            assert -1e-15 <= truth - angle <= 1e-12, (truth, angle)
+
+    @pytest.mark.parametrize("center,radius", [((2.0, 0.0), np.sqrt(2.0)), ((3.0, 4.0), 1.0)])
+    def test_disk(self, center, radius):
+        disk = OpenBall(np.array(center), radius)
+        turn, half = np.arctan2(center[1], center[0]), np.arcsin(radius / np.hypot(*center))
+        self.check(disk.contains, center, turn + half, turn - half)
+
+    @pytest.mark.parametrize(
+        "offsets,witness,corners",
+        [
+            ([4.0, 1.0, -2.0, 1.0], (3.0, 0.0), [(2.0, 1.0), (2.0, -1.0)]),
+            ([3.0, 2.0, -1.0, -0.5], (2.0, 1.25), [(1.0, 2.0), (3.0, 0.5)]),
+        ],
+        ids=["offset-box", "off-axis"],
+    )
+    def test_axis_box_corners(self, offsets, witness, corners):
+        box = HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array(offsets))
+        (ux, uy), (lx, ly) = corners
+        self.check(box.contains, witness, np.arctan2(uy, ux), np.arctan2(ly, lx))
+
+    def test_ellipse(self):
+        cx, cy, p, q = self.ELLIPSE
+        upper, lower = _ellipse_slopes(cx, cy, p, q)
+
+        def contains(e):
+            return ((e[0] - cx) / p) ** 2 + ((e[1] - cy) / q) ** 2 < 1.0
+
+        self.check(contains, (cx, cy), np.arctan(upper), np.arctan(lower))
+
+    def test_triangle_kink(self):
+        triangle = _triangle(self.TRIANGLE)
+        polar = [np.arctan2(y, x) for x, y in self.TRIANGLE]
+        self.check(triangle.contains, np.mean(self.TRIANGLE, axis=0), max(polar), min(polar))
+
+    def test_half_plane_section_stops_at_the_cap(self):
+        # x + 2y > 1: the hull is the open half-plane x + 2y > 0, whose edges
+        # no member reaches; the cap leaves about 4e-13 rad below each
+        half_plane = HPolyhedron(np.array([[-1.0, -2.0]]), np.array([-1.0]))
+        self.check(half_plane.contains, (1.0, 1.0), np.pi - np.arctan(0.5), -np.arctan(0.5))
+
+    @pytest.mark.parametrize("name,calls", [("offset-disk", 232), ("offset-box", 318)])
+    def test_calls_per_tangent(self, name, calls):
+        # deterministic; 767 and 378 before each probe's radial bracket
+        # opened at the boundary predicted from the retired probes
+        oracle = oracle_by_name(name)
+        assert [made for _, made in self.tangents(oracle.contains, oracle.witness)] == [calls, calls]
+
+
 class TestBuildD:
     def test_disk_cross_polytope(self):
         body = build_D(DISK, np.array([1.0, 0.0]))

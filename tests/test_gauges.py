@@ -171,6 +171,19 @@ class TestOracleSectionGauge:
         np.testing.assert_allclose(gauge(p, points), gauge(reference, points), rtol=1e-9, atol=0.0)
         assert gauge(p, anchor) == pytest.approx(gauge(reference, anchor), rel=1e-9)
 
+    def test_3d_ball_oracle_matches_closed_form(self):
+        # one evaluation is two tangent searches: 484 membership calls, 1,652
+        # before the radial brackets opened at a predicted boundary
+        ball, made = OpenBall(np.array([3.0, 1.0, 0.5]), 1.0), []
+        oracle = OracleSet(3, lambda e: made.append(1) or ball.contains(e), witness=np.array(ball.center))
+        p = gauge_from_symmetrized(build_D(oracle, ball.center))
+        reference = gauge_from_symmetrized(build_D(ball, ball.center))
+        assert isinstance(p, OracleGauge) and isinstance(reference, BallConeGauge)
+        e = np.array([0.3, -0.2, 0.9])
+        made.clear()
+        assert gauge(p, e) == pytest.approx(gauge(reference, e), rel=1e-9)
+        assert len(made) == 484
+
     def test_halfspace_recession_direction(self):
         oracle = oracle_by_name("halfspace-x")
         p = gauge_from_symmetrized(build_D(oracle, oracle.witness))

@@ -305,6 +305,15 @@ class TestBallBand:
             separate(ball, span_basis([np.array([1.0, 0.0])], 2))
 
 
+class TestPreconditionMessages:
+    def test_polyhedron_meeting_the_subspace_names_the_inscribed_radius(self):
+        # the largest ball centred on the e1 axis inside (1, 5) x (-0.5, 2) has radius 0.5
+        box = HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([5.0, 2.0, -1.0, 0.5]))
+        message = r"^precondition: the set intersects the subspace \(inscribed ball centred in it: r\* = 0\.5\)$"
+        with pytest.raises(InputError, match=message):
+            separate(box, span_basis([np.array([1.0, 0.0])]))
+
+
 class TestBallSeeds:
     """Seeded balls whose search-based extension intervals once gave invalid
     certificates or empty intervals.  ``separate()`` returns a valid
@@ -546,7 +555,9 @@ class TestExactVersusSampled:
 class TestSeparateSideTests:
     def test_exact_sets_draw_no_samples(self, monkeypatch):
         # polyhedra and balls are certified on their closure: separate()
-        # solves one support LP (it knows the side), verify_separation two
+        # solves one support LP (it knows the side); verify_separation solves
+        # the - side's too only when the + side's margin is negative (a
+        # touching plane that rounding pushed across)
         def refuse(*args, **kwargs):
             raise AssertionError("a polyhedron or ball was sampled")
 
@@ -568,7 +579,8 @@ class TestSeparateSideTests:
             assert len(lps) == isinstance(a_set, HPolyhedron)
             lps.clear()
             assert verify_separation(a_set, s, result.hyperplane).valid
-            assert len(lps) == 2 * isinstance(a_set, HPolyhedron)
+            crossed = result.certificate.boundary_margin < 0.0
+            assert len(lps) == isinstance(a_set, HPolyhedron) * (1 + crossed)
 
     def test_no_kernel_disjoint_call(self, monkeypatch):
         # the certificate's sign_constant is the one side test of separate(),
@@ -581,6 +593,31 @@ class TestSeparateSideTests:
         for a_set, s, x in (bundled("example1"), bundled("example2"), bundled("example3_quotient")):
             result = separate(a_set, s, SeparationOptions(x=x))
             assert result.certificate.remark2_status is True
+
+
+    @pytest.mark.parametrize(
+        "normal,lps_made,valid",
+        [([1.0, 0.5], 1, True), ([-1.0, 0.5], 2, True), ([0.0, 1.0], 2, False)],
+        ids=["plus-side", "minus-side", "crossing"],
+    )
+    def test_minus_side_lp_only_below_zero(self, monkeypatch, normal, lps_made, valid):
+        # a plane whose + side margin is >= 0 needs no - side LP, since
+        # -max <= -min <= margin; the certificate is the better of the two
+        # one-sided ones, as when both sides were always solved
+        box = HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([4.0, 1.0, -2.0, 1.0]))  # (2, 4) x (-1, 1)
+        normal, s = np.array(normal) / np.linalg.norm(normal), zero_subspace(2)
+        plus, minus = (separation._certificate(box, s, normal, seed=0, samples=0, side=k) for k in (1.0, -1.0))
+        lps = []
+
+        def counting(*args, **kwargs):
+            lps.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(separation, "solve_lp", counting)
+        cert = verify_separation(box, s, Hyperplane(normal))
+        assert len(lps) == lps_made
+        assert cert == (minus if minus.boundary_margin > plus.boundary_margin else plus)
+        assert cert.valid is valid
 
 
 class TestSeparateRandomInstances:
@@ -849,12 +886,15 @@ class TestOracleSetEndToEnd:
             separate(oracle_by_name("offset-disk"), span_basis([np.array([1.0, 0.0])]))
 
     @pytest.mark.parametrize(
-        "name,normal,calls", [("offset-box", [1.0, 2.0], 10_761), ("offset-disk", [1.0, 1.0], 11_539)]
+        "name,normal,calls",
+        [("offset-box", [1.0, 2.0], 10_641), ("offset-disk", [1.0, 1.0], 10_469)],
+        ids=["offset-box", "offset-disk"],
     )
     def test_membership_calls(self, name, normal, calls):
         # deterministic: 10,000 certificate samples, the two tangent searches
-        # of the sector (756 calls on the box, 1,534 on the disk) and five
-        # witness and origin tests; the search pipeline made 654,119 and
+        # of the sector (636 calls on the box, 464 on the disk; 756 and 1,534
+        # before their radial brackets opened at a predicted boundary) and
+        # five witness and origin tests; the search pipeline made 654,119 and
         # 1,301,635 here
         from gaugesep.fixtures import oracle_by_name
 
