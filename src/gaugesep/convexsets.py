@@ -47,6 +47,8 @@ class ConvexSet:
 class HPolyhedron(ConvexSet):
     """Strict H-polyhedron ``{e : a_i . e < b_i}``; may be unbounded.
 
+    ``a`` and ``b`` hold each row and offset divided by the row's norm, taken
+    after a power-of-two prescale so that it cannot overflow or underflow.
     ``witness`` is an optional known interior point, required only when the
     polyhedron is unbounded and an interior point must be selected.
     """
@@ -62,10 +64,14 @@ class HPolyhedron(ConvexSet):
         b = np.asarray(self.b, dtype=float).reshape(-1)
         if a.shape[0] != b.size:
             raise InputError("row count of a and length of b disagree")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise InputError("polyhedron data must be finite")
-        if a.shape[0] and np.any(np.linalg.norm(a, axis=1) == 0.0):
+        scale = np.ldexp(1.0, np.frexp(np.abs(a).max(axis=1, initial=0.0))[1] - 1)  # a power of two: exact
+        with np.errstate(all="ignore"):  # non-finite data is refused below
+            norm = np.linalg.norm(a / scale[:, None], axis=1)
+            a, b = a / scale[:, None] / norm[:, None], b / scale / norm
+        if (norm == 0.0).any():
             raise InputError("zero rows are not allowed")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise InputError("polyhedron data must be finite, also with each row scaled to unit length")
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "b", _frozen(b))
         if self.witness is not None:
@@ -282,7 +288,7 @@ class ConicHullSet(ConvexSet):
             _, s, t = self._tangent(w, v)
             edge = s * w + t * v
             rows.append([-sign * edge[1], sign * edge[0]])  # the edge turned away from w
-        return HPolyhedron(rows / np.linalg.norm(rows, axis=1, keepdims=True), np.zeros(2))
+        return HPolyhedron(rows, np.zeros(2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,9 +326,8 @@ def conic_hull(a_set: ConvexSet) -> ConvexSet:
 
     A polyhedron's hull is again a polyhedron: rows with nonpositive offsets
     force ``a_i . e < 0``; every (positive-offset, negative-offset) row pair
-    contributes the cross row ``(b_i a_j - b_j a_i) . e < 0``.  Every row
-    has offset 0, so each is scaled to unit norm without changing the cone:
-    cross rows would otherwise carry the square of the data's scale.
+    contributes the cross row ``(b_i a_j - b_j a_i) . e < 0``, dropped when
+    it is exactly zero (``HPolyhedron`` stores the rest at unit length).
     Requires a nonempty base set.
     """
     if isinstance(a_set, HPolyhedron):
@@ -337,9 +342,8 @@ def conic_hull(a_set: ConvexSet) -> ConvexSet:
         if not rows:
             return HPolyhedron(np.zeros((0, a_set.dim)), np.zeros(0))
         rows = np.concatenate(rows)
-        norms = np.linalg.norm(rows, axis=1)
-        keep = norms > 0.0
-        return HPolyhedron(rows[keep] / norms[keep, None], np.zeros(int(keep.sum())))
+        rows = rows[rows.any(axis=1)]
+        return HPolyhedron(rows, np.zeros(len(rows)))
     if isinstance(a_set, OpenBall):
         return BallCone(a_set.center, a_set.radius)
     if isinstance(a_set, (BallCone, ConicHullSet)):
@@ -354,18 +358,17 @@ def build_D(a_set: ConvexSet, x) -> SymmetrizedBody:
 
 
 def _inscribed_ball(poly: HPolyhedron, basis: np.ndarray | None = None) -> tuple[np.ndarray | None, float]:
-    """Largest ball in the polyhedron's closure: max r s.t. a_i . y + r |a_i| <= b_i.
+    """Largest ball in the polyhedron's closure: max r s.t. a_i . y + r <= b_i (unit rows).
 
     The center y may be restricted to the row span of ``basis``
     (y = coords @ basis, rows orthonormal).  Returns (y, r); (None, inf)
     when r is unbounded and (None, -inf) when the closure misses the span.
     """
-    a, b = np.asarray(poly.a), np.asarray(poly.b)
-    a_y = a if basis is None else a @ basis.T
+    a_y = poly.a if basis is None else poly.a @ basis.T
     k = a_y.shape[1]
     cost = np.zeros(k + 1)
     cost[-1] = -1.0
-    res = solve_lp(cost, a_ub=np.hstack([a_y, np.linalg.norm(a, axis=1)[:, None]]), b_ub=b)
+    res = solve_lp(cost, a_ub=np.hstack([a_y, np.ones((len(a_y), 1))]), b_ub=poly.b)
     if res.status != "optimal":
         return None, (np.inf if res.status == "unbounded" else -np.inf)
     center = res.x[:k] if basis is None else res.x[:k] @ basis
@@ -376,8 +379,9 @@ def chebyshev_center(poly: HPolyhedron) -> tuple[np.ndarray, float]:
     """A Chebyshev center (deepest interior point) of the polyhedron, plus its inradius.
 
     One LP; among equally deep points the simplex vertex is returned, so the
-    result is deterministic.  Raises EmptySetError when the interior is
-    empty and InputError when the inradius is unbounded.
+    result is deterministic; the inradius is min(b - a c) over the unit rows.
+    Raises EmptySetError when the interior is empty and InputError when the
+    inradius is unbounded.
     """
     if poly.a.shape[0] == 0:
         raise InputError("the whole space has no deepest point; supply constraints or a witness")
@@ -386,25 +390,10 @@ def chebyshev_center(poly: HPolyhedron) -> tuple[np.ndarray, float]:
         raise EmptySetError("polyhedron is empty")
     if center is None:
         raise InputError("polyhedron is unbounded; an interior point requires a witness")
-    radius = float(np.min((poly.b - poly.a @ center) / np.linalg.norm(poly.a, axis=1)))
+    radius = float(np.min(poly.b - poly.a @ center))
     if radius <= MIN_DEPTH:
         raise EmptySetError("polyhedron has empty interior")
     return center, radius
-
-
-def _meets(a_set: ConvexSet, basis: np.ndarray) -> bool | None:
-    """Does the open set meet the row span of ``basis`` (rows orthonormal)?
-
-    Exact for polyhedra (an inscribed ball centered in the span with a
-    radius above MIN_DEPTH, or an unbounded one) and balls (center nearer
-    the span than r (1 - 1e-9), a band relative to r); None for other sets.
-    """
-    if isinstance(a_set, HPolyhedron):
-        return _inscribed_ball(a_set, basis)[1] > MIN_DEPTH
-    if isinstance(a_set, OpenBall):
-        c = np.asarray(a_set.center)
-        return float(np.linalg.norm(c - (basis @ c) @ basis)) < a_set.radius * (1.0 - 1e-9)
-    return None
 
 
 def pick_interior_point(a_set: ConvexSet) -> np.ndarray:

@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convexsets import (
+    MIN_DEPTH,
     ConvexSet,
     HPolyhedron,
     OpenBall,
     OracleSet,
     _inscribed_ball,
-    _meets,
     build_D,
     conic_hull,
     pick_interior_point,
@@ -86,7 +86,7 @@ class SeparationCertificate:
     norm of a closure point attaining the margin (which bounds its
     rounding), on oracle sets one sign on every sample.
     ``farkas_multipliers`` (polyhedra ``a e < b`` only): y >= 0, one per
-    row, with ``a^T y = -side * normal`` and ``b . y = -boundary_margin`` up
+    unit row, with ``a^T y = -side * normal`` and ``b . y = -boundary_margin`` up
     to rounding, so that ``side * normal . e = -y . (a e) > -y . b`` on the
     set: the separation checked without an LP.  ``farkas_residual``:
     max |a^T y + side * normal|.  ``remark2_status``: domination and
@@ -152,21 +152,26 @@ def _support(a_set: HPolyhedron | OpenBall, direction: np.ndarray) -> tuple[floa
 
 
 def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
-    """Raise InputError ("precondition: ...") when the set demonstrably meets the subspace."""
-    if s.dim == 0:
-        if a_set.contains(np.zeros(a_set.dim)):
-            raise InputError("precondition: the set contains the origin, which lies in the subspace")
-        return
-    basis = np.asarray(s.basis)
-    meets = _meets(a_set, basis)
-    if meets and isinstance(a_set, HPolyhedron):
-        depth = _inscribed_ball(a_set, basis)[1]  # the LP of _meets again, on this error path only
-        raise InputError(f"precondition: the set intersects the subspace (inscribed ball centred in it: r* = {depth:.6g})")
-    if meets:
-        raise InputError("precondition: the set intersects the subspace")
-    if meets is None:
-        coords = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(500, s.dim))
-        for c in coords:
+    """Raise InputError ("precondition: ...") when the set meets the subspace.
+
+    The one test of it: when S is not {0}, a polyhedron meets S when the
+    largest ball centred in S inside it has r* > MIN_DEPTH (one LP; the
+    message names r*), and a ball when its centre is nearer S than
+    r (1 - 1e-9).  Any other set is tested at the origin, then a membership
+    oracle at 500 seeded points of S.
+    """
+    if s.dim and isinstance(a_set, HPolyhedron):
+        depth = _inscribed_ball(a_set, s.basis)[1]
+        if depth > MIN_DEPTH:
+            raise InputError(f"precondition: the set intersects the subspace (inscribed ball centred in it: r* = {depth:.6g})")
+    elif s.dim and isinstance(a_set, OpenBall):
+        c = a_set.center
+        if float(np.linalg.norm(c - (s.basis @ c) @ s.basis)) < a_set.radius * (1.0 - 1e-9):
+            raise InputError("precondition: the set intersects the subspace")
+    elif a_set.contains(np.zeros(a_set.dim)):
+        raise InputError("precondition: the set contains the origin, which lies in the subspace")
+    elif s.dim:
+        for c in np.random.default_rng(seed).uniform(-10.0, 10.0, size=(500, s.dim)):
             if a_set.contains(c @ s.basis):
                 raise InputError("precondition: sampling found a subspace point inside the set")
 
@@ -229,30 +234,29 @@ def _checked(cert: SeparationCertificate) -> SeparationCertificate:
 def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = None) -> SeparationResult:
     """Hyperplane containing ``s`` and disjoint from the open convex ``a_set``.
 
-    Precondition: the set and the subspace are disjoint (checked exactly for
-    polyhedra and balls, by sampling for oracles).  A hyperplane whose
-    certificate is not valid is never returned: SolverError names the failed
-    checks instead.  The anchor ``opts.x`` must lie in the set's conic
-    hull; without one, ``pick_interior_point`` picks it, and a set it finds
-    empty (a polyhedron with no interior point deeper than ``MIN_DEPTH``)
-    gets the first direction of the deterministic completion of ``s``'s
-    basis as normal, under the same certificate: on a polyhedron that only
-    looks empty a plane that crosses it raises.
+    Precondition: the set and the subspace are disjoint (``_check_disjoint``:
+    exact for polyhedra and balls, the origin and samples for oracles), and
+    S is not the whole space (DegenerateError, before any LP).  A hyperplane
+    whose certificate is not valid is never returned: SolverError names the
+    failed checks instead.  The anchor ``opts.x`` must lie in the set's
+    conic hull; without one, ``pick_interior_point`` picks it, and a set it
+    finds empty (a polyhedron with no interior point deeper than
+    ``MIN_DEPTH``) gets the first direction of the deterministic completion
+    of ``s``'s basis as normal, under the same certificate: on a polyhedron
+    that only looks empty a plane that crosses it raises.
     """
     opts = opts or SeparationOptions()
     n = a_set.dim
     if s.ambient_dim != n:
         raise InputError("set and subspace dimensions disagree")
+    if s.dim == n:
+        raise DegenerateError("the subspace is the whole space; no hyperplane contains it")
     try:
         x = as_vector(opts.x, n) if opts.x is not None else pick_interior_point(a_set)
     except EmptySetError:
-        if s.dim == n:
-            raise DegenerateError("the subspace is the whole space; no hyperplane contains it") from None
         normal = np.array(complement_basis(s)[0])
         cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples))
         return SeparationResult(Hyperplane(normal), normal, None, None, (), cert)
-    if s.dim == n:
-        raise InputError("a full-dimensional subspace meets every nonempty set")
     _check_disjoint(a_set, s, opts.seed)
     body = build_D(a_set, x)
     p = gauge_from_symmetrized(body)

@@ -2,16 +2,19 @@
 
 The references here are deliberately different algorithms from the package
 code: the gauge references solve the cone-exit quadratic in closed form or
-bisect along rays through membership, and the LP reference enumerates basic
-feasible points.
+bisect along rays through membership, the LP reference enumerates basic
+feasible points, and the Farkas referee solves the precondition's dual with
+scipy's HiGHS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from gaugesep import (
     ConvexSet,
@@ -179,6 +182,31 @@ def conic_hull_rows(poly: HPolyhedron) -> np.ndarray:
     rows = np.array(rows).reshape(-1, poly.dim)
     norms = np.linalg.norm(rows, axis=1)
     return rows[norms > 0.0] / norms[norms > 0.0, None]
+
+
+def farkas_referee(poly: HPolyhedron, s: Subspace) -> tuple[np.ndarray, np.ndarray, float]:
+    """(nu, y, r*) from the dual of the precondition LP, shared with no package solver.
+
+    ``separation._check_disjoint`` solves max r s.t. a (B^T c) + r |a| <= b
+    over c, for B the basis of S.  Its dual is min b.y s.t. B a^T y = 0,
+    |a|.y = 1, y >= 0, solved here by ``scipy.optimize.linprog``.  When the
+    optimum r* is negative, nu = a^T y lies in S-perp and
+    nu.e = y.(a e) < y.b = r* < 0 on the set: a strict separation with its
+    own Farkas multipliers (Motzkin's theorem of the alternative).  HiGHS
+    may leave a zero as -3e-15, so y is clipped at 0 and then checked in
+    rationals: |a|.y = 1 to 1e-9, and nu and r* = b.y are its exact sums,
+    each rounded once.
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    norms = np.linalg.norm(poly.a, axis=1)
+    a_eq = np.vstack([s.basis @ poly.a.T, norms])
+    res = linprog(poly.b, A_eq=a_eq, b_eq=np.eye(s.dim + 1)[-1], bounds=(0.0, None), method="highs")
+    assert res.status == 0, res.message
+    y = np.maximum(res.x, 0.0)
+    used = [(Fraction(float(v)), i) for i, v in enumerate(y) if v > 0.0]
+    assert abs(sum(v * Fraction(float(norms[i])) for v, i in used) - 1) <= Fraction(1, 10**9)
+    nu = [sum(v * Fraction(float(poly.a[i, j])) for v, i in used) for j in range(poly.dim)]
+    return np.array([float(x) for x in nu]), y, float(sum(v * Fraction(float(poly.b[i])) for v, i in used))
 
 
 def random_instance(rng: np.random.Generator, n: int):

@@ -194,6 +194,25 @@ class TestExitCodes:
         assert code == 4
         assert "precondition" in err
 
+    def test_rows_near_the_float_range_exit_0(self, capsys, tmp_path):
+        # the row's norm would overflow; HPolyhedron takes it after a prescale
+        triangle = {
+            "version": 1,
+            "dimension": 2,
+            "A": {
+                "kind": "hpoly",
+                "rows": [
+                    {"a": [1e308, 1e308], "b": 1e308, "strict": True},
+                    {"a": [-1.0, 0.0], "b": -1.0, "strict": True},
+                    {"a": [0.0, -1.0], "b": 1.0, "strict": True},
+                ],
+            },
+            "S": {"basis": []},
+        }
+        code, out, err = run_cli(capsys, "separate", "--input", write(tmp_path, "tri.json", triangle))
+        assert (code, err) == (0, "")
+        np.testing.assert_allclose(json.loads(out)["normal"], np.full(2, np.sqrt(0.5)), rtol=0.0, atol=1e-12)
+
     def test_solver_failure_exit_5(self, capsys, tmp_path):
         # the override passes the basis precheck but is not balanced, so the
         # extension's terminal domination gate fires

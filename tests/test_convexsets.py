@@ -395,6 +395,30 @@ class TestValidation:
         with pytest.raises(InputError):
             HPolyhedron(np.array([[1.0, 0.0]]), np.array([1.0, 2.0]))
 
+    def test_overflowing_scaled_offset_rejected(self):
+        # the offset over its row's norm, 1e10 / 1e-300, is not a float
+        with pytest.raises(InputError, match="finite"):
+            HPolyhedron(np.array([[1e-300, 0.0]]), np.array([1e10]))
+
+
+class TestUnitRows:
+    """Rows and offsets are stored over the row's norm, taken after a
+    power-of-two prescale: ``np.linalg.norm`` to the bit on ordinary rows,
+    and neither overflow nor underflow near the ends of the float range."""
+
+    def test_ordinary_rows_match_linalg_norm(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(50, 6)), rng.normal(size=50)
+        norms = np.linalg.norm(a, axis=1)
+        poly = HPolyhedron(a, b)
+        assert np.array_equal(poly.a, a / norms[:, None]) and np.array_equal(poly.b, b / norms)
+
+    @pytest.mark.parametrize("scale", [1e-305, 1e-300, 1e300, 1.7e308])
+    def test_extreme_rows_are_unit(self, scale):
+        poly = HPolyhedron(np.array([[scale, scale], [-scale, 0.0]]), np.array([scale, 0.5 * scale]))
+        np.testing.assert_allclose(poly.a, [[np.sqrt(0.5), np.sqrt(0.5)], [-1.0, 0.0]], rtol=1e-15)
+        np.testing.assert_allclose(poly.b, [np.sqrt(0.5), 0.5], rtol=1e-15)
+
 
 # 1 < e1 < 3, |e2| < 1, |e3| < 1: disjoint from the e3 axis
 BOX = (np.vstack([np.eye(3), -np.eye(3)]), np.array([3.0, 1.0, 1.0, -1.0, 1.0, 1.0]))
@@ -402,8 +426,9 @@ BOX = (np.vstack([np.eye(3), -np.eye(3)]), np.array([3.0, 1.0, 1.0, -1.0, 1.0, 1
 
 class TestDeepestPointLP:
     """``separate`` solves a polyhedron's whole-space inscribed-ball LP once,
-    in ``pick_interior_point``, its one emptiness decision; ``_meets`` on a
-    span solves its own."""
+    in ``pick_interior_point``, its one emptiness decision; the disjointness
+    test ``_check_disjoint`` solves one in S, whose r* it both decides on and
+    names."""
 
     @staticmethod
     def lp_shapes(monkeypatch) -> list[tuple[int, int]]:
@@ -423,3 +448,10 @@ class TestDeepestPointLP:
         for _ in range(2):
             assert separate(box, s).certificate.valid
         assert shapes == [(6, 4), (6, 2)] * 2  # (center, r) in the whole space, then in S
+
+    def test_meeting_the_subspace_solves_one_lp_in_it(self, monkeypatch):
+        box, s = HPolyhedron(*BOX), span_basis([np.array([1.0, 0.0, 0.0])])
+        shapes = self.lp_shapes(monkeypatch)
+        with pytest.raises(InputError, match=r"r\* = 1\)$"):
+            separate(box, s)
+        assert shapes == [(6, 4), (6, 2)]

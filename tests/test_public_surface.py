@@ -28,6 +28,7 @@ REMOVED = [
     "_gauge_bisection",
     "_gauge_section",
     "_kernel_disjoint",
+    "_meets",
     "_remark2_pair",
     "check_seminorm_axioms",
     "decompose",

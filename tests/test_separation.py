@@ -34,13 +34,14 @@ from gaugesep import (
     zero_subspace,
 )
 from gaugesep.cli import main, parse_problem
-from gaugesep.convexsets import _meets
-from gaugesep.separation import _support
+from gaugesep.convexsets import MIN_DEPTH
+from gaugesep.separation import _check_disjoint, _subspace_residual, _support
 
 from helpers import (
     axis_box,
     bundled,
     dominated_functional,
+    farkas_referee,
     point_in_cone,
     random_ball_instance,
     random_instance,
@@ -180,13 +181,13 @@ class TestSeparateFixtures:
             separate(halfspace, bad_s)
 
     def test_full_space_subspace(self):
+        # one check, before any LP: no hyperplane contains the whole space
         s = span_basis([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
         ball = OpenBall(np.array([5.0, 0.0]), 1.0)
-        with pytest.raises(InputError):
-            separate(ball, s)
         empty = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))
-        with pytest.raises(DegenerateError):
-            separate(empty, s)
+        for a_set in (ball, empty):
+            with pytest.raises(DegenerateError, match="the subspace is the whole space"):
+                separate(a_set, s)
 
     def test_bad_anchor_rejected(self):
         a_set, s, _ = bundled("example1")
@@ -255,6 +256,21 @@ class TestMetamorphic:
             assert result.certificate.valid
 
 
+class TestScaledRows:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300, 1e308])
+    def test_triangle_with_a_scaled_row(self, scale):
+        # {x + y < 1, x > 1, y > -1} with its first row and offset times
+        # scale: the same set, so the same normal as at scale 1
+        def triangle(k):
+            return HPolyhedron(np.array([[k, k], [-1.0, 0.0], [0.0, -1.0]]), np.array([k, -1.0, 1.0]))
+
+        reference = np.asarray(separate(triangle(1.0), zero_subspace(2)).hyperplane.normal)
+        np.testing.assert_allclose(reference, np.full(2, np.sqrt(0.5)), rtol=0.0, atol=1e-12)
+        result = separate(triangle(scale), zero_subspace(2))
+        assert result.certificate.valid
+        np.testing.assert_allclose(result.hyperplane.normal, reference, rtol=0.0, atol=1e-12)
+
+
 class TestScaledDisk:
     def check(self, scale, rule):
         # gauges of size 1/scale: the domination gate must scale with |g|, and
@@ -306,6 +322,15 @@ class TestBallBand:
 
 
 class TestPreconditionMessages:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_oracle_holding_the_origin(self, seed):
+        # a small ball around a point near the origin, given by membership:
+        # 500 seeded points of span{e3} miss it, the origin does not
+        center = np.array([0.004, 0.0, 0.0])
+        oracle = OracleSet(3, lambda e: float((e - center) @ (e - center)) < 1e-4, witness=center)
+        with pytest.raises(InputError, match="^precondition: the set contains the origin"):
+            separate(oracle, span_basis([np.array([0.0, 0.0, 1.0])]), SeparationOptions(seed=seed))
+
     def test_polyhedron_meeting_the_subspace_names_the_inscribed_radius(self):
         # the largest ball centred on the e1 axis inside (1, 5) x (-0.5, 2) has radius 0.5
         box = HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([5.0, 2.0, -1.0, 0.5]))
@@ -469,9 +494,17 @@ class TestWarmStepsUnderEveryGammaRule:
 class TestKernelDisjointDifferential:
     """The shared side test (the better side's margin of normal . e over the
     closure: two support LPs, or the ball's closed form), read through
-    ``verify_separation`` against the zero subspace, against ``_meets`` on a
-    kernel basis built here (the inscribed-ball LP, or the ball's centre
-    distance)."""
+    ``verify_separation`` against the zero subspace, against the verdict of
+    ``_check_disjoint`` on a kernel built here (the inscribed-ball LP, or
+    the ball's centre distance)."""
+
+    @staticmethod
+    def meets(a_set, kernel) -> bool:
+        try:
+            _check_disjoint(a_set, kernel, seed=0)
+        except InputError:
+            return True
+        return False
 
     def compare(self, a_set, normals) -> list[float]:
         """Margins of the normals compared; asserts agreement on each."""
@@ -479,9 +512,9 @@ class TestKernelDisjointDifferential:
         for normal in normals:
             margin = max(_support(a_set, normal)[0], _support(a_set, -normal)[0])
             if abs(margin) > 1e-9:
-                kernel = np.array(complement_basis(span_basis([normal])))
+                kernel = Subspace(a_set.dim, np.array(complement_basis(span_basis([normal]))))
                 cert = verify_separation(a_set, zero_subspace(a_set.dim), Hyperplane(normal), samples=2000)
-                assert cert.sign_constant == (not _meets(a_set, kernel)), (normal, margin)
+                assert cert.sign_constant == (not self.meets(a_set, kernel)), (normal, margin)
                 margins.append(margin)
         return margins
 
@@ -518,6 +551,53 @@ class TestKernelDisjointDifferential:
         ball, normals = tangent_normals((1e-6, -1e-6))
         margins = self.compare(ball, normals)
         assert len(margins) == 4 and sum(m > 0.0 for m in margins) == 2
+
+
+class TestFarkasReferee:
+    """``helpers.farkas_referee`` solves the precondition LP's dual with
+    scipy, sharing no solver with the package.  On each instance and on a
+    subspace widened by the pipeline's anchor (so that it meets the set):
+    ``separate()`` raises the precondition error exactly when r* > MIN_DEPTH,
+    and when r* < 0 the referee's nu = a^T y separates on its own, and
+    g = nu / (nu . x) passes Remark 2 on the pipeline's anchor and gauge."""
+
+    @staticmethod
+    def instances(family):
+        rng = np.random.default_rng(17)
+        if family == "polytope":
+            return [random_polytope_instance(rng, int(rng.integers(2, 6))) for _ in range(12)]
+        if family == "rotated":
+            boxes = [rotated_box(rng, n) for n in (4, 6, 8, 10, 12) for _ in range(3)]
+        else:
+            boxes = [axis_box(rng, n) for n in (20, 40) for _ in range(2)]
+        return [(box.polyhedron(), box.subspace()) for box in boxes]
+
+    @pytest.mark.parametrize("family", ["rotated", "axis", "polytope"])
+    def test_referee_agrees_with_separate(self, family):
+        verdicts = []
+        for poly, s in self.instances(family):
+            result = separate(poly, s)
+            x = result.anchor_x
+            for sub in (s, span_basis(list(s.basis) + [x], poly.dim)):
+                nu, y, r = farkas_referee(poly, sub)
+                assert abs(r) > 1e3 * MIN_DEPTH  # no verdict rests on the bound
+                try:
+                    separate(poly, sub)
+                    raised = False
+                except InputError as exc:
+                    assert str(exc).startswith("precondition: the set intersects the subspace")
+                    raised = True
+                assert raised == (r > MIN_DEPTH)
+                verdicts.append(raised)
+                if r < 0.0:
+                    nu_norm = float(np.linalg.norm(nu))
+                    assert _subspace_residual(sub, nu) <= 1e-12 * nu_norm
+                    cert = verify_separation(poly, sub, Hyperplane(nu / nu_norm))
+                    # nu . e < r* on the set, so the margin is at least -r* / |nu|
+                    assert cert.valid and cert.boundary_margin >= -r / nu_norm * (1.0 - 1e-9)
+                    g = nu / float(nu @ x)
+                    assert remark2_equivalence_check(poly, sub, x, result.gauge_used, g) == (True, True)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestExactVersusSampled:

@@ -481,7 +481,7 @@ class TestBundledCounters:
 
     # many extension steps, each but the first started from the step before,
     # and domination LPs started from the last step's ends
-    @pytest.mark.parametrize("name,lps,pivots", [("axis-40", 42, 375), ("rotated-12", 14, 98)])
+    @pytest.mark.parametrize("name,lps,pivots", [("axis-40", 42, 375), ("rotated-12", 14, 123)])
     def test_multi_step_boxes(self, monkeypatch, name, lps, pivots):
         if name == "axis-40":
             box = axis_box(np.random.default_rng(59), 40)
