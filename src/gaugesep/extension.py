@@ -10,11 +10,11 @@ By duality the upper end is also the support function of a slice of the
 polar body, ``max psi.z`` over ``psi`` in D° with ``psi = g`` on the domain.
 For polyhedral gauges the infimum is an exact small LP.  The two ends' LPs
 differ only in ``b_ub = -+a z``, which is only the cost of the dual that
-``solve_lp`` solves, so the lower end starts where the upper end's phase 1
-ended and pivots in phase 2 only.  The end a step picks is a point psi of
-D° that agrees with the extended functional on the bigger domain, so its
-optimal basis, with one artificial for the new dual row, is a feasible start
-for the next step's upper end; for a value inside the interval one of the
+``solve_lp`` solves, so the lower end starts from the upper end's result,
+which hands over where its phase 1 ended.  The end a step picks is a point
+psi of D° that agrees with the extended functional on the bigger domain, so
+its optimal basis, with one artificial for the new dual row, is a feasible
+start for the next step's upper end; for a value inside the interval one of the
 two ends' bases is.  Each ``GammaInterval`` keeps both bases, and the last
 step in a state's history hands them on.  A start changes the pivot path,
 so it moves an end by rounding only.  For ball-cone gauges the slice is an
@@ -38,6 +38,7 @@ import numpy as np
 from .errors import DegenerateError, InputError, SolverError
 from .gauges import BallConeGauge, OracleGauge, PolyhedralGauge, Seminorm, _gauge, _mirror_rows, gauge
 from .geometry import (
+    TOL_MEMBERSHIP,
     PartialFunctional,
     Subspace,
     _frozen,
@@ -59,6 +60,7 @@ class GammaInterval:
     hi: float
     # the optimal LP bases of the (upper, lower) ends on the polyhedral path
     _bases: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
+    _split: tuple = field(default=(), repr=False, compare=False)  # (z on the domain's basis, z off it, |z off it|)
 
     @property
     def width(self) -> float:
@@ -244,9 +246,9 @@ def _end_bases(step: ExtensionStep) -> tuple[np.ndarray, ...]:
 def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[np.ndarray, ...]]:
     """(hi, lo, optimal bases of the two ends) for a polyhedral gauge, with
     (hi, lo) = (``_phi`` at z, minus ``_phi`` at -z): two LPs that differ
-    only in ``b_ub``, so the second starts where the first one's phase 1
-    ended.  The first starts from the end bases of the state's last step,
-    the picked end's first, each with one artificial for the new dual row."""
+    only in ``b_ub``, so the second starts from the first one's result.
+    The first starts from the end bases of the state's last step, the picked
+    end's first, each with one artificial for the new dual row."""
     a, b = state.seminorm.a, state.seminorm.b
     basis, w = state.domain.basis, state.functional.values
     m, k = a.shape[0], basis.shape[0]
@@ -260,9 +262,9 @@ def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[
     if state.history:
         ends = _end_bases(state.history[-1])
         start = [np.append(np.where(old >= new, old + 1, old), new) for old in ends if old.size == k] or None
-    values, bases = [], []
-    for side in (z, -z):
-        res = solve_lp(cost, a_ub=a_ub, b_ub=-(a @ side), nonneg=nonneg, start=start)
+    values, bases, az = [], [], a @ z
+    for b_ub in (-az, az):  # -(a z) and -(a (-z))
+        res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
         if res.status == "unbounded":
             raise SolverError(
                 f"extension LP is unbounded ({m} rows, {k + 1} vars): either the functional is not "
@@ -272,7 +274,7 @@ def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[
             raise SolverError(f"extension LP failed with status {res.status!r} ({m} rows, {k + 1} vars)")
         values.append(float(res.objective))
         bases.append(res.basis)
-        start = res.phase1_basis
+        start = res
     return values[0], -values[1], tuple(bases)
 
 
@@ -314,7 +316,10 @@ def extension_interval(state: ExtensionState, z, *, seed: int = 0) -> GammaInter
     that is not actually a seminorm or a functional that is not dominated.
     """
     z = as_vector(z, state.domain.ambient_dim)
-    if state.domain.contains(z):
+    coeffs = state.domain.basis @ z  # as ``Subspace.contains``, keeping what ``extend_one`` needs
+    residual = z - state.domain.basis.T @ coeffs
+    scale = float(np.linalg.norm(residual))
+    if scale <= TOL_MEMBERSHIP * max(1.0, float(np.linalg.norm(z))):
         raise DegenerateError("direction already lies in the domain")
     bases = ()
     if state.domain.dim and isinstance(state.seminorm, PolyhedralGauge):
@@ -328,7 +333,7 @@ def extension_interval(state: ExtensionState, z, *, seed: int = 0) -> GammaInter
         raise SolverError(f"empty admissible interval [{lo}, {hi}]: seminorm or domination assumption broken")
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
-    return GammaInterval(lo, hi, bases)
+    return GammaInterval(lo, hi, bases, (coeffs, residual, scale))
 
 
 def extend_one(
@@ -348,12 +353,9 @@ def extend_one(
     interval = extension_interval(state, z, seed=seed)
     value = interval.pick(rule) if gamma is None else float(gamma)
     domain = state.domain
-    projected = domain.project(z)
-    residual = z - projected
-    scale = float(np.linalg.norm(residual))
+    coeffs, residual, scale = interval._split
     new_row = residual / scale
-    g_projected = float(state.functional.values @ (domain.basis @ z)) if domain.dim else 0.0
-    new_value = (value - g_projected) / scale
+    new_value = (value - float(state.functional.values @ coeffs)) / scale
     new_domain = Subspace(domain.ambient_dim, np.vstack([domain.basis, new_row]))
     new_functional = PartialFunctional(new_domain, np.append(state.functional.values, new_value))
     bound = gauge(state.seminorm, new_row)

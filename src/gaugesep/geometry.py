@@ -70,8 +70,6 @@ class Subspace:
 
     def project(self, y: np.ndarray) -> np.ndarray:
         y = as_vector(y, self.ambient_dim)
-        if self.dim == 0:
-            return np.zeros(self.ambient_dim)
         return self.basis.T @ (self.basis @ y)
 
     def distance(self, y: np.ndarray) -> float:
@@ -131,9 +129,19 @@ def complement_basis(s: Subspace) -> list[np.ndarray]:
 
     Deterministic: Gram-Schmidt over the standard basis vectors in index
     order, skipping near-dependent candidates.  Together with ``s.basis`` the
-    returned vectors form an orthonormal basis of the ambient space.
+    returned vectors form an orthonormal basis of the ambient space.  A
+    candidate e_j whose residual ``e_j - R^T R[:, j]`` against the rows R so
+    far has norm at most 1e-10 is skipped without Gram-Schmidt, which would
+    drop it (``TOL_DEPENDENT``), and the scan stops once the rows span R^n.
     """
-    return _gram_schmidt(s.basis, np.eye(s.ambient_dim))[s.dim:]
+    n, rows = s.ambient_dim, list(s.basis)
+    for j, e in enumerate(np.eye(n)):
+        if len(rows) == n:
+            break
+        r = np.array(rows).reshape(-1, n)
+        if float(np.linalg.norm(e - r[:, j] @ r)) > 1e-10:
+            rows = _gram_schmidt(rows, [e])
+    return rows[s.dim:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +165,6 @@ class PartialFunctional:
         y = as_vector(y, self.domain.ambient_dim)
         if not self.domain.contains(y):
             raise InputError("point is outside the functional's domain")
-        if self.domain.dim == 0:
-            return 0.0
         return float((self.domain.basis @ y) @ self.values)
 
     def is_zero(self) -> bool:
@@ -166,8 +172,6 @@ class PartialFunctional:
 
     def as_coefficients(self) -> np.ndarray:
         """Minimum-norm full-space coefficient vector agreeing on the domain."""
-        if self.domain.dim == 0:
-            return np.zeros(self.domain.ambient_dim)
         return self.values @ self.domain.basis
 
 

@@ -131,9 +131,7 @@ class SeparationResult:
 
 
 def _subspace_residual(s: Subspace, normal: np.ndarray) -> float:
-    if s.dim == 0:
-        return 0.0
-    return float(np.max(np.abs(s.basis @ normal)))
+    return float(np.max(np.abs(s.basis @ normal), initial=0.0))
 
 
 def _support(a_set: HPolyhedron | OpenBall, direction: np.ndarray) -> tuple[float, float, np.ndarray | None]:

@@ -5,14 +5,14 @@ Every LP here has many rows and few variables, so ``solve_lp`` solves the
 dual, which has one equality row per variable: minimize ``b . y`` subject to
 ``a^T y - s = -c`` and ``y >= 0``, with a surplus ``s_j >= 0`` only for the
 variables flagged nonnegative (a free variable gives a plain equality row).
-The basis is square in the number of variables and is factored afresh at
-every pivot, so rounding cannot build up over a long run.  Pricing takes the
-most negative reduced cost per unit column norm, with a tolerance relative
-to the largest cost; after ``STALL`` degenerate pivots in a row both choices
-follow Bland's rule, which cannot cycle (Bland 1977).  The ratio test is
-Harris's two-pass test (Harris 1973), relaxed by only 1e-12 of each basic
-value: a dual value it lets go negative biases the LP value upward, and the
-extension takes that value as the end of its interval.
+The basis is square in the number of variables; a pivot replaces one of its
+columns and inverts it afresh, so rounding cannot build up over a long run.
+Pricing takes the most negative reduced cost per unit column norm, with a
+tolerance relative to the largest cost; after ``STALL`` degenerate pivots in
+a row both choices follow Bland's rule, which cannot cycle (Bland 1977).
+The ratio test is Harris's two-pass test (Harris 1973), relaxed by only
+1e-12 of each basic value: a dual value it lets go negative biases the LP
+value upward, and the extension takes that value as the end of its interval.
 
 A solve may start phase 1 from a basis of its dual (``start``) instead of
 the artificial one: a basis that is singular or not feasible is dropped, so
@@ -20,15 +20,16 @@ a start can save pivots but never makes an LP fail.  ``b_ub`` enters only the
 dual's cost, so phase 1 depends on ``c``, ``a_ub`` and ``nonneg`` alone: an
 LP that differs from an earlier one only in ``b_ub`` and starts from that
 result's ``phase1_basis`` pivots only in phase 2, and its result is the same
-bit for bit as a cold solve's.  The extension solves both ends of an interval
-(``b_ub = -+a z``) that way, and starts each step's upper end from the basis
-of the end the step before picked; ``domination_check`` starts its +g LP
-from the basis of the end the last step picked.
+bit for bit as a cold solve's.  Started from the result itself, it also
+takes over the dual's columns and the phase-1 basis's inverse.  The lower
+end of an extension interval (``b_ub = -+a z``) starts from the upper end's
+result, each step's upper end from the basis of the end the step before
+picked, and ``domination_check``'s +g LP from that of the last step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +38,11 @@ from .errors import SolverError
 PIVOT_TOL = 1e-9
 MAX_ITER = 20000  # pivots per phase
 STALL = 20  # degenerate pivots in a row before Bland's rule takes over
+_inv = np.linalg._umath_linalg.inv  # the kernel of np.linalg.inv, without its per-call checks
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
 @dataclass
@@ -49,13 +55,14 @@ class LPResult:
     iterations: int = 0
     phase1_basis: np.ndarray | None = None  # where phase 1 ended (a ``start`` for any b_ub)
     basis: np.ndarray | None = None  # the final basis of the dual
+    _phase1: tuple | None = field(default=None, repr=False, compare=False)  # (dual set-up, phase-1 inverse, pi)
 
 
-def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
+def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv=None):
     """Minimize ``cost . z`` subject to ``cols z = rhs``, ``z >= 0``, from the
     feasible ``basis`` (updated in place) and its inverse ``binv`` (computed
     when None); returns (status, multipliers, pivots, inverse of the final
-    basis).
+    basis).  ``inv_scale`` is 1 / (1 + norm) of each column that may enter.
 
     Only the first ``n_enter`` columns may enter; the rest are artificials.
     A basic artificial at zero blocks the ratio test in both directions, so it
@@ -63,42 +70,48 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
     """
     enter_cols = cols[:, :n_enter]
     enter_cost = cost[:n_enter]
-    inv_scale = 1.0 / (1.0 + np.sqrt((enter_cols * enter_cols).sum(axis=0)))
     price_tol = PIVOT_TOL * max(1.0, float(np.abs(enter_cost).max(initial=0.0)))
     artificial = basis >= n_enter
+    mixed = bool(artificial.any())  # an artificial is basic
+    bmat, cost_b = cols[:, basis], cost[basis]  # each pivot replaces one column and cost
     stall = 0
-    if binv is None:
-        binv = np.linalg.inv(cols[:, basis])
-    for pivots in range(MAX_ITER + 1):
-        pi = cost[basis] @ binv
-        if not n_enter:
-            return "optimal", pi, pivots, binv
-        score = (enter_cost - pi @ enter_cols) * inv_scale
-        score[basis[~artificial]] = 0.0  # basic columns price at zero up to rounding
-        # Bland: the first improving column; otherwise the steepest one
-        q = (score < -price_tol).argmax() if stall >= STALL else score.argmin()
-        if not score[q] < -price_tol:
-            return "optimal", pi, pivots, binv
-        z = np.maximum(binv @ rhs, 0.0)  # rounding below zero counts as zero
-        u = binv @ enter_cols[:, q]
-        blocked = artificial & (z <= zero_tol)
-        u[blocked] = np.abs(u[blocked])
-        rows = (u > PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
-            return "unbounded", pi, pivots, binv
-        zr, ur = z[rows], u[rows]
-        ratio = zr / ur
-        if stall >= STALL:  # Bland: the lowest index among the tied rows
-            low = ratio.min()
-            near = ratio <= low + 1e-12 * max(1.0, low)
-            leave = rows[near][basis[rows[near]].argmin()]
-        else:  # Harris: the largest pivot among the rows within the relaxed bound
-            near = ratio <= ((zr + 1e-12 * (1.0 + zr)) / ur).min()
-            leave = rows[near][ur[near].argmax()]
-        stall = stall + 1 if z[leave] <= PIVOT_TOL * u[leave] else 0
-        artificial[leave] = False
-        basis[leave] = q
-        binv = np.linalg.inv(cols[:, basis])
+    # set as np.linalg.inv sets it, so that a singular basis raises LinAlgError
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        if binv is None:
+            binv = _inv(bmat, signature="d->d")
+        for pivots in range(MAX_ITER + 1):
+            pi = cost_b @ binv
+            if not n_enter:
+                return "optimal", pi, pivots, binv
+            score = (enter_cost - pi @ enter_cols) * inv_scale
+            score[basis[~artificial] if mixed else basis] = 0.0  # basic columns price at zero up to rounding
+            # Bland: the first improving column; otherwise the steepest one
+            q = (score < -price_tol).argmax() if stall >= STALL else score.argmin()
+            if not score[q] < -price_tol:
+                return "optimal", pi, pivots, binv
+            z = np.maximum(binv @ rhs, 0.0)  # rounding below zero counts as zero
+            u = binv @ enter_cols[:, q]
+            if mixed:
+                blocked = artificial & (z <= zero_tol)
+                u[blocked] = np.abs(u[blocked])
+            rows = (u > PIVOT_TOL).nonzero()[0]
+            if rows.size == 0:
+                return "unbounded", pi, pivots, binv
+            zr, ur = z[rows], u[rows]
+            ratio = zr / ur
+            if stall >= STALL:  # Bland: the lowest index among the tied rows
+                low = ratio.min()
+                near = ratio <= low + 1e-12 * max(1.0, low)
+                leave = rows[near][basis[rows[near]].argmin()]
+            else:  # Harris: the largest pivot among the rows within the relaxed bound
+                near = ratio <= ((zr + 1e-12 * (1.0 + zr)) / ur).min()
+                leave = rows[near][ur[near].argmax()]
+            stall = stall + 1 if z[leave] <= PIVOT_TOL * u[leave] else 0
+            artificial[leave] = False
+            mixed = mixed and bool(artificial.any())
+            basis[leave] = q
+            bmat[:, leave], cost_b[leave] = cols[:, q], cost[q]
+            binv = _inv(bmat, signature="d->d")
     raise SolverError(f"simplex iteration limit ({MAX_ITER}) exceeded; {cols.shape[0]} dual rows")
 
 
@@ -124,7 +137,10 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
     (y: one per row of ``a_ub``; s: one per masked variable; artificials:
     one per variable), as in a result's ``phase1_basis`` and ``basis``.
     Phase 1 starts from the first one that is nonsingular and feasible, and
-    from the artificial basis when there is none.
+    from the artificial basis when there is none.  ``start`` may also be an
+    earlier result: one of an LP with the same ``c``, ``a_ub`` and
+    ``nonneg`` hands over where its phase 1 ended, with that basis's
+    inverse; one of another LP starts from its ``phase1_basis``.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
@@ -136,16 +152,17 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
     return _solve(c, a_ub, b_ub, mask, start)
 
 
-def _start(cols, rhs, start, zero_tol):
+def _start(cols, rhs, start, zero_tol, known=None):
     """The first basis in ``start`` that is nonsingular and feasible, with its
-    inverse; else the artificial basis, whose inverse ``_simplex`` computes."""
+    inverse (``known``, when given, is that of the only one); else the
+    artificial basis, whose inverse ``_simplex`` computes."""
     n = rhs.size
     for basis in () if start is None else np.atleast_2d(start):
         basis = basis.astype(int)  # a copy: ``_simplex`` pivots it in place
         if basis.size != n or len(set(basis.tolist())) != n or np.any((basis < 0) | (basis >= cols.shape[1])):
             continue
         try:
-            binv = np.linalg.inv(cols[:, basis])
+            binv = np.linalg.inv(cols[:, basis]) if known is None else known
         except np.linalg.LinAlgError:
             continue
         # a near-singular basis inverts without an error, but not to an inverse
@@ -158,36 +175,45 @@ def _solve(c, a_ub, b_ub, mask, start) -> LPResult:
     """``solve_lp`` on checked arrays; the zero-cost re-solve calls this, not
     the public name, so that a wrapper of ``solve_lp`` sees one LP."""
     n = c.size
-    # dual rows scaled by ``sign`` so that the right-hand side |c| is >= 0;
-    # columns: y (one per constraint), surplus s (masked variables), artificials
-    sign = np.where(c > 0.0, -1.0, 1.0)
-    rhs = np.abs(c)
-    cols = np.hstack([sign[:, None] * a_ub.T, -np.diag(sign)[:, mask], np.eye(n)])
+    setup, known, pi = getattr(start, "_phase1", None) or (None, None, None)
+    if setup is None or not all(np.array_equal(u, v) for u, v in zip(setup[0], (c, a_ub, mask))):
+        known = None  # a result of another LP starts from its basis alone
+        # dual rows scaled by ``sign`` so that the right-hand side |c| is >= 0;
+        # columns: y (one per constraint), surplus s (masked variables), artificials
+        sign = np.where(c > 0.0, -1.0, 1.0)
+        rhs = np.abs(c)
+        cols = np.hstack([sign[:, None] * a_ub.T, -np.diag(sign)[:, mask], np.eye(n)])
+        enter = cols[:, : cols.shape[1] - n]
+        inv_scale = 1.0 / (1.0 + np.sqrt((enter * enter).sum(axis=0)))
+        zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
+        setup = ((c.copy(), a_ub.copy(), mask.copy()), sign, rhs, cols, zero_tol, inv_scale)
+    if isinstance(start, LPResult):
+        start = start.phase1_basis
+    _, sign, rhs, cols, zero_tol, inv_scale = setup
     n_enter = cols.shape[1] - n
-    zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
-    basis, binv = _start(cols, rhs, start, zero_tol)
-    cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
-    status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, binv)
-    if status != "optimal":
-        raise SolverError("phase-1 objective unbounded; malformed constraints")
-    phase1_basis = basis.copy()
+    basis, binv = _start(cols, rhs, start, zero_tol, known)
+    iters = 0
+    if known is None or binv is not known:  # phase 1 has not yet ended at this basis
+        cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
+        status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, inv_scale, binv)
+        if status != "optimal":
+            raise SolverError("phase-1 objective unbounded; malformed constraints")
+    kept = {"phase1_basis": basis.copy(), "basis": basis, "_phase1": (setup, binv, pi)}
     if float(pi @ rhs) > zero_tol:  # the dual is infeasible (never with c = 0)
         feasible = _solve(np.zeros(n), a_ub, b_ub, mask, None)
         iters += feasible.iterations
         if feasible.status == "infeasible":
-            return LPResult("infeasible", iterations=iters, phase1_basis=phase1_basis, basis=basis)
-        return LPResult("unbounded", ray=sign * pi, iterations=iters, phase1_basis=phase1_basis, basis=basis)
+            return LPResult("infeasible", iterations=iters, **kept)
+        return LPResult("unbounded", ray=sign * pi, iterations=iters, **kept)
     cost = np.concatenate([b_ub, np.zeros(cols.shape[1] - b_ub.size)])
     # phase 2 starts from phase 1's final basis, so it reuses that inverse
-    status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv)
+    status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv)
     iters += more
     if status == "unbounded":  # the dual is unbounded
-        return LPResult("infeasible", iterations=iters, phase1_basis=phase1_basis, basis=basis)
+        return LPResult("infeasible", iterations=iters, **kept)
     x = sign * pi
     y = np.zeros(b_ub.size)
     rows = basis < b_ub.size  # basic dual variables; the rest are zero
     y[basis[rows]] = np.maximum(binv[rows] @ rhs, 0.0)
-    return LPResult(
-        "optimal", x=x, objective=float(c @ x), y=y, iterations=iters, phase1_basis=phase1_basis, basis=basis
-    )
+    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters, **kept)

@@ -4,7 +4,9 @@ The references here are deliberately different algorithms from the package
 code: the gauge references solve the cone-exit quadratic in closed form or
 bisect along rays through membership, the LP reference enumerates basic
 feasible points, and the Farkas referee solves the precondition's dual with
-scipy's HiGHS.
+scipy's HiGHS.  ``reference_solve_lp`` and ``mgs_completion`` keep earlier
+versions of the package's simplex and orthonormal completion, so that a
+faster kernel can be checked bit for bit against the one it replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 from gaugesep import (
     ConvexSet,
     HPolyhedron,
+    LPResult,
     OpenBall,
     OracleGauge,
     PartialFunctional,
@@ -397,3 +400,154 @@ def seminorm_axioms(p: Seminorm, seed: int = 0, trials: int = 1000) -> tuple[flo
                 checked += 1
                 agreements += int(ball.contains(w) == (pw < 1.0))
     return homog, subadd, agreements, checked
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the simplex that gathers and inverts its whole basis at
+# every pivot, and Gram-Schmidt over every axis; kept verbatim, with their
+# own constants, as test-only oracles of the package's faster kernels
+
+PIVOT_TOL = 1e-9
+MAX_ITER = 20000
+STALL = 20
+
+
+def reference_solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
+    """``solve_lp`` as it was before it kept its basis matrix, handed a
+    result's phase-1 inverse on, and inverted through the LAPACK kernel
+    directly: every basis gathered from the columns and inverted by
+    ``np.linalg.inv``, phase 1 run from every start.  ``start`` is a basis or
+    rows of bases, as in ``solve_lp``."""
+    c = np.asarray(c, dtype=float).reshape(-1)
+    n = c.size
+    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
+    mask = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool).reshape(-1)
+    return _solve(c, a_ub, b_ub, mask, start)
+
+
+def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
+    """Minimize ``cost . z`` subject to ``cols z = rhs``, ``z >= 0``, from the
+    feasible ``basis`` (updated in place) and its inverse ``binv`` (computed
+    when None); returns (status, multipliers, pivots, inverse of the final
+    basis).
+
+    Only the first ``n_enter`` columns may enter; the rest are artificials.
+    A basic artificial at zero blocks the ratio test in both directions, so it
+    leaves on a degenerate pivot instead of going negative.
+    """
+    enter_cols = cols[:, :n_enter]
+    enter_cost = cost[:n_enter]
+    inv_scale = 1.0 / (1.0 + np.sqrt((enter_cols * enter_cols).sum(axis=0)))
+    price_tol = PIVOT_TOL * max(1.0, float(np.abs(enter_cost).max(initial=0.0)))
+    artificial = basis >= n_enter
+    stall = 0
+    if binv is None:
+        binv = np.linalg.inv(cols[:, basis])
+    for pivots in range(MAX_ITER + 1):
+        pi = cost[basis] @ binv
+        if not n_enter:
+            return "optimal", pi, pivots, binv
+        score = (enter_cost - pi @ enter_cols) * inv_scale
+        score[basis[~artificial]] = 0.0  # basic columns price at zero up to rounding
+        # Bland: the first improving column; otherwise the steepest one
+        q = (score < -price_tol).argmax() if stall >= STALL else score.argmin()
+        if not score[q] < -price_tol:
+            return "optimal", pi, pivots, binv
+        z = np.maximum(binv @ rhs, 0.0)  # rounding below zero counts as zero
+        u = binv @ enter_cols[:, q]
+        blocked = artificial & (z <= zero_tol)
+        u[blocked] = np.abs(u[blocked])
+        rows = (u > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            return "unbounded", pi, pivots, binv
+        zr, ur = z[rows], u[rows]
+        ratio = zr / ur
+        if stall >= STALL:  # Bland: the lowest index among the tied rows
+            low = ratio.min()
+            near = ratio <= low + 1e-12 * max(1.0, low)
+            leave = rows[near][basis[rows[near]].argmin()]
+        else:  # Harris: the largest pivot among the rows within the relaxed bound
+            near = ratio <= ((zr + 1e-12 * (1.0 + zr)) / ur).min()
+            leave = rows[near][ur[near].argmax()]
+        stall = stall + 1 if z[leave] <= PIVOT_TOL * u[leave] else 0
+        artificial[leave] = False
+        basis[leave] = q
+        binv = np.linalg.inv(cols[:, basis])
+    raise SolverError(f"simplex iteration limit ({MAX_ITER}) exceeded; {cols.shape[0]} dual rows")
+
+
+def _start(cols, rhs, start, zero_tol):
+    """The first basis in ``start`` that is nonsingular and feasible, with its
+    inverse; else the artificial basis, whose inverse ``_simplex`` computes."""
+    n = rhs.size
+    for basis in () if start is None else np.atleast_2d(start):
+        basis = basis.astype(int)  # a copy: ``_simplex`` pivots it in place
+        if basis.size != n or len(set(basis.tolist())) != n or np.any((basis < 0) | (basis >= cols.shape[1])):
+            continue
+        try:
+            binv = np.linalg.inv(cols[:, basis])
+        except np.linalg.LinAlgError:
+            continue
+        # a near-singular basis inverts without an error, but not to an inverse
+        if np.abs(binv @ cols[:, basis] - np.eye(n)).max(initial=0.0) <= 1e-6 and np.all(binv @ rhs >= -zero_tol):
+            return basis, binv
+    return cols.shape[1] - n + np.arange(n), None
+
+
+def _solve(c, a_ub, b_ub, mask, start) -> LPResult:
+    """``solve_lp`` on checked arrays; the zero-cost re-solve calls this, not
+    the public name, so that a wrapper of ``solve_lp`` sees one LP."""
+    n = c.size
+    # dual rows scaled by ``sign`` so that the right-hand side |c| is >= 0;
+    # columns: y (one per constraint), surplus s (masked variables), artificials
+    sign = np.where(c > 0.0, -1.0, 1.0)
+    rhs = np.abs(c)
+    cols = np.hstack([sign[:, None] * a_ub.T, -np.diag(sign)[:, mask], np.eye(n)])
+    n_enter = cols.shape[1] - n
+    zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
+
+    basis, binv = _start(cols, rhs, start, zero_tol)
+    cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
+    status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, binv)
+    if status != "optimal":
+        raise SolverError("phase-1 objective unbounded; malformed constraints")
+    phase1_basis = basis.copy()
+    if float(pi @ rhs) > zero_tol:  # the dual is infeasible (never with c = 0)
+        feasible = _solve(np.zeros(n), a_ub, b_ub, mask, None)
+        iters += feasible.iterations
+        if feasible.status == "infeasible":
+            return LPResult("infeasible", iterations=iters, phase1_basis=phase1_basis, basis=basis)
+        return LPResult("unbounded", ray=sign * pi, iterations=iters, phase1_basis=phase1_basis, basis=basis)
+    cost = np.concatenate([b_ub, np.zeros(cols.shape[1] - b_ub.size)])
+    # phase 2 starts from phase 1's final basis, so it reuses that inverse
+    status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv)
+    iters += more
+    if status == "unbounded":  # the dual is unbounded
+        return LPResult("infeasible", iterations=iters, phase1_basis=phase1_basis, basis=basis)
+    x = sign * pi
+    y = np.zeros(b_ub.size)
+    rows = basis < b_ub.size  # basic dual variables; the rest are zero
+    y[basis[rows]] = np.maximum(binv[rows] @ rhs, 0.0)
+    return LPResult(
+        "optimal", x=x, objective=float(c @ x), y=y, iterations=iters, phase1_basis=phase1_basis, basis=basis
+    )
+
+
+def _mgs(rows, candidates) -> list[np.ndarray]:
+    rows = list(rows)
+    for v in candidates:
+        w = v
+        for _ in range(2):
+            for u in rows:
+                w = w - (u @ w) * u
+        norm = float(np.linalg.norm(w))
+        if norm > 1e-8 * max(1.0, float(np.linalg.norm(v))):
+            rows.append(w / norm)
+    return rows
+
+
+def mgs_completion(s: Subspace) -> list[np.ndarray]:
+    """``complement_basis`` as two-pass modified Gram-Schmidt over every
+    standard basis vector in index order, with no skipped candidate."""
+    return _mgs(s.basis, np.eye(s.ambient_dim))[s.dim:]

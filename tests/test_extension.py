@@ -128,10 +128,10 @@ class TestExtensionInterval:
             assert via_lp.hi == pytest.approx(via_search.hi, abs=1e-5)
 
     def test_lp_ends_match_two_cold_solves(self, monkeypatch):
-        # the lower end's LP starts where the upper end's phase 1 ended, and
-        # every step's upper end but the first from the bases of the step
-        # before; both ends must match cold solves of the same two LPs,
-        # exactly while the upper end starts cold
+        # the lower end's LP starts from the upper end's result, where its
+        # phase 1 ended, and every step's upper end but the first from the
+        # bases of the step before; both ends must match cold solves of the
+        # same two LPs, exactly while the upper end starts cold
         calls = []
 
         def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
@@ -153,7 +153,7 @@ class TestExtensionInterval:
                 interval = extension_interval(state, z)
                 (*_, up_start, up), (*_, down_start, _) = calls
                 assert (up_start is None) == (step == 0)
-                assert np.array_equal(down_start, up.phase1_basis)
+                assert down_start is up
                 cold_up, cold_down = (
                     solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg) for c, a_ub, b_ub, nonneg, *_ in calls
                 )

@@ -13,7 +13,12 @@ from gaugesep import (
     span_basis,
     zero_subspace,
 )
+import gaugesep.extension as extension
+import gaugesep.geometry as geometry
+from gaugesep import SeparationOptions, separate
 from gaugesep.separation import _span_functional
+
+from helpers import axis_box, mgs_completion
 
 
 class TestSpanBasis:
@@ -110,6 +115,72 @@ class TestComplementBasis:
             full = np.vstack([s.basis, np.array(out).reshape(len(out), n)])
             assert full.shape[0] == n
             np.testing.assert_allclose(full @ full.T, np.eye(n), atol=1e-9)
+
+
+class TestCompletionSkips:
+    """``complement_basis`` skips a candidate axis whose direct residual
+    against the rows so far is at most 1e-10 and stops at n rows; its rows
+    are those of two-pass Gram-Schmidt over every axis
+    (``helpers.mgs_completion``), bit for bit."""
+
+    @staticmethod
+    def assert_same_rows(s):
+        got, want = complement_basis(s), mgs_completion(s)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_dense_and_axis_subspaces(self):
+        rng = np.random.default_rng(70)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            k = int(rng.integers(0, n + 1))
+            self.assert_same_rows(span_basis(list(rng.normal(size=(k, n))), n) if k else zero_subspace(n))
+            axes = np.eye(n)[np.sort(rng.permutation(n)[:k])]
+            self.assert_same_rows(span_basis(list(axes), n) if k else zero_subspace(n))
+
+    def test_near_axis_subspaces_on_both_sides_of_both_bounds(self):
+        # e_j tilted by d off the span: its residual straddles the 1e-10 skip
+        # bound and the 1e-8 drop bound
+        rng = np.random.default_rng(71)
+        residuals = []
+        for d in np.logspace(-12, -6, 25):
+            for _ in range(4):
+                n = int(rng.integers(3, 12))
+                j = int(rng.integers(0, n))
+                tilt = rng.normal(size=n)
+                tilt[j] = 0.0
+                others = rng.normal(size=(int(rng.integers(0, n - 1)), n))
+                s = span_basis([np.eye(n)[j] + d * tilt / np.linalg.norm(tilt)] + list(others), n)
+                residuals.append(float(np.linalg.norm(np.eye(n)[j] - s.basis[:, j] @ s.basis)))
+                self.assert_same_rows(s)
+        residuals = np.array(residuals)
+        for lo, hi in ((1e-12, 1e-10), (1e-10, 1e-8), (1e-8, 1e-6)):
+            assert np.sum((residuals > lo) & (residuals <= hi)) >= 10
+
+    def test_axis_40_runs_gram_schmidt_for_accepted_candidates_only(self, monkeypatch):
+        # the domain that ``separate`` completes on the 40-D axis box of
+        # TestBundledCounters: 21 rows, so 19 candidates are accepted
+        domains = []
+
+        def recording(s):
+            domains.append(s)
+            return complement_basis(s)
+
+        monkeypatch.setattr(extension, "complement_basis", recording)
+        box = axis_box(np.random.default_rng(59), 40)
+        separate(box.polyhedron(), box.subspace(), SeparationOptions())
+        (domain,) = domains
+        candidates = []
+        gram_schmidt = geometry._gram_schmidt
+
+        def counting(rows, vectors):
+            candidates.extend(vectors)
+            return gram_schmidt(rows, vectors)
+
+        monkeypatch.setattr(geometry, "_gram_schmidt", counting)
+        rows = complement_basis(domain)
+        assert len(rows) == len(candidates) == 19 == 40 - domain.dim
+        self.assert_same_rows(domain)
 
 
 class TestSpanFunctional:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gaugesep import (
     EmptySetError,
     HPolyhedron,
     InputError,
+    LPResult,
     SeparationOptions,
     SolverError,
     chebyshev_center,
@@ -17,7 +20,7 @@ from gaugesep import (
 )
 from gaugesep.cli import parse_problem
 
-from helpers import axis_box, lp_vertex_reference, rotated_box
+from helpers import axis_box, lp_vertex_reference, reference_solve_lp, rotated_box
 
 
 class TestSolveLP:
@@ -320,6 +323,12 @@ class TestStart:
             warm = solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask, start=first.phase1_basis)
             assert_same_result(warm, cold)
             assert np.array_equal(warm.phase1_basis, cold.phase1_basis)
+            # the result itself hands over its phase-1 basis and inverse
+            by_result = solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask, start=first)
+            assert_same_result(by_result, cold)
+            assert_same_result(by_result, warm)
+            assert np.array_equal(by_result.phase1_basis, cold.phase1_basis)
+            assert by_result.iterations == warm.iterations
             # the first LP started where its own phase 1 ended pivots in phase 2 only
             phase1 = first.iterations - solve_lp(c, a_ub=a, b_ub=b, nonneg=mask, start=first.phase1_basis).iterations
             assert warm.iterations == cold.iterations - phase1
@@ -400,6 +409,113 @@ class TestStart:
         monkeypatch.setattr(simplexlp, "solve_lp", counting)
         res = simplexlp.solve_lp([0.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[1.0, -2.0])
         assert (res.status, len(calls), res.iterations) == ("infeasible", 1, 2)
+
+
+def assert_identical(got, want):
+    """Every public field of two LP results is equal, array for array."""
+    for f in dataclasses.fields(LPResult):
+        if not f.name.startswith("_"):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a is None and b is None) or np.array_equal(a, b), f.name
+
+
+class TestKernelIdentity:
+    """``solve_lp`` pivots exactly as ``helpers.reference_solve_lp``, the
+    kernel that gathered and inverted its whole basis at every pivot and ran
+    phase 1 from every start: the same pivots, the same bits."""
+
+    @staticmethod
+    def check(c, a_ub, b_ub, nonneg=None, start=None) -> LPResult:
+        got = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+        ref_start = start.phase1_basis if isinstance(start, LPResult) else start
+        assert_identical(got, reference_solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=ref_start))
+        return got
+
+    def test_start_cases_and_results_as_starts(self):
+        statuses = set()
+        for c, a, b, mask in TestStart.cases():
+            first = self.check(c, a, b, mask)
+            for b_ub in (b, -b):  # result-as-start on both signs of b_ub
+                self.check(c, a, b_ub, mask, start=first)
+                self.check(c, a, b_ub, mask, start=first.phase1_basis)
+            statuses.add(first.status)
+        assert statuses == {"optimal", "unbounded"}
+
+    def test_results_that_cannot_hand_over_fall_back(self):
+        # a result of another LP or with no inverse starts from its
+        # phase1_basis; one whose inverse fails _start's check, from nothing
+        for c, a, b, mask in TestStart.cases():
+            first = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask)
+            setup, binv, pi = first._phase1
+            self.check(c, a, -b, mask, start=solve_lp(c, a_ub=a[::-1], b_ub=b, nonneg=mask))
+            self.check(c, a, -b, mask, start=dataclasses.replace(first, _phase1=None))
+            got = solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask, start=dataclasses.replace(first, _phase1=(setup, 2.0 * binv, pi)))
+            assert_identical(got, reference_solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask))
+
+    def test_list_starts_with_a_rejected_first_basis(self):
+        for c, a, b, mask in TestStart.cases():
+            first = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask)
+            n = c.size
+            for bad in (np.zeros(n, dtype=int), np.arange(n) + a.shape[0] + 2 * n):  # repeated; out of range
+                self.check(c, a, -b, mask, start=[bad, first.phase1_basis])
+                self.check(c, a, -b, mask, start=[bad, first.basis])
+
+    def test_bland_cycling_example(self):
+        c = [-0.75, 150.0, -0.02, 6.0]
+        a_ub = [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]
+        first = self.check(c, a_ub, [0.0, 0.0, 1.0], [True] * 4)
+        self.check(c, a_ub, [0.0, 0.0, -1.0], [True] * 4, start=first)
+        self.check(c, a_ub, [0.0, 0.0, 1.0], [True] * 4, start=first)
+
+    def test_every_lp_of_separate_on_seeded_boxes(self, monkeypatch):
+        # the degenerate inscribed-ball LP, the extension's two ends per step
+        # (the lower one started from the upper one's result) and the
+        # domination and certificate LPs of axis and rotated boxes
+        calls = []
+
+        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
+            calls.append((c, a_ub, b_ub, nonneg, start))
+            return solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+
+        for module in (convexsets, extension, separation):
+            monkeypatch.setattr(module, "solve_lp", recording)
+        rng = np.random.default_rng(60)
+        boxes = [axis_box(rng, n) for n in (4, 10, 20)] + [rotated_box(rng, n) for n in (4, 6, 8, 10)]
+        for box in boxes:
+            separate(box.polyhedron(), box.subspace(), SeparationOptions())
+        assert sum(isinstance(call[-1], LPResult) for call in calls) >= 20
+        for c, a_ub, b_ub, nonneg, start in calls:
+            self.check(c, a_ub, b_ub, nonneg, start)
+
+    def test_pivot_inverse_is_numpys(self, monkeypatch):
+        # every basis inverse of solves with 1 to 41 variables, bit for bit
+        inverses = []
+
+        def recording(bmat, **kwargs):
+            out = kernel(bmat, **kwargs)
+            inverses.append((bmat.copy(), out))
+            return out
+
+        kernel = simplexlp._inv
+        monkeypatch.setattr(simplexlp, "_inv", recording)
+        rng = np.random.default_rng(61)
+        for n in range(1, 42):
+            a, b, _ = bounded_lp(rng, n, n + 4)
+            assert solve_lp(rng.normal(size=n), a_ub=a, b_ub=b).status == "optimal"
+        assert {bmat.shape[0] for bmat, _ in inverses} == set(range(1, 42))
+        assert len(inverses) > 41 * 2
+        for bmat, inverse in inverses:
+            assert np.array_equal(inverse, np.linalg.inv(bmat))
+
+    def test_singular_basis_raises(self):
+        # a basis with a repeated column: np.linalg.inv raises, and so must
+        # the pivot's inverse, rather than hand NaNs to the ratio test
+        cols = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+        before = np.geterr()
+        for n_enter in (0, 3):
+            with pytest.raises(np.linalg.LinAlgError):
+                simplexlp._simplex(cols, np.ones(3), np.ones(2), np.array([0, 1]), n_enter, 1e-9, np.ones(n_enter))
+        assert np.geterr() == before
 
 
 class TestChebyshevCenter:
