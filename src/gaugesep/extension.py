@@ -11,22 +11,20 @@ polar body, ``max psi.z`` over ``psi`` in D° with ``psi = g`` on the domain.
 For polyhedral gauges the infimum is an exact small LP.  The two ends' LPs
 differ only in ``b_ub = -+a z``, which is only the cost of the dual that
 ``solve_lp`` solves, so the lower end starts from the upper end's result,
-which hands over where its phase 1 ended.  The end a step picks is a point
-psi of D° that agrees with the extended functional on the bigger domain, so
-its optimal basis, with one artificial for the new dual row, is a feasible
-start for the next step's upper end; for a value inside the interval one of the
-two ends' bases is.  Each ``GammaInterval`` keeps both bases, and the last
-step in a state's history hands them on.  A start changes the pivot path,
-so it moves an end by rounding only.  For ball-cone gauges the slice is an
+which hands over where its phase 1 ended.  Picking an end narrows the slice
+to that LP's optimal face; when the face is one point psi, every later
+interval is ``[psi.z, psi.z]`` and solves no LP.  Otherwise the picked end
+(for a value inside the interval, one of the two ends), with one artificial
+for the new dual row, is a feasible start for the next step's upper end; a
+start moves an end by rounding only.  For ball-cone gauges the slice is an
 ellipsoid cylinder cut by a slab, whose maximum is closed form; for oracle
 gauges (3-D and up) a seeded derivative-free coordinate search certifies the
 interval to about 1e-6.  ``domination_check`` measures ``|g| <= p`` on the
 polar side too, as ``p*(g) - 1``: exactly from the LPs ``max +-g . e`` over
 ``p <= 1`` for polyhedral gauges (only +g on mirrored rows, where
 p*(-g) = p*(g)) and from the polar for ball-cone gauges, by seeded sampling
-and ascent for oracle gauges.  The last step's ends are points psi of D° on
-the whole space, so when the step picked an end, g is that end and a full
-extension starts the +g LP from its basis.
+and ascent for oracle gauges.  When the last step picked an end, g is that
+end's point a^T y, so a full extension starts the +g LP from y's columns.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .geometry import (
     as_vector,
     complement_basis,
 )
-from .simplexlp import solve_lp
+from .simplexlp import PIVOT_TOL, LPResult, _face_edges, solve_lp
 
 DOMINATION_TOL = 1e-6
 SEARCH_RESTARTS = 8
@@ -58,8 +56,8 @@ class GammaInterval:
 
     lo: float
     hi: float
-    # the optimal LP bases of the (upper, lower) ends on the polyhedral path
-    _bases: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
+    # LP results of the (upper, lower) ends, or of the end a forced interval rests on
+    _ends: tuple[LPResult, ...] = field(default=(), repr=False, compare=False)
     _split: tuple = field(default=(), repr=False, compare=False)  # (z on the domain's basis, z off it, |z off it|)
 
     @property
@@ -234,17 +232,28 @@ def _ball_phi(p: BallConeGauge, basis: np.ndarray, w: np.ndarray, z: np.ndarray)
     return max(values)
 
 
-def _end_bases(step: ExtensionStep) -> tuple[np.ndarray, ...]:
-    """The optimal LP bases of a step's interval ends, the end nearer the
-    picked value first (empty off the polyhedral path)."""
-    interval = step.interval
-    if step.gamma - interval.lo < interval.hi - step.gamma:  # nearer the lower end
-        return interval._bases[::-1]
-    return interval._bases
+def _picked(state: ExtensionState) -> LPResult | None:
+    """The LP result of the interval end the state's last step picked (on a
+    forced interval, of the end that forced it); None when it picked none."""
+    last = state.history[-1] if state.history else None
+    if last is None or not last.interval._ends or last.gamma not in (last.interval.lo, last.interval.hi):
+        return None
+    return last.interval._ends[0 if last.gamma == last.interval.hi else -1]
 
 
-def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[np.ndarray, ...]]:
-    """(hi, lo, optimal bases of the two ends) for a polyhedral gauge, with
+def _forced_end(state: ExtensionState) -> LPResult | None:
+    """``_picked`` when its point psi = a^T y is its LP's whole optimal face,
+    as no tied edge from y (``_face_edges``) moves psi beyond ``PIVOT_TOL``
+    of its terms (sufficient, not necessary); a forced interval hands it on."""
+    res = _picked(state)
+    if res is None or len(state.history[-1].interval._ends) == 1:
+        return res
+    a, edges = state.seminorm.a, _face_edges(res)
+    return res if np.all(np.abs(a.T @ edges) <= PIVOT_TOL * (np.abs(a.T) @ np.abs(edges))) else None
+
+
+def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[LPResult, ...]]:
+    """(hi, lo, results of the two ends) for a polyhedral gauge, with
     (hi, lo) = (``_phi`` at z, minus ``_phi`` at -z): two LPs that differ
     only in ``b_ub``, so the second starts from the first one's result.
     The first starts from the end bases of the state's last step, the picked
@@ -260,9 +269,10 @@ def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[
     # new row c_k comes before the row of t, whose artificial shifts by one
     new, start = m + k, None
     if state.history:
-        ends = _end_bases(state.history[-1])
-        start = [np.append(np.where(old >= new, old + 1, old), new) for old in ends if old.size == k] or None
-    values, bases, az = [], [], a @ z
+        last = state.history[-1]
+        ends = last.interval._ends[:: -1 if last.gamma - last.interval.lo < last.interval.hi - last.gamma else 1]
+        start = [np.append(np.where(e.basis >= new, e.basis + 1, e.basis), new) for e in ends if e.basis.size == k] or None
+    results, az = [], a @ z
     for b_ub in (-az, az):  # -(a z) and -(a (-z))
         res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
         if res.status == "unbounded":
@@ -272,10 +282,9 @@ def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[
             )
         if res.status != "optimal":
             raise SolverError(f"extension LP failed with status {res.status!r} ({m} rows, {k + 1} vars)")
-        values.append(float(res.objective))
-        bases.append(res.basis)
+        results.append(res)
         start = res
-    return values[0], -values[1], tuple(bases)
+    return results[0].objective, -results[1].objective, tuple(results)
 
 
 def _phi(state: ExtensionState, z: np.ndarray, seed: int) -> float:
@@ -321,9 +330,12 @@ def extension_interval(state: ExtensionState, z, *, seed: int = 0) -> GammaInter
     scale = float(np.linalg.norm(residual))
     if scale <= TOL_MEMBERSHIP * max(1.0, float(np.linalg.norm(z))):
         raise DegenerateError("direction already lies in the domain")
-    bases = ()
-    if state.domain.dim and isinstance(state.seminorm, PolyhedralGauge):
-        hi, lo, bases = _lp_ends(state, z)
+    ends, forced = (), _forced_end(state)
+    if forced is not None:  # every admissible value is psi . z: no LP
+        hi = lo = float((state.seminorm.a.T @ forced.y) @ z)
+        ends = (forced,)
+    elif state.domain.dim and isinstance(state.seminorm, PolyhedralGauge):
+        hi, lo, ends = _lp_ends(state, z)
     else:
         hi = _phi(state, z, seed)
         lo = -_phi(state, -z, seed + 1)
@@ -333,7 +345,7 @@ def extension_interval(state: ExtensionState, z, *, seed: int = 0) -> GammaInter
         raise SolverError(f"empty admissible interval [{lo}, {hi}]: seminorm or domination assumption broken")
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
-    return GammaInterval(lo, hi, bases, (coeffs, residual, scale))
+    return GammaInterval(lo, hi, ends, (coeffs, residual, scale))
 
 
 def extend_one(
@@ -398,15 +410,26 @@ def extend_full_state(
     state = ExtensionState(f, p)
     for z in complement_basis(f.domain):
         state = extend_one(state, z, rule, seed=seed)
-    # each end of the last step is a point a^T y of D° on the whole space; when
-    # g is an end (the "upper" and "lower" rules), that end's basis of
-    # y-columns alone is a basis of the +g domination LP's dual too, and a
-    # g strictly inside the interval fits neither end's basis
-    last, start = (state.history or [None])[-1], None
-    if last is not None and last.gamma in (last.interval.lo, last.interval.hi):
-        start = [basis for basis in _end_bases(last) if np.all(basis < p.a.shape[0])] or None
+    res = _picked(state)  # g is its point a^T y; a g inside the interval fits no end
+    start = None if res is None else _domination_start(res, p.a)
     violation = _checked_domination(state.functional.as_coefficients(), p, seed=seed, start=start)
     return ExtensionState(state.functional, p, state.history, violation)
+
+
+def _domination_start(res: LPResult, a: np.ndarray) -> np.ndarray | None:
+    """A basis of the +g domination LP's dual: an end result's y-columns and
+    artificials on the coordinates that partial pivoting on those columns of
+    a^T leaves over, so that it is nonsingular (None if they are dependent)."""
+    m, n = a.shape
+    ys = res.basis[res.basis < m]
+    left, free = a[ys].T.copy(), np.ones(n, dtype=bool)
+    for j in range(ys.size):  # rows picked before are zero
+        i = int(np.argmax(np.abs(left[:, j])))
+        if left[i, j] == 0.0:
+            return None
+        free[i] = False
+        left -= np.outer(left[:, j] / left[i, j], left[i])
+    return np.concatenate([ys, m + np.flatnonzero(free)])
 
 
 def _checked_domination(g: np.ndarray, p: Seminorm, *, seed: int, start=None) -> float:

@@ -155,8 +155,8 @@ def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
     The one test of it: when S is not {0}, a polyhedron meets S when the
     largest ball centred in S inside it has r* > MIN_DEPTH (one LP; the
     message names r*), and a ball when its centre is nearer S than
-    r (1 - 1e-9).  Any other set is tested at the origin, then a membership
-    oracle at 500 seeded points of S.
+    r (1 - 1e-9).  Every set is then tested at the origin (``all(b > 0)`` for
+    a polyhedron), then a membership oracle at 500 seeded points of S.
     """
     if s.dim and isinstance(a_set, HPolyhedron):
         depth = _inscribed_ball(a_set, s.basis)[1]
@@ -166,9 +166,9 @@ def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
         c = a_set.center
         if float(np.linalg.norm(c - (s.basis @ c) @ s.basis)) < a_set.radius * (1.0 - 1e-9):
             raise InputError("precondition: the set intersects the subspace")
-    elif a_set.contains(np.zeros(a_set.dim)):
+    if a_set._member(np.zeros(a_set.dim)):
         raise InputError("precondition: the set contains the origin, which lies in the subspace")
-    elif s.dim:
+    if s.dim and not isinstance(a_set, (HPolyhedron, OpenBall)):
         for c in np.random.default_rng(seed).uniform(-10.0, 10.0, size=(500, s.dim)):
             if a_set.contains(c @ s.basis):
                 raise InputError("precondition: sampling found a subspace point inside the set")

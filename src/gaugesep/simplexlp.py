@@ -24,7 +24,7 @@ bit for bit as a cold solve's.  Started from the result itself, it also
 takes over the dual's columns and the phase-1 basis's inverse.  The lower
 end of an extension interval (``b_ub = -+a z``) starts from the upper end's
 result, each step's upper end from the basis of the end the step before
-picked, and ``domination_check``'s +g LP from that of the last step.
+picked, and ``domination_check``'s +g LP from that end's y-columns.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class LPResult:
     phase1_basis: np.ndarray | None = None  # where phase 1 ended (a ``start`` for any b_ub)
     basis: np.ndarray | None = None  # the final basis of the dual
     _phase1: tuple | None = field(default=None, repr=False, compare=False)  # (dual set-up, phase-1 inverse, pi)
+    _final: tuple | None = field(default=None, repr=False, compare=False)  # (phase-2 cost, inverse of ``basis``)
 
 
 def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv=None):
@@ -216,4 +217,20 @@ def _solve(c, a_ub, b_ub, mask, start) -> LPResult:
     y = np.zeros(b_ub.size)
     rows = basis < b_ub.size  # basic dual variables; the rest are zero
     y[basis[rows]] = np.maximum(binv[rows] @ rhs, 0.0)
-    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters, **kept)
+    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters, _final=(cost, binv), **kept)
+
+
+def _face_edges(res: LPResult) -> np.ndarray:
+    """Changes of y along the edges from an optimal result's final basis, one
+    per tied column j (nonbasic and priced within the tolerance ``_simplex``
+    stops on; the others cost more, so the optimal face lies in the cone of
+    these edges from y): the basic values change by -B^-1 col_j, column j by 1."""
+    _, sign, _, cols, _, inv_scale = res._phase1[0]
+    (cost, binv), m, n_enter = res._final, res.y.size, inv_scale.size
+    price_tol = PIVOT_TOL * max(1.0, float(np.abs(cost[:n_enter]).max(initial=0.0)))
+    score = (cost[:n_enter] - (sign * res.x) @ cols[:, :n_enter]) * inv_scale  # sign * x is the final pi
+    tied = np.setdiff1d((score <= price_tol).nonzero()[0], res.basis)
+    edges = np.zeros((cols.shape[1], tied.size))  # one row per column of the dual
+    edges[res.basis] = -(binv @ cols[:, tied])
+    edges[tied, np.arange(tied.size)] = 1.0
+    return edges[:m]

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gaugesep import (
     InputError,
     PartialFunctional,
     PolyhedralGauge,
+    SeparationOptions,
     SolverError,
     build_D,
     chebyshev_center,
@@ -20,6 +23,7 @@ from gaugesep import (
     extension_interval,
     gauge,
     gauge_from_symmetrized,
+    separate,
     solve_lp,
     span_basis,
     unit_ball,
@@ -28,12 +32,14 @@ from gaugesep import (
 
 from helpers import (
     BisectionGauge,
+    axis_box,
     dominated_functional,
     point_in_cone,
     random_ball_instance,
     random_polyhedral_gauge,
     random_polytope_instance,
     random_subspace,
+    rotated_box,
 )
 
 TAXICAB = PolyhedralGauge(
@@ -383,8 +389,9 @@ def recording_lps(monkeypatch, *, cold: bool = False) -> list:
 
 class TestDominationStarts:
     """``domination_check`` solves only the +g LP on a gauge with mirrored
-    rows, and ``extend_full_state`` starts that LP from the last step's end
-    bases; neither may change the value."""
+    rows, and ``extend_full_state`` starts that LP from the y-columns of the
+    end the last step picked, completed by artificials; neither may change
+    the value."""
 
     @staticmethod
     def mirrored_gauges():
@@ -437,25 +444,99 @@ class TestDominationStarts:
             p = gauge_from_symmetrized(build_D(poly, chebyshev_center(poly)[0]))
             cases.append((dominated_functional(rng, p, int(rng.integers(1, n)))[0], p))
 
-        def run(cold: bool) -> tuple[list[float], int]:
-            """(violations, pivots of the +g domination LPs)"""
+        def run(cold: bool) -> tuple[list[float], int, int]:
+            """(violations, pivots of the +g domination LPs, forced last steps)"""
             calls = recording_lps(monkeypatch, cold=cold)
-            violations, pivots = [], 0
+            violations, pivots, forced = [], 0, 0
             for f, p in cases:
                 calls.clear()
-                violations.append(extend_full_state(f, p, rule).violation)
+                state = extend_full_state(f, p, rule)
+                violations.append(state.violation)
                 start, plus = calls[-1]  # the +g domination LP, the only one on mirrored rows
-                # g strictly inside the last interval fits neither end's basis
+                # g strictly inside the last interval fits no end's basis
                 assert (start is None) == (cold or rule == "midpoint")
+                if start is not None:
+                    # the y-columns of the picked end (on a forced step, of the
+                    # end that forced it), then artificials on the other coordinates
+                    last = state.history[-1]
+                    end = last.interval._ends[0 if last.gamma == last.interval.hi else -1]
+                    m, n = p.a.shape
+                    ys = end.basis[end.basis < m]
+                    assert np.array_equal(start[: ys.size], ys)
+                    assert start.size == n and np.all((start[ys.size :] >= m) & (start[ys.size :] < m + n))
+                    forced += len(last.interval._ends) == 1
                 pivots += plus.iterations
-            return violations, pivots
+            return violations, pivots, forced
 
-        (warm, warm_pivots), (cold, cold_pivots) = run(False), run(True)
+        (warm, warm_pivots, forced), (cold, cold_pivots, _) = run(False), run(True)
         np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-12)
         if rule == "midpoint":
             assert warm_pivots == cold_pivots
-        else:  # g is the picked end, whose basis is optimal as it stands
-            assert warm_pivots < cold_pivots
+        else:  # g is the picked end, whose y is feasible as it stands
+            assert warm_pivots < cold_pivots and forced >= 3
+
+
+class TestForcedSteps:
+    """Once the end a step picked is the only point psi of its LP's optimal
+    face, every later interval is [psi . z, psi . z] and solves no LP.  On
+    seeded boxes every step after the first is forced under "upper" and
+    "lower"; replayed from its pre-step state through the two end LPs, each
+    must give both ends within 1e-9 max(1, |gamma|) of gamma."""
+
+    @staticmethod
+    def boxes():
+        rng = np.random.default_rng(70)
+        boxes = [rotated_box(rng, n) for n in (4, 6, 8, 10, 12) for _ in range(2)]
+        return boxes + [axis_box(rng, n) for n in (20, 40)]
+
+    @staticmethod
+    def steps(monkeypatch, box, rule: str) -> list:
+        """(pre-step state, direction, interval) of each extension step of ``separate``."""
+        seen = []
+
+        def recording(state, z, **kwargs):
+            interval = interval_of(state, z, **kwargs)
+            seen.append((state, z, interval))
+            return interval
+
+        interval_of = extension.extension_interval
+        with monkeypatch.context() as patch:
+            patch.setattr(extension, "extension_interval", recording)
+            assert separate(box.polyhedron(), box.subspace(), SeparationOptions(gamma_rule=rule)).certificate.valid
+        return seen
+
+    @pytest.mark.parametrize("rule", ["upper", "lower"])
+    def test_forced_steps_match_their_lps(self, monkeypatch, rule):
+        forced = 0
+        for box in self.boxes():
+            (_, _, first), *later = self.steps(monkeypatch, box, rule)
+            assert len(first._ends) == 2
+            for state, z, interval in later:
+                assert len(interval._ends) == 1 and interval.lo == interval.hi
+                hi, lo, _ = extension._lp_ends(state, z)
+                tol = 1e-9 * max(1.0, abs(interval.hi))
+                assert abs(hi - interval.hi) <= tol and abs(lo - interval.hi) <= tol
+                forced += 1
+        assert forced == 2 * (1 + 2 + 3 + 4) + 8 + 18
+
+    def test_midpoint_never_forces(self, monkeypatch):
+        for box in self.boxes():
+            for _, _, interval in self.steps(monkeypatch, box, "midpoint"):
+                assert len(interval._ends) == 2 and interval.width > 0.0
+
+    def test_an_edge_face_is_not_forced(self, monkeypatch):
+        # p is the l1 norm, so D° is the cube [-1, 1]^3; on psi_1 = 0.5 the
+        # upper end along e2 is the edge {(0.5, 1, t) : |t| <= 1}, not a
+        # point, and the interval along e3 comes from its two LPs
+        cube = PolyhedralGauge(np.array(list(product((-1.0, 1.0), repeat=3))), np.ones(8))
+        f = PartialFunctional(span_basis([np.array([1.0, 0.0, 0.0])]), np.array([0.5]))
+        calls = recording_lps(monkeypatch)
+        first, second = extend_full_state(f, cube, "upper").history
+        assert len(calls) == 2 + 2 + 2  # two intervals, then the +g and -g domination LPs
+        np.testing.assert_array_equal(first.direction, [0.0, 1.0, 0.0])
+        assert (first.interval.lo, first.interval.hi) == pytest.approx((-1.0, 1.0))
+        assert len(second.interval._ends) == 2
+        assert (second.interval.lo, second.interval.hi) == pytest.approx((-1.0, 1.0))
 
 
 class TestExtendWithValues:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -331,6 +332,15 @@ class TestPreconditionMessages:
         with pytest.raises(InputError, match="^precondition: the set contains the origin"):
             separate(oracle, span_basis([np.array([0.0, 0.0, 1.0])]), SeparationOptions(seed=seed))
 
+    def test_sets_holding_the_origin_by_a_hair(self):
+        # both hold the origin by 5e-10, less than the inscribed-ball LP's
+        # MIN_DEPTH and the ball's band, so the origin test names the cause
+        box = HPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.array([2.0, 1.0, 1.0, 5e-10, 1.0, 1.0]))
+        ball = OpenBall(np.array([1.0, 0.0, 0.0]), 1.0 + 5e-10)
+        for a_set in (box, ball):
+            with pytest.raises(InputError, match="^precondition: the set contains the origin"):
+                separate(a_set, span_basis([np.array([0.0, 0.0, 1.0])]))
+
     def test_polyhedron_meeting_the_subspace_names_the_inscribed_radius(self):
         # the largest ball centred on the e1 axis inside (1, 5) x (-0.5, 2) has radius 0.5
         box = HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([5.0, 2.0, -1.0, 0.5]))
@@ -441,11 +451,15 @@ class TestExtensionLPRegressions:
 
         monkeypatch.setattr(extension, "solve_lp", recording)
         box = self.boxes()[name]
+        # under "upper" every step after the first is forced and solves no
+        # LP; "midpoint" never forces, so each interval starts its lower end
+        # where its upper end's phase 1 ended, and each step's upper end but
+        # the first from the step before
         separate(box.polyhedron(), box.subspace())
-        # each interval starts its lower end where its upper end's phase 1
-        # ended, and each step's upper end but the first from the step before
-        started = [entry[4] is not None for entry in captured]
-        assert captured and started == [False, True] + [True, True] * (len(captured) // 2 - 1)
+        assert len(captured) == 2
+        separate(box.polyhedron(), box.subspace(), SeparationOptions(gamma_rule="midpoint"))
+        started = [entry[4] is not None for entry in captured[2:]]
+        assert len(started) > 2 and started == [False, True] + [True, True] * (len(started) // 2 - 1)
         pivots = {"warm": 0, "cold": 0}
         for i, (c, a_ub, b_ub, nonneg, start, res) in enumerate(captured):
             bounds = [(0, None) if flag else (None, None) for flag in nonneg]
@@ -459,11 +473,40 @@ class TestExtensionLPRegressions:
         assert pivots["warm"] < pivots["cold"]
 
 
+class TestExactCuts:
+    """On axis boxes the exact margin of a plane over the closure is
+    sum n_i (l_i or u_i) in rationals of the polyhedron's own rows, so no LP
+    is needed.  Picked interval ends give touching planes that rounding may
+    push across; on 40-D boxes the worst cut stays within 1e-14 |c|."""
+
+    @staticmethod
+    def exact_margin(poly, normal: np.ndarray) -> Fraction:
+        """min normal . e over the closure of a box whose rows are +-e_i."""
+        bounds = {}
+        for row, offset in zip(poly.a, poly.b):
+            (i,) = np.flatnonzero(row)
+            assert abs(row[i]) == 1.0
+            bounds[i, row[i] > 0.0] = Fraction(float(offset)) * int(row[i])
+        return sum(Fraction(float(v)) * bounds[i, v < 0.0] for i, v in enumerate(normal))
+
+    @pytest.mark.parametrize("rule", ["upper", "lower"])
+    def test_axis_40_cuts_stay_below_1e_14(self, rule):
+        worst = 0.0
+        for seed in range(20):
+            box = axis_box(np.random.default_rng(seed), 40)
+            poly = box.polyhedron()
+            result = separate(poly, box.subspace(), SeparationOptions(gamma_rule=rule))
+            margin = self.exact_margin(poly, np.asarray(result.hyperplane.normal))
+            worst = max(worst, float(-margin) / float(np.linalg.norm(box.c)))
+        assert worst <= 1e-14
+
+
 class TestWarmStepsUnderEveryGammaRule:
-    """Every extension step after the first starts its upper end from the LP
-    bases of the step before: the picked end's basis, else the other end's
-    (a value inside the interval leaves one of the two feasible).  Under each
-    gamma rule the normals must match runs whose steps all start cold."""
+    """Every extension step after the first that solves LPs starts its upper
+    end from the LP bases of the step before: the picked end's basis, else
+    the other end's (a value inside the interval leaves one of the two
+    feasible), and the domination LP starts from the picked end's y.  Under
+    each gamma rule the normals must match runs whose LPs all start cold."""
 
     @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
     def test_normals_match_cold_steps(self, monkeypatch, rule):
