@@ -223,7 +223,7 @@ class Problem:
         rule = options.get("gamma_rule", "upper")
         _require(rule in ("upper", "lower", "midpoint"), "options.gamma_rule", "expected upper|lower|midpoint")
         seed = options.get("seed", 0)
-        _require(_is_number(seed, int), "options.seed", "expected an integer")
+        _require(_is_number(seed, int) and seed >= 0, "options.seed", "expected a non-negative integer")
         self.gamma_rule: str = rule
         self.seed: int = seed
 
@@ -466,7 +466,11 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.command == "repro":
+            if args.seed is not None or args.gamma_rule is not None:
+                raise InputError("repro takes no --seed or --gamma-rule: each golden pins its problem's own options")
             return _cmd_repro(args)
         if not args.input:
             raise InputError(f"{args.command} requires --input")

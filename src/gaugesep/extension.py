@@ -10,9 +10,9 @@ By duality the upper end is also the support function of a slice of the
 polar body, ``max psi.z`` over ``psi`` in D° with ``psi = g`` on the domain.
 For polyhedral gauges the infimum is an exact small LP.  The two ends' LPs
 differ only in ``b_ub = -+a z``, which is only the cost of the dual that
-``solve_lp`` solves, so the lower end starts from the upper end's result,
-which hands over where its phase 1 ended.  Picking an end narrows the slice
-to that LP's optimal face; when the face is one point psi, every later
+``solve_lp`` solves, so the lower end starts from the basis where the upper
+end's phase 1 ended and pivots in phase 2 only.  Picking an end narrows the
+slice to that LP's optimal face; when the face is one point psi, every later
 interval is ``[psi.z, psi.z]`` and solves no LP.  Otherwise the picked end
 (for a value inside the interval, one of the two ends), with one artificial
 for the new dual row, is a feasible start for the next step's upper end; a
@@ -255,7 +255,7 @@ def _forced_end(state: ExtensionState) -> LPResult | None:
 def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[LPResult, ...]]:
     """(hi, lo, results of the two ends) for a polyhedral gauge, with
     (hi, lo) = (``_phi`` at z, minus ``_phi`` at -z): two LPs that differ
-    only in ``b_ub``, so the second starts from the first one's result.
+    only in ``b_ub``, so the second starts from the first one's ``phase1_basis``.
     The first starts from the end bases of the state's last step, the picked
     end's first, each with one artificial for the new dual row."""
     a, b = state.seminorm.a, state.seminorm.b
@@ -283,7 +283,7 @@ def _lp_ends(state: ExtensionState, z: np.ndarray) -> tuple[float, float, tuple[
         if res.status != "optimal":
             raise SolverError(f"extension LP failed with status {res.status!r} ({m} rows, {k + 1} vars)")
         results.append(res)
-        start = res
+        start = res.phase1_basis
     return results[0].objective, -results[1].objective, tuple(results)
 
 

@@ -54,8 +54,8 @@ from .geometry import (
 from .simplexlp import solve_lp
 
 # relative bound of the exact side test (see SeparationCertificate): planes
-# from separate() on 40-D boxes cut their closure by up to 3e-12 of the
-# scale, exactly, from rounding in the extension
+# from separate() on 40-D axis boxes cut their closure, exactly, by at most
+# 1e-14 |c| from rounding in the extension (tests TestExactCuts)
 SIDE_TOL = 1e-10
 
 

@@ -19,12 +19,12 @@ the artificial one: a basis that is singular or not feasible is dropped, so
 a start can save pivots but never makes an LP fail.  ``b_ub`` enters only the
 dual's cost, so phase 1 depends on ``c``, ``a_ub`` and ``nonneg`` alone: an
 LP that differs from an earlier one only in ``b_ub`` and starts from that
-result's ``phase1_basis`` pivots only in phase 2, and its result is the same
-bit for bit as a cold solve's.  Started from the result itself, it also
-takes over the dual's columns and the phase-1 basis's inverse.  The lower
-end of an extension interval (``b_ub = -+a z``) starts from the upper end's
-result, each step's upper end from the basis of the end the step before
-picked, and ``domination_check``'s +g LP from that end's y-columns.
+result's ``phase1_basis`` prices optimal in phase 1 with no pivot, and its
+result is the same bit for bit as a cold solve's.  A basis is the only
+start: the lower end of an extension interval (``b_ub = -+a z``) starts
+from the upper end's ``phase1_basis``, each step's upper end from the basis
+of the end the step before picked, and ``domination_check``'s +g LP from
+that end's y-columns.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class LPResult:
     iterations: int = 0
     phase1_basis: np.ndarray | None = None  # where phase 1 ended (a ``start`` for any b_ub)
     basis: np.ndarray | None = None  # the final basis of the dual
-    _phase1: tuple | None = field(default=None, repr=False, compare=False)  # (dual set-up, phase-1 inverse, pi)
-    _final: tuple | None = field(default=None, repr=False, compare=False)  # (phase-2 cost, inverse of ``basis``)
+    # (sign, dual columns, column scales, phase-2 cost, inverse of ``basis``) when optimal
+    _final: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv=None):
@@ -134,36 +134,35 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
     is at least ``-b_ub @ y`` on the whole feasible set.
 
     ``start`` is a basis of the dual to start phase 1 from, or rows of
-    bases to try in order: each one is ``c.size`` column indices into
-    (y: one per row of ``a_ub``; s: one per masked variable; artificials:
-    one per variable), as in a result's ``phase1_basis`` and ``basis``.
-    Phase 1 starts from the first one that is nonsingular and feasible, and
-    from the artificial basis when there is none.  ``start`` may also be an
-    earlier result: one of an LP with the same ``c``, ``a_ub`` and
-    ``nonneg`` hands over where its phase 1 ended, with that basis's
-    inverse; one of another LP starts from its ``phase1_basis``.
+    bases to try in order: each one is ``c.size`` integer column indices
+    into (y: one per row of ``a_ub``; s: one per masked variable;
+    artificials: one per variable), as in a result's ``phase1_basis`` and
+    ``basis``.  Phase 1 starts from the first one that is nonsingular and
+    feasible, and from the artificial basis when there is none.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
-    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
+    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
-    if a_ub.shape[0] != b_ub.size:
-        raise SolverError("constraint matrix/vector shapes disagree")
     mask = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool).reshape(-1)
-    return _solve(c, a_ub, b_ub, mask, start)
+    if a_ub.shape != (b_ub.size, n) or mask.size != n:
+        raise SolverError("constraint matrix/vector shapes disagree")
+    bases = np.zeros((0, n), dtype=int) if start is None else np.atleast_2d(np.asarray(start))
+    if bases.ndim != 2 or (bases.size and bases.dtype.kind not in "iu"):
+        raise SolverError("start must be a basis of the dual or rows of bases (integer column indices)")
+    return _solve(c, a_ub, b_ub, mask, bases)
 
 
-def _start(cols, rhs, start, zero_tol, known=None):
-    """The first basis in ``start`` that is nonsingular and feasible, with its
-    inverse (``known``, when given, is that of the only one); else the
-    artificial basis, whose inverse ``_simplex`` computes."""
+def _start(cols, rhs, bases, zero_tol):
+    """The first of ``bases`` that is nonsingular and feasible, with its
+    inverse; else the artificial basis, whose inverse ``_simplex`` computes."""
     n = rhs.size
-    for basis in () if start is None else np.atleast_2d(start):
+    for basis in bases:
         basis = basis.astype(int)  # a copy: ``_simplex`` pivots it in place
         if basis.size != n or len(set(basis.tolist())) != n or np.any((basis < 0) | (basis >= cols.shape[1])):
             continue
         try:
-            binv = np.linalg.inv(cols[:, basis]) if known is None else known
+            binv = np.linalg.inv(cols[:, basis])
         except np.linalg.LinAlgError:
             continue
         # a near-singular basis inverts without an error, but not to an inverse
@@ -172,37 +171,28 @@ def _start(cols, rhs, start, zero_tol, known=None):
     return cols.shape[1] - n + np.arange(n), None
 
 
-def _solve(c, a_ub, b_ub, mask, start) -> LPResult:
+def _solve(c, a_ub, b_ub, mask, bases) -> LPResult:
     """``solve_lp`` on checked arrays; the zero-cost re-solve calls this, not
     the public name, so that a wrapper of ``solve_lp`` sees one LP."""
     n = c.size
-    setup, known, pi = getattr(start, "_phase1", None) or (None, None, None)
-    if setup is None or not all(np.array_equal(u, v) for u, v in zip(setup[0], (c, a_ub, mask))):
-        known = None  # a result of another LP starts from its basis alone
-        # dual rows scaled by ``sign`` so that the right-hand side |c| is >= 0;
-        # columns: y (one per constraint), surplus s (masked variables), artificials
-        sign = np.where(c > 0.0, -1.0, 1.0)
-        rhs = np.abs(c)
-        cols = np.hstack([sign[:, None] * a_ub.T, -np.diag(sign)[:, mask], np.eye(n)])
-        enter = cols[:, : cols.shape[1] - n]
-        inv_scale = 1.0 / (1.0 + np.sqrt((enter * enter).sum(axis=0)))
-        zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
-        setup = ((c.copy(), a_ub.copy(), mask.copy()), sign, rhs, cols, zero_tol, inv_scale)
-    if isinstance(start, LPResult):
-        start = start.phase1_basis
-    _, sign, rhs, cols, zero_tol, inv_scale = setup
+    # dual rows scaled by ``sign`` so that the right-hand side |c| is >= 0;
+    # columns: y (one per constraint), surplus s (masked variables), artificials
+    sign = np.where(c > 0.0, -1.0, 1.0)
+    rhs = np.abs(c)
+    cols = np.hstack([sign[:, None] * a_ub.T, -np.diag(sign)[:, mask], np.eye(n)])
     n_enter = cols.shape[1] - n
+    enter = cols[:, :n_enter]
+    inv_scale = 1.0 / (1.0 + np.sqrt((enter * enter).sum(axis=0)))
+    zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
-    basis, binv = _start(cols, rhs, start, zero_tol, known)
-    iters = 0
-    if known is None or binv is not known:  # phase 1 has not yet ended at this basis
-        cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
-        status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, inv_scale, binv)
-        if status != "optimal":
-            raise SolverError("phase-1 objective unbounded; malformed constraints")
-    kept = {"phase1_basis": basis.copy(), "basis": basis, "_phase1": (setup, binv, pi)}
+    basis, binv = _start(cols, rhs, bases, zero_tol)
+    cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
+    status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, inv_scale, binv)
+    if status != "optimal":
+        raise SolverError("phase-1 objective unbounded; malformed constraints")
+    kept = {"phase1_basis": basis.copy(), "basis": basis}
     if float(pi @ rhs) > zero_tol:  # the dual is infeasible (never with c = 0)
-        feasible = _solve(np.zeros(n), a_ub, b_ub, mask, None)
+        feasible = _solve(np.zeros(n), a_ub, b_ub, mask, bases[:0])
         iters += feasible.iterations
         if feasible.status == "infeasible":
             return LPResult("infeasible", iterations=iters, **kept)
@@ -217,7 +207,8 @@ def _solve(c, a_ub, b_ub, mask, start) -> LPResult:
     y = np.zeros(b_ub.size)
     rows = basis < b_ub.size  # basic dual variables; the rest are zero
     y[basis[rows]] = np.maximum(binv[rows] @ rhs, 0.0)
-    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters, _final=(cost, binv), **kept)
+    final = (sign, cols, inv_scale, cost, binv)
+    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters, _final=final, **kept)
 
 
 def _face_edges(res: LPResult) -> np.ndarray:
@@ -225,8 +216,8 @@ def _face_edges(res: LPResult) -> np.ndarray:
     per tied column j (nonbasic and priced within the tolerance ``_simplex``
     stops on; the others cost more, so the optimal face lies in the cone of
     these edges from y): the basic values change by -B^-1 col_j, column j by 1."""
-    _, sign, _, cols, _, inv_scale = res._phase1[0]
-    (cost, binv), m, n_enter = res._final, res.y.size, inv_scale.size
+    sign, cols, inv_scale, cost, binv = res._final
+    m, n_enter = res.y.size, inv_scale.size
     price_tol = PIVOT_TOL * max(1.0, float(np.abs(cost[:n_enter]).max(initial=0.0)))
     score = (cost[:n_enter] - (sign * res.x) @ cols[:, :n_enter]) * inv_scale  # sign * x is the final pi
     tied = np.setdiff1d((score <= price_tol).nonzero()[0], res.basis)

@@ -413,10 +413,9 @@ STALL = 20
 
 
 def reference_solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
-    """``solve_lp`` as it was before it kept its basis matrix, handed a
-    result's phase-1 inverse on, and inverted through the LAPACK kernel
-    directly: every basis gathered from the columns and inverted by
-    ``np.linalg.inv``, phase 1 run from every start.  ``start`` is a basis or
+    """``solve_lp`` as it was before it kept its basis matrix and inverted
+    through the LAPACK kernel directly: every basis gathered from the
+    columns and inverted by ``np.linalg.inv``, phase 1 run from every start.  ``start`` is a basis or
     rows of bases, as in ``solve_lp``."""
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size

@@ -271,6 +271,20 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert "--normal must be a comma-separated number list" in err
 
+    def test_negative_seed_in_file_exit_3(self, capsys, tmp_path):
+        bad = {**DISK_PROBLEM, "options": {"seed": -1}}
+        code, out, err = run_cli(capsys, "separate", "--input", write(tmp_path, "seed.json", bad))
+        assert (code, out) == (3, "")
+        assert "schema: options.seed: expected a non-negative integer" in err
+
+    @pytest.mark.parametrize("name", ["disk", "example2"])
+    def test_negative_seed_flag_exit_4(self, capsys, tmp_path, name):
+        # on a ball and on a polyhedron alike, as a bad --normal
+        path = write(tmp_path, "disk.json", DISK_PROBLEM) if name == "disk" else name
+        code, out, err = run_cli(capsys, "separate", "--input", path, "--seed", "-1")
+        assert (code, out) == (4, "")
+        assert "--seed must be a non-negative integer" in err
+
     def test_cube_problem_is_valid(self, capsys, tmp_path):
         path = write(tmp_path, "cube8.json", cube8_problem())
         code, out, _ = run_cli(capsys, "conic", "--input", path, "--point=" + ",".join(["3"] * 8))
@@ -422,6 +436,14 @@ class TestSubcommands:
         lines = [line for line in out.splitlines() if line.startswith("REPRO")]
         assert len(lines) == 3
         assert all(line.endswith("PASS") for line in lines)
+
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--gamma-rule", "lower"]], ids=["seed", "gamma-rule"])
+    def test_repro_rejects_overrides_exit_4(self, capsys, flag):
+        # each golden pins its problem's own options, so an override would
+        # only turn the goldens into failures
+        code, out, err = run_cli(capsys, "repro", *flag)
+        assert (code, out) == (4, "")
+        assert "repro takes no --seed or --gamma-rule" in err
 
     def test_gamma_rule_flag(self, capsys):
         code, out, _ = run_cli(capsys, "separate", "--input", "example1", "--gamma-rule", "midpoint")

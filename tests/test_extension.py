@@ -134,7 +134,7 @@ class TestExtensionInterval:
             assert via_lp.hi == pytest.approx(via_search.hi, abs=1e-5)
 
     def test_lp_ends_match_two_cold_solves(self, monkeypatch):
-        # the lower end's LP starts from the upper end's result, where its
+        # the lower end's LP starts from the basis where the upper end's
         # phase 1 ended, and every step's upper end but the first from the
         # bases of the step before; both ends must match cold solves of the
         # same two LPs, exactly while the upper end starts cold
@@ -159,7 +159,7 @@ class TestExtensionInterval:
                 interval = extension_interval(state, z)
                 (*_, up_start, up), (*_, down_start, _) = calls
                 assert (up_start is None) == (step == 0)
-                assert down_start is up
+                assert np.array_equal(down_start, up.phase1_basis)
                 cold_up, cold_down = (
                     solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg) for c, a_ub, b_ub, nonneg, *_ in calls
                 )

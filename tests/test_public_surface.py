@@ -1,6 +1,7 @@
 """The public surface: ``gaugesep.__all__``, and the test-only machinery that
 lives in ``tests/helpers.py`` instead of the package."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -11,6 +12,7 @@ import gaugesep
 from gaugesep import OpenBall, OracleSet, chebyshev_center, pick_interior_point
 from gaugesep.convexsets import sample_interior
 from gaugesep.separation import _certificate, verify_separation
+from gaugesep.simplexlp import LPResult
 
 # every module but __main__, which runs the CLI on import
 MODULES = [gaugesep] + [
@@ -53,6 +55,8 @@ def test_removed_names_are_gone():
         left = [name for name in REMOVED if hasattr(module, name)]
         assert left == [], module.__name__
     assert not hasattr(gaugesep.Subspace, "projector_matrix")
+    # a basis is the one warm start of solve_lp: a result hands nothing else on
+    assert "_phase1" not in {f.name for f in dataclasses.fields(LPResult)}
     assert "start" not in inspect.signature(sample_interior).parameters
     assert "start" not in inspect.signature(_certificate).parameters
     # remark2_equivalence_check is the one Remark-2 entry point

@@ -108,6 +108,22 @@ class TestSolveLP:
             assert res.objective == pytest.approx(ref_val, abs=1e-7)
             checked += 1
 
+    def test_transposed_constraint_matrix_raises(self):
+        # 2 variables and 3 offsets: a 2x3 a_ub is not three rows of two
+        with pytest.raises(SolverError, match="shapes disagree"):
+            solve_lp([1.0, 1.0], a_ub=[[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]], b_ub=[1.0, 1.0, 1.0])
+
+    def test_nonneg_of_the_wrong_length_raises(self):
+        with pytest.raises(SolverError, match="shapes disagree"):
+            solve_lp([1.0, 1.0], a_ub=[[-1.0, 0.0], [0.0, -1.0]], b_ub=[1.0, 1.0], nonneg=[True])
+
+    def test_start_that_is_not_integer_bases_raises(self):
+        a_ub, b_ub = [[-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0]
+        first = solve_lp([1.0, 1.0], a_ub=a_ub, b_ub=b_ub)
+        for start in (first, first.phase1_basis.astype(float), [[[0, 1]]], [True, False]):
+            with pytest.raises(SolverError, match="start"):
+                solve_lp([1.0, 1.0], a_ub=a_ub, b_ub=b_ub, start=start)
+
 
 def bounded_lp(rng, n, m):
     """``m`` random rows, the first of them twice, plus the box |x_i| <= 4,
@@ -323,12 +339,6 @@ class TestStart:
             warm = solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask, start=first.phase1_basis)
             assert_same_result(warm, cold)
             assert np.array_equal(warm.phase1_basis, cold.phase1_basis)
-            # the result itself hands over its phase-1 basis and inverse
-            by_result = solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask, start=first)
-            assert_same_result(by_result, cold)
-            assert_same_result(by_result, warm)
-            assert np.array_equal(by_result.phase1_basis, cold.phase1_basis)
-            assert by_result.iterations == warm.iterations
             # the first LP started where its own phase 1 ended pivots in phase 2 only
             phase1 = first.iterations - solve_lp(c, a_ub=a, b_ub=b, nonneg=mask, start=first.phase1_basis).iterations
             assert warm.iterations == cold.iterations - phase1
@@ -427,30 +437,18 @@ class TestKernelIdentity:
     @staticmethod
     def check(c, a_ub, b_ub, nonneg=None, start=None) -> LPResult:
         got = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
-        ref_start = start.phase1_basis if isinstance(start, LPResult) else start
-        assert_identical(got, reference_solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=ref_start))
+        assert_identical(got, reference_solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start))
         return got
 
     def test_start_cases_and_results_as_starts(self):
         statuses = set()
         for c, a, b, mask in TestStart.cases():
             first = self.check(c, a, b, mask)
-            for b_ub in (b, -b):  # result-as-start on both signs of b_ub
-                self.check(c, a, b_ub, mask, start=first)
+            for b_ub in (b, -b):  # a result's bases as starts, on both signs of b_ub
                 self.check(c, a, b_ub, mask, start=first.phase1_basis)
+                self.check(c, a, b_ub, mask, start=first.basis)
             statuses.add(first.status)
         assert statuses == {"optimal", "unbounded"}
-
-    def test_results_that_cannot_hand_over_fall_back(self):
-        # a result of another LP or with no inverse starts from its
-        # phase1_basis; one whose inverse fails _start's check, from nothing
-        for c, a, b, mask in TestStart.cases():
-            first = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask)
-            setup, binv, pi = first._phase1
-            self.check(c, a, -b, mask, start=solve_lp(c, a_ub=a[::-1], b_ub=b, nonneg=mask))
-            self.check(c, a, -b, mask, start=dataclasses.replace(first, _phase1=None))
-            got = solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask, start=dataclasses.replace(first, _phase1=(setup, 2.0 * binv, pi)))
-            assert_identical(got, reference_solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask))
 
     def test_list_starts_with_a_rejected_first_basis(self):
         for c, a, b, mask in TestStart.cases():
@@ -464,19 +462,20 @@ class TestKernelIdentity:
         c = [-0.75, 150.0, -0.02, 6.0]
         a_ub = [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]
         first = self.check(c, a_ub, [0.0, 0.0, 1.0], [True] * 4)
-        self.check(c, a_ub, [0.0, 0.0, -1.0], [True] * 4, start=first)
-        self.check(c, a_ub, [0.0, 0.0, 1.0], [True] * 4, start=first)
+        self.check(c, a_ub, [0.0, 0.0, -1.0], [True] * 4, start=first.phase1_basis)
+        self.check(c, a_ub, [0.0, 0.0, 1.0], [True] * 4, start=first.phase1_basis)
 
     def test_every_lp_of_separate_on_seeded_boxes(self, monkeypatch):
         # the degenerate inscribed-ball LP, the extension's two ends per step
-        # (the lower one started from the upper one's result) and the
+        # (the lower one started from the upper one's phase1_basis) and the
         # domination and certificate LPs of axis and rotated boxes; under
         # "upper" only the first step solves LPs, and "midpoint" never forces
-        calls = []
+        calls, results = [], []
 
         def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
             calls.append((c, a_ub, b_ub, nonneg, start))
-            return solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+            results.append(solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start))
+            return results[-1]
 
         for module in (convexsets, extension, separation):
             monkeypatch.setattr(module, "solve_lp", recording)
@@ -485,7 +484,8 @@ class TestKernelIdentity:
         for box in boxes:
             for rule in ("upper", "midpoint"):
                 separate(box.polyhedron(), box.subspace(), SeparationOptions(gamma_rule=rule))
-        assert sum(isinstance(call[-1], LPResult) for call in calls) >= 20
+        lower_ends = sum(call[-1] is res.phase1_basis for call, res in zip(calls[1:], results))
+        assert lower_ends >= 20
         for c, a_ub, b_ub, nonneg, start in calls:
             self.check(c, a_ub, b_ub, nonneg, start)
 
