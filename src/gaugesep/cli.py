@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     SolverError,
 )
-from .extension import extend_full_state
+from .extension import GAMMA_RULES, extend_full_state
 from .fixtures import oracle_by_name
 from .gauges import ExplicitMaxAbs, PolyhedralGauge, gauge, gauge_from_symmetrized
 from .geometry import Hyperplane, Subspace, span_basis, zero_subspace
@@ -221,7 +221,7 @@ class Problem:
         _require(isinstance(options, dict), "options", "expected an object")
         _closed(options, "options.", ("gamma_rule", "seed"))
         rule = options.get("gamma_rule", "upper")
-        _require(rule in ("upper", "lower", "midpoint"), "options.gamma_rule", "expected upper|lower|midpoint")
+        _require(rule in GAMMA_RULES, "options.gamma_rule", "expected " + "|".join(GAMMA_RULES))
         seed = options.get("seed", 0)
         _require(_is_number(seed, int) and seed >= 0, "options.seed", "expected a non-negative integer")
         self.gamma_rule: str = rule
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", help="problem file path or bundled name (example1, example2, example3_quotient)")
     parser.add_argument("--point", help="comma-separated coordinates for gauge/conic")
     parser.add_argument("--normal", help="comma-separated hyperplane normal for verify")
-    parser.add_argument("--gamma-rule", dest="gamma_rule", choices=["upper", "lower", "midpoint"])
+    parser.add_argument("--gamma-rule", dest="gamma_rule", choices=GAMMA_RULES)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--output", help="write the result document here instead of stdout")
     parser.add_argument("--svg", help="SVG output path for render")

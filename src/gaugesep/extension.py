@@ -23,8 +23,8 @@ interval to about 1e-6.  ``domination_check`` measures ``|g| <= p`` on the
 polar side too, as ``p*(g) - 1``: exactly from the LPs ``max +-g . e`` over
 ``p <= 1`` for polyhedral gauges (only +g on mirrored rows, where
 p*(-g) = p*(g)) and from the polar for ball-cone gauges, by seeded sampling
-and ascent for oracle gauges.  When the last step picked an end, g is that
-end's point a^T y, so a full extension starts the +g LP from y's columns.
+and ascent for oracle gauges.  ``extend_full_state`` checks its result that
+way; ``separate()`` leaves that to its exact certificates (Remark 2).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .geometry import (
 from .simplexlp import PIVOT_TOL, LPResult, _face_edges, solve_lp
 
 DOMINATION_TOL = 1e-6
+GAMMA_RULES = ("upper", "lower", "midpoint")
 SEARCH_RESTARTS = 8
 SEARCH_ITERATIONS = 200
 
@@ -69,13 +70,9 @@ class GammaInterval:
         return 0.5 * (self.lo + self.hi)
 
     def pick(self, rule: str) -> float:
-        if rule == "upper":
-            return self.hi
-        if rule == "lower":
-            return self.lo
-        if rule == "midpoint":
-            return self.midpoint
-        raise InputError(f"unknown gamma rule {rule!r}; use upper, lower, or midpoint")
+        if rule not in GAMMA_RULES:
+            raise InputError(f"unknown gamma rule {rule!r}; use one of {GAMMA_RULES}")
+        return self.hi if rule == "upper" else self.lo if rule == "lower" else self.midpoint
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +88,7 @@ class ExtensionStep:
 @dataclass(frozen=True, eq=False)
 class ExtensionState:
     """Current (domain, functional) pair plus the trail of extension steps;
-    ``violation`` is ``domination_check`` of a full extension, else None."""
+    ``violation`` is ``domination_check`` of a checked full extension, else None."""
 
     functional: PartialFunctional
     seminorm: Seminorm
@@ -232,21 +229,17 @@ def _ball_phi(p: BallConeGauge, basis: np.ndarray, w: np.ndarray, z: np.ndarray)
     return max(values)
 
 
-def _picked(state: ExtensionState) -> LPResult | None:
+def _forced_end(state: ExtensionState) -> LPResult | None:
     """The LP result of the interval end the state's last step picked (on a
-    forced interval, of the end that forced it); None when it picked none."""
+    forced interval, of the end that forced it; None when it picked none)
+    when its point psi = a^T y is its LP's whole optimal face, as no tied
+    edge from y (``_face_edges``) moves psi beyond ``PIVOT_TOL`` of its
+    terms (sufficient, not necessary); a forced interval hands it on."""
     last = state.history[-1] if state.history else None
     if last is None or not last.interval._ends or last.gamma not in (last.interval.lo, last.interval.hi):
         return None
-    return last.interval._ends[0 if last.gamma == last.interval.hi else -1]
-
-
-def _forced_end(state: ExtensionState) -> LPResult | None:
-    """``_picked`` when its point psi = a^T y is its LP's whole optimal face,
-    as no tied edge from y (``_face_edges``) moves psi beyond ``PIVOT_TOL``
-    of its terms (sufficient, not necessary); a forced interval hands it on."""
-    res = _picked(state)
-    if res is None or len(state.history[-1].interval._ends) == 1:
+    res = last.interval._ends[0 if last.gamma == last.interval.hi else -1]
+    if len(last.interval._ends) == 1:
         return res
     a, edges = state.seminorm.a, _face_edges(res)
     return res if np.all(np.abs(a.T @ edges) <= PIVOT_TOL * (np.abs(a.T) @ np.abs(edges))) else None
@@ -388,6 +381,20 @@ def _check_domain(f: PartialFunctional, p: Seminorm) -> None:
             raise InputError("functional is not dominated by the seminorm on its domain basis")
 
 
+def _extend_steps(f: PartialFunctional, p: Seminorm, rule: str, *, seed: int) -> ExtensionState:
+    """``f`` extended over the deterministic completion order, unchecked
+    (``violation`` None); the zero functional extends to zero directly,
+    with ``violation`` -1 (``p*(0) - 1``)."""
+    _check_domain(f, p)
+    n = f.domain.ambient_dim
+    if f.is_zero():
+        return ExtensionState(PartialFunctional(Subspace(n, np.eye(n)), np.zeros(n)), p, violation=-1.0)
+    state = ExtensionState(f, p)
+    for z in complement_basis(f.domain):
+        state = extend_one(state, z, rule, seed=seed)
+    return state
+
+
 def extend_full_state(
     f: PartialFunctional,
     p: Seminorm,
@@ -397,51 +404,30 @@ def extend_full_state(
 ) -> ExtensionState:
     """Extend ``f`` to the whole space over the deterministic completion order.
 
-    The zero functional extends to zero directly, with ``violation`` -1
-    (``p*(0) - 1``).  Otherwise the result is verified by
-    ``domination_check``, whose value is kept as ``violation``, and a
-    SolverError is raised past ``DOMINATION_TOL`` (this is where a
+    An unknown ``rule`` raises InputError before any LP.  The result is
+    verified by ``domination_check``, whose value is kept as ``violation``,
+    and a SolverError is raised past ``DOMINATION_TOL`` (this is where a
     non-balanced "gauge" gets caught).
     """
-    _check_domain(f, p)
-    n = f.domain.ambient_dim
-    if f.is_zero():
-        return ExtensionState(PartialFunctional(Subspace(n, np.eye(n)), np.zeros(n)), p, violation=-1.0)
-    state = ExtensionState(f, p)
-    for z in complement_basis(f.domain):
-        state = extend_one(state, z, rule, seed=seed)
-    res = _picked(state)  # g is its point a^T y; a g inside the interval fits no end
-    start = None if res is None else _domination_start(res, p.a)
-    violation = _checked_domination(state.functional.as_coefficients(), p, seed=seed, start=start)
-    return ExtensionState(state.functional, p, state.history, violation)
+    if rule not in GAMMA_RULES:
+        raise InputError(f"unknown gamma rule {rule!r}; use one of {GAMMA_RULES}")
+    state = _extend_steps(f, p, rule, seed=seed)
+    if state.violation is None:
+        violation = _checked_domination(state.functional.as_coefficients(), p, seed=seed)
+        state = ExtensionState(state.functional, p, state.history, violation)
+    return state
 
 
-def _domination_start(res: LPResult, a: np.ndarray) -> np.ndarray | None:
-    """A basis of the +g domination LP's dual: an end result's y-columns and
-    artificials on the coordinates that partial pivoting on those columns of
-    a^T leaves over, so that it is nonsingular (None if they are dependent)."""
-    m, n = a.shape
-    ys = res.basis[res.basis < m]
-    left, free = a[ys].T.copy(), np.ones(n, dtype=bool)
-    for j in range(ys.size):  # rows picked before are zero
-        i = int(np.argmax(np.abs(left[:, j])))
-        if left[i, j] == 0.0:
-            return None
-        free[i] = False
-        left -= np.outer(left[:, j] / left[i, j], left[i])
-    return np.concatenate([ys, m + np.flatnonzero(free)])
-
-
-def _checked_domination(g: np.ndarray, p: Seminorm, *, seed: int, start=None) -> float:
+def _checked_domination(g: np.ndarray, p: Seminorm, *, seed: int) -> float:
     """``domination_check`` of a full extension ``g``, raising SolverError
     past ``DOMINATION_TOL``."""
-    violation = domination_check(g, p, seed=seed, start=start)
+    violation = domination_check(g, p, seed=seed)
     if violation > DOMINATION_TOL:
         raise SolverError(f"extension violates domination by {violation:.3e}")
     return violation
 
 
-def domination_check(g, p: Seminorm, seed: int = 0, *, start=None) -> float:
+def domination_check(g, p: Seminorm, seed: int = 0) -> float:
     """``p*(g) - 1`` with ``p*(g) = sup |g . e| / p(e)``; <= 0 means dominated.
 
     ``|g| <= p`` says that g lies in the polar body D°, so the value is
@@ -449,25 +435,25 @@ def domination_check(g, p: Seminorm, seed: int = 0, *, start=None) -> float:
     Polyhedral gauges take the larger of the two LPs ``max +-g . e`` over
     ``p <= 1`` (``inf`` when one is unbounded: g is then nonzero on the
     kernel of p); ball-cone gauges take the closed-form polar.  Both are
-    exact and draw nothing.  ``start`` is a basis of the +g LP's dual, as in
-    ``solve_lp``.  On a gauge with mirrored rows (``gauges._mirror_rows``:
-    those of ``gauge_from_symmetrized`` and ``ExplicitMaxAbs``) p(-e) = p(e),
-    so p*(-g) = p*(g) and only the +g LP is solved.  Oracle gauges sample
-    256 seeded directions and refine the best one, and ``g`` itself, by a
-    deterministic coordinate ascent, so that clear violations cannot hide
-    between samples; there ``|g . e|`` is first lowered by ``1e-9 |g| |e|``,
-    so that rounding left on the kernel of p does not read as infinite.
+    exact and draw nothing.  On a gauge with mirrored rows
+    (``gauges._mirror_rows``: those of ``gauge_from_symmetrized`` and
+    ``ExplicitMaxAbs``) p(-e) = p(e), so p*(-g) = p*(g) and only the +g LP
+    is solved.  Oracle gauges sample 256 seeded directions and refine the
+    best one, and ``g`` itself, by a deterministic coordinate ascent, so
+    that clear violations cannot hide between samples; there ``|g . e|`` is
+    first lowered by ``1e-9 |g| |e|``, so that rounding left on the kernel
+    of p does not read as infinite.
     """
     g = as_vector(g, p.dim)
     if isinstance(p, PolyhedralGauge):
         best = 0.0
         for sign in (1.0,) if _mirror_rows(p) else (1.0, -1.0):
-            res = solve_lp(-sign * g, a_ub=p.a, b_ub=p.b, start=start)
+            res = solve_lp(-sign * g, a_ub=p.a, b_ub=p.b)
             if res.status == "unbounded":
                 return np.inf
             if res.status != "optimal":
                 raise SolverError(f"domination LP failed with status {res.status!r}")
-            best, start = max(best, -res.objective), None
+            best = max(best, -res.objective)
         return best - 1.0
     if isinstance(p, BallConeGauge):
         return p.polar(g)[0] - 1.0

@@ -32,12 +32,13 @@ from .convexsets import (
 )
 from .errors import DegenerateError, EmptySetError, InputError, SolverError
 from .extension import (
+    GAMMA_RULES,
     ExtensionState,
     ExtensionStep,
     _check_domain,
     _checked_domination,
+    _extend_steps,
     domination_check,
-    extend_full_state,
 )
 from .gauges import Seminorm, gauge, gauge_from_symmetrized, unit_ball
 from .geometry import (
@@ -90,9 +91,9 @@ class SeparationCertificate:
     to rounding, so that ``side * normal . e = -y . (a e) > -y . b`` on the
     set: the separation checked without an LP.  ``farkas_residual``:
     max |a^T y + side * normal|.  ``remark2_status``: domination and
-    disjointness agreed; ``separate()`` gates domination, so there it is
-    ``sign_constant``, and ``verify_separation`` has no extension to test,
-    so there it is None.
+    disjointness agreed; in ``separate()``, by Remark 2, it is the
+    certificate's verdict ``sign_constant``, and ``verify_separation`` has
+    no extension to test, so there it is None.
     """
 
     s_in_h_residual: float
@@ -234,16 +235,23 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
 
     Precondition: the set and the subspace are disjoint (``_check_disjoint``:
     exact for polyhedra and balls, the origin and samples for oracles), and
-    S is not the whole space (DegenerateError, before any LP).  A hyperplane
-    whose certificate is not valid is never returned: SolverError names the
-    failed checks instead.  The anchor ``opts.x`` must lie in the set's
-    conic hull; without one, ``pick_interior_point`` picks it, and a set it
-    finds empty (a polyhedron with no interior point deeper than
-    ``MIN_DEPTH``) gets the first direction of the deterministic completion
-    of ``s``'s basis as normal, under the same certificate: on a polyhedron
-    that only looks empty a plane that crosses it raises.
+    S is not the whole space; that, an unknown ``opts.gamma_rule`` and a
+    negative ``opts.seed`` raise before any LP.  A hyperplane whose
+    certificate is not valid is never returned: SolverError names the failed
+    checks instead.  By Remark 2 the certificate also decides that g is
+    dominated; only a sampled one adds ``domination_check``.  The anchor
+    ``opts.x`` must lie in the set's conic hull; without one,
+    ``pick_interior_point`` picks it, and a set it finds empty (a polyhedron
+    with no interior point deeper than ``MIN_DEPTH``) gets the first
+    direction of the deterministic completion of ``s``'s basis as normal,
+    under the same certificate: on a polyhedron that only looks empty a
+    plane that crosses it raises.
     """
     opts = opts or SeparationOptions()
+    if opts.gamma_rule not in GAMMA_RULES:
+        raise InputError(f"unknown gamma rule {opts.gamma_rule!r}; use one of {GAMMA_RULES}")
+    if opts.seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {opts.seed}")
     n = a_set.dim
     if s.ambient_dim != n:
         raise InputError("set and subspace dimensions disagree")
@@ -258,16 +266,18 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     _check_disjoint(a_set, s, opts.seed)
     body = build_D(a_set, x)
     p = gauge_from_symmetrized(body)
-    state = extend_full_state(_span_functional(s, x), p, opts.gamma_rule, seed=opts.seed)
+    state = _extend_steps(_span_functional(s, x), p, opts.gamma_rule, seed=opts.seed)
     g = state.functional.as_coefficients()
+    if not isinstance(a_set, (HPolyhedron, OpenBall)):  # a sampled certificate does not decide domination
+        _checked_domination(g, p, seed=opts.seed)
     if abs(float(g @ x) - 1.0) > 1e-8:
         raise SolverError("extension failed to send the anchor to 1")
     hyper = kernel_hyperplane(g)
     # g(x) = 1 puts the set on the positive side
     normal = np.asarray(hyper.normal)
     cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples, side=1.0))
-    # domination is certified above, so agreement reduces to disjointness,
-    # which sign_constant has just tested on this very hyperplane
+    # Remark 2: g is dominated exactly when its kernel misses the set, which
+    # sign_constant has just tested on this very hyperplane
     cert = replace(cert, remark2_status=cert.sign_constant)
     return SeparationResult(hyper, g, x, p, state.history, cert)
 

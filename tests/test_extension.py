@@ -264,6 +264,16 @@ class TestExtendFull:
         with pytest.raises(InputError):
             extend_full_state(x_axis_functional(), SLAB3)
 
+    def test_unknown_rule_raises_before_any_lp(self, monkeypatch):
+        # also where no step would pick: the zero functional, and a domain
+        # that is already the whole space
+        calls = recording_lps(monkeypatch)
+        whole = PartialFunctional(span_basis(list(np.eye(2))), np.array([0.5, 0.5]))
+        for f in (x_axis_functional(), PartialFunctional(zero_subspace(2), np.zeros(0)), whole):
+            with pytest.raises(InputError, match="unknown gamma rule 'bogus'"):
+                extend_full_state(f, TAXICAB, "bogus")
+        assert calls == []
+
     @pytest.mark.parametrize("excess, passes", [(1e-10, True), (1e-5, False)])
     def test_final_gate_scales_with_the_functional(self, excess, passes):
         # g = 1e6 (1 + excess) e1 against 1e6 (|x| + |y|): the worst direction
@@ -370,15 +380,11 @@ class TestDominationCheck:
         assert first == second
 
 
-def recording_lps(monkeypatch, *, cold: bool = False) -> list:
-    """Record ``(start, result)`` of every ``extension.solve_lp`` call; with
-    ``cold`` the domination LPs (the only ones without ``nonneg``) drop
-    their start."""
+def recording_lps(monkeypatch) -> list:
+    """Record ``(start, result)`` of every ``extension.solve_lp`` call."""
     calls = []
 
     def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
-        if cold and nonneg is None:
-            start = None
         res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
         calls.append((start, res))
         return res
@@ -389,9 +395,8 @@ def recording_lps(monkeypatch, *, cold: bool = False) -> list:
 
 class TestDominationStarts:
     """``domination_check`` solves only the +g LP on a gauge with mirrored
-    rows, and ``extend_full_state`` starts that LP from the y-columns of the
-    end the last step picked, completed by artificials; neither may change
-    the value."""
+    rows, and every domination LP starts cold; the value must be that of
+    the two cold LPs ``max +-g . e`` over ``p <= 1``."""
 
     @staticmethod
     def mirrored_gauges():
@@ -428,52 +433,12 @@ class TestDominationStarts:
             p = PolyhedralGauge(rng.normal(size=(3 * n, n)), rng.uniform(0.5, 2.0, size=3 * n))
             cases.append((p, rng.normal(size=n)))
         calls = recording_lps(monkeypatch)
-        warm = [domination_check(g, p) for p, g in cases]
-        assert np.all(np.isfinite(warm))
-        assert [start for start, _ in calls] == [None] * 2 * len(cases)  # no mirror, no -g start
-        recording_lps(monkeypatch, cold=True)
-        assert warm == [domination_check(g, p) for p, g in cases]
-
-    @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
-    def test_plus_g_start_from_the_last_step(self, monkeypatch, rule):
-        rng = np.random.default_rng(46)
-        cases = []
-        for _ in range(12):
-            n = int(rng.integers(3, 7))
-            poly, _ = random_polytope_instance(rng, n)
-            p = gauge_from_symmetrized(build_D(poly, chebyshev_center(poly)[0]))
-            cases.append((dominated_functional(rng, p, int(rng.integers(1, n)))[0], p))
-
-        def run(cold: bool) -> tuple[list[float], int, int]:
-            """(violations, pivots of the +g domination LPs, forced last steps)"""
-            calls = recording_lps(monkeypatch, cold=cold)
-            violations, pivots, forced = [], 0, 0
-            for f, p in cases:
-                calls.clear()
-                state = extend_full_state(f, p, rule)
-                violations.append(state.violation)
-                start, plus = calls[-1]  # the +g domination LP, the only one on mirrored rows
-                # g strictly inside the last interval fits no end's basis
-                assert (start is None) == (cold or rule == "midpoint")
-                if start is not None:
-                    # the y-columns of the picked end (on a forced step, of the
-                    # end that forced it), then artificials on the other coordinates
-                    last = state.history[-1]
-                    end = last.interval._ends[0 if last.gamma == last.interval.hi else -1]
-                    m, n = p.a.shape
-                    ys = end.basis[end.basis < m]
-                    assert np.array_equal(start[: ys.size], ys)
-                    assert start.size == n and np.all((start[ys.size :] >= m) & (start[ys.size :] < m + n))
-                    forced += len(last.interval._ends) == 1
-                pivots += plus.iterations
-            return violations, pivots, forced
-
-        (warm, warm_pivots, forced), (cold, cold_pivots, _) = run(False), run(True)
-        np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-12)
-        if rule == "midpoint":
-            assert warm_pivots == cold_pivots
-        else:  # g is the picked end, whose y is feasible as it stands
-            assert warm_pivots < cold_pivots and forced >= 3
+        values = [domination_check(g, p) for p, g in cases]
+        assert np.all(np.isfinite(values))
+        assert [start for start, _ in calls] == [None] * 2 * len(cases)  # no mirror: both LPs
+        for (p, g), value in zip(cases, values):
+            cold = max(-solve_lp(-sign * g, a_ub=p.a, b_ub=p.b).objective for sign in (1.0, -1.0))
+            assert value == cold - 1.0
 
 
 class TestForcedSteps:

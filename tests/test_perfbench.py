@@ -25,7 +25,10 @@ def traced_smoke_run(tmp_path, workload: str) -> dict:
 
 def test_traced_poly_sep_smoke(tmp_path):
     metrics = traced_smoke_run(tmp_path, "poly-sep")
-    assert metrics["simplexlp.solve_lp.calls"]["value"] > 0
+    # deterministic: the certificate decides domination on boxes, so a
+    # domination LP that comes back, or any other extra LP, fails here
+    assert metrics["extension.domination_check.calls"]["value"] == 0
+    assert metrics["simplexlp.solve_lp.calls"]["value"] == 30
     assert metrics["simplexlp.solve_lp.pivots"]["value"] > 0
     assert metrics["simplexlp.solve_lp.raised"]["value"] == 0  # no start makes an LP fail
     assert metrics["outcome.fail_share"]["value"] == 0

@@ -11,6 +11,7 @@ import numpy as np
 import gaugesep
 from gaugesep import OpenBall, OracleSet, chebyshev_center, pick_interior_point
 from gaugesep.convexsets import sample_interior
+from gaugesep.extension import _checked_domination, domination_check
 from gaugesep.separation import _certificate, verify_separation
 from gaugesep.simplexlp import LPResult
 
@@ -30,6 +31,7 @@ REMOVED = [
     "_gauge_bisection",
     "_gauge_section",
     "_kernel_disjoint",
+    "_domination_start",
     "_meets",
     "_remark2_pair",
     "check_seminorm_axioms",
@@ -59,6 +61,9 @@ def test_removed_names_are_gone():
     assert "_phase1" not in {f.name for f in dataclasses.fields(LPResult)}
     assert "start" not in inspect.signature(sample_interior).parameters
     assert "start" not in inspect.signature(_certificate).parameters
+    # the domination LP starts cold: no caller has a basis worth handing it
+    for fn in (domination_check, _checked_domination):
+        assert "start" not in inspect.signature(fn).parameters
     # remark2_equivalence_check is the one Remark-2 entry point
     assert not {"g", "gauge_p"} & set(inspect.signature(verify_separation).parameters)
     # pick_interior_point is separate()'s one emptiness decision, on its own LP

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gaugesep.convexsets as convexsets
 import gaugesep.extension as extension
 import gaugesep.separation as separation
 from gaugesep import (
@@ -36,6 +37,7 @@ from gaugesep import (
 )
 from gaugesep.cli import main, parse_problem
 from gaugesep.convexsets import MIN_DEPTH
+from gaugesep.fixtures import oracle_by_name
 from gaugesep.separation import _check_disjoint, _subspace_residual, _support
 
 from helpers import (
@@ -505,8 +507,8 @@ class TestWarmStepsUnderEveryGammaRule:
     """Every extension step after the first that solves LPs starts its upper
     end from the LP bases of the step before: the picked end's basis, else
     the other end's (a value inside the interval leaves one of the two
-    feasible), and the domination LP starts from the picked end's y.  Under
-    each gamma rule the normals must match runs whose LPs all start cold."""
+    feasible).  Under each gamma rule the normals must match runs whose LPs
+    all start cold."""
 
     @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
     def test_normals_match_cold_steps(self, monkeypatch, rule):
@@ -532,6 +534,88 @@ class TestWarmStepsUnderEveryGammaRule:
             reference = separate(box.polyhedron(), box.subspace(), opts)
             np.testing.assert_allclose(normal, reference.hyperplane.normal, rtol=0.0, atol=1e-9)
         assert pivots["warm"] < pivots["cold"]
+
+
+class TestRemark2DecidesDomination:
+    """By the paper's Remark 2, g (with g(x) = 1, g = 0 on S) is dominated by
+    the symmetrized gauge exactly when its kernel misses the set.  So
+    ``separate()`` solves no domination LP where its certificate decides
+    the side exactly (polyhedra and balls), and checks domination only where
+    the certificate samples."""
+
+    @staticmethod
+    def families():
+        rng = np.random.default_rng(80)
+        sets = [random_polytope_instance(rng, int(rng.integers(2, 6))) for _ in range(12)]
+        sets += [random_ball_instance(rng, int(rng.integers(2, 7))) for _ in range(12)]
+        boxes = [rotated_box(rng, n) for n in (4, 6, 8, 10)] + [axis_box(rng, 20)]
+        return sets + [(box.polyhedron(), box.subspace()) for box in boxes]
+
+    @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
+    def test_returned_extensions_are_dominated(self, rule):
+        # the fact the deleted domination LP of separate() used to decide
+        for a_set, s in self.families():
+            result = separate(a_set, s, SeparationOptions(gamma_rule=rule))
+            assert result.certificate.valid and result.certificate.remark2_status
+            assert domination_check(result.g, result.gauge_used) <= extension.DOMINATION_TOL
+
+    def test_domination_check_only_where_the_certificate_samples(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        check = extension.domination_check
+        monkeypatch.setattr(extension, "domination_check", counting)
+        for name, made in (("example2", 0), ("example1", 0)):  # a polyhedron and a ball
+            a_set, s, x = bundled(name)
+            calls.clear()
+            assert separate(a_set, s, SeparationOptions(x=x)).certificate.valid
+            assert len(calls) == made, name
+        # a 2-D oracle set runs on a polyhedral sector gauge, but its
+        # certificate samples, so the gate is on the set, not on the gauge
+        calls.clear()
+        result = separate(oracle_by_name("offset-box"), zero_subspace(2))
+        assert result.certificate.valid and isinstance(result.gauge_used, PolyhedralGauge)
+        assert len(calls) == 1
+
+
+class TestOptionChecks:
+    """``separate()`` rejects an unknown gamma rule and a negative seed with
+    InputError before any LP, whether or not an extension step would run."""
+
+    BOX = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([3.0, -1.0]))  # 1 < e1 < 3
+    E2 = span_basis([np.array([0.0, 1.0])])
+
+    @pytest.fixture
+    def lps(self, monkeypatch) -> list:
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_lp(*args, **kwargs)
+
+        for module in (convexsets, extension, separation):
+            monkeypatch.setattr(module, "solve_lp", counting)
+        return calls
+
+    def cases(self):
+        # span(S + x) is the whole plane for the box and the ball, so no
+        # extension step runs; with S = {0} one does
+        return [(self.BOX, self.E2), (OpenBall(np.array([2.0, 0.0]), 1.0), self.E2), (self.BOX, zero_subspace(2))]
+
+    def test_unknown_gamma_rule(self, lps):
+        for a_set, s in self.cases():
+            with pytest.raises(InputError, match="unknown gamma rule 'bogus'"):
+                separate(a_set, s, SeparationOptions(gamma_rule="bogus"))
+        assert lps == []
+
+    def test_negative_seed(self, lps):
+        for a_set, s in self.cases() + [(oracle_by_name("offset-box"), zero_subspace(2))]:
+            with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
+                separate(a_set, s, SeparationOptions(seed=-1))
+        assert lps == []
 
 
 class TestKernelDisjointDifferential:
@@ -970,8 +1054,6 @@ class TestOracleSetEndToEnd:
         # the search pipeline (searched hull, plane-section gauge, pattern
         # search intervals) runs once by hand on trimmed budgets, since this
         # checks composition, not certification tightness, and must agree
-        from gaugesep.fixtures import oracle_by_name
-
         monkeypatch.setattr(extension, "SEARCH_RESTARTS", 1)
         monkeypatch.setattr(extension, "SEARCH_ITERATIONS", 40)
         box = oracle_by_name("offset-box")
@@ -996,15 +1078,11 @@ class TestOracleSetEndToEnd:
     @pytest.mark.parametrize("direction,normal", [([0.0, 1.0], [1.0, 0.0]), ([1.0, 1.0], [1.0, -1.0])])
     def test_sampled_precondition_passes(self, direction, normal):
         # S misses the offset disk: the e2 axis, and the tangent line e1 = e2
-        from gaugesep.fixtures import oracle_by_name
-
         result = separate(oracle_by_name("offset-disk"), span_basis([np.array(direction)]))
         assert result.certificate.valid
         np.testing.assert_allclose(result.hyperplane.normal, np.array(normal) / np.linalg.norm(normal), atol=1e-12)
 
     def test_sampled_precondition_finds_the_meeting(self):
-        from gaugesep.fixtures import oracle_by_name
-
         with pytest.raises(InputError, match="sampling found a subspace point inside the set"):
             separate(oracle_by_name("offset-disk"), span_basis([np.array([1.0, 0.0])]))
 
@@ -1019,8 +1097,6 @@ class TestOracleSetEndToEnd:
         # before their radial brackets opened at a predicted boundary) and
         # five witness and origin tests; the search pipeline made 654,119 and
         # 1,301,635 here
-        from gaugesep.fixtures import oracle_by_name
-
         fixture, made = oracle_by_name(name), []
 
         def counting(e):

@@ -590,7 +590,7 @@ class TestBundledCounters:
 
     @pytest.mark.parametrize(
         "name,lps,pivots",
-        [("example1", 0, 0), ("example2", 5, 4), ("example3_quotient", 4, 3)],
+        [("example1", 0, 0), ("example2", 4, 4), ("example3_quotient", 3, 3)],
     )
     def test_lp_calls_and_pivots(self, monkeypatch, name, lps, pivots):
         problem = parse_problem(name)
@@ -598,8 +598,9 @@ class TestBundledCounters:
         assert self.counters(monkeypatch, problem.a_set, problem.s, opts) == (lps, pivots)
 
     # many extension steps, each after the first forced by the first one's
-    # picked end (no LP), and the domination LP started from that end's y
-    @pytest.mark.parametrize("name,lps,pivots", [("axis-40", 6, 185), ("rotated-12", 6, 89)])
+    # picked end (no LP); the certificate's support LP decides domination
+    # (Remark 2), so no domination LP is solved
+    @pytest.mark.parametrize("name,lps,pivots", [("axis-40", 5, 147), ("rotated-12", 5, 83)])
     def test_multi_step_boxes(self, monkeypatch, name, lps, pivots):
         if name == "axis-40":
             box = axis_box(np.random.default_rng(59), 40)
