@@ -7,6 +7,20 @@ cone over a ball get one root of the cone-exit quadratic per ray, and a
 closed-form polar (``BallConeGauge``); bodies in a searched hull in 3-D or
 more (``OracleGauge``) get the two tangents of a plane section through the
 anchor.  Any of them may vanish off the origin (a seminorm that is not a norm).
+
+Each type also gives the extension step and the domination check what they
+need: ``_SLACK`` (how far an interval's ends may cross by rounding),
+``_values`` (the gauge on a checked point or batch, which ``gauge`` calls),
+``_ends(state, z, seed)`` (``(hi, lo, LP results)``, the interval of an
+``ExtensionState`` on a nonzero domain at ``z``) and ``_polar(g, seed)``
+(p*(g) = ``sup |g . e| / p(e)``).  By duality the upper end
+``inf over x in G of (-g(x) + p(x + z))`` is the support function of a slice
+of the polar body, ``max psi.z`` over ``psi`` in D° with ``psi = g`` on G:
+an exact small LP for polyhedral gauges, a closed form for ball-cone gauges
+(an ellipsoid cylinder cut by a slab), and a seeded derivative-free
+coordinate search for oracle gauges, which certifies it to about 1e-6.
+p*(g) is exact from LPs for polyhedral gauges and closed-form for
+ball-cone gauges; oracle gauges take it by seeded sampling and ascent.
 """
 
 from __future__ import annotations
@@ -16,8 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexsets import BallCone, ConicHullSet, ConvexSet, HPolyhedron, SymmetrizedBody, _plane
-from .errors import InputError
+from .errors import InputError, SolverError
 from .geometry import _frozen, as_vector
+from .simplexlp import PIVOT_TOL, _face_edges, solve_lp
+
+SEARCH_RESTARTS = 8
+SEARCH_ITERATIONS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,6 +44,7 @@ class PolyhedralGauge:
 
     a: np.ndarray
     b: np.ndarray
+    _SLACK = 1e-7  # LP ends are exact
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -43,6 +62,78 @@ class PolyhedralGauge:
     def dim(self) -> int:
         return self.a.shape[1]
 
+    def _values(self, e: np.ndarray):
+        if self.a.shape[0] == 0:
+            return np.zeros(e.shape[:-1])
+        return np.maximum(0.0, np.max((e @ self.a.T) / self.b, axis=-1))
+
+    def _ends(self, state, z: np.ndarray, seed: int):
+        """``[psi.z, psi.z]`` with no LP when the end the state's last step
+        picked (on a forced interval, the end that forced it) is the point
+        psi = a^T y that is its LP's whole optimal face, as no tied edge from
+        y (``_face_edges``) moves psi beyond ``PIVOT_TOL`` of its terms
+        (sufficient, not necessary); else ``_lp_ends``."""
+        last = state.history[-1] if state.history else None
+        if last is not None and last.interval._ends and last.gamma in (last.interval.lo, last.interval.hi):
+            res = last.interval._ends[0 if last.gamma == last.interval.hi else -1]
+            # a forced interval hands its one end on untested
+            edges = _face_edges(res) if len(last.interval._ends) == 2 else np.zeros((res.y.size, 0))
+            if np.all(np.abs(self.a.T @ edges) <= PIVOT_TOL * (np.abs(self.a.T) @ np.abs(edges))):
+                hi = float((self.a.T @ res.y) @ z)
+                return hi, hi, (res,)
+        return self._lp_ends(state, z)
+
+    def _lp_ends(self, state, z: np.ndarray):
+        """(hi, lo, results of the two ends): the LPs of the upper end at z
+        and, negated, at -z, which differ only in ``b_ub``, so the second
+        starts from the first one's ``phase1_basis``.  The first starts from
+        the end bases of the state's last step, the picked end's first, each
+        with one artificial for the new dual row."""
+        a, b = self.a, self.b
+        basis, w = state.domain.basis, state.functional.values
+        m, k = a.shape[0], basis.shape[0]
+        # variables (c_1..c_k free, t >= 0): min -w.c + t  s.t.  a_i.(Bc + z) <= t b_i
+        cost = np.concatenate([-w, [1.0]])
+        a_ub = np.hstack([a @ basis.T, -b[:, None]])
+        nonneg = np.concatenate([np.zeros(k, dtype=bool), [True]])
+        # dual columns: y (m), the surplus of t, then one artificial per row; the
+        # new row c_k comes before the row of t, whose artificial shifts by one
+        new, start = m + k, None
+        if state.history:
+            last = state.history[-1]
+            ends = last.interval._ends[:: -1 if last.gamma - last.interval.lo < last.interval.hi - last.gamma else 1]
+            start = [np.append(np.where(e.basis >= new, e.basis + 1, e.basis), new) for e in ends if e.basis.size == k] or None
+        results, az = [], a @ z
+        for b_ub in (-az, az):  # -(a z) and -(a (-z))
+            res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+            if res.status == "unbounded":
+                raise SolverError(
+                    f"extension LP is unbounded ({m} rows, {k + 1} vars): either the functional is not "
+                    "dominated by the seminorm or the LP solver failed"
+                )
+            if res.status != "optimal":
+                raise SolverError(f"extension LP failed with status {res.status!r} ({m} rows, {k + 1} vars)")
+            results.append(res)
+            start = res.phase1_basis
+        return results[0].objective, -results[1].objective, tuple(results)
+
+    def _polar(self, g: np.ndarray, seed: int) -> float:
+        """The larger of the two LPs ``max +-g . e`` over ``p <= 1`` (``inf``
+        when one is unbounded: g is then nonzero on the kernel of p).  On the
+        row layout of ``_mirrored`` p(-e) = p(e), so p*(-g) = p*(g) and only
+        the +g LP is solved."""
+        half, odd = divmod(self.a.shape[0], 2)
+        mirrored = not odd and np.array_equal(self.a[half:], -self.a[:half]) and np.array_equal(self.b[half:], self.b[:half])
+        best = 0.0
+        for sign in (1.0,) if mirrored else (1.0, -1.0):
+            res = solve_lp(-sign * g, a_ub=self.a, b_ub=self.b)
+            if res.status == "unbounded":
+                return np.inf
+            if res.status != "optimal":
+                raise SolverError(f"domination LP failed with status {res.status!r}")
+            best = max(best, -res.objective)
+        return best
+
 
 @dataclass(frozen=True, eq=False)
 class OracleGauge:
@@ -57,10 +148,12 @@ class OracleGauge:
     ``p(e) = max(0, kappa cot theta+ - t, kappa cot theta- + t)``.  An anchor
     outside the base A first moves along its ray to beta x in A, and
     ``p_x = beta p_(beta x)``.  Any other body raises ``InputError``.  In 2-D
-    the pipeline takes the hull's polyhedral sector instead.
+    the pipeline takes the hull's polyhedral sector instead.  Intervals and
+    the polar evaluate only ``_value``, which a subclass may override.
     """
 
     body: SymmetrizedBody
+    _SLACK = 2e-6  # search-certified ends
 
     def __post_init__(self):
         if not (isinstance(self.body, SymmetrizedBody) and isinstance(self.body.base, ConicHullSet)):
@@ -86,7 +179,7 @@ class OracleGauge:
         return self.body.dim
 
     def _value(self, e: np.ndarray) -> float:
-        """The gauge at one checked point: the evaluation ``gauge`` calls."""
+        """The gauge at one checked point."""
         hull, x = self.body.base, self._x
         if hull._full:  # B, and so D, is the whole space
             return 0.0
@@ -95,6 +188,61 @@ class OracleGauge:
             return self._beta * abs(t)
         above, below = hull._tangent(x, v)[0], hull._tangent(x, -v)[0]
         return self._beta * max(0.0, kappa / np.tan(above) - t, kappa / np.tan(below) + t)
+
+    def _values(self, e: np.ndarray):
+        return np.array([self._value(row) for row in e]) if e.ndim == 2 else self._value(e)
+
+    def _ends(self, state, z: np.ndarray, seed: int):
+        basis, w = state.domain.basis, state.functional.values
+        return self._search(basis, w, z, seed), -self._search(basis, w, -z, seed + 1), ()
+
+    def _search(self, basis: np.ndarray, w: np.ndarray, z: np.ndarray, seed: int) -> float:
+        """inf over c of ``-w.c + p(c basis + z)``: a pattern search from the
+        origin and ``SEARCH_RESTARTS`` seeded starts, polished from the best."""
+        k = basis.shape[0]
+
+        def objective(c: np.ndarray) -> float:  # c and z are finite float arrays
+            return float(-w @ c + self._values(c @ basis + z))
+
+        rng = np.random.default_rng(seed)
+        best = np.inf
+        best_point = np.zeros(k)
+        starts = [np.zeros(k)] + [rng.normal(size=k) for _ in range(SEARCH_RESTARTS)]
+        for start in starts:
+            # convexity: a restart that has reached the incumbent's level is
+            # retracing the same descent, so it may stop there
+            target = best + 1e-12 if np.isfinite(best) else -np.inf
+            point, val = _pattern_search(objective, start, iterations=SEARCH_ITERATIONS, rng=rng, target=target)
+            if val < best:
+                best, best_point = val, point
+        # polish from the best restart with a fine initial step
+        _, val = _pattern_search(objective, best_point, iterations=SEARCH_ITERATIONS, step0=1e-3, rng=rng)
+        return min(best, val)
+
+    def _polar(self, g: np.ndarray, seed: int) -> float:
+        """Sampled: the largest ratio over 256 seeded directions, with the
+        best one, and ``g`` itself, refined by a deterministic coordinate
+        ascent, so that clear violations cannot hide between samples;
+        ``|g . e|`` is first lowered by ``1e-9 |g| |e|``, so that rounding
+        left on the kernel of p does not read as infinite."""
+        gnorm = float(np.linalg.norm(g))
+
+        def ratio(e: np.ndarray):
+            # a residue of g below 1e-9 |g| on the kernel of p is rounding, not an
+            # infinite p*(g); the LPs' feasibility test forgives residues of that order
+            dot = np.maximum(np.abs(e @ g) - 1e-9 * gnorm * np.linalg.norm(e, axis=-1), 0.0)
+            pe = self._values(e)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(pe > 0.0, dot / pe, np.where(dot > 0.0, np.inf, 0.0))
+
+        dirs = np.random.default_rng(seed).normal(size=(256, g.size))
+        values = ratio(dirs)
+        best = float(np.max(values))
+        starts = [dirs[int(np.argmax(values))]] + ([g] if np.any(g) else [])
+        for start in starts:  # the ratio is scale-free, so the ascent may leave the unit sphere
+            u = start / float(np.linalg.norm(start))
+            best = max(best, -_pattern_search(lambda e: -float(ratio(e)), u, iterations=80, step0=0.5)[1])
+        return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +279,7 @@ class BallConeGauge:
     """
 
     body: SymmetrizedBody
+    _SLACK = 1e-7  # closed-form ends
 
     def __post_init__(self):
         base = self.body.base
@@ -174,17 +323,57 @@ class BallConeGauge:
             return abs(along), np.copysign(1.0, along) * x
         return ridge, q_psi / ridge
 
+    def _values(self, e: np.ndarray):
+        x = self.body.anchor
+        along = (e @ x) / self._xx
+        u = e - np.multiply.outer(along, x)
+        uc = u @ self._c_off
+        disc = self.body.base._excess * (self._qc * np.einsum("...i,...i", u, u) + self._xx * uc * uc)
+        return np.abs(along + self._xc * uc / self._qc) + np.sqrt(disc) / self._qc
+
+    def _ends(self, state, z: np.ndarray, seed: int):
+        basis, w = state.domain.basis, state.functional.values
+        return self._slice_max(basis, w, z), -self._slice_max(basis, w, -z), ()
+
+    def _slice_max(self, basis: np.ndarray, w: np.ndarray, z: np.ndarray) -> float:
+        """max ``psi . z`` over the polar body ``D°`` with ``psi`` = w on the domain.
+
+        D° is the ellipsoid cylinder ``psi^T Q psi <= 1`` cut by the slab
+        ``|psi.x| <= 1``, so the maximum is the best feasible one of at most
+        three slices: the slab inactive, ``psi.x = 1`` and ``psi.x = -1``.  When
+        x lies in the domain the first one is the answer.  Q is singular on the
+        first slice only when its kernel m is orthogonal to the domain; the
+        slice is then skipped, since a finite maximum there is constant along m
+        and so is also reached on a face.  A slice slack in
+        [-1e-9, 0) counts as zero: after an end pick the next slice is a point.
+        """
+        x = self.body.anchor
+
+        def feasible(slice_max) -> bool:
+            return slice_max is not None and slice_max[2] >= -1e-9 and abs(float(slice_max[1] @ x)) <= 1.0 + 1e-12
+
+        cylinder = _ellipsoid_slice_max(self._q, basis, w, z)
+        if feasible(cylinder):
+            return cylinder[0]
+        xn = float(np.linalg.norm(x))
+        rows = np.vstack([basis, x / xn])
+        faces = [_ellipsoid_slice_max(self._q, rows, np.append(w, s / xn), z) for s in (1.0, -1.0)]
+        values = [face[0] for face in faces if feasible(face)]
+        if not values:
+            detail = "" if cylinder is None else f" (slice slack {cylinder[2]:.3e}, |psi.x| {abs(float(cylinder[1] @ x)):.3e})"
+            raise SolverError(
+                "empty admissible interval: no point of the polar body agrees with the functional on its domain" + detail
+            )
+        return max(values)
+
+    def _polar(self, g: np.ndarray, seed: int) -> float:
+        return self.polar(g)[0]
+
 
 def _mirrored(rows: np.ndarray, offsets: np.ndarray) -> PolyhedralGauge:
     """The gauge of ``{e : |c_i . e| < d_i}``, as rows ``[c; -c]`` with
-    offsets ``[d; d]``: row i + m/2 is -(row i) (see ``_mirror_rows``)."""
+    offsets ``[d; d]``: row i + m/2 is -(row i) (see ``PolyhedralGauge._polar``)."""
     return PolyhedralGauge(np.vstack([rows, -rows]), np.concatenate([offsets, offsets]))
-
-
-def _mirror_rows(p: PolyhedralGauge) -> bool:
-    """Does ``p`` have the row layout of ``_mirrored``, so that p(-e) = p(e)?"""
-    half, odd = divmod(p.a.shape[0], 2)
-    return not odd and np.array_equal(p.a[half:], -p.a[:half]) and np.array_equal(p.b[half:], p.b[:half])
 
 
 def ExplicitMaxAbs(rows) -> PolyhedralGauge:
@@ -207,31 +396,8 @@ def gauge(p: Seminorm, e):
             raise InputError(f"expected finite rows of dimension {p.dim}, got an array of shape {e.shape}")
     else:
         e = as_vector(e, p.dim)
-    return _gauge(p, e)
-
-
-def _gauge(p: Seminorm, e: np.ndarray):
-    """``gauge`` on a float point or (m, n) batch that is already checked."""
-    if isinstance(p, PolyhedralGauge):
-        if p.a.shape[0] == 0:
-            values = np.zeros(e.shape[:-1])
-        else:
-            values = np.maximum(0.0, np.max((e @ p.a.T) / p.b, axis=-1))
-    elif isinstance(p, BallConeGauge):
-        values = _gauge_ball_cone(p, e)
-    else:
-        values = np.array([p._value(row) for row in e]) if e.ndim == 2 else p._value(e)
+    values = p._values(e)
     return values if e.ndim == 2 else float(values)
-
-
-def _gauge_ball_cone(p: BallConeGauge, e: np.ndarray):
-    base, x = p.body.base, p.body.anchor
-    k = base._excess
-    along = (e @ x) / p._xx
-    u = e - np.multiply.outer(along, x)
-    uc = u @ p._c_off
-    disc = k * (p._qc * np.einsum("...i,...i", u, u) + p._xx * uc * uc)
-    return np.abs(along + p._xc * uc / p._qc) + np.sqrt(disc) / p._qc
 
 
 def unit_ball(p: Seminorm) -> ConvexSet:
@@ -266,3 +432,93 @@ def gauge_from_symmetrized(body: SymmetrizedBody) -> Seminorm:
             return PolyhedralGauge(np.column_stack([c, -c]).T, np.array([xc, xc]))
         return BallConeGauge(body)
     return OracleGauge(body)
+
+
+def _pattern_search(fun, x0: np.ndarray, *, iterations: int, step0: float = 1.0, rng=None, target: float = -np.inf):
+    """Adaptive coordinate search with pattern moves.
+
+    Exploratory coordinate probes (plus, with ``rng``, seeded extra
+    directions that unstick nonsmooth kinks) are followed by a doubling
+    extrapolation along the sweep's aggregate progress direction, which
+    tracks the narrow curved valleys of cone gauges and reaches minima that
+    are only approached asymptotically.  The step doubles on improving
+    sweeps and halves otherwise.
+    """
+    x = np.array(x0, dtype=float)
+    fx = fun(x)
+    step = step0
+    previous = x.copy()
+    # excursion cap: past ~1e6 the gauge's relative noise outweighs any
+    # remaining asymptotic descent, so such candidates are never probed
+    radius = 1e6
+    for _ in range(iterations):
+        if fx <= target:  # matched the incumbent; the polish pass takes over
+            break
+        sweep_base = x.copy()
+        probes = [sign * row for row in np.eye(x.size) for sign in (1.0, -1.0)]
+        if rng is not None and x.size > 1:
+            for _ in range(2):
+                extra = rng.normal(size=x.size)
+                probes.append(extra / float(np.linalg.norm(extra)))
+        improved = False
+        for direction in probes:
+            cand = x + step * direction
+            if float(np.max(np.abs(cand))) > radius:
+                continue
+            fc = fun(cand)
+            if fc < fx:
+                x, fx = cand, fc
+                improved = True
+        if improved:
+            drift = x - previous
+            if float(drift @ drift) > 0.0:
+                length = 1.0
+                while length < 1e6:
+                    cand = x + length * drift
+                    if float(np.max(np.abs(cand))) > radius:
+                        break
+                    fc = fun(cand)
+                    if fc < fx:
+                        x, fx = cand, fc
+                        length *= 2.0
+                    else:
+                        break
+            previous = sweep_base
+            step = min(step * 2.0, 1e3)
+        else:
+            previous = x.copy()
+            step *= 0.5
+            if step < 1e-10:
+                break
+    return x, fx
+
+
+def _ellipsoid_slice_max(q: np.ndarray, rows: np.ndarray, values: np.ndarray, z: np.ndarray):
+    """Max of ``psi . z`` over ``{psi : rows psi = values, psi^T q psi <= 1}``.
+
+    Returns (value, maximizer, rho2), where rho2 = 1 - min psi^T q psi over
+    the affine slice is the slack of the slice (scale-free; negative when
+    the slice misses the ellipsoid, and then value and maximizer belong to
+    its centre).  Returns None when the rows are inconsistent or ``q`` is not
+    positive definite across them, so that the maximum may be unbounded.
+    """
+    u, sv, vt = np.linalg.svd(rows)
+    rank = int(np.sum(sv > 1e-12 * sv[0]))
+    psi0 = vt[:rank].T @ ((u[:, :rank].T @ values) / sv[:rank])
+    if np.linalg.norm(rows @ psi0 - values) > 1e-9 * np.linalg.norm(values):
+        return None
+    null = vt[rank:]
+    lam, vec = np.linalg.eigh(null @ q @ null.T)
+    if lam.size and not lam[0] > 1e-12 * lam[-1]:
+        return None
+    # psi = psi0 + null^T y; the centre minimizes psi^T q psi on the slice
+    to_null = (vec / lam) @ vec.T
+    centre = psi0 - null.T @ (to_null @ (null @ (q @ psi0)))
+    rho2 = 1.0 - float(centre @ q @ centre)
+    a = null @ z
+    reach = to_null @ a
+    spread = np.sqrt(max(float(a @ reach), 0.0))
+    if not spread > 0.0 or rho2 <= 0.0:
+        return float(z @ centre), centre, rho2
+    rho = np.sqrt(rho2)
+    return float(z @ centre) + rho * spread, centre + (rho / spread) * (null.T @ reach), rho2

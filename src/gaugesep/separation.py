@@ -36,6 +36,7 @@ from .extension import (
     ExtensionState,
     ExtensionStep,
     _check_domain,
+    _check_seed,
     _checked_domination,
     _extend_steps,
     domination_check,
@@ -250,8 +251,7 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     opts = opts or SeparationOptions()
     if opts.gamma_rule not in GAMMA_RULES:
         raise InputError(f"unknown gamma rule {opts.gamma_rule!r}; use one of {GAMMA_RULES}")
-    if opts.seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {opts.seed}")
+    _check_seed(opts.seed)
     n = a_set.dim
     if s.ambient_dim != n:
         raise InputError("set and subspace dimensions disagree")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gaugesep.extension as extension
+import gaugesep.gauges as gauges
 from gaugesep import (
     BallConeGauge,
     DegenerateError,
@@ -145,7 +146,7 @@ class TestExtensionInterval:
             calls.append((c, a_ub, b_ub, nonneg, start, res))
             return res
 
-        monkeypatch.setattr(extension, "solve_lp", recording)
+        monkeypatch.setattr(gauges, "solve_lp", recording)
         rng = np.random.default_rng(12)
         steps = warm = 0
         for _ in range(12):
@@ -274,6 +275,23 @@ class TestExtendFull:
                 extend_full_state(f, TAXICAB, "bogus")
         assert calls == []
 
+    @pytest.mark.parametrize("p", [TAXICAB, BisectionGauge(unit_ball(TAXICAB))], ids=["polyhedral", "oracle"])
+    def test_negative_seed_raises_before_any_lp(self, monkeypatch, p):
+        # numpy's generator takes no negative seed, and an exact gauge draws
+        # nothing; every analytic entry point rejects one all the same
+        calls = recording_lps(monkeypatch)
+        state = ExtensionState(x_axis_functional(), p)
+        entries = [
+            lambda: extend_full_state(x_axis_functional(), p, seed=-1),
+            lambda: extend_full_state(PartialFunctional(zero_subspace(2), np.zeros(0)), p, seed=-1),
+            lambda: extension_interval(state, np.array([0.0, 1.0]), seed=-1),
+            lambda: domination_check(np.array([1.0, 0.0]), p, seed=-1),
+        ]
+        for entry in entries:
+            with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
+                entry()
+        assert calls == []
+
     @pytest.mark.parametrize("excess, passes", [(1e-10, True), (1e-5, False)])
     def test_final_gate_scales_with_the_functional(self, excess, passes):
         # g = 1e6 (1 + excess) e1 against 1e6 (|x| + |y|): the worst direction
@@ -381,7 +399,7 @@ class TestDominationCheck:
 
 
 def recording_lps(monkeypatch) -> list:
-    """Record ``(start, result)`` of every ``extension.solve_lp`` call."""
+    """Record ``(start, result)`` of every ``gauges.solve_lp`` call."""
     calls = []
 
     def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
@@ -389,7 +407,7 @@ def recording_lps(monkeypatch) -> list:
         calls.append((start, res))
         return res
 
-    monkeypatch.setattr(extension, "solve_lp", recording)
+    monkeypatch.setattr(gauges, "solve_lp", recording)
     return calls
 
 
@@ -478,7 +496,7 @@ class TestForcedSteps:
             assert len(first._ends) == 2
             for state, z, interval in later:
                 assert len(interval._ends) == 1 and interval.lo == interval.hi
-                hi, lo, _ = extension._lp_ends(state, z)
+                hi, lo, _ = state.seminorm._lp_ends(state, z)
                 tol = 1e-9 * max(1.0, abs(interval.hi))
                 assert abs(hi - interval.hi) <= tol and abs(lo - interval.hi) <= tol
                 forced += 1
@@ -546,7 +564,7 @@ class TestBallClosedForm:
                 optimize.minimize(objective, start, method="Nelder-Mead", options=options).fun
                 for start in [np.zeros(basis.shape[0])] + list(rng.normal(size=(19, basis.shape[0])))
             )
-            assert extension._phi(state, z, 0) == pytest.approx(best, rel=1e-9)
+            assert state.seminorm._slice_max(basis, w, z) == pytest.approx(best, rel=1e-9)
 
     def test_end_pick_leaves_a_point(self):
         # the slice after an end pick is a point; rounding of order 1e-16 in

@@ -1,6 +1,7 @@
 """The traced benchmark still runs against the package: smoke passes of
-poly-sep and cli-query with the tracer installed, in a copy of the checkout
-so that their run records stay out of the source tree."""
+each workload with the tracer installed, in a copy of the checkout so that
+their run records stay out of the source tree.  LP, pivot, call and
+membership counts do not jitter, so they are pinned."""
 
 import json
 import shutil
@@ -29,7 +30,7 @@ def test_traced_poly_sep_smoke(tmp_path):
     # domination LP that comes back, or any other extra LP, fails here
     assert metrics["extension.domination_check.calls"]["value"] == 0
     assert metrics["simplexlp.solve_lp.calls"]["value"] == 30
-    assert metrics["simplexlp.solve_lp.pivots"]["value"] > 0
+    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 134
     assert metrics["simplexlp.solve_lp.raised"]["value"] == 0  # no start makes an LP fail
     assert metrics["outcome.fail_share"]["value"] == 0
 
@@ -40,4 +41,18 @@ def test_traced_cli_query_smoke(tmp_path):
     metrics = traced_smoke_run(tmp_path, "cli-query")
     for name in ("main", "parse_problem", "dumps"):
         assert metrics[f"cli.{name}.self_s"]["value"] > 0
+    assert metrics["simplexlp.solve_lp.calls"]["value"] == 30
+    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 46
+    assert metrics["extension.domination_check.calls"]["value"] == 6
+    assert metrics["convexsets.membership.calls"]["value"] == 1141
+    assert metrics["outcome.fail_share"]["value"] == 0
+
+
+def test_traced_ball_sep_smoke(tmp_path):
+    # balls take the closed-form slice and polar: no LP, no search interval
+    # and, under the exact certificate, no domination check
+    metrics = traced_smoke_run(tmp_path, "ball-sep")
+    assert metrics["simplexlp.solve_lp.calls"]["value"] == 0
+    assert metrics["extension.extension_interval.calls.search"]["value"] == 0
+    assert metrics["extension.domination_check.calls"]["value"] == 0
     assert metrics["outcome.fail_share"]["value"] == 0

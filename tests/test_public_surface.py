@@ -15,6 +15,8 @@ from gaugesep.extension import _checked_domination, domination_check
 from gaugesep.separation import _certificate, verify_separation
 from gaugesep.simplexlp import LPResult
 
+from helpers import BisectionGauge
+
 # every module but __main__, which runs the CLI on import
 MODULES = [gaugesep] + [
     importlib.import_module(f"gaugesep.{info.name}")
@@ -28,12 +30,19 @@ REMOVED = [
     "Phase1",
     "RECESSION_CAP",
     "_Ball",
+    "_ball_phi",
+    "_forced_end",
+    "_gauge",
+    "_gauge_ball_cone",
     "_gauge_bisection",
     "_gauge_section",
     "_kernel_disjoint",
     "_domination_start",
     "_meets",
+    "_mirror_rows",
+    "_phi",
     "_remark2_pair",
+    "_slack",
     "check_seminorm_axioms",
     "decompose",
     "disk_instance",
@@ -69,6 +78,17 @@ def test_removed_names_are_gone():
     # pick_interior_point is separate()'s one emptiness decision, on its own LP
     for fn in (chebyshev_center, pick_interior_point):
         assert "ball" not in inspect.signature(fn).parameters
+
+
+def test_one_seminorm_interface():
+    # each gauge type gives its own values, interval ends and polar, so the
+    # extension module names no gauge type
+    extension = importlib.import_module("gaugesep.extension")
+    for cls in (gaugesep.PolyhedralGauge, gaugesep.BallConeGauge, gaugesep.OracleGauge):
+        assert cls not in vars(extension).values()
+    for cls in (gaugesep.PolyhedralGauge, gaugesep.BallConeGauge, gaugesep.OracleGauge, BisectionGauge):
+        missing = [name for name in ("_SLACK", "_values", "_ends", "_polar") if not hasattr(cls, name)]
+        assert missing == [], cls.__name__
 
 
 def test_sample_interior_is_the_membership_walk():

@@ -6,6 +6,7 @@ import pytest
 
 import gaugesep.convexsets as convexsets
 import gaugesep.extension as extension
+import gaugesep.gauges as gauges
 import gaugesep.separation as separation
 from gaugesep import (
     DegenerateError,
@@ -28,6 +29,7 @@ from gaugesep import (
     extend_one,
     extend_via_separation,
     gauge,
+    gauge_from_symmetrized,
     remark2_equivalence_check,
     separate,
     solve_lp,
@@ -41,6 +43,7 @@ from gaugesep.fixtures import oracle_by_name
 from gaugesep.separation import _check_disjoint, _subspace_residual, _support
 
 from helpers import (
+    BisectionGauge,
     axis_box,
     bundled,
     dominated_functional,
@@ -393,7 +396,7 @@ class TestBallPaths:
         def refuse(*args, **kwargs):
             raise AssertionError("pattern search on a ball path")
 
-        monkeypatch.setattr(extension, "_pattern_search", refuse)
+        monkeypatch.setattr(gauges, "_pattern_search", refuse)
 
     @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
     def test_seeded_balls(self, rule):
@@ -451,7 +454,7 @@ class TestExtensionLPRegressions:
                 captured.append((c, a_ub, b_ub, nonneg, start, res))
             return res
 
-        monkeypatch.setattr(extension, "solve_lp", recording)
+        monkeypatch.setattr(gauges, "solve_lp", recording)
         box = self.boxes()[name]
         # under "upper" every step after the first is forced and solves no
         # LP; "midpoint" never forces, so each interval starts its lower end
@@ -525,9 +528,9 @@ class TestWarmStepsUnderEveryGammaRule:
 
             return solve
 
-        monkeypatch.setattr(extension, "solve_lp", counting("warm"))
+        monkeypatch.setattr(gauges, "solve_lp", counting("warm"))
         warm = [separate(box.polyhedron(), box.subspace(), opts) for box in boxes]
-        monkeypatch.setattr(extension, "solve_lp", counting("cold"))
+        monkeypatch.setattr(gauges, "solve_lp", counting("cold"))
         for box, result in zip(boxes, warm):
             normal = np.asarray(result.hyperplane.normal)
             assert result.certificate.valid and box.separated_by(normal)
@@ -583,7 +586,8 @@ class TestRemark2DecidesDomination:
 
 class TestOptionChecks:
     """``separate()`` rejects an unknown gamma rule and a negative seed with
-    InputError before any LP, whether or not an extension step would run."""
+    InputError before any LP, whether or not an extension step would run;
+    ``remark2_equivalence_check`` rejects a negative seed too."""
 
     BOX = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([3.0, -1.0]))  # 1 < e1 < 3
     E2 = span_basis([np.array([0.0, 1.0])])
@@ -596,7 +600,7 @@ class TestOptionChecks:
             calls.append(args)
             return solve_lp(*args, **kwargs)
 
-        for module in (convexsets, extension, separation):
+        for module in (convexsets, gauges, separation):
             monkeypatch.setattr(module, "solve_lp", counting)
         return calls
 
@@ -615,6 +619,15 @@ class TestOptionChecks:
         for a_set, s in self.cases() + [(oracle_by_name("offset-box"), zero_subspace(2))]:
             with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
                 separate(a_set, s, SeparationOptions(seed=-1))
+        assert lps == []
+
+    def test_negative_seed_in_remark2_check(self, lps):
+        # its domination side rejects the seed on every gauge kind
+        x = np.array([2.0, 0.0])
+        body = build_D(self.BOX, x)
+        for p in (gauge_from_symmetrized(body), BisectionGauge(body)):
+            with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
+                remark2_equivalence_check(self.BOX, self.E2, x, p, np.array([0.5, 0.0]), seed=-1)
         assert lps == []
 
 
@@ -1054,8 +1067,8 @@ class TestOracleSetEndToEnd:
         # the search pipeline (searched hull, plane-section gauge, pattern
         # search intervals) runs once by hand on trimmed budgets, since this
         # checks composition, not certification tightness, and must agree
-        monkeypatch.setattr(extension, "SEARCH_RESTARTS", 1)
-        monkeypatch.setattr(extension, "SEARCH_ITERATIONS", 40)
+        monkeypatch.setattr(gauges, "SEARCH_RESTARTS", 1)
+        monkeypatch.setattr(gauges, "SEARCH_ITERATIONS", 40)
         box = oracle_by_name("offset-box")
         result = separate(box, zero_subspace(2), SeparationOptions(certificate_samples=300))
         assert result.certificate.valid

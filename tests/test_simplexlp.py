@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gaugesep.convexsets as convexsets
-import gaugesep.extension as extension
+import gaugesep.gauges as gauges
 import gaugesep.separation as separation
 import gaugesep.simplexlp as simplexlp
 from gaugesep import (
@@ -477,7 +477,7 @@ class TestKernelIdentity:
             results.append(solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start))
             return results[-1]
 
-        for module in (convexsets, extension, separation):
+        for module in (convexsets, gauges, separation):
             monkeypatch.setattr(module, "solve_lp", recording)
         rng = np.random.default_rng(60)
         boxes = [axis_box(rng, n) for n in (4, 10, 20)] + [rotated_box(rng, n) for n in (4, 6, 8, 10)]
@@ -619,7 +619,7 @@ class TestBundledCounters:
             iterations.append(res.iterations)
             return res
 
-        for module in (convexsets, extension, separation):
+        for module in (convexsets, gauges, separation):
             monkeypatch.setattr(module, "solve_lp", counting)
         assert separate(a_set, s, opts).certificate.valid
         return len(iterations), sum(iterations)
