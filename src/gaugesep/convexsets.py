@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptySetError, InputError
+from .errors import EmptySetError, InputError, SolverError
 from .geometry import as_vector, _frozen
 from .simplexlp import solve_lp
 
@@ -361,16 +361,19 @@ def _inscribed_ball(poly: HPolyhedron, basis: np.ndarray | None = None) -> tuple
     """Largest ball in the polyhedron's closure: max r s.t. a_i . y + r <= b_i (unit rows).
 
     The center y may be restricted to the row span of ``basis``
-    (y = coords @ basis, rows orthonormal).  Returns (y, r); (None, inf)
-    when r is unbounded and (None, -inf) when the closure misses the span.
+    (y = coords @ basis, rows orthonormal).  Returns (y, r), with r < 0 when
+    the closure misses the span (r is free, so the LP is always feasible),
+    and (None, inf) when r is unbounded.
     """
     a_y = poly.a if basis is None else poly.a @ basis.T
     k = a_y.shape[1]
     cost = np.zeros(k + 1)
     cost[-1] = -1.0
     res = solve_lp(cost, a_ub=np.hstack([a_y, np.ones((len(a_y), 1))]), b_ub=poly.b)
+    if res.status == "unbounded":
+        return None, np.inf
     if res.status != "optimal":
-        return None, (np.inf if res.status == "unbounded" else -np.inf)
+        raise SolverError(f"inscribed-ball LP failed with status {res.status!r}")
     center = res.x[:k] if basis is None else res.x[:k] @ basis
     return center, float(res.x[-1])
 
@@ -385,9 +388,7 @@ def chebyshev_center(poly: HPolyhedron) -> tuple[np.ndarray, float]:
     """
     if poly.a.shape[0] == 0:
         raise InputError("the whole space has no deepest point; supply constraints or a witness")
-    center, r = _inscribed_ball(poly)
-    if r == -np.inf:
-        raise EmptySetError("polyhedron is empty")
+    center, _ = _inscribed_ball(poly)
     if center is None:
         raise InputError("polyhedron is unbounded; an interior point requires a witness")
     radius = float(np.min(poly.b - poly.a @ center))

@@ -52,8 +52,7 @@ class GammaInterval:
         return 0.5 * (self.lo + self.hi)
 
     def pick(self, rule: str) -> float:
-        if rule not in GAMMA_RULES:
-            raise InputError(f"unknown gamma rule {rule!r}; use one of {GAMMA_RULES}")
+        _check_rule(rule)
         return self.hi if rule == "upper" else self.lo if rule == "lower" else self.midpoint
 
 
@@ -179,8 +178,7 @@ def extend_full_state(
     as ``violation``, and a SolverError is raised past ``DOMINATION_TOL``
     (this is where a non-balanced "gauge" gets caught).
     """
-    if rule not in GAMMA_RULES:
-        raise InputError(f"unknown gamma rule {rule!r}; use one of {GAMMA_RULES}")
+    _check_rule(rule)
     _check_seed(seed)
     state = _extend_steps(f, p, rule, seed=seed)
     if state.violation is None:
@@ -210,6 +208,12 @@ def domination_check(g, p: Seminorm, seed: int = 0) -> float:
     """
     _check_seed(seed)
     return p._polar(as_vector(g, p.dim), seed) - 1.0
+
+
+def _check_rule(rule: str) -> None:
+    """Reject a gamma rule outside ``GAMMA_RULES``."""
+    if rule not in GAMMA_RULES:
+        raise InputError(f"unknown gamma rule {rule!r}; use one of {GAMMA_RULES}")
 
 
 def _check_seed(seed: int) -> None:

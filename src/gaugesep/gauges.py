@@ -85,10 +85,9 @@ class PolyhedralGauge:
 
     def _lp_ends(self, state, z: np.ndarray):
         """(hi, lo, results of the two ends): the LPs of the upper end at z
-        and, negated, at -z, which differ only in ``b_ub``, so the second
-        starts from the first one's ``phase1_basis``.  The first starts from
-        the end bases of the state's last step, the picked end's first, each
-        with one artificial for the new dual row."""
+        and, negated, at -z, which differ only in ``b_ub``.  The first starts
+        cold and the second from the first one's ``phase1_basis``, so both
+        are what cold solves of the same LPs return, bit for bit."""
         a, b = self.a, self.b
         basis, w = state.domain.basis, state.functional.values
         m, k = a.shape[0], basis.shape[0]
@@ -96,14 +95,7 @@ class PolyhedralGauge:
         cost = np.concatenate([-w, [1.0]])
         a_ub = np.hstack([a @ basis.T, -b[:, None]])
         nonneg = np.concatenate([np.zeros(k, dtype=bool), [True]])
-        # dual columns: y (m), the surplus of t, then one artificial per row; the
-        # new row c_k comes before the row of t, whose artificial shifts by one
-        new, start = m + k, None
-        if state.history:
-            last = state.history[-1]
-            ends = last.interval._ends[:: -1 if last.gamma - last.interval.lo < last.interval.hi - last.gamma else 1]
-            start = [np.append(np.where(e.basis >= new, e.basis + 1, e.basis), new) for e in ends if e.basis.size == k] or None
-        results, az = [], a @ z
+        results, az, start = [], a @ z, None
         for b_ub in (-az, az):  # -(a z) and -(a (-z))
             res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
             if res.status == "unbounded":

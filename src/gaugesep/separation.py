@@ -32,10 +32,10 @@ from .convexsets import (
 )
 from .errors import DegenerateError, EmptySetError, InputError, SolverError
 from .extension import (
-    GAMMA_RULES,
     ExtensionState,
     ExtensionStep,
     _check_domain,
+    _check_rule,
     _check_seed,
     _checked_domination,
     _extend_steps,
@@ -249,8 +249,7 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     plane that crosses it raises.
     """
     opts = opts or SeparationOptions()
-    if opts.gamma_rule not in GAMMA_RULES:
-        raise InputError(f"unknown gamma rule {opts.gamma_rule!r}; use one of {GAMMA_RULES}")
+    _check_rule(opts.gamma_rule)
     _check_seed(opts.seed)
     n = a_set.dim
     if s.ambient_dim != n:

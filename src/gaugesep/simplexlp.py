@@ -20,15 +20,15 @@ a start can save pivots but never makes an LP fail.  ``b_ub`` enters only the
 dual's cost, so phase 1 depends on ``c``, ``a_ub`` and ``nonneg`` alone: an
 LP that differs from an earlier one only in ``b_ub`` and starts from that
 result's ``phase1_basis`` prices optimal in phase 1 with no pivot, and its
-result is the same bit for bit as a cold solve's.  A basis is the only
-start: the lower end of an extension interval (``b_ub = -+a z``) starts
-from the upper end's ``phase1_basis``, each step's upper end from the basis
-of the end the step before picked, and ``domination_check``'s +g LP from
-that end's y-columns.
+result is the same bit for bit as a cold solve's.  That is the one start
+the package uses: the lower end of an extension interval (``b_ub = -+a z``)
+starts from the upper end's ``phase1_basis``, and every other LP starts
+cold, so each LP returns what its cold solve returns.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,12 +133,11 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
     with every variable free this is the Farkas certificate that ``c . x``
     is at least ``-b_ub @ y`` on the whole feasible set.
 
-    ``start`` is a basis of the dual to start phase 1 from, or rows of
-    bases to try in order: each one is ``c.size`` integer column indices
-    into (y: one per row of ``a_ub``; s: one per masked variable;
-    artificials: one per variable), as in a result's ``phase1_basis`` and
-    ``basis``.  Phase 1 starts from the first one that is nonsingular and
-    feasible, and from the artificial basis when there is none.
+    ``start`` is a basis of the dual to start phase 1 from: ``c.size``
+    integer column indices into (y: one per row of ``a_ub``; s: one per
+    masked variable; artificials: one per variable), as in a result's
+    ``phase1_basis`` and ``basis``.  Phase 1 starts from it when it is
+    nonsingular and feasible, and from the artificial basis otherwise.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
@@ -147,31 +146,28 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
     mask = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool).reshape(-1)
     if a_ub.shape != (b_ub.size, n) or mask.size != n:
         raise SolverError("constraint matrix/vector shapes disagree")
-    bases = np.zeros((0, n), dtype=int) if start is None else np.atleast_2d(np.asarray(start))
-    if bases.ndim != 2 or (bases.size and bases.dtype.kind not in "iu"):
-        raise SolverError("start must be a basis of the dual or rows of bases (integer column indices)")
-    return _solve(c, a_ub, b_ub, mask, bases)
+    if start is not None:
+        start = np.asarray(start)
+        if start.ndim != 1 or (start.size and start.dtype.kind not in "iu"):
+            raise SolverError("start must be a basis of the dual (a 1-D array of integer column indices)")
+    return _solve(c, a_ub, b_ub, mask, start)
 
 
-def _start(cols, rhs, bases, zero_tol):
-    """The first of ``bases`` that is nonsingular and feasible, with its
-    inverse; else the artificial basis, whose inverse ``_simplex`` computes."""
+def _start(cols, rhs, start, zero_tol):
+    """``start`` with its inverse when it is a nonsingular and feasible
+    basis; else the artificial basis, whose inverse ``_simplex`` computes."""
     n = rhs.size
-    for basis in bases:
-        basis = basis.astype(int)  # a copy: ``_simplex`` pivots it in place
-        if basis.size != n or len(set(basis.tolist())) != n or np.any((basis < 0) | (basis >= cols.shape[1])):
-            continue
-        try:
+    if start is not None and start.size == n and len(set(start.tolist())) == n and np.all((start >= 0) & (start < cols.shape[1])):
+        basis = start.astype(int)  # a copy: ``_simplex`` pivots it in place
+        with suppress(np.linalg.LinAlgError):
             binv = np.linalg.inv(cols[:, basis])
-        except np.linalg.LinAlgError:
-            continue
-        # a near-singular basis inverts without an error, but not to an inverse
-        if np.abs(binv @ cols[:, basis] - np.eye(n)).max(initial=0.0) <= 1e-6 and np.all(binv @ rhs >= -zero_tol):
-            return basis, binv
+            # a near-singular basis inverts without an error, but not to an inverse
+            if np.abs(binv @ cols[:, basis] - np.eye(n)).max(initial=0.0) <= 1e-6 and np.all(binv @ rhs >= -zero_tol):
+                return basis, binv
     return cols.shape[1] - n + np.arange(n), None
 
 
-def _solve(c, a_ub, b_ub, mask, bases) -> LPResult:
+def _solve(c, a_ub, b_ub, mask, start) -> LPResult:
     """``solve_lp`` on checked arrays; the zero-cost re-solve calls this, not
     the public name, so that a wrapper of ``solve_lp`` sees one LP."""
     n = c.size
@@ -185,14 +181,14 @@ def _solve(c, a_ub, b_ub, mask, bases) -> LPResult:
     inv_scale = 1.0 / (1.0 + np.sqrt((enter * enter).sum(axis=0)))
     zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
-    basis, binv = _start(cols, rhs, bases, zero_tol)
+    basis, binv = _start(cols, rhs, start, zero_tol)
     cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
     status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, inv_scale, binv)
     if status != "optimal":
         raise SolverError("phase-1 objective unbounded; malformed constraints")
     kept = {"phase1_basis": basis.copy(), "basis": basis}
     if float(pi @ rhs) > zero_tol:  # the dual is infeasible (never with c = 0)
-        feasible = _solve(np.zeros(n), a_ub, b_ub, mask, bases[:0])
+        feasible = _solve(np.zeros(n), a_ub, b_ub, mask, None)
         iters += feasible.iterations
         if feasible.status == "infeasible":
             return LPResult("infeasible", iterations=iters, **kept)

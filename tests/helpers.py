@@ -415,8 +415,8 @@ STALL = 20
 def reference_solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
     """``solve_lp`` as it was before it kept its basis matrix and inverted
     through the LAPACK kernel directly: every basis gathered from the
-    columns and inverted by ``np.linalg.inv``, phase 1 run from every start.  ``start`` is a basis or
-    rows of bases, as in ``solve_lp``."""
+    columns and inverted by ``np.linalg.inv``, phase 1 run from every start.  ``start`` is one
+    basis, as in ``solve_lp``."""
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
@@ -477,20 +477,19 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
 
 
 def _start(cols, rhs, start, zero_tol):
-    """The first basis in ``start`` that is nonsingular and feasible, with its
-    inverse; else the artificial basis, whose inverse ``_simplex`` computes."""
+    """``start`` with its inverse when it is a nonsingular and feasible basis;
+    else the artificial basis, whose inverse ``_simplex`` computes."""
     n = rhs.size
-    for basis in () if start is None else np.atleast_2d(start):
-        basis = basis.astype(int)  # a copy: ``_simplex`` pivots it in place
-        if basis.size != n or len(set(basis.tolist())) != n or np.any((basis < 0) | (basis >= cols.shape[1])):
-            continue
-        try:
-            binv = np.linalg.inv(cols[:, basis])
-        except np.linalg.LinAlgError:
-            continue
-        # a near-singular basis inverts without an error, but not to an inverse
-        if np.abs(binv @ cols[:, basis] - np.eye(n)).max(initial=0.0) <= 1e-6 and np.all(binv @ rhs >= -zero_tol):
-            return basis, binv
+    if start is not None:
+        basis = np.asarray(start).astype(int)  # a copy: ``_simplex`` pivots it in place
+        if basis.size == n and len(set(basis.tolist())) == n and np.all((basis >= 0) & (basis < cols.shape[1])):
+            try:
+                binv = np.linalg.inv(cols[:, basis])
+            except np.linalg.LinAlgError:
+                binv = None
+            # a near-singular basis inverts without an error, but not to an inverse
+            if binv is not None and np.abs(binv @ cols[:, basis] - np.eye(n)).max(initial=0.0) <= 1e-6 and np.all(binv @ rhs >= -zero_tol):
+                return basis, binv
     return cols.shape[1] - n + np.arange(n), None
 
 

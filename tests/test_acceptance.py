@@ -48,11 +48,19 @@ def report(number: int, text: str) -> None:
     print(f"ACCEPTANCE {number:02d}: {text}: PASS")
 
 
-def test_criterion_01_taxicab_gauge_both_paths():
+def test_criterion_01_taxicab_gauge_both_paths(monkeypatch):
     """Bisection reference gauge within 1e-6 of |x|+|y|, polyhedral path exact and the
-    pipeline's closed-form ball-cone gauge (one batch) within 1e-12, under 1 s."""
+    pipeline's closed-form ball-cone gauge (one batch) within 1e-12, for an exact count
+    of the body's membership calls (a cost that does not vary with machine load)."""
     a_set, _, anchor = bundled("example1")
     body = build_D(a_set, anchor)
+    member, calls = type(body)._member, []
+
+    def counting(self, e):
+        calls.append(1)
+        return member(self, e)
+
+    monkeypatch.setattr(type(body), "_member", counting)
     oracle = BisectionGauge(body)
     rng = np.random.default_rng(101)
     points = rng.uniform(-10.0, 10.0, size=(1000, 2))
@@ -68,10 +76,11 @@ def test_criterion_01_taxicab_gauge_both_paths():
     assert oracle_err < 1e-6
     assert poly_err == 0.0
     assert closed_err < 1e-12
-    assert elapsed < 1.0
+    assert len(calls) == 47670
     report(
         1,
-        f"gauge paths agree with |x|+|y| (oracle {oracle_err:.1e}, exact 0, closed form {closed_err:.1e}, {elapsed:.2f}s)",
+        f"gauge paths agree with |x|+|y| (oracle {oracle_err:.1e}, exact 0, closed form {closed_err:.1e}, "
+        f"{len(calls)} membership calls, {elapsed:.2f}s)",
     )
 
 

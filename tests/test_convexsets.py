@@ -10,7 +10,9 @@ from gaugesep import (
     InputError,
     OpenBall,
     OracleSet,
+    SolverError,
     build_D,
+    chebyshev_center,
     conic_hull,
     conic_hull_membership,
     pick_interior_point,
@@ -19,7 +21,9 @@ from gaugesep import (
     solve_lp,
     span_basis,
 )
+from gaugesep.convexsets import _inscribed_ball
 from gaugesep.fixtures import oracle_by_name
+from gaugesep.simplexlp import LPResult
 
 from helpers import axis_box, bundled, conic_hull_rows, random_instance, rotated_box
 
@@ -455,3 +459,19 @@ class TestDeepestPointLP:
         with pytest.raises(InputError, match=r"r\* = 1\)$"):
             separate(box, s)
         assert shapes == [(6, 4), (6, 2)]
+
+    def test_the_lp_is_always_feasible(self):
+        # r is free, so a closure that misses the span gives a negative r,
+        # never an infeasible LP; an empty polyhedron is empty by its depth
+        strip = HPolyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))  # x < 0 and x > 1
+        assert _inscribed_ball(strip)[1] == -0.5
+        # (1, 5) x (-0.5, 2) against span{e2}
+        box = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([5.0, -1.0, 2.0, 0.5]))
+        assert _inscribed_ball(box, np.array([[0.0, 1.0]]))[1] == -1.0
+        with pytest.raises(EmptySetError, match="empty interior"):
+            chebyshev_center(strip)
+
+    def test_a_status_other_than_optimal_or_unbounded_raises(self, monkeypatch):
+        monkeypatch.setattr(convexsets, "solve_lp", lambda *args, **kwargs: LPResult("infeasible"))
+        with pytest.raises(SolverError, match="inscribed-ball LP failed with status 'infeasible'"):
+            _inscribed_ball(HPolyhedron(*BOX))

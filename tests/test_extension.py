@@ -99,6 +99,14 @@ class TestExtensionInterval:
         with pytest.raises(SolverError, match=r"extension LP is unbounded \(6 rows, 3 vars\).*not dominated"):
             extension_interval(state, np.array([0.0, 0.0, 1.0]))
 
+    def test_empty_search_interval_raises(self):
+        # f = 2 e1 on span{e1} is not dominated by max(|x + y|, |x - y|),
+        # which is 1 at e1: the searched ends cross by far more than the slack
+        p = BisectionGauge(unit_ball(ExplicitMaxAbs([[1.0, 1.0], [1.0, -1.0]])))
+        state = ExtensionState(PartialFunctional(span_basis([np.array([1.0, 0.0])]), np.array([2.0])), p)
+        with pytest.raises(SolverError, match=r"empty admissible interval \[999999\.0.*, -999999\.0.*\]"):
+            extension_interval(state, np.array([0.0, 1.0]))
+
     def test_sandwich_on_random_dominated_instances(self):
         from gaugesep import gauge
 
@@ -135,10 +143,9 @@ class TestExtensionInterval:
             assert via_lp.hi == pytest.approx(via_search.hi, abs=1e-5)
 
     def test_lp_ends_match_two_cold_solves(self, monkeypatch):
-        # the lower end's LP starts from the basis where the upper end's
-        # phase 1 ended, and every step's upper end but the first from the
-        # bases of the step before; both ends must match cold solves of the
-        # same two LPs, exactly while the upper end starts cold
+        # the upper end starts cold at every step and the lower end from the
+        # basis where the upper end's phase 1 ended; both ends must equal
+        # cold solves of the same two LPs exactly, at every step
         calls = []
 
         def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
@@ -148,7 +155,7 @@ class TestExtensionInterval:
 
         monkeypatch.setattr(gauges, "solve_lp", recording)
         rng = np.random.default_rng(12)
-        steps = warm = 0
+        steps = later = 0
         for _ in range(12):
             n = int(rng.integers(2, 6))
             poly, _ = random_polytope_instance(rng, n)
@@ -159,20 +166,16 @@ class TestExtensionInterval:
                 calls.clear()
                 interval = extension_interval(state, z)
                 (*_, up_start, up), (*_, down_start, _) = calls
-                assert (up_start is None) == (step == 0)
+                assert up_start is None
                 assert np.array_equal(down_start, up.phase1_basis)
                 cold_up, cold_down = (
                     solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg) for c, a_ub, b_ub, nonneg, *_ in calls
                 )
-                if step == 0:
-                    assert (interval.hi, interval.lo) == (cold_up.objective, -cold_down.objective)
-                else:
-                    assert interval.hi == pytest.approx(cold_up.objective, rel=1e-9, abs=1e-12)
-                    assert interval.lo == pytest.approx(-cold_down.objective, rel=1e-9, abs=1e-12)
-                    warm += 1
+                assert (interval.hi, interval.lo) == (cold_up.objective, -cold_down.objective)
                 state = extend_one(state, z, "midpoint")
                 steps += 1
-        assert steps >= 12 and warm >= 6
+                later += step > 0
+        assert steps >= 12 and later >= 6
 
 
 class TestExtendOne:

@@ -457,25 +457,18 @@ class TestExtensionLPRegressions:
         monkeypatch.setattr(gauges, "solve_lp", recording)
         box = self.boxes()[name]
         # under "upper" every step after the first is forced and solves no
-        # LP; "midpoint" never forces, so each interval starts its lower end
-        # where its upper end's phase 1 ended, and each step's upper end but
-        # the first from the step before
+        # LP; "midpoint" never forces, so each interval starts its upper end
+        # cold and its lower end where its upper end's phase 1 ended
         separate(box.polyhedron(), box.subspace())
         assert len(captured) == 2
         separate(box.polyhedron(), box.subspace(), SeparationOptions(gamma_rule="midpoint"))
         started = [entry[4] is not None for entry in captured[2:]]
-        assert len(started) > 2 and started == [False, True] + [True, True] * (len(started) // 2 - 1)
-        pivots = {"warm": 0, "cold": 0}
-        for i, (c, a_ub, b_ub, nonneg, start, res) in enumerate(captured):
+        assert len(started) > 2 and started == [False, True] * (len(started) // 2)
+        for c, a_ub, b_ub, nonneg, _, res in captured:
             bounds = [(0, None) if flag else (None, None) for flag in nonneg]
             ref = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
             assert ref.status == 0 and res.status == "optimal"
             assert res.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-9)
-            if i % 2 == 0 and start is not None:
-                pivots["warm"] += res.iterations
-                pivots["cold"] += solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg).iterations
-        # the upper ends started from the step before took their starts
-        assert pivots["warm"] < pivots["cold"]
 
 
 class TestExactCuts:
@@ -507,11 +500,10 @@ class TestExactCuts:
 
 
 class TestWarmStepsUnderEveryGammaRule:
-    """Every extension step after the first that solves LPs starts its upper
-    end from the LP bases of the step before: the picked end's basis, else
-    the other end's (a value inside the interval leaves one of the two
-    feasible).  Under each gamma rule the normals must match runs whose LPs
-    all start cold."""
+    """Only the lower end of an extension interval starts warm, from the
+    upper end's ``phase1_basis``; the upper end starts cold, whatever the
+    step before did.  Under each gamma rule the normals must equal, bit for
+    bit, those of runs whose LPs all start cold."""
 
     @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
     def test_normals_match_cold_steps(self, monkeypatch, rule):
@@ -535,8 +527,44 @@ class TestWarmStepsUnderEveryGammaRule:
             normal = np.asarray(result.hyperplane.normal)
             assert result.certificate.valid and box.separated_by(normal)
             reference = separate(box.polyhedron(), box.subspace(), opts)
-            np.testing.assert_allclose(normal, reference.hyperplane.normal, rtol=0.0, atol=1e-9)
+            np.testing.assert_array_equal(normal, reference.hyperplane.normal)
         assert pivots["warm"] < pivots["cold"]
+
+
+class TestEveryLpIsItsColdSolve:
+    """Every LP that ``separate()`` solves (the inscribed-ball, extension,
+    certificate and domination LPs) returns the status, ``x``, ``y`` and
+    objective that a cold ``solve_lp`` of the same LP returns, bit for bit,
+    so any LP of a run can be re-solved and checked on its own."""
+
+    @staticmethod
+    def families():
+        rng = np.random.default_rng(46)
+        sets = [random_polytope_instance(rng, int(rng.integers(3, 7))) for _ in range(60)]
+        rng = np.random.default_rng(1)
+        boxes = [rotated_box(rng, int(rng.integers(4, 13))) for _ in range(30)]
+        return sets + [(box.polyhedron(), box.subspace()) for box in boxes]
+
+    @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
+    def test_every_lp_equals_its_cold_solve(self, monkeypatch, rule):
+        calls = []
+
+        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
+            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+            calls.append(((c, a_ub, b_ub, nonneg), res))
+            return res
+
+        for module in (convexsets, gauges, separation):
+            monkeypatch.setattr(module, "solve_lp", recording)
+        for a_set, s in self.families():
+            separate(a_set, s, SeparationOptions(gamma_rule=rule))
+        assert len(calls) == {"upper": 434, "lower": 430, "midpoint": 724}[rule]
+        for (c, a_ub, b_ub, nonneg), res in calls:
+            cold = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
+            assert res.status == cold.status
+            for name in ("x", "y", "objective"):
+                got, want = getattr(res, name), getattr(cold, name)
+                assert (got is None and want is None) or np.array_equal(got, want), name
 
 
 class TestRemark2DecidesDomination:

@@ -450,13 +450,17 @@ class TestKernelIdentity:
             statuses.add(first.status)
         assert statuses == {"optimal", "unbounded"}
 
-    def test_list_starts_with_a_rejected_first_basis(self):
+    def test_rejected_starts_fall_back_to_the_artificial_basis(self):
+        # a start is one basis: a rejected one gives the cold solve's bits,
+        # and rows of bases raise
         for c, a, b, mask in TestStart.cases():
             first = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask)
+            cold = self.check(c, a, -b, mask)
             n = c.size
             for bad in (np.zeros(n, dtype=int), np.arange(n) + a.shape[0] + 2 * n):  # repeated; out of range
-                self.check(c, a, -b, mask, start=[bad, first.phase1_basis])
-                self.check(c, a, -b, mask, start=[bad, first.basis])
+                assert_identical(self.check(c, a, -b, mask, start=bad), cold)
+                with pytest.raises(SolverError, match="start"):
+                    solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask, start=[bad, first.phase1_basis])
 
     def test_bland_cycling_example(self):
         c = [-0.75, 150.0, -0.02, 6.0]
