@@ -36,6 +36,7 @@ from .simplexlp import PIVOT_TOL, _face_edges, solve_lp
 
 SEARCH_RESTARTS = 8
 SEARCH_ITERATIONS = 200
+SEARCH_CAP = 1e6  # no probe past it: there the gauge's noise outweighs any asymptotic descent
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +86,7 @@ class PolyhedralGauge:
 
     def _lp_ends(self, state, z: np.ndarray):
         """(hi, lo, results of the two ends): the LPs of the upper end at z
-        and, negated, at -z, which differ only in ``b_ub``.  The first starts
-        cold and the second from the first one's ``phase1_basis``, so both
-        are what cold solves of the same LPs return, bit for bit."""
+        and, negated, at -z, which differ only in ``b_ub``."""
         a, b = self.a, self.b
         basis, w = state.domain.basis, state.functional.values
         m, k = a.shape[0], basis.shape[0]
@@ -95,9 +94,9 @@ class PolyhedralGauge:
         cost = np.concatenate([-w, [1.0]])
         a_ub = np.hstack([a @ basis.T, -b[:, None]])
         nonneg = np.concatenate([np.zeros(k, dtype=bool), [True]])
-        results, az, start = [], a @ z, None
+        results, az = [], a @ z
         for b_ub in (-az, az):  # -(a z) and -(a (-z))
-            res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+            res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
             if res.status == "unbounded":
                 raise SolverError(
                     f"extension LP is unbounded ({m} rows, {k + 1} vars): either the functional is not "
@@ -106,7 +105,6 @@ class PolyhedralGauge:
             if res.status != "optimal":
                 raise SolverError(f"extension LP failed with status {res.status!r} ({m} rows, {k + 1} vars)")
             results.append(res)
-            start = res.phase1_basis
         return results[0].objective, -results[1].objective, tuple(results)
 
     def _polar(self, g: np.ndarray, seed: int) -> float:
@@ -185,12 +183,21 @@ class OracleGauge:
         return np.array([self._value(row) for row in e]) if e.ndim == 2 else self._value(e)
 
     def _ends(self, state, z: np.ndarray, seed: int):
+        """The two searched ends.  Crossed ends of a search that ended at the
+        cap are the cap, not ends (a valid asymptotic minimum may reach it)."""
         basis, w = state.domain.basis, state.functional.values
-        return self._search(basis, w, z, seed), -self._search(basis, w, -z, seed + 1), ()
+        (hi, hi_capped), (low, low_capped) = self._search(basis, w, z, seed), self._search(basis, w, -z, seed + 1)
+        if -low > hi + self._SLACK and (hi_capped or low_capped):
+            raise SolverError(
+                "extension search is unbounded (it reached the 1e6 cap): either the functional is not "
+                "dominated by the seminorm or the search failed"
+            )
+        return hi, -low, ()
 
-    def _search(self, basis: np.ndarray, w: np.ndarray, z: np.ndarray, seed: int) -> float:
+    def _search(self, basis: np.ndarray, w: np.ndarray, z: np.ndarray, seed: int) -> tuple[float, bool]:
         """inf over c of ``-w.c + p(c basis + z)``: a pattern search from the
-        origin and ``SEARCH_RESTARTS`` seeded starts, polished from the best."""
+        origin and ``SEARCH_RESTARTS`` seeded starts, polished from the best;
+        with whether the best restart ended within 0.1% of ``SEARCH_CAP``."""
         k = basis.shape[0]
 
         def objective(c: np.ndarray) -> float:  # c and z are finite float arrays
@@ -209,7 +216,7 @@ class OracleGauge:
                 best, best_point = val, point
         # polish from the best restart with a fine initial step
         _, val = _pattern_search(objective, best_point, iterations=SEARCH_ITERATIONS, step0=1e-3, rng=rng)
-        return min(best, val)
+        return min(best, val), float(np.max(np.abs(best_point), initial=0.0)) >= 0.999 * SEARCH_CAP
 
     def _polar(self, g: np.ndarray, seed: int) -> float:
         """Sampled: the largest ratio over 256 seeded directions, with the
@@ -440,9 +447,6 @@ def _pattern_search(fun, x0: np.ndarray, *, iterations: int, step0: float = 1.0,
     fx = fun(x)
     step = step0
     previous = x.copy()
-    # excursion cap: past ~1e6 the gauge's relative noise outweighs any
-    # remaining asymptotic descent, so such candidates are never probed
-    radius = 1e6
     for _ in range(iterations):
         if fx <= target:  # matched the incumbent; the polish pass takes over
             break
@@ -455,7 +459,7 @@ def _pattern_search(fun, x0: np.ndarray, *, iterations: int, step0: float = 1.0,
         improved = False
         for direction in probes:
             cand = x + step * direction
-            if float(np.max(np.abs(cand))) > radius:
+            if float(np.max(np.abs(cand))) > SEARCH_CAP:
                 continue
             fc = fun(cand)
             if fc < fx:
@@ -467,7 +471,7 @@ def _pattern_search(fun, x0: np.ndarray, *, iterations: int, step0: float = 1.0,
                 length = 1.0
                 while length < 1e6:
                     cand = x + length * drift
-                    if float(np.max(np.abs(cand))) > radius:
+                    if float(np.max(np.abs(cand))) > SEARCH_CAP:
                         break
                     fc = fun(cand)
                     if fc < fx:

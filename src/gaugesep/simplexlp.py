@@ -14,21 +14,12 @@ The ratio test is Harris's two-pass test (Harris 1973), relaxed by only
 1e-12 of each basic value: a dual value it lets go negative biases the LP
 value upward, and the extension takes that value as the end of its interval.
 
-A solve may start phase 1 from a basis of its dual (``start``) instead of
-the artificial one: a basis that is singular or not feasible is dropped, so
-a start can save pivots but never makes an LP fail.  ``b_ub`` enters only the
-dual's cost, so phase 1 depends on ``c``, ``a_ub`` and ``nonneg`` alone: an
-LP that differs from an earlier one only in ``b_ub`` and starts from that
-result's ``phase1_basis`` prices optimal in phase 1 with no pivot, and its
-result is the same bit for bit as a cold solve's.  That is the one start
-the package uses: the lower end of an extension interval (``b_ub = -+a z``)
-starts from the upper end's ``phase1_basis``, and every other LP starts
-cold, so each LP returns what its cold solve returns.
+Every solve starts phase 1 from the artificial basis: ``solve_lp`` takes
+the LP and nothing else, so two calls on the same LP return the same bits.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +44,7 @@ class LPResult:
     ray: np.ndarray | None = None  # improving direction when unbounded
     y: np.ndarray | None = None  # dual solution when optimal (see solve_lp)
     iterations: int = 0
-    phase1_basis: np.ndarray | None = None  # where phase 1 ended (a ``start`` for any b_ub)
-    basis: np.ndarray | None = None  # the final basis of the dual
+    basis: np.ndarray | None = None  # the final basis of the dual: indices into (y, s, artificials)
     # (sign, dual columns, column scales, phase-2 cost, inverse of ``basis``) when optimal
     _final: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -116,7 +106,7 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv=None):
     raise SolverError(f"simplex iteration limit ({MAX_ITER}) exceeded; {cols.shape[0]} dual rows")
 
 
-def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
+def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     """Minimize ``c . x`` subject to ``a_ub x <= b_ub`` (an equality is two
     opposite rows).
 
@@ -132,12 +122,6 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
     and ``b_ub @ y = -objective``, up to rounding.  For ``a_ub x <= b_ub``
     with every variable free this is the Farkas certificate that ``c . x``
     is at least ``-b_ub @ y`` on the whole feasible set.
-
-    ``start`` is a basis of the dual to start phase 1 from: ``c.size``
-    integer column indices into (y: one per row of ``a_ub``; s: one per
-    masked variable; artificials: one per variable), as in a result's
-    ``phase1_basis`` and ``basis``.  Phase 1 starts from it when it is
-    nonsingular and feasible, and from the artificial basis otherwise.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
@@ -146,28 +130,10 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
     mask = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool).reshape(-1)
     if a_ub.shape != (b_ub.size, n) or mask.size != n:
         raise SolverError("constraint matrix/vector shapes disagree")
-    if start is not None:
-        start = np.asarray(start)
-        if start.ndim != 1 or (start.size and start.dtype.kind not in "iu"):
-            raise SolverError("start must be a basis of the dual (a 1-D array of integer column indices)")
-    return _solve(c, a_ub, b_ub, mask, start)
+    return _solve(c, a_ub, b_ub, mask)
 
 
-def _start(cols, rhs, start, zero_tol):
-    """``start`` with its inverse when it is a nonsingular and feasible
-    basis; else the artificial basis, whose inverse ``_simplex`` computes."""
-    n = rhs.size
-    if start is not None and start.size == n and len(set(start.tolist())) == n and np.all((start >= 0) & (start < cols.shape[1])):
-        basis = start.astype(int)  # a copy: ``_simplex`` pivots it in place
-        with suppress(np.linalg.LinAlgError):
-            binv = np.linalg.inv(cols[:, basis])
-            # a near-singular basis inverts without an error, but not to an inverse
-            if np.abs(binv @ cols[:, basis] - np.eye(n)).max(initial=0.0) <= 1e-6 and np.all(binv @ rhs >= -zero_tol):
-                return basis, binv
-    return cols.shape[1] - n + np.arange(n), None
-
-
-def _solve(c, a_ub, b_ub, mask, start) -> LPResult:
+def _solve(c, a_ub, b_ub, mask) -> LPResult:
     """``solve_lp`` on checked arrays; the zero-cost re-solve calls this, not
     the public name, so that a wrapper of ``solve_lp`` sees one LP."""
     n = c.size
@@ -181,30 +147,29 @@ def _solve(c, a_ub, b_ub, mask, start) -> LPResult:
     inv_scale = 1.0 / (1.0 + np.sqrt((enter * enter).sum(axis=0)))
     zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
-    basis, binv = _start(cols, rhs, start, zero_tol)
+    basis = n_enter + np.arange(n)  # the artificial basis
     cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
-    status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, inv_scale, binv)
+    status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, inv_scale)
     if status != "optimal":
         raise SolverError("phase-1 objective unbounded; malformed constraints")
-    kept = {"phase1_basis": basis.copy(), "basis": basis}
     if float(pi @ rhs) > zero_tol:  # the dual is infeasible (never with c = 0)
-        feasible = _solve(np.zeros(n), a_ub, b_ub, mask, None)
+        feasible = _solve(np.zeros(n), a_ub, b_ub, mask)
         iters += feasible.iterations
         if feasible.status == "infeasible":
-            return LPResult("infeasible", iterations=iters, **kept)
-        return LPResult("unbounded", ray=sign * pi, iterations=iters, **kept)
+            return LPResult("infeasible", iterations=iters, basis=basis)
+        return LPResult("unbounded", ray=sign * pi, iterations=iters, basis=basis)
     cost = np.concatenate([b_ub, np.zeros(cols.shape[1] - b_ub.size)])
     # phase 2 starts from phase 1's final basis, so it reuses that inverse
     status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv)
     iters += more
     if status == "unbounded":  # the dual is unbounded
-        return LPResult("infeasible", iterations=iters, **kept)
+        return LPResult("infeasible", iterations=iters, basis=basis)
     x = sign * pi
     y = np.zeros(b_ub.size)
     rows = basis < b_ub.size  # basic dual variables; the rest are zero
     y[basis[rows]] = np.maximum(binv[rows] @ rhs, 0.0)
     final = (sign, cols, inv_scale, cost, binv)
-    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters, _final=final, **kept)
+    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters, basis=basis, _final=final)
 
 
 def _face_edges(res: LPResult) -> np.ndarray:

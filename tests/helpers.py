@@ -376,6 +376,21 @@ class BisectionGauge(OracleGauge):
         return 0.5 * (1.0 / s_in + 1.0 / s_out)
 
 
+@dataclass(frozen=True, eq=False)
+class ExactSearchGauge(OracleGauge):
+    """A polyhedral gauge on the ``OracleGauge`` paths (the extension search
+    and the sampled polar), evaluated by its closed form: the search is then
+    compared with the LP ends free of bisection error."""
+
+    body: PolyhedralGauge
+
+    def __post_init__(self):
+        pass  # no plane section
+
+    def _value(self, e: np.ndarray) -> float:
+        return gauge(self.body, e)
+
+
 def seminorm_axioms(p: Seminorm, seed: int = 0, trials: int = 1000) -> tuple[float, float, int, int]:
     """Sampled check of the seminorm axioms and the unit-ball identity:
     (largest relative homogeneity error, largest absolute subadditivity
@@ -412,17 +427,16 @@ MAX_ITER = 20000
 STALL = 20
 
 
-def reference_solve_lp(c, a_ub=None, b_ub=None, nonneg=None, *, start=None) -> LPResult:
+def reference_solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     """``solve_lp`` as it was before it kept its basis matrix and inverted
     through the LAPACK kernel directly: every basis gathered from the
-    columns and inverted by ``np.linalg.inv``, phase 1 run from every start.  ``start`` is one
-    basis, as in ``solve_lp``."""
+    columns and inverted by ``np.linalg.inv``."""
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
     mask = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool).reshape(-1)
-    return _solve(c, a_ub, b_ub, mask, start)
+    return _solve(c, a_ub, b_ub, mask)
 
 
 def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
@@ -476,24 +490,7 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
     raise SolverError(f"simplex iteration limit ({MAX_ITER}) exceeded; {cols.shape[0]} dual rows")
 
 
-def _start(cols, rhs, start, zero_tol):
-    """``start`` with its inverse when it is a nonsingular and feasible basis;
-    else the artificial basis, whose inverse ``_simplex`` computes."""
-    n = rhs.size
-    if start is not None:
-        basis = np.asarray(start).astype(int)  # a copy: ``_simplex`` pivots it in place
-        if basis.size == n and len(set(basis.tolist())) == n and np.all((basis >= 0) & (basis < cols.shape[1])):
-            try:
-                binv = np.linalg.inv(cols[:, basis])
-            except np.linalg.LinAlgError:
-                binv = None
-            # a near-singular basis inverts without an error, but not to an inverse
-            if binv is not None and np.abs(binv @ cols[:, basis] - np.eye(n)).max(initial=0.0) <= 1e-6 and np.all(binv @ rhs >= -zero_tol):
-                return basis, binv
-    return cols.shape[1] - n + np.arange(n), None
-
-
-def _solve(c, a_ub, b_ub, mask, start) -> LPResult:
+def _solve(c, a_ub, b_ub, mask) -> LPResult:
     """``solve_lp`` on checked arrays; the zero-cost re-solve calls this, not
     the public name, so that a wrapper of ``solve_lp`` sees one LP."""
     n = c.size
@@ -505,31 +502,28 @@ def _solve(c, a_ub, b_ub, mask, start) -> LPResult:
     n_enter = cols.shape[1] - n
     zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
-    basis, binv = _start(cols, rhs, start, zero_tol)
+    basis = n_enter + np.arange(n)  # the artificial basis
     cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
-    status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, binv)
+    status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol)
     if status != "optimal":
         raise SolverError("phase-1 objective unbounded; malformed constraints")
-    phase1_basis = basis.copy()
     if float(pi @ rhs) > zero_tol:  # the dual is infeasible (never with c = 0)
-        feasible = _solve(np.zeros(n), a_ub, b_ub, mask, None)
+        feasible = _solve(np.zeros(n), a_ub, b_ub, mask)
         iters += feasible.iterations
         if feasible.status == "infeasible":
-            return LPResult("infeasible", iterations=iters, phase1_basis=phase1_basis, basis=basis)
-        return LPResult("unbounded", ray=sign * pi, iterations=iters, phase1_basis=phase1_basis, basis=basis)
+            return LPResult("infeasible", iterations=iters, basis=basis)
+        return LPResult("unbounded", ray=sign * pi, iterations=iters, basis=basis)
     cost = np.concatenate([b_ub, np.zeros(cols.shape[1] - b_ub.size)])
     # phase 2 starts from phase 1's final basis, so it reuses that inverse
     status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv)
     iters += more
     if status == "unbounded":  # the dual is unbounded
-        return LPResult("infeasible", iterations=iters, phase1_basis=phase1_basis, basis=basis)
+        return LPResult("infeasible", iterations=iters, basis=basis)
     x = sign * pi
     y = np.zeros(b_ub.size)
     rows = basis < b_ub.size  # basic dual variables; the rest are zero
     y[basis[rows]] = np.maximum(binv[rows] @ rhs, 0.0)
-    return LPResult(
-        "optimal", x=x, objective=float(c @ x), y=y, iterations=iters, phase1_basis=phase1_basis, basis=basis
-    )
+    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters, basis=basis)
 
 
 def _mgs(rows, candidates) -> list[np.ndarray]:

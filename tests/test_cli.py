@@ -164,6 +164,17 @@ class TestExitCodes:
         assert code == 3
         assert "strict" in err
 
+    def test_zero_row_exit_3(self, capsys, tmp_path):
+        bad = {
+            "version": 1,
+            "dimension": 2,
+            "A": {"kind": "hpoly", "rows": [{"a": [0.0, 0.0], "b": 1.0, "strict": True}]},
+            "S": {"basis": []},
+        }
+        code, out, err = run_cli(capsys, "separate", "--input", write(tmp_path, "zero.json", bad))
+        assert (code, out) == (3, "")
+        assert "A: zero rows are not allowed" in err
+
     @pytest.mark.parametrize("path", ["options.gamma-rule", "comment", "A.centre", "S.dim"])
     def test_unexpected_key_exit_3(self, capsys, tmp_path, path):
         # a misspelt option must be rejected, not silently replaced by its default
@@ -253,9 +264,18 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "gauge", "--input", "example1")
         assert code == 4
 
+    def test_render_of_a_3d_problem_exit_4(self, capsys, tmp_path):
+        ball = {**DISK_PROBLEM, "dimension": 3, "A": {"kind": "ball", "center": [3.0, 0.0, 0.0], "radius": 1.0}}
+        del ball["x"]
+        code, out, err = run_cli(capsys, "render", "--input", write(tmp_path, "ball3.json", ball))
+        assert (code, out) == (4, "")
+        assert "render requires a 2-D problem" in err
+
     def test_vector_flags_name_themselves(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--input", "example1", "--normal", "1,2,3")
         assert code == 4 and "--normal has 3 coordinates" in err
+        code, _, err = run_cli(capsys, "verify", "--input", "example1", "--normal=0,0")
+        assert code == 4 and "--normal must be nonzero" in err
         code, _, err = run_cli(capsys, "conic", "--input", "example1", "--point", "1,x")
         assert code == 4 and "--point must be a comma-separated number list" in err
         code, _, err = run_cli(capsys, "conic", "--input", "example1")

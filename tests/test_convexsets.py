@@ -438,9 +438,9 @@ class TestDeepestPointLP:
     def lp_shapes(monkeypatch) -> list[tuple[int, int]]:
         shapes = []
 
-        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
+        def recording(c, a_ub=None, b_ub=None, nonneg=None):
             shapes.append(np.shape(a_ub))
-            return solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+            return solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
 
         monkeypatch.setattr(convexsets, "solve_lp", recording)
         return shapes

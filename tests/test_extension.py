@@ -11,6 +11,7 @@ from gaugesep import (
     ExplicitMaxAbs,
     ExtensionState,
     InputError,
+    OpenBall,
     PartialFunctional,
     PolyhedralGauge,
     SeparationOptions,
@@ -33,6 +34,7 @@ from gaugesep import (
 
 from helpers import (
     BisectionGauge,
+    ExactSearchGauge,
     axis_box,
     dominated_functional,
     point_in_cone,
@@ -101,10 +103,11 @@ class TestExtensionInterval:
 
     def test_empty_search_interval_raises(self):
         # f = 2 e1 on span{e1} is not dominated by max(|x + y|, |x - y|),
-        # which is 1 at e1: the searched ends cross by far more than the slack
+        # which is 1 at e1: both searches run into the cap, whose values
+        # would cross by far more than the slack, so the cap is named instead
         p = BisectionGauge(unit_ball(ExplicitMaxAbs([[1.0, 1.0], [1.0, -1.0]])))
         state = ExtensionState(PartialFunctional(span_basis([np.array([1.0, 0.0])]), np.array([2.0])), p)
-        with pytest.raises(SolverError, match=r"empty admissible interval \[999999\.0.*, -999999\.0.*\]"):
+        with pytest.raises(SolverError, match=r"extension search is unbounded \(it reached the 1e6 cap\).*not dominated"):
             extension_interval(state, np.array([0.0, 1.0]))
 
     def test_sandwich_on_random_dominated_instances(self):
@@ -129,29 +132,28 @@ class TestExtensionInterval:
             assert interval.lo >= -bound - 1e-7
 
     def test_lp_and_search_paths_agree(self):
+        # 2-D domains, so the search also probes its seeded extra directions
         rng = np.random.default_rng(11)
         for _ in range(5):
-            n = int(rng.integers(2, 4))
+            n = int(rng.integers(3, 5))
             p = random_polyhedral_gauge(rng, n, max_pairs=3)
-            f, _ = dominated_functional(rng, p, 1)
+            f, _ = dominated_functional(rng, p, 2)
             state = ExtensionState(f, p)
             z = next(c for c in np.eye(n) if not f.domain.contains(c))
             via_lp = extension_interval(state, z)
-            # the same body as a membership oracle takes the search path
-            via_search = extension_interval(ExtensionState(f, BisectionGauge(unit_ball(p))), z, seed=3)
-            assert via_lp.lo == pytest.approx(via_search.lo, abs=1e-5)
-            assert via_lp.hi == pytest.approx(via_search.hi, abs=1e-5)
+            # the same gauge on the oracle path takes the search
+            via_search = extension_interval(ExtensionState(f, ExactSearchGauge(p)), z, seed=3)
+            assert via_lp.lo == pytest.approx(via_search.lo, abs=1e-6)
+            assert via_lp.hi == pytest.approx(via_search.hi, abs=1e-6)
 
     def test_lp_ends_match_two_cold_solves(self, monkeypatch):
-        # the upper end starts cold at every step and the lower end from the
-        # basis where the upper end's phase 1 ended; both ends must equal
-        # cold solves of the same two LPs exactly, at every step
+        # both ends must equal separate solves of the same two LPs exactly,
+        # at every step: an interval's LPs carry nothing over from earlier ones
         calls = []
 
-        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
-            calls.append((c, a_ub, b_ub, nonneg, start, res))
-            return res
+        def recording(c, a_ub=None, b_ub=None, nonneg=None):
+            calls.append((c, a_ub, b_ub, nonneg))
+            return solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
 
         monkeypatch.setattr(gauges, "solve_lp", recording)
         rng = np.random.default_rng(12)
@@ -165,12 +167,7 @@ class TestExtensionInterval:
             for step, z in enumerate(complement_basis(f.domain)):
                 calls.clear()
                 interval = extension_interval(state, z)
-                (*_, up_start, up), (*_, down_start, _) = calls
-                assert up_start is None
-                assert np.array_equal(down_start, up.phase1_basis)
-                cold_up, cold_down = (
-                    solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg) for c, a_ub, b_ub, nonneg, *_ in calls
-                )
+                cold_up, cold_down = (solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg) for c, a_ub, b_ub, nonneg in calls)
                 assert (interval.hi, interval.lo) == (cold_up.objective, -cold_down.objective)
                 state = extend_one(state, z, "midpoint")
                 steps += 1
@@ -358,6 +355,12 @@ class TestDominationCheck:
     def test_zero_functional_never_violates(self):
         assert domination_check(np.zeros(2), TAXICAB, seed=0) <= 0.0
 
+    def test_whole_space_gauge(self):
+        # no rows: p = 0, so every nonzero g is unbounded on p <= 1, and g = 0 is not
+        p = PolyhedralGauge(np.zeros((0, 2)), np.zeros(0))
+        assert domination_check(np.array([1.0, 0.0]), p) == np.inf
+        assert domination_check(np.zeros(2), p) == -1.0
+
     def test_exact_gauges_ignore_seed_trials_and_common_scale(self, monkeypatch):
         # p*(g) - 1 is read off the LPs or the closed-form polar: no draws,
         # and scaling g and p by the same factor leaves it alone
@@ -402,13 +405,12 @@ class TestDominationCheck:
 
 
 def recording_lps(monkeypatch) -> list:
-    """Record ``(start, result)`` of every ``gauges.solve_lp`` call."""
+    """Record the result of every ``gauges.solve_lp`` call."""
     calls = []
 
-    def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
-        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
-        calls.append((start, res))
-        return res
+    def recording(c, a_ub=None, b_ub=None, nonneg=None):
+        calls.append(solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg))
+        return calls[-1]
 
     monkeypatch.setattr(gauges, "solve_lp", recording)
     return calls
@@ -416,8 +418,8 @@ def recording_lps(monkeypatch) -> list:
 
 class TestDominationStarts:
     """``domination_check`` solves only the +g LP on a gauge with mirrored
-    rows, and every domination LP starts cold; the value must be that of
-    the two cold LPs ``max +-g . e`` over ``p <= 1``."""
+    rows; the value must be that of the two LPs ``max +-g . e`` over
+    ``p <= 1``."""
 
     @staticmethod
     def mirrored_gauges():
@@ -440,8 +442,7 @@ class TestDominationStarts:
         for p, g in cases:
             calls.clear()
             value = domination_check(g, p)
-            ((start, _),) = calls
-            assert start is None
+            assert len(calls) == 1
             cold = max(-solve_lp(-sign * g, a_ub=p.a, b_ub=p.b).objective for sign in (1.0, -1.0))
             assert np.isfinite(value)
             assert value == pytest.approx(cold - 1.0, rel=1e-12, abs=1e-12)
@@ -456,7 +457,7 @@ class TestDominationStarts:
         calls = recording_lps(monkeypatch)
         values = [domination_check(g, p) for p, g in cases]
         assert np.all(np.isfinite(values))
-        assert [start for start, _ in calls] == [None] * 2 * len(cases)  # no mirror: both LPs
+        assert len(calls) == 2 * len(cases)  # no mirror: both LPs
         for (p, g), value in zip(cases, values):
             cold = max(-solve_lp(-sign * g, a_ub=p.a, b_ub=p.b).objective for sign in (1.0, -1.0))
             assert value == cold - 1.0
@@ -582,6 +583,31 @@ class TestBallClosedForm:
                 direction = complement_basis(state.domain)[0]
                 interval = extension_interval(state, direction)
                 assert interval.width <= 1e-6 * max(1.0, abs(interval.hi))
+
+    def test_singular_cylinder_slice_is_skipped(self, monkeypatch):
+        # x = c is orthogonal to u = c x e3, and the kernel m of Q is parallel
+        # to x, so Q is singular on the slab-inactive slice psi.u = w: that
+        # slice is skipped and both ends come from the faces psi.x = +-1
+        c = np.array([3.0, 1.0, 0.5])
+        p = BallConeGauge(build_D(OpenBall(c, 1.0), c))
+        u = np.cross(c, [0.0, 0.0, 1.0])
+        u /= np.linalg.norm(u)
+        f = PartialFunctional(span_basis([u]), np.array([0.5 * gauge(p, u)]))
+        state, z = ExtensionState(f, p), np.array([0.0, 0.0, 1.0])
+        slices, real = [], gauges._ellipsoid_slice_max
+
+        def recording(*args):
+            slices.append(real(*args))
+            return slices[-1]
+
+        monkeypatch.setattr(gauges, "_ellipsoid_slice_max", recording)
+        interval = extension_interval(state, z)
+        assert [out is None for out in slices] == [True, False, False] * 2
+        assert (interval.lo, interval.hi) == (-0.8613820121442772, 0.8613820121442773)
+        for end, outside in ((interval.hi, interval.hi + 1e-4), (interval.lo, interval.lo - 1e-4)):
+            assert extend_full_state(extend_one(state, z, gamma=end).functional, p).violation <= 3e-15
+            with pytest.raises(SolverError):
+                extend_full_state(extend_one(state, z, gamma=outside).functional, p)
 
     def test_not_dominated_raises_naming_the_interval(self):
         rng = np.random.default_rng(23)

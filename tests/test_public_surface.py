@@ -13,7 +13,7 @@ from gaugesep import OpenBall, OracleSet, chebyshev_center, pick_interior_point
 from gaugesep.convexsets import sample_interior
 from gaugesep.extension import _checked_domination, domination_check
 from gaugesep.separation import _certificate, verify_separation
-from gaugesep.simplexlp import LPResult
+from gaugesep.simplexlp import LPResult, solve_lp
 
 from helpers import BisectionGauge
 
@@ -43,6 +43,7 @@ REMOVED = [
     "_phi",
     "_remark2_pair",
     "_slack",
+    "_start",
     "check_seminorm_axioms",
     "decompose",
     "disk_instance",
@@ -66,8 +67,9 @@ def test_removed_names_are_gone():
         left = [name for name in REMOVED if hasattr(module, name)]
         assert left == [], module.__name__
     assert not hasattr(gaugesep.Subspace, "projector_matrix")
-    # a basis is the one warm start of solve_lp: a result hands nothing else on
-    assert "_phase1" not in {f.name for f in dataclasses.fields(LPResult)}
+    # solve_lp takes the LP alone, so every LP is its own cold solve
+    assert "start" not in inspect.signature(solve_lp).parameters
+    assert not {"_phase1", "phase1_basis"} & {f.name for f in dataclasses.fields(LPResult)}
     assert "start" not in inspect.signature(sample_interior).parameters
     assert "start" not in inspect.signature(_certificate).parameters
     # the domination LP starts cold: no caller has a basis worth handing it

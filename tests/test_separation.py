@@ -448,23 +448,21 @@ class TestExtensionLPRegressions:
         optimize = pytest.importorskip("scipy.optimize")
         captured = []
 
-        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+        def recording(c, a_ub=None, b_ub=None, nonneg=None):
+            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
             if nonneg is not None:  # an extension LP, not the domination check's
-                captured.append((c, a_ub, b_ub, nonneg, start, res))
+                captured.append((c, a_ub, b_ub, nonneg, res))
             return res
 
         monkeypatch.setattr(gauges, "solve_lp", recording)
         box = self.boxes()[name]
         # under "upper" every step after the first is forced and solves no
-        # LP; "midpoint" never forces, so each interval starts its upper end
-        # cold and its lower end where its upper end's phase 1 ended
+        # LP; "midpoint" never forces, so each interval solves both its ends
         separate(box.polyhedron(), box.subspace())
         assert len(captured) == 2
         separate(box.polyhedron(), box.subspace(), SeparationOptions(gamma_rule="midpoint"))
-        started = [entry[4] is not None for entry in captured[2:]]
-        assert len(started) > 2 and started == [False, True] * (len(started) // 2)
-        for c, a_ub, b_ub, nonneg, _, res in captured:
+        assert len(captured) > 4 and len(captured) % 2 == 0
+        for c, a_ub, b_ub, nonneg, res in captured:
             bounds = [(0, None) if flag else (None, None) for flag in nonneg]
             ref = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
             assert ref.status == 0 and res.status == "optimal"
@@ -499,43 +497,25 @@ class TestExactCuts:
         assert worst <= 1e-14
 
 
-class TestWarmStepsUnderEveryGammaRule:
-    """Only the lower end of an extension interval starts warm, from the
-    upper end's ``phase1_basis``; the upper end starts cold, whatever the
-    step before did.  Under each gamma rule the normals must equal, bit for
-    bit, those of runs whose LPs all start cold."""
+class TestRotatedBoxesUnderEveryGammaRule:
+    """Under each gamma rule ``separate()`` returns a valid certificate on
+    rotated boxes of dimension 6 to 12, for a plane that the box's own
+    description (``Box.separated_by``) confirms misses it."""
 
     @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
-    def test_normals_match_cold_steps(self, monkeypatch, rule):
+    def test_separated_by_a_valid_plane(self, rule):
         rng = np.random.default_rng(61)
-        boxes = [rotated_box(rng, n) for n in (6, 8, 10, 12) for _ in range(3)]
-        opts = SeparationOptions(gamma_rule=rule)
-        pivots = {"warm": 0, "cold": 0}
-
-        def counting(run):
-            def solve(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
-                res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start if run == "warm" else None)
-                pivots[run] += res.iterations
-                return res
-
-            return solve
-
-        monkeypatch.setattr(gauges, "solve_lp", counting("warm"))
-        warm = [separate(box.polyhedron(), box.subspace(), opts) for box in boxes]
-        monkeypatch.setattr(gauges, "solve_lp", counting("cold"))
-        for box, result in zip(boxes, warm):
-            normal = np.asarray(result.hyperplane.normal)
-            assert result.certificate.valid and box.separated_by(normal)
-            reference = separate(box.polyhedron(), box.subspace(), opts)
-            np.testing.assert_array_equal(normal, reference.hyperplane.normal)
-        assert pivots["warm"] < pivots["cold"]
+        for box in [rotated_box(rng, n) for n in (6, 8, 10, 12) for _ in range(3)]:
+            result = separate(box.polyhedron(), box.subspace(), SeparationOptions(gamma_rule=rule))
+            assert result.certificate.valid and box.separated_by(np.asarray(result.hyperplane.normal))
 
 
 class TestEveryLpIsItsColdSolve:
     """Every LP that ``separate()`` solves (the inscribed-ball, extension,
     certificate and domination LPs) returns the status, ``x``, ``y`` and
-    objective that a cold ``solve_lp`` of the same LP returns, bit for bit,
-    so any LP of a run can be re-solved and checked on its own."""
+    objective that a later ``solve_lp`` of the same arrays returns, bit for
+    bit: no caller changes an array after handing it to the solver, so any
+    LP of a run can be re-solved and checked on its own."""
 
     @staticmethod
     def families():
@@ -549,8 +529,8 @@ class TestEveryLpIsItsColdSolve:
     def test_every_lp_equals_its_cold_solve(self, monkeypatch, rule):
         calls = []
 
-        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
+        def recording(c, a_ub=None, b_ub=None, nonneg=None):
+            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
             calls.append(((c, a_ub, b_ub, nonneg), res))
             return res
 

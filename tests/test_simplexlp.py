@@ -117,12 +117,29 @@ class TestSolveLP:
         with pytest.raises(SolverError, match="shapes disagree"):
             solve_lp([1.0, 1.0], a_ub=[[-1.0, 0.0], [0.0, -1.0]], b_ub=[1.0, 1.0], nonneg=[True])
 
-    def test_start_that_is_not_integer_bases_raises(self):
-        a_ub, b_ub = [[-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0]
-        first = solve_lp([1.0, 1.0], a_ub=a_ub, b_ub=b_ub)
-        for start in (first, first.phase1_basis.astype(float), [[[0, 1]]], [True, False]):
-            with pytest.raises(SolverError, match="start"):
-                solve_lp([1.0, 1.0], a_ub=a_ub, b_ub=b_ub, start=start)
+    def test_lp_with_no_rows(self):
+        # the dual has no column that may enter: phase 1 stops at once
+        res = solve_lp([1.0, -2.0])
+        assert res.status == "unbounded"
+        np.testing.assert_array_equal(res.ray, [-1.0, 1.0])
+        assert float(np.dot([1.0, -2.0], res.ray)) == -3.0
+        res = solve_lp([0.0, 0.0])
+        assert (res.status, res.objective) == ("optimal", 0.0)
+        np.testing.assert_array_equal(res.x, [0.0, 0.0])
+        assert res.y.shape == (0,)
+
+    def test_zero_cost_resolve_is_not_a_second_call(self, monkeypatch):
+        # a wrapper of the module's solve_lp (as a tracer installs) sees one
+        # LP, whose iterations include the re-solve's pivots
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(simplexlp, "solve_lp", counting)
+        res = simplexlp.solve_lp([0.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[1.0, -2.0])
+        assert (res.status, len(calls), res.iterations) == ("infeasible", 1, 2)
 
 
 def bounded_lp(rng, n, m):
@@ -251,6 +268,8 @@ class TestSolverDifferential:
         # e1 <= 1 and e1 >= 2 with cost (0, 1): the dual is infeasible as
         # well, and the answer is still "infeasible", not "unbounded"
         assert solve_lp([0.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[1.0, -2.0]).status == "infeasible"
+        # the same LP with -b_ub is feasible, and along e2 unbounded
+        assert solve_lp([0.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[-1.0, 2.0]).status == "unbounded"
         rng = np.random.default_rng(49)
         for _ in range(60):
             n = int(rng.integers(1, 5))
@@ -295,130 +314,19 @@ class TestSolverDifferential:
             assert np.all(a_ub @ res.x <= b_ub + 1e-8 * (1.0 + np.abs(b_ub)))
 
 
-def assert_same_result(got, want):
-    """Two LP results agree exactly: status, x, objective, y and ray."""
-    assert (got.status, got.objective) == (want.status, want.objective)
-    for field in ("x", "y", "ray"):
-        a, b = getattr(got, field), getattr(want, field)
-        assert (a is None and b is None) or (a.shape == b.shape and bool(np.all(a == b))), field
-
-
-def dual_columns(c, a_ub, nonneg):
-    """The columns and right-hand side of the dual that ``solve_lp`` solves,
-    in the order a ``start`` basis indexes them."""
-    sign = np.where(c > 0.0, -1.0, 1.0)
-    return np.hstack([sign[:, None] * a_ub.T, -np.diag(sign)[:, nonneg], np.eye(c.size)]), np.abs(c)
-
-
-class TestStart:
-    """A ``start`` basis changes where phase 1 begins, not the LP: a start
-    from the same LP's phase 1 gives what a cold solve gives, bit for bit,
-    and a start that is not a feasible basis gives the cold solve itself."""
-
-    @staticmethod
-    def cases():
-        """(c, a_ub, b_ub, nonneg): the extension LPs have both ends
-        optimal, the boxed ones an infeasible -b_ub, the last ones an
-        infeasible dual."""
-        rng = np.random.default_rng(50)
-        for _ in range(30):
-            k = int(rng.integers(1, 6))
-            yield extension_lp(rng, 2 * int(rng.integers(3, 12)), k, k + int(rng.integers(1, 4)))
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
-            a, b, _ = bounded_lp(rng, n, int(rng.integers(n, n + 4)))
-            yield rng.normal(size=n), a, b, rng.uniform(size=n) < 0.5
-        for _ in range(20):
-            yield recession_lp(rng, int(rng.integers(2, 6)))
-
-    def test_phase1_basis_serves_another_b_ub(self):
-        statuses, saved = set(), 0
-        for c, a, b, mask in self.cases():
-            first = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask)
-            cold = solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask)
-            warm = solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask, start=first.phase1_basis)
-            assert_same_result(warm, cold)
-            assert np.array_equal(warm.phase1_basis, cold.phase1_basis)
-            # the first LP started where its own phase 1 ended pivots in phase 2 only
-            phase1 = first.iterations - solve_lp(c, a_ub=a, b_ub=b, nonneg=mask, start=first.phase1_basis).iterations
-            assert warm.iterations == cold.iterations - phase1
-            saved += phase1
-            statuses.add((first.status, cold.status))
-        # both ends optimal, an infeasible -b_ub, and an infeasible dual
-        assert statuses == {("optimal", "optimal"), ("optimal", "infeasible"), ("unbounded", "unbounded")}
-        assert saved > 0
-
-    def test_start_keeps_the_zero_cost_resolve(self):
-        # the dual is infeasible for either b_ub, and only the zero-cost
-        # re-solve, run for each b_ub, tells infeasible from unbounded
-        a = [[1.0, 0.0], [-1.0, 0.0]]
-        first = solve_lp([0.0, 1.0], a_ub=a, b_ub=[1.0, -2.0])
-        warm = solve_lp([0.0, 1.0], a_ub=a, b_ub=[-1.0, 2.0], start=first.phase1_basis)
-        assert (first.status, warm.status) == ("infeasible", "unbounded")
-        assert_same_result(warm, solve_lp([0.0, 1.0], a_ub=a, b_ub=[-1.0, 2.0]))
-
-    def test_infeasible_and_singular_starts_give_the_cold_result(self):
-        rng = np.random.default_rng(51)
-        singular = infeasible = 0
-        for c, a, b, mask in self.cases():
-            cols, rhs = dual_columns(np.asarray(c, dtype=float), a, mask)
-            n, width = c.size, cols.shape[1]
-            starts = [np.zeros(n, dtype=int), np.arange(n) + width]  # a repeated column; out of range
-            if n >= 3 and mask[-1] and a.shape[0] % 2 == 0:
-                # the extension LPs' rows (a_i B, -b_i) come in +- a_i pairs, so
-                # two of them and the surplus of t span a plane
-                m = a.shape[0]
-                starts.append(np.concatenate([[0, m // 2, m], width - n + np.arange(n - 3)]))
-                singular += 1
-            for _ in range(50):  # a nonsingular basis with a negative value
-                basis = rng.choice(width, size=n, replace=False)
-                if np.linalg.cond(cols[:, basis]) < 1e8 and np.linalg.solve(cols[:, basis], rhs).min() < -1e-3:
-                    starts.append(basis)
-                    infeasible += 1
-                    break
-            cold = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask)
-            for start in starts:
-                got = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask, start=start)
-                assert_same_result(got, cold)
-                assert got.iterations == cold.iterations
-                assert np.array_equal(got.phase1_basis, cold.phase1_basis)
-        assert singular >= 10 and infeasible >= 40
-
-    def test_start_from_an_lp_with_one_row_less(self):
-        # the extension's step: one more free variable, so one more dual row,
-        # whose cost keeps the first LP's optimal y feasible; its basis, with
-        # the new row's artificial, starts the second LP
-        rng = np.random.default_rng(52)
-        pivots = {"cold": 0, "warm": 0}
-        for _ in range(30):
-            rows, k = 2 * int(rng.integers(3, 12)), int(rng.integers(1, 5))
-            c, a_ub, b_ub, nonneg = extension_lp(rng, rows, k + 1, k + 1 + int(rng.integers(1, 4)))
-            first = solve_lp(np.delete(c, k), a_ub=np.delete(a_ub, k, axis=1), b_ub=b_ub, nonneg=np.delete(nonneg, k))
-            assert first.status == "optimal"
-            c[k] = -(first.y @ a_ub[:, k])
-            new = rows + k  # the artificial of dual row k; the one of t's row moves up
-            start = np.append(np.where(first.basis >= new, first.basis + 1, first.basis), new)
-            cold = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
-            warm = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
-            assert warm.status == cold.status == "optimal"
-            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
-            assert warm.objective == pytest.approx(first.objective, rel=1e-9, abs=1e-12)
-            pivots["cold"] += cold.iterations
-            pivots["warm"] += warm.iterations
-        assert pivots["warm"] < pivots["cold"] / 2
-
-    def test_zero_cost_resolve_is_not_a_second_call(self, monkeypatch):
-        # a wrapper of the module's solve_lp (as a tracer installs) sees one
-        # LP, whose iterations include the re-solve's pivots
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve_lp(*args, **kwargs)
-
-        monkeypatch.setattr(simplexlp, "solve_lp", counting)
-        res = simplexlp.solve_lp([0.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[1.0, -2.0])
-        assert (res.status, len(calls), res.iterations) == ("infeasible", 1, 2)
+def lp_cases():
+    """(c, a_ub, b_ub, nonneg): the extension LPs have both ends optimal,
+    the boxed ones an infeasible -b_ub, the last ones an infeasible dual."""
+    rng = np.random.default_rng(50)
+    for _ in range(30):
+        k = int(rng.integers(1, 6))
+        yield extension_lp(rng, 2 * int(rng.integers(3, 12)), k, k + int(rng.integers(1, 4)))
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        a, b, _ = bounded_lp(rng, n, int(rng.integers(n, n + 4)))
+        yield rng.normal(size=n), a, b, rng.uniform(size=n) < 0.5
+    for _ in range(20):
+        yield recession_lp(rng, int(rng.integers(2, 6)))
 
 
 def assert_identical(got, want):
@@ -431,55 +339,38 @@ def assert_identical(got, want):
 
 class TestKernelIdentity:
     """``solve_lp`` pivots exactly as ``helpers.reference_solve_lp``, the
-    kernel that gathered and inverted its whole basis at every pivot and ran
-    phase 1 from every start: the same pivots, the same bits."""
+    kernel that gathered and inverted its whole basis at every pivot: the
+    same pivots, the same bits."""
 
     @staticmethod
-    def check(c, a_ub, b_ub, nonneg=None, start=None) -> LPResult:
-        got = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start)
-        assert_identical(got, reference_solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start))
+    def check(c, a_ub, b_ub, nonneg=None) -> LPResult:
+        got = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
+        assert_identical(got, reference_solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg))
         return got
 
-    def test_start_cases_and_results_as_starts(self):
+    def test_lp_cases_of_every_status(self):
         statuses = set()
-        for c, a, b, mask in TestStart.cases():
-            first = self.check(c, a, b, mask)
-            for b_ub in (b, -b):  # a result's bases as starts, on both signs of b_ub
-                self.check(c, a, b_ub, mask, start=first.phase1_basis)
-                self.check(c, a, b_ub, mask, start=first.basis)
-            statuses.add(first.status)
-        assert statuses == {"optimal", "unbounded"}
-
-    def test_rejected_starts_fall_back_to_the_artificial_basis(self):
-        # a start is one basis: a rejected one gives the cold solve's bits,
-        # and rows of bases raise
-        for c, a, b, mask in TestStart.cases():
-            first = solve_lp(c, a_ub=a, b_ub=b, nonneg=mask)
-            cold = self.check(c, a, -b, mask)
-            n = c.size
-            for bad in (np.zeros(n, dtype=int), np.arange(n) + a.shape[0] + 2 * n):  # repeated; out of range
-                assert_identical(self.check(c, a, -b, mask, start=bad), cold)
-                with pytest.raises(SolverError, match="start"):
-                    solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask, start=[bad, first.phase1_basis])
+        for c, a, b, mask in lp_cases():
+            for b_ub in (b, -b):
+                statuses.add(self.check(c, a, b_ub, mask).status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
 
     def test_bland_cycling_example(self):
         c = [-0.75, 150.0, -0.02, 6.0]
         a_ub = [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]
-        first = self.check(c, a_ub, [0.0, 0.0, 1.0], [True] * 4)
-        self.check(c, a_ub, [0.0, 0.0, -1.0], [True] * 4, start=first.phase1_basis)
-        self.check(c, a_ub, [0.0, 0.0, 1.0], [True] * 4, start=first.phase1_basis)
+        self.check(c, a_ub, [0.0, 0.0, 1.0], [True] * 4)
+        self.check(c, a_ub, [0.0, 0.0, -1.0], [True] * 4)
 
     def test_every_lp_of_separate_on_seeded_boxes(self, monkeypatch):
         # the degenerate inscribed-ball LP, the extension's two ends per step
-        # (the lower one started from the upper one's phase1_basis) and the
-        # domination and certificate LPs of axis and rotated boxes; under
-        # "upper" only the first step solves LPs, and "midpoint" never forces
-        calls, results = [], []
+        # and the domination and certificate LPs of axis and rotated boxes;
+        # under "upper" only the first step solves LPs, and "midpoint" never
+        # forces
+        calls = []
 
-        def recording(c, a_ub=None, b_ub=None, nonneg=None, *, start=None):
-            calls.append((c, a_ub, b_ub, nonneg, start))
-            results.append(solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg, start=start))
-            return results[-1]
+        def recording(c, a_ub=None, b_ub=None, nonneg=None):
+            calls.append((c, a_ub, b_ub, nonneg))
+            return solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
 
         for module in (convexsets, gauges, separation):
             monkeypatch.setattr(module, "solve_lp", recording)
@@ -488,10 +379,9 @@ class TestKernelIdentity:
         for box in boxes:
             for rule in ("upper", "midpoint"):
                 separate(box.polyhedron(), box.subspace(), SeparationOptions(gamma_rule=rule))
-        lower_ends = sum(call[-1] is res.phase1_basis for call, res in zip(calls[1:], results))
-        assert lower_ends >= 20
-        for c, a_ub, b_ub, nonneg, start in calls:
-            self.check(c, a_ub, b_ub, nonneg, start)
+        assert sum(nonneg is not None for *_, nonneg in calls) >= 40  # extension ends
+        for c, a_ub, b_ub, nonneg in calls:
+            self.check(c, a_ub, b_ub, nonneg)
 
     def test_pivot_inverse_is_numpys(self, monkeypatch):
         # every basis inverse of solves with 1 to 41 variables, bit for bit
@@ -594,7 +484,7 @@ class TestBundledCounters:
 
     @pytest.mark.parametrize(
         "name,lps,pivots",
-        [("example1", 0, 0), ("example2", 4, 4), ("example3_quotient", 3, 3)],
+        [("example1", 0, 0), ("example2", 4, 5), ("example3_quotient", 3, 4)],
     )
     def test_lp_calls_and_pivots(self, monkeypatch, name, lps, pivots):
         problem = parse_problem(name)
@@ -604,7 +494,7 @@ class TestBundledCounters:
     # many extension steps, each after the first forced by the first one's
     # picked end (no LP); the certificate's support LP decides domination
     # (Remark 2), so no domination LP is solved
-    @pytest.mark.parametrize("name,lps,pivots", [("axis-40", 5, 147), ("rotated-12", 5, 83)])
+    @pytest.mark.parametrize("name,lps,pivots", [("axis-40", 5, 172), ("rotated-12", 5, 94)])
     def test_multi_step_boxes(self, monkeypatch, name, lps, pivots):
         if name == "axis-40":
             box = axis_box(np.random.default_rng(59), 40)
