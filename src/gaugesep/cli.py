@@ -147,6 +147,7 @@ def _row(row, dim: int, strict: bool) -> tuple[list[float], float]:
     if strict:
         _require(_is_number(off), ".b", "expected a finite number")
         _require(row.get("strict") is True, ".strict", "must be true in version 1")
+        _require(any(a), "", "zero rows are not allowed")
     else:
         _require(_is_number(off) and off > 0, ".b", "expected a finite positive number")
     return a, float(off)

@@ -13,6 +13,8 @@ a row both choices follow Bland's rule, which cannot cycle (Bland 1977).
 The ratio test is Harris's two-pass test (Harris 1973), relaxed by only
 1e-12 of each basic value: a dual value it lets go negative biases the LP
 value upward, and the extension takes that value as the end of its interval.
+It runs on Python floats (numpy's per-call cost outweighs short vectors)
+with an array version's operations in their order, so it picks the same rows.
 
 Every solve starts phase 1 from the artificial basis: ``solve_lp`` takes
 the LP and nothing else, so two calls on the same LP return the same bits.
@@ -20,6 +22,7 @@ the LP and nothing else, so two calls on the same LP return the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,14 +60,17 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv=None):
 
     Only the first ``n_enter`` columns may enter; the rest are artificials.
     A basic artificial at zero blocks the ratio test in both directions, so it
-    leaves on a degenerate pivot instead of going negative.
+    leaves on a degenerate pivot instead of going negative.  The ratio test
+    runs on Python floats with the operations of ``np.maximum``, ``min`` and
+    ``argmax`` in their order, so the same row leaves as in an array version.
     """
     enter_cols = cols[:, :n_enter]
     enter_cost = cost[:n_enter]
     price_tol = PIVOT_TOL * max(1.0, float(np.abs(enter_cost).max(initial=0.0)))
-    artificial = basis >= n_enter
-    mixed = bool(artificial.any())  # an artificial is basic
+    artificial = (basis >= n_enter).nonzero()[0].tolist()  # the rows of the basic artificials
     bmat, cost_b = cols[:, basis], cost[basis]  # each pivot replaces one column and cost
+    prices = np.empty(cols.shape[1])  # the artificials' entries are never read
+    score = prices[:n_enter]
     stall = 0
     # set as np.linalg.inv sets it, so that a singular basis raises LinAlgError
     with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
@@ -74,32 +80,38 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv=None):
             pi = cost_b @ binv
             if not n_enter:
                 return "optimal", pi, pivots, binv
-            score = (enter_cost - pi @ enter_cols) * inv_scale
-            score[basis[~artificial] if mixed else basis] = 0.0  # basic columns price at zero up to rounding
+            prices[:n_enter] = (enter_cost - pi @ enter_cols) * inv_scale
+            prices[basis] = 0.0  # basic columns price at zero up to rounding
+            bland = stall >= STALL
             # Bland: the first improving column; otherwise the steepest one
-            q = (score < -price_tol).argmax() if stall >= STALL else score.argmin()
+            q = (score < -price_tol).argmax() if bland else score.argmin()
             if not score[q] < -price_tol:
                 return "optimal", pi, pivots, binv
-            z = np.maximum(binv @ rhs, 0.0)  # rounding below zero counts as zero
-            u = binv @ enter_cols[:, q]
-            if mixed:
-                blocked = artificial & (z <= zero_tol)
-                u[blocked] = np.abs(u[blocked])
-            rows = (u > PIVOT_TOL).nonzero()[0]
-            if rows.size == 0:
+            z = (binv @ rhs).tolist()
+            u = (binv @ enter_cols[:, q]).tolist()
+            for i in artificial:
+                if z[i] <= zero_tol:
+                    u[i] = abs(u[i])
+            rows, cut = [], math.inf  # the rows that bound the step; Harris's relaxed bound
+            for i, ui in enumerate(u):
+                if ui > PIVOT_TOL:
+                    if z[i] <= 0.0:
+                        z[i] = 0.0  # rounding below zero counts as zero (and -0.0 is 0.0, as in np.maximum)
+                    rows.append(i)
+                    bound = (z[i] + 1e-12 * (1.0 + z[i])) / ui
+                    if bound < cut:
+                        cut = bound
+            if not rows:
                 return "unbounded", pi, pivots, binv
-            zr, ur = z[rows], u[rows]
-            ratio = zr / ur
-            if stall >= STALL:  # Bland: the lowest index among the tied rows
-                low = ratio.min()
-                near = ratio <= low + 1e-12 * max(1.0, low)
-                leave = rows[near][basis[rows[near]].argmin()]
-            else:  # Harris: the largest pivot among the rows within the relaxed bound
-                near = ratio <= ((zr + 1e-12 * (1.0 + zr)) / ur).min()
-                leave = rows[near][ur[near].argmax()]
+            if bland:  # the lowest basis index among the tied rows
+                low = min([z[i] / u[i] for i in rows])
+                cut = low + 1e-12 * max(1.0, low)
+                leave = min([i for i in rows if z[i] / u[i] <= cut], key=basis.__getitem__)
+            else:  # Harris: the largest pivot (the first on ties) among the rows within the relaxed bound
+                leave = max([i for i in rows if z[i] / u[i] <= cut], key=u.__getitem__)
             stall = stall + 1 if z[leave] <= PIVOT_TOL * u[leave] else 0
-            artificial[leave] = False
-            mixed = mixed and bool(artificial.any())
+            if leave in artificial:
+                artificial.remove(leave)
             basis[leave] = q
             bmat[:, leave], cost_b[leave] = cols[:, q], cost[q]
             binv = _inv(bmat, signature="d->d")
@@ -108,7 +120,7 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv=None):
 
 def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     """Minimize ``c . x`` subject to ``a_ub x <= b_ub`` (an equality is two
-    opposite rows).
+    opposite rows), on finite data.
 
     ``nonneg`` is an optional boolean mask; unmasked variables are free.
     When the dual is infeasible the LP is unbounded or infeasible; a second
@@ -130,25 +142,33 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     mask = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool).reshape(-1)
     if a_ub.shape != (b_ub.size, n) or mask.size != n:
         raise SolverError("constraint matrix/vector shapes disagree")
+    if not (np.isfinite(c).all() and np.isfinite(a_ub).all() and np.isfinite(b_ub).all()):
+        raise SolverError("LP data must be finite")
     return _solve(c, a_ub, b_ub, mask)
 
 
 def _solve(c, a_ub, b_ub, mask) -> LPResult:
     """``solve_lp`` on checked arrays; the zero-cost re-solve calls this, not
     the public name, so that a wrapper of ``solve_lp`` sees one LP."""
-    n = c.size
+    n, m = c.size, b_ub.size
     # dual rows scaled by ``sign`` so that the right-hand side |c| is >= 0;
     # columns: y (one per constraint), surplus s (masked variables), artificials
     sign = np.where(c > 0.0, -1.0, 1.0)
     rhs = np.abs(c)
-    cols = np.hstack([sign[:, None] * a_ub.T, -np.diag(sign)[:, mask], np.eye(n)])
-    n_enter = cols.shape[1] - n
+    surplus = mask.nonzero()[0]
+    n_enter = m + surplus.size
+    cols = np.zeros((n, n_enter + n))
+    np.multiply(sign[:, None], a_ub.T, out=cols[:, :m])
+    cols[:, m:n_enter] = -0.0  # the signed zeros of -diag(sign), which can reach the bits of x
+    cols[surplus, m + np.arange(surplus.size)] = -sign[surplus]
+    np.fill_diagonal(cols[:, n_enter:], 1.0)
     enter = cols[:, :n_enter]
     inv_scale = 1.0 / (1.0 + np.sqrt((enter * enter).sum(axis=0)))
     zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
     basis = n_enter + np.arange(n)  # the artificial basis
-    cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
+    cost1 = np.zeros(n_enter + n)
+    cost1[n_enter:] = 1.0
     status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, inv_scale)
     if status != "optimal":
         raise SolverError("phase-1 objective unbounded; malformed constraints")
@@ -158,7 +178,8 @@ def _solve(c, a_ub, b_ub, mask) -> LPResult:
         if feasible.status == "infeasible":
             return LPResult("infeasible", iterations=iters, basis=basis)
         return LPResult("unbounded", ray=sign * pi, iterations=iters, basis=basis)
-    cost = np.concatenate([b_ub, np.zeros(cols.shape[1] - b_ub.size)])
+    cost = np.zeros(n_enter + n)
+    cost[:m] = b_ub
     # phase 2 starts from phase 1's final basis, so it reuses that inverse
     status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv)
     iters += more
@@ -181,7 +202,9 @@ def _face_edges(res: LPResult) -> np.ndarray:
     m, n_enter = res.y.size, inv_scale.size
     price_tol = PIVOT_TOL * max(1.0, float(np.abs(cost[:n_enter]).max(initial=0.0)))
     score = (cost[:n_enter] - (sign * res.x) @ cols[:, :n_enter]) * inv_scale  # sign * x is the final pi
-    tied = np.setdiff1d((score <= price_tol).nonzero()[0], res.basis)
+    tied = score <= price_tol
+    tied[res.basis[res.basis < n_enter]] = False  # basic columns are not edges
+    tied = tied.nonzero()[0]
     edges = np.zeros((cols.shape[1], tied.size))  # one row per column of the dual
     edges[res.basis] = -(binv @ cols[:, tied])
     edges[tied, np.arange(tied.size)] = 1.0

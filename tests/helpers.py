@@ -31,6 +31,7 @@ from gaugesep import (
     Subspace,
     gauge,
     pick_interior_point,
+    solve_lp,
     span_basis,
     unit_ball,
     zero_subspace,
@@ -425,6 +426,21 @@ def seminorm_axioms(p: Seminorm, seed: int = 0, trials: int = 1000) -> tuple[flo
 PIVOT_TOL = 1e-9
 MAX_ITER = 20000
 STALL = 20
+
+
+def record_lps(monkeypatch, *modules) -> list:
+    """Route every ``solve_lp`` call of ``modules`` through a recorder; returns
+    the list it fills with ((c, a_ub, b_ub, nonneg), result), in call order."""
+    calls = []
+
+    def recording(c, a_ub=None, b_ub=None, nonneg=None):
+        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
+        calls.append(((c, a_ub, b_ub, nonneg), res))
+        return res
+
+    for module in modules:
+        monkeypatch.setattr(module, "solve_lp", recording)
+    return calls
 
 
 def reference_solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:

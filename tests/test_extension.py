@@ -42,6 +42,7 @@ from helpers import (
     random_polyhedral_gauge,
     random_polytope_instance,
     random_subspace,
+    record_lps,
     rotated_box,
 )
 
@@ -149,13 +150,7 @@ class TestExtensionInterval:
     def test_lp_ends_match_two_cold_solves(self, monkeypatch):
         # both ends must equal separate solves of the same two LPs exactly,
         # at every step: an interval's LPs carry nothing over from earlier ones
-        calls = []
-
-        def recording(c, a_ub=None, b_ub=None, nonneg=None):
-            calls.append((c, a_ub, b_ub, nonneg))
-            return solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
-
-        monkeypatch.setattr(gauges, "solve_lp", recording)
+        calls = record_lps(monkeypatch, gauges)
         rng = np.random.default_rng(12)
         steps = later = 0
         for _ in range(12):
@@ -167,7 +162,7 @@ class TestExtensionInterval:
             for step, z in enumerate(complement_basis(f.domain)):
                 calls.clear()
                 interval = extension_interval(state, z)
-                cold_up, cold_down = (solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg) for c, a_ub, b_ub, nonneg in calls)
+                cold_up, cold_down = (solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg) for (c, a_ub, b_ub, nonneg), _ in calls)
                 assert (interval.hi, interval.lo) == (cold_up.objective, -cold_down.objective)
                 state = extend_one(state, z, "midpoint")
                 steps += 1
@@ -268,7 +263,7 @@ class TestExtendFull:
     def test_unknown_rule_raises_before_any_lp(self, monkeypatch):
         # also where no step would pick: the zero functional, and a domain
         # that is already the whole space
-        calls = recording_lps(monkeypatch)
+        calls = record_lps(monkeypatch, gauges)
         whole = PartialFunctional(span_basis(list(np.eye(2))), np.array([0.5, 0.5]))
         for f in (x_axis_functional(), PartialFunctional(zero_subspace(2), np.zeros(0)), whole):
             with pytest.raises(InputError, match="unknown gamma rule 'bogus'"):
@@ -279,7 +274,7 @@ class TestExtendFull:
     def test_negative_seed_raises_before_any_lp(self, monkeypatch, p):
         # numpy's generator takes no negative seed, and an exact gauge draws
         # nothing; every analytic entry point rejects one all the same
-        calls = recording_lps(monkeypatch)
+        calls = record_lps(monkeypatch, gauges)
         state = ExtensionState(x_axis_functional(), p)
         entries = [
             lambda: extend_full_state(x_axis_functional(), p, seed=-1),
@@ -404,18 +399,6 @@ class TestDominationCheck:
         assert first == second
 
 
-def recording_lps(monkeypatch) -> list:
-    """Record the result of every ``gauges.solve_lp`` call."""
-    calls = []
-
-    def recording(c, a_ub=None, b_ub=None, nonneg=None):
-        calls.append(solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg))
-        return calls[-1]
-
-    monkeypatch.setattr(gauges, "solve_lp", recording)
-    return calls
-
-
 class TestDominationStarts:
     """``domination_check`` solves only the +g LP on a gauge with mirrored
     rows; the value must be that of the two LPs ``max +-g . e`` over
@@ -438,7 +421,7 @@ class TestDominationStarts:
         # LP is not solved at all, and the +g LP alone gives the value of the
         # two cold LPs an unmirrored gauge needs
         cases = list(self.mirrored_gauges())
-        calls = recording_lps(monkeypatch)
+        calls = record_lps(monkeypatch, gauges)
         for p, g in cases:
             calls.clear()
             value = domination_check(g, p)
@@ -454,7 +437,7 @@ class TestDominationStarts:
         for n in (2, 3, 4):
             p = PolyhedralGauge(rng.normal(size=(3 * n, n)), rng.uniform(0.5, 2.0, size=3 * n))
             cases.append((p, rng.normal(size=n)))
-        calls = recording_lps(monkeypatch)
+        calls = record_lps(monkeypatch, gauges)
         values = [domination_check(g, p) for p, g in cases]
         assert np.all(np.isfinite(values))
         assert len(calls) == 2 * len(cases)  # no mirror: both LPs
@@ -517,7 +500,7 @@ class TestForcedSteps:
         # point, and the interval along e3 comes from its two LPs
         cube = PolyhedralGauge(np.array(list(product((-1.0, 1.0), repeat=3))), np.ones(8))
         f = PartialFunctional(span_basis([np.array([1.0, 0.0, 0.0])]), np.array([0.5]))
-        calls = recording_lps(monkeypatch)
+        calls = record_lps(monkeypatch, gauges)
         first, second = extend_full_state(f, cube, "upper").history
         assert len(calls) == 2 + 2 + 2  # two intervals, then the +g and -g domination LPs
         np.testing.assert_array_equal(first.direction, [0.0, 1.0, 0.0])

@@ -53,6 +53,7 @@ from helpers import (
     random_instance,
     random_polyhedral_gauge,
     random_polytope_instance,
+    record_lps,
     rotated_box,
     sample_exact,
 )
@@ -527,15 +528,7 @@ class TestEveryLpIsItsColdSolve:
 
     @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
     def test_every_lp_equals_its_cold_solve(self, monkeypatch, rule):
-        calls = []
-
-        def recording(c, a_ub=None, b_ub=None, nonneg=None):
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
-            calls.append(((c, a_ub, b_ub, nonneg), res))
-            return res
-
-        for module in (convexsets, gauges, separation):
-            monkeypatch.setattr(module, "solve_lp", recording)
+        calls = record_lps(monkeypatch, convexsets, gauges, separation)
         for a_set, s in self.families():
             separate(a_set, s, SeparationOptions(gamma_rule=rule))
         assert len(calls) == {"upper": 434, "lower": 430, "midpoint": 724}[rule]
@@ -602,15 +595,7 @@ class TestOptionChecks:
 
     @pytest.fixture
     def lps(self, monkeypatch) -> list:
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve_lp(*args, **kwargs)
-
-        for module in (convexsets, gauges, separation):
-            monkeypatch.setattr(module, "solve_lp", counting)
-        return calls
+        return record_lps(monkeypatch, convexsets, gauges, separation)
 
     def cases(self):
         # span(S + x) is the whole plane for the box and the ball, so no
@@ -789,14 +774,8 @@ class TestSeparateSideTests:
         def refuse(*args, **kwargs):
             raise AssertionError("a polyhedron or ball was sampled")
 
-        lps = []
-
-        def counting(*args, **kwargs):
-            lps.append(1)
-            return solve_lp(*args, **kwargs)
-
         monkeypatch.setattr(separation, "sample_interior", refuse)
-        monkeypatch.setattr(separation, "solve_lp", counting)
+        lps = record_lps(monkeypatch, separation)
         rng = np.random.default_rng(5)
         cases = [bundled("example1"), bundled("example2"), bundled("example3_quotient")]
         cases += [(*random_instance(rng, 3), None) for _ in range(8)]
@@ -835,13 +814,7 @@ class TestSeparateSideTests:
         box = HPolyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.array([4.0, 1.0, -2.0, 1.0]))  # (2, 4) x (-1, 1)
         normal, s = np.array(normal) / np.linalg.norm(normal), zero_subspace(2)
         plus, minus = (separation._certificate(box, s, normal, seed=0, samples=0, side=k) for k in (1.0, -1.0))
-        lps = []
-
-        def counting(*args, **kwargs):
-            lps.append(1)
-            return solve_lp(*args, **kwargs)
-
-        monkeypatch.setattr(separation, "solve_lp", counting)
+        lps = record_lps(monkeypatch, separation)
         cert = verify_separation(box, s, Hyperplane(normal))
         assert len(lps) == lps_made
         assert cert == (minus if minus.boundary_margin > plus.boundary_margin else plus)

@@ -20,7 +20,7 @@ from gaugesep import (
 )
 from gaugesep.cli import parse_problem
 
-from helpers import axis_box, lp_vertex_reference, reference_solve_lp, rotated_box
+from helpers import axis_box, lp_vertex_reference, record_lps, reference_solve_lp, rotated_box
 
 
 class TestSolveLP:
@@ -128,16 +128,28 @@ class TestSolveLP:
         np.testing.assert_array_equal(res.x, [0.0, 0.0])
         assert res.y.shape == (0,)
 
+    @pytest.mark.parametrize(
+        "c,a_ub,b_ub",
+        [
+            ([np.nan, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            ([1.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            ([-1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0]),
+            ([-1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [np.inf, 1.0]),
+            ([np.inf, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        ],
+        ids=["nan-c", "nan-a", "nan-b", "inf-b", "inf-c"],
+    )
+    def test_nonfinite_data_raises(self, c, a_ub, b_ub):
+        # refused before any pivot; unchecked, these came back as numpy's
+        # ValueError, "unbounded", "optimal" with a NaN x, LinAlgError and
+        # "optimal" with a NaN objective
+        with pytest.raises(SolverError, match="LP data must be finite"):
+            solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+
     def test_zero_cost_resolve_is_not_a_second_call(self, monkeypatch):
         # a wrapper of the module's solve_lp (as a tracer installs) sees one
         # LP, whose iterations include the re-solve's pivots
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve_lp(*args, **kwargs)
-
-        monkeypatch.setattr(simplexlp, "solve_lp", counting)
+        calls = record_lps(monkeypatch, simplexlp)
         res = simplexlp.solve_lp([0.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[1.0, -2.0])
         assert (res.status, len(calls), res.iterations) == ("infeasible", 1, 2)
 
@@ -361,26 +373,44 @@ class TestKernelIdentity:
         self.check(c, a_ub, [0.0, 0.0, 1.0], [True] * 4)
         self.check(c, a_ub, [0.0, 0.0, -1.0], [True] * 4)
 
-    def test_every_lp_of_separate_on_seeded_boxes(self, monkeypatch):
-        # the degenerate inscribed-ball LP, the extension's two ends per step
-        # and the domination and certificate LPs of axis and rotated boxes;
-        # under "upper" only the first step solves LPs, and "midpoint" never
-        # forces
-        calls = []
+    def test_harris_tie_takes_the_first_row(self):
+        # the first phase-1 pivot (column 0 into the artificial basis) ties
+        # two rows in ratio and in pivot size; row 0 must leave, as argmax
+        # picks, which puts column 0 in row 0 of the final basis
+        res = self.check([1.0, 1.0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 1.0, 1.0])
+        assert res.status == "optimal"
+        np.testing.assert_array_equal(res.basis, [0, 1])
 
-        def recording(c, a_ub=None, b_ub=None, nonneg=None):
-            calls.append((c, a_ub, b_ub, nonneg))
-            return solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
-
-        for module in (convexsets, gauges, separation):
-            monkeypatch.setattr(module, "solve_lp", recording)
-        rng = np.random.default_rng(60)
-        boxes = [axis_box(rng, n) for n in (4, 10, 20)] + [rotated_box(rng, n) for n in (4, 6, 8, 10)]
+    @staticmethod
+    def separate_all(monkeypatch, boxes) -> list:
+        """Every LP of ``separate`` under "upper" (only the first step solves
+        LPs) and "midpoint" (no step is forced) on each box."""
+        calls = record_lps(monkeypatch, convexsets, gauges, separation)
         for box in boxes:
             for rule in ("upper", "midpoint"):
                 separate(box.polyhedron(), box.subspace(), SeparationOptions(gamma_rule=rule))
-        assert sum(nonneg is not None for *_, nonneg in calls) >= 40  # extension ends
-        for c, a_ub, b_ub, nonneg in calls:
+        return calls
+
+    def test_every_lp_of_separate_on_seeded_boxes(self, monkeypatch):
+        # the degenerate inscribed-ball LP, the extension's two ends per step
+        # and the domination and certificate LPs of axis and rotated boxes
+        rng = np.random.default_rng(60)
+        boxes = [axis_box(rng, n) for n in (4, 10, 20)] + [rotated_box(rng, n) for n in (4, 6, 8, 10)]
+        calls = self.separate_all(monkeypatch, boxes)
+        assert sum(nonneg is not None for (*_, nonneg), _ in calls) >= 40  # extension ends
+        for (c, a_ub, b_ub, nonneg), _ in calls:
+            self.check(c, a_ub, b_ub, nonneg)
+
+    def test_every_lp_of_separate_at_the_largest_sizes(self, monkeypatch):
+        # 41 variables (the longest ratio test), the 228 rows of a rotated
+        # 12-D box's extension LPs, and the degenerate LPs of a 40-D box
+        # with a dense S
+        rng = np.random.default_rng(62)
+        boxes = [axis_box(rng, 40), rotated_box(rng, 12), axis_box(np.random.default_rng(40), 40, dense_s=True)]
+        calls = self.separate_all(monkeypatch, boxes)
+        assert max(c.size for (c, *_), _ in calls) == 41
+        assert max(len(b_ub) for (_, _, b_ub, _), _ in calls) >= 228
+        for (c, a_ub, b_ub, nonneg), _ in calls:
             self.check(c, a_ub, b_ub, nonneg)
 
     def test_pivot_inverse_is_numpys(self, monkeypatch):
@@ -444,13 +474,7 @@ class TestChebyshevCenter:
         assert depth == pytest.approx(radius, abs=1e-9)
 
     def test_one_lp_per_call(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve_lp(*args, **kwargs)
-
-        monkeypatch.setattr(convexsets, "solve_lp", counting)
+        calls = record_lps(monkeypatch, convexsets)
         n = 40
         box = HPolyhedron(np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([np.full(n, 3.0), np.ones(n)]))
         center, radius = chebyshev_center(box)
@@ -506,14 +530,6 @@ class TestBundledCounters:
     @staticmethod
     def counters(monkeypatch, a_set, s, opts) -> tuple[int, int]:
         """(LP calls, pivots) of ``separate``, whose certificate must be valid."""
-        iterations = []
-
-        def counting(*args, **kwargs):
-            res = solve_lp(*args, **kwargs)
-            iterations.append(res.iterations)
-            return res
-
-        for module in (convexsets, gauges, separation):
-            monkeypatch.setattr(module, "solve_lp", counting)
+        calls = record_lps(monkeypatch, convexsets, gauges, separation)
         assert separate(a_set, s, opts).certificate.valid
-        return len(iterations), sum(iterations)
+        return len(calls), sum(res.iterations for _, res in calls)
