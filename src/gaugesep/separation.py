@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convexsets import (
-    MIN_DEPTH,
     ConvexSet,
     HPolyhedron,
     OpenBall,
@@ -154,17 +153,12 @@ def _support(a_set: HPolyhedron | OpenBall, direction: np.ndarray) -> tuple[floa
 def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
     """Raise InputError ("precondition: ...") when the set meets the subspace.
 
-    The one test of it: when S is not {0}, a polyhedron meets S when the
-    largest ball centred in S inside it has r* > MIN_DEPTH (one LP; the
-    message names r*), and a ball when its centre is nearer S than
-    r (1 - 1e-9).  Every set is then tested at the origin (``all(b > 0)`` for
-    a polyhedron), then a membership oracle at 500 seeded points of S.
+    The tests that need no LP: a ball whose centre is nearer S than
+    r (1 - 1e-9) when S is not {0}, every set at the origin (``all(b > 0)``
+    for a polyhedron), then a membership oracle at 500 seeded points of S.
+    A polyhedron's certificate decides the rest (see ``separate``).
     """
-    if s.dim and isinstance(a_set, HPolyhedron):
-        depth = _inscribed_ball(a_set, s.basis)[1]
-        if depth > MIN_DEPTH:
-            raise InputError(f"precondition: the set intersects the subspace (inscribed ball centred in it: r* = {depth:.6g})")
-    elif s.dim and isinstance(a_set, OpenBall):
+    if s.dim and isinstance(a_set, OpenBall):
         c = a_set.center
         if float(np.linalg.norm(c - (s.basis @ c) @ s.basis)) < a_set.radius * (1.0 - 1e-9):
             raise InputError("precondition: the set intersects the subspace")
@@ -234,10 +228,12 @@ def _checked(cert: SeparationCertificate) -> SeparationCertificate:
 def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = None) -> SeparationResult:
     """Hyperplane containing ``s`` and disjoint from the open convex ``a_set``.
 
-    Precondition: the set and the subspace are disjoint (``_check_disjoint``:
-    exact for polyhedra and balls, the origin and samples for oracles), and
-    S is not the whole space; that, an unknown ``opts.gamma_rule`` and a
-    negative ``opts.seed`` raise before any LP.  A hyperplane whose
+    Precondition: S is not the whole space (checked before any LP, with
+    ``opts.gamma_rule`` and ``opts.seed``) and misses the set.
+    ``_check_disjoint`` tests a ball's band, the origin and an oracle's
+    samples.  On a polyhedron a valid certificate proves it, and an error of
+    the pipeline becomes the precondition error when the inscribed ball
+    centred in S has r* > 0 (one LP, solved only then).  A hyperplane whose
     certificate is not valid is never returned: SolverError names the failed
     checks instead.  By Remark 2 the certificate also decides that g is
     dominated; only a sampled one adds ``domination_check``.  The anchor
@@ -263,18 +259,22 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
         cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples))
         return SeparationResult(Hyperplane(normal), normal, None, None, (), cert)
     _check_disjoint(a_set, s, opts.seed)
-    body = build_D(a_set, x)
-    p = gauge_from_symmetrized(body)
-    state = _extend_steps(_span_functional(s, x), p, opts.gamma_rule, seed=opts.seed)
-    g = state.functional.as_coefficients()
-    if not isinstance(a_set, (HPolyhedron, OpenBall)):  # a sampled certificate does not decide domination
-        _checked_domination(g, p, seed=opts.seed)
-    if abs(float(g @ x) - 1.0) > 1e-8:
-        raise SolverError("extension failed to send the anchor to 1")
-    hyper = kernel_hyperplane(g)
-    # g(x) = 1 puts the set on the positive side
-    normal = np.asarray(hyper.normal)
-    cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples, side=1.0))
+    try:
+        p = gauge_from_symmetrized(build_D(a_set, x))
+        state = _extend_steps(_span_functional(s, x), p, opts.gamma_rule, seed=opts.seed)
+        g = state.functional.as_coefficients()
+        if not isinstance(a_set, (HPolyhedron, OpenBall)):  # a sampled certificate does not decide domination
+            _checked_domination(g, p, seed=opts.seed)
+        if abs(float(g @ x) - 1.0) > 1e-8:
+            raise SolverError("extension failed to send the anchor to 1")
+        hyper = kernel_hyperplane(g)
+        normal = np.asarray(hyper.normal)  # g(x) = 1 puts the set on the positive side
+        cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples, side=1.0))
+    except (InputError, DegenerateError, SolverError) as exc:
+        depth = _inscribed_ball(a_set, s.basis)[1] if s.dim and isinstance(a_set, HPolyhedron) else 0.0
+        if depth > 0.0:
+            raise InputError(f"precondition: the set intersects the subspace (inscribed ball centred in it: r* = {depth:.6g})") from exc
+        raise
     # Remark 2: g is dominated exactly when its kernel misses the set, which
     # sign_constant has just tested on this very hyperplane
     cert = replace(cert, remark2_status=cert.sign_constant)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -438,6 +439,22 @@ class TestSubcommands:
         assert code == 0
         assert "polygon" in target.read_text()
 
+    def test_render_draws_a_one_dimensional_subspace(self, capsys, tmp_path):
+        # the box (1, 3) x (-1, 1) against S = span{e2}: S is drawn dashed,
+        # and the only plane that contains S has normal +-e1
+        rows = [([1.0, 0.0], 3.0), ([-1.0, 0.0], -1.0), ([0.0, 1.0], 1.0), ([0.0, -1.0], 1.0)]
+        problem = {
+            "version": 1,
+            "dimension": 2,
+            "A": {"kind": "hpoly", "rows": [{"a": a, "b": b, "strict": True} for a, b in rows]},
+            "S": {"basis": [[0.0, 1.0]]},
+        }
+        target = tmp_path / "box.svg"
+        code, out, _ = run_cli(capsys, "render", "--input", write(tmp_path, "box.json", problem), "--svg", str(target))
+        assert code == 0
+        assert 'stroke-dasharray="6 4"' in target.read_text()
+        assert np.abs(json.loads(out)["normal"]).tolist() == [1.0, 0.0]
+
     def test_output_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run_cli(capsys, "gauge", "--input", "example1", "--point", "1,1", "--output", str(target))
@@ -452,6 +469,25 @@ class TestSubcommands:
         lines = [line for line in out.splitlines() if line.startswith("REPRO")]
         assert len(lines) == 3
         assert all(line.endswith("PASS") for line in lines)
+
+    def test_repro_fails_on_a_changed_golden(self, capsys, tmp_path, monkeypatch):
+        # the bundled problems and goldens, copied, with one normal entry of
+        # example2's golden changed
+        package = Path(gaugesep.__file__).parent
+        for part in ("problems", "goldens"):
+            shutil.copytree(package / part, tmp_path / part)
+        golden_path = tmp_path / "goldens" / "example2.json"
+        golden = json.loads(golden_path.read_text())
+        golden["normal"][2] = 0.5
+        golden_path.write_text(json.dumps(golden))
+        monkeypatch.setattr(cli.resources, "files", lambda name: tmp_path)
+        code, out, _ = run_cli(capsys, "repro")
+        assert code == 1
+        assert out.splitlines() == [
+            "REPRO example1: PASS",
+            "REPRO example2: FAIL at $.normal[2]: golden=0.5 actual=0",
+            "REPRO example3_quotient: PASS",
+        ]
 
     @pytest.mark.parametrize("flag", [["--seed", "5"], ["--gamma-rule", "lower"]], ids=["seed", "gamma-rule"])
     def test_repro_rejects_overrides_exit_4(self, capsys, flag):

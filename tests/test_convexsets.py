@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugesep.convexsets as convexsets
+import gaugesep.gauges as gauges
+import gaugesep.separation as separation
 from gaugesep import (
     EmptySetError,
     HPolyhedron,
@@ -25,7 +27,7 @@ from gaugesep.convexsets import _inscribed_ball
 from gaugesep.fixtures import oracle_by_name
 from gaugesep.simplexlp import LPResult
 
-from helpers import axis_box, bundled, conic_hull_rows, random_instance, rotated_box
+from helpers import axis_box, bundled, conic_hull_rows, random_instance, record_lps, rotated_box
 
 DISK = OpenBall(np.array([2.0, 0.0]), np.sqrt(2.0))
 HALFSPACE = HPolyhedron(np.array([[-1.0, 0.0, 0.0]]), np.array([0.0]), witness=np.array([1.0, -3.0, 0.0]))
@@ -430,9 +432,10 @@ BOX = (np.vstack([np.eye(3), -np.eye(3)]), np.array([3.0, 1.0, 1.0, -1.0, 1.0, 1
 
 class TestDeepestPointLP:
     """``separate`` solves a polyhedron's whole-space inscribed-ball LP once,
-    in ``pick_interior_point``, its one emptiness decision; the disjointness
-    test ``_check_disjoint`` solves one in S, whose r* it both decides on and
-    names."""
+    in ``pick_interior_point``, its one emptiness decision.  Whether the set
+    misses S is decided by the certificate: the inscribed-ball LP in S is
+    solved only after the pipeline has raised, to name r* when it is
+    positive."""
 
     @staticmethod
     def lp_shapes(monkeypatch) -> list[tuple[int, int]]:
@@ -445,13 +448,24 @@ class TestDeepestPointLP:
         monkeypatch.setattr(convexsets, "solve_lp", recording)
         return shapes
 
-    def test_separate_solves_two_per_call(self, monkeypatch):
-        # nothing is kept on the polyhedron: a second call solves both again
+    def test_separate_solves_one_per_call(self, monkeypatch):
+        # nothing is kept on the polyhedron: a second call solves it again
         box, s = HPolyhedron(*BOX), span_basis([np.array([0.0, 0.0, 1.0])])
         shapes = self.lp_shapes(monkeypatch)
         for _ in range(2):
             assert separate(box, s).certificate.valid
-        assert shapes == [(6, 4), (6, 2)] * 2  # (center, r) in the whole space, then in S
+        assert shapes == [(6, 4)] * 2  # (center, r) in the whole space; none in S
+
+    def test_the_lp_in_s_follows_the_pipeline_error(self, monkeypatch):
+        # (-5e-10, 2) x (0.5, 1.5) x (-1, 1) holds (0, 1, 0) of span{e2} by
+        # 5e-10: the anchor LP, the extension LP that finds no bound, then
+        # the one LP in S, which names the cause
+        box = HPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.array([2.0, 1.5, 1.0, 5e-10, -0.5, 1.0]))
+        calls = record_lps(monkeypatch, convexsets, gauges, separation)
+        with pytest.raises(InputError, match=r"r\* = 5e-10\)$") as raised:
+            separate(box, span_basis([np.array([0.0, 1.0, 0.0])]))
+        assert [np.shape(args[1]) for args, _ in calls] == [(6, 4), (12, 3), (6, 2)]
+        assert isinstance(raised.value.__cause__, SolverError)
 
     def test_meeting_the_subspace_solves_one_lp_in_it(self, monkeypatch):
         box, s = HPolyhedron(*BOX), span_basis([np.array([1.0, 0.0, 0.0])])

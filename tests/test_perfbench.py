@@ -29,8 +29,8 @@ def test_traced_poly_sep_smoke(tmp_path):
     # deterministic: the certificate decides domination on boxes, so a
     # domination LP that comes back, or any other extra LP, fails here
     assert metrics["extension.domination_check.calls"]["value"] == 0
-    assert metrics["simplexlp.solve_lp.calls"]["value"] == 30
-    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 152
+    assert metrics["simplexlp.solve_lp.calls"]["value"] == 24
+    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 125
     assert metrics["simplexlp.solve_lp.raised"]["value"] == 0
     assert metrics["outcome.fail_share"]["value"] == 0
 
@@ -41,8 +41,8 @@ def test_traced_cli_query_smoke(tmp_path):
     metrics = traced_smoke_run(tmp_path, "cli-query")
     for name in ("main", "parse_problem", "dumps"):
         assert metrics[f"cli.{name}.self_s"]["value"] > 0
-    assert metrics["simplexlp.solve_lp.calls"]["value"] == 30
-    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 54
+    assert metrics["simplexlp.solve_lp.calls"]["value"] == 28
+    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 51
     assert metrics["extension.domination_check.calls"]["value"] == 6
     assert metrics["convexsets.membership.calls"]["value"] == 1141
     assert metrics["outcome.fail_share"]["value"] == 0

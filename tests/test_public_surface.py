@@ -1,5 +1,6 @@
-"""The public surface: ``gaugesep.__all__``, and the test-only machinery that
-lives in ``tests/helpers.py`` instead of the package."""
+"""The public surface: ``gaugesep.__all__``, the test-only machinery that
+lives in ``tests/helpers.py`` instead of the package, and the input checks
+of the constructors and entry points."""
 
 import dataclasses
 import importlib
@@ -7,9 +8,29 @@ import inspect
 import pkgutil
 
 import numpy as np
+import pytest
 
 import gaugesep
-from gaugesep import OpenBall, OracleSet, chebyshev_center, pick_interior_point
+from gaugesep import (
+    BallCone,
+    ExplicitMaxAbs,
+    HPolyhedron,
+    Hyperplane,
+    InputError,
+    OpenBall,
+    OracleSet,
+    PartialFunctional,
+    PolyhedralGauge,
+    Subspace,
+    as_vector,
+    brute_force_2d_normals,
+    chebyshev_center,
+    pick_interior_point,
+    separate,
+    span_basis,
+    zero_subspace,
+)
+from gaugesep._svg import render_svg
 from gaugesep.convexsets import sample_interior
 from gaugesep.extension import _checked_domination, domination_check
 from gaugesep.separation import _certificate, verify_separation
@@ -100,3 +121,51 @@ def test_sample_interior_is_the_membership_walk():
     ball = OpenBall(np.array([2.0, 0.0]), 1.0)
     walk = OracleSet(2, ball.contains, witness=ball.center)
     np.testing.assert_array_equal(sample_interior(ball, 50, seed=3), sample_interior(walk, 50, seed=3))
+
+
+DISK = OpenBall(np.array([2.0, 0.0]), 1.0)
+BALL3 = OpenBall(np.array([2.0, 0.0, 0.0]), 1.0)
+
+# (what is checked, the call, the whole InputError message)
+INPUT_CHECKS = [
+    ("as_vector-shape", lambda: as_vector([[1.0, 2.0]]), "expected a 1-D vector, got array of shape (1, 2)"),
+    ("as_vector-empty", lambda: as_vector([]), "vectors must have positive dimension"),
+    ("Subspace-ambient", lambda: Subspace(0, np.zeros((0, 0))), "ambient dimension must be positive"),
+    ("Subspace-rows", lambda: Subspace(2, np.zeros((3, 2))), "subspace dimension exceeds ambient dimension"),
+    ("span_basis-mixed", lambda: span_basis([[1.0, 0.0], [1.0]]), "vectors have mismatched dimensions: [1, 2]"),
+    ("span_basis-empty", lambda: span_basis([]), "ambient_dim is required for an empty span"),
+    ("span_basis-ambient", lambda: span_basis([[1.0, 0.0]], 3), "vectors of dimension 2 in ambient R^3"),
+    (
+        "PartialFunctional-finite",
+        lambda: PartialFunctional(span_basis([[1.0, 0.0]]), [np.nan]),
+        "functional values must be finite",
+    ),
+    ("Hyperplane-unit", lambda: Hyperplane([1.0, 1.0]), "hyperplane normal must be unit length; use kernel_hyperplane()"),
+    ("HPolyhedron-rows", lambda: HPolyhedron(np.ones(2), np.ones(2)), "HPolyhedron rows must form a 2-D array"),
+    ("OracleSet-dim", lambda: OracleSet(0, lambda e: True), "oracle dimension must be positive"),
+    ("BallCone-radius", lambda: BallCone(np.array([1.0, 0.0]), 0.0), "ball radius must be positive"),
+    ("PolyhedralGauge-rows", lambda: PolyhedralGauge(np.ones(2), np.ones(2)), "gauge rows must form a 2-D array"),
+    (
+        "PolyhedralGauge-count",
+        lambda: PolyhedralGauge(np.eye(2), np.ones(3)),
+        "row count of a and length of b disagree",
+    ),
+    ("ExplicitMaxAbs-rows", lambda: ExplicitMaxAbs([1.0, 1.0]), "coefficient rows must form a 2-D array"),
+    ("sample_interior-count", lambda: sample_interior(DISK, 0), "sample count must be positive"),
+    ("separate-dimension", lambda: separate(DISK, zero_subspace(3)), "set and subspace dimensions disagree"),
+    (
+        "chebyshev_center-whole-space",
+        lambda: chebyshev_center(HPolyhedron(np.zeros((0, 2)), np.zeros(0))),
+        "the whole space has no deepest point; supply constraints or a witness",
+    ),
+    ("brute_force_2d_normals-dim", lambda: brute_force_2d_normals(BALL3), "the angular oracle is 2-D only"),
+    ("brute_force_2d_normals-grid", lambda: brute_force_2d_normals(DISK, 0), "grid must be positive"),
+    ("render_svg-dim", lambda: render_svg(BALL3), "SVG rendering is 2-D only"),
+]
+
+
+@pytest.mark.parametrize("call,message", [case[1:] for case in INPUT_CHECKS], ids=[case[0] for case in INPUT_CHECKS])
+def test_input_checks_name_their_fault(call, message):
+    with pytest.raises(InputError) as raised:
+        call()
+    assert str(raised.value) == message

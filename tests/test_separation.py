@@ -38,7 +38,7 @@ from gaugesep import (
     zero_subspace,
 )
 from gaugesep.cli import main, parse_problem
-from gaugesep.convexsets import MIN_DEPTH
+from gaugesep.convexsets import MIN_DEPTH, _inscribed_ball
 from gaugesep.fixtures import oracle_by_name
 from gaugesep.separation import _check_disjoint, _subspace_residual, _support
 
@@ -354,6 +354,15 @@ class TestPreconditionMessages:
         with pytest.raises(InputError, match=message):
             separate(box, span_basis([np.array([1.0, 0.0])]))
 
+    def test_polyhedron_meeting_the_subspace_by_a_hair(self):
+        # (-5e-10, 2) x (0.5, 1.5) x (-1, 1) holds (0, 1, 0) of span{e2} by
+        # 5e-10 but not the origin: the extension LP finds no bound, and the
+        # inscribed ball centred in S names the cause instead of that error
+        box = HPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.array([2.0, 1.5, 1.0, 5e-10, -0.5, 1.0]))
+        message = r"^precondition: the set intersects the subspace \(inscribed ball centred in it: r\* = 5e-10\)$"
+        with pytest.raises(InputError, match=message):
+            separate(box, span_basis([np.array([0.0, 1.0, 0.0])]))
+
 
 class TestBallSeeds:
     """Seeded balls whose search-based extension intervals once gave invalid
@@ -531,7 +540,7 @@ class TestEveryLpIsItsColdSolve:
         calls = record_lps(monkeypatch, convexsets, gauges, separation)
         for a_set, s in self.families():
             separate(a_set, s, SeparationOptions(gamma_rule=rule))
-        assert len(calls) == {"upper": 434, "lower": 430, "midpoint": 724}[rule]
+        assert len(calls) == {"upper": 366, "lower": 362, "midpoint": 656}[rule]
         for (c, a_ub, b_ub, nonneg), res in calls:
             cold = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
             assert res.status == cold.status
@@ -627,12 +636,15 @@ class TestOptionChecks:
 class TestKernelDisjointDifferential:
     """The shared side test (the better side's margin of normal . e over the
     closure: two support LPs, or the ball's closed form), read through
-    ``verify_separation`` against the zero subspace, against the verdict of
-    ``_check_disjoint`` on a kernel built here (the inscribed-ball LP, or
-    the ball's centre distance)."""
+    ``verify_separation`` against the zero subspace, against a verdict on a
+    kernel built here: r* > 0 of a polyhedron's inscribed ball centred in it
+    (the LP that names a failed precondition of ``separate()``), or
+    ``_check_disjoint``'s centre distance for a ball."""
 
     @staticmethod
     def meets(a_set, kernel) -> bool:
+        if isinstance(a_set, HPolyhedron):
+            return _inscribed_ball(a_set, kernel.basis)[1] > 0.0
         try:
             _check_disjoint(a_set, kernel, seed=0)
         except InputError:

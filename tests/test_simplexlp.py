@@ -508,7 +508,7 @@ class TestBundledCounters:
 
     @pytest.mark.parametrize(
         "name,lps,pivots",
-        [("example1", 0, 0), ("example2", 4, 5), ("example3_quotient", 3, 4)],
+        [("example1", 0, 0), ("example2", 3, 4), ("example3_quotient", 3, 4)],
     )
     def test_lp_calls_and_pivots(self, monkeypatch, name, lps, pivots):
         problem = parse_problem(name)
@@ -518,7 +518,7 @@ class TestBundledCounters:
     # many extension steps, each after the first forced by the first one's
     # picked end (no LP); the certificate's support LP decides domination
     # (Remark 2), so no domination LP is solved
-    @pytest.mark.parametrize("name,lps,pivots", [("axis-40", 5, 172), ("rotated-12", 5, 94)])
+    @pytest.mark.parametrize("name,lps,pivots", [("axis-40", 4, 149), ("rotated-12", 4, 81)])
     def test_multi_step_boxes(self, monkeypatch, name, lps, pivots):
         if name == "axis-40":
             box = axis_box(np.random.default_rng(59), 40)
