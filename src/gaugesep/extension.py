@@ -120,29 +120,28 @@ def extend_one(
 ) -> ExtensionState:
     """Extend by one direction, choosing the new value by ``rule`` (or ``gamma``).
 
-    The returned state has domain ``G + span{z}``; stepwise domination is
-    re-checked on the appended basis vector.
+    The returned state has domain ``G + span{z}``.  The interval holds the
+    values that keep ``|g| <= p`` there (the one-step extension lemma), so no
+    gauge is evaluated; an explicit ``gamma`` beyond ``_SLACK`` of it raises.
     """
     z = as_vector(z, state.domain.ambient_dim)
     interval = extension_interval(state, z, seed=seed)
     value = interval.pick(rule) if gamma is None else float(gamma)
+    slack = state.seminorm._SLACK
+    if not interval.lo - slack <= value <= interval.hi + slack:
+        raise SolverError(f"gamma = {value} lies outside the admissible interval [{interval.lo}, {interval.hi}]")
     domain = state.domain
     coeffs, residual, scale = interval._split
     new_row = residual / scale
     new_value = (value - float(state.functional.values @ coeffs)) / scale
     new_domain = Subspace(domain.ambient_dim, np.vstack([domain.basis, new_row]))
     new_functional = PartialFunctional(new_domain, np.append(state.functional.values, new_value))
-    bound = gauge(state.seminorm, new_row)
-    if abs(new_value) > bound + state.seminorm._SLACK:
-        raise SolverError(
-            f"stepwise domination failed: |g| = {abs(new_value):.3e} exceeds p = {bound:.3e} on the new direction"
-        )
     step = ExtensionStep(z, interval, value)
     return ExtensionState(new_functional, state.seminorm, state.history + (step,))
 
 
 def _check_domain(f: PartialFunctional, p: Seminorm) -> None:
-    """Dimension check and domination pre-check on the domain basis."""
+    """Dimension check and a necessary domination test on a caller's domain basis."""
     if p.dim != f.domain.ambient_dim:
         raise InputError("seminorm and functional live in different dimensions")
     for row, value in zip(f.domain.basis, f.values):
@@ -152,9 +151,9 @@ def _check_domain(f: PartialFunctional, p: Seminorm) -> None:
 
 def _extend_steps(f: PartialFunctional, p: Seminorm, rule: str, *, seed: int) -> ExtensionState:
     """``f`` extended over the deterministic completion order, unchecked
-    (``violation`` None); the zero functional extends to zero directly,
-    with ``violation`` -1 (``p*(0) - 1``)."""
-    _check_domain(f, p)
+    (``violation`` None; no step evaluates the gauge, so the caller decides
+    domination); the zero functional extends to zero directly, with
+    ``violation`` -1 (``p*(0) - 1``)."""
     n = f.domain.ambient_dim
     if f.is_zero():
         return ExtensionState(PartialFunctional(Subspace(n, np.eye(n)), np.zeros(n)), p, violation=-1.0)
@@ -173,13 +172,14 @@ def extend_full_state(
 ) -> ExtensionState:
     """Extend ``f`` to the whole space over the deterministic completion order.
 
-    An unknown ``rule`` or a negative ``seed`` raises InputError before any
-    LP.  The result is verified by ``domination_check``, whose value is kept
-    as ``violation``, and a SolverError is raised past ``DOMINATION_TOL``
-    (this is where a non-balanced "gauge" gets caught).
+    A bad ``rule``, ``seed`` or ``f`` (``_check_domain``) raises InputError
+    before any LP.  The result is verified by ``domination_check``, whose
+    value is kept as ``violation``, and a SolverError is raised past
+    ``DOMINATION_TOL`` (this is where a non-balanced "gauge" gets caught).
     """
     _check_rule(rule)
     _check_seed(seed)
+    _check_domain(f, p)
     state = _extend_steps(f, p, rule, seed=seed)
     if state.violation is None:
         violation = _checked_domination(state.functional.as_coefficients(), p, seed=seed)

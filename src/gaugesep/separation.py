@@ -229,20 +229,19 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     """Hyperplane containing ``s`` and disjoint from the open convex ``a_set``.
 
     Precondition: S is not the whole space (checked before any LP, with
-    ``opts.gamma_rule`` and ``opts.seed``) and misses the set.
-    ``_check_disjoint`` tests a ball's band, the origin and an oracle's
-    samples.  On a polyhedron a valid certificate proves it, and an error of
-    the pipeline becomes the precondition error when the inscribed ball
-    centred in S has r* > 0 (one LP, solved only then).  A hyperplane whose
-    certificate is not valid is never returned: SolverError names the failed
-    checks instead.  By Remark 2 the certificate also decides that g is
-    dominated; only a sampled one adds ``domination_check``.  The anchor
+    ``opts.gamma_rule`` and ``opts.seed``) and misses the set, which
+    ``_check_disjoint`` tests first on a ball's band, the origin and an
+    oracle's samples.  On a polyhedron a valid certificate proves it, and
+    any later error, in the emptiness branch too, becomes the precondition
+    error when the inscribed ball centred in S has r* > 0 (one LP, solved
+    only then).  A hyperplane whose certificate is not valid is never
+    returned: SolverError names the failed checks instead.  By Remark 2 the
+    certificate also decides that g is dominated, so no step evaluates the
+    gauge; only a sampled certificate adds ``domination_check``.  The anchor
     ``opts.x`` must lie in the set's conic hull; without one,
     ``pick_interior_point`` picks it, and a set it finds empty (a polyhedron
-    with no interior point deeper than ``MIN_DEPTH``) gets the first
-    direction of the deterministic completion of ``s``'s basis as normal,
-    under the same certificate: on a polyhedron that only looks empty a
-    plane that crosses it raises.
+    of inradius at most ``MIN_DEPTH``) gets the first direction of the
+    deterministic completion of ``s`` as normal, under the same certificate.
     """
     opts = opts or SeparationOptions()
     _check_rule(opts.gamma_rule)
@@ -252,14 +251,15 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
         raise InputError("set and subspace dimensions disagree")
     if s.dim == n:
         raise DegenerateError("the subspace is the whole space; no hyperplane contains it")
-    try:
-        x = as_vector(opts.x, n) if opts.x is not None else pick_interior_point(a_set)
-    except EmptySetError:
-        normal = np.array(complement_basis(s)[0])
-        cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples))
-        return SeparationResult(Hyperplane(normal), normal, None, None, (), cert)
+    x = None if opts.x is None else as_vector(opts.x, n)
     _check_disjoint(a_set, s, opts.seed)
     try:
+        try:
+            x = pick_interior_point(a_set) if x is None else x
+        except EmptySetError:
+            normal = np.array(complement_basis(s)[0])
+            cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples))
+            return SeparationResult(Hyperplane(normal), normal, None, None, (), cert)
         p = gauge_from_symmetrized(build_D(a_set, x))
         state = _extend_steps(_span_functional(s, x), p, opts.gamma_rule, seed=opts.seed)
         g = state.functional.as_coefficients()

@@ -172,6 +172,15 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "separate", "--input", write(tmp_path, "zero.json", bad))
         assert (code, out, err) == (3, "", "error: schema: A.rows[1]: zero rows are not allowed\n")
 
+    def test_row_that_overflows_when_scaled_exit_3(self, capsys, tmp_path):
+        # each number is finite, but b / |a| = 1e600 is not: the polyhedron's
+        # own InputError comes out as a schema error on A
+        rows = [{"a": [1e-300, 0.0], "b": 1e300, "strict": True}]
+        bad = {"version": 1, "dimension": 2, "A": {"kind": "hpoly", "rows": rows}, "S": {"basis": []}}
+        code, out, err = run_cli(capsys, "separate", "--input", write(tmp_path, "tiny.json", bad))
+        message = "error: schema: A: polyhedron data must be finite, also with each row scaled to unit length\n"
+        assert (code, out, err) == (3, "", message)
+
     @pytest.mark.parametrize("path", ["options.gamma-rule", "comment", "A.centre", "S.dim"])
     def test_unexpected_key_exit_3(self, capsys, tmp_path, path):
         # a misspelt option must be rejected, not silently replaced by its default
@@ -609,6 +618,12 @@ class TestGoldenDiff:
 
         field, want, got = _diff_docs({"x": 1.0}, {})
         assert field == "$.x" and got == "<absent>"
+
+    def test_length_and_scalar_mismatches_reported(self):
+        from gaugesep.cli import _diff_docs
+
+        assert _diff_docs([1.0, 2.0], [1.0, 2.0, 3.0]) == ("$", "length 2", "length 3")
+        assert _diff_docs({"a": "x"}, {"a": "y"}) == ("$.a", "x", "y")
 
 
 class TestFloatSerialization:

@@ -206,8 +206,22 @@ class TestExtendOne:
 
     def test_explicit_gamma_outside_interval_rejected(self):
         state = ExtensionState(x_axis_functional(), TAXICAB)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError) as info:
             extend_one(state, np.array([0.0, 1.0]), gamma=2.0)
+        assert str(info.value) == "gamma = 2.0 lies outside the admissible interval [-1.0, 1.0]"
+
+    @pytest.mark.parametrize("end", [1.0, -1.0], ids=["hi", "lo"])
+    def test_explicit_gamma_is_held_to_the_interval_up_to_its_slack(self, end):
+        # [lo, hi] = [-1, 1] is exactly the set of values that keep |g| <= p
+        # on G + span{z}, so an explicit gamma is tested against it, with the
+        # gauge's _SLACK of room for the interval's own rounding
+        state, z, slack = ExtensionState(x_axis_functional(), TAXICAB), np.array([0.0, 1.0]), TAXICAB._SLACK
+        inside = end * (1.0 + 0.5 * slack)
+        assert extend_one(state, z, gamma=inside).history[-1].gamma == inside
+        for outside in (end * (1.0 + 2.0 * slack), np.nan):
+            with pytest.raises(SolverError) as info:
+                extend_one(state, z, gamma=outside)
+            assert str(info.value) == f"gamma = {outside} lies outside the admissible interval [-1.0, 1.0]"
 
 
 class TestExtendFull:
@@ -241,10 +255,15 @@ class TestExtendFull:
             mismatch = np.max(np.abs(f.domain.basis @ g - f.values))
             assert mismatch < 1e-8
 
-    def test_not_dominated_rejected(self):
+    def test_not_dominated_rejected(self, monkeypatch):
+        # f = 3 e1 exceeds p(e1) = 1 on its own domain basis: a caller's f is
+        # tested there before any LP, although no extension step evaluates p
+        calls = record_lps(monkeypatch, gauges)
         f = PartialFunctional(span_basis([np.array([1.0, 0.0])]), np.array([3.0]))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as info:
             extend_full_state(f, TAXICAB)
+        assert str(info.value) == "functional is not dominated by the seminorm on its domain basis"
+        assert calls == []
 
     def test_final_gate_catches_non_balanced_gauge(self):
         # max(0, x + y) passes the basis precheck for this f but is not a

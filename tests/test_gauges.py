@@ -184,6 +184,26 @@ class TestOracleSectionGauge:
         assert gauge(p, e) == pytest.approx(gauge(reference, e), rel=1e-9)
         assert len(made) == 484
 
+    def test_anchor_on_the_witness_ray(self):
+        # x = 3c lies on the witness's ray but outside the ball, so the gauge
+        # moves it to beta x = c with beta = 1/3 and takes p_x = beta p_c
+        ball = OpenBall(np.array([3.0, 1.0, 0.5]), 1.0)
+        oracle = OracleSet(3, ball.contains, witness=np.array(ball.center))
+        p = gauge_from_symmetrized(build_D(oracle, 3.0 * ball.center))
+        reference = gauge_from_symmetrized(build_D(ball, 3.0 * ball.center))
+        assert isinstance(p, OracleGauge) and isinstance(reference, BallConeGauge)
+        assert p._beta == 1.0 / 3.0
+        points = np.random.default_rng(43).normal(size=(4, 3))
+        np.testing.assert_allclose(gauge(p, points), gauge(reference, points), rtol=1e-12, atol=0.0)
+
+    def test_3d_base_holding_the_origin(self):
+        # {|e| < 2} holds the origin, so its hull, and D, are the whole space
+        oracle = OracleSet(3, lambda e: float(np.linalg.norm(e)) < 2.0, witness=np.array([1.0, 0.0, 0.0]))
+        p = gauge_from_symmetrized(build_D(oracle, oracle.witness))
+        assert isinstance(p, OracleGauge)
+        for e in np.random.default_rng(44).normal(size=(3, 3)) * 5.0:
+            assert gauge(p, e) == 0.0
+
     def test_halfspace_recession_direction(self):
         oracle = oracle_by_name("halfspace-x")
         p = gauge_from_symmetrized(build_D(oracle, oracle.witness))

@@ -29,6 +29,8 @@ def test_traced_poly_sep_smoke(tmp_path):
     # deterministic: the certificate decides domination on boxes, so a
     # domination LP that comes back, or any other extra LP, fails here
     assert metrics["extension.domination_check.calls"]["value"] == 0
+    # nor does any step evaluate the gauge: the certificate decides |g| <= p
+    assert metrics["gauges.gauge.calls.polyhedral"]["value"] == 0
     assert metrics["simplexlp.solve_lp.calls"]["value"] == 24
     assert metrics["simplexlp.solve_lp.pivots"]["value"] == 125
     assert metrics["simplexlp.solve_lp.raised"]["value"] == 0
@@ -44,6 +46,8 @@ def test_traced_cli_query_smoke(tmp_path):
     assert metrics["simplexlp.solve_lp.calls"]["value"] == 28
     assert metrics["simplexlp.solve_lp.pivots"]["value"] == 51
     assert metrics["extension.domination_check.calls"]["value"] == 6
+    # 4 gauge queries and 9 basis rows of the caller's f in extend and roundtrip
+    assert metrics["gauges.gauge.calls.polyhedral"]["value"] == 13
     assert metrics["convexsets.membership.calls"]["value"] == 1141
     assert metrics["outcome.fail_share"]["value"] == 0
 
@@ -55,4 +59,5 @@ def test_traced_ball_sep_smoke(tmp_path):
     assert metrics["simplexlp.solve_lp.calls"]["value"] == 0
     assert metrics["extension.extension_interval.calls.search"]["value"] == 0
     assert metrics["extension.domination_check.calls"]["value"] == 0
+    assert metrics["gauges.gauge.calls.polyhedral"]["value"] == 0
     assert metrics["outcome.fail_share"]["value"] == 0

@@ -65,6 +65,8 @@ TAXICAB = PolyhedralGauge(
 
 # {e1 < 1, e1 > 2}: empty; its support LP for (0, 1) has an infeasible dual too
 EMPTY_SLAB = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, -2.0]))
+# what separate() raises on a slab of half-width 5e-11 around a point of S
+THIN_SLAB_MEETS_S = "precondition: the set intersects the subspace (inscribed ball centred in it: r* = 5e-11)"
 
 
 def assert_farkas_evidence(poly: HPolyhedron, result) -> None:
@@ -141,13 +143,24 @@ class TestSeparateFixtures:
         assert result.certificate.a_clearance is None
         assert result.certificate.valid
 
-    def test_thin_slab_read_as_empty_is_not_certified(self):
-        # {0 < e1 < 1e-10} meets S = span{(1, 1)} at (5e-11, 5e-11), but its
-        # inscribed radius is below MIN_DEPTH, so pick_interior_point finds it
-        # empty; the completion's normal (0.707, -0.707) crosses it
-        slab = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1e-10, 0.0]))
-        with pytest.raises(SolverError, match="boundary_margin -inf"):
-            separate(slab, span_basis([np.array([1.0, 1.0])]))
+    @pytest.mark.parametrize(
+        "a, b, s_vector, message",
+        [
+            ([[1.0, 0.0], [-1.0, 0.0]], [1e-10, 0.0], [1.0, 1.0], THIN_SLAB_MEETS_S),
+            ([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]], [1.0 + 1e-10, -1.0], [0.0, 1.0, 0.0], THIN_SLAB_MEETS_S),
+            ([[1.0, 0.0], [-1.0, 0.0]], [5e-11, 5e-11], [0.0, 1.0], "precondition: the set contains the origin, which lies in the subspace"),
+        ],
+        ids=["diagonal-s", "3d-slab-around-s", "slab-at-origin"],
+    )
+    def test_thin_slab_read_as_empty_names_the_precondition(self, a, b, s_vector, message):
+        # each slab meets S and has an inscribed radius below MIN_DEPTH, so
+        # pick_interior_point reads it as empty and the completion's normal
+        # crosses it: that failed certificate is named by r* (5e-11); the
+        # slab around the origin fails the origin test before any of this
+        slab = HPolyhedron(np.array(a), np.array(b))
+        with pytest.raises(InputError) as info:
+            separate(slab, span_basis([np.array(s_vector)]))
+        assert str(info.value) == message
 
     def test_anchored_empty_polyhedron_rejected(self):
         # an anchor skips the emptiness decision, and no anchor lies in an empty hull
@@ -593,6 +606,29 @@ class TestRemark2DecidesDomination:
         assert result.certificate.valid and isinstance(result.gauge_used, PolyhedralGauge)
         assert len(calls) == 1
 
+    def test_no_gauge_evaluation(self, monkeypatch):
+        # the certificate (and on a sampled set domination_check) decides
+        # |g| <= p on the whole space, so no step evaluates p on a direction
+        calls = []
+
+        def counting(p, e):
+            calls.append(e)
+            return real(p, e)
+
+        real = gauges.gauge
+        for module in (gauges, extension, separation):
+            monkeypatch.setattr(module, "gauge", counting)
+        rng = np.random.default_rng(38)
+        box = rotated_box(rng, 6)
+        cases = [(box.polyhedron(), box.subspace()), random_ball_instance(rng, 4)]
+        for a_set, s in cases + [(oracle_by_name("offset-box"), zero_subspace(2))]:
+            assert separate(a_set, s).certificate.valid
+        assert calls == []
+        # the wrapper is live: on a zero domain the interval is two gauge values
+        zero = ExtensionState(PartialFunctional(zero_subspace(2), np.zeros(0)), TAXICAB)
+        extension.extension_interval(zero, np.array([1.0, 0.0]))
+        assert len(calls) == 2
+
 
 class TestOptionChecks:
     """``separate()`` rejects an unknown gamma rule and a negative seed with
@@ -702,7 +738,7 @@ class TestFarkasReferee:
     """``helpers.farkas_referee`` solves the precondition LP's dual with
     scipy, sharing no solver with the package.  On each instance and on a
     subspace widened by the pipeline's anchor (so that it meets the set):
-    ``separate()`` raises the precondition error exactly when r* > MIN_DEPTH,
+    ``separate()`` raises the precondition error exactly when r* > 0,
     and when r* < 0 the referee's nu = a^T y separates on its own, and
     g = nu / (nu . x) passes Remark 2 on the pipeline's anchor and gauge."""
 
@@ -732,7 +768,7 @@ class TestFarkasReferee:
                 except InputError as exc:
                     assert str(exc).startswith("precondition: the set intersects the subspace")
                     raised = True
-                assert raised == (r > MIN_DEPTH)
+                assert raised == (r > 0.0)
                 verdicts.append(raised)
                 if r < 0.0:
                     nu_norm = float(np.linalg.norm(nu))

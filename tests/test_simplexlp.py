@@ -52,6 +52,13 @@ class TestSolveLP:
         res = solve_lp([1.0], a_ub=[[1.0], [-1.0]], b_ub=[-1.0, 0.0])
         assert res.status == "infeasible"
 
+    def test_iteration_limit(self, monkeypatch):
+        # min x + y over x, y >= 1 needs pivots, and the limit allows none
+        monkeypatch.setattr(simplexlp, "MAX_ITER", 0)
+        with pytest.raises(SolverError) as info:
+            solve_lp([1.0, 1.0], a_ub=-np.eye(2), b_ub=[-1.0, -1.0])
+        assert str(info.value) == "simplex iteration limit (0) exceeded; 2 dual rows"
+
     def test_unbounded_with_ray(self):
         res = solve_lp([-1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0])
         assert res.status == "unbounded"
