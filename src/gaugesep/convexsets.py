@@ -331,17 +331,7 @@ def conic_hull(a_set: ConvexSet) -> ConvexSet:
     Requires a nonempty base set.
     """
     if isinstance(a_set, HPolyhedron):
-        pos = a_set.b > 0.0
-        a_pos, b_pos = a_set.a[pos], a_set.b[pos, None]
-        rows = []
-        for a_i, b_i in zip(a_set.a, a_set.b):
-            if b_i <= 0.0:
-                rows.append(a_i[None])
-                if b_i < 0.0:
-                    rows.append(b_pos * a_i - b_i * a_pos)
-        if not rows:
-            return HPolyhedron(np.zeros((0, a_set.dim)), np.zeros(0))
-        rows = np.concatenate(rows)
+        rows = _hull_rows(a_set.a, a_set.b)
         rows = rows[rows.any(axis=1)]
         return HPolyhedron(rows, np.zeros(len(rows)))
     if isinstance(a_set, OpenBall):
@@ -349,6 +339,15 @@ def conic_hull(a_set: ConvexSet) -> ConvexSet:
     if isinstance(a_set, (BallCone, ConicHullSet)):
         return a_set
     return ConicHullSet(a_set)
+
+
+def _hull_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The hull rows of ``{a e < b}`` before zero rows are dropped, unscaled:
+    for each b_i <= 0 in order, a_i, then (b_i < 0) ``b_j a_i - b_i a_j``
+    for each b_j > 0 in order."""
+    a_neg, b_neg, b_pos = a[b <= 0.0], b[b <= 0.0], b[b > 0.0]
+    rows = np.concatenate([a_neg[:, None], b_pos[:, None] * a_neg[:, None] - b_neg[:, None, None] * a[b > 0.0]], axis=1)
+    return rows[np.arange(1 + b_pos.size) <= b_pos.size * (b_neg[:, None] < 0.0)]
 
 
 def build_D(a_set: ConvexSet, x) -> SymmetrizedBody:

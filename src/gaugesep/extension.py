@@ -65,6 +65,13 @@ class ExtensionStep:
     def __post_init__(self):
         object.__setattr__(self, "direction", _frozen(as_vector(self.direction)))
 
+    def _picked_end(self) -> LPResult | None:
+        """The LP result of the interval end that ``gamma`` is (on a forced
+        interval, of the end that forced it); None for an interior pick or
+        ends that no LP gave."""
+        ends, hi = self.interval._ends, self.interval.hi
+        return ends[0 if self.gamma == hi else -1] if ends and self.gamma in (self.interval.lo, hi) else None
+
 
 @dataclass(frozen=True, eq=False)
 class ExtensionState:

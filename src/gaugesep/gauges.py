@@ -75,8 +75,8 @@ class PolyhedralGauge:
         y (``_face_edges``) moves psi beyond ``PIVOT_TOL`` of its terms
         (sufficient, not necessary); else ``_lp_ends``."""
         last = state.history[-1] if state.history else None
-        if last is not None and last.interval._ends and last.gamma in (last.interval.lo, last.interval.hi):
-            res = last.interval._ends[0 if last.gamma == last.interval.hi else -1]
+        res = last._picked_end() if last is not None else None
+        if res is not None:
             # a forced interval hands its one end on untested
             edges = _face_edges(res) if len(last.interval._ends) == 2 else np.zeros((res.y.size, 0))
             if np.all(np.abs(self.a.T @ edges) <= PIVOT_TOL * (np.abs(self.a.T) @ np.abs(edges))):

@@ -1,10 +1,10 @@
 """Exact-tolerance linear algebra: subspaces, partial functionals, hyperplanes.
 
-Subspaces carry orthonormal bases (modified Gram-Schmidt with one
-re-orthogonalization pass) so membership questions reduce to projector
-residuals governed by a single knob, ``TOL_MEMBERSHIP``.  Tolerances are
-absolute and calibrated for unit-scale data; callers working at other scales
-should rescale first.
+Subspaces carry orthonormal bases (classical Gram-Schmidt, each candidate
+projected twice onto the complement of the rows so far) so membership
+questions reduce to projector residuals governed by a single knob,
+``TOL_MEMBERSHIP``.  Tolerances are absolute and calibrated for unit-scale
+data; callers working at other scales should rescale first.
 
 Full-space functionals are plain coefficient vectors against the standard
 basis.  Everything here is an immutable value and every operation is pure.
@@ -87,14 +87,16 @@ def zero_subspace(ambient_dim: int) -> Subspace:
 
 def _gram_schmidt(rows, candidates) -> list[np.ndarray]:
     """``rows`` (orthonormal) extended by each candidate's normalized residual
-    after two modified Gram-Schmidt passes; a residual of norm at most
-    ``TOL_DEPENDENT * max(1, |v|)`` for the candidate ``v`` is dropped."""
+    after two block projections ``w - (Q w) Q`` onto the complement of the
+    rows Q so far: classical Gram-Schmidt twice, which keeps orthogonality
+    at working precision (Giraud, Langou & Rozloznik 2005); a residual of
+    norm at most ``TOL_DEPENDENT * max(1, |v|)`` for the candidate ``v`` is
+    dropped."""
     rows = list(rows)
     for v in candidates:
-        w = v
-        for _ in range(2):
-            for u in rows:
-                w = w - (u @ w) * u
+        q = np.array(rows).reshape(len(rows), v.size)
+        w = v - (q @ v) @ q
+        w = w - (q @ w) @ q
         norm = float(np.linalg.norm(w))
         if norm > TOL_DEPENDENT * max(1.0, float(np.linalg.norm(v))):
             rows.append(w / norm)
@@ -104,7 +106,8 @@ def _gram_schmidt(rows, candidates) -> list[np.ndarray]:
 def span_basis(vectors, ambient_dim: int | None = None) -> Subspace:
     """Orthonormalize ``vectors`` into a Subspace, compressing rank deficiency.
 
-    Uses modified Gram-Schmidt with a second re-orthogonalization pass.
+    Uses classical Gram-Schmidt with a second projection of each candidate
+    (``_gram_schmidt``).
     A candidate ``v`` whose residual norm is at most
     ``TOL_DEPENDENT * max(1, |v|)`` is dropped: the bound is absolute for
     candidates shorter than 1 and relative to ``|v|`` for longer ones.

@@ -23,6 +23,7 @@ from .convexsets import (
     HPolyhedron,
     OpenBall,
     OracleSet,
+    _hull_rows,
     _inscribed_ball,
     build_D,
     conic_hull,
@@ -89,11 +90,14 @@ class SeparationCertificate:
     ``farkas_multipliers`` (polyhedra ``a e < b`` only): y >= 0, one per
     unit row, with ``a^T y = -side * normal`` and ``b . y = -boundary_margin`` up
     to rounding, so that ``side * normal . e = -y . (a e) > -y . b`` on the
-    set: the separation checked without an LP.  ``farkas_residual``:
-    max |a^T y + side * normal|.  ``remark2_status``: domination and
-    disjointness agreed; in ``separate()``, by Remark 2, it is the
-    certificate's verdict ``sign_constant``, and ``verify_separation`` has
-    no extension to test, so there it is None.
+    set: the separation checked without an LP.  Where the last extension
+    step of ``separate()`` picked an end of its interval, y is read off that
+    end's LP (``_extension_certificate``), with |x| as ``scale`` and the
+    lower bound ``-b . y`` as the margin; else y is the support LP's dual.
+    ``farkas_residual``: max |a^T y + side * normal|.  ``remark2_status``:
+    domination and disjointness agreed; in ``separate()``, by Remark 2, it
+    is the certificate's verdict ``sign_constant``, and
+    ``verify_separation`` has no extension to test, so there it is None.
     """
 
     s_in_h_residual: float
@@ -217,6 +221,34 @@ def _certificate(
     return SeparationCertificate(residual, None, margin, bool(margin >= -SIDE_TOL * scale), None, y, farkas)
 
 
+def _extension_certificate(a_set: HPolyhedron, s: Subspace, state: ExtensionState, g: np.ndarray, x: np.ndarray):
+    """The side certificate read off the last extension step (Remark 2 in
+    multiplier form), or None where the support LP must decide instead.
+
+    When that step picked an end of its interval, g is the end's polar point
+    ``y . [h; -h]`` over the gauge rows, and g(x) = 1 forces y = (0, v), so
+    g = -h^T v.  Each hull row h is a row a_i (b_i <= 0) or the cross row
+    ``b_j a_i - b_i a_j`` (b_i < 0 < b_j) over its norm (``conic_hull``), so
+    the weights W of its sources give ``lambda = W^T (v / norms) / |g|``:
+    lambda >= 0, ``a^T lambda = -g / |g|`` and ``b . lambda <= 0``, returned
+    when these hold on its rounding.  ``-b . lambda`` bounds the margin below.
+    """
+    end = state.history[-1]._picked_end() if state.history else None
+    if end is None:
+        return None
+    n = a_set.dim
+    # each hull row beside its sources' weights, computed as conic_hull computes it, so the same rows drop
+    rows = _hull_rows(np.hstack([a_set.a, np.eye(a_set.b.size)]), a_set.b)
+    rows = rows[rows[:, :n].any(axis=1)]
+    u, v = end.y.reshape(2, -1)
+    size = float(np.linalg.norm(g))
+    normal, lam = g / size, (v / np.linalg.norm(rows[:, :n], axis=1)) @ rows[:, n:] / size
+    residual, margin = float(np.max(np.abs(a_set.a.T @ lam + normal))), -float(a_set.b @ lam) + 0.0
+    if lam.min() >= 0.0 and u.sum() <= 1e-12 * v.sum() and residual <= 1e-12 and margin >= -SIDE_TOL * np.linalg.norm(x):
+        return SeparationCertificate(_subspace_residual(s, normal), None, margin, True, None, tuple(lam.tolist()), residual)
+    return None
+
+
 def _checked(cert: SeparationCertificate) -> SeparationCertificate:
     """The certificate of a plane about to be returned; SolverError names its failed checks."""
     failures = cert._failures()
@@ -237,7 +269,9 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
     only then).  A hyperplane whose certificate is not valid is never
     returned: SolverError names the failed checks instead.  By Remark 2 the
     certificate also decides that g is dominated, so no step evaluates the
-    gauge; only a sampled certificate adds ``domination_check``.  The anchor
+    gauge; only a sampled certificate adds ``domination_check``.  On a
+    polyhedron whose last step picked an end of its interval, that end's LP
+    gives the certificate's multipliers, and no support LP runs.  The anchor
     ``opts.x`` must lie in the set's conic hull; without one,
     ``pick_interior_point`` picks it, and a set it finds empty (a polyhedron
     of inradius at most ``MIN_DEPTH``) gets the first direction of the
@@ -269,7 +303,8 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
             raise SolverError("extension failed to send the anchor to 1")
         hyper = kernel_hyperplane(g)
         normal = np.asarray(hyper.normal)  # g(x) = 1 puts the set on the positive side
-        cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples, side=1.0))
+        cert = _extension_certificate(a_set, s, state, g, x) if isinstance(a_set, HPolyhedron) else None
+        cert = _checked(cert or _certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples, side=1.0))
     except (InputError, DegenerateError, SolverError) as exc:
         depth = _inscribed_ball(a_set, s.basis)[1] if s.dim and isinstance(a_set, HPolyhedron) else 0.0
         if depth > 0.0:

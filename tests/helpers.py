@@ -420,8 +420,9 @@ def seminorm_axioms(p: Seminorm, seed: int = 0, trials: int = 1000) -> tuple[flo
 
 # ---------------------------------------------------------------------------
 # reference kernels: the simplex that gathers and inverts its whole basis at
-# every pivot, and Gram-Schmidt over every axis; kept verbatim, with their
-# own constants, as test-only oracles of the package's faster kernels
+# every pivot, and Gram-Schmidt over every axis (with the package's two
+# block projections, so that only the skipped axes differ); kept with their
+# own constants as test-only oracles of the package's faster kernels
 
 PIVOT_TOL = 1e-9
 MAX_ITER = 20000
@@ -545,10 +546,9 @@ def _solve(c, a_ub, b_ub, mask) -> LPResult:
 def _mgs(rows, candidates) -> list[np.ndarray]:
     rows = list(rows)
     for v in candidates:
-        w = v
-        for _ in range(2):
-            for u in rows:
-                w = w - (u @ w) * u
+        q = np.array(rows).reshape(len(rows), v.size)
+        w = v - (q @ v) @ q
+        w = w - (q @ w) @ q
         norm = float(np.linalg.norm(w))
         if norm > 1e-8 * max(1.0, float(np.linalg.norm(v))):
             rows.append(w / norm)
@@ -556,6 +556,7 @@ def _mgs(rows, candidates) -> list[np.ndarray]:
 
 
 def mgs_completion(s: Subspace) -> list[np.ndarray]:
-    """``complement_basis`` as two-pass modified Gram-Schmidt over every
-    standard basis vector in index order, with no skipped candidate."""
+    """``complement_basis`` as Gram-Schmidt (two block projections
+    ``w - (Q w) Q``) over every standard basis vector in index order, with no
+    skipped candidate."""
     return _mgs(s.basis, np.eye(s.ambient_dim))[s.dim:]

@@ -1,13 +1,21 @@
 """The traced benchmark still runs against the package: smoke passes of
 each workload with the tracer installed, in a copy of the checkout so that
-their run records stay out of the source tree.  LP, pivot, call and
-membership counts do not jitter, so they are pinned."""
+their run records stay out of the source tree, and one untraced poly-sep
+pass in process.  LP, pivot, call and membership counts do not jitter, so
+they are pinned."""
 
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+import gaugesep
+from gaugesep import convexsets, gauges, separation
+
+from helpers import record_lps
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,8 +39,9 @@ def test_traced_poly_sep_smoke(tmp_path):
     assert metrics["extension.domination_check.calls"]["value"] == 0
     # nor does any step evaluate the gauge: the certificate decides |g| <= p
     assert metrics["gauges.gauge.calls.polyhedral"]["value"] == 0
-    assert metrics["simplexlp.solve_lp.calls"]["value"] == 24
-    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 125
+    # nor a support LP: the last extension step's multipliers certify the side
+    assert metrics["simplexlp.solve_lp.calls"]["value"] == 18
+    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 103
     assert metrics["simplexlp.solve_lp.raised"]["value"] == 0
     assert metrics["outcome.fail_share"]["value"] == 0
 
@@ -43,8 +52,8 @@ def test_traced_cli_query_smoke(tmp_path):
     metrics = traced_smoke_run(tmp_path, "cli-query")
     for name in ("main", "parse_problem", "dumps"):
         assert metrics[f"cli.{name}.self_s"]["value"] > 0
-    assert metrics["simplexlp.solve_lp.calls"]["value"] == 28
-    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 51
+    assert metrics["simplexlp.solve_lp.calls"]["value"] == 24
+    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 47
     assert metrics["extension.domination_check.calls"]["value"] == 6
     # 4 gauge queries and 9 basis rows of the caller's f in extend and roundtrip
     assert metrics["gauges.gauge.calls.polyhedral"]["value"] == 13
@@ -61,3 +70,20 @@ def test_traced_ball_sep_smoke(tmp_path):
     assert metrics["extension.domination_check.calls"]["value"] == 0
     assert metrics["gauges.gauge.calls.polyhedral"]["value"] == 0
     assert metrics["outcome.fail_share"]["value"] == 0
+
+
+def test_poly_sep_pass_solves_no_support_lp(monkeypatch, tmp_path):
+    # a whole poly-sep pass at seed 0, in process: the last extension step's
+    # multipliers certify every box, so the certificate's support LP never
+    # runs, and each box solves its anchor's LP and its first step's two
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    support = []
+    original = separation._support
+    monkeypatch.setattr(separation, "_support", lambda *args: support.append(args) or original(*args))
+    lps = record_lps(monkeypatch, convexsets, gauges, separation)
+    for op in workloads.poly_sep(gaugesep, np.random.default_rng(0), tmp_path):
+        assert all(op.check(op.call()))
+    assert len(support) == 0
+    assert (len(lps), sum(res.iterations for _, res in lps)) == (468, 5718)

@@ -1,4 +1,6 @@
 import json
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -553,13 +555,115 @@ class TestEveryLpIsItsColdSolve:
         calls = record_lps(monkeypatch, convexsets, gauges, separation)
         for a_set, s in self.families():
             separate(a_set, s, SeparationOptions(gamma_rule=rule))
-        assert len(calls) == {"upper": 366, "lower": 362, "midpoint": 656}[rule]
+        assert len(calls) == {"upper": 276, "lower": 272, "midpoint": 656}[rule]
         for (c, a_ub, b_ub, nonneg), res in calls:
             cold = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
             assert res.status == cold.status
             for name in ("x", "y", "objective"):
                 got, want = getattr(res, name), getattr(cold, name)
                 assert (got is None and want is None) or np.array_equal(got, want), name
+
+
+class TestMultiplierCertificate:
+    """Remark 2 in multiplier form: where the last extension step picked an
+    end of its interval, ``separate()`` reads the Farkas multipliers of its
+    side off that end's LP (``_extension_certificate``) and solves no
+    support LP; everywhere else the support LP certifies the side."""
+
+    @staticmethod
+    def families():
+        rng = np.random.default_rng(90)
+        boxes = [rotated_box(rng, n) for n in range(4, 13) for _ in range(3)]
+        boxes += [axis_box(rng, n) for n in (20, 40) for _ in range(2)]
+        sets = [(box.polyhedron(), box.subspace(), None) for box in boxes]
+        sets += [(*random_polytope_instance(rng, int(rng.integers(2, 8))), None) for _ in range(60)]
+        return sets + [bundled("example2"), bundled("example3_quotient")]
+
+    @pytest.mark.parametrize("rule", ["upper", "lower"])
+    def test_multipliers_certify_what_the_support_lp_certifies(self, monkeypatch, rule):
+        def refuse(*args):
+            raise AssertionError("the support LP ran")
+
+        monkeypatch.setattr(separation, "_support", refuse)
+        for a_set, s, x in self.families():
+            result = separate(a_set, s, SeparationOptions(x=x, gamma_rule=rule))
+            cert, normal = result.certificate, np.asarray(result.hyperplane.normal)
+            lam = np.asarray(cert.farkas_multipliers)
+            assert cert.valid and np.all(lam >= 0.0)
+            residual = float(np.max(np.abs(a_set.a.T @ lam + normal)))
+            # the end LP's primal and dual values differ by up to 3e-14 on
+            # nearly flat last intervals, and the residual inherits that
+            assert residual == cert.farkas_residual <= 1e-13
+            assert cert.boundary_margin == -float(a_set.b @ lam) + 0.0
+            margin, scale, _ = _support(a_set, normal)  # the module's own name is refused
+            assert margin >= -separation.SIDE_TOL * scale
+            assert abs(cert.boundary_margin - margin) <= 1e-12 * max(1.0, float(np.linalg.norm(result.anchor_x)))
+
+    @staticmethod
+    def support_calls(monkeypatch) -> list:
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _support(*args)
+
+        monkeypatch.setattr(separation, "_support", counting)
+        return calls
+
+    @staticmethod
+    def assert_support_certificate(a_set, s, result) -> None:
+        """The certificate is the one-sided support LP's, field for field."""
+        normal = np.asarray(result.hyperplane.normal)
+        want = separation._certificate(a_set, s, normal, seed=0, samples=1, side=1.0)
+        assert result.certificate == replace(want, remark2_status=True)
+
+    def test_no_step_runs_the_support_lp(self, monkeypatch):
+        # dim S + 1 = n: span(S + x) is the whole space, so no step picks an end
+        calls = self.support_calls(monkeypatch)
+        a_set = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([2.0, -1.0, 1.0, 1.0]))
+        s = span_basis([np.array([0.0, 1.0])])
+        result = separate(a_set, s)
+        assert result.steps == () and len(calls) == 1
+        self.assert_support_certificate(a_set, s, result)
+        assert result.certificate.boundary_margin == 1.0
+
+    def test_interior_midpoint_pick_runs_the_support_lp(self, monkeypatch):
+        calls = self.support_calls(monkeypatch)
+        box = rotated_box(np.random.default_rng(91), 8)
+        a_set, s = box.polyhedron(), box.subspace()
+        result = separate(a_set, s, SeparationOptions(gamma_rule="midpoint"))
+        last = result.steps[-1]
+        assert last.interval.width > 0.0 and last._picked_end() is None and len(calls) == 1
+        self.assert_support_certificate(a_set, s, result)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [lambda y: np.roll(y, y.size // 2), lambda y: 2.0 * y, lambda y: np.zeros_like(y)],
+        ids=["u-not-zero", "residual", "no-multipliers"],
+    )
+    def test_failed_multiplier_check_runs_the_support_lp(self, monkeypatch, tamper):
+        # no seeded family, bundled problem or tier-1 call has failed a check
+        # (nor has a sweep of polytopes scaled by 1e-8 to 1e8), so the last
+        # step's y is tampered with after the extension: u and v swapped,
+        # doubled, or zero
+        extend = separation._extend_steps
+
+        def tampered(*args, **kwargs):
+            state = extend(*args, **kwargs)
+            last = state.history[-1]
+            ends = tuple(replace(res, y=tamper(res.y)) for res in last.interval._ends)
+            step = replace(last, interval=replace(last.interval, _ends=ends))
+            return replace(state, history=state.history[:-1] + (step,))
+
+        monkeypatch.setattr(separation, "_extend_steps", tampered)
+        calls = self.support_calls(monkeypatch)
+        box = rotated_box(np.random.default_rng(92), 6)
+        a_set, s = box.polyhedron(), box.subspace()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = separate(a_set, s)
+        assert len(calls) == 1
+        self.assert_support_certificate(a_set, s, result)
 
 
 class TestRemark2DecidesDomination:
@@ -816,8 +920,9 @@ class TestExactVersusSampled:
 class TestSeparateSideTests:
     def test_exact_sets_draw_no_samples(self, monkeypatch):
         # polyhedra and balls are certified on their closure: separate()
-        # solves one support LP (it knows the side); verify_separation solves
-        # the - side's too only when the + side's margin is negative (a
+        # reads a polyhedron's multipliers off its last extension step and
+        # solves no LP; verify_separation solves the + side's support LP,
+        # and the - side's too only when the + side's margin is negative (a
         # touching plane that rounding pushed across)
         def refuse(*args, **kwargs):
             raise AssertionError("a polyhedron or ball was sampled")
@@ -831,10 +936,10 @@ class TestSeparateSideTests:
             lps.clear()
             result = separate(a_set, s, SeparationOptions(x=x))
             assert result.certificate.valid and result.certificate.a_clearance is None
-            assert len(lps) == isinstance(a_set, HPolyhedron)
+            assert len(lps) == 0
             lps.clear()
             assert verify_separation(a_set, s, result.hyperplane).valid
-            crossed = result.certificate.boundary_margin < 0.0
+            crossed = bool(lps) and lps[0][1].objective < 0.0  # the + side's margin
             assert len(lps) == isinstance(a_set, HPolyhedron) * (1 + crossed)
 
     def test_no_kernel_disjoint_call(self, monkeypatch):
