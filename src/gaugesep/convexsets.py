@@ -324,15 +324,12 @@ def conic_hull_membership(a_set: ConvexSet, point) -> bool:
 def conic_hull(a_set: ConvexSet) -> ConvexSet:
     """The positive conic hull as a set object (closed form where possible).
 
-    A polyhedron's hull is again a polyhedron: rows with nonpositive offsets
-    force ``a_i . e < 0``; every (positive-offset, negative-offset) row pair
-    contributes the cross row ``(b_i a_j - b_j a_i) . e < 0``, dropped when
-    it is exactly zero (``HPolyhedron`` stores the rest at unit length).
+    A polyhedron's hull is the polyhedron ``{h e < 0}`` on its nonzero hull
+    rows h (``_hull_rows``), which ``HPolyhedron`` stores at unit length.
     Requires a nonempty base set.
     """
     if isinstance(a_set, HPolyhedron):
-        rows = _hull_rows(a_set.a, a_set.b)
-        rows = rows[rows.any(axis=1)]
+        rows = _hull_rows(a_set.a, a_set.b)[0]
         return HPolyhedron(rows, np.zeros(len(rows)))
     if isinstance(a_set, OpenBall):
         return BallCone(a_set.center, a_set.radius)
@@ -341,13 +338,16 @@ def conic_hull(a_set: ConvexSet) -> ConvexSet:
     return ConicHullSet(a_set)
 
 
-def _hull_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The hull rows of ``{a e < b}`` before zero rows are dropped, unscaled:
-    for each b_i <= 0 in order, a_i, then (b_i < 0) ``b_j a_i - b_i a_j``
-    for each b_j > 0 in order."""
-    a_neg, b_neg, b_pos = a[b <= 0.0], b[b <= 0.0], b[b > 0.0]
-    rows = np.concatenate([a_neg[:, None], b_pos[:, None] * a_neg[:, None] - b_neg[:, None, None] * a[b > 0.0]], axis=1)
-    return rows[np.arange(1 + b_pos.size) <= b_pos.size * (b_neg[:, None] < 0.0)]
+def _hull_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero rows ``b_j a_i - b_i a_j`` of the conic hull of ``{a e < b}``,
+    unscaled, and their sources i, j, where j = m stands for the row (0, 1):
+    for each b_i <= 0 in order, a_i alone, then (b_i < 0) its cross row with
+    each b_j > 0 in order (Fourier-Motzkin on the cone's scale variable)."""
+    neg, pos = (b <= 0.0).nonzero()[0], (b > 0.0).nonzero()[0]
+    a_neg, b_neg, b_pos = a[neg], b[neg], b[pos]
+    rows = np.concatenate([a_neg[:, None], b_pos[:, None] * a_neg[:, None] - b_neg[:, None, None] * a[pos]], axis=1)
+    k, l = ((np.arange(1 + pos.size) <= pos.size * (b_neg[:, None] < 0.0)) & rows.any(axis=2)).nonzero()
+    return rows[k, l], neg[k], np.concatenate(([b.size], pos))[l]
 
 
 def build_D(a_set: ConvexSet, x) -> SymmetrizedBody:

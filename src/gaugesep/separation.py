@@ -227,22 +227,21 @@ def _extension_certificate(a_set: HPolyhedron, s: Subspace, state: ExtensionStat
 
     When that step picked an end of its interval, g is the end's polar point
     ``y . [h; -h]`` over the gauge rows, and g(x) = 1 forces y = (0, v), so
-    g = -h^T v.  Each hull row h is a row a_i (b_i <= 0) or the cross row
-    ``b_j a_i - b_i a_j`` (b_i < 0 < b_j) over its norm (``conic_hull``), so
-    the weights W of its sources give ``lambda = W^T (v / norms) / |g|``:
-    lambda >= 0, ``a^T lambda = -g / |g|`` and ``b . lambda <= 0``, returned
-    when these hold on its rounding.  ``-b . lambda`` bounds the margin below.
+    g = -h^T v.  Each gauge row h is a hull row ``b_j a_i - b_i a_j`` over its
+    norm (``_hull_rows``), so each weighted row adds ``w b_j`` to lambda_i and
+    ``-w b_i`` to lambda_j, with w = v / norm, and lambda is their sum over
+    |g|: lambda >= 0, ``a^T lambda = -g / |g|`` and ``b . lambda <= 0``,
+    returned when these hold on its rounding.  ``-b . lambda`` bounds the
+    margin below.
     """
     end = state.history[-1]._picked_end() if state.history else None
     if end is None:
         return None
-    n = a_set.dim
-    # each hull row beside its sources' weights, computed as conic_hull computes it, so the same rows drop
-    rows = _hull_rows(np.hstack([a_set.a, np.eye(a_set.b.size)]), a_set.b)
-    rows = rows[rows[:, :n].any(axis=1)]
+    rows, i, j = _hull_rows(a_set.a, a_set.b)
     u, v = end.y.reshape(2, -1)
-    size = float(np.linalg.norm(g))
-    normal, lam = g / size, (v / np.linalg.norm(rows[:, :n], axis=1)) @ rows[:, n:] / size
+    on, b, size = v > 0.0, np.append(a_set.b, 1.0), float(np.linalg.norm(g))
+    i, j, w = i[on], j[on], v[on] / np.linalg.norm(rows[on], axis=1)
+    normal, lam = g / size, np.bincount(np.concatenate([i, j]), np.concatenate([w * b[j], -w * b[i]]), b.size)[:-1] / size
     residual, margin = float(np.max(np.abs(a_set.a.T @ lam + normal))), -float(a_set.b @ lam) + 0.0
     if lam.min() >= 0.0 and u.sum() <= 1e-12 * v.sum() and residual <= 1e-12 and margin >= -SIDE_TOL * np.linalg.norm(x):
         return SeparationCertificate(_subspace_residual(s, normal), None, margin, True, None, tuple(lam.tolist()), residual)

@@ -35,10 +35,6 @@ STALL = 20  # degenerate pivots in a row before Bland's rule takes over
 _inv = np.linalg._umath_linalg.inv  # the kernel of np.linalg.inv, without its per-call checks
 
 
-def _singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
 @dataclass
 class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -55,8 +51,9 @@ class LPResult:
 def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv=None):
     """Minimize ``cost . z`` subject to ``cols z = rhs``, ``z >= 0``, from the
     feasible ``basis`` (updated in place) and its inverse ``binv`` (computed
-    when None); returns (status, multipliers, pivots, inverse of the final
-    basis).  ``inv_scale`` is 1 / (1 + norm) of each column that may enter.
+    when None, in phase 1); returns (status, multipliers, pivots, inverse of
+    the final basis), or raises SolverError on a singular basis.
+    ``inv_scale`` is 1 / (1 + norm) of each column that may enter.
 
     Only the first ``n_enter`` columns may enter; the rest are artificials.
     A basic artificial at zero blocks the ratio test in both directions, so it
@@ -71,9 +68,13 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv=None):
     bmat, cost_b = cols[:, basis], cost[basis]  # each pivot replaces one column and cost
     prices = np.empty(cols.shape[1])  # the artificials' entries are never read
     score = prices[:n_enter]
-    stall = 0
-    # set as np.linalg.inv sets it, so that a singular basis raises LinAlgError
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+    stall = pivots = 0
+    phase = 1 if binv is None else 2
+
+    def singular(err, flag):  # set as np.linalg.inv sets it: "invalid" signals a singular basis
+        raise SolverError(f"singular basis in phase {phase} after {pivots} pivots (LP of {n_enter} rows in {rhs.size} variables)")
+
+    with np.errstate(call=singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
         if binv is None:
             binv = _inv(bmat, signature="d->d")
         for pivots in range(MAX_ITER + 1):

@@ -108,6 +108,16 @@ def random_polytope_instance(rng: np.random.Generator, n: int) -> tuple[HPolyhed
         return HPolyhedron(np.array(rows), np.array(offs)), s
 
 
+def many_facet_polytope(n: int, m: int) -> tuple[HPolyhedron, Subspace]:
+    """m facets with unit normals d_i drawn from ``default_rng(0)``:
+    A = {d_i . (e - 3 e_1) < 1} against S = span{e_2, ..., e_{n/2+1}}.  About
+    half the offsets are negative, so the conic hull has about m^2 / 4 rows
+    (35,360 at n = 10 with 500 facets)."""
+    d = np.random.default_rng(0).normal(size=(m, n))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    return HPolyhedron(d, 1.0 + 3.0 * d[:, 0]), span_basis(list(np.eye(n)[1 : n // 2 + 1]), n)
+
+
 @dataclass(frozen=True)
 class Box:
     """The open box ``{x : |q^T (x - c)|_i < h_i}`` and a subspace (orthonormal

@@ -12,6 +12,7 @@ import pytest
 import gaugesep
 from gaugesep import HPolyhedron, OpenBall, build_D, gauge, gauge_from_symmetrized
 from gaugesep import cli
+from gaugesep._svg import _poly_vertices, render_svg
 from gaugesep.cli import dumps, main, parse_problem
 
 
@@ -441,6 +442,12 @@ class TestSubcommands:
         text = target.read_text()
         assert text.startswith("<svg")
         assert "circle" in text
+
+    def test_polyhedron_outside_the_frame_draws_no_polygon(self):
+        # {e1 > 100} has no vertex in the box [-10, 10]^2 that clips it
+        far = HPolyhedron(np.array([[-1.0, 0.0]]), np.array([-100.0]))
+        assert _poly_vertices(far.a, far.b, 10.0).shape == (0, 2)
+        assert "polygon" not in render_svg(far)
 
     def test_render_polyhedron_draws_polygon(self, capsys, tmp_path):
         target = tmp_path / "poly.svg"

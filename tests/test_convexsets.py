@@ -23,7 +23,7 @@ from gaugesep import (
     solve_lp,
     span_basis,
 )
-from gaugesep.convexsets import _inscribed_ball
+from gaugesep.convexsets import _hull_rows, _inscribed_ball
 from gaugesep.fixtures import oracle_by_name
 from gaugesep.simplexlp import LPResult
 
@@ -144,6 +144,18 @@ class TestConicHullMembership:
         assert not conic_hull_membership(oracle, np.array([1.0, 2.0]))
 
 
+def assert_rows_rebuilt_from_sources(poly: HPolyhedron) -> None:
+    """Each row of ``_hull_rows`` is ``b_j a_i - b_i a_j`` of its sources,
+    with j = m standing for the row (0, 1), and no row is zero: a_i alone
+    for each b_i <= 0 in order, cross rows only for b_i < 0 < b_j."""
+    rows, i, j = _hull_rows(poly.a, poly.b)
+    m = poly.b.size
+    a, b = np.vstack([poly.a, np.zeros(poly.dim)]), np.append(poly.b, 1.0)
+    assert np.array_equal(rows, b[j, None] * a[i] - b[i, None] * a[j]) and rows.any(axis=1).all()
+    assert np.all(b[i] <= 0.0) and np.all((j == m) | ((b[i] < 0.0) & (b[j] > 0.0)))
+    assert np.array_equal(i[j == m], np.flatnonzero(poly.b <= 0.0))  # HPolyhedron has no zero row
+
+
 class TestConicHullSets:
     def test_polyhedral_hull_rows(self):
         square = HPolyhedron(
@@ -169,6 +181,7 @@ class TestConicHullSets:
             poly = box.polyhedron()
             hull = conic_hull(poly)
             assert np.array_equal(hull.a, conic_hull_rows(poly)) and not hull.b.any()
+            assert_rows_rebuilt_from_sources(poly)
 
     @pytest.mark.parametrize(
         "offsets",
@@ -179,6 +192,16 @@ class TestConicHullSets:
         poly = HPolyhedron(np.random.default_rng(4).normal(size=(5, 3)), np.array(offsets))
         hull = conic_hull(poly)
         assert np.array_equal(hull.a, conic_hull_rows(poly)) and hull.a.shape[1] == 3
+        assert_rows_rebuilt_from_sources(poly)
+
+    def test_zero_cross_row_is_dropped(self):
+        # e1 < 1 and -e1 < -1 (an empty slab): their cross row 1 (-e1) - (-1) e1
+        # is exactly zero; HPolyhedron refuses zero rows, so _hull_rows drops it
+        poly = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.array([1.0, -1.0, 1.0]))
+        rows, i, j = _hull_rows(poly.a, poly.b)
+        assert np.array_equal(rows, [[-1.0, 0.0], [-1.0, 1.0]]) and i.tolist() == [1, 1] and j.tolist() == [3, 2]
+        assert np.array_equal(conic_hull(poly).a, conic_hull_rows(poly))
+        assert_rows_rebuilt_from_sources(poly)
 
     def test_halfspace_hull_is_halfspace(self):
         hull = conic_hull(HALFSPACE)

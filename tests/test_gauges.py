@@ -262,6 +262,49 @@ class TestGaugeFromSymmetrized:
             assert gauge(p, x) == 1.0
 
 
+class TestAnchorOutsideTheComputedCone:
+    """The three "anchor is not strictly inside the base cone" raises: the
+    anchor passes the hull's membership test, but not the gauge's own."""
+
+    def test_2d_sector_misses_an_anchor_on_the_hull_by_a_hair(self):
+        # the sector's edges are the inner tangents of the hull's searches,
+        # so an anchor 1.5e-15 inside the tangent |y| = x of offset-disk is in
+        # the hull but not in its sector; one 1.5e-14 inside is in both
+        x = np.array([1.0, 1.0 - 1.5e-15])
+        body = build_D(oracle_by_name("offset-disk"), x)
+        with pytest.raises(InputError) as info:
+            gauge_from_symmetrized(body)
+        assert str(info.value) == "anchor is not strictly inside the base cone"
+        gauge_from_symmetrized(build_D(oracle_by_name("offset-disk"), np.array([1.0, 1.0 - 1.5e-14])))
+
+    def test_ball_cone_anchor_whose_depth_underflows(self):
+        # 1e-16 inside the tangent of the cone over the disk at (2, 0) of
+        # radius 1: the membership test sees r^2 - |c_off|^2 > 0, but the
+        # gauge's |x|^2 (r^2 - |c_off|^2) underflows to 0 at |x| = 1e-155
+        ball = OpenBall(np.array([2.0, 0.0]), 1.0)
+        x = np.array([8.660254037844388e-156, 5e-156])
+        with pytest.raises(InputError) as info:
+            gauge_from_symmetrized(build_D(ball, x))
+        assert str(info.value) == "anchor is not strictly inside the base cone"
+        assert isinstance(gauge_from_symmetrized(build_D(ball, x * 1e155)), BallConeGauge)
+
+    def test_oracle_chord_leaves_a_nonconvex_base(self):
+        # a ball with a hooked arm, not convex: the tangent search reaches the
+        # hook's corner M, and the chord from the witness to M leaves the
+        # set, so the anchor moved along its ray onto that chord is outside
+        def hooked(e):
+            ball = np.linalg.norm(e - np.array([3.0, 0.0, 0.0])) < 0.5
+            arm = abs(e[0] - 3.0) < 0.1 and -0.1 < e[1] < 2.1 and abs(e[2]) < 0.1
+            hook = 1.5 < e[0] < 3.1 and abs(e[1] - 2.0) < 0.1 and abs(e[2]) < 0.1
+            return bool(ball or arm or hook)
+
+        oracle = OracleSet(3, hooked, witness=np.array([3.0, 0.0, 0.0]))
+        x = np.array([1.4475, 0.925, 0.0])  # half the chord's point (2.895, 1.85, 0)
+        with pytest.raises(InputError) as info:
+            gauge_from_symmetrized(build_D(oracle, x))
+        assert str(info.value) == "anchor is not strictly inside the base cone"
+
+
 class TestBallConeGauge:
     def test_matches_tight_bisection(self):
         rng = np.random.default_rng(11)
@@ -366,6 +409,13 @@ class TestBallConePolar:
                 polar, e = p.polar(psi)
                 assert gauge(p, e) == pytest.approx(1.0, abs=1e-12)
                 assert float(psi @ e) == pytest.approx(polar, rel=1e-12)
+
+
+class TestEllipsoidSlice:
+    def test_inconsistent_rows_give_none(self):
+        # psi . e1 = 1 and psi . e1 = 2 have no common point
+        rows, values = np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0])
+        assert gaugesep.gauges._ellipsoid_slice_max(np.eye(2), rows, values, np.array([0.0, 1.0])) is None
 
 
 class TestBatchEvaluation:

@@ -225,6 +225,9 @@ class TestKernelHyperplane:
         with pytest.raises(DegenerateError):
             kernel_hyperplane(np.zeros(2))
 
+    def test_dim_is_the_ambient_dimension(self):
+        assert kernel_hyperplane(np.array([0.0, 2.0, 0.0, 0.0])).dim == 4
+
 
 class TestPartialFunctional:
     def test_evaluation(self):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -21,6 +22,7 @@ from gaugesep import (
     OracleSet,
     PartialFunctional,
     PolyhedralGauge,
+    SeparationCertificate,
     SeparationOptions,
     SolverError,
     Subspace,
@@ -50,6 +52,7 @@ from helpers import (
     bundled,
     dominated_functional,
     farkas_referee,
+    many_facet_polytope,
     point_in_cone,
     random_ball_instance,
     random_instance,
@@ -179,6 +182,24 @@ class TestSeparateFixtures:
         assert result.certificate.valid
         with pytest.raises(SolverError, match="boundary_margin -inf"):
             separate(slab, s)
+
+    def test_singular_basis_on_a_thin_slab_is_a_solver_error(self):
+        # {1 < e1 < 1 + 1e-7} x (-1, 1)^4: under "lower" a phase-2 pivot of
+        # an extension LP makes its basis singular; S misses the slab, so
+        # the precondition is not named, and the other rules separate
+        a = np.vstack([np.eye(5), -np.eye(5)])
+        b = np.array([1.0 + 1e-7, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+        s = span_basis([np.eye(5)[4]])
+        with pytest.raises(SolverError) as info:
+            separate(HPolyhedron(a, b), s, SeparationOptions(gamma_rule="lower"))
+        assert str(info.value) == "singular basis in phase 2 after 2 pivots (LP of 21 rows in 5 variables)"
+        lo, hi = -b[5:], b[:5]  # the slab's box
+        for rule in ("upper", "midpoint"):
+            result = separate(HPolyhedron(a, b), s, SeparationOptions(gamma_rule=rule))
+            normal = np.asarray(result.hyperplane.normal)
+            assert result.certificate.valid and normal[4] == 0.0
+            # its least value over the box: "upper" touches a corner, up to rounding
+            assert np.minimum(lo * normal, hi * normal).sum() >= -1e-15
 
     def test_empty_oracle_set_is_not_certified(self):
         # an oracle whose witness fails its own test has no interior point to
@@ -577,6 +598,7 @@ class TestMultiplierCertificate:
         boxes += [axis_box(rng, n) for n in (20, 40) for _ in range(2)]
         sets = [(box.polyhedron(), box.subspace(), None) for box in boxes]
         sets += [(*random_polytope_instance(rng, int(rng.integers(2, 8))), None) for _ in range(60)]
+        sets += [(*many_facet_polytope(n, m), None) for n, m in ((6, 60), (10, 200))]
         return sets + [bundled("example2"), bundled("example3_quotient")]
 
     @pytest.mark.parametrize("rule", ["upper", "lower"])
@@ -598,6 +620,21 @@ class TestMultiplierCertificate:
             margin, scale, _ = _support(a_set, normal)  # the module's own name is refused
             assert margin >= -separation.SIDE_TOL * scale
             assert abs(cert.boundary_margin - margin) <= 1e-12 * max(1.0, float(np.linalg.norm(result.anchor_x)))
+
+    def test_many_facets_bound_the_peak_memory(self):
+        # twice the 26.5 MB of a run that reads no multipliers; a map that
+        # builds all 35,360 hull rows beside their 500 source weights takes
+        # about 300 MB, one that reads the weighted rows' sources about 28 MB
+        a_set, s = many_facet_polytope(10, 500)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            result = separate(a_set, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.certificate.valid and result.certificate.farkas_multipliers is not None
+        assert peak < 53e6
 
     @staticmethod
     def support_calls(monkeypatch) -> list:
@@ -1028,6 +1065,14 @@ class TestVerifySeparation:
         slab = HPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1e-10, 0.0]))
         assert not verify_separation(slab, zero_subspace(2), Hyperplane(np.array([0.0, 1.0]))).valid
         assert verify_separation(slab, zero_subspace(2), Hyperplane(np.array([1.0, 0.0]))).valid
+
+    def test_zero_clearance_is_named(self):
+        # an interior sample on the plane (|normal . e| = 0): the plane meets the open set
+        cert = SeparationCertificate(0.0, 0.0, None, True, None)
+        assert not cert.valid
+        with pytest.raises(SolverError) as info:
+            separation._checked(cert)
+        assert str(info.value) == "separation certificate is invalid: a_clearance 0.00e+00 is not positive"
 
     def test_crossing_hyperplane_flagged(self):
         a_set, s, _ = bundled("example1")

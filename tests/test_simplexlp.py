@@ -148,8 +148,8 @@ class TestSolveLP:
     )
     def test_nonfinite_data_raises(self, c, a_ub, b_ub):
         # refused before any pivot; unchecked, these came back as numpy's
-        # ValueError, "unbounded", "optimal" with a NaN x, LinAlgError and
-        # "optimal" with a NaN objective
+        # ValueError, "unbounded", "optimal" with a NaN x, a singular-basis
+        # error and "optimal" with a NaN objective
         with pytest.raises(SolverError, match="LP data must be finite"):
             solve_lp(c, a_ub=a_ub, b_ub=b_ub)
 
@@ -442,12 +442,14 @@ class TestKernelIdentity:
 
     def test_singular_basis_raises(self):
         # a basis with a repeated column: np.linalg.inv raises, and so must
-        # the pivot's inverse, rather than hand NaNs to the ratio test
+        # the pivot's inverse, rather than hand NaNs to the ratio test; the
+        # error names the phase, the pivots before it and the LP's shape
         cols = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
         before = np.geterr()
         for n_enter in (0, 3):
-            with pytest.raises(np.linalg.LinAlgError):
+            with pytest.raises(SolverError) as info:
                 simplexlp._simplex(cols, np.ones(3), np.ones(2), np.array([0, 1]), n_enter, 1e-9, np.ones(n_enter))
+            assert str(info.value) == f"singular basis in phase 1 after 0 pivots (LP of {n_enter} rows in 2 variables)"
         assert np.geterr() == before
 
 
