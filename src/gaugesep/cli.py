@@ -495,7 +495,3 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -40,7 +40,7 @@ class ConvexSet:
 
     def _member(self, e: np.ndarray) -> bool:
         """Membership for pre-validated arrays; the hot path skips checks."""
-        raise NotImplementedError
+        raise NotImplementedError  # unreached: every set type of the package defines its own _member
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +151,8 @@ class BallCone(ConvexSet):
         excess = self._excess
         if excess < 0:  # origin inside the ball: the hull is everything
             return True
+        # an exact rescale (a cone is scale-free), so that e @ e neither underflows nor overflows
+        e = np.ldexp(e, -math.frexp(float(np.abs(e).max()))[1])
         ec = float(e @ self.center)
         if excess == 0.0 or not ec > 0.0:
             return ec > 0.0
@@ -400,7 +402,7 @@ def pick_interior_point(a_set: ConvexSet) -> np.ndarray:
     """A deterministic interior point: ball center, Chebyshev center, or witness.
 
     Raises EmptySetError when a polyhedron has no interior point deeper than
-    ``MIN_DEPTH``."""
+    ``MIN_DEPTH``, and InputError for any other set type."""
     if isinstance(a_set, OpenBall):
         return np.array(a_set.center)
     if isinstance(a_set, HPolyhedron):
@@ -417,8 +419,6 @@ def pick_interior_point(a_set: ConvexSet) -> np.ndarray:
         if not a_set.contains(a_set.witness):
             raise InputError("oracle witness is not a member of its own set")
         return np.array(a_set.witness)
-    if isinstance(a_set, SymmetrizedBody):
-        return np.zeros(a_set.dim)
     raise InputError(f"no interior-point rule for {type(a_set).__name__}")
 
 

@@ -111,7 +111,10 @@ def extension_interval(state: ExtensionState, z, *, seed: int = 0) -> GammaInter
     # a zero-width search-certified interval may come back inverted by
     # certification noise
     if lo > hi + p._SLACK:
-        raise SolverError(f"empty admissible interval [{lo}, {hi}]: seminorm or domination assumption broken")
+        raise SolverError(
+            f"empty admissible interval [{lo}, {hi}] of a {type(p).__name__} on a {state.domain.dim}-dimensional "
+            "domain: seminorm or domination assumption broken"
+        )
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
     return GammaInterval(lo, hi, ends, (coeffs, residual, scale))
@@ -131,7 +134,6 @@ def extend_one(
     values that keep ``|g| <= p`` there (the one-step extension lemma), so no
     gauge is evaluated; an explicit ``gamma`` beyond ``_SLACK`` of it raises.
     """
-    z = as_vector(z, state.domain.ambient_dim)
     interval = extension_interval(state, z, seed=seed)
     value = interval.pick(rule) if gamma is None else float(gamma)
     slack = state.seminorm._SLACK

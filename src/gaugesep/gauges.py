@@ -25,6 +25,7 @@ ball-cone gauges; oracle gauges take it by seeded sampling and ascent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,9 @@ class PolyhedralGauge:
                     "dominated by the seminorm or the LP solver failed"
                 )
             if res.status != "optimal":
-                raise SolverError(f"extension LP failed with status {res.status!r} ({m} rows, {k + 1} vars)")
+                raise SolverError(  # unreached: c = 0 with t large is feasible, since every b_i > 0
+                    f"extension LP failed with status {res.status!r} ({m} rows, {k + 1} vars)"
+                )
             results.append(res)
         return results[0].objective, -results[1].objective, tuple(results)
 
@@ -120,7 +123,7 @@ class PolyhedralGauge:
             if res.status == "unbounded":
                 return np.inf
             if res.status != "optimal":
-                raise SolverError(f"domination LP failed with status {res.status!r}")
+                raise SolverError(f"domination LP failed with status {res.status!r}")  # unreached: e = 0 is feasible (b > 0)
             best = max(best, -res.objective)
         return best
 
@@ -290,6 +293,8 @@ class BallConeGauge:
         x, c = self.body.anchor, base.center
         xc = float(x @ c)
         xx = float(x @ x)
+        if xx == 0.0:
+            raise InputError(f"anchor too short for the ball-cone gauge: |x|^2 underflows to 0 (|x| = {math.hypot(*x):.3g})")
         c_off = c - (xc / xx) * x
         qc = xx * (base.radius**2 - float(c_off @ c_off))
         if not (xc > 0.0 and qc > 0.0):

@@ -91,9 +91,11 @@ def _gram_schmidt(rows, candidates) -> list[np.ndarray]:
     rows Q so far: classical Gram-Schmidt twice, which keeps orthogonality
     at working precision (Giraud, Langou & Rozloznik 2005); a residual of
     norm at most ``TOL_DEPENDENT * max(1, |v|)`` for the candidate ``v`` is
-    dropped."""
+    dropped.  The scan stops once the rows span the space."""
     rows = list(rows)
     for v in candidates:
+        if len(rows) == v.size:
+            break
         q = np.array(rows).reshape(len(rows), v.size)
         w = v - (q @ v) @ q
         w = w - (q @ w) @ q
@@ -130,21 +132,12 @@ def span_basis(vectors, ambient_dim: int | None = None) -> Subspace:
 def complement_basis(s: Subspace) -> list[np.ndarray]:
     """Orthonormal completion of ``s`` to all of R^n.
 
-    Deterministic: Gram-Schmidt over the standard basis vectors in index
-    order, skipping near-dependent candidates.  Together with ``s.basis`` the
-    returned vectors form an orthonormal basis of the ambient space.  A
-    candidate e_j whose residual ``e_j - R^T R[:, j]`` against the rows R so
-    far has norm at most 1e-10 is skipped without Gram-Schmidt, which would
-    drop it (``TOL_DEPENDENT``), and the scan stops once the rows span R^n.
+    Deterministic: one ``_gram_schmidt`` pass over the standard basis vectors
+    in index order, which drops the near-dependent ones and stops once the
+    rows span R^n.  Together with ``s.basis`` the returned vectors form an
+    orthonormal basis of the ambient space.
     """
-    n, rows = s.ambient_dim, list(s.basis)
-    for j, e in enumerate(np.eye(n)):
-        if len(rows) == n:
-            break
-        r = np.array(rows).reshape(-1, n)
-        if float(np.linalg.norm(e - r[:, j] @ r)) > 1e-10:
-            rows = _gram_schmidt(rows, [e])
-    return rows[s.dim:]
+    return _gram_schmidt(s.basis, np.eye(s.ambient_dim))[s.dim:]
 
 
 @dataclass(frozen=True, eq=False)

@@ -298,8 +298,9 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
         g = state.functional.as_coefficients()
         if not isinstance(a_set, (HPolyhedron, OpenBall)):  # a sampled certificate does not decide domination
             _checked_domination(g, p, seed=opts.seed)
-        if abs(float(g @ x) - 1.0) > 1e-8:
-            raise SolverError("extension failed to send the anchor to 1")
+        miss = abs(float(g @ x) - 1.0)
+        if miss > 1e-8:
+            raise SolverError(f"extension failed to send the anchor to 1: |g.x - 1| = {miss:.3e}")
         hyper = kernel_hyperplane(g)
         normal = np.asarray(hyper.normal)  # g(x) = 1 puts the set on the positive side
         cert = _extension_certificate(a_set, s, state, g, x) if isinstance(a_set, HPolyhedron) else None

@@ -172,7 +172,7 @@ def _solve(c, a_ub, b_ub, mask) -> LPResult:
     cost1[n_enter:] = 1.0
     status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, inv_scale)
     if status != "optimal":
-        raise SolverError("phase-1 objective unbounded; malformed constraints")
+        raise SolverError("phase-1 objective unbounded; malformed constraints")  # unreached: a sum of artificials is >= 0
     if float(pi @ rhs) > zero_tol:  # the dual is infeasible (never with c = 0)
         feasible = _solve(np.zeros(n), a_ub, b_ub, mask)
         iters += feasible.iterations

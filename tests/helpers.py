@@ -108,6 +108,19 @@ def random_polytope_instance(rng: np.random.Generator, n: int) -> tuple[HPolyhed
         return HPolyhedron(np.array(rows), np.array(offs)), s
 
 
+def scale_hunt_draw(index: int) -> tuple[HPolyhedron, Subspace, str]:
+    """Draw ``index`` of the scale hunt: 400 draws from ``default_rng(123)``,
+    each an n from ``integers(2, 10)``, then ``random_polytope_instance``,
+    then k = 10^``uniform(-9, 9)``; the draw's polytope has b scaled by k,
+    and the gamma rules take turns.  Returns (polytope, S, gamma rule)."""
+    rng = np.random.default_rng(123)
+    for _ in range(index + 1):
+        n = int(rng.integers(2, 10))
+        poly, s = random_polytope_instance(rng, n)
+        k = 10.0 ** rng.uniform(-9.0, 9.0)
+    return HPolyhedron(poly.a, poly.b * k), s, ("upper", "lower", "midpoint")[index % 3]
+
+
 def many_facet_polytope(n: int, m: int) -> tuple[HPolyhedron, Subspace]:
     """m facets with unit normals d_i drawn from ``default_rng(0)``:
     A = {d_i . (e - 3 e_1) < 1} against S = span{e_2, ..., e_{n/2+1}}.  About

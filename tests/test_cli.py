@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -672,6 +673,14 @@ class TestConsoleEntry:
         for _ in range(3):
             assert run_cli(capsys, "conic", "--input", "example1", "--point", "1,0")[0] == 0
         assert calls == []
+
+    def test_package_main_in_process(self, capsys, monkeypatch):
+        # what ``python -m gaugesep`` runs, traced in this process
+        monkeypatch.setattr(sys, "argv", ["gaugesep", "conic", "--input", "example2", "--point", "1,0,0"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("gaugesep", run_name="__main__")
+        assert info.value.code == 0
+        assert json.loads(capsys.readouterr().out)["member"] is True
 
     def test_module_invocation(self):
         # the child imports the same checkout, installed or not

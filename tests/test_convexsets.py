@@ -7,12 +7,15 @@ import gaugesep.convexsets as convexsets
 import gaugesep.gauges as gauges
 import gaugesep.separation as separation
 from gaugesep import (
+    BallCone,
+    ConicHullSet,
     EmptySetError,
     HPolyhedron,
     InputError,
     OpenBall,
     OracleSet,
     SolverError,
+    SymmetrizedBody,
     build_D,
     chebyshev_center,
     conic_hull,
@@ -74,6 +77,22 @@ class TestConicHullMembership:
         # inside a ~1e-16 band; test it from a band's distance away
         assert not conic_hull_membership(DISK, np.array([1.0, 1.0 + 1e-9]))
         assert conic_hull_membership(DISK, np.array([1.0, 1.0 - 1e-9]))
+
+    def test_a_conic_hull_is_its_own_hull(self):
+        for cone in (conic_hull(DISK), conic_hull(oracle_by_name("offset-disk"))):
+            assert isinstance(cone, (BallCone, ConicHullSet))
+            assert conic_hull(cone) is cone
+
+    def test_ball_cone_at_every_scale(self):
+        # e @ e underflows to 0 at |e| = 1e-170 and overflows at 1e300; the
+        # exact rescale gives each power-of-two multiple its unit-scale answer
+        cone = conic_hull(OpenBall(np.array([2.0, 0.0]), 1.0))
+        assert cone.contains(np.array([1e-170, 0.0]))
+        assert cone.contains(np.array([1e300, 0.0]))
+        rng = np.random.default_rng(8)
+        for e in rng.normal(size=(200, 2)):
+            want = cone.contains(e)
+            assert [cone.contains(e * 2.0**k) for k in (-1000, -560, -10, 520, 1000)] == [want] * 5
 
     def test_halfspace_cone_is_itself(self):
         assert conic_hull_membership(HALFSPACE, np.array([5.0, 9.0, -3.0]))
@@ -390,6 +409,11 @@ class TestPickInteriorPoint:
         oracle = OracleSet(2, lambda e: bool(np.all(np.abs(e) < 1)))
         with pytest.raises(InputError):
             pick_interior_point(oracle)
+
+    def test_no_rule_for_a_symmetrized_body(self):
+        with pytest.raises(InputError) as info:
+            pick_interior_point(SymmetrizedBody(DISK, np.array([2.0, 0.0])))
+        assert str(info.value) == "no interior-point rule for SymmetrizedBody"
 
 
 class TestSampleInterior:

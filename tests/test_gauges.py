@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,16 @@ class TestAnchorOutsideTheComputedCone:
 
 
 class TestBallConeGauge:
+    def test_anchor_whose_square_underflows(self):
+        # the cone over the disk at (2, 0) of radius 1 holds x = (1e-170, 0),
+        # but |x|^2 underflows to 0, and the gauge divides by it
+        body = build_D(OpenBall(np.array([2.0, 0.0]), 1.0), np.array([1e-170, 0.0]))
+        with pytest.raises(InputError) as info:
+            gauge_from_symmetrized(body)
+        assert re.fullmatch(
+            r"anchor too short for the ball-cone gauge: \|x\|\^2 underflows to 0 \(\|x\| = 1e-170\)", str(info.value)
+        )
+
     def test_matches_tight_bisection(self):
         rng = np.random.default_rng(11)
         worst = 0.0

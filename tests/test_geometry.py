@@ -13,12 +13,10 @@ from gaugesep import (
     span_basis,
     zero_subspace,
 )
-import gaugesep.extension as extension
 import gaugesep.geometry as geometry
-from gaugesep import SeparationOptions, separate
 from gaugesep.separation import _span_functional
 
-from helpers import axis_box, mgs_completion
+from helpers import mgs_completion
 
 
 class TestSpanBasis:
@@ -118,9 +116,9 @@ class TestComplementBasis:
 
 
 class TestCompletionSkips:
-    """``complement_basis`` skips a candidate axis whose direct residual
-    against the rows so far is at most 1e-10 and stops at n rows; its rows
-    are those of two-pass Gram-Schmidt over every axis
+    """``complement_basis`` is one ``_gram_schmidt`` pass over the axes,
+    which drops near-dependent candidates and stops at n rows; its rows are
+    those of two-pass Gram-Schmidt over every axis
     (``helpers.mgs_completion``), bit for bit."""
 
     @staticmethod
@@ -139,8 +137,8 @@ class TestCompletionSkips:
             self.assert_same_rows(span_basis(list(axes), n) if k else zero_subspace(n))
 
     def test_near_axis_subspaces_on_both_sides_of_both_bounds(self):
-        # e_j tilted by d off the span: its residual straddles the 1e-10 skip
-        # bound and the 1e-8 drop bound
+        # e_j tilted by d off the span: its residual straddles the 1e-8 drop
+        # bound and 1e-10, where an earlier pre-check skipped candidates
         rng = np.random.default_rng(71)
         residuals = []
         for d in np.logspace(-12, -6, 25):
@@ -157,30 +155,19 @@ class TestCompletionSkips:
         for lo, hi in ((1e-12, 1e-10), (1e-10, 1e-8), (1e-8, 1e-6)):
             assert np.sum((residuals > lo) & (residuals <= hi)) >= 10
 
-    def test_axis_40_runs_gram_schmidt_for_accepted_candidates_only(self, monkeypatch):
-        # the domain that ``separate`` completes on the 40-D axis box of
-        # TestBundledCounters: 21 rows, so 19 candidates are accepted
-        domains = []
-
-        def recording(s):
-            domains.append(s)
-            return complement_basis(s)
-
-        monkeypatch.setattr(extension, "complement_basis", recording)
-        box = axis_box(np.random.default_rng(59), 40)
-        separate(box.polyhedron(), box.subspace(), SeparationOptions())
-        (domain,) = domains
-        candidates = []
-        gram_schmidt = geometry._gram_schmidt
-
-        def counting(rows, vectors):
-            candidates.extend(vectors)
-            return gram_schmidt(rows, vectors)
-
-        monkeypatch.setattr(geometry, "_gram_schmidt", counting)
-        rows = complement_basis(domain)
-        assert len(rows) == len(candidates) == 19 == 40 - domain.dim
-        self.assert_same_rows(domain)
+    def test_gram_schmidt_stops_once_the_rows_span_the_space(self):
+        # span{e1 + e2, e3}: the candidate e1 completes R^3, so the scan reads
+        # e2, stops before projecting it, and never reads e3
+        s = span_basis([np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])])
+        candidates = iter(np.eye(3))
+        assert len(geometry._gram_schmidt(s.basis, candidates)) == 3
+        assert [list(e) for e in candidates] == [[0.0, 0.0, 1.0]]
+        # rows that already span read one candidate and project none
+        candidates = iter(np.eye(3))
+        assert len(geometry._gram_schmidt(np.eye(3), candidates)) == 3
+        assert len(list(candidates)) == 2
+        self.assert_same_rows(s)
+        self.assert_same_rows(Subspace(3, np.eye(3)))
 
 
 class TestSpanFunctional:

@@ -1,8 +1,10 @@
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from gaugesep import (
     extend_via_separation,
     gauge,
     gauge_from_symmetrized,
+    kernel_hyperplane,
     remark2_equivalence_check,
     separate,
     solve_lp,
@@ -61,6 +64,7 @@ from helpers import (
     record_lps,
     rotated_box,
     sample_exact,
+    scale_hunt_draw,
 )
 
 TAXICAB = PolyhedralGauge(
@@ -398,6 +402,59 @@ class TestPreconditionMessages:
         message = r"^precondition: the set intersects the subspace \(inscribed ball centred in it: r\* = 5e-10\)$"
         with pytest.raises(InputError, match=message):
             separate(box, span_basis([np.array([0.0, 1.0, 0.0])]))
+
+
+class TestPipelineFailures:
+    """The raises of ``separate()`` and ``extend_via_separation`` after the
+    precondition holds, each with its whole message.  Draws 96 and 390 of
+    the scale hunt (``helpers.scale_hunt_draw``) fail with b scaled by
+    4.34e-9 and 2.30e-9; once such scales return planes, their two tests go."""
+
+    NUMBER = r"-?\d+(\.\d+)?(e[+-]\d+)?"
+
+    def test_empty_admissible_interval_names_the_gauge_and_the_domain(self):
+        poly, s, rule = scale_hunt_draw(96)  # n = 9, dim S = 5
+        with pytest.raises(SolverError) as info:
+            separate(poly, s, SeparationOptions(gamma_rule=rule))
+        assert re.fullmatch(
+            rf"empty admissible interval \[{self.NUMBER}, {self.NUMBER}\] of a PolyhedralGauge on a 6-dimensional "
+            r"domain: seminorm or domination assumption broken",
+            str(info.value),
+        )
+
+    def test_anchor_check_prints_the_miss(self):
+        poly, s, rule = scale_hunt_draw(390)  # n = 2, S = {0}
+        with pytest.raises(SolverError) as info:
+            separate(poly, s, SeparationOptions(gamma_rule=rule))
+        assert re.fullmatch(r"extension failed to send the anchor to 1: \|g\.x - 1\| = \d\.\d{3}e[+-]\d\d", str(info.value))
+
+    def test_ball_anchor_whose_square_underflows(self):
+        # no ZeroDivisionError: the cone test rescales x, and the gauge names the underflow
+        opts = SeparationOptions(x=np.array([1e-170, 0.0]))
+        with pytest.raises(InputError) as info:
+            separate(OpenBall(np.array([2.0, 0.0]), 1.0), zero_subspace(2), opts)
+        assert re.fullmatch(
+            r"anchor too short for the ball-cone gauge: \|x\|\^2 underflows to 0 \(\|x\| = 1e-170\)", str(info.value)
+        )
+
+    def test_extend_via_separation_plane_through_the_normalizing_point(self, monkeypatch):
+        # f = 1 on e1 gives the normalizing point y = e1, which the plane e2 = 0 holds
+        plane = SimpleNamespace(hyperplane=Hyperplane(np.array([0.0, 1.0])))
+        monkeypatch.setattr(separation, "separate", lambda *args, **kwargs: plane)
+        f = PartialFunctional(span_basis([np.array([1.0, 0.0])]), np.array([1.0]))
+        with pytest.raises(SolverError) as info:
+            extend_via_separation(f, TAXICAB)
+        assert str(info.value) == "separating hyperplane contains the normalizing point"
+
+    def test_extend_via_separation_plane_that_does_not_extend_f(self, monkeypatch):
+        # f = (1, 0) on span{e1, e2}: the plane of (2, 1, 0) reads g = (1, 0.5, 0)
+        plane = SimpleNamespace(hyperplane=kernel_hyperplane(np.array([2.0, 1.0, 0.0])))
+        monkeypatch.setattr(separation, "separate", lambda *args, **kwargs: plane)
+        f = PartialFunctional(span_basis([np.eye(3)[0], np.eye(3)[1]]), np.array([1.0, 0.0]))
+        max_norm = PolyhedralGauge(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+        with pytest.raises(SolverError) as info:
+            extend_via_separation(f, max_norm)
+        assert re.fullmatch(r"reconstructed functional fails to extend the input by 5\.000e-01", str(info.value))
 
 
 class TestBallSeeds:

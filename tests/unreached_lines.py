@@ -2,14 +2,16 @@
 
 Runs pytest in this process under a ``sys.settrace`` line tracer (standard
 library only; ``coverage`` is not a dependency), then prints each statement
-that no test reached as ``path:line: source``, and their count.  Extra
-arguments go to pytest.  From the repository root:
+that no test reached as ``path:line: source``, and their count.  A statement
+whose line carries an ``# unreached: <proof>`` comment is listed apart, as
+justified.  Extra arguments go to pytest.  From the repository root:
 
     python tests/unreached_lines.py
 
-Code that runs only in a child process (``__main__.py``, the perfbench smoke
-runs) counts as unreached.  The name has no ``test_`` prefix, so pytest does
-not collect this file.
+The exit status is pytest's when pytest fails, else 1 when some unreached
+statement has no ``# unreached:`` comment, else 0.  Code that runs only in a
+child process (the perfbench smoke runs) counts as unreached.  The name has
+no ``test_`` prefix, so pytest does not collect this file.
 """
 
 import ast
@@ -21,6 +23,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gaugesep"
+MARK = "# unreached:"
 
 
 def statements(path: Path) -> set[int]:
@@ -64,17 +67,21 @@ def main(argv: list[str]) -> int:
         status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *argv])
     finally:  # a tracer left installed fails at interpreter shutdown
         sys.settrace(None)
-    missed = total = 0
+    missed, marked, total = [], [], 0
     for name, hit in reached.items():
         path = Path(name)
         source = path.read_text(encoding="utf-8").splitlines()
         for line in sorted(statements(path)):
             total += 1
             if line not in hit:
-                missed += 1
-                print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
-    print(f"{missed} of {total} statements of src/gaugesep never ran")
-    return int(status)
+                text = f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}"
+                (marked if MARK in source[line - 1] else missed).append(text)
+    for text in missed:
+        print(text)
+    print(f"{len(missed) + len(marked)} of {total} statements of src/gaugesep never ran; {len(marked)} of them carry {MARK!r}:")
+    for text in marked:
+        print(text)
+    return int(status) or int(bool(missed))
 
 
 if __name__ == "__main__":
