@@ -33,7 +33,7 @@ import numpy as np
 from .convexsets import BallCone, ConicHullSet, ConvexSet, HPolyhedron, SymmetrizedBody, _plane
 from .errors import InputError, SolverError
 from .geometry import _frozen, as_vector
-from .simplexlp import PIVOT_TOL, _face_edges, solve_lp
+from .simplexlp import PIVOT_TOL, _face_edges, _solve, solve_lp
 
 SEARCH_RESTARTS = 8
 SEARCH_ITERATIONS = 200
@@ -87,7 +87,8 @@ class PolyhedralGauge:
 
     def _lp_ends(self, state, z: np.ndarray):
         """(hi, lo, results of the two ends): the LPs of the upper end at z
-        and, negated, at -z, which differ only in ``b_ub``."""
+        and, negated, at -z, which differ only in ``b_ub`` and so share one
+        phase 1 (``simplexlp._solve``)."""
         a, b = self.a, self.b
         basis, w = state.domain.basis, state.functional.values
         m, k = a.shape[0], basis.shape[0]
@@ -96,8 +97,7 @@ class PolyhedralGauge:
         a_ub = np.hstack([a @ basis.T, -b[:, None]])
         nonneg = np.concatenate([np.zeros(k, dtype=bool), [True]])
         results, az = [], a @ z
-        for b_ub in (-az, az):  # -(a z) and -(a (-z))
-            res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
+        for res in _solve(cost, a_ub, (-az, az), nonneg):  # b_ub = -(a z) and -(a (-z))
             if res.status == "unbounded":
                 raise SolverError(
                     f"extension LP is unbounded ({m} rows, {k + 1} vars): either the functional is not "

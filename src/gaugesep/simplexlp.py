@@ -18,6 +18,9 @@ with an array version's operations in their order, so it picks the same rows.
 
 Every solve starts phase 1 from the artificial basis: ``solve_lp`` takes
 the LP and nothing else, so two calls on the same LP return the same bits.
+Phase 1 reads only ``c`` and ``a_ub``, so LPs that differ only in ``b_ub``
+(an extension interval's two ends) share one run of it in ``_solve``, and
+each still returns the bits of its own cold solve.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class LPResult:
     objective: float | None = None
     ray: np.ndarray | None = None  # improving direction when unbounded
     y: np.ndarray | None = None  # dual solution when optimal (see solve_lp)
-    iterations: int = 0
+    iterations: int = 0  # pivots; LPs that share a phase 1 (``_solve``) charge it to the first one
     basis: np.ndarray | None = None  # the final basis of the dual: indices into (y, s, artificials)
     # (sign, dual columns, column scales, phase-2 cost, inverse of ``basis``) when optimal
     _final: tuple | None = field(default=None, repr=False, compare=False)
@@ -143,15 +146,21 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     mask = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool).reshape(-1)
     if a_ub.shape != (b_ub.size, n) or mask.size != n:
         raise SolverError("constraint matrix/vector shapes disagree")
-    if not (np.isfinite(c).all() and np.isfinite(a_ub).all() and np.isfinite(b_ub).all()):
+    return next(_solve(c, a_ub, (b_ub,), mask))
+
+
+def _solve(c, a_ub, b_ubs, mask):
+    """Yield ``solve_lp``'s result on each right-hand side of ``b_ubs`` in
+    turn, from arrays of matching shapes.  Phase 1 reads only ``c`` and
+    ``a_ub``: it runs once, when the first result is asked for, and its
+    pivots are charged to that result.  Each phase 2 starts from a copy of
+    phase 1's final basis and runs only when its result is asked for, so
+    each result is, but for ``iterations``, the bits of a cold solve of its
+    LP alone.  The zero-cost re-solve calls this, not the public name, so
+    that a wrapper of ``solve_lp`` sees one LP."""
+    if not (np.isfinite(c).all() and np.isfinite(a_ub).all() and all(np.isfinite(b).all() for b in b_ubs)):
         raise SolverError("LP data must be finite")
-    return _solve(c, a_ub, b_ub, mask)
-
-
-def _solve(c, a_ub, b_ub, mask) -> LPResult:
-    """``solve_lp`` on checked arrays; the zero-cost re-solve calls this, not
-    the public name, so that a wrapper of ``solve_lp`` sees one LP."""
-    n, m = c.size, b_ub.size
+    n, m = c.size, a_ub.shape[0]
     # dual rows scaled by ``sign`` so that the right-hand side |c| is >= 0;
     # columns: y (one per constraint), surplus s (masked variables), artificials
     sign = np.where(c > 0.0, -1.0, 1.0)
@@ -167,31 +176,34 @@ def _solve(c, a_ub, b_ub, mask) -> LPResult:
     inv_scale = 1.0 / (1.0 + np.sqrt((enter * enter).sum(axis=0)))
     zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
-    basis = n_enter + np.arange(n)  # the artificial basis
+    start = n_enter + np.arange(n)  # the artificial basis
     cost1 = np.zeros(n_enter + n)
     cost1[n_enter:] = 1.0
-    status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol, inv_scale)
+    status, pi, iters, start_inv = _simplex(cols, cost1, rhs, start, n_enter, zero_tol, inv_scale)
     if status != "optimal":
         raise SolverError("phase-1 objective unbounded; malformed constraints")  # unreached: a sum of artificials is >= 0
     if float(pi @ rhs) > zero_tol:  # the dual is infeasible (never with c = 0)
-        feasible = _solve(np.zeros(n), a_ub, b_ub, mask)
-        iters += feasible.iterations
-        if feasible.status == "infeasible":
-            return LPResult("infeasible", iterations=iters, basis=basis)
-        return LPResult("unbounded", ray=sign * pi, iterations=iters, basis=basis)
-    cost = np.zeros(n_enter + n)
-    cost[:m] = b_ub
-    # phase 2 starts from phase 1's final basis, so it reuses that inverse
-    status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, binv)
-    iters += more
-    if status == "unbounded":  # the dual is unbounded
-        return LPResult("infeasible", iterations=iters, basis=basis)
-    x = sign * pi
-    y = np.zeros(b_ub.size)
-    rows = basis < b_ub.size  # basic dual variables; the rest are zero
-    y[basis[rows]] = np.maximum(binv[rows] @ rhs, 0.0)
-    final = (sign, cols, inv_scale, cost, binv)
-    return LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=iters, basis=basis, _final=final)
+        for feasible in _solve(np.zeros(n), a_ub, b_ubs, mask):  # decided for each right-hand side
+            ray = None if feasible.status == "infeasible" else sign * pi
+            status = "infeasible" if ray is None else "unbounded"
+            yield LPResult(status, ray=ray, iterations=iters + feasible.iterations, basis=start.copy())
+            iters = 0
+        return
+    for b_ub in b_ubs:
+        cost = np.concatenate([b_ub, np.zeros(n_enter - m + n)])
+        # phase 2 starts from a copy of phase 1's final basis and reuses its inverse
+        basis = start.copy()
+        status, pi, more, binv = _simplex(cols, cost, rhs, basis, n_enter, zero_tol, inv_scale, start_inv)
+        more, iters = iters + more, 0  # the shared phase 1 goes to the first result
+        if status == "unbounded":  # the dual is unbounded
+            yield LPResult("infeasible", iterations=more, basis=basis)
+        else:
+            x = sign * pi
+            y = np.zeros(m)
+            rows = basis < m  # basic dual variables; the rest are zero
+            y[basis[rows]] = np.maximum(binv[rows] @ rhs, 0.0)
+            final = (sign, cols, inv_scale, cost, binv)
+            yield LPResult("optimal", x=x, objective=float(c @ x), y=y, iterations=more, basis=basis, _final=final)
 
 
 def _face_edges(res: LPResult) -> np.ndarray:

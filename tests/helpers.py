@@ -31,6 +31,7 @@ from gaugesep import (
     Subspace,
     gauge,
     pick_interior_point,
+    simplexlp,
     solve_lp,
     span_basis,
     unit_ball,
@@ -453,8 +454,10 @@ STALL = 20
 
 
 def record_lps(monkeypatch, *modules) -> list:
-    """Route every ``solve_lp`` call of ``modules`` through a recorder; returns
-    the list it fills with ((c, a_ub, b_ub, nonneg), result), in call order."""
+    """Route every ``solve_lp`` call of ``modules``, and every right-hand side
+    of a shared solve (``simplexlp._solve``, which ``gauges`` calls for an
+    interval's two ends) as it is solved, through a recorder; returns the
+    list it fills with ((c, a_ub, b_ub, nonneg), result), in solve order."""
     calls = []
 
     def recording(c, a_ub=None, b_ub=None, nonneg=None):
@@ -462,8 +465,15 @@ def record_lps(monkeypatch, *modules) -> list:
         calls.append(((c, a_ub, b_ub, nonneg), res))
         return res
 
+    def sharing(c, a_ub, b_ubs, mask):
+        for b_ub, res in zip(b_ubs, simplexlp._solve(c, a_ub, b_ubs, mask)):
+            calls.append(((c, a_ub, b_ub, mask), res))
+            yield res
+
     for module in modules:
         monkeypatch.setattr(module, "solve_lp", recording)
+        if module is not simplexlp and hasattr(module, "_solve"):
+            monkeypatch.setattr(module, "_solve", sharing)
     return calls
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import gaugesep
-from gaugesep import convexsets, gauges, separation
+from gaugesep import convexsets, gauges, separation, simplexlp
 
 from helpers import record_lps
 
@@ -39,9 +39,12 @@ def test_traced_poly_sep_smoke(tmp_path):
     assert metrics["extension.domination_check.calls"]["value"] == 0
     # nor does any step evaluate the gauge: the certificate decides |g| <= p
     assert metrics["gauges.gauge.calls.polyhedral"]["value"] == 0
-    # nor a support LP: the last extension step's multipliers certify the side
-    assert metrics["simplexlp.solve_lp.calls"]["value"] == 18
-    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 103
+    # nor a support LP: the last extension step's multipliers certify the side.
+    # The tracer wraps solve_lp alone, so it counts the anchors' LPs; each
+    # interval solves its two ends in one private shared solve, which it
+    # cannot see
+    assert metrics["simplexlp.solve_lp.calls"]["value"] == 6
+    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 31
     assert metrics["simplexlp.solve_lp.raised"]["value"] == 0
     assert metrics["outcome.fail_share"]["value"] == 0
 
@@ -52,8 +55,9 @@ def test_traced_cli_query_smoke(tmp_path):
     metrics = traced_smoke_run(tmp_path, "cli-query")
     for name in ("main", "parse_problem", "dumps"):
         assert metrics[f"cli.{name}.self_s"]["value"] > 0
-    assert metrics["simplexlp.solve_lp.calls"]["value"] == 24
-    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 47
+    # solve_lp alone: the extension ends of extend and roundtrip share a solve
+    assert metrics["simplexlp.solve_lp.calls"]["value"] == 8
+    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 23
     assert metrics["extension.domination_check.calls"]["value"] == 6
     # 4 gauge queries and 9 basis rows of the caller's f in extend and roundtrip
     assert metrics["gauges.gauge.calls.polyhedral"]["value"] == 13
@@ -75,15 +79,19 @@ def test_traced_ball_sep_smoke(tmp_path):
 def test_poly_sep_pass_solves_no_support_lp(monkeypatch, tmp_path):
     # a whole poly-sep pass at seed 0, in process: the last extension step's
     # multipliers certify every box, so the certificate's support LP never
-    # runs, and each box solves its anchor's LP and its first step's two
+    # runs, and each box solves its anchor's LP and its first step's two,
+    # whose one shared phase 1 is counted once
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
-    support = []
-    original = separation._support
+    support, phase1 = [], []
+    original, simplex = separation._support, simplexlp._simplex
     monkeypatch.setattr(separation, "_support", lambda *args: support.append(args) or original(*args))
+    monkeypatch.setattr(simplexlp, "_simplex", lambda *args: phase1.append(len(args) == 7) or simplex(*args))
     lps = record_lps(monkeypatch, convexsets, gauges, separation)
     for op in workloads.poly_sep(gaugesep, np.random.default_rng(0), tmp_path):
         assert all(op.check(op.call()))
     assert len(support) == 0
-    assert (len(lps), sum(res.iterations for _, res in lps)) == (468, 5718)
+    assert (len(lps), sum(res.iterations for _, res in lps)) == (468, 4736)
+    # a phase 1 (the call with no starting inverse) per anchor and per interval
+    assert sum(phase1) == 156 + 156

@@ -549,23 +549,19 @@ class TestExtensionLPRegressions:
     @pytest.mark.parametrize("name", ["dense-s-40", "rotated-12"])
     def test_extension_lps_against_highs(self, monkeypatch, name):
         optimize = pytest.importorskip("scipy.optimize")
-        captured = []
+        calls = record_lps(monkeypatch, gauges)
 
-        def recording(c, a_ub=None, b_ub=None, nonneg=None):
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg)
-            if nonneg is not None:  # an extension LP, not the domination check's
-                captured.append((c, a_ub, b_ub, nonneg, res))
-            return res
+        def captured() -> list:  # the extension LPs, not the domination check's
+            return [(*args, res) for args, res in calls if args[3] is not None]
 
-        monkeypatch.setattr(gauges, "solve_lp", recording)
         box = self.boxes()[name]
         # under "upper" every step after the first is forced and solves no
         # LP; "midpoint" never forces, so each interval solves both its ends
         separate(box.polyhedron(), box.subspace())
-        assert len(captured) == 2
+        assert len(captured()) == 2
         separate(box.polyhedron(), box.subspace(), SeparationOptions(gamma_rule="midpoint"))
-        assert len(captured) > 4 and len(captured) % 2 == 0
-        for c, a_ub, b_ub, nonneg, res in captured:
+        assert len(captured()) > 4 and len(captured()) % 2 == 0
+        for c, a_ub, b_ub, nonneg, res in captured():
             bounds = [(0, None) if flag else (None, None) for flag in nonneg]
             ref = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
             assert ref.status == 0 and res.status == "optimal"
