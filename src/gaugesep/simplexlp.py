@@ -16,11 +16,13 @@ value upward, and the extension takes that value as the end of its interval.
 It runs on Python floats (numpy's per-call cost outweighs short vectors)
 with an array version's operations in their order, so it picks the same rows.
 
-Every solve starts phase 1 from the artificial basis: ``solve_lp`` takes
-the LP and nothing else, so two calls on the same LP return the same bits.
-Phase 1 reads only ``c`` and ``a_ub``, so LPs that differ only in ``b_ub``
-(an extension interval's two ends) share one run of it in ``_solve``, and
-each still returns the bits of its own cold solve.
+Phase 1 starts from a crash basis (Bixby 1992): each dual row whose
+right-hand side is 0 (a variable of zero cost) takes a real column in place
+of its artificial, so phase 1 drives out only the other rows' artificials.
+``solve_lp`` takes the LP and nothing else, so two calls on the same LP
+return the same bits.  The crash and phase 1 read only ``c`` and ``a_ub``,
+so LPs that differ only in ``b_ub`` (an extension interval's two ends)
+share one run of them in ``_solve``, each with the bits of its own cold solve.
 """
 
 from __future__ import annotations
@@ -151,13 +153,13 @@ def solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
 
 def _solve(c, a_ub, b_ubs, mask):
     """Yield ``solve_lp``'s result on each right-hand side of ``b_ubs`` in
-    turn, from arrays of matching shapes.  Phase 1 reads only ``c`` and
-    ``a_ub``: it runs once, when the first result is asked for, and its
-    pivots are charged to that result.  Each phase 2 starts from a copy of
-    phase 1's final basis and runs only when its result is asked for, so
-    each result is, but for ``iterations``, the bits of a cold solve of its
-    LP alone.  The zero-cost re-solve calls this, not the public name, so
-    that a wrapper of ``solve_lp`` sees one LP."""
+    turn, from arrays of matching shapes.  The crash basis and phase 1 read
+    only ``c`` and ``a_ub``: they run once, when the first result is asked
+    for, and phase 1's pivots are charged to that result.  Each phase 2
+    starts from a copy of phase 1's final basis and runs only when its
+    result is asked for, so each result is, but for ``iterations``, the bits
+    of a cold solve of its LP alone.  The zero-cost re-solve calls this, not
+    the public name, so that a wrapper of ``solve_lp`` sees one LP."""
     if not (np.isfinite(c).all() and np.isfinite(a_ub).all() and all(np.isfinite(b).all() for b in b_ubs)):
         raise SolverError("LP data must be finite")
     n, m = c.size, a_ub.shape[0]
@@ -176,7 +178,19 @@ def _solve(c, a_ub, b_ubs, mask):
     inv_scale = 1.0 / (1.0 + np.sqrt((enter * enter).sum(axis=0)))
     zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
-    start = n_enter + np.arange(n)  # the artificial basis
+    # the crash basis: in index order, each row of right-hand side 0 takes the
+    # column of its largest |entry| left (the first on ties), eliminated from
+    # the others, unless none is above PIVOT_TOL * max(1, the row's largest):
+    # a nonsingular block at 0, so the other rows' artificials hold rhs >= 0
+    start = n_enter + np.arange(n)
+    zero = (rhs == 0.0).nonzero()[0] if n_enter else []
+    block = enter[zero]
+    for row, r, tol in zip(block, zero, PIVOT_TOL * np.abs(block).max(axis=1, initial=1.0)):
+        j = int(np.abs(row).argmax())
+        if abs(row[j]) > tol:
+            start[r] = j
+            block -= (block[:, j] / row[j])[:, None] * row
+            block[:, j] = 0.0  # exactly, so that no later row picks j for a rounding residue
     cost1 = np.zeros(n_enter + n)
     cost1[n_enter:] = 1.0
     status, pi, iters, start_inv = _simplex(cols, cost1, rhs, start, n_enter, zero_tol, inv_scale)

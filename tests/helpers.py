@@ -11,9 +11,10 @@ faster kernel can be checked bit for bit against the one it replaced.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -109,17 +110,22 @@ def random_polytope_instance(rng: np.random.Generator, n: int) -> tuple[HPolyhed
         return HPolyhedron(np.array(rows), np.array(offs)), s
 
 
-def scale_hunt_draw(index: int) -> tuple[HPolyhedron, Subspace, str]:
-    """Draw ``index`` of the scale hunt: 400 draws from ``default_rng(123)``,
-    each an n from ``integers(2, 10)``, then ``random_polytope_instance``,
-    then k = 10^``uniform(-9, 9)``; the draw's polytope has b scaled by k,
-    and the gamma rules take turns.  Returns (polytope, S, gamma rule)."""
+def scale_hunt() -> Iterator[tuple[HPolyhedron, Subspace, str, float]]:
+    """The 400 draws of the scale hunt from ``default_rng(123)``: each an n
+    from ``integers(2, 10)``, then ``random_polytope_instance``, then
+    k = 10^``uniform(-9, 9)``; the draw's polytope has b scaled by k, and
+    the gamma rules take turns.  Yields (polytope, S, gamma rule, k)."""
     rng = np.random.default_rng(123)
-    for _ in range(index + 1):
+    for index in range(400):
         n = int(rng.integers(2, 10))
         poly, s = random_polytope_instance(rng, n)
         k = 10.0 ** rng.uniform(-9.0, 9.0)
-    return HPolyhedron(poly.a, poly.b * k), s, ("upper", "lower", "midpoint")[index % 3]
+        yield HPolyhedron(poly.a, poly.b * k), s, ("upper", "lower", "midpoint")[index % 3], k
+
+
+def scale_hunt_draw(index: int) -> tuple[HPolyhedron, Subspace, str]:
+    """Draw ``index`` of the scale hunt (``scale_hunt``): (polytope, S, gamma rule)."""
+    return next(islice(scale_hunt(), index, None))[:3]
 
 
 def many_facet_polytope(n: int, m: int) -> tuple[HPolyhedron, Subspace]:
@@ -480,7 +486,8 @@ def record_lps(monkeypatch, *modules) -> list:
 def reference_solve_lp(c, a_ub=None, b_ub=None, nonneg=None) -> LPResult:
     """``solve_lp`` as it was before it kept its basis matrix and inverted
     through the LAPACK kernel directly: every basis gathered from the
-    columns and inverted by ``np.linalg.inv``."""
+    columns and inverted by ``np.linalg.inv``; phase 1 starts from the same
+    crash basis (``_crash``), written row by row."""
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
@@ -540,6 +547,28 @@ def _simplex(cols, cost, rhs, basis, n_enter, zero_tol, binv=None):
     raise SolverError(f"simplex iteration limit ({MAX_ITER}) exceeded; {cols.shape[0]} dual rows")
 
 
+def _crash(enter_cols, rhs) -> np.ndarray:
+    """The starting basis of phase 1: the artificial basis, in which each row
+    of right-hand side 0, in index order, takes the column of the largest
+    |entry| it has left (the first on ties) once the columns taken before
+    are eliminated from it and set aside; a row whose largest is at most
+    ``PIVOT_TOL`` times max(1, its largest |entry| before elimination) keeps
+    its artificial."""
+    n_enter = enter_cols.shape[1]
+    basis = n_enter + np.arange(rhs.size)
+    zero = (rhs == 0.0).nonzero()[0]
+    left = enter_cols[zero].copy()
+    taken = np.zeros(n_enter, dtype=bool)
+    for k, row in enumerate(zero):
+        size = np.where(taken, 0.0, np.abs(left[k]))
+        if size.max(initial=0.0) > PIVOT_TOL * max(1.0, float(np.abs(enter_cols[row]).max(initial=0.0))):
+            j = size.argmax()
+            basis[row], taken[j] = j, True
+            for later in range(k + 1, zero.size):
+                left[later] -= left[later, j] / left[k, j] * left[k]
+    return basis
+
+
 def _solve(c, a_ub, b_ub, mask) -> LPResult:
     """``solve_lp`` on checked arrays; the zero-cost re-solve calls this, not
     the public name, so that a wrapper of ``solve_lp`` sees one LP."""
@@ -552,7 +581,7 @@ def _solve(c, a_ub, b_ub, mask) -> LPResult:
     n_enter = cols.shape[1] - n
     zero_tol = PIVOT_TOL * max(1.0, float(rhs.max(initial=0.0)))
 
-    basis = n_enter + np.arange(n)  # the artificial basis
+    basis = _crash(cols[:, :n_enter], rhs)
     cost1 = np.concatenate([np.zeros(n_enter), np.ones(n)])
     status, pi, iters, binv = _simplex(cols, cost1, rhs, basis, n_enter, zero_tol)
     if status != "optimal":

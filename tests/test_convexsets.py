@@ -30,7 +30,15 @@ from gaugesep.convexsets import _hull_rows, _inscribed_ball
 from gaugesep.fixtures import oracle_by_name
 from gaugesep.simplexlp import LPResult
 
-from helpers import axis_box, bundled, conic_hull_rows, random_instance, record_lps, rotated_box
+from helpers import (
+    axis_box,
+    bundled,
+    conic_hull_rows,
+    random_instance,
+    random_polytope_instance,
+    record_lps,
+    rotated_box,
+)
 
 DISK = OpenBall(np.array([2.0, 0.0]), np.sqrt(2.0))
 HALFSPACE = HPolyhedron(np.array([[-1.0, 0.0, 0.0]]), np.array([0.0]), witness=np.array([1.0, -3.0, 0.0]))
@@ -475,6 +483,34 @@ class TestUnitRows:
 
 # 1 < e1 < 3, |e2| < 1, |e3| < 1: disjoint from the e3 axis
 BOX = (np.vstack([np.eye(3), -np.eye(3)]), np.array([3.0, 1.0, 1.0, -1.0, 1.0, 1.0]))
+
+
+class TestAnchorDepth:
+    """Among equally deep points the simplex returns a vertex that depends on
+    its pivoting (a rotated box's half-widths differ, so its deepest points
+    form a segment or more); the depth of the returned point does not."""
+
+    def test_boxes_reach_their_least_half_width(self):
+        rng = np.random.default_rng(65)
+        boxes = [axis_box(rng, n) for n in (4, 10, 20, 40)] + [rotated_box(rng, n) for n in (4, 6, 8, 12, 20)]
+        for box in boxes:
+            poly = box.polyhedron()
+            center, radius = chebyshev_center(poly)
+            depth = float(np.min(poly.b - poly.a @ center))
+            assert depth == radius
+            assert depth == pytest.approx(float(np.min(box.h)), rel=1e-12)
+
+    def test_random_polytopes_against_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(66)
+        for _ in range(40):
+            poly, _ = random_polytope_instance(rng, int(rng.integers(2, 10)))
+            _, radius = chebyshev_center(poly)
+            # max r s.t. a x + |a| r <= b, with the norms taken here
+            a_ub = np.hstack([poly.a, np.linalg.norm(poly.a, axis=1)[:, None]])
+            ref = linprog(-np.eye(poly.dim + 1)[-1], A_ub=a_ub, b_ub=poly.b, bounds=(None, None), method="highs")
+            assert ref.status == 0
+            assert radius == pytest.approx(-ref.fun, abs=1e-9)
 
 
 class TestDeepestPointLP:

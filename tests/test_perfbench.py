@@ -44,7 +44,7 @@ def test_traced_poly_sep_smoke(tmp_path):
     # interval solves its two ends in one private shared solve, which it
     # cannot see
     assert metrics["simplexlp.solve_lp.calls"]["value"] == 6
-    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 31
+    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 10
     assert metrics["simplexlp.solve_lp.raised"]["value"] == 0
     assert metrics["outcome.fail_share"]["value"] == 0
 
@@ -57,7 +57,7 @@ def test_traced_cli_query_smoke(tmp_path):
         assert metrics[f"cli.{name}.self_s"]["value"] > 0
     # solve_lp alone: the extension ends of extend and roundtrip share a solve
     assert metrics["simplexlp.solve_lp.calls"]["value"] == 8
-    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 23
+    assert metrics["simplexlp.solve_lp.pivots"]["value"] == 15
     assert metrics["extension.domination_check.calls"]["value"] == 6
     # 4 gauge queries and 9 basis rows of the caller's f in extend and roundtrip
     assert metrics["gauges.gauge.calls.polyhedral"]["value"] == 13
@@ -92,6 +92,6 @@ def test_poly_sep_pass_solves_no_support_lp(monkeypatch, tmp_path):
     for op in workloads.poly_sep(gaugesep, np.random.default_rng(0), tmp_path):
         assert all(op.check(op.call()))
     assert len(support) == 0
-    assert (len(lps), sum(res.iterations for _, res in lps)) == (468, 4736)
+    assert (len(lps), sum(res.iterations for _, res in lps)) == (468, 3231)
     # a phase 1 (the call with no starting inverse) per anchor and per interval
     assert sum(phase1) == 156 + 156

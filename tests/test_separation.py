@@ -64,6 +64,7 @@ from helpers import (
     record_lps,
     rotated_box,
     sample_exact,
+    scale_hunt,
     scale_hunt_draw,
 )
 
@@ -283,6 +284,28 @@ class TestMetamorphic:
             assert scaled.certificate.valid
             np.testing.assert_allclose(scaled.hyperplane.normal, normal, atol=1e-6)
 
+    def test_scale_hunt_from_1e_minus_8_to_1e8(self):
+        # every hunt draw with 1e-8 <= k <= 1e8 returns a plane that HiGHS
+        # finds the closure of A / k on one side of (cone(kA) = cone(A), and
+        # A / k has data of unit scale); below 5e-9 some draws still raise
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        checked = 0
+        for poly, s, rule, k in scale_hunt():
+            if not 1e-8 <= k <= 1e8:
+                continue
+            result = separate(poly, s, SeparationOptions(gamma_rule=rule))
+            assert result.certificate.valid
+            normal = np.asarray(result.hyperplane.normal)
+            assert np.all(np.abs(s.basis @ normal) <= 1e-9)
+            low, high = (
+                linprog(sign * normal, A_ub=poly.a, b_ub=poly.b / k, bounds=(None, None), method="highs") for sign in (1.0, -1.0)
+            )
+            assert low.status == high.status == 0
+            # min g.x >= 0 or max g.x <= 0 over the closure, up to 1e-9 of its extent
+            assert max(low.fun, high.fun) >= -1e-9 * (abs(low.fun) + abs(high.fun))
+            checked += 1
+        assert checked == 357
+
     def test_seeded_families_rotated(self):
         """``separate(QA, QS)`` is valid for a random orthogonal Q.
 
@@ -417,7 +440,7 @@ class TestPipelineFailures:
         with pytest.raises(SolverError) as info:
             separate(poly, s, SeparationOptions(gamma_rule=rule))
         assert re.fullmatch(
-            rf"empty admissible interval \[{self.NUMBER}, {self.NUMBER}\] of a PolyhedralGauge on a 6-dimensional "
+            rf"empty admissible interval \[{self.NUMBER}, {self.NUMBER}\] of a PolyhedralGauge on a 7-dimensional "
             r"domain: seminorm or domination assumption broken",
             str(info.value),
         )

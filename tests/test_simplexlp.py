@@ -155,10 +155,11 @@ class TestSolveLP:
 
     def test_zero_cost_resolve_is_not_a_second_call(self, monkeypatch):
         # a wrapper of the module's solve_lp (as a tracer installs) sees one
-        # LP, whose iterations include the re-solve's pivots
+        # LP, whose iterations would include the re-solve's pivots (the crash
+        # basis leaves neither phase 1 a pivot here)
         calls = record_lps(monkeypatch, simplexlp)
         res = simplexlp.solve_lp([0.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[1.0, -2.0])
-        assert (res.status, len(calls), res.iterations) == ("infeasible", 1, 2)
+        assert (res.status, len(calls), res.iterations) == ("infeasible", 1, 0)
 
 
 def bounded_lp(rng, n, m):
@@ -501,9 +502,10 @@ class TestSharedPhase1:
     def test_an_infeasible_dual_is_decided_for_each_end(self, monkeypatch):
         # min y with y free: the zero-cost re-solve of each end tells the
         # nonempty -2 <= x <= -1 (unbounded, with a ray) from 2 <= x <= 1;
-        # it shares its own phase 1 too
+        # it shares its own phase 1 too (x's dual row has right-hand side 0,
+        # so the crash leaves both phase 1s without a pivot)
         shared = self.check(monkeypatch, [0.0, 1.0], [[1.0, 0.0], [-1.0, 0.0]], [[-1.0, 2.0], [1.0, -2.0]])
-        assert [(res.status, res.iterations) for res in shared] == [("unbounded", 2), ("infeasible", 0)]
+        assert [(res.status, res.iterations) for res in shared] == [("unbounded", 0), ("infeasible", 0)]
         np.testing.assert_array_equal(shared[0].ray, [0.0, -1.0])
 
     def test_lp_cases_of_every_status(self, monkeypatch):
@@ -543,6 +545,107 @@ class TestSharedPhase1:
         ends = simplexlp._solve(self.C, self.A, [self.B, -self.B], np.zeros(2, dtype=bool))
         assert calls == []
         assert next(ends).status == "optimal" and calls == [7, 8]
+
+
+class TestCrashBasis:
+    """Phase 1 starts from a crash basis: each row of the dual whose
+    right-hand side is 0 takes a real column in place of its artificial,
+    so that only the rows with a nonzero right-hand side are left to phase 1."""
+
+    @staticmethod
+    def starts(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+        """Record (start basis, dual columns, rhs, n_enter) of every phase 1."""
+        starts, simplex = [], simplexlp._simplex
+
+        def recording(cols, cost, rhs, basis, n_enter, *rest):
+            if len(rest) == 2:  # no starting inverse: phase 1
+                starts.append((basis.copy(), cols, rhs, n_enter))
+            return simplex(cols, cost, rhs, basis, n_enter, *rest)
+
+        monkeypatch.setattr(simplexlp, "_simplex", recording)
+        return starts
+
+    @staticmethod
+    def assert_feasible_crash(basis, cols, rhs, n_enter):
+        zero = rhs == 0.0
+        assert zero.any() and np.all(basis[zero] < n_enter)  # no artificial on a zero row
+        bmat = cols[:, basis]
+        assert np.linalg.matrix_rank(bmat) == rhs.size
+        assert np.all(np.linalg.solve(bmat, rhs) >= -1e-15)
+
+    def test_inscribed_ball_lps_of_rotated_boxes(self, monkeypatch):
+        # the center's n coordinates are free with zero cost: n of the n + 1
+        # dual rows have right-hand side 0, and phase 1 drives out only the
+        # artificial of r's row
+        starts = self.starts(monkeypatch)
+        rng = np.random.default_rng(63)
+        for n in (4, 6, 12, 20):
+            box = rotated_box(rng, n)
+            chebyshev_center(box.polyhedron())
+            basis, cols, rhs, n_enter = starts[-1]
+            assert rhs.size == n + 1 and np.count_nonzero(rhs) == 1
+            self.assert_feasible_crash(basis, cols, rhs, n_enter)
+
+    def test_zero_cost_free_variables(self, monkeypatch):
+        starts = self.starts(monkeypatch)
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            n = int(rng.integers(3, 8))
+            a, b, _ = bounded_lp(rng, n, int(rng.integers(n, n + 4)))
+            c = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.normal(size=n))
+            c[0] = 0.0
+            res = TestKernelIdentity.check(c, a, b)  # the reference starts from the same crash
+            assert res.status == "optimal"
+            self.assert_feasible_crash(*starts[-1])
+
+    def test_a_zero_row_with_no_entry_keeps_its_artificial(self, monkeypatch):
+        # x1 has zero cost and appears in no constraint: its dual row is 0,
+        # so it keeps its artificial (index 3 + 1), and the LP comes back as
+        # with the artificial basis, in one pivot fewer
+        starts = self.starts(monkeypatch)
+        a_ub = [[-1.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 1.0]]
+        res = TestKernelIdentity.check([1.0, 0.0, 0.0], a_ub, [-1.0, 0.5, 3.0])
+        np.testing.assert_array_equal(starts[0][0], [3, 4, 0])
+        assert (res.status, res.iterations) == ("optimal", 1)
+        np.testing.assert_array_equal(res.x, [0.5, 0.0, -0.5])
+        np.testing.assert_array_equal(res.basis, [1, 4, 0])
+
+    def test_dependent_rows_at_scale_keep_their_artificials(self):
+        # the dual rows of x0 and x1 are zero rows, x1's a multiple of x0's
+        # with entries near 1e8, so eliminating x0's column leaves rounding
+        # residues of 1.5e-8 > PIVOT_TOL in x1's row.  Taken as pivots they
+        # would make the start singular (the same column again, or the other
+        # one) and solve_lp would raise; measured against the row's own size,
+        # a residue is no pivot, and each LP gets the status that the
+        # artificial start gives it
+        p, q = 0.864827723214972, 117565562.0602559
+        assert q - q / p * p > simplexlp.PIVOT_TOL
+        res = TestKernelIdentity.check([0.0, 0.0], [[p, q]], [1.0])
+        assert (res.status, res.objective, res.iterations) == ("optimal", 0.0, 0)
+        np.testing.assert_array_equal(res.basis, [0, 2])
+        p, r, x = 0.8047286498801027, 0.4801854785303742, 114415961.27196337
+        a_ub = np.array([[p, x], [r, x * r / p]])
+        assert a_ub[1, 1] - x / p * r < -simplexlp.PIVOT_TOL
+        for c, status in (([0.0, 0.0], "optimal"), ([1.0, 0.0], "unbounded"), ([0.0, -1.0], "unbounded")):
+            assert TestKernelIdentity.check(c, a_ub, [1.0, 1.0]).status == status
+
+    def test_the_zero_cost_resolve_runs_no_phase_1_pivot(self, monkeypatch):
+        # every row of the c = 0 re-solve has right-hand side 0, so the crash
+        # leaves phase 1 nothing to do
+        resolves, simplex = [], simplexlp._simplex
+
+        def recording(*args):
+            out = simplex(*args)
+            if len(args) == 7 and not args[2].any():
+                resolves.append(out[2])
+            return out
+
+        monkeypatch.setattr(simplexlp, "_simplex", recording)
+        statuses = set()
+        for c, a, b, mask in lp_cases():
+            statuses.add(solve_lp(c, a_ub=a, b_ub=-b, nonneg=mask).status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert len(resolves) >= 20 and set(resolves) == {0}
 
 
 class TestChebyshevCenter:
@@ -620,7 +723,7 @@ class TestBundledCounters:
     # picked end (no LP); that end's multipliers certify the side, so no
     # support LP is solved, and the certificate decides domination
     # (Remark 2), so no domination LP either
-    @pytest.mark.parametrize("name,lps,pivots", [("axis-40", 3, 84), ("rotated-12", 3, 55)])
+    @pytest.mark.parametrize("name,lps,pivots", [("axis-40", 3, 22), ("rotated-12", 3, 42)])
     def test_multi_step_boxes(self, monkeypatch, name, lps, pivots):
         if name == "axis-40":
             box = axis_box(np.random.default_rng(59), 40)

@@ -9,7 +9,8 @@ justified.  Extra arguments go to pytest.  From the repository root:
     python tests/unreached_lines.py
 
 The exit status is pytest's when pytest fails, else 1 when some unreached
-statement has no ``# unreached:`` comment, else 0.  Code that runs only in a
+statement has no ``# unreached:`` comment or some statement that carries one
+did run (its proof is then stale, and it is listed as such), else 0.  Code that runs only in a
 child process (the perfbench smoke runs) counts as unreached.  The name has
 no ``test_`` prefix, so pytest does not collect this file.
 """
@@ -67,21 +68,27 @@ def main(argv: list[str]) -> int:
         status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *argv])
     finally:  # a tracer left installed fails at interpreter shutdown
         sys.settrace(None)
-    missed, marked, total = [], [], 0
+    missed, marked, stale, total = [], [], [], 0
     for name, hit in reached.items():
         path = Path(name)
         source = path.read_text(encoding="utf-8").splitlines()
         for line in sorted(statements(path)):
             total += 1
+            text = f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}"
             if line not in hit:
-                text = f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}"
                 (marked if MARK in source[line - 1] else missed).append(text)
+            elif MARK in source[line - 1]:
+                stale.append(text)
     for text in missed:
         print(text)
     print(f"{len(missed) + len(marked)} of {total} statements of src/gaugesep never ran; {len(marked)} of them carry {MARK!r}:")
     for text in marked:
         print(text)
-    return int(status) or int(bool(missed))
+    if stale:
+        print(f"{len(stale)} of them carry {MARK!r} but ran, so their proofs are stale:")
+    for text in stale:
+        print(text)
+    return int(status) or int(bool(missed or stale))
 
 
 if __name__ == "__main__":
