@@ -168,10 +168,10 @@ def _parse_set(node, dim: int, path: str) -> ConvexSet:
         rows = node.get("rows")
         _require(isinstance(rows, list) and rows, f"{path}.rows", "expected a nonempty array")
         a, b = zip(*_each(rows, f"{path}.rows", lambda row: _row(row, dim, strict=True)))
-        witness = node.get("witness")
-        wit = np.array(_number_list(witness, f"{path}.witness", dim)) if witness is not None else None
+        if node.get("witness") is not None:  # version 1 accepts and validates it, but no step reads it
+            _number_list(node["witness"], f"{path}.witness", dim)
         try:
-            return HPolyhedron(np.array(a), np.array(b), witness=wit)
+            return HPolyhedron(np.array(a), np.array(b))
         except InputError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
     _closed(node, f"{path}.", ("kind", "name"))
@@ -483,7 +483,7 @@ def main(argv=None) -> int:
         print(f"error: schema: {exc}", file=sys.stderr)
         return 3
     except (InputError, DegenerateError, EmptySetError) as exc:
-        print(f"error: precondition: {exc}", file=sys.stderr)
+        print(f"error: precondition: {str(exc).removeprefix('precondition: ')}", file=sys.stderr)
         return 4
     except (SolverError,) as exc:
         print(f"error: solver: {exc}", file=sys.stderr)

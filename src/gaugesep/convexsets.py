@@ -49,13 +49,12 @@ class HPolyhedron(ConvexSet):
 
     ``a`` and ``b`` hold each row and offset divided by the row's norm, taken
     after a power-of-two prescale so that it cannot overflow or underflow.
-    ``witness`` is an optional known interior point, required only when the
-    polyhedron is unbounded and an interior point must be selected.
+    Bounded or not, it is anchored at its capped Chebyshev center
+    (``chebyshev_center``).
     """
 
     a: np.ndarray
     b: np.ndarray
-    witness: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -74,8 +73,6 @@ class HPolyhedron(ConvexSet):
             raise InputError("polyhedron data must be finite, also with each row scaled to unit length")
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "b", _frozen(b))
-        if self.witness is not None:
-            object.__setattr__(self, "witness", _frozen(as_vector(self.witness, a.shape[1])))
 
     @property
     def dim(self) -> int:
@@ -358,21 +355,26 @@ def build_D(a_set: ConvexSet, x) -> SymmetrizedBody:
     return SymmetrizedBody(conic_hull(a_set), x)
 
 
-def _inscribed_ball(poly: HPolyhedron, basis: np.ndarray | None = None) -> tuple[np.ndarray | None, float]:
-    """Largest ball in the polyhedron's closure: max r s.t. a_i . y + r <= b_i (unit rows).
+def _inscribed_ball(poly: HPolyhedron, basis: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Largest ball in the polyhedron's closure, of radius at most
+    rho = max(1, max |b_i|): max r s.t. a_i . y + r <= b_i (unit rows), r <= rho.
 
     The center y may be restricted to the row span of ``basis``
     (y = coords @ basis, rows orthonormal).  Returns (y, r), with r < 0 when
     the closure misses the span (r is free, so the LP is always feasible),
-    and (None, inf) when r is unbounded.
+    and r = rho when the closure holds balls of every radius.
     """
     a_y = poly.a if basis is None else poly.a @ basis.T
     k = a_y.shape[1]
     cost = np.zeros(k + 1)
     cost[-1] = -1.0
-    res = solve_lp(cost, a_ub=np.hstack([a_y, np.ones((len(a_y), 1))]), b_ub=poly.b)
-    if res.status == "unbounded":
-        return None, np.inf
+    # the cap binds only where r* is unbounded: a finite r* has dual weights
+    # lam >= 0 with sum 1 and a_y^T lam = 0, so r* = b . lam <= max b <= rho;
+    # the floor of 1 keeps a half-space at a tiny offset deeper than MIN_DEPTH
+    rho = np.abs(poly.b).max(initial=1.0)
+    rows = np.zeros((len(a_y) + 1, k + 1))  # [a_y | 1] above the cap row (0, ..., 0, 1)
+    rows[:-1, :k], rows[:, k] = a_y, 1.0
+    res = solve_lp(cost, a_ub=rows, b_ub=np.append(poly.b, rho))
     if res.status != "optimal":
         raise SolverError(f"inscribed-ball LP failed with status {res.status!r}")
     center = res.x[:k] if basis is None else res.x[:k] @ basis
@@ -382,16 +384,14 @@ def _inscribed_ball(poly: HPolyhedron, basis: np.ndarray | None = None) -> tuple
 def chebyshev_center(poly: HPolyhedron) -> tuple[np.ndarray, float]:
     """A Chebyshev center (deepest interior point) of the polyhedron, plus its inradius.
 
-    One LP; among equally deep points the simplex vertex is returned, so the
-    result is deterministic; the inradius is min(b - a c) over the unit rows.
-    Raises EmptySetError when the interior is empty and InputError when the
-    inradius is unbounded.
+    One LP, capped as in ``_inscribed_ball``; among equally deep points the
+    simplex vertex is returned, so the result is deterministic; the inradius
+    is min(b - a c) over the unit rows.  Raises EmptySetError when the
+    interior is empty and InputError when there are no rows.
     """
     if poly.a.shape[0] == 0:
-        raise InputError("the whole space has no deepest point; supply constraints or a witness")
+        raise InputError("the whole space has no deepest point; supply constraints")
     center, _ = _inscribed_ball(poly)
-    if center is None:
-        raise InputError("polyhedron is unbounded; an interior point requires a witness")
     radius = float(np.min(poly.b - poly.a @ center))
     if radius <= MIN_DEPTH:
         raise EmptySetError("polyhedron has empty interior")
@@ -399,20 +399,14 @@ def chebyshev_center(poly: HPolyhedron) -> tuple[np.ndarray, float]:
 
 
 def pick_interior_point(a_set: ConvexSet) -> np.ndarray:
-    """A deterministic interior point: ball center, Chebyshev center, or witness.
+    """A deterministic interior point: ball center, Chebyshev center, or oracle witness.
 
     Raises EmptySetError when a polyhedron has no interior point deeper than
     ``MIN_DEPTH``, and InputError for any other set type."""
     if isinstance(a_set, OpenBall):
         return np.array(a_set.center)
     if isinstance(a_set, HPolyhedron):
-        try:
-            center, _ = chebyshev_center(a_set)
-            return center
-        except InputError:
-            if a_set.witness is not None and a_set.contains(a_set.witness):
-                return np.array(a_set.witness)
-            raise
+        return chebyshev_center(a_set)[0]
     if isinstance(a_set, OracleSet):
         if a_set.witness is None:
             raise InputError("oracle sets must carry a witness point")

@@ -418,7 +418,7 @@ def extend_via_separation(
     y = (v @ f.domain.basis) / float(v @ v)
     ball = unit_ball(p)
     if isinstance(ball, HPolyhedron):
-        a_set = HPolyhedron(-ball.a, ball.b - ball.a @ y, witness=y)
+        a_set = HPolyhedron(-ball.a, ball.b - ball.a @ y)
     else:
         a_set = OracleSet(n, lambda e: gauge(p, y - e) < 1.0, witness=y)
     coeff_kernel = complement_basis(span_basis([v], f.domain.dim))

@@ -81,6 +81,10 @@ NONFINITE_NUMBERS = {
     "A.center[1]": {"A": {"kind": "ball", "center": [2.0, 10**400], "radius": 1.0}},  # no float holds it
 }
 
+# {e1 > 1} in the plane, and {e1 > 0} in space (example2's A without its witness)
+HALF_PLANE_FROM_1 = {"kind": "hpoly", "rows": [{"a": [-1.0, 0.0], "b": -1.0, "strict": True}]}
+HALF_SPACE_E1 = {"kind": "hpoly", "rows": [{"a": [-1.0, 0.0, 0.0], "b": 0.0, "strict": True}]}
+
 # the box (-1, 3) x (-1, 1), whose Chebyshev center (0, 0) lies in S = span{e2}
 CENTER_IN_S = {
     "version": 1,
@@ -212,6 +216,49 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "separate", "--input", write(tmp_path, "meet.json", bad))
         assert code == 4
         assert "precondition" in err
+
+    @pytest.mark.parametrize(
+        "a_node, basis, line",
+        [
+            (
+                {"kind": "ball", "center": [0.0, 0.5], "radius": 1.0},
+                [[1.0, 0.0]],
+                "error: precondition: the set intersects the subspace\n",
+            ),
+            (
+                HALF_PLANE_FROM_1,
+                [[1.0, 0.0]],
+                "error: precondition: the set intersects the subspace (inscribed ball centred in it: r* = 1)\n",
+            ),
+        ],
+        ids=["ball", "half-plane"],
+    )
+    def test_precondition_line_has_one_prefix(self, capsys, tmp_path, a_node, basis, line):
+        meets = {"version": 1, "dimension": 2, "A": a_node, "S": {"basis": basis}}
+        code, out, err = run_cli(capsys, "separate", "--input", write(tmp_path, "meets.json", meets))
+        assert (code, out, err) == (4, "", line)
+
+    @pytest.mark.parametrize("argv", [["separate"], ["extend"], ["gauge", "--point", "1,2,3"]])
+    def test_half_space_without_witness_exit_0(self, capsys, tmp_path, argv):
+        # example2's half-space {e1 > 0}, with neither A.witness nor x: the
+        # capped inscribed-ball LP gives the anchor (1, 0, 0)
+        problem = {"version": 1, "dimension": 3, "A": HALF_SPACE_E1, "S": {"basis": [[0.0, 0.0, 1.0]]}}
+        code, out, err = run_cli(capsys, *argv, "--input", write(tmp_path, "half.json", problem))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        if argv[0] == "separate":
+            assert doc["normal"] == [1, 0, 0] and doc["anchor"] == [1, 0, 0] and doc["certificate"]["valid"]
+
+    def test_malformed_witness_exit_3(self, capsys, tmp_path):
+        # version 1 accepts A.witness and no step reads it, but it is still validated
+        problem = {
+            "version": 1,
+            "dimension": 3,
+            "A": {**HALF_SPACE_E1, "witness": [1.0, -3.0]},
+            "S": {"basis": [[0.0, 0.0, 1.0]]},
+        }
+        code, out, err = run_cli(capsys, "separate", "--input", write(tmp_path, "witness.json", problem))
+        assert (code, out, err) == (3, "", "error: schema: A.witness: expected 3 entries, got 2\n")
 
     def test_rows_near_the_float_range_exit_0(self, capsys, tmp_path):
         # the row's norm would overflow; HPolyhedron takes it after a prescale

@@ -26,7 +26,7 @@ from gaugesep import (
     solve_lp,
     span_basis,
 )
-from gaugesep.convexsets import _hull_rows, _inscribed_ball
+from gaugesep.convexsets import MIN_DEPTH, _hull_rows, _inscribed_ball
 from gaugesep.fixtures import oracle_by_name
 from gaugesep.simplexlp import LPResult
 
@@ -34,6 +34,7 @@ from helpers import (
     axis_box,
     bundled,
     conic_hull_rows,
+    many_facet_polytope,
     random_instance,
     random_polytope_instance,
     record_lps,
@@ -41,7 +42,7 @@ from helpers import (
 )
 
 DISK = OpenBall(np.array([2.0, 0.0]), np.sqrt(2.0))
-HALFSPACE = HPolyhedron(np.array([[-1.0, 0.0, 0.0]]), np.array([0.0]), witness=np.array([1.0, -3.0, 0.0]))
+HALFSPACE = HPolyhedron(np.array([[-1.0, 0.0, 0.0]]), np.array([0.0]))
 
 
 def in_disk_cone(e):
@@ -386,14 +387,12 @@ class TestPickInteriorPoint:
     def test_ball_center(self):
         np.testing.assert_allclose(pick_interior_point(DISK), [2.0, 0.0])
 
-    def test_unbounded_polyhedron_uses_witness(self):
+    def test_unbounded_polyhedron_gets_its_capped_center(self):
+        # {e1 > 0} holds balls of every radius: the LP stops at r = 1, and
+        # the anchor is the simplex vertex at that depth
         point = pick_interior_point(HALFSPACE)
-        np.testing.assert_allclose(point, [1.0, -3.0, 0.0])
-
-    def test_unbounded_without_witness_rejected(self):
-        bare = HPolyhedron(np.array([[-1.0, 0.0, 0.0]]), np.array([0.0]))
-        with pytest.raises(InputError):
-            pick_interior_point(bare)
+        np.testing.assert_array_equal(point, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(point, chebyshev_center(HALFSPACE)[0])
 
     def test_boxed_halfspace_center(self):
         rows = [[-1.0, 0.0, 0.0]]
@@ -537,7 +536,7 @@ class TestDeepestPointLP:
         shapes = self.lp_shapes(monkeypatch)
         for _ in range(2):
             assert separate(box, s).certificate.valid
-        assert shapes == [(6, 4)] * 2  # (center, r) in the whole space; none in S
+        assert shapes == [(7, 4)] * 2  # (center, r) in the whole space, six rows and the cap; none in S
 
     def test_the_lp_in_s_follows_the_pipeline_error(self, monkeypatch):
         # (-5e-10, 2) x (0.5, 1.5) x (-1, 1) holds (0, 1, 0) of span{e2} by
@@ -547,7 +546,7 @@ class TestDeepestPointLP:
         calls = record_lps(monkeypatch, convexsets, gauges, separation)
         with pytest.raises(InputError, match=r"r\* = 5e-10\)$") as raised:
             separate(box, span_basis([np.array([0.0, 1.0, 0.0])]))
-        assert [np.shape(args[1]) for args, _ in calls] == [(6, 4), (12, 3), (6, 2)]
+        assert [np.shape(args[1]) for args, _ in calls] == [(7, 4), (12, 3), (7, 2)]
         assert isinstance(raised.value.__cause__, SolverError)
 
     def test_meeting_the_subspace_solves_one_lp_in_it(self, monkeypatch):
@@ -555,7 +554,7 @@ class TestDeepestPointLP:
         shapes = self.lp_shapes(monkeypatch)
         with pytest.raises(InputError, match=r"r\* = 1\)$"):
             separate(box, s)
-        assert shapes == [(6, 4), (6, 2)]
+        assert shapes == [(7, 4), (7, 2)]
 
     def test_the_lp_is_always_feasible(self):
         # r is free, so a closure that misses the span gives a negative r,
@@ -572,3 +571,72 @@ class TestDeepestPointLP:
         monkeypatch.setattr(convexsets, "solve_lp", lambda *args, **kwargs: LPResult("infeasible"))
         with pytest.raises(SolverError, match="inscribed-ball LP failed with status 'infeasible'"):
             _inscribed_ball(HPolyhedron(*BOX))
+
+
+class TestInscribedBallCap:
+    """``_inscribed_ball`` caps r at rho = max(1, max |b_i|).  A finite r*
+    is b . lam for dual weights lam >= 0 of sum 1, so it is at most max b:
+    the cap leaves every finite inradius as it was and binds only where the
+    uncapped LP is unbounded."""
+
+    @staticmethod
+    def uncapped(poly: HPolyhedron, basis=None) -> float:
+        """r* of max r s.t. a y + r <= b, by scipy's HiGHS, without the cap."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        a_y = poly.a if basis is None else poly.a @ basis.T
+        a_ub = np.hstack([a_y, np.ones((len(a_y), 1))])
+        ref = linprog(-np.eye(a_ub.shape[1])[-1], A_ub=a_ub, b_ub=poly.b, bounds=(None, None), method="highs")
+        assert ref.status == 0
+        return -ref.fun
+
+    def bounded_sets(self) -> list[HPolyhedron]:
+        rng = np.random.default_rng(67)
+        boxes = [axis_box(rng, n) for n in (2, 5, 12)] + [rotated_box(rng, n) for n in (2, 4, 8)]
+        polys = [box.polyhedron() for box in boxes]
+        polys += [random_polytope_instance(rng, int(rng.integers(2, 10)))[0] for _ in range(20)]
+        polys.append(many_facet_polytope(6, 60)[0])
+        return polys
+
+    def slabs(self) -> list[HPolyhedron]:
+        # slabs of every width and offset: bounded inradius, unbounded set
+        rng = np.random.default_rng(68)
+        out = []
+        for n in (2, 3, 5):
+            for lo, width in ((1.0, 1.0), (-3.0, 0.25), (1e-6, 2e-6), (1e6, 7.0)):
+                d = rng.normal(size=n)
+                d /= np.linalg.norm(d)
+                out.append(HPolyhedron(np.array([-d, d]), np.array([-lo, lo + width])))
+        return out
+
+    def test_bounded_inradius_is_the_uncapped_one(self):
+        for poly in self.bounded_sets() + self.slabs():
+            rho = max(1.0, float(np.abs(poly.b).max()))
+            _, r = _inscribed_ball(poly)
+            assert r == pytest.approx(self.uncapped(poly), rel=1e-9, abs=1e-12)
+            assert r <= rho
+
+    def test_bounded_inradius_in_a_subspace_is_the_uncapped_one(self):
+        # the same bound holds for the ball centred in S (a^T lam becomes B a^T lam)
+        rng = np.random.default_rng(69)
+        for _ in range(20):
+            poly, s = random_polytope_instance(rng, int(rng.integers(2, 10)))
+            _, r = _inscribed_ball(poly, s.basis)
+            assert r == pytest.approx(self.uncapped(poly, s.basis), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [1e-12, 1e-6, 1.0, 1e6])
+    def test_half_spaces_and_cones_reach_the_cap(self, offset):
+        # {e1 > offset}, the quadrant and the orthant shifted by offset, and
+        # the wedge {e1 > |e2| + offset}: r* is unbounded, so the depth is rho
+        sets = [
+            HPolyhedron(np.array([[-1.0, 0.0]]), np.array([-offset])),
+            HPolyhedron(-np.eye(2), np.full(2, -offset)),
+            HPolyhedron(np.array([[-1.0, 1.0], [-1.0, -1.0]]), np.full(2, -offset)),
+            HPolyhedron(-np.eye(3), np.full(3, -offset)),
+        ]
+        for poly in sets:
+            rho = max(1.0, float(np.abs(poly.b).max()))  # the wedge's unit rows have offsets offset / sqrt 2
+            center, depth = chebyshev_center(poly)
+            assert poly.contains(center)
+            assert depth == pytest.approx(rho, rel=1e-12)
+            assert depth > MIN_DEPTH
+            assert _inscribed_ball(poly)[1] == rho

@@ -90,7 +90,7 @@ class TestOracleGauge:
                 assert gauge(p, e) == pytest.approx(expected, rel=1e-7, abs=1e-9)
 
     def test_recession_direction_is_zero(self):
-        halfspace = HPolyhedron(np.array([[-1.0, 0.0, 0.0]]), np.array([0.0]), witness=np.array([1.0, -3.0, 0.0]))
+        halfspace = HPolyhedron(np.array([[-1.0, 0.0, 0.0]]), np.array([0.0]))
         p = BisectionGauge(build_D(halfspace, np.array([1.0, -3.0, 0.0])))
         assert gauge(p, np.array([0.0, 5.0, 7.0])) == 0.0
 

@@ -88,6 +88,8 @@ def test_removed_names_are_gone():
         left = [name for name in REMOVED if hasattr(module, name)]
         assert left == [], module.__name__
     assert not hasattr(gaugesep.Subspace, "projector_matrix")
+    # a polyhedron's anchor is its capped Chebyshev center, bounded or not
+    assert "witness" not in {f.name for f in dataclasses.fields(HPolyhedron)}
     # solve_lp takes the LP alone, so every LP is its own cold solve
     assert "start" not in inspect.signature(solve_lp).parameters
     assert not {"_phase1", "phase1_basis"} & {f.name for f in dataclasses.fields(LPResult)}
@@ -156,7 +158,12 @@ INPUT_CHECKS = [
     (
         "chebyshev_center-whole-space",
         lambda: chebyshev_center(HPolyhedron(np.zeros((0, 2)), np.zeros(0))),
-        "the whole space has no deepest point; supply constraints or a witness",
+        "the whole space has no deepest point; supply constraints",
+    ),
+    (
+        "pick_interior_point-whole-space",
+        lambda: pick_interior_point(HPolyhedron(np.zeros((0, 3)), np.zeros(0))),
+        "the whole space has no deepest point; supply constraints",
     ),
     ("brute_force_2d_normals-dim", lambda: brute_force_2d_normals(BALL3), "the angular oracle is 2-D only"),
     ("brute_force_2d_normals-grid", lambda: brute_force_2d_normals(DISK, 0), "grid must be positive"),

@@ -417,6 +417,14 @@ class TestPreconditionMessages:
         with pytest.raises(InputError, match=message):
             separate(box, span_basis([np.array([1.0, 0.0])]))
 
+    def test_unbounded_polyhedron_meeting_the_subspace_names_the_cap(self):
+        # {e1 > 1} holds balls of every radius centred on the e1 axis: the LP
+        # in S stops at its cap max(1, max |b|) = 1 (before the cap: r* = inf)
+        halfplane = HPolyhedron(np.array([[-1.0, 0.0]]), np.array([-1.0]))
+        with pytest.raises(InputError) as raised:
+            separate(halfplane, span_basis([np.array([1.0, 0.0])]))
+        assert str(raised.value) == "precondition: the set intersects the subspace (inscribed ball centred in it: r* = 1)"
+
     def test_polyhedron_meeting_the_subspace_by_a_hair(self):
         # (-5e-10, 2) x (0.5, 1.5) x (-1, 1) holds (0, 1, 0) of span{e2} by
         # 5e-10 but not the origin: the extension LP finds no bound, and the
@@ -425,6 +433,68 @@ class TestPreconditionMessages:
         message = r"^precondition: the set intersects the subspace \(inscribed ball centred in it: r\* = 5e-10\)$"
         with pytest.raises(InputError, match=message):
             separate(box, span_basis([np.array([0.0, 1.0, 0.0])]))
+
+
+def _family(rows, offsets, s_vectors, corner, inner, rays):
+    n = len(corner)
+    s = span_basis([np.array(v, dtype=float) for v in s_vectors]) if s_vectors else zero_subspace(n)
+    poly = HPolyhedron(np.array(rows, dtype=float), np.array(offsets, dtype=float))
+    return poly, s, np.array(corner, dtype=float), np.array(inner, dtype=float), np.array(rays, dtype=float)
+
+
+E1, E2, E3 = np.eye(3)
+# unbounded sets, given with no interior point: (set, S, a closure point at
+# which every plane the set lies beside attains its margin, a member, and
+# the rays that span the closure's recession cone); the corner is in S
+# where S touches the closure, so the margin is 0 there
+UNBOUNDED_FAMILIES = {
+    "half-plane": _family([[-1, 0]], [-1], [[0, 1]], [1, 0], [2, 0], [[1, 0], [0, 1], [0, -1]]),
+    "half-plane-touching": _family([[-1, 0]], [0], [[0, 1]], [0, 0], [1, 0], [[1, 0], [0, 1], [0, -1]]),
+    "half-plane-at-1e-6": _family([[-1, 0]], [-1e-6], [[0, 1]], [1e-6, 0], [1, 0], [[1, 0], [0, 1], [0, -1]]),
+    "half-plane-at-1e6": _family([[-1, 0]], [-1e6], [[0, 1]], [1e6, 0], [2e6, 0], [[1, 0], [0, 1], [0, -1]]),
+    "slab-2d": _family([[-1, 0], [1, 0]], [-1, 2], [[0, 1]], [1, 0], [1.5, 0], [[0, 1], [0, -1]]),
+    "slab-2d-touching": _family([[-1, 0], [1, 0]], [0, 1], [[0, 1]], [0, 0], [0.5, 0], [[0, 1], [0, -1]]),
+    "wedge-2d": _family([[-1, 1], [-1, -1]], [0, 0], [], [0, 0], [1, 0], [[1, 1], [1, -1]]),
+    "wedge-2d-shifted": _family([[-1, 1], [-1, -1]], [-1, -1], [], [1, 0], [2, 0], [[1, 1], [1, -1]]),
+    "quadrant-2d": _family(-np.eye(2), [0, 0], [], [0, 0], [1, 1], np.eye(2)),
+    "quadrant-2d-shifted": _family(-np.eye(2), [-1, -1], [], [1, 1], [2, 2], np.eye(2)),
+    "half-space": _family([[-1, 0, 0]], [-1], [E2, E3], E1, 2 * E1, [E1, E2, -E2, E3, -E3]),
+    "half-space-line": _family([[-1, 0, 0]], [-1], [E2], E1, 2 * E1, [E1, E2, -E2, E3, -E3]),
+    "half-space-touching": _family([[-1, 0, 0]], [0], [E2, E3], 0 * E1, E1, [E1, E2, -E2, E3, -E3]),
+    "slab-3d": _family([-E1, E1], [-1, 2], [E2, E3], E1, 1.5 * E1, [E2, -E2, E3, -E3]),
+    "slab-3d-line": _family([-E1, E1], [-1, 2], [E3], E1, 1.5 * E1, [E2, -E2, E3, -E3]),
+    "wedge-3d": _family([[-1, 1, 0], [-1, -1, 0]], [0, 0], [E3], 0 * E1, E1, [E1 + E2, E1 - E2, E3, -E3]),
+    "wedge-3d-shifted": _family([[-1, 1, 0], [-1, -1, 0]], [-1, -1], [E3], E1, 2 * E1, [E1 + E2, E1 - E2, E3, -E3]),
+    "quadrant-3d": _family([-E1, -E2], [0, 0], [E3], 0 * E1, E1 + E2, [E1, E2, E3, -E3]),
+    "quadrant-3d-shifted": _family([-E1, -E2], [-1, -1], [E3], E1 + E2, 2 * (E1 + E2), [E1, E2, E3, -E3]),
+    "orthant": _family(-np.eye(3), [0, 0, 0], [], [0, 0, 0], [1, 1, 1], np.eye(3)),
+    "orthant-shifted": _family(-np.eye(3), [-1, -1, -1], [], [1, 1, 1], [2, 2, 2], np.eye(3)),
+}
+
+
+class TestUnboundedFamilies:
+    """Half-spaces, slabs, wedges and cones need no interior point from the
+    caller: the capped inscribed-ball LP anchors them as it anchors a
+    polytope.  On a closure ``corner + cone(rays)`` the least value of
+    ``side * normal . e`` is ``side * normal . corner`` when no ray descends
+    (and -inf otherwise), so each certificate's margin has a closed form."""
+
+    @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
+    @pytest.mark.parametrize("name", list(UNBOUNDED_FAMILIES))
+    def test_separates_at_its_exact_margin(self, name, rule):
+        poly, s, corner, inner, rays = UNBOUNDED_FAMILIES[name]
+        assert poly.contains(inner) and not poly.contains(corner)
+        result = separate(poly, s, SeparationOptions(gamma_rule=rule))
+        normal = np.asarray(result.hyperplane.normal)
+        checked = verify_separation(poly, s, result.hyperplane)
+        assert result.certificate.valid and checked.valid
+        side = np.sign(normal @ inner)
+        assert np.all(side * (rays @ normal) >= -1e-12)  # the margin is finite
+        exact = side * float(normal @ corner)
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(corner)))
+        for cert in (result.certificate, checked):
+            assert cert.boundary_margin == pytest.approx(exact, abs=tol)
+        assert (exact == 0.0) == (not np.any(corner - s.project(corner)))  # 0 just where S touches the closure
 
 
 class TestPipelineFailures:
@@ -1262,7 +1332,7 @@ class TestBruteForce2D:
         assert inside.all()
 
     def test_upper_halfplane_only_horizontal(self):
-        upper = HPolyhedron(np.array([[0.0, -1.0]]), np.array([0.0]), witness=np.array([0.0, 1.0]))
+        upper = HPolyhedron(np.array([[0.0, -1.0]]), np.array([0.0]))
         angles = brute_force_2d_normals(upper, 1800)
         np.testing.assert_allclose(angles, [0.0], atol=1e-12)
 

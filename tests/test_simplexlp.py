@@ -10,7 +10,6 @@ import gaugesep.simplexlp as simplexlp
 from gaugesep import (
     EmptySetError,
     HPolyhedron,
-    InputError,
     LPResult,
     SeparationOptions,
     SolverError,
@@ -691,10 +690,14 @@ class TestChebyshevCenter:
         with pytest.raises(EmptySetError):
             chebyshev_center(empty)
 
-    def test_unbounded_needs_witness(self):
-        halfspace = HPolyhedron(np.array([[-1.0, 0.0]]), np.array([0.0]))
-        with pytest.raises(InputError):
-            chebyshev_center(halfspace)
+    def test_unbounded_depth_is_the_cap(self):
+        # {e1 > 0} and {e1 > -5} hold balls of every radius; the LP stops at
+        # r = max(1, max |b|), on a vertex at that depth
+        for offset, center in ((0.0, [1.0, 0.0]), (5.0, [0.0, 0.0])):
+            halfspace = HPolyhedron(np.array([[-1.0, 0.0]]), np.array([offset]))
+            got, radius = chebyshev_center(halfspace)
+            np.testing.assert_array_equal(got, center)
+            assert radius == max(1.0, offset)
 
     def test_deterministic(self):
         poly = HPolyhedron(
