@@ -41,7 +41,6 @@ class GammaInterval:
     hi: float
     # LP results of the (upper, lower) ends, or of the end a forced interval rests on
     _ends: tuple[LPResult, ...] = field(default=(), repr=False, compare=False)
-    _split: tuple = field(default=(), repr=False, compare=False)  # (z on the domain's basis, z off it, |z off it|)
 
     @property
     def width(self) -> float:
@@ -96,28 +95,7 @@ def extension_interval(state: ExtensionState, z, *, seed: int = 0) -> GammaInter
     empty, which signals a gauge that is not actually a seminorm or a
     functional that is not dominated.
     """
-    _check_seed(seed)
-    z = as_vector(z, state.domain.ambient_dim)
-    coeffs = state.domain.basis @ z  # as ``Subspace.contains``, keeping what ``extend_one`` needs
-    residual = z - state.domain.basis.T @ coeffs
-    scale = float(np.linalg.norm(residual))
-    if scale <= TOL_MEMBERSHIP * max(1.0, float(np.linalg.norm(z))):
-        raise DegenerateError("direction already lies in the domain")
-    p = state.seminorm
-    if state.domain.dim:
-        hi, lo, ends = p._ends(state, z, seed)
-    else:
-        hi, lo, ends = gauge(p, z), -gauge(p, -z), ()
-    # a zero-width search-certified interval may come back inverted by
-    # certification noise
-    if lo > hi + p._SLACK:
-        raise SolverError(
-            f"empty admissible interval [{lo}, {hi}] of a {type(p).__name__} on a {state.domain.dim}-dimensional "
-            "domain: seminorm or domination assumption broken"
-        )
-    if lo > hi:
-        lo = hi = 0.5 * (lo + hi)
-    return GammaInterval(lo, hi, ends, (coeffs, residual, scale))
+    return _step(state.seminorm, state.domain.basis, state.functional.values, state.history, z, "upper", None, seed)[2].interval
 
 
 def extend_one(
@@ -134,19 +112,41 @@ def extend_one(
     values that keep ``|g| <= p`` there (the one-step extension lemma), so no
     gauge is evaluated; an explicit ``gamma`` beyond ``_SLACK`` of it raises.
     """
-    interval = extension_interval(state, z, seed=seed)
+    basis, values = state.domain.basis, state.functional.values
+    row, value, step = _step(state.seminorm, basis, values, state.history, z, rule, gamma, seed)
+    functional = PartialFunctional(Subspace(basis.shape[1], np.vstack([basis, row])), np.append(values, value))
+    return ExtensionState(functional, state.seminorm, state.history + (step,))
+
+
+def _step(p: Seminorm, basis: np.ndarray, values: np.ndarray, history, z, rule: str, gamma, seed: int):
+    """One extension step on arrays: the functional's ``values`` on the
+    domain's orthonormal ``basis`` rows, after the steps ``history``,
+    extended to ``z`` by the value that ``rule`` (or ``gamma``) picks in its
+    interval.  Returns the new orthonormal row, the value on it and the step."""
+    _check_seed(seed)
+    z = as_vector(z, basis.shape[1])
+    coeffs = basis @ z  # as ``Subspace.contains``, keeping what the new row needs
+    residual = z - basis.T @ coeffs
+    scale = float(np.sqrt(residual.dot(residual)))  # np.linalg.norm's bits, without its per-call checks
+    if scale <= TOL_MEMBERSHIP * max(1.0, float(np.sqrt(z.dot(z)))):
+        raise DegenerateError("direction already lies in the domain")
+    if basis.shape[0]:
+        hi, lo, ends = p._ends(basis, values, history[-1] if history else None, z, seed)
+    else:
+        hi, lo, ends = gauge(p, z), -gauge(p, -z), ()
+    # certification noise may invert a zero-width search-certified interval
+    if lo > hi + p._SLACK:
+        raise SolverError(
+            f"empty admissible interval [{lo}, {hi}] of a {type(p).__name__} on a {basis.shape[0]}-dimensional "
+            "domain: seminorm or domination assumption broken"
+        )
+    if lo > hi:
+        lo = hi = 0.5 * (lo + hi)
+    interval = GammaInterval(lo, hi, ends)
     value = interval.pick(rule) if gamma is None else float(gamma)
-    slack = state.seminorm._SLACK
-    if not interval.lo - slack <= value <= interval.hi + slack:
-        raise SolverError(f"gamma = {value} lies outside the admissible interval [{interval.lo}, {interval.hi}]")
-    domain = state.domain
-    coeffs, residual, scale = interval._split
-    new_row = residual / scale
-    new_value = (value - float(state.functional.values @ coeffs)) / scale
-    new_domain = Subspace(domain.ambient_dim, np.vstack([domain.basis, new_row]))
-    new_functional = PartialFunctional(new_domain, np.append(state.functional.values, new_value))
-    step = ExtensionStep(z, interval, value)
-    return ExtensionState(new_functional, state.seminorm, state.history + (step,))
+    if not lo - p._SLACK <= value <= hi + p._SLACK:
+        raise SolverError(f"gamma = {value} lies outside the admissible interval [{lo}, {hi}]")
+    return residual / scale, (value - float(values @ coeffs)) / scale, ExtensionStep(z, interval, value)
 
 
 def _check_domain(f: PartialFunctional, p: Seminorm) -> None:
@@ -158,18 +158,20 @@ def _check_domain(f: PartialFunctional, p: Seminorm) -> None:
             raise InputError("functional is not dominated by the seminorm on its domain basis")
 
 
-def _extend_steps(f: PartialFunctional, p: Seminorm, rule: str, *, seed: int) -> ExtensionState:
-    """``f`` extended over the deterministic completion order, unchecked
-    (``violation`` None; no step evaluates the gauge, so the caller decides
-    domination); the zero functional extends to zero directly, with
+def _extend_steps(basis: np.ndarray, values: np.ndarray, completion, p: Seminorm, rule: str, *, seed: int) -> ExtensionState:
+    """The functional of ``values`` on the orthonormal ``basis`` rows extended
+    over the ``completion`` in order, each step appending its row and value,
+    unchecked (``violation`` None; no step evaluates the gauge, so the caller
+    decides domination); the zero functional extends to zero directly, with
     ``violation`` -1 (``p*(0) - 1``)."""
-    n = f.domain.ambient_dim
-    if f.is_zero():
+    n = basis.shape[1]
+    if not np.any(values):
         return ExtensionState(PartialFunctional(Subspace(n, np.eye(n)), np.zeros(n)), p, violation=-1.0)
-    state = ExtensionState(f, p)
-    for z in complement_basis(f.domain):
-        state = extend_one(state, z, rule, seed=seed)
-    return state
+    history = ()
+    for z in completion:
+        row, value, step = _step(p, basis, values, history, z, rule, None, seed)
+        basis, values, history = np.vstack([basis, row]), np.append(values, value), history + (step,)
+    return ExtensionState(PartialFunctional(Subspace(n, basis), values), p, history)
 
 
 def extend_full_state(
@@ -189,7 +191,7 @@ def extend_full_state(
     _check_rule(rule)
     _check_seed(seed)
     _check_domain(f, p)
-    state = _extend_steps(f, p, rule, seed=seed)
+    state = _extend_steps(f.domain.basis, f.values, complement_basis(f.domain), p, rule, seed=seed)
     if state.violation is None:
         violation = _checked_domination(state.functional.as_coefficients(), p, seed=seed)
         state = ExtensionState(state.functional, p, state.history, violation)

@@ -11,9 +11,9 @@ anchor.  Any of them may vanish off the origin (a seminorm that is not a norm).
 Each type also gives the extension step and the domination check what they
 need: ``_SLACK`` (how far an interval's ends may cross by rounding),
 ``_values`` (the gauge on a checked point or batch, which ``gauge`` calls),
-``_ends(state, z, seed)`` (``(hi, lo, LP results)``, the interval of an
-``ExtensionState`` on a nonzero domain at ``z``) and ``_polar(g, seed)``
-(p*(g) = ``sup |g . e| / p(e)``).  By duality the upper end
+``_ends(basis, w, last, z, seed)`` (``(hi, lo, LP results)`` at ``z`` for
+the values ``w`` on orthonormal rows ``basis`` after the step ``last``) and
+``_polar(g, seed)`` (p*(g) = ``sup |g . e| / p(e)``).  By duality the upper end
 ``inf over x in G of (-g(x) + p(x + z))`` is the support function of a slice
 of the polar body, ``max psi.z`` over ``psi`` in D° with ``psi = g`` on G:
 an exact small LP for polyhedral gauges, a closed form for ball-cone gauges
@@ -69,28 +69,22 @@ class PolyhedralGauge:
             return np.zeros(e.shape[:-1])
         return np.maximum(0.0, np.max((e @ self.a.T) / self.b, axis=-1))
 
-    def _ends(self, state, z: np.ndarray, seed: int):
-        """``[psi.z, psi.z]`` with no LP when the end the state's last step
+    def _ends(self, basis: np.ndarray, w: np.ndarray, last, z: np.ndarray, seed: int):
+        """``[psi.z, psi.z]`` with no LP when the end the last step
         picked (on a forced interval, the end that forced it) is the point
         psi = a^T y that is its LP's whole optimal face, as no tied edge from
         y (``_face_edges``) moves psi beyond ``PIVOT_TOL`` of its terms
-        (sufficient, not necessary); else ``_lp_ends``."""
-        last = state.history[-1] if state.history else None
+        (sufficient, not necessary); else, with their results, the LPs of
+        the upper end at z and, negated, at -z, which differ only in ``b_ub``
+        and so share one phase 1 (``simplexlp._solve``)."""
         res = last._picked_end() if last is not None else None
         if res is not None:
             # a forced interval hands its one end on untested
-            edges = _face_edges(res) if len(last.interval._ends) == 2 else np.zeros((res.y.size, 0))
-            if np.all(np.abs(self.a.T @ edges) <= PIVOT_TOL * (np.abs(self.a.T) @ np.abs(edges))):
+            edges = _face_edges(res) if len(last.interval._ends) == 2 else None
+            if edges is None or np.all(np.abs(self.a.T @ edges) <= PIVOT_TOL * (np.abs(self.a.T) @ np.abs(edges))):
                 hi = float((self.a.T @ res.y) @ z)
                 return hi, hi, (res,)
-        return self._lp_ends(state, z)
-
-    def _lp_ends(self, state, z: np.ndarray):
-        """(hi, lo, results of the two ends): the LPs of the upper end at z
-        and, negated, at -z, which differ only in ``b_ub`` and so share one
-        phase 1 (``simplexlp._solve``)."""
         a, b = self.a, self.b
-        basis, w = state.domain.basis, state.functional.values
         m, k = a.shape[0], basis.shape[0]
         # variables (c_1..c_k free, t >= 0): min -w.c + t  s.t.  a_i.(Bc + z) <= t b_i
         cost = np.concatenate([-w, [1.0]])
@@ -185,10 +179,9 @@ class OracleGauge:
     def _values(self, e: np.ndarray):
         return np.array([self._value(row) for row in e]) if e.ndim == 2 else self._value(e)
 
-    def _ends(self, state, z: np.ndarray, seed: int):
+    def _ends(self, basis: np.ndarray, w: np.ndarray, last, z: np.ndarray, seed: int):
         """The two searched ends.  Crossed ends of a search that ended at the
         cap are the cap, not ends (a valid asymptotic minimum may reach it)."""
-        basis, w = state.domain.basis, state.functional.values
         (hi, hi_capped), (low, low_capped) = self._search(basis, w, z, seed), self._search(basis, w, -z, seed + 1)
         if -low > hi + self._SLACK and (hi_capped or low_capped):
             raise SolverError(
@@ -335,8 +328,7 @@ class BallConeGauge:
         disc = self.body.base._excess * (self._qc * np.einsum("...i,...i", u, u) + self._xx * uc * uc)
         return np.abs(along + self._xc * uc / self._qc) + np.sqrt(disc) / self._qc
 
-    def _ends(self, state, z: np.ndarray, seed: int):
-        basis, w = state.domain.basis, state.functional.values
+    def _ends(self, basis: np.ndarray, w: np.ndarray, last, z: np.ndarray, seed: int):
         return self._slice_max(basis, w, z), -self._slice_max(basis, w, -z), ()
 
     def _slice_max(self, basis: np.ndarray, w: np.ndarray, z: np.ndarray) -> float:

@@ -32,7 +32,7 @@ def as_vector(values, dim: int | None = None) -> np.ndarray:
         raise InputError("vectors must have positive dimension")
     if dim is not None and v.size != dim:
         raise InputError(f"dimension mismatch: expected {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():  # the method: np.all's wrapper costs more than the test on short vectors
         raise InputError("vector entries must be finite")
     return v
 
@@ -99,21 +99,16 @@ def _gram_schmidt(rows, candidates) -> list[np.ndarray]:
         q = np.array(rows).reshape(len(rows), v.size)
         w = v - (q @ v) @ q
         w = w - (q @ w) @ q
-        norm = float(np.linalg.norm(w))
-        if norm > TOL_DEPENDENT * max(1.0, float(np.linalg.norm(v))):
+        norm = float(np.sqrt(w.dot(w)))  # np.linalg.norm's bits, without its per-call checks
+        if norm > TOL_DEPENDENT * max(1.0, float(np.sqrt(v.dot(v)))):
             rows.append(w / norm)
     return rows
 
 
 def span_basis(vectors, ambient_dim: int | None = None) -> Subspace:
-    """Orthonormalize ``vectors`` into a Subspace, compressing rank deficiency.
-
-    Uses classical Gram-Schmidt with a second projection of each candidate
-    (``_gram_schmidt``).
-    A candidate ``v`` whose residual norm is at most
-    ``TOL_DEPENDENT * max(1, |v|)`` is dropped: the bound is absolute for
-    candidates shorter than 1 and relative to ``|v|`` for longer ones.
-    """
+    """Orthonormalize ``vectors`` into a Subspace, compressing rank deficiency:
+    ``_gram_schmidt`` drops a candidate ``v`` whose residual is at most
+    ``TOL_DEPENDENT * max(1, |v|)``, absolute below |v| = 1, relative above."""
     vecs = [as_vector(v) for v in vectors]
     dims = {v.size for v in vecs}
     if len(dims) > 1:
@@ -130,13 +125,9 @@ def span_basis(vectors, ambient_dim: int | None = None) -> Subspace:
 
 
 def complement_basis(s: Subspace) -> list[np.ndarray]:
-    """Orthonormal completion of ``s`` to all of R^n.
-
-    Deterministic: one ``_gram_schmidt`` pass over the standard basis vectors
-    in index order, which drops the near-dependent ones and stops once the
-    rows span R^n.  Together with ``s.basis`` the returned vectors form an
-    orthonormal basis of the ambient space.
-    """
+    """The rows that complete ``s.basis`` to an orthonormal basis of R^n,
+    deterministic: one ``_gram_schmidt`` pass over e_1 ... e_n in index
+    order, which drops the near-dependent ones and stops once the rows span R^n."""
     return _gram_schmidt(s.basis, np.eye(s.ambient_dim))[s.dim:]
 
 

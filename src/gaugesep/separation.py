@@ -23,9 +23,9 @@ from .convexsets import (
     HPolyhedron,
     OpenBall,
     OracleSet,
+    SymmetrizedBody,
     _hull_rows,
     _inscribed_ball,
-    build_D,
     conic_hull,
     pick_interior_point,
     sample_interior,
@@ -43,10 +43,10 @@ from .extension import (
 )
 from .gauges import Seminorm, gauge, gauge_from_symmetrized, unit_ball
 from .geometry import (
-    TOL_MEMBERSHIP,
     Hyperplane,
     PartialFunctional,
     Subspace,
+    _gram_schmidt,
     as_vector,
     complement_basis,
     kernel_hyperplane,
@@ -174,18 +174,28 @@ def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
                 raise InputError("precondition: sampling found a subspace point inside the set")
 
 
-def _span_functional(s: Subspace, x: np.ndarray) -> PartialFunctional:
-    """The functional on span(S + {x}) sending z + t*x to t, where
-    t = (u - P u) . x_perp / |x_perp|^2 for u = z + t*x and x_perp = x - P x."""
+def _span_frame(s: Subspace, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(rows, values, completion): the values t = (u - P u) . x_perp / |x_perp|^2
+    (x_perp = x - P x) on orthonormal rows u of span(S + {x}) of the
+    functional z + t*x -> t, and the rows' completion: one ``_gram_schmidt``
+    frame over S's rows, x, then e_1 ... e_n.  x enters scaled by a power of
+    two to a norm in [1, 2), which moves no bit of its row, so the frame
+    drops x (DegenerateError) just when its residual is at most 1e-8 |x|."""
+    rows = _gram_schmidt([], [*s.basis, np.ldexp(x, 1 - np.frexp(np.linalg.norm(x))[1])])
+    if len(rows) == s.dim:
+        raise DegenerateError("the anchor lies in the subspace; z + t*x does not determine t")
     x_perp = x - s.project(x)
     nx = float(np.linalg.norm(x_perp))
-    if nx <= TOL_MEMBERSHIP * max(1.0, float(np.linalg.norm(x))):
-        raise DegenerateError("the anchor lies in the subspace; z + t*x does not determine t")
-    span = span_basis(list(s.basis) + [x], s.ambient_dim)
     # nx * nx, not x_perp . x_perp: they differ in the last bit, and the
     # round trip of example3_quotient passes only with the former
-    values = [float((u - s.project(u)) @ x_perp) / (nx * nx) for u in span.basis]
-    return PartialFunctional(span, np.array(values))
+    values = [float((u - s.project(u)) @ x_perp) / (nx * nx) for u in rows]
+    return np.array(rows), np.array(values), _gram_schmidt(rows, np.eye(s.ambient_dim))[len(rows):]
+
+
+def _span_functional(s: Subspace, x: np.ndarray) -> PartialFunctional:
+    """The functional of ``_span_frame`` on span(S + {x})."""
+    rows, values, _ = _span_frame(s, x)
+    return PartialFunctional(Subspace(s.ambient_dim, rows), values)
 
 
 def _certificate(
@@ -221,23 +231,23 @@ def _certificate(
     return SeparationCertificate(residual, None, margin, bool(margin >= -SIDE_TOL * scale), None, y, farkas)
 
 
-def _extension_certificate(a_set: HPolyhedron, s: Subspace, state: ExtensionState, g: np.ndarray, x: np.ndarray):
+def _extension_certificate(a_set: HPolyhedron, hull: tuple, s: Subspace, state: ExtensionState, g: np.ndarray, x: np.ndarray):
     """The side certificate read off the last extension step (Remark 2 in
     multiplier form), or None where the support LP must decide instead.
 
     When that step picked an end of its interval, g is the end's polar point
     ``y . [h; -h]`` over the gauge rows, and g(x) = 1 forces y = (0, v), so
-    g = -h^T v.  Each gauge row h is a hull row ``b_j a_i - b_i a_j`` over its
-    norm (``_hull_rows``), so each weighted row adds ``w b_j`` to lambda_i and
-    ``-w b_i`` to lambda_j, with w = v / norm, and lambda is their sum over
-    |g|: lambda >= 0, ``a^T lambda = -g / |g|`` and ``b . lambda <= 0``,
-    returned when these hold on its rounding.  ``-b . lambda`` bounds the
-    margin below.
+    g = -h^T v.  Each gauge row h is a row ``b_j a_i - b_i a_j`` of ``hull``
+    (``_hull_rows``, which the gauge was built from) over its norm, so each
+    weighted row adds ``w b_j`` to lambda_i and ``-w b_i`` to lambda_j, with
+    w = v / norm, and lambda is their sum over |g|: lambda >= 0,
+    ``a^T lambda = -g / |g|`` and ``b . lambda <= 0``, returned when these
+    hold on its rounding.  ``-b . lambda`` bounds the margin below.
     """
     end = state.history[-1]._picked_end() if state.history else None
     if end is None:
         return None
-    rows, i, j = _hull_rows(a_set.a, a_set.b)
+    rows, i, j = hull
     u, v = end.y.reshape(2, -1)
     on, b, size = v > 0.0, np.append(a_set.b, 1.0), float(np.linalg.norm(g))
     i, j, w = i[on], j[on], v[on] / np.linalg.norm(rows[on], axis=1)
@@ -293,8 +303,10 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
             normal = np.array(complement_basis(s)[0])
             cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples))
             return SeparationResult(Hyperplane(normal), normal, None, None, (), cert)
-        p = gauge_from_symmetrized(build_D(a_set, x))
-        state = _extend_steps(_span_functional(s, x), p, opts.gamma_rule, seed=opts.seed)
+        hull = _hull_rows(a_set.a, a_set.b) if isinstance(a_set, HPolyhedron) else None  # for the gauge and the certificate
+        base = conic_hull(a_set) if hull is None else HPolyhedron(hull[0], np.zeros(len(hull[0])))
+        p = gauge_from_symmetrized(SymmetrizedBody(base, x))
+        state = _extend_steps(*_span_frame(s, x), p, opts.gamma_rule, seed=opts.seed)
         g = state.functional.as_coefficients()
         if not isinstance(a_set, (HPolyhedron, OpenBall)):  # a sampled certificate does not decide domination
             _checked_domination(g, p, seed=opts.seed)
@@ -303,7 +315,7 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
             raise SolverError(f"extension failed to send the anchor to 1: |g.x - 1| = {miss:.3e}")
         hyper = kernel_hyperplane(g)
         normal = np.asarray(hyper.normal)  # g(x) = 1 puts the set on the positive side
-        cert = _extension_certificate(a_set, s, state, g, x) if isinstance(a_set, HPolyhedron) else None
+        cert = _extension_certificate(a_set, hull, s, state, g, x) if hull is not None else None
         cert = _checked(cert or _certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples, side=1.0))
     except (InputError, DegenerateError, SolverError) as exc:
         depth = _inscribed_ball(a_set, s.basis)[1] if s.dim and isinstance(a_set, HPolyhedron) else 0.0

@@ -183,14 +183,16 @@ def _solve(c, a_ub, b_ubs, mask):
     # the others, unless none is above PIVOT_TOL * max(1, the row's largest):
     # a nonsingular block at 0, so the other rows' artificials hold rhs >= 0
     start = n_enter + np.arange(n)
-    zero = (rhs == 0.0).nonzero()[0] if n_enter else []
-    block = enter[zero]
-    for row, r, tol in zip(block, zero, PIVOT_TOL * np.abs(block).max(axis=1, initial=1.0)):
-        j = int(np.abs(row).argmax())
-        if abs(row[j]) > tol:
-            start[r] = j
-            block -= (block[:, j] / row[j])[:, None] * row
-            block[:, j] = 0.0  # exactly, so that no later row picks j for a rounding residue
+    zero = (rhs == 0.0).nonzero()[0] if n_enter else ()
+    if len(zero):  # else the crash has nothing to do, and does no array work
+        block = enter[zero]
+        for k, (row, r, tol) in enumerate(zip(block, zero, PIVOT_TOL * np.abs(block).max(axis=1, initial=1.0))):
+            j = int(np.abs(row).argmax())
+            if abs(row[j]) > tol:
+                start[r] = j
+                if k + 1 < len(zero):  # the last row has no later row to eliminate j from
+                    block -= (block[:, j] / row[j])[:, None] * row
+                    block[:, j] = 0.0  # exactly, so that no later row picks j for a rounding residue
     cost1 = np.zeros(n_enter + n)
     cost1[n_enter:] = 1.0
     status, pi, iters, start_inv = _simplex(cols, cost1, rhs, start, n_enter, zero_tol, inv_scale)

@@ -202,6 +202,15 @@ def axis_box(rng: np.random.Generator, n: int, *, dense_s: bool = False) -> Box:
     return Box(c, h, np.eye(n), basis)
 
 
+def forced_step_boxes() -> list[Box]:
+    """Rotated boxes at n = 4 to 12, two each, then axis boxes at n = 20 and
+    40, from ``default_rng(70)``: every extension step after the first is
+    forced under "upper" and "lower" (``TestForcedSteps``)."""
+    rng = np.random.default_rng(70)
+    boxes = [rotated_box(rng, n) for n in (4, 6, 8, 10, 12) for _ in range(2)]
+    return boxes + [axis_box(rng, n) for n in (20, 40)]
+
+
 def conic_hull_rows(poly: HPolyhedron) -> np.ndarray:
     """Rows of the polyhedron's conic hull, one pair at a time: each row with
     a nonpositive offset, followed (for a negative offset) by its cross row

@@ -35,15 +35,14 @@ from gaugesep import (
 from helpers import (
     BisectionGauge,
     ExactSearchGauge,
-    axis_box,
     dominated_functional,
+    forced_step_boxes,
     point_in_cone,
     random_ball_instance,
     random_polyhedral_gauge,
     random_polytope_instance,
     random_subspace,
     record_lps,
-    rotated_box,
 )
 
 TAXICAB = PolyhedralGauge(
@@ -469,28 +468,26 @@ class TestForcedSteps:
     """Once the end a step picked is the only point psi of its LP's optimal
     face, every later interval is [psi . z, psi . z] and solves no LP.  On
     seeded boxes every step after the first is forced under "upper" and
-    "lower"; replayed from its pre-step state through the two end LPs, each
-    must give both ends within 1e-9 max(1, |gamma|) of gamma."""
+    "lower"; replayed from its pre-step arrays through the two end LPs (no
+    step before it, so ``_ends`` solves them), each must give both ends
+    within 1e-9 max(1, |gamma|) of gamma."""
 
-    @staticmethod
-    def boxes():
-        rng = np.random.default_rng(70)
-        boxes = [rotated_box(rng, n) for n in (4, 6, 8, 10, 12) for _ in range(2)]
-        return boxes + [axis_box(rng, n) for n in (20, 40)]
+    boxes = staticmethod(forced_step_boxes)
 
     @staticmethod
     def steps(monkeypatch, box, rule: str) -> list:
-        """(pre-step state, direction, interval) of each extension step of ``separate``."""
+        """(gauge, pre-step basis and values, direction, interval) of each
+        extension step of ``separate`` (``extension._step``)."""
         seen = []
 
-        def recording(state, z, **kwargs):
-            interval = interval_of(state, z, **kwargs)
-            seen.append((state, z, interval))
-            return interval
+        def recording(p, basis, values, history, z, *args):
+            out = step_of(p, basis, values, history, z, *args)
+            seen.append((p, basis, values, z, out[2].interval))
+            return out
 
-        interval_of = extension.extension_interval
+        step_of = extension._step
         with monkeypatch.context() as patch:
-            patch.setattr(extension, "extension_interval", recording)
+            patch.setattr(extension, "_step", recording)
             assert separate(box.polyhedron(), box.subspace(), SeparationOptions(gamma_rule=rule)).certificate.valid
         return seen
 
@@ -498,11 +495,11 @@ class TestForcedSteps:
     def test_forced_steps_match_their_lps(self, monkeypatch, rule):
         forced = 0
         for box in self.boxes():
-            (_, _, first), *later = self.steps(monkeypatch, box, rule)
+            (*_, first), *later = self.steps(monkeypatch, box, rule)
             assert len(first._ends) == 2
-            for state, z, interval in later:
+            for p, basis, values, z, interval in later:
                 assert len(interval._ends) == 1 and interval.lo == interval.hi
-                hi, lo, _ = state.seminorm._lp_ends(state, z)
+                hi, lo, _ = p._ends(basis, values, None, z, 0)
                 tol = 1e-9 * max(1.0, abs(interval.hi))
                 assert abs(hi - interval.hi) <= tol and abs(lo - interval.hi) <= tol
                 forced += 1
@@ -510,7 +507,7 @@ class TestForcedSteps:
 
     def test_midpoint_never_forces(self, monkeypatch):
         for box in self.boxes():
-            for _, _, interval in self.steps(monkeypatch, box, "midpoint"):
+            for *_, interval in self.steps(monkeypatch, box, "midpoint"):
                 assert len(interval._ends) == 2 and interval.width > 0.0
 
     def test_an_edge_face_is_not_forced(self, monkeypatch):

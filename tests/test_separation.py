@@ -55,6 +55,7 @@ from helpers import (
     bundled,
     dominated_functional,
     farkas_referee,
+    forced_step_boxes,
     many_facet_polytope,
     point_in_cone,
     random_ball_instance,
@@ -284,27 +285,48 @@ class TestMetamorphic:
             assert scaled.certificate.valid
             np.testing.assert_allclose(scaled.hyperplane.normal, normal, atol=1e-6)
 
-    def test_scale_hunt_from_1e_minus_8_to_1e8(self):
-        # every hunt draw with 1e-8 <= k <= 1e8 returns a plane that HiGHS
-        # finds the closure of A / k on one side of (cone(kA) = cone(A), and
-        # A / k has data of unit scale); below 5e-9 some draws still raise
+    @staticmethod
+    def assert_highs_confirms(poly, s, rule, k):
+        """``separate`` returns a valid plane that HiGHS finds the closure of
+        A / k on one side of (cone(kA) = cone(A), and A / k has data of unit
+        scale)."""
         linprog = pytest.importorskip("scipy.optimize").linprog
+        result = separate(poly, s, SeparationOptions(gamma_rule=rule))
+        assert result.certificate.valid
+        normal = np.asarray(result.hyperplane.normal)
+        assert np.all(np.abs(s.basis @ normal) <= 1e-9)
+        low, high = (
+            linprog(sign * normal, A_ub=poly.a, b_ub=poly.b / k, bounds=(None, None), method="highs") for sign in (1.0, -1.0)
+        )
+        assert low.status == high.status == 0
+        # min g.x >= 0 or max g.x <= 0 over the closure, up to 1e-9 of its extent
+        assert max(low.fun, high.fun) >= -1e-9 * (abs(low.fun) + abs(high.fun))
+
+    def test_scale_hunt_from_1e_minus_8_to_1e8(self):
+        # every hunt draw with 1e-8 <= k <= 1e8 returns a plane HiGHS confirms;
+        # below 5e-9 some draws still raise
         checked = 0
         for poly, s, rule, k in scale_hunt():
             if not 1e-8 <= k <= 1e8:
                 continue
-            result = separate(poly, s, SeparationOptions(gamma_rule=rule))
-            assert result.certificate.valid
-            normal = np.asarray(result.hyperplane.normal)
-            assert np.all(np.abs(s.basis @ normal) <= 1e-9)
-            low, high = (
-                linprog(sign * normal, A_ub=poly.a, b_ub=poly.b / k, bounds=(None, None), method="highs") for sign in (1.0, -1.0)
-            )
-            assert low.status == high.status == 0
-            # min g.x >= 0 or max g.x <= 0 over the closure, up to 1e-9 of its extent
-            assert max(low.fun, high.fun) >= -1e-9 * (abs(low.fun) + abs(high.fun))
+            self.assert_highs_confirms(poly, s, rule, k)
             checked += 1
         assert checked == 357
+
+    def test_scale_hunt_outside_the_gate(self):
+        # outside 1e-8 ... 1e8 the hunt raises on six draws (42, 96, 282, 289,
+        # 340 and 366; ROADMAP item 23), and every other draw returns a plane
+        # HiGHS confirms.  Seven of these, all at k < 5e-9 (136, 142, 153,
+        # 155, 330, 343 and 390), raised while two tests of "x lies in S",
+        # the functional's and the frame's, could disagree
+        raising = {42, 96, 282, 289, 340, 366}
+        checked = 0
+        for index, (poly, s, rule, k) in enumerate(scale_hunt()):
+            if 1e-8 <= k <= 1e8 or index in raising:
+                continue
+            self.assert_highs_confirms(poly, s, rule, k)
+            checked += 1
+        assert checked == 400 - 357 - len(raising)
 
     def test_seeded_families_rotated(self):
         """``separate(QA, QS)`` is valid for a random orthogonal Q.
@@ -326,6 +348,49 @@ class TestMetamorphic:
             assert result.certificate.valid
 
 
+class TestOneFrame:
+    """``separate()`` runs its extension steps on arrays over one frame; a
+    replay through the public ``span_basis``, ``complement_basis`` and
+    ``extend_one``, from the same anchor and gauge, gives the same bits: g,
+    the normal and every step's lo, hi and gamma.  Bits, not a tolerance:
+    on hunt draw 249 (k = 2.8e7, "upper") the second step's hi is -9.10e-9,
+    and the value -8.07e-9 there gives a plane that cuts the set (margin
+    -1.77e3)."""
+
+    @staticmethod
+    def assert_replayed(a_set, s, rule, x=None):
+        result = separate(a_set, s, SeparationOptions(x=x, gamma_rule=rule))
+        x = result.anchor_x
+        span = span_basis([*s.basis, x], s.ambient_dim)
+        x_perp = x - s.project(x)
+        nx = float(np.linalg.norm(x_perp))
+        values = [float((u - s.project(u)) @ x_perp) / (nx * nx) for u in span.basis]
+        state = ExtensionState(PartialFunctional(span, np.array(values)), result.gauge_used)
+        for z in complement_basis(span):
+            state = extend_one(state, z, rule)
+        g = state.functional.as_coefficients()
+        assert np.array_equal(g, result.g)
+        assert np.array_equal(kernel_hyperplane(g).normal, result.hyperplane.normal)
+        replayed = [(step.interval.lo, step.interval.hi, step.gamma) for step in state.history]
+        assert replayed == [(step.interval.lo, step.interval.hi, step.gamma) for step in result.steps]
+
+    @pytest.mark.parametrize("rule", ["upper", "lower", "midpoint"])
+    def test_forced_step_boxes_and_bundled_polyhedra(self, rule):
+        for box in forced_step_boxes():
+            self.assert_replayed(box.polyhedron(), box.subspace(), rule)
+        for name in ("example2", "example3_quotient"):
+            a_set, s, x = bundled(name)
+            self.assert_replayed(a_set, s, rule, x)
+
+    def test_scale_hunt_from_1e_minus_8_to_1e8(self):
+        checked = 0
+        for poly, s, rule, k in scale_hunt():
+            if 1e-8 <= k <= 1e8:
+                self.assert_replayed(poly, s, rule)
+                checked += 1
+        assert checked == 357
+
+
 class TestScaledRows:
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300, 1e308])
     def test_triangle_with_a_scaled_row(self, scale):
@@ -342,6 +407,21 @@ class TestScaledRows:
 
 
 class TestScaledDisk:
+    @pytest.mark.parametrize("scale", [1e-9, 1e-10, 1e-12, 1e-14])
+    def test_tiny_disks_give_their_unit_normal(self, scale):
+        # the frame tests "x lies in S" relative to |x|, so a tiny anchor off
+        # S = {0} stays in the domain, and a disk and anchor scaled by 1e-9 or
+        # less give the normal of scale 1 (with absolute floors, the test of
+        # |x_perp| raised DegenerateError, or the frame dropped x)
+        for center, radius, x, normal in (
+            ((2.0, 0.0), 1.0, (1.5, 0.0), (0.5, np.sqrt(0.75))),
+            ((2.0, 0.0), np.sqrt(2.0), (1.0, 0.0), (np.sqrt(0.5), np.sqrt(0.5))),
+        ):
+            disk = OpenBall(scale * np.array(center), scale * radius)
+            result = separate(disk, zero_subspace(2), SeparationOptions(x=scale * np.array(x)))
+            assert result.certificate.valid
+            np.testing.assert_allclose(result.hyperplane.normal, normal, rtol=0.0, atol=1e-15)
+
     def check(self, scale, rule):
         # gauges of size 1/scale: the domination gate must scale with |g|, and
         # the tangent kernel must read as disjoint at every scale
@@ -499,9 +579,9 @@ class TestUnboundedFamilies:
 
 class TestPipelineFailures:
     """The raises of ``separate()`` and ``extend_via_separation`` after the
-    precondition holds, each with its whole message.  Draws 96 and 390 of
-    the scale hunt (``helpers.scale_hunt_draw``) fail with b scaled by
-    4.34e-9 and 2.30e-9; once such scales return planes, their two tests go."""
+    precondition holds, each with its whole message.  Draw 96 of the scale
+    hunt (``helpers.scale_hunt_draw``) fails with b scaled by 4.34e-9; once
+    such scales return planes, its test goes."""
 
     NUMBER = r"-?\d+(\.\d+)?(e[+-]\d+)?"
 
@@ -515,11 +595,22 @@ class TestPipelineFailures:
             str(info.value),
         )
 
-    def test_anchor_check_prints_the_miss(self):
-        poly, s, rule = scale_hunt_draw(390)  # n = 2, S = {0}
+    def test_anchor_check_prints_the_miss(self, monkeypatch):
+        # no input is known to reach the check since the frame decides "x lies
+        # in S" (hunt draw 390 did before; 800 seeded polytopes with b scaled
+        # by 1e-12 ... 1e-8 and 1e8 ... 1e13 do not), so the extension is
+        # tampered with: g times 1.5 sends the anchor to 1.5
+        extend = separation._extend_steps
+
+        def tampered(*args, **kwargs):
+            state = extend(*args, **kwargs)
+            return replace(state, functional=PartialFunctional(state.domain, 1.5 * state.functional.values))
+
+        monkeypatch.setattr(separation, "_extend_steps", tampered)
+        disk, opts = OpenBall(np.array([2.0, 0.0]), 1.0), SeparationOptions(x=np.array([1.5, 0.0]))
         with pytest.raises(SolverError) as info:
-            separate(poly, s, SeparationOptions(gamma_rule=rule))
-        assert re.fullmatch(r"extension failed to send the anchor to 1: \|g\.x - 1\| = \d\.\d{3}e[+-]\d\d", str(info.value))
+            separate(disk, zero_subspace(2), opts)
+        assert str(info.value) == "extension failed to send the anchor to 1: |g.x - 1| = 5.000e-01"
 
     def test_ball_anchor_whose_square_underflows(self):
         # no ZeroDivisionError: the cone test rescales x, and the gauge names the underflow
