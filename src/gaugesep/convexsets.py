@@ -328,8 +328,7 @@ def conic_hull(a_set: ConvexSet) -> ConvexSet:
     Requires a nonempty base set.
     """
     if isinstance(a_set, HPolyhedron):
-        rows = _hull_rows(a_set.a, a_set.b)[0]
-        return HPolyhedron(rows, np.zeros(len(rows)))
+        return _hull_cone(_hull_rows(a_set.a, a_set.b)[0])
     if isinstance(a_set, OpenBall):
         return BallCone(a_set.center, a_set.radius)
     if isinstance(a_set, (BallCone, ConicHullSet)):
@@ -347,6 +346,11 @@ def _hull_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     rows = np.concatenate([a_neg[:, None], b_pos[:, None] * a_neg[:, None] - b_neg[:, None, None] * a[pos]], axis=1)
     k, l = ((np.arange(1 + pos.size) <= pos.size * (b_neg[:, None] < 0.0)) & rows.any(axis=2)).nonzero()
     return rows[k, l], neg[k], np.concatenate(([b.size], pos))[l]
+
+
+def _hull_cone(rows: np.ndarray) -> HPolyhedron:
+    """The cone ``{h e < 0}`` on the hull rows h of ``_hull_rows``."""
+    return HPolyhedron(rows, np.zeros(len(rows)))
 
 
 def build_D(a_set: ConvexSet, x) -> SymmetrizedBody:

@@ -158,17 +158,16 @@ def _check_domain(f: PartialFunctional, p: Seminorm) -> None:
             raise InputError("functional is not dominated by the seminorm on its domain basis")
 
 
-def _extend_steps(basis: np.ndarray, values: np.ndarray, completion, p: Seminorm, rule: str, *, seed: int) -> ExtensionState:
-    """The functional of ``values`` on the orthonormal ``basis`` rows extended
-    over the ``completion`` in order, each step appending its row and value,
-    unchecked (``violation`` None; no step evaluates the gauge, so the caller
-    decides domination); the zero functional extends to zero directly, with
-    ``violation`` -1 (``p*(0) - 1``)."""
-    n = basis.shape[1]
-    if not np.any(values):
+def _extend_steps(f: PartialFunctional, p: Seminorm, rule: str, *, seed: int) -> ExtensionState:
+    """``f`` extended over the deterministic completion order, each step
+    appending its row and value to arrays, unchecked (``violation`` None; no
+    step evaluates the gauge, so the caller decides domination); the zero
+    functional extends to zero directly, with ``violation`` -1 (``p*(0) - 1``)."""
+    n = f.domain.ambient_dim
+    if f.is_zero():
         return ExtensionState(PartialFunctional(Subspace(n, np.eye(n)), np.zeros(n)), p, violation=-1.0)
-    history = ()
-    for z in completion:
+    basis, values, history = f.domain.basis, f.values, ()
+    for z in complement_basis(f.domain):
         row, value, step = _step(p, basis, values, history, z, rule, None, seed)
         basis, values, history = np.vstack([basis, row]), np.append(values, value), history + (step,)
     return ExtensionState(PartialFunctional(Subspace(n, basis), values), p, history)
@@ -191,7 +190,7 @@ def extend_full_state(
     _check_rule(rule)
     _check_seed(seed)
     _check_domain(f, p)
-    state = _extend_steps(f.domain.basis, f.values, complement_basis(f.domain), p, rule, seed=seed)
+    state = _extend_steps(f, p, rule, seed=seed)
     if state.violation is None:
         violation = _checked_domination(state.functional.as_coefficients(), p, seed=seed)
         state = ExtensionState(state.functional, p, state.history, violation)

@@ -24,6 +24,7 @@ from .convexsets import (
     OpenBall,
     OracleSet,
     SymmetrizedBody,
+    _hull_cone,
     _hull_rows,
     _inscribed_ball,
     conic_hull,
@@ -174,28 +175,25 @@ def _check_disjoint(a_set: ConvexSet, s: Subspace, seed: int) -> None:
                 raise InputError("precondition: sampling found a subspace point inside the set")
 
 
-def _span_frame(s: Subspace, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """(rows, values, completion): the values t = (u - P u) . x_perp / |x_perp|^2
-    (x_perp = x - P x) on orthonormal rows u of span(S + {x}) of the
-    functional z + t*x -> t, and the rows' completion: one ``_gram_schmidt``
-    frame over S's rows, x, then e_1 ... e_n.  x enters scaled by a power of
-    two to a norm in [1, 2), which moves no bit of its row, so the frame
-    drops x (DegenerateError) just when its residual is at most 1e-8 |x|."""
-    rows = _gram_schmidt([], [*s.basis, np.ldexp(x, 1 - np.frexp(np.linalg.norm(x))[1])])
+def _span_functional(s: Subspace, x: np.ndarray) -> PartialFunctional:
+    """The functional on span(S + {x}) sending z + t*x to t: on each row u of
+    one ``_gram_schmidt`` frame over S's rows and x, t = (u - P u) . x_perp /
+    |x_perp|^2 with x_perp = x - P x.  x enters scaled by the power of two
+    2^e that puts its largest entry in [1, 2), which moves no bit of its row
+    or of t (taken back by 2^e), keeps every norm clear of underflow, and
+    makes |x| >= 1, so the frame drops x (DegenerateError) just when its
+    residual is at most 1e-8 |x|."""
+    e = 1 - int(np.frexp(np.abs(x).max())[1])
+    x = np.ldexp(x, e)
+    rows = _gram_schmidt([], [*s.basis, x])
     if len(rows) == s.dim:
         raise DegenerateError("the anchor lies in the subspace; z + t*x does not determine t")
     x_perp = x - s.project(x)
     nx = float(np.linalg.norm(x_perp))
     # nx * nx, not x_perp . x_perp: they differ in the last bit, and the
     # round trip of example3_quotient passes only with the former
-    values = [float((u - s.project(u)) @ x_perp) / (nx * nx) for u in rows]
-    return np.array(rows), np.array(values), _gram_schmidt(rows, np.eye(s.ambient_dim))[len(rows):]
-
-
-def _span_functional(s: Subspace, x: np.ndarray) -> PartialFunctional:
-    """The functional of ``_span_frame`` on span(S + {x})."""
-    rows, values, _ = _span_frame(s, x)
-    return PartialFunctional(Subspace(s.ambient_dim, rows), values)
+    values = np.ldexp([float((u - s.project(u)) @ x_perp) / (nx * nx) for u in rows], e)
+    return PartialFunctional(Subspace(s.ambient_dim, np.array(rows)), values)
 
 
 def _certificate(
@@ -304,9 +302,8 @@ def separate(a_set: ConvexSet, s: Subspace, opts: SeparationOptions | None = Non
             cert = _checked(_certificate(a_set, s, normal, seed=opts.seed, samples=opts.certificate_samples))
             return SeparationResult(Hyperplane(normal), normal, None, None, (), cert)
         hull = _hull_rows(a_set.a, a_set.b) if isinstance(a_set, HPolyhedron) else None  # for the gauge and the certificate
-        base = conic_hull(a_set) if hull is None else HPolyhedron(hull[0], np.zeros(len(hull[0])))
-        p = gauge_from_symmetrized(SymmetrizedBody(base, x))
-        state = _extend_steps(*_span_frame(s, x), p, opts.gamma_rule, seed=opts.seed)
+        p = gauge_from_symmetrized(SymmetrizedBody(conic_hull(a_set) if hull is None else _hull_cone(hull[0]), x))
+        state = _extend_steps(_span_functional(s, x), p, opts.gamma_rule, seed=opts.seed)
         g = state.functional.as_coefficients()
         if not isinstance(a_set, (HPolyhedron, OpenBall)):  # a sampled certificate does not decide domination
             _checked_domination(g, p, seed=opts.seed)

@@ -178,11 +178,13 @@ class TestSpanFunctional:
         with pytest.raises(DegenerateError):
             _span_functional(s, np.array([0.0, 0.0, 2.0]))
 
-    @pytest.mark.parametrize("scale", [1e-14, 1e-9, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-14, 1e-9, 1e-6, 1.0, 1e6, 1e12])
     def test_anchor_in_subspace_is_relative_to_its_norm(self, scale):
         # x = scale (delta, 0, 1) against S = span{e3}: its frame residual is
         # about delta |x|, and the frame drops x (DegenerateError) just below
-        # 1e-8 |x|, at every scale; an absolute floor raised at 2e-8 below 1
+        # 1e-8 |x|; an absolute floor raised at 2e-8 below 1, and a scale
+        # taken from |x| itself, whose square underflows below about 1e-154,
+        # raised at 2e-8 there
         s = span_basis([np.array([0.0, 0.0, 1.0])])
         with pytest.raises(DegenerateError, match="the anchor lies in the subspace"):
             _span_functional(s, scale * np.array([5e-9, 0.0, 1.0]))

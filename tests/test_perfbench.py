@@ -1,19 +1,22 @@
 """The traced benchmark still runs against the package: smoke passes of
 each workload with the tracer installed, in a copy of the checkout so that
 their run records stay out of the source tree, and one untraced poly-sep
-pass in process.  LP, pivot, call and membership counts do not jitter, so
+pass in process, with poly-sep and ball-sep passes whose extension steps and
+hull rows, which run on private seams that the tracer does not wrap, are
+counted by spies.  LP, pivot, call and membership counts do not jitter, so
 they are pinned."""
 
 import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import gaugesep
-from gaugesep import convexsets, gauges, separation, simplexlp
+from gaugesep import convexsets, extension, gauges, separation, simplexlp
 
 from helpers import record_lps
 
@@ -70,6 +73,9 @@ def test_traced_ball_sep_smoke(tmp_path):
     # and, under the exact certificate, no domination check
     metrics = traced_smoke_run(tmp_path, "ball-sep")
     assert metrics["simplexlp.solve_lp.calls"]["value"] == 0
+    # separate() takes its steps through the private extension._step, which
+    # the tracer does not wrap, so this count is 0 whatever the steps do:
+    # test_ball_sep_pass_searches_no_interval below is the live check
     assert metrics["extension.extension_interval.calls.search"]["value"] == 0
     assert metrics["extension.domination_check.calls"]["value"] == 0
     assert metrics["gauges.gauge.calls.polyhedral"]["value"] == 0
@@ -95,3 +101,50 @@ def test_poly_sep_pass_solves_no_support_lp(monkeypatch, tmp_path):
     assert (len(lps), sum(res.iterations for _, res in lps)) == (468, 3231)
     # a phase 1 (the call with no starting inverse) per anchor and per interval
     assert sum(phase1) == 156 + 156
+
+
+def spy_steps_and_hull_rows(monkeypatch) -> tuple[Counter, list]:
+    """The gauge type of every extension step (``extension._step``) and the
+    row count of every polyhedron's hull rows (``_hull_rows``, as
+    ``convexsets`` and ``separation`` bind it), as a pass runs them."""
+    steps, rows = Counter(), []
+    step, hull_rows = extension._step, convexsets._hull_rows
+    monkeypatch.setattr(extension, "_step", lambda p, *args: steps.update([type(p).__name__]) or step(p, *args))
+
+    def counted(a, b):
+        out = hull_rows(a, b)
+        rows.append(len(out[0]))
+        return out
+
+    for module in (convexsets, separation):
+        monkeypatch.setattr(module, "_hull_rows", counted)
+    return steps, rows
+
+
+def run_pass(monkeypatch, tmp_path, workload: str) -> None:
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    for op in workloads.WORKLOADS[workload](gaugesep, np.random.default_rng(0), tmp_path):
+        assert all(op.check(op.call()))
+
+
+def test_poly_sep_pass_builds_each_hull_once(monkeypatch, tmp_path):
+    # a seed-0 poly-sep pass builds each box's 6,308 hull rows once, for its
+    # gauge and its certificate together, and takes 522 polyhedral steps
+    steps, rows = spy_steps_and_hull_rows(monkeypatch)
+    run_pass(monkeypatch, tmp_path, "poly-sep")
+    assert steps == Counter({"PolyhedralGauge": 522})
+    assert (len(rows), sum(rows)) == (156, 6308)
+
+
+def test_ball_sep_pass_searches_no_interval(monkeypatch, tmp_path):
+    # a seed-0 ball-sep pass: its 14 steps take the ball cone's closed-form
+    # slice, no oracle gauge searches an interval, and no LP runs
+    steps, rows = spy_steps_and_hull_rows(monkeypatch)
+    searches, search = [], gauges.OracleGauge._search
+    monkeypatch.setattr(gauges.OracleGauge, "_search", lambda *args: searches.append(args) or search(*args))
+    lps = record_lps(monkeypatch, convexsets, gauges, separation)
+    run_pass(monkeypatch, tmp_path, "ball-sep")
+    assert steps == Counter({"BallConeGauge": 14})
+    assert (searches, lps, rows) == ([], [], [])
