@@ -37,7 +37,7 @@ from .errors import (
 from .extension import GAMMA_RULES, extend_full_state
 from .fixtures import oracle_by_name
 from .gauges import ExplicitMaxAbs, PolyhedralGauge, gauge, gauge_from_symmetrized
-from .geometry import Hyperplane, Subspace, span_basis, zero_subspace
+from .geometry import Subspace, kernel_hyperplane, span_basis, zero_subspace
 from .separation import (
     SeparationOptions,
     brute_force_2d_normals,
@@ -354,14 +354,13 @@ def _cmd_roundtrip(problem: Problem, opts: SeparationOptions, args) -> dict:
 def _cmd_verify(problem: Problem, opts: SeparationOptions, args) -> dict:
     if args.normal is not None:
         normal = _flag_vector(args, "normal", problem.dimension)
-        norm = float(np.linalg.norm(normal))
-        if norm <= 1e-12:
+        if not normal.any():
             raise InputError("--normal must be nonzero")
-        normal = normal / norm
+        plane = kernel_hyperplane(normal)
     else:
-        normal = np.asarray(separate(problem.a_set, problem.s, opts).hyperplane.normal)
-    cert = verify_separation(problem.a_set, problem.s, Hyperplane(normal), seed=opts.seed)
-    return {"normal": _vector(normal), "certificate": _certificate_doc(cert)}
+        plane = separate(problem.a_set, problem.s, opts).hyperplane
+    cert = verify_separation(problem.a_set, problem.s, plane, seed=opts.seed)
+    return {"normal": _vector(plane.normal), "certificate": _certificate_doc(cert)}
 
 
 def _cmd_render(problem: Problem, opts: SeparationOptions, args) -> dict:

@@ -165,6 +165,24 @@ def _plane(a: np.ndarray, e: np.ndarray) -> tuple[float, float, np.ndarray]:
     return t, kappa, (u / kappa if kappa > 0.0 else u)
 
 
+class _Probe:
+    """One probe of ``ConicHullSet._tangent``: the ray ``a + r d``, ``d = c a + s v``
+    at the angle phi.  Its radius is bracketed (capped at ``_SECTION_CAP |a|``) by a
+    tested member r_in and non-member r_out, whose polar angles th_in and th_out bound
+    its own; ``width`` is r_out / r_in - 1, 0 once settled.  It opens at the 1/r that
+    the quadratic in phi through the three nearest retired probes predicts (1/r is 0
+    past the cap; none when capped and uncapped ones mix), with ``step`` = 1 +
+    max(h^2/4, the quadratic term's share of 1/r), h the phi bracket's width, or else
+    at the last member's radius with step (1 + h)^4.  An open bracket moves its end by
+    step, which then takes its 4th power, but at least ``grow`` = 1 + h."""
+
+    __slots__ = ("phi", "c", "s", "d", "grow", "step", "r_in", "r_out", "th_in", "th_out", "width")
+    def __init__(self, phi: float, h: float, a: np.ndarray, v: np.ndarray):
+        self.phi, self.c, self.s, self.grow, self.step = phi, math.cos(phi), math.sin(phi), 1.0 + h, (1.0 + h) ** 4
+        self.d, self.r_in, self.th_in, self.r_out, self.width = self.c * a + self.s * v, 0.0, 0.0, 2.0 * _SECTION_CAP, np.inf
+        self.th_out = math.atan2(self.r_out * self.s, 1.0 + self.r_out * self.c)
+
+
 @dataclass(frozen=True, eq=False)
 class ConicHullSet(ConvexSet):
     """Positive conic hull of a base set with an interior point w.
@@ -196,42 +214,28 @@ class ConicHullSet(ConvexSet):
         target = math.atan2(kappa, t)
         return self._tangent(self._witness, v, stop=target)[0] >= target
 
-    def _tangent(self, a: np.ndarray, v: np.ndarray, stop: float = np.inf) -> list[float]:
-        """``[angle, s, t]``: the largest polar angle of a member ``s a + t v``
+    def _tangent(self, a: np.ndarray, v: np.ndarray, stop: float = np.inf) -> tuple[float, float, float]:
+        """``(angle, s, t)``: the largest polar angle of a member ``s a + t v``
         of the section through a, and that member; ends once one reaches ``stop``.
-
         The polar angle along K's boundary is unimodal in the angle phi about
-        (1, 0) on (0, pi), so a golden section over phi finds the tangent
-        (Kiefer 1953).  A probe at phi bisects the radius from a (capped at
-        ``_SECTION_CAP |a|``) between a tested member and non-member, which
-        bound its polar angle: two probes are narrowed only until they compare.
-        A probe opens at the 1/r that the quadratic in phi through the three
-        nearest retired probes predicts (1/r is 0 past the cap; no prediction
-        when capped and uncapped ones mix), and tests across it by the factor
-        1 + max(h^2/4, the quadratic term's share of 1/r), h the phi bracket's
-        width; after a miss an open bracket widens by 1 + h, and the first
-        probes start at the last member's radius and widen by (1 + h)^4; each
-        further widening takes the factor's 4th power.
-        """
-        best, last, retired = [0.0, 1.0, 0.0], [1.0], []  # a itself; sorted (phi, 1/r) of retired probes
+        (1, 0) on (0, pi), so a golden section over phi finds the tangent (Kiefer
+        1953); its two ``_Probe``s are narrowed only until they compare."""
+        best, last, retired = (0.0, 1.0, 0.0), 1.0, []  # a itself; sorted (phi, 1/r) of retired probes
 
         def test(probe, r):  # one membership call; r becomes r_in or r_out
-            c, s = probe[0], probe[1]
-            theta = math.atan2(r * s, 1.0 + r * c)
-            if self.base._member(a + r * probe[2]):
-                probe[3], probe[5], last[0] = r, theta, r
+            nonlocal best, last
+            theta = math.atan2(r * probe.s, 1.0 + r * probe.c)
+            if self.base._member(a + r * probe.d):
+                probe.r_in, probe.th_in, last = r, theta, r
                 if theta > best[0]:
-                    best[:] = theta, 1.0 + r * c, r * s
+                    best = theta, 1.0 + r * probe.c, r * probe.s
             else:
-                probe[4], probe[6] = r, theta
-            r_in, r_out = probe[3], probe[4]  # the bracket's relative width, 0 once settled
-            probe[10] = 0.0 if r_in >= _SECTION_CAP or r_out <= _RADIAL_TOL else r_out / r_in - 1.0 if r_in else np.inf
+                probe.r_out, probe.th_out = r, theta
+            r_in, r_out = probe.r_in, probe.r_out
+            probe.width = 0.0 if r_in >= _SECTION_CAP or r_out <= _RADIAL_TOL else r_out / r_in - 1.0 if r_in else np.inf
 
-        def probe_at(phi, h):  # [cos, sin, direction, r_in, r_out, their angles, step, phi, 1 + h, width]
-            c, s = math.cos(phi), math.sin(phi)
-            r, r_out = last[0], 2.0 * _SECTION_CAP
-            probe = [c, s, c * a + s * v, 0.0, r_out, 0.0, math.atan2(r_out * s, 1.0 + r_out * c)]
-            probe += [(1.0 + h) ** 4, phi, 1.0 + h, np.inf]
+        def probe_at(phi, h):
+            probe, r = _Probe(phi, h, a, v), last
             if len(retired) >= 3:
                 i = bisect.bisect(retired, (phi,))
                 (x0, y0), (x1, y1), (x2, y2) = sorted(retired[max(i - 3, 0) : i + 3], key=lambda q: abs(q[0] - phi))[:3]
@@ -239,38 +243,35 @@ class ConicHullSet(ConvexSet):
                 bend = (phi - x0) * (phi - x1) * (d12 - d01) / (x2 - x0)  # the quadratic term
                 rho, w = y0 + (phi - x0) * d01 + bend, 0.25 * h * h
                 if (y0, y1, y2).count(0.0) in (0, 3):  # no trend across the cap
-                    r, probe[7] = _SECTION_CAP, 1.0 + w
+                    r, probe.step = _SECTION_CAP, 1.0 + w
                     if rho * _SECTION_CAP > 1.0:
-                        r, probe[7] = 1.0 / rho, 1.0 + max(w, abs(bend) / rho)
+                        r, probe.step = 1.0 / rho, 1.0 + max(w, abs(bend) / rho)
             test(probe, r)
             return probe
 
         lo, hi = 0.0, math.pi
         p1, p2 = probe_at((1.0 - _GOLDEN) * hi, 0.25), probe_at(_GOLDEN * hi, 0.25)
         while hi - lo > _ANGLE_TOL and best[0] < stop:
-            if p1[5] < p2[6] and p2[5] <= p1[6]:
-                wide = p2 if p2[10] > p1[10] else p1
-                if wide[10] > _RADIAL_TOL:  # the probes do not compare yet
-                    r_in, r_out, step = wide[3], wide[4], wide[7]
-                    if r_out > _SECTION_CAP:  # nothing outside yet
-                        r = min(r_in * step, _SECTION_CAP)
+            if p1.th_in < p2.th_out and p2.th_in <= p1.th_out:
+                wide = p2 if p2.width > p1.width else p1
+                if wide.width > _RADIAL_TOL:  # the probes do not compare yet
+                    if wide.r_in == 0.0 or wide.r_out > _SECTION_CAP:  # an open bracket widens geometrically
+                        r = wide.r_out / wide.step if wide.r_in == 0.0 else min(wide.r_in * wide.step, _SECTION_CAP)
+                        wide.step = max(wide.step**4, wide.grow)
                     else:
-                        r = r_out / step if r_in == 0.0 else math.sqrt(r_in * r_out)
-                    if r_in == 0.0 or r_out > _SECTION_CAP:
-                        wide[7] = max(step**4, wide[9])  # an open bracket widens geometrically
+                        r = math.sqrt(wide.r_in * wide.r_out)
                     test(wide, r)
                     continue
                 if hi - lo < _FLAT:
                     break  # a tie at radial precision: the top is flat
-            out = p2 if p1[5] >= p2[5] else p1
-            r_in, r_out = out[3], out[4]
-            if r_in >= _SECTION_CAP or 0.0 < r_in and r_out <= _SECTION_CAP:
-                bisect.insort(retired, (out[8], 0.0 if r_in >= _SECTION_CAP else 1.0 / math.sqrt(r_in * r_out)))
+            out = p2 if p1.th_in >= p2.th_in else p1
+            if out.r_in >= _SECTION_CAP or 0.0 < out.r_in and out.r_out <= _SECTION_CAP:
+                bisect.insort(retired, (out.phi, 0.0 if out.r_in >= _SECTION_CAP else 1.0 / math.sqrt(out.r_in * out.r_out)))
             if out is p2:
-                hi, p2 = p2[8], p1
+                hi, p2 = p2.phi, p1
                 p1 = probe_at(hi - _GOLDEN * (hi - lo), hi - lo)
             else:
-                lo, p1 = p1[8], p2
+                lo, p1 = p1.phi, p2
                 p2 = probe_at(lo + _GOLDEN * (hi - lo), hi - lo)
         return best
 

@@ -187,7 +187,9 @@ class Hyperplane:
 def kernel_hyperplane(g) -> Hyperplane:
     """Hyperplane ``{e : g . e = 0}`` for a nonzero coefficient vector ``g``."""
     g = as_vector(g)
-    norm = float(np.linalg.norm(g))
-    if norm <= 1e-12:
+    top = max(map(abs, g.tolist()))
+    if top == 0.0:
         raise DegenerateError("the zero functional has no kernel hyperplane")
-    return Hyperplane(g / norm)
+    if not 1e-150 < top < 1e150:  # |g|^2 would under- or overflow: first scale g by a power of two (exact)
+        g = np.ldexp(g, -int(np.frexp(top)[1]))
+    return Hyperplane(g / float(np.linalg.norm(g)))

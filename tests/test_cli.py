@@ -336,6 +336,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "conic", "--input", "example1")
         assert code == 4 and "conic requires --point" in err
 
+    def test_tiny_normal_is_a_normal(self, capsys):
+        # only the all-zero vector has no kernel; 1e-13 is not zero
+        code, out, _ = run_cli(capsys, "verify", "--input", "example1", "--normal=1e-13,1e-13")
+        assert code == 0
+        np.testing.assert_allclose(json.loads(out)["normal"], [np.sqrt(0.5)] * 2, rtol=0.0, atol=1e-16)
+
     def test_missing_input_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "separate")
         assert code == 4

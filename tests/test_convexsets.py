@@ -289,6 +289,15 @@ class TestTangentSearch:
             out.append((hull._tangent(w, sign * np.array([-w[1], w[0]]))[0], len(made)))
         return out
 
+    @staticmethod
+    def counted_hull(name: str):
+        """The hull of a registry oracle, and the list its predicate calls
+        append to, emptied of the hull's own construction calls."""
+        oracle, made = oracle_by_name(name), []
+        hull = convexsets.ConicHullSet(OracleSet(oracle.dim, lambda e: made.append(1) or oracle.contains(e), witness=oracle.witness))
+        made.clear()
+        return hull, made
+
     def check(self, contains, witness, upper, lower):
         """``upper`` and ``lower`` are the polar angles of the true tangents."""
         turn = np.arctan2(witness[1], witness[0])
@@ -340,6 +349,34 @@ class TestTangentSearch:
         # opened at the boundary predicted from the retired probes
         oracle = oracle_by_name(name)
         assert [made for _, made in self.tangents(oracle.contains, oracle.witness)] == [calls, calls]
+
+    @pytest.mark.parametrize(
+        "contains,witness,calls",
+        [
+            (lambda e: e[0] > 0.0, (1.0, -3.0), [1665, 1077]),
+            (lambda e: e[0] + 2.0 * e[1] > 1.0, (1.0, 1.0), [603, 654]),
+        ],
+        ids=["flat-top", "section-cap"],
+    )
+    def test_calls_per_tangent_off_smooth_sections(self, contains, witness, calls):
+        # deterministic: {e1 > 0} ends each search in the _FLAT tie, and the
+        # capped half-plane x + 2y > 1 opens its probes at _SECTION_CAP
+        assert [made for _, made in self.tangents(contains, witness)] == calls
+
+    def test_calls_per_tangent_in_a_3d_section(self):
+        # the halfspace-x section through its witness in the plane e3 = 0 is
+        # the 2-D flat-top lower search
+        hull, made = self.counted_hull("halfspace-x")
+        hull._tangent(hull._witness, np.array([-3.0, -1.0, 0.0]))
+        assert len(made) == 1077
+
+    @pytest.mark.parametrize("point,member,calls", [((1.0, 0.9), True, 16), ((1.0, 0.5), True, 6), ((1.0, 1.2), False, 232)])
+    def test_member_calls_end_at_the_stop(self, point, member, calls):
+        # a member's search ends once a tested member's angle reaches the
+        # point's; a non-member's runs the whole search
+        hull, made = self.counted_hull("offset-disk")
+        assert hull.contains(np.array(point)) is member
+        assert len(made) == calls
 
 
 class TestBuildD:

@@ -225,6 +225,20 @@ class TestKernelHyperplane:
     def test_zero_functional_degenerate(self):
         with pytest.raises(DegenerateError):
             kernel_hyperplane(np.zeros(2))
+        with pytest.raises(DegenerateError):
+            kernel_hyperplane(np.array([-0.0, 0.0]))
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-160, 1e-13, 1e160, 1e300])
+    def test_any_nonzero_entry_has_a_kernel(self, scale):
+        # |g|^2 underflows below about 1e-154 and overflows above 1e154; a
+        # power-of-two prescale gives those g the normal of unit scale
+        h = kernel_hyperplane(np.array([1.0, 1.0]) * scale)
+        np.testing.assert_allclose(h.normal, np.full(2, np.sqrt(0.5)), rtol=0.0, atol=1e-15)
+
+    def test_unit_range_bits_are_g_over_its_norm(self):
+        rng = np.random.default_rng(6)
+        for g in rng.normal(size=(50, 4)) * 10.0 ** rng.uniform(-12, 12, size=(50, 1)):
+            assert np.array_equal(kernel_hyperplane(g).normal, g / np.linalg.norm(g))
 
     def test_dim_is_the_ambient_dimension(self):
         assert kernel_hyperplane(np.array([0.0, 2.0, 0.0, 0.0])).dim == 4

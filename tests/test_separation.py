@@ -266,6 +266,18 @@ class TestTouchingBoxes:
         assert abs(normal @ center) >= half @ np.abs(normal) - 1e-9 * scale
         np.testing.assert_allclose(normal, np.array([1.0, -2.0, 0.0]) / np.sqrt(5.0), atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e12, 1e13])
+    def test_far_box_gets_a_plane(self, scale):
+        # g.x = 1 with |x| ~ scale makes |g| ~ 1/scale, which the kernel
+        # hyperplane once read as zero; the normal still moves with the scale
+        # (ROADMAP item 23), so only validity is gated
+        center, half = np.array([5.0, 1.0, 0.0]) * scale, np.ones(3) * scale
+        box = HPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([center + half, half - center]))
+        s = span_basis([np.array([0.0, 0.0, 1.0])], 3)
+        result = separate(box, s)
+        assert result.certificate.valid
+        assert verify_separation(box, s, result.hyperplane).valid
+
 
 class TestMetamorphic:
     """Transformed inputs against the untransformed run, on seeded families."""
